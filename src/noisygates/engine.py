@@ -291,11 +291,13 @@ class EnsembleResult:
     densities: np.ndarray | None  # (n_checkpoints, d, d) average outer products
     shots: int
 
-    def distribution(self, index: int = -1, estimator: str = "weighted") -> np.ndarray:
+    def distribution(self, index: int | slice = -1, estimator: str = "weighted") -> np.ndarray:
+        """Outcome distribution at checkpoint ``index`` (a slice gives one
+        row per checkpoint) from the weighted or the sampled estimator."""
         if estimator == "weighted":
             return self.distributions[index]
         counts = self.counts[index]
-        return counts / counts.sum()
+        return counts / counts.sum(axis=-1, keepdims=True)
 
 
 class _Compiled:

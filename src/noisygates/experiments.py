@@ -57,7 +57,6 @@ __all__ = [
     "checkpoint_gate_counts",
     "lindblad_reference",
     "noisy_ensemble",
-    "noisy_backend_run",
     "channel_backend_run",
     "run_compare",
 ]
@@ -157,19 +156,6 @@ def noisy_ensemble(
         checkpoints=checkpoint_layers,
     )
     return run_shots(scheduled, run_cfg)
-
-
-def noisy_backend_run(
-    scheduled: ScheduledCircuit,
-    config: ExperimentConfig,
-    checkpoint_layers: tuple[int, ...],
-    run_index: int,
-) -> np.ndarray:
-    """(n_checkpoints, 2**n) outcome distributions for one run."""
-    result = noisy_ensemble(scheduled, config, checkpoint_layers, run_index)
-    if config.estimator == "weighted":
-        return result.distributions
-    return result.counts / result.counts.sum(axis=1, keepdims=True)
 
 
 def _channel_checkpoint_probs(
@@ -323,10 +309,7 @@ class ExperimentResult:
 def _noisy_task(args):
     scheduled, config, layers, run_index = args
     result = noisy_ensemble(scheduled, config, layers, run_index)
-    if config.estimator == "weighted":
-        dists = result.distributions
-    else:
-        dists = result.counts / result.counts.sum(axis=1, keepdims=True)
+    dists = result.distribution(slice(None), config.estimator)
     return dists, (result.densities if run_index == 0 else None)
 
 

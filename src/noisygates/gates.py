@@ -223,8 +223,11 @@ class XiSampler:
 
     Precomputes, per jump operator, the covariance factor of the stacked
     real vector [Re I, Im I] via the Ito isometry on the gate's
-    quadrature grid, then fuses all terms into a single real matrix B so
-    a batch of draws is one ``(S, R) @ (R, 2 d^2)`` product.
+    quadrature grid, then fuses all terms into a single real matrix
+    ``factor`` of shape ``(2 d^2, R)``.  Sampling uses a copy of it with
+    the real and imaginary rows interleaved, so a batch of draws is one
+    ``(S, R) @ (R, 2 d^2)`` product whose rows, viewed as complex, are
+    the flattened Xi with no further copy.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
@@ -253,13 +256,16 @@ class XiSampler:
             blocks.append(rotated)
         self.factor = np.concatenate(blocks, axis=1) if blocks else np.zeros((2 * d * d, 0))
         self.n_gaussians = self.factor.shape[1]
+        n = d * d
+        self._interleaved = np.empty((self.n_gaussians, 2 * n))
+        self._interleaved[:, 0::2] = self.factor[:n].T
+        self._interleaved[:, 1::2] = self.factor[n:].T
 
     def sample(self, gen: np.random.Generator, size: int | None = None) -> np.ndarray:
         d = self.dim
         n = 1 if size is None else size
         g = gen.standard_normal((n, self.n_gaussians))
-        v = g @ self.factor.T
-        out = (v[:, : d * d] + 1j * v[:, d * d :]).reshape(n, d, d)
+        out = (g @ self._interleaved).view(complex).reshape(n, d, d)
         return out[0] if size is None else out
 
 
@@ -282,9 +288,12 @@ def sample_noisy_gate(
 class NoisyGateSampler:
     """Batched sampler for one (gate, noise context) pair.
 
-    Fuses U_g exp(Lambda) into a single prefix matrix and keeps the
+    Fuses U_g exp(Lambda) into a single prefix matrix P and keeps the
     Gaussian factor for Xi, so sampling S realisations costs one
-    Gaussian block, one batched exponential and one batched product.
+    Gaussian block of ``(S, xi.n_gaussians)`` normals, one batched
+    exponential and the product P exp(Xi).  For one-qubit gates that
+    product is taken on the four entry vectors of the stack, which is
+    far cheaper than S separate 2x2 matrix products.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
@@ -296,8 +305,17 @@ class NoisyGateSampler:
         if self.xi.n_gaussians == 0:
             return np.broadcast_to(self.prefix, (size, self.dim, self.dim))
         xi = self.xi.sample(gen, size)
-        e_xi = expm_2x2(xi) if self.dim == 2 else expm(xi)
-        return self.prefix[None, :, :] @ e_xi
+        if self.dim != 2:
+            return self.prefix @ expm(xi)
+        e = expm_2x2(xi)
+        (p00, p01), (p10, p11) = self.prefix.tolist()
+        e00, e01, e10, e11 = e[:, 0, 0], e[:, 0, 1], e[:, 1, 0], e[:, 1, 1]
+        out = np.empty_like(e)
+        out[:, 0, 0] = p00 * e00 + p01 * e10
+        out[:, 0, 1] = p00 * e01 + p01 * e11
+        out[:, 1, 0] = p10 * e00 + p11 * e10
+        out[:, 1, 1] = p10 * e01 + p11 * e11
+        return out
 
 
 def sample_spam_gate(v: float, rng: RngStream | np.random.Generator) -> np.ndarray:

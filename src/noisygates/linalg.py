@@ -12,6 +12,9 @@ qubits is amplitude index 2.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 
 __all__ = [
@@ -73,32 +76,70 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-# Padé(13) numerator coefficients for expm, highest order last.
-_PADE13 = (
-    64764752532480000.0,
-    32382376266240000.0,
-    7771770303897600.0,
-    1187353796428800.0,
-    129060195264000.0,
-    10559470521600.0,
-    670442572800.0,
-    33522128640.0,
-    1323241920.0,
-    40840800.0,
-    960960.0,
-    16380.0,
-    182.0,
-    1.0,
+# Padé(m) coefficients b_0..b_m for expm (Higham 2005): the approximant
+# is p(-A)^-1 p(A) with p(x) = sum_j b_j x^j.  theta_m is the largest
+# 1-norm at which degree m meets double precision without scaling.
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (
+        17643225600.0,
+        8821612800.0,
+        2075673600.0,
+        302702400.0,
+        30270240.0,
+        2162160.0,
+        110880.0,
+        3960.0,
+        90.0,
+        1.0,
+    ),
+    13: (
+        64764752532480000.0,
+        32382376266240000.0,
+        7771770303897600.0,
+        1187353796428800.0,
+        129060195264000.0,
+        10559470521600.0,
+        670442572800.0,
+        33522128640.0,
+        1323241920.0,
+        40840800.0,
+        960960.0,
+        16380.0,
+        182.0,
+        1.0,
+    ),
+}
+_PADE_THETA = (
+    (3, 1.495585217958292e-2),
+    (5, 2.539398330063230e-1),
+    (7, 9.504178996162932e-1),
+    (9, 2.097847961257068e0),
+    (13, 5.371920351148152e0),
 )
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Padé(13) core.
+def _pade_degree(norm: float) -> tuple[int, int]:
+    """(degree m, scaling power s) for a stack whose largest 1-norm is
+    ``norm``: the cheapest m with norm <= theta_m, else Padé(13) after
+    scaling by 2^-s down to theta_13."""
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            return m, 0
+    return 13, math.ceil(math.log2(norm / _PADE_THETA[-1][1]))
 
-    Accepts a single matrix or a stack ``(..., d, d)``; the scaling power
-    is chosen from the largest 1-norm in the stack so that every scaled
-    matrix has norm <= 0.5.  Relative accuracy is ~1e-14 for norms up to
-    10, which covers every generator used in this package.
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring with a Padé core.
+
+    Accepts a single matrix or a stack ``(..., d, d)``.  The Padé degree
+    m in {3, 5, 7, 9, 13} and the scaling power are chosen from the
+    largest 1-norm in the stack with Higham's theta_m bounds (N. J.
+    Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179), so small
+    generators take few matrix products.  Relative accuracy is ~1e-14 for
+    norms up to 10, which covers every generator used in this package.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -106,62 +147,108 @@ def expm(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in expm input")
 
-    d = a.shape[-1]
-    eye = np.broadcast_to(np.eye(d, dtype=complex), a.shape)
+    eye = np.eye(a.shape[-1], dtype=complex)
     norm = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
     if norm == 0.0:
-        return eye.copy()
-    s = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    a = a / (2.0**s)
-    b = _PADE13
+        return np.broadcast_to(eye, a.shape).copy()
+    degree, s = _pade_degree(norm)
+    if s:
+        a = a / (2.0**s)
+    b = _PADE[degree]
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * eye
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * eye
-    )
+    if degree == 13:
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (
+            a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+            + b[7] * a6
+            + b[5] * a4
+            + b[3] * a2
+            + b[1] * eye
+        )
+        v = (
+            a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+            + b[6] * a6
+            + b[4] * a4
+            + b[2] * a2
+            + b[0] * eye
+        )
+    else:
+        powers = [eye, a2]  # a^0, a^2, ..., a^(degree - 1)
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ a2)
+        u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
     f = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         f = f @ f
     return f
 
 
+# _SERIES_REACH[K - 1] is the largest |q^2| at which K terms of the even
+# series cosh q = sum_k q^2k/(2k)! and sinh(q)/q = sum_k q^2k/(2k+1)!
+# leave a tail below 2^-53; _SERIES_COEF[k] = (1/(2k)!, 1/(2k+1)!).
+_SERIES_MAX_TERMS = 10
+_SERIES_REACH = tuple(
+    (math.factorial(2 * k) * 2.0**-54) ** (1.0 / k) for k in range(1, _SERIES_MAX_TERMS + 1)
+)
+_SERIES_COEF = np.array(
+    [(1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)) for k in range(_SERIES_MAX_TERMS)]
+)
+
+
+def _series_terms(reach: float) -> tuple[int, int]:
+    """(terms K, scaling power s) for a stack whose largest |q^2| is
+    ``reach``: the fewest terms that reach it, else all of them after
+    scaling q by 2^-s (q^2 by 4^-s) into their reach."""
+    s = 0
+    if reach > _SERIES_REACH[-1]:
+        s = math.ceil(0.5 * math.log2(reach / _SERIES_REACH[-1]))
+    return bisect.bisect_left(_SERIES_REACH, reach / 4.0**s) + 1, s
+
+
 def expm_2x2(m: np.ndarray) -> np.ndarray:
     """Closed-form exponential of (stacks of) 2x2 complex matrices.
 
-    Uses e^M = e^mu (cosh(q) I + sinhc(q) (M - mu I)) with mu = tr M / 2
-    and q^2 = det(M - mu I) negated; sinhc is evaluated by series near
-    q = 0 so the expression is branch-free.  Agrees with :func:`expm` to
-    ~1e-14 and is much faster on large batches.
+    Uses e^M = e^mu (cosh(q) I + sinh(q)/q D) with mu = tr M / 2, the
+    traceless part D = M - mu I and q^2 = -det D (so D^2 = q^2 I).  cosh q
+    and sinh(q)/q are even power series in q^2, summed to as many terms
+    as the stack's largest |q^2| needs for double precision, so no square
+    root or branch appears.  Larger arguments are scaled by 2^-s and
+    squared back with (c I + t D)^2 = (c^2 + t^2 q^2) I + 2 c t D.
+    Agrees with :func:`expm` to ~1e-14 and is much faster on large batches.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite entries in expm_2x2 input")
     mu = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
     d00 = a[..., 0, 0] - mu
     q2 = d00 * d00 + a[..., 0, 1] * a[..., 1, 0]
-    q = np.sqrt(q2.astype(complex))
-    cosh_q = np.cosh(q)
-    small = np.abs(q) < 1e-4
-    # sinh(q)/q, series for small q to avoid 0/0
-    sinhc = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0, np.sinh(np.where(small, 1.0, q)) / np.where(small, 1.0, q))
+    terms, s = _series_terms(float(np.max(np.abs(q2))) if q2.size else 0.0)
+    z = q2 / 4.0**s if s else q2
+    # Horner in z for (cosh q, sinh(q)/q) at once, on a (2, ...) stack
+    coef = _SERIES_COEF.reshape((_SERIES_MAX_TERMS, 2) + (1,) * z.ndim)
+    ct = np.empty((2,) + z.shape, dtype=complex)
+    ct[...] = coef[terms - 1]
+    for k in range(terms - 2, -1, -1):
+        ct *= z
+        ct += coef[k]
+    c, t = ct
+    if s:
+        t = t / 2.0**s
+        for _ in range(s):
+            c, t = c * c + t * t * q2, 2.0 * c * t
     scale = np.exp(mu)
+    c *= scale
+    t *= scale
+    td = t * d00
     out = np.empty_like(a)
-    out[..., 0, 0] = scale * (cosh_q + sinhc * d00)
-    out[..., 0, 1] = scale * sinhc * a[..., 0, 1]
-    out[..., 1, 0] = scale * sinhc * a[..., 1, 0]
-    out[..., 1, 1] = scale * (cosh_q - sinhc * d00)
+    np.add(c, td, out=out[..., 0, 0])
+    np.multiply(t, a[..., 0, 1], out=out[..., 0, 1])
+    np.multiply(t, a[..., 1, 0], out=out[..., 1, 0])
+    np.subtract(c, td, out=out[..., 1, 1])
     return out
 
 

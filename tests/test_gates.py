@@ -1,4 +1,6 @@
+import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from noisygates.gates import (
     xi_from_path,
 )
 from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, expm, is_unitary
-from noisygates.noise_model import LindbladTerm, NoiseContext
+from noisygates.noise_model import LindbladTerm, NoiseContext, load_calibration, noise_context_for_gate
 from noisygates.stochastic import RngStream
 
 
@@ -179,6 +181,47 @@ class TestSampleNoisyGate:
                 choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
         eigs = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
         assert eigs.min() > -1e-6
+
+
+DESK_DEVICE = Path(__file__).resolve().parents[1] / "configs" / "desk_device.json"
+STREAM_GATES = {
+    "X": GateSpec("X", (0,)),
+    "SX": GateSpec("SX", (0,)),
+    "RX": GateSpec("RX", (0,), theta=0.7),
+    "CR": GateSpec("CR", (0, 1), theta=math.pi / 2),
+    "CNOT": GateSpec("CNOT", (0, 1)),
+}
+
+
+class TestSampleBatchStream:
+    """sample_batch draws one (size, n_gaussians) block of normals and
+    returns prefix @ exp(Xi), with Xi read off ``xi.factor`` as criterion
+    3 reads it.  Scaled contexts push the exponentials past their
+    unscaled ranges; scale 0 is the zero-noise context."""
+
+    @pytest.mark.parametrize(
+        "name, noise_scale",
+        [(name, 1.0) for name in STREAM_GATES] + [("X", 30.0), ("CNOT", 3.0), ("X", 0.0), ("CNOT", 0.0)],
+    )
+    def test_matches_factor_reference(self, name, noise_scale):
+        params = load_calibration(DESK_DEVICE)
+        gate = STREAM_GATES[name]
+        ctx = scale_context(noise_context_for_gate(gate, params), noise_scale)
+        gate = gate.with_duration(ctx.gate_duration)
+        sampler = NoisyGateSampler(schedule(gate), ctx)
+        gen = np.random.default_rng(11)
+        ref_gen = copy.deepcopy(gen)
+        size, d = 1000, sampler.dim
+
+        got = sampler.sample_batch(gen, size)
+        g = ref_gen.standard_normal((size, sampler.xi.n_gaussians))
+        v = g @ sampler.xi.factor.T
+        xi = (v[:, : d * d] + 1j * v[:, d * d :]).reshape(size, d, d)
+        want = sampler.prefix @ expm(xi)
+
+        assert got.shape == (size, d, d)
+        assert np.abs(got - want).max() <= 1e-13
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 class TestSpamGate:

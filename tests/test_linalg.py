@@ -5,6 +5,10 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noisygates.linalg import (
+    _PADE_THETA,
+    _SERIES_REACH,
+    _pade_degree,
+    _series_terms,
     DECAY,
     I2,
     PAULI_X,
@@ -110,6 +114,105 @@ class TestExpm:
         stacked = expm(batch)
         for i in range(5):
             assert np.allclose(stacked[i], expm(batch[i]), atol=1e-12)
+
+
+def assert_matches_scipy(got, a, bound=1e-11):
+    """Every matrix of the stack within ``bound`` of scipy, relative to
+    that matrix's largest entry."""
+    d = a.shape[-1]
+    for g, m in zip(got.reshape(-1, d, d), a.reshape(-1, d, d)):
+        want = scipy.linalg.expm(m)
+        assert np.abs(g - want).max() <= bound * np.abs(want).max()
+
+
+def with_one_norm(a, norm):
+    return a * (norm / np.abs(a).sum(axis=-2).max())
+
+
+def with_q2(rng, z, mu=0.0):
+    """Random non-normal 2x2 matrix with trace 2 mu and q^2 = -det of its
+    traceless part equal to ``z``."""
+    a00, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    a00 *= 0.3 * np.sqrt(abs(z))
+    return np.array([[mu + a00, b], [(z - a00 * a00) / b, mu - a00]])
+
+
+STRADDLE = (1.0 - 1e-6, 1.0 + 1e-6)
+
+
+class TestExpmAccuracy:
+    """Both exponentials against scipy where their evaluation changes:
+    either side of every Padé theta_m and every series-degree switch."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("degree, theta", _PADE_THETA)
+    def test_either_side_of_pade_theta(self, dim, degree, theta):
+        rng = np.random.default_rng(degree * 10 + dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        picked = []
+        for factor in STRADDLE:
+            m = with_one_norm(a, theta * factor)
+            picked.append(_pade_degree(np.abs(m).sum(axis=-2).max()))
+            assert_matches_scipy(expm(m), m)
+            if dim == 2:
+                assert_matches_scipy(expm_2x2(m), m)
+        assert picked[0] == (degree, 0) and picked[1] != picked[0]
+
+    @pytest.mark.parametrize("terms", range(1, len(_SERIES_REACH) + 1))
+    def test_either_side_of_series_switch(self, terms):
+        rng = np.random.default_rng(terms)
+        reach = _SERIES_REACH[terms - 1]
+        picked = []
+        for factor in STRADDLE:
+            z = reach * factor * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            m = with_q2(rng, z, mu=0.1j)
+            picked.append(_series_terms(abs(z)))
+            assert_matches_scipy(expm_2x2(m), m)
+            assert_matches_scipy(expm(m), m)
+        assert picked[0] == (terms, 0) and picked[1] != picked[0]
+
+    def test_zero_matrix(self):
+        zero = np.zeros((3, 2, 2), dtype=complex)
+        assert np.array_equal(expm_2x2(zero), np.broadcast_to(I2, zero.shape))
+        assert np.array_equal(expm(zero), np.broadcast_to(I2, zero.shape))
+
+    def test_nilpotent(self):
+        # q^2 = 0: e^(mu I + N) = e^mu (I + N) exactly
+        n = np.array([[0.0, 3.0 + 1j], [0.0, 0.0]])
+        mu = 0.2 - 0.4j
+        want = np.exp(mu) * (I2 + n)
+        assert np.abs(expm_2x2(mu * I2 + n) - want).max() < 1e-14
+        assert np.abs(expm(mu * I2 + n) - want).max() < 1e-14
+
+    @pytest.mark.parametrize("angle", [np.pi / 2, np.pi / 2 + 1e-9, 3 * np.pi / 2, 7.0])
+    def test_pure_rotation(self, angle):
+        # q = i angle, so cosh q = cos(angle), which is ~0 at odd pi/2
+        for axis in (PAULI_X, PAULI_Y, (PAULI_X + PAULI_Z) / np.sqrt(2)):
+            m = -1j * angle * axis
+            want = np.cos(angle) * I2 - 1j * np.sin(angle) * axis
+            assert np.abs(expm_2x2(m) - want).max() < 1e-13
+            assert np.abs(expm(m) - want).max() < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stack_with_large_outlier(self, dim):
+        # the outlier sets the scaling for the whole stack; the small
+        # matrices must keep their accuracy through the squarings
+        rng = np.random.default_rng(dim)
+        stack = 1e-3 * (rng.normal(size=(64, dim, dim)) + 1j * rng.normal(size=(64, dim, dim)))
+        stack[17] = with_one_norm(stack[17], 9.0)
+        assert_matches_scipy(expm(stack), stack)
+        if dim == 2:
+            assert_matches_scipy(expm_2x2(stack), stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_expm_2x2_rejects_non_finite(self, bad, entry):
+        stack = np.zeros((4, 2, 2), dtype=complex)
+        stack[2][entry] = bad
+        with pytest.raises(ValueError):
+            expm_2x2(stack)
+        with pytest.raises(ValueError):
+            expm(stack)
 
 
 class TestApplyGate:
