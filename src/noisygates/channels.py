@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, dagger
+from .linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, dagger, embed
 from .noise_model import DeviceParams, TWO_QUBIT_PAULIS, relaxation_rates
 
 __all__ = [
@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 _COMPLETENESS_TOL = 1e-10
+# Widest register run_channel_sim accepts: its density matrix and every
+# embedded Kraus operator hold 4^n complex entries (16 MiB at n = 10), and
+# each product costs 8^n multiply-adds.
+MAX_QUBITS = 10
 
 
 @dataclass(frozen=True)
@@ -112,17 +116,7 @@ def embed_operator(op: np.ndarray, n_qubits: int, qubits: tuple[int, ...] | list
     op = np.asarray(op, dtype=complex)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator dim {op.shape} does not match {k} qubits")
-    d = 2**n_qubits
-    big = np.kron(op, np.eye(2 ** (n_qubits - k), dtype=complex))
-    order = list(qubits) + [q for q in range(n_qubits) if q not in qubits]
-    # jmap[i]: basis index i with its bits rearranged to (targets..., rest...)
-    jmap = np.empty(d, dtype=int)
-    for idx in range(d):
-        j = 0
-        for q in order:
-            j = (j << 1) | ((idx >> (n_qubits - 1 - q)) & 1)
-        jmap[idx] = j
-    return big[np.ix_(jmap, jmap)]
+    return embed(op, qubits, n_qubits)
 
 
 def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits: tuple[int, ...] | list[int]) -> np.ndarray:
@@ -147,11 +141,14 @@ def run_channel_sim(scheduled, params: DeviceParams, initial: np.ndarray | None 
     and relaxation over the gate duration on the acted qubits, and
     relaxation over the layer duration on idle slots.  Returns the state
     after every layer (readout bitflips are *not* applied here; see
-    ``readout_distribution``).
+    ``readout_distribution``).  Registers wider than ``MAX_QUBITS`` raise
+    ``ValueError`` before anything is allocated.
     """
     from .gates import ideal_unitary  # local import to avoid a cycle
 
     n = scheduled.n_qubits
+    if n > MAX_QUBITS:
+        raise ValueError(f"the channel simulator supports at most {MAX_QUBITS} qubits; circuit has {n}")
     d = 2**n
     rho = np.zeros((d, d), dtype=complex)
     if initial is None:

@@ -11,10 +11,19 @@ the default outcome distribution weights each trajectory's Born
 probabilities by its squared norm.  An ``unweighted`` estimator
 (one sampled bitstring per trajectory) is available as well.
 
-Trajectories are simulated in fixed chunks of ``CHUNK_SHOTS`` shots so
-the per-gate sampling vectorises; each chunk draws from its own random
-stream keyed by (master seed, run index, chunk index), which makes
-results bit-identical for any worker count or execution order.
+Trajectories are simulated in chunks of ``chunk_shots(n)`` shots so the
+per-gate sampling vectorises: as many shots as fit one state batch in
+``STATE_BUDGET_BYTES``, at most ``CHUNK_SHOTS`` (1024 for n <= 8, 64 at
+n = 12).  The chunk size depends on n alone and each chunk draws from its
+own random stream keyed by (master seed, run index, chunk index), which
+makes results bit-identical for any worker count or execution order.
+
+Each layer first samples every slot's gate batch in slot order, then
+applies them in a few passes: slots on a contiguous run of at most
+``FUSE_MAX_QUBITS`` qubits are combined into one gate per shot (per-shot
+Kronecker products across qubits, products in slot order on a qubit), so
+a layer of idle pads costs about n / ``FUSE_MAX_QUBITS`` state updates
+instead of n.  Registers wider than ``MAX_QUBITS`` are rejected.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .gates import (
     schedule,
     spam_gate_batch,
 )
-from .linalg import apply_gate
+from .linalg import apply_gate, embed, kron
 from .noise_model import DeviceParams, noise_context_for_gate, relaxation_rates, spam_strength
 from .stochastic import RngStream
 
@@ -51,10 +60,30 @@ __all__ = [
     "decompose_cnot",
     "run_trajectory",
     "run_shots",
+    "chunk_shots",
 ]
 
+# Shots per chunk: as many as fit one state batch (16 * 2^n bytes a shot)
+# in STATE_BUDGET_BYTES, capped at CHUNK_SHOTS.  4 MiB keeps 1024 shots, and
+# so every stock experiment's random stream, for n <= 8.  On the 12-qubit
+# GHZ ladder (1024 shots, one BLAS thread, seeds 0-2) budgets of 4, 8 and
+# 16 MiB, i.e. chunks of 64, 128 and 256 shots, took 2.2-2.4, 2.4-2.6 and
+# 2.4-2.6 s at a peak RSS of 70, 98 and 154 MiB.
 CHUNK_SHOTS = 1024
+STATE_BUDGET_BYTES = 4 * 2**20
+# Widest contiguous qubit run whose slots one pass applies together.  On
+# the same GHZ runs, runs of at most 2, 3 and 4 qubits took 4.0-4.4,
+# 2.2-2.4 and 2.3-2.5 s.
+FUSE_MAX_QUBITS = 3
+# Widest register run_shots accepts: one state vector is 16 MiB at n = 20
+# and each checkpoint's accumulators take 16 * 2^n bytes more.
+MAX_QUBITS = 20
 DENSE_DENSITY_MAX_QUBITS = 5
+
+
+def chunk_shots(n_qubits: int) -> int:
+    """Shots simulated together on an ``n_qubits`` register."""
+    return min(CHUNK_SHOTS, max(1, STATE_BUDGET_BYTES // (16 * 2**n_qubits)))
 
 
 class CircuitError(ValueError):
@@ -153,9 +182,13 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
     if not isinstance(measured, list) or not all(isinstance(q, int) for q in measured):
         raise CircuitError("'measure' must be a list of ints")
 
-    # greedy ASAP packing: each op lands in the earliest layer after the
-    # last one touching any of its qubits
-    frontier = [0] * n
+    return Circuit(n_qubits=n, layers=_pack_asap(n, gates), measured=tuple(measured))
+
+
+def _pack_asap(n_qubits: int, gates: list[GateSpec]) -> tuple[tuple[GateSpec, ...], ...]:
+    """Greedy ASAP packing: each gate lands in the earliest layer after the
+    last one touching any of its qubits."""
+    frontier = [0] * n_qubits
     layers: list[list[GateSpec]] = []
     for gate in gates:
         at = max(frontier[q] for q in gate.qubits)
@@ -164,7 +197,7 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
         layers[at].append(gate)
         for q in gate.qubits:
             frontier[q] = at + 1
-    return Circuit(n_qubits=n, layers=tuple(tuple(l) for l in layers), measured=tuple(measured))
+    return tuple(tuple(layer) for layer in layers)
 
 
 @dataclass(frozen=True)
@@ -241,16 +274,7 @@ def expand_cnots(circuit: Circuit) -> Circuit:
     for layer in circuit.layers:
         for gate in layer:
             ops.extend(decompose_cnot(gate) if gate.kind == "CNOT" else [gate])
-    frontier = [0] * circuit.n_qubits
-    layers: list[list[GateSpec]] = []
-    for gate in ops:
-        at = max(frontier[q] for q in gate.qubits)
-        while len(layers) <= at:
-            layers.append([])
-        layers[at].append(gate)
-        for q in gate.qubits:
-            frontier[q] = at + 1
-    return Circuit(circuit.n_qubits, tuple(tuple(l) for l in layers), circuit.measured)
+    return Circuit(circuit.n_qubits, _pack_asap(circuit.n_qubits, ops), circuit.measured)
 
 
 @dataclass(frozen=True)
@@ -300,61 +324,133 @@ class EnsembleResult:
         return counts / counts.sum(axis=-1, keepdims=True)
 
 
+# A pass is one apply_gate call: (qubits, groups), groups in qubit order.
+# A group (width, members) acts on ``width`` adjacent qubits; its members
+# are (slot index, the slot's qubit positions within the group), in slot
+# order.
+_Pass = tuple[tuple[int, ...], tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]]
+
+
+def _plan_passes(slot_qubits: list[tuple[int, ...]]) -> list[_Pass]:
+    """Passes that apply a layer's slots, given each slot's qubits.
+
+    Slots sharing a qubit form a group; groups act on disjoint qubits, so
+    they commute.  Groups that cover a contiguous run of at most
+    ``FUSE_MAX_QUBITS`` qubits are packed, lowest qubit first, into
+    blocks of adjacent groups no wider than that, one pass per block.  The
+    slots of any other group get a pass each, in slot order.  A block of
+    a single slot is applied on that slot's own qubit list, exactly as
+    without fusion.
+    """
+    groups: list[tuple[set[int], list[int]]] = []
+    for index, qubits in enumerate(slot_qubits):
+        covered, members = set(qubits), [index]
+        for group in [g for g in groups if g[0] & covered]:
+            groups.remove(group)
+            covered |= group[0]
+            members += group[1]
+        groups.append((covered, sorted(members)))
+
+    def alone(index: int) -> _Pass:
+        k = len(slot_qubits[index])
+        return slot_qubits[index], ((k, ((index, tuple(range(k))),)),)
+
+    passes: list[_Pass] = []
+    blocks: list[list[tuple[int, int, list[int]]]] = []
+    for covered, members in sorted(groups, key=lambda g: min(g[0])):
+        lo, hi = min(covered), max(covered)
+        if hi - lo + 1 != len(covered) or len(covered) > FUSE_MAX_QUBITS:
+            passes += [alone(i) for i in members]
+        elif blocks and blocks[-1][-1][1] == lo - 1 and hi - blocks[-1][0][0] < FUSE_MAX_QUBITS:
+            blocks[-1].append((lo, hi, members))
+        else:
+            blocks.append([(lo, hi, members)])
+    for block in blocks:
+        if len(block) == 1 and len(block[0][2]) == 1:
+            passes.append(alone(block[0][2][0]))
+            continue
+        groups_out = tuple(
+            (hi - lo + 1, tuple((i, tuple(q - lo for q in slot_qubits[i])) for i in members))
+            for lo, hi, members in block
+        )
+        passes.append((tuple(range(block[0][0], block[-1][1] + 1)), groups_out))
+    return passes
+
+
+def _pass_gate(gates: list[np.ndarray], groups) -> np.ndarray:
+    """Per-shot gate of one pass: the Kronecker product over its groups
+    of each group's slot gates, multiplied in slot order."""
+    block = None
+    for width, members in groups:
+        group = None
+        for index, positions in members:
+            gate = gates[index]
+            if positions != tuple(range(width)):
+                gate = embed(gate, positions, width)
+            group = gate if group is None else gate @ group
+        block = group if block is None else kron(block, group)
+    return block
+
+
 class _Compiled:
-    """Per-layer samplers resolved once per (circuit, device)."""
+    """Per-layer samplers and passes resolved once per (circuit, device)."""
 
     def __init__(self, scheduled: ScheduledCircuit):
         self.scheduled = scheduled
         self.n_qubits = scheduled.n_qubits
         params = scheduled.params
         self.layer_plans: list[list[tuple[str, object]]] = []
+        self.layer_passes: list[list[_Pass]] = []
         cache: dict[tuple, NoisyGateSampler] = {}
         for layer in scheduled.layers:
             plan: list[tuple[str, object]] = []
             for gate in layer.gates:
                 if gate.kind == "RZ":
-                    plan.append(("fixed", (ideal_unitary(gate), gate.qubits)))
+                    plan.append(("fixed", ideal_unitary(gate)))
                 elif gate.kind == "IDLE":
                     q = params.qubits[gate.qubits[0]]
                     gamma1, gamma_pd = relaxation_rates(q.t1_s, q.t2_s)
-                    plan.append(("relax", (gamma1, gamma_pd, gate.duration, gate.qubits)))
+                    plan.append(("relax", (gamma1, gamma_pd, gate.duration)))
                 else:
                     key = (gate.kind, gate.theta, gate.phi, gate.duration, gate.qubits)
                     if key not in cache:
                         ctx = noise_context_for_gate(gate, params)
                         cache[key] = NoisyGateSampler(schedule(gate), ctx)
-                    plan.append(("noisy", (cache[key], gate.qubits)))
+                    plan.append(("noisy", cache[key]))
             self.layer_plans.append(plan)
-        self.spam = [
-            (q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured
-        ]
+            self.layer_passes.append(_plan_passes([gate.qubits for gate in layer.gates]))
+        self.spam = [spam_strength(params.qubits[q].p_readout) for q in scheduled.measured]
+        self.spam_passes = _plan_passes([(q,) for q in scheduled.measured])
 
-    def apply_layer(self, states: np.ndarray, plan, gen: np.random.Generator) -> np.ndarray:
-        size = states.shape[0]
-        for kind, payload in plan:
-            if kind == "fixed":
-                u, qubits = payload
-                states = apply_gate(states, u, qubits, self.n_qubits)
-            elif kind == "relax":
-                gamma1, gamma_pd, dt, qubits = payload
-                gates = relaxation_gate_batch(gamma1, gamma_pd, dt, gen, size)
-                states = apply_gate(states, gates, qubits, self.n_qubits)
-            else:
-                sampler, qubits = payload
-                gates = sampler.sample_batch(gen, size)
-                states = apply_gate(states, gates, qubits, self.n_qubits)
+    @staticmethod
+    def _draw(slot: tuple[str, object], gen: np.random.Generator, size: int) -> np.ndarray:
+        kind, payload = slot
+        if kind == "fixed":
+            return payload
+        if kind == "relax":
+            gamma1, gamma_pd, dt = payload
+            return relaxation_gate_batch(gamma1, gamma_pd, dt, gen, size)
+        return payload.sample_batch(gen, size)
+
+    def _apply(self, states: np.ndarray, gates: list[np.ndarray], passes: list[_Pass]) -> np.ndarray:
+        for qubits, groups in passes:
+            states = apply_gate(states, _pass_gate(gates, groups), qubits, self.n_qubits)
         return states
+
+    def apply_layer(self, states: np.ndarray, layer: int, gen: np.random.Generator) -> np.ndarray:
+        """Sample every slot of layer ``layer`` in slot order, then apply
+        them in the layer's passes (applying draws nothing)."""
+        size = states.shape[0]
+        gates = [self._draw(slot, gen, size) for slot in self.layer_plans[layer]]
+        return self._apply(states, gates, self.layer_passes[layer])
 
     def measured_probs(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Per-trajectory Born probabilities at a readout point, with a
         fresh pre-measurement noise gate per measured qubit (the running
         states are not modified)."""
         if self.spam:
-            noisy = states
-            for q, v in self.spam:
-                gates = spam_gate_batch(v, gen, states.shape[0])
-                noisy = apply_gate(noisy, gates, (q,), self.n_qubits)
-            return np.abs(noisy) ** 2
+            gates = [spam_gate_batch(v, gen, states.shape[0]) for v in self.spam]
+            states = self._apply(states, gates, self.spam_passes)
         return np.abs(states) ** 2
 
 
@@ -368,8 +464,8 @@ def run_trajectory(
     gen = rng.generator
     state = np.zeros((1, 2**scheduled.n_qubits), dtype=complex)
     state[0, 0] = 1.0
-    for plan in compiled.layer_plans:
-        state = compiled.apply_layer(state, plan, gen)
+    for layer in range(len(compiled.layer_plans)):
+        state = compiled.apply_layer(state, layer, gen)
         if not np.all(np.isfinite(state)):
             raise FloatingPointError("trajectory state diverged")
     probs = compiled.measured_probs(state, gen)[0]
@@ -381,14 +477,18 @@ def run_trajectory(
 def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     """Ensemble over ``config.shots`` trajectories.
 
-    Shots are simulated in fixed chunks of ``CHUNK_SHOTS``; chunk c of
-    run r draws from the stream (master_seed, r, c), so aggregates are
-    bit-identical for any parallelism.  Checkpoints record the running
-    ensemble after the stated number of layers (measured qubits get a
-    fresh pre-measurement noise draw at every checkpoint, mirroring a
-    family of circuits of increasing depth that share noise prefixes).
+    Shots are simulated in chunks of ``chunk_shots(n)``, a function of the
+    register width alone; chunk c of run r draws from the stream
+    (master_seed, r, c), so aggregates are bit-identical for any
+    parallelism.  Checkpoints record the running ensemble after the stated
+    number of layers (measured qubits get a fresh pre-measurement noise
+    draw at every checkpoint, mirroring a family of circuits of increasing
+    depth that share noise prefixes).  Registers wider than ``MAX_QUBITS``
+    raise ``ValueError`` before anything is allocated.
     """
     n = scheduled.n_qubits
+    if n > MAX_QUBITS:
+        raise ValueError(f"the trajectory engine supports at most {MAX_QUBITS} qubits; circuit has {n}")
     dim = 2**n
     compiled = _Compiled(scheduled)
     n_layers = len(scheduled.layers)
@@ -404,10 +504,11 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     counts = np.zeros((n_cp, dim), dtype=np.int64)
     dens_acc = np.zeros((n_cp, dim, dim), dtype=complex) if keep_density else None
 
-    n_chunks = (config.shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS
+    chunk_size = chunk_shots(n)
+    n_chunks = (config.shots + chunk_size - 1) // chunk_size
     root = RngStream(config.master_seed, stream_index=config.run_index)
     for chunk in range(n_chunks):
-        size = min(CHUNK_SHOTS, config.shots - chunk * CHUNK_SHOTS)
+        size = min(chunk_size, config.shots - chunk * chunk_size)
         gen = root.child(chunk).generator
         states = np.zeros((size, dim), dtype=complex)
         states[:, 0] = 1.0
@@ -430,7 +531,7 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
                     dens_acc[cp_iter] += np.einsum("si,sj->ij", states, states.conj())
                 cp_iter += 1
             if layer_index < n_layers:
-                states = compiled.apply_layer(states, compiled.layer_plans[layer_index], gen)
+                states = compiled.apply_layer(states, layer_index, gen)
 
     times = np.array(
         [sum(l.duration for l in scheduled.layers[:c]) for c in cp_sorted]

@@ -51,6 +51,7 @@ from .stochastic import RngStream
 __all__ = [
     "BACKENDS",
     "EXPERIMENTS",
+    "LINDBLAD_MAX_QUBITS",
     "ExperimentConfig",
     "ExperimentResult",
     "build_experiment_circuit",
@@ -67,6 +68,10 @@ EXPERIMENTS = ("repeat_x", "repeat_cr", "repeat_cnot", "custom_circuit")
 # Stream index offsets keep the three stochastic consumers independent.
 _CHANNEL_STREAM_BASE = 1_000_000
 _LINDBLAD_STEPS_PER_SEGMENT = 100
+# Widest register lindblad_reference accepts: its superoperator and RK4 step
+# matrix hold 16^n complex entries each, 16 MiB at n = 5 but 256 MiB at n = 6
+# and 4 GiB at n = 7, with several alive at once while a step is built.
+LINDBLAD_MAX_QUBITS = 5
 
 
 @dataclass(frozen=True)
@@ -235,9 +240,15 @@ def lindblad_reference(
     Layers must be uniform in duration (true for the repeat experiments
     and decomposed circuits).  Returns (distributions, rho at every
     checkpoint, times).  Readout bitflips are applied to the
-    distribution only, never to the running state.
+    distribution only, never to the running state.  Registers wider than
+    ``LINDBLAD_MAX_QUBITS`` raise ``ValueError`` before anything is
+    allocated.
     """
     n = scheduled.n_qubits
+    if n > LINDBLAD_MAX_QUBITS:
+        raise ValueError(
+            f"the Lindblad reference supports at most {LINDBLAD_MAX_QUBITS} qubits; circuit has {n}"
+        )
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0

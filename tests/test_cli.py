@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -72,6 +73,26 @@ class TestExitCodes:
     def test_checkpoints_above_reps_is_two(self, device_file, tmp_path, capsys):
         rc = main(compare_args(device_file, tmp_path / "out", **{"--checkpoints": "50"}))
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_seven_qubit_custom_circuit_is_two_at_once(self, command, tmp_path, capsys):
+        device = dict(DEVICE, qubits=[DEVICE["qubits"][q % 2] for q in range(7)])
+        device_path = tmp_path / "device7.json"
+        device_path.write_text(json.dumps(device))
+        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(6)]
+        circuit_path = tmp_path / "ghz7.json"
+        circuit_path.write_text(json.dumps({"n_qubits": 7, "ops": ops, "measure": list(range(7))}))
+        argv = [command] + compare_args(
+            device_path,
+            tmp_path / "out",
+            **{"--experiment": "custom_circuit", "--circuit": str(circuit_path)},
+        )[1:]
+        start = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - start
+        assert rc == 2
+        assert "at most 5 qubits" in capsys.readouterr().err
+        assert elapsed < 1.0
 
     def test_forced_tolerance_failure_is_three(self, monkeypatch, capsys):
         monkeypatch.setenv("NOISYGATES_TOL_SCALE", "0.0")

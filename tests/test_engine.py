@@ -1,13 +1,24 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisygates
 from noisygates.channels import relaxation_channel
 from noisygates.engine import (
+    CHUNK_SHOTS,
+    MAX_QUBITS,
     Circuit,
     CircuitError,
     RunConfig,
+    _Compiled,
+    chunk_shots,
     decompose_cnot,
     expand_cnots,
     parse_circuit,
@@ -15,9 +26,10 @@ from noisygates.engine import (
     run_trajectory,
     schedule_layers,
 )
-from noisygates.gates import GateSpec, ideal_unitary
+from noisygates.gates import GateSpec, ideal_unitary, spam_gate_batch
 from noisygates.channels import embed_operator
-from noisygates.noise_model import DeviceParams, QubitParams, relaxation_rates
+from noisygates.linalg import apply_gate
+from noisygates.noise_model import DeviceParams, QubitParams, relaxation_rates, spam_strength
 from noisygates.stochastic import RngStream
 
 NOISELESS = DeviceParams(
@@ -239,3 +251,160 @@ class TestRunShots:
         result = run_shots(sched, RunConfig(shots=20_000, master_seed=4))
         unweighted = result.counts[-1] / result.counts[-1].sum()
         assert np.abs(result.distributions[-1] - unweighted).max() < 0.02
+
+
+def desk_register(n: int) -> DeviceParams:
+    """The two desk qubits repeated over an n-qubit register."""
+    return replace(DESK, qubits=tuple(DESK.qubits[q % 2] for q in range(n)))
+
+
+def random_states(shots: int, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(shots, 2**n)) + 1j * rng.normal(size=(shots, 2**n))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+class TestFusedLayers:
+    # SX then its pad on q0, a descending CNOT on (2, 1), an idle q3 and a
+    # zero-duration RZ then its pad on q4: two fused passes, q0-q2 and q3-q4
+    MIXED = {
+        "n_qubits": 5,
+        "ops": [
+            {"gate": "SX", "q": [0]},
+            {"gate": "CNOT", "q": [2, 1]},
+            {"gate": "RZ", "q": [4], "phi": 0.7},
+        ],
+        "measure": [0, 1, 3, 4],
+    }
+
+    def compiled(self):
+        return _Compiled(schedule_layers(parse_circuit(self.MIXED), desk_register(5)))
+
+    def test_mixed_layer_matches_slot_by_slot(self):
+        compiled = self.compiled()
+        slots = compiled.scheduled.layers[0].gates
+        assert [g.kind for g in slots] == ["SX", "CNOT", "RZ", "IDLE", "IDLE", "IDLE"]
+        assert [qubits for qubits, _ in compiled.layer_passes[0]] == [(0, 1, 2), (3, 4)]
+        states = random_states(64, 5, seed=1)
+        fused_gen, slot_gen = RngStream(11).generator, RngStream(11).generator
+        fused = compiled.apply_layer(states, 0, fused_gen)
+        want = states
+        for slot, gate in zip(compiled.layer_plans[0], slots):
+            drawn = compiled._draw(slot, slot_gen, len(states))
+            want = apply_gate(want, drawn, gate.qubits, 5)
+        assert np.abs(fused - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_equal(fused_gen.bit_generator.state, slot_gen.bit_generator.state)
+
+    def test_readout_gates_match_qubit_by_qubit(self):
+        compiled = self.compiled()
+        assert [qubits for qubits, _ in compiled.spam_passes] == [(0, 1), (3, 4)]
+        states = random_states(64, 5, seed=2)
+        fused_gen, slot_gen = RngStream(12).generator, RngStream(12).generator
+        fused = compiled.measured_probs(states, fused_gen)
+        want = states
+        for q in compiled.scheduled.measured:
+            v = spam_strength(compiled.scheduled.params.qubits[q].p_readout)
+            want = apply_gate(want, spam_gate_batch(v, slot_gen, len(states)), (q,), 5)
+        want = np.abs(want) ** 2
+        assert np.abs(fused - want).max() <= 1e-12 * want.max()
+        np.testing.assert_equal(fused_gen.bit_generator.state, slot_gen.bit_generator.state)
+
+    def test_single_slot_layer_applies_gate_unchanged(self):
+        sched = schedule_layers(parse_circuit({"n_qubits": 2, "ops": [{"gate": "CNOT", "q": [1, 0]}]}), DESK)
+        compiled = _Compiled(sched)
+        ((qubits, groups),) = compiled.layer_passes[0]
+        assert qubits == (1, 0)
+        assert groups == ((2, ((0, (0, 1)),)),)
+
+    def test_non_contiguous_gate_is_applied_alone(self):
+        doc = {"n_qubits": 4, "ops": [{"gate": "CNOT", "q": [0, 2]}]}
+        compiled = _Compiled(schedule_layers(parse_circuit(doc), desk_register(4)))
+        passes = [qubits for qubits, _ in compiled.layer_passes[0]]
+        # the CNOT alone; the idle pads on q1 and q3 are not adjacent
+        assert sorted(passes) == [(0, 2), (1,), (3,)]
+
+
+class TestChunkShots:
+    def test_stock_registers_keep_full_chunks(self):
+        assert [chunk_shots(n) for n in range(1, 9)] == [CHUNK_SHOTS] * 8
+
+    def test_at_least_one_shot_and_nonincreasing(self):
+        sizes = [chunk_shots(n) for n in range(1, 41)]
+        assert min(sizes) >= 1
+        assert sizes == sorted(sizes, reverse=True)
+
+
+class TestWidthLimits:
+    def test_run_shots_rejects_wide_register(self):
+        n = MAX_QUBITS + 1
+        sched = schedule_layers(parse_circuit({"n_qubits": n, "ops": []}), desk_register(n))
+        with pytest.raises(ValueError, match=f"at most {MAX_QUBITS} qubits"):
+            run_shots(sched, RunConfig(shots=1))
+
+    def test_lindblad_reference_rejects_wide_register(self):
+        from noisygates.experiments import LINDBLAD_MAX_QUBITS, lindblad_reference
+
+        n = LINDBLAD_MAX_QUBITS + 1
+        sched = schedule_layers(parse_circuit({"n_qubits": n, "ops": []}), desk_register(n))
+        with pytest.raises(ValueError, match=f"at most {LINDBLAD_MAX_QUBITS} qubits"):
+            lindblad_reference(sched, (0,))
+
+    def test_channel_sim_rejects_wide_register(self):
+        from noisygates.channels import MAX_QUBITS as CHANNEL_MAX_QUBITS, run_channel_sim
+
+        n = CHANNEL_MAX_QUBITS + 1
+        sched = schedule_layers(parse_circuit({"n_qubits": n, "ops": []}), desk_register(n))
+        with pytest.raises(ValueError, match=f"at most {CHANNEL_MAX_QUBITS} qubits"):
+            run_channel_sim(sched, sched.params)
+
+
+# Memory bounds for a 16-qubit, 16-shot GHZ run in a fresh process.  It
+# allocated at most 27 MiB at once in chunks of four 1 MiB states, against
+# 83 MiB as one 16-shot chunk; the process peaked at 76 MiB resident, of
+# which numpy, scipy and noisygates take about 65 (Linux x86-64, numpy 2.4).
+# The resident peak is read as VmHWM: a child's ru_maxrss keeps the peak of
+# the process that spawned it (Linux carries it across exec), which under
+# pytest is the test runner's.
+GHZ16_PEAK_ALLOC_MIB = 48
+GHZ16_PEAK_RSS_MIB = 160
+
+GHZ16_SCRIPT = """
+import json, tracemalloc
+from pathlib import Path
+from noisygates.engine import RunConfig, parse_circuit, run_shots, schedule_layers
+from noisygates.noise_model import DeviceParams, QubitParams
+
+n = 16
+qubit = QubitParams(t1_s=100e-6, t2_s=80e-6, p_readout=0.02)
+device = DeviceParams(qubits=(qubit,) * n, t_1q_s=35e-9, t_2q_s=300e-9, p_1q=5e-4, p_2q=0.04)
+ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [i, i + 1]} for i in range(n - 1)]
+sched = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), device)
+tracemalloc.start()
+dist = run_shots(sched, RunConfig(shots=16, master_seed=0)).distributions[-1]
+print(json.dumps({
+    "peak_alloc": tracemalloc.get_traced_memory()[1],
+    "peak_rss_kib": int(next(
+        line.split()[1] for line in Path("/proc/self/status").read_text().splitlines()
+        if line.startswith("VmHWM:")
+    )),
+    "total": float(dist.sum()),
+    "ghz": float(dist[0] + dist[-1]),
+}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_ghz16_smoke_runs_in_bounded_memory():
+    src = str(Path(noisygates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", GHZ16_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["peak_alloc"] < GHZ16_PEAK_ALLOC_MIB * 2**20
+    assert out["peak_rss_kib"] < GHZ16_PEAK_RSS_MIB * 1024
+    assert out["total"] == pytest.approx(1.0, abs=1e-9)
+    assert 0.2 < out["ghz"] <= 1.0

@@ -9,6 +9,7 @@ from noisygates.linalg import (
     _SERIES_REACH,
     _pade_degree,
     _series_terms,
+    STRIDED_MIN_SLICE,
     DECAY,
     I2,
     PAULI_X,
@@ -17,6 +18,7 @@ from noisygates.linalg import (
     apply_gate,
     basis_state,
     dagger,
+    embed,
     expm,
     expm_2x2,
     is_hermitian,
@@ -49,6 +51,15 @@ class TestMatmul:
 
 
 class TestKron:
+    def test_batched_matches_numpy_per_matrix(self):
+        rng = np.random.default_rng(3)
+        a = random_complex(rng, (5, 2, 2))
+        b = random_complex(rng, (5, 4, 4))
+        out = kron(a, b)
+        for i in range(5):
+            assert np.array_equal(out[i], np.kron(a[i], b[i]))
+        assert np.array_equal(kron(a, b[0]), np.stack([np.kron(x, b[0]) for x in a]))
+
     def test_identity_tensor_x(self):
         out = kron(I2, PAULI_X)
         assert np.allclose(out[:2, :2], PAULI_X)
@@ -213,6 +224,103 @@ class TestExpmAccuracy:
             expm_2x2(stack)
         with pytest.raises(ValueError):
             expm(stack)
+
+
+def embedded_matrix(op: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
+    """Reference: ``op`` on ``qubits`` of an n-qubit register, built entry by
+    entry from kron(op, I) and the bit permutation that puts the listed
+    qubits first (big-endian, first listed qubit most significant)."""
+    big = np.kron(op, np.eye(2 ** (n - len(qubits))))
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    perm = [sum(((i >> (n - 1 - q)) & 1) << (n - 1 - j) for j, q in enumerate(order)) for i in range(2**n)]
+    return big[np.ix_(perm, perm)]
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# (n, qubits): every path of apply_gate -- register-ending (R = 1),
+# strided (2^k R >= STRIDED_MIN_SLICE), contiguous below the slice bound,
+# descending and non-adjacent lists.
+APPLY_CASES = [
+    (1, [0]),
+    (2, [0, 1]),
+    (3, [1]),
+    (4, [1, 2]),
+    (6, [0]),
+    (6, [0, 1, 2]),
+    (6, [3, 4, 5]),
+    (6, [2, 3]),
+    (7, [1, 2]),
+    (5, [1, 0]),
+    (6, [4, 2]),
+    (6, [0, 5, 2]),
+]
+
+
+def apply_path(n, qubits):
+    k, lo = len(qubits), qubits[0]
+    if qubits != list(range(lo, lo + k)):
+        return "transpose"
+    rest = 2 ** (n - lo - k)
+    if rest == 1:
+        return "register-ending"
+    return "strided" if rest << k >= STRIDED_MIN_SLICE else "transpose"
+
+
+class TestApplyGateAgainstEmbedding:
+    def test_cases_cover_every_path(self):
+        paths = {apply_path(n, q) for n, q in APPLY_CASES}
+        assert paths == {"register-ending", "strided", "transpose"}
+        assert any(apply_path(n, q) == "transpose" and q == sorted(q) for n, q in APPLY_CASES)
+
+    @pytest.mark.parametrize("n,qubits", APPLY_CASES)
+    @pytest.mark.parametrize("mode", ["single", "batched states", "batched both"])
+    def test_matches_embedded_matrix(self, n, qubits, mode):
+        rng = np.random.default_rng(n * 100 + len(qubits))
+        d, shots = 2 ** len(qubits), 3
+        gate = random_complex(rng, (shots, d, d) if mode == "batched both" else (d, d))
+        state = random_complex(rng, (2**n,) if mode == "single" else (shots, 2**n))
+        out = apply_gate(state, gate, qubits, n)
+        if mode == "single":
+            want = embedded_matrix(gate, qubits, n) @ state
+        elif mode == "batched states":
+            want = state @ embedded_matrix(gate, qubits, n).T
+        else:
+            want = np.stack([embedded_matrix(g, qubits, n) @ v for g, v in zip(gate, state)])
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+    @given(st.data())
+    def test_property(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        k = data.draw(st.integers(1, min(3, n)), label="k")
+        layout = data.draw(st.sampled_from(["contiguous", "descending", "any"]), label="layout")
+        if layout == "any":
+            qubits = data.draw(st.permutations(range(n)), label="order")[:k]
+        else:
+            lo = data.draw(st.integers(0, n - k), label="lo")
+            qubits = list(range(lo, lo + k))[:: 1 if layout == "contiguous" else -1]
+        batched_state = data.draw(st.booleans(), label="batched state")
+        batched_gate = batched_state and data.draw(st.booleans(), label="batched gate")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        d, shots = 2**k, 2
+        gate = random_complex(rng, (shots, d, d) if batched_gate else (d, d))
+        state = random_complex(rng, (shots, 2**n) if batched_state else (2**n,))
+        out = apply_gate(state, gate, qubits, n)
+        gates = gate if batched_gate else np.broadcast_to(gate, (shots, d, d))
+        states = state if batched_state else state[None]
+        want = np.stack([embedded_matrix(g, qubits, n) @ v for g, v in zip(gates, states)])
+        assert np.abs(out - want.reshape(out.shape)).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,qubits", [(1, [0]), (3, [2, 0]), (4, [1, 3, 2]), (5, [0, 1]), (5, [4])])
+    def test_embed_is_the_reference_matrix(self, n, qubits):
+        rng = np.random.default_rng(n)
+        d = 2 ** len(qubits)
+        ops = random_complex(rng, (4, d, d))
+        out = embed(ops, qubits, n)
+        for op, full in zip(ops, out):
+            assert np.array_equal(full, embedded_matrix(op, qubits, n))
 
 
 class TestApplyGate:
