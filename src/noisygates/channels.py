@@ -140,8 +140,9 @@ def run_channel_sim(scheduled, params: DeviceParams, initial: np.ndarray | None 
     Per layer: ideal unitaries, then the gate-error depolarising channel
     and relaxation over the gate duration on the acted qubits, and
     relaxation over the layer duration on idle slots.  Returns the state
-    after every layer (readout bitflips are *not* applied here; see
-    ``readout_distribution``).  Registers wider than ``MAX_QUBITS`` raise
+    after every layer (readout bitflips are *not* applied here; the
+    measured distribution adds them, as ``bitflip_channel`` on each
+    measured qubit).  Registers wider than ``MAX_QUBITS`` raise
     ``ValueError`` before anything is allocated.
     """
     from .gates import ideal_unitary  # local import to avoid a cycle
@@ -176,13 +177,3 @@ def run_channel_sim(scheduled, params: DeviceParams, initial: np.ndarray | None 
         series.append(rho.copy())
     return series
 
-
-def readout_distribution(rho: np.ndarray, params: DeviceParams, measured: tuple[int, ...]) -> np.ndarray:
-    """Diagonal outcome distribution after bitflip readout channels on
-    the measured qubits (the running state is left untouched)."""
-    out = np.asarray(rho, dtype=complex)
-    for q in measured:
-        out = apply_channel(out, bitflip_channel(params.qubits[q].p_readout), (q,))
-    probs = np.real(np.diag(out)).copy()
-    probs[probs < 0] = 0.0
-    return probs / probs.sum()

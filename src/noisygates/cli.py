@@ -3,7 +3,8 @@
 Three subcommands:
 
 * ``simulate``: run the selected backends once and dump per-checkpoint
-  outcome distributions and density diagonals.
+  outcome distributions and density diagonals.  The Lindblad reference
+  runs only when ``lindblad`` is among ``--backends``.
 * ``compare`` : run the full benchmarking protocol (noisy-gates and
   channel backends ``--runs`` times each, Lindblad once) and emit
   Hellinger series, their means/stds and the relative improvement.
@@ -176,8 +177,14 @@ def _write_metadata(outdir: Path, payload: dict) -> None:
     (outdir / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+def _dim(result) -> int:
+    """Hilbert-space dimension of whichever backends ran."""
+    dists = (result.lindblad_dists, result.noisy_dists, result.channel_dists)
+    return next(d for d in dists if d is not None).shape[-1]
+
+
 def _write_distributions(outdir: Path, result, config: ExperimentConfig) -> None:
-    dim = result.lindblad_dists.shape[1]
+    dim = _dim(result)
     cols = ",".join(f"p_{format(i, f'0{int(np.log2(dim))}b')}" for i in range(dim))
     lines = [f"backend,run,checkpoint_gates,time_s,{cols}"]
 
@@ -201,9 +208,7 @@ def _write_densities(outdir: Path, result) -> None:
     """Per-backend density diagonals: the Lindblad reference, the exact
     channel-simulator state, and (run 0) the trajectory average of
     unnormalised outer products, whose trace is the mean weight."""
-    if result.lindblad_rhos is None:
-        return
-    dim = result.lindblad_rhos[0].shape[0]
+    dim = _dim(result)
     header = "backend,checkpoint_gates,time_s," + ",".join(f"rho_{i}{i}" for i in range(dim))
     lines = [header]
 
@@ -212,7 +217,8 @@ def _write_densities(outdir: Path, result) -> None:
             diag = ",".join(_float(v) for v in values[j])
             lines.append(f"{backend},{count},{_float(result.times[j])},{diag}")
 
-    emit("lindblad", [[np.real(r[i, i]) for i in range(dim)] for r in result.lindblad_rhos])
+    if result.lindblad_rhos is not None:
+        emit("lindblad", [[np.real(r[i, i]) for i in range(dim)] for r in result.lindblad_rhos])
     if result.channel_state_diags is not None:
         emit("channel", result.channel_state_diags)
     if result.noisy_densities is not None:
@@ -249,6 +255,8 @@ def _write_summary(outdir: Path, result) -> None:
 def _write_lindblad_rho(outdir: Path, result) -> None:
     from .lindblad import write_rho_series_csv
 
+    if result.lindblad_rhos is None:
+        return
     write_rho_series_csv(
         outdir / "lindblad_rho.csv",
         result.times,
@@ -261,7 +269,7 @@ def cmd_simulate(args) -> int:
     payload = _serialise_config("simulate", args, config)
     outdir = Path(args.out) / f"simulate-{_config_digest(payload)}"
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_compare(config)
+    result = run_compare(config, hellinger_series=False)
     _write_metadata(outdir, payload)
     _write_distributions(outdir, result, config)
     _write_densities(outdir, result)

@@ -35,7 +35,9 @@ from .engine import (
     schedule_layers,
 )
 from .gates import GateSpec, drive_generator, ideal_unitary
-from .lindblad import LindbladProblem, solve
+# ``solve`` stays bound here: perfbench/test_perfbench.py checks that
+# tracing restores ``experiments.solve``.
+from .lindblad import cached_segment_maps, segment_map, solve  # noqa: F401
 from .linalg import DECAY, PAULI_X, PAULI_Y, PAULI_Z
 from .metrics import hellinger, mean_std_over_runs
 from .noise_model import (
@@ -100,6 +102,8 @@ class ExperimentConfig:
             raise ValueError("shots must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if not self.backends:
+            raise ValueError("select at least one backend")
         unknown = set(self.backends) - set(BACKENDS)
         if unknown:
             raise ValueError(f"unknown backends: {sorted(unknown)}")
@@ -163,6 +167,22 @@ def noisy_ensemble(
     return run_shots(scheduled, run_cfg)
 
 
+def _readout_distribution(rho: np.ndarray, scheduled: ScheduledCircuit) -> np.ndarray:
+    """Outcome distribution of ``rho`` after a bitflip readout channel on
+    each measured qubit; ``rho`` itself is left untouched."""
+    for q in scheduled.measured:
+        rho = apply_channel(rho, bitflip_channel(scheduled.params.qubits[q].p_readout), (q,))
+    p = np.real(np.diag(rho)).clip(min=0.0)
+    return p / p.sum()
+
+
+def _checkpoint_times(scheduled: ScheduledCircuit, checkpoint_layers: tuple[int, ...]) -> np.ndarray:
+    """Time at the end of each checkpoint layer: the summed durations of
+    the layers before it."""
+    elapsed = np.concatenate([[0.0], np.cumsum([layer.duration for layer in scheduled.layers])])
+    return elapsed[list(checkpoint_layers)]
+
+
 def _channel_checkpoint_probs(
     scheduled: ScheduledCircuit, checkpoint_layers: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -175,11 +195,7 @@ def _channel_checkpoint_probs(
     for c in checkpoint_layers:
         rho = series[c - 1] if c > 0 else initial
         diags.append(np.real(np.diag(rho)).copy())
-        out = rho
-        for q in scheduled.measured:
-            out = apply_channel(out, bitflip_channel(scheduled.params.qubits[q].p_readout), (q,))
-        p = np.real(np.diag(out)).clip(min=0.0)
-        probs.append(p / p.sum())
+        probs.append(_readout_distribution(rho, scheduled))
     return np.asarray(probs), np.asarray(diags)
 
 
@@ -230,6 +246,18 @@ def _layer_noise_terms(layer, params: DeviceParams, n_qubits: int) -> tuple[Lind
     return tuple(terms)
 
 
+def _layer_hamiltonian(gates, n_qubits: int) -> np.ndarray:
+    """Drive Hamiltonian (1/s) of one layer on the full register; virtual
+    RZ frames and idles carry no drive."""
+    dim = 2**n_qubits
+    h = np.zeros((dim, dim), dtype=complex)
+    for g in gates:
+        if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
+            continue
+        h += embed_operator(drive_generator(g), n_qubits, g.qubits) / g.duration
+    return h
+
+
 def lindblad_reference(
     scheduled: ScheduledCircuit,
     checkpoint_layers: tuple[int, ...],
@@ -238,63 +266,52 @@ def lindblad_reference(
     """Integrate the master equation along the scheduled circuit.
 
     Layers must be uniform in duration (true for the repeat experiments
-    and decomposed circuits).  Returns (distributions, rho at every
-    checkpoint, times).  Readout bitflips are applied to the
-    distribution only, never to the running state.  Registers wider than
-    ``LINDBLAD_MAX_QUBITS`` raise ``ValueError`` before anything is
-    allocated.
+    and decomposed circuits).  Timed layers are keyed by their gates, so
+    each distinct layer builds its Hamiltonian, jump terms and RK4 map
+    once (:func:`~noisygates.lindblad.cached_segment_maps`).  Returns
+    (distributions, rho at every checkpoint, times).  Readout bitflips
+    are applied to the distribution only, never to the running state.
+    Registers wider than ``LINDBLAD_MAX_QUBITS`` raise ``ValueError``
+    before anything is allocated.
     """
     n = scheduled.n_qubits
     if n > LINDBLAD_MAX_QUBITS:
         raise ValueError(
             f"the Lindblad reference supports at most {LINDBLAD_MAX_QUBITS} qubits; circuit has {n}"
         )
-    dim = 2**n
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    blocks: list[tuple[np.ndarray, float, tuple]] = []
     for layer in scheduled.layers:
         durations = {g.duration for g in layer.gates if g.kind != "RZ" and (g.duration or 0) > 0}
         if len(durations) > 1:
             raise ValueError("lindblad reference requires uniform layer durations")
-        duration = layer.duration
-        h = np.zeros((dim, dim), dtype=complex)
-        for g in layer.gates:
-            # RZ is folded into the state directly; idles carry no drive
-            if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
-                continue
-            h += embed_operator(drive_generator(g), n, g.qubits) / g.duration
-        terms = _layer_noise_terms(layer, scheduled.params, n)
-        blocks.append((h, duration, terms))
 
-    times_out = [0.0]
+    timed = [layer for layer in scheduled.layers if layer.duration > 0.0]
+    layers_by_key = {layer.gates: layer for layer in timed}
+
+    def build(key, uses):
+        layer = layers_by_key[key]
+        h = _layer_hamiltonian(layer.gates, n)
+        terms = _layer_noise_terms(layer, scheduled.params, n)
+        return segment_map(h, terms, layer.duration, steps_per_segment, uses)
+
+    maps = cached_segment_maps([layer.gates for layer in timed], build)
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
     states = [rho.copy()]
-    t = 0.0
-    for layer, (h, duration, terms) in zip(scheduled.layers, blocks):
+    for layer in scheduled.layers:
         # apply virtual RZ frames first (zero duration)
         for g in layer.gates:
             if g.kind == "RZ":
                 u = embed_operator(ideal_unitary(g), n, g.qubits)
                 rho = u @ rho @ u.conj().T
-        if duration > 0.0:
-            problem = LindbladProblem(hamiltonians=((h, duration),), terms=terms, rho0=rho)
-            _, segment_states = solve(problem, duration / steps_per_segment)
-            rho = segment_states[-1]
-            t += duration
-        times_out.append(t)
+        if layer.duration > 0.0:
+            rho = next(maps).apply(rho)
+            if not np.all(np.isfinite(rho)):
+                raise FloatingPointError(f"Lindblad integration diverged in layer {len(states) - 1}")
         states.append(rho.copy())
 
-    dists = []
-    rhos = []
-    for c in checkpoint_layers:
-        rho_c = states[c]
-        rhos.append(rho_c)
-        out = rho_c
-        for q in scheduled.measured:
-            out = apply_channel(out, bitflip_channel(scheduled.params.qubits[q].p_readout), (q,))
-        p = np.real(np.diag(out)).clip(min=0.0)
-        dists.append(p / p.sum())
-    return np.asarray(dists), rhos, np.asarray([times_out[c] for c in checkpoint_layers])
+    rhos = [states[c] for c in checkpoint_layers]
+    dists = np.asarray([_readout_distribution(rho_c, scheduled) for rho_c in rhos])
+    return dists, rhos, _checkpoint_times(scheduled, checkpoint_layers)
 
 
 @dataclass
@@ -329,12 +346,27 @@ def _channel_task(args):
     return channel_backend_run(scheduled, config, layers, run_index, exact)
 
 
-def run_compare(config: ExperimentConfig) -> ExperimentResult:
-    """Run the selected backends and compute Hellinger series against the
-    Lindblad reference (which is always computed; it is the yardstick)."""
+def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> ExperimentResult:
+    """Run the selected backends and, with ``hellinger_series``, compute
+    their Hellinger series against the Lindblad reference, the yardstick.
+
+    The reference is computed first, so a register it cannot hold fails
+    before any other work, and only when something needs it: the
+    Hellinger series or the ``lindblad`` backend.
+    """
     circuit, layers, counts = build_experiment_circuit(config)
     scheduled = schedule_layers(circuit, config.device)
-    lb_dists, lb_rhos, times = lindblad_reference(scheduled, layers)
+    times = _checkpoint_times(scheduled, layers)
+    lb_dists = lb_rhos = None
+    if hellinger_series or "lindblad" in config.backends:
+        lb_dists, lb_rhos, _ = lindblad_reference(scheduled, layers)
+
+    def series(dists):
+        if not hellinger_series:
+            return None
+        return np.asarray(
+            [[hellinger(dists[r, j], lb_dists[j]) for j in range(len(layers))] for r in range(config.runs)]
+        )
 
     noisy = channel = h_ng = h_ch = densities = state_diags = None
     if "noisy_gates" in config.backends:
@@ -342,16 +374,12 @@ def run_compare(config: ExperimentConfig) -> ExperimentResult:
         outs = _map_tasks(_noisy_task, tasks, config.parallel)
         noisy = np.asarray([o[0] for o in outs])
         densities = outs[0][1]
-        h_ng = np.asarray(
-            [[hellinger(noisy[r, j], lb_dists[j]) for j in range(len(layers))] for r in range(config.runs)]
-        )
+        h_ng = series(noisy)
     if "channel" in config.backends:
         exact, state_diags = _channel_checkpoint_probs(scheduled, layers)
         tasks = [(scheduled, config, layers, r, exact) for r in range(config.runs)]
         channel = np.asarray(_map_tasks(_channel_task, tasks, config.parallel))
-        h_ch = np.asarray(
-            [[hellinger(channel[r, j], lb_dists[j]) for j in range(len(layers))] for r in range(config.runs)]
-        )
+        h_ch = series(channel)
 
     result = ExperimentResult(
         config=config,

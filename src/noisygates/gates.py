@@ -293,7 +293,8 @@ class NoisyGateSampler:
     Gaussian block of ``(S, xi.n_gaussians)`` normals, one batched
     exponential and the product P exp(Xi).  For one-qubit gates that
     product is taken on the four entry vectors of the stack, which is
-    far cheaper than S separate 2x2 matrix products.
+    far cheaper than S separate 2x2 matrix products; for two-qubit gates
+    it is one matrix product of the stacked ``(S d, d)`` rows with P^T.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
@@ -306,7 +307,7 @@ class NoisyGateSampler:
             return np.broadcast_to(self.prefix, (size, self.dim, self.dim))
         xi = self.xi.sample(gen, size)
         if self.dim != 2:
-            return self.prefix @ expm(xi)
+            return np.tensordot(expm(xi), self.prefix, axes=([1], [1])).swapaxes(1, 2)
         e = expm_2x2(xi)
         (p00, p01), (p10, p11) = self.prefix.tolist()
         e00, e01, e10, e11 = e[:, 0, 0], e[:, 0, 1], e[:, 1, 0], e[:, 1, 1]

@@ -4,15 +4,20 @@
 
 with a piecewise-constant Hamiltonian schedule.  Classic fixed-step RK4;
 because the equation is linear and autonomous on each segment, one RK4
-step is a fixed superoperator which is precomputed once per segment and
-then applied per step, with Hermitian symmetrisation each step to
-suppress round-off drift.  This keeps long repeated-gate references
-(tens of thousands of gates) cheap and bit-reproducible.
+step is a fixed superoperator, built once per distinct segment.  A
+segment whose steps over all its uses outweigh the cost of powering that
+matrix (see :func:`segment_map`) is applied as the whole-segment map
+step^steps, with Hermitian symmetrisation at each segment boundary;
+otherwise it is applied step by step, symmetrising after every step.
+Either way round-off drift is suppressed, and long repeated-gate
+references (tens of thousands of gates) stay cheap and bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,9 @@ __all__ = [
     "lindblad_rhs",
     "rhs_superoperator",
     "rk4_step_matrix",
+    "SegmentMap",
+    "segment_map",
+    "cached_segment_maps",
     "solve",
     "repeated_gate_solve",
     "write_rho_series_csv",
@@ -102,35 +110,84 @@ def rk4_step_matrix(rhs_matrix: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class SegmentMap:
+    """RK4 propagation across one constant segment: ``matrix`` applied
+    ``repeats`` times to row-major vec(rho), symmetrising rho after each
+    application."""
+
+    matrix: np.ndarray
+    repeats: int
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        d = rho.shape[0]
+        for _ in range(self.repeats):
+            rho = (self.matrix @ rho.reshape(-1)).reshape(d, d)
+            rho = 0.5 * (rho + dagger(rho))
+        return rho
+
+
+def segment_map(hamiltonian: np.ndarray, terms, duration: float, steps: int, uses: int = 1) -> SegmentMap:
+    """RK4 map of a segment of ``steps`` equal steps that occurs ``uses``
+    times.
+
+    Stepping costs uses * steps products with vec(rho); powering the
+    D x D step matrix (D = d^2) costs at most 2 ceil(log2 steps) products
+    of D x D matrices, i.e. that many times D such products.  The segment
+    is mapped as step^steps when stepping would cost more, else stepped.
+    Both agree in exact arithmetic.
+    """
+    step = rk4_step_matrix(rhs_superoperator(hamiltonian, terms), duration / steps)
+    if uses * steps > 2 * math.ceil(math.log2(steps)) * step.shape[0]:
+        return SegmentMap(np.linalg.matrix_power(step, steps), 1)
+    return SegmentMap(step, steps)
+
+
+def cached_segment_maps(
+    keys: Sequence[Hashable], build: Callable[[Hashable, int], SegmentMap]
+) -> Iterator[SegmentMap]:
+    """The map of each segment in order, for segments identified by
+    content ``keys``.  ``build(key, uses)`` runs once per distinct key,
+    and each map is dropped after its key's last occurrence."""
+    uses = Counter(keys)
+    last = {key: i for i, key in enumerate(keys)}
+    cache: dict[Hashable, SegmentMap] = {}
+    for i, key in enumerate(keys):
+        if key not in cache:
+            cache[key] = build(key, uses[key])
+        yield cache[key]
+        if last[key] == i:
+            del cache[key]
+
+
 def solve(problem: LindbladProblem, dt_max: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Integrate the problem, emitting rho at every segment boundary.
 
-    The step divides each segment evenly with step <= dt_max.  Returns
-    (times, states) including the initial state at t = 0.  Aborts with a
+    The step divides each segment evenly with step <= dt_max.  Segments
+    with equal generator and duration share one map.  Returns (times,
+    states) including the initial state at t = 0.  Aborts with a
     diagnostic if the state leaves the finite range (instability).
     """
     if dt_max <= 0:
         raise ValueError("dt_max must be positive")
+    segments = {}
+    keys = []
+    for h, duration in problem.hamiltonians:
+        key = (np.asarray(h, dtype=complex).tobytes(), np.shape(h), duration)
+        segments.setdefault(key, (h, duration))
+        keys.append(key)
+
+    def build(key, uses):
+        h, duration = segments[key]
+        return segment_map(h, problem.terms, duration, max(1, math.ceil(duration / dt_max)), uses)
+
     rho = np.array(problem.rho0, dtype=complex)
-    d = rho.shape[0]
     times = [0.0]
     states = [rho.copy()]
     t = 0.0
-    cache: dict[int, np.ndarray] = {}
-    for seg_index, (h, duration) in enumerate(problem.hamiltonians):
-        key = id(problem.hamiltonians[seg_index][0])
-        steps = max(1, math.ceil(duration / dt_max))
-        step_key = (key, duration, steps)
-        if step_key not in cache:
-            m = rhs_superoperator(h, problem.terms)
-            cache[step_key] = rk4_step_matrix(m, duration / steps)
-        step = cache[step_key]
-        vec = rho.reshape(-1)
-        for _ in range(steps):
-            vec = step @ vec
-            rho = vec.reshape(d, d)
-            rho = 0.5 * (rho + dagger(rho))
-            vec = rho.reshape(-1)
+    maps = cached_segment_maps(keys, build)
+    for seg_index, ((_, duration), seg_map) in enumerate(zip(problem.hamiltonians, maps)):
+        rho = seg_map.apply(rho)
         if not np.all(np.isfinite(rho)):
             raise FloatingPointError(
                 f"Lindblad integration diverged in segment {seg_index} (t={t:g})"
@@ -152,22 +209,18 @@ def repeated_gate_solve(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Fast path for long chains of one identical gate.
 
-    Builds the RK4 map of a whole gate (step matrix to the power
-    ``steps_per_gate``) once and iterates it, symmetrising at gate
-    boundaries.  Identical in exact arithmetic to :func:`solve` on the
-    same grid; used for asymptote diagnostics over thousands of gates.
+    Builds one :func:`segment_map` for the gate, used ``n_gates`` times
+    (so long chains apply step^steps_per_gate once per gate), and records
+    every ``record_every``-th gate.  Identical in exact arithmetic to
+    :func:`solve` on the same grid; used for asymptote diagnostics over
+    thousands of gates.
     """
-    m = rhs_superoperator(hamiltonian, terms)
-    step = rk4_step_matrix(m, duration / steps_per_gate)
-    gate_map = np.linalg.matrix_power(step, steps_per_gate)
-    d = rho0.shape[0]
+    gate_map = segment_map(hamiltonian, terms, duration, steps_per_gate, n_gates)
     rho = np.array(rho0, dtype=complex)
     times = [0.0]
     states = [rho.copy()]
     for g in range(1, n_gates + 1):
-        vec = gate_map @ rho.reshape(-1)
-        rho = vec.reshape(d, d)
-        rho = 0.5 * (rho + dagger(rho))
+        rho = gate_map.apply(rho)
         if not np.all(np.isfinite(rho)):
             raise FloatingPointError(f"Lindblad integration diverged at gate {g}")
         if g % record_every == 0 or g == n_gates:

@@ -70,6 +70,11 @@ class TestExitCodes:
             main(compare_args(device_file, tmp_path / "out", **{"--shots": "0"}))
         assert exc.value.code == 1
 
+    def test_no_backend_is_two(self, device_file, tmp_path, capsys):
+        rc = main(compare_args(device_file, tmp_path / "out", **{"--backends": ""}))
+        assert rc == 2
+        assert "at least one backend" in capsys.readouterr().err
+
     def test_checkpoints_above_reps_is_two(self, device_file, tmp_path, capsys):
         rc = main(compare_args(device_file, tmp_path / "out", **{"--checkpoints": "50"}))
         assert rc == 2
@@ -163,6 +168,29 @@ class TestSimulate:
             **{"--experiment": "custom_circuit", "--circuit": str(cpath)},
         )[1:]
         assert main(argv) == 0
+
+    def test_seven_qubits_without_lindblad_backend(self, tmp_path, capsys):
+        device = dict(DEVICE, qubits=[DEVICE["qubits"][q % 2] for q in range(7)])
+        device_path = tmp_path / "device7.json"
+        device_path.write_text(json.dumps(device))
+        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(6)]
+        circuit_path = tmp_path / "ghz7.json"
+        circuit_path.write_text(json.dumps({"n_qubits": 7, "ops": ops, "measure": list(range(7))}))
+        argv = ["simulate"] + compare_args(
+            device_path,
+            tmp_path / "out",
+            **{
+                "--experiment": "custom_circuit",
+                "--circuit": str(circuit_path),
+                "--backends": "noisy_gates,channel",
+            },
+        )[1:]
+        assert main(argv) == 0
+        rundir = next(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+        rows = (rundir / "distributions.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["noisy_gates", "channel"]
+        assert len(rows[0].split(",")) == 4 + 2**7
+        assert not (rundir / "lindblad_rho.csv").exists()
 
     def test_custom_circuit_requires_file(self, device_file, tmp_path, capsys):
         argv = ["simulate"] + compare_args(

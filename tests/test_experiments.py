@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from noisygates.engine import schedule_layers
+from noisygates import lindblad
+from noisygates.channels import embed_operator
+from noisygates.engine import parse_circuit, schedule_layers
 from noisygates.experiments import (
     ExperimentConfig,
+    _layer_hamiltonian,
+    _layer_noise_terms,
     build_experiment_circuit,
     channel_backend_run,
     checkpoint_gate_counts,
     lindblad_reference,
     run_compare,
 )
+from noisygates.gates import ideal_unitary
+from noisygates.linalg import dagger
 from noisygates.noise_model import DeviceParams, QubitParams
 
 DESK = DeviceParams(
@@ -96,6 +102,95 @@ class TestLindbladReference:
         assert dists[0][2] < bare_dists[0][2]
 
 
+def per_step_reference(sched, steps=100):
+    """Oracle for lindblad_reference: every timed layer's step matrix
+    built afresh and applied one RK4 step at a time, symmetrising after
+    each step.  Returns rho and the time after every layer, initial state
+    first."""
+    n = sched.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    states, times, t = [rho], [0.0], 0.0
+    for layer in sched.layers:
+        for g in layer.gates:
+            if g.kind == "RZ":
+                u = embed_operator(ideal_unitary(g), n, g.qubits)
+                rho = u @ rho @ dagger(u)
+        if layer.duration > 0.0:
+            m = lindblad.rhs_superoperator(
+                _layer_hamiltonian(layer.gates, n), _layer_noise_terms(layer, sched.params, n)
+            )
+            step = lindblad.rk4_step_matrix(m, layer.duration / steps)
+            for _ in range(steps):
+                rho = (step @ rho.reshape(-1)).reshape(rho.shape)
+                rho = 0.5 * (rho + dagger(rho))
+            t += layer.duration
+        states.append(rho)
+        times.append(t)
+    return states, times
+
+
+# SX then RZ frames (zero-duration slots beside driven gates and alone),
+# single-use layers and a CNOT repeated often enough to be mapped whole
+FRAMED_CIRCUIT = {
+    "n_qubits": 2,
+    "ops": [
+        {"gate": "SX", "q": [0]},
+        {"gate": "RZ", "q": [1], "theta": 0.7},
+        {"gate": "X", "q": [1]},
+        {"gate": "CNOT", "q": [0, 1]},
+        {"gate": "CNOT", "q": [0, 1]},
+        {"gate": "RZ", "q": [0], "theta": -1.1},
+        {"gate": "CNOT", "q": [0, 1]},
+        {"gate": "CNOT", "q": [0, 1]},
+        {"gate": "SX", "q": [1]},
+        {"gate": "RZ", "q": [1], "theta": 2.3},
+    ],
+    "measure": [0, 1],
+}
+
+
+def reference_cases():
+    for experiment, reps in (("repeat_x", 500), ("repeat_cnot", 100)):
+        cfg = small_config(experiment, repetitions=reps, checkpoints=50)
+        yield experiment, schedule_layers(build_experiment_circuit(cfg)[0], DESK)
+    yield "framed", schedule_layers(parse_circuit(FRAMED_CIRCUIT), DESK)
+
+
+class TestLindbladReferenceCache:
+    @pytest.mark.parametrize("case", ["repeat_x", "repeat_cnot", "framed"])
+    def test_matches_per_step_oracle_with_one_build_per_layer(self, case, monkeypatch):
+        sched = dict(reference_cases())[case]
+        builds, repeats = [], set()
+        rhs, seg = lindblad.rhs_superoperator, lindblad.segment_map
+
+        def counting_rhs(h, terms):
+            builds.append(h)
+            return rhs(h, terms)
+
+        def recording_map(*args):
+            out = seg(*args)
+            repeats.add(out.repeats)
+            return out
+
+        monkeypatch.setattr(lindblad, "rhs_superoperator", counting_rhs)
+        monkeypatch.setattr("noisygates.experiments.segment_map", recording_map)
+        layers = tuple(range(len(sched.layers) + 1))
+        _, rhos, times = lindblad_reference(sched, layers)
+        monkeypatch.undo()
+
+        distinct = {layer.gates for layer in sched.layers if layer.duration > 0.0}
+        assert len(builds) == len(distinct)
+        oracle, oracle_times = per_step_reference(sched)
+        for got, want in zip(rhos, oracle):
+            assert np.abs(got - want).max() < 1e-11
+        assert np.array_equal(times, oracle_times)
+        if case == "framed":
+            # single-use layers are stepped, the repeated CNOT is mapped
+            assert repeats == {1, 100}
+            assert any(g.kind == "RZ" for layer in sched.layers for g in layer.gates)
+
+
 class TestChannelBackend:
     def test_sampled_distribution_normalised(self):
         cfg = small_config()
@@ -132,6 +227,22 @@ class TestRunCompare:
         assert result.noisy_dists is None
         assert result.channel_dists is None
         assert result.improvement is None
+
+    def test_reference_only_when_needed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lindblad reference computed")
+
+        cfg = small_config(backends=("noisy_gates", "channel"))
+        monkeypatch.setattr("noisygates.experiments.lindblad_reference", refuse)
+        result = run_compare(cfg, hellinger_series=False)
+        assert result.lindblad_dists is None and result.h_noisy is None
+        assert result.noisy_dists.shape == (cfg.runs, len(result.gate_counts), 2)
+        with pytest.raises(AssertionError, match="reference computed"):
+            run_compare(cfg)
+        monkeypatch.undo()
+        full = run_compare(cfg)
+        assert np.array_equal(full.times, result.times)
+        assert np.array_equal(full.noisy_dists, result.noisy_dists)
 
     def test_unweighted_estimator(self):
         cfg = small_config(estimator="unweighted", shots=2048)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noisygates.linalg import (
+    _PADE,
     _PADE_THETA,
     _SERIES_REACH,
     _pade_degree,
@@ -149,6 +150,9 @@ def with_q2(rng, z, mu=0.0):
 
 
 STRADDLE = (1.0 - 1e-6, 1.0 + 1e-6)
+# either side of every Padé theta_m, and far above theta_7 (including the
+# former theta_9 = 2.10 and theta_13 = 5.37)
+EXPM_NORMS = [theta * f for _, theta in _PADE_THETA for f in STRADDLE] + [2.1, 5.4, 30.0, 100.0]
 
 
 class TestExpmAccuracy:
@@ -168,6 +172,33 @@ class TestExpmAccuracy:
             if dim == 2:
                 assert_matches_scipy(expm_2x2(m), m)
         assert picked[0] == (degree, 0) and picked[1] != picked[0]
+
+    @pytest.mark.parametrize("degree, theta", _PADE_THETA)
+    def test_pade_denominator_diagonally_dominant(self, degree, theta):
+        # expm solves q_m(A) without pivoting: sum_{j>=1} b_j/b_0 theta^j
+        # bounds ||q_m(A)/b_0 - I||_1 and must stay below 1
+        b = _PADE[degree]
+        assert sum(b[j] / b[0] * theta**j for j in range(1, degree + 1)) < 1.0
+
+    def test_only_dominant_degrees_kept(self):
+        assert sorted(_PADE) == [m for m, _ in _PADE_THETA]
+        top = _PADE_THETA[-1][1]
+        assert _pade_degree(100.0) == (7, int(np.ceil(np.log2(100.0 / top))))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3, 4, 8]),
+        lead=st.sampled_from([(), (5,), (2, 3)]),
+        norm=st.sampled_from(EXPM_NORMS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_expm_matches_scipy(self, dim, lead, norm, seed):
+        a = with_one_norm(random_complex(np.random.default_rng(seed), lead + (dim, dim)), norm)
+        before = a.copy()
+        got = expm(a)
+        assert got.shape == a.shape
+        assert np.array_equal(a, before)
+        assert_matches_scipy(got, a)
 
     @pytest.mark.parametrize("terms", range(1, len(_SERIES_REACH) + 1))
     def test_either_side_of_series_switch(self, terms):
