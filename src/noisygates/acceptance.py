@@ -41,7 +41,7 @@ from .noise_model import (
     LindbladTerm,
     NoiseContext,
     QubitParams,
-    relaxation_rates,
+    noise_context_for_gate,
     spam_strength,
 )
 from .stochastic import RngStream, gauss_legendre_rule, product_formula_error
@@ -259,24 +259,12 @@ def criterion_6_x_benchmark() -> tuple[bool, str]:
     (c) The relative improvement is reported.
     """
     device = desk_device()
-    q = device.qubits[0]
-    gamma1, gamma_pd = relaxation_rates(q.t1_s, q.t2_s)
-    ctx = NoiseContext(
-        terms=(
-            LindbladTerm.from_rate(DECAY, gamma1, device.t_1q_s),
-            LindbladTerm.from_rate(PAULI_Z, gamma_pd / 4, device.t_1q_s),
-        )
-        + tuple(
-            LindbladTerm.from_rate(p, -math.log1p(-device.p_1q) / (4 * device.t_1q_s), device.t_1q_s)
-            for p in (PAULI_X, PAULI_Y, PAULI_Z)
-        ),
-        gate_duration=device.t_1q_s,
-    )
-    sched = schedule(GateSpec("X", (0,)).with_duration(device.t_1q_s))
-    hamiltonian = sched.generator / device.t_1q_s
+    ctx = noise_context_for_gate(GateSpec("X", (0,)), device)
+    sched = schedule(GateSpec("X", (0,)).with_duration(ctx.gate_duration))
+    hamiltonian = sched.generator / ctx.gate_duration
     rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
     _, states = repeated_gate_solve(
-        hamiltonian, device.t_1q_s, ctx.terms, 15_000, rho0, steps_per_gate=100, record_every=500
+        hamiltonian, ctx.gate_duration, ctx.terms, 15_000, rho0, steps_per_gate=100, record_every=500
     )
     asymptote_dev = abs(float(np.real(states[-1][0, 0])) - 0.5)
 

@@ -2,9 +2,10 @@
 
 This is the "apply noise after the ideal gate" baseline: per gate slot
 the ideal unitary acts first, then a depolarising channel for the gate
-error, then per-qubit relaxation over the gate duration; idle qubits
-relax for the layer duration and measured qubits see a bitflip channel
-before readout.
+error, then per-qubit relaxation over the gate duration; idle slots
+relax over their own duration and measured qubits see a bitflip channel
+before readout.  Which channels a slot carries follows
+``noise_model.slot_noise``, the rule the other back-ends share.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, dagger, embed
-from .noise_model import DeviceParams, TWO_QUBIT_PAULIS, relaxation_rates
+from .noise_model import DeviceParams, TWO_QUBIT_PAULIS, slot_noise
 
 __all__ = [
     "KrausChannel",
@@ -137,9 +138,10 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits: tuple[int, ...
 def run_channel_sim(scheduled, params: DeviceParams, initial: np.ndarray | None = None) -> list[np.ndarray]:
     """Evolve a density matrix through a scheduled circuit layer by layer.
 
-    Per layer: ideal unitaries, then the gate-error depolarising channel
-    and relaxation over the gate duration on the acted qubits, and
-    relaxation over the layer duration on idle slots.  Returns the state
+    Per slot, in slot order: the ideal unitary, then the channels of the
+    slot's :func:`~noisygates.noise_model.slot_noise`, i.e. the
+    depolarising channel of a driven slot and relaxation over the slot's
+    duration on each of its qubits.  Returns the state
     after every layer (readout bitflips are *not* applied here; the
     measured distribution adds them, as ``bitflip_channel`` on each
     measured qubit).  Registers wider than ``MAX_QUBITS`` raise
@@ -162,17 +164,13 @@ def run_channel_sim(scheduled, params: DeviceParams, initial: np.ndarray | None 
             u = ideal_unitary(gate)
             full = embed_operator(u, n, gate.qubits)
             rho = full @ rho @ dagger(full)
-            if gate.kind == "RZ" or (gate.duration or 0.0) == 0.0:
-                continue
-            if gate.kind != "IDLE":
-                if len(gate.qubits) == 1:
-                    rho = apply_channel(rho, depolarizing_channel(params.p_1q), gate.qubits)
-                else:
-                    rho = apply_channel(rho, two_qubit_depolarizing_channel(params.p_2q), gate.qubits)
-            for q in gate.qubits:
-                qb = params.qubits[q]
-                gamma1, gamma_pd = relaxation_rates(qb.t1_s, qb.t2_s)
-                rho = apply_channel(rho, relaxation_channel(gamma1, gamma_pd, gate.duration), (q,))
+            noise = slot_noise(gate, params)
+            p = noise.p_depolarizing
+            if p is not None:
+                depolarize = depolarizing_channel if len(gate.qubits) == 1 else two_qubit_depolarizing_channel
+                rho = apply_channel(rho, depolarize(p), gate.qubits)
+            for q, (gamma1, gamma_pd) in zip(gate.qubits, noise.relaxation):
+                rho = apply_channel(rho, relaxation_channel(gamma1, gamma_pd, noise.duration), (q,))
         rho = 0.5 * (rho + dagger(rho))
         series.append(rho.copy())
     return series

@@ -280,6 +280,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _config_from_args(args)
+    if not {"noisy_gates", "channel"} & set(config.backends):
+        raise ValueError("compare needs noisy_gates or channel in --backends: it scores them against the lindblad reference")
     payload = _serialise_config("compare", args, config)
     outdir = Path(args.out) / f"compare-{_config_digest(payload)}"
     outdir.mkdir(parents=True, exist_ok=True)

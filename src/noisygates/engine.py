@@ -28,7 +28,6 @@ instead of n.  Registers wider than ``MAX_QUBITS`` are rejected.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +43,7 @@ from .gates import (
     spam_gate_batch,
 )
 from .linalg import apply_gate, embed, kron
-from .noise_model import DeviceParams, noise_context_for_gate, relaxation_rates, spam_strength
+from .noise_model import DeviceParams, noise_context_for_gate, read_json_object, slot_noise, spam_strength
 from .stochastic import RngStream
 
 __all__ = [
@@ -53,12 +52,10 @@ __all__ = [
     "ScheduledLayer",
     "ScheduledCircuit",
     "RunConfig",
-    "TrajectoryResult",
     "EnsembleResult",
     "parse_circuit",
     "schedule_layers",
     "decompose_cnot",
-    "run_trajectory",
     "run_shots",
     "chunk_shots",
 ]
@@ -125,18 +122,7 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
     "measure": [ints]}``.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and source.strip().endswith(".json")):
-            text = Path(source).read_text()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CircuitError(f"circuit is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CircuitError("circuit root must be an object")
+    doc = read_json_object(source, CircuitError, "circuit")
     extra = set(doc) - {"n_qubits", "ops", "measure"}
     if extra:
         raise CircuitError(f"unknown top-level keys: {sorted(extra)}")
@@ -281,25 +267,12 @@ def expand_cnots(circuit: Circuit) -> Circuit:
 class RunConfig:
     shots: int
     master_seed: int = 0
-    estimator: str = "weighted"
-    cnot_mode: str = "direct"
     run_index: int = 0
     checkpoints: tuple[int, ...] | None = None  # layer counts; None = end only
 
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.estimator not in ("weighted", "unweighted"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.cnot_mode not in ("direct", "decomposed"):
-            raise ValueError(f"unknown cnot_mode {self.cnot_mode!r}")
-
-
-@dataclass
-class TrajectoryResult:
-    state: np.ndarray
-    weight: float
-    bitstring: int
 
 
 @dataclass
@@ -405,12 +378,12 @@ class _Compiled:
         for layer in scheduled.layers:
             plan: list[tuple[str, object]] = []
             for gate in layer.gates:
-                if gate.kind == "RZ":
+                noise = slot_noise(gate, params)
+                if gate.kind == "IDLE" and noise.relaxation:
+                    (gamma1, gamma_pd), = noise.relaxation
+                    plan.append(("relax", (gamma1, gamma_pd, noise.duration)))
+                elif gate.kind in ("RZ", "IDLE"):
                     plan.append(("fixed", ideal_unitary(gate)))
-                elif gate.kind == "IDLE":
-                    q = params.qubits[gate.qubits[0]]
-                    gamma1, gamma_pd = relaxation_rates(q.t1_s, q.t2_s)
-                    plan.append(("relax", (gamma1, gamma_pd, gate.duration)))
                 else:
                     key = (gate.kind, gate.theta, gate.phi, gate.duration, gate.qubits)
                     if key not in cache:
@@ -452,26 +425,6 @@ class _Compiled:
             gates = [spam_gate_batch(v, gen, states.shape[0]) for v in self.spam]
             states = self._apply(states, gates, self.spam_passes)
         return np.abs(states) ** 2
-
-
-def run_trajectory(
-    scheduled: ScheduledCircuit, rng: RngStream, compiled: _Compiled | None = None
-) -> TrajectoryResult:
-    """Single trajectory with a dedicated stream: |0..0> through every
-    layer's noisy gates, returning the final (unnormalised) state, its
-    squared-norm weight and one sampled bitstring."""
-    compiled = compiled or _Compiled(scheduled)
-    gen = rng.generator
-    state = np.zeros((1, 2**scheduled.n_qubits), dtype=complex)
-    state[0, 0] = 1.0
-    for layer in range(len(compiled.layer_plans)):
-        state = compiled.apply_layer(state, layer, gen)
-        if not np.all(np.isfinite(state)):
-            raise FloatingPointError("trajectory state diverged")
-    probs = compiled.measured_probs(state, gen)[0]
-    weight = float(probs.sum())
-    outcome = int(np.searchsorted(np.cumsum(probs / weight), gen.uniform()))
-    return TrajectoryResult(state=state[0], weight=weight, bitstring=min(outcome, probs.size - 1))
 
 
 def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,16 +38,8 @@ from .gates import GateSpec, drive_generator, ideal_unitary
 # ``solve`` stays bound here: perfbench/test_perfbench.py checks that
 # tracing restores ``experiments.solve``.
 from .lindblad import cached_segment_maps, segment_map, solve  # noqa: F401
-from .linalg import DECAY, PAULI_X, PAULI_Y, PAULI_Z
 from .metrics import hellinger, mean_std_over_runs
-from .noise_model import (
-    DeviceParams,
-    LindbladTerm,
-    TWO_QUBIT_PAULIS,
-    depolarizing_rate,
-    relaxation_rates,
-    two_qubit_depolarizing_rate,
-)
+from .noise_model import DeviceParams, LindbladTerm, noise_context_for_gate
 from .stochastic import RngStream
 
 __all__ = [
@@ -159,8 +151,6 @@ def noisy_ensemble(
     run_cfg = RunConfig(
         shots=config.shots,
         master_seed=config.seed,
-        estimator=config.estimator,
-        cnot_mode=config.cnot_mode,
         run_index=run_index,
         checkpoints=checkpoint_layers,
     )
@@ -217,38 +207,47 @@ def channel_backend_run(
     return out
 
 
-def _layer_noise_terms(layer, params: DeviceParams, n_qubits: int) -> tuple[LindbladTerm, ...]:
-    """Full-register jump terms active during one uniform layer:
-    always-on relaxation per qubit plus the driven gates' depolarising
-    sets."""
-    duration = max((g.duration for g in layer.gates), default=0.0)
-    terms: list[LindbladTerm] = []
-    for q in range(n_qubits):
-        qb = params.qubits[q]
-        gamma1, gamma_pd = relaxation_rates(qb.t1_s, qb.t2_s)
-        terms.append(LindbladTerm.from_rate(embed_operator(DECAY, n_qubits, (q,)), gamma1, duration))
-        terms.append(LindbladTerm.from_rate(embed_operator(PAULI_Z, n_qubits, (q,)), gamma_pd / 4.0, duration))
+def _layer_segments(layer) -> list[tuple[float, tuple[GateSpec, ...]]]:
+    """(duration, active slots) of each constant segment of a timed layer.
+
+    A slot's window starts when the last earlier slot on any of its
+    qubits ends, the order in which the engine applies them, so a pad
+    follows a user IDLE shorter than its layer on the same qubit.  The
+    layer splits at every window edge; a segment's active slots are those
+    whose windows cover it.  A window ending within round-off of the
+    layer's end (a pad of T - d after a slot of d) ends there.
+    """
+    busy_until: dict[int, float] = {}
+    windows = []
     for g in layer.gates:
-        if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
+        if g.kind == "RZ" or not g.duration:
             continue
-        if len(g.qubits) == 1:
-            rate = depolarizing_rate(params.p_1q, g.duration)
-            for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-                terms.append(
-                    LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration)
-                )
-        else:
-            rate = two_qubit_depolarizing_rate(params.p_2q, g.duration)
-            for pauli in TWO_QUBIT_PAULIS:
-                terms.append(
-                    LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration)
-                )
-    return tuple(terms)
+        start = max(busy_until.get(q, 0.0) for q in g.qubits)
+        end = start + g.duration
+        if math.isclose(end, layer.duration, rel_tol=1e-12):
+            end = layer.duration
+        busy_until.update(dict.fromkeys(g.qubits, end))
+        windows.append((start, end, g))
+    edges = sorted({t for start, end, _ in windows for t in (start, end)})
+    return [
+        (b - a, tuple(g for start, end, g in windows if start <= a and end >= b))
+        for a, b in zip(edges, edges[1:])
+    ]
+
+
+def _segment_terms(slots, params: DeviceParams, n_qubits: int) -> tuple[LindbladTerm, ...]:
+    """Every slot's ``noise_context_for_gate`` terms, embedded on its
+    qubits of the full register, in slot order."""
+    return tuple(
+        replace(term, operator=embed_operator(term.operator, n_qubits, g.qubits))
+        for g in slots
+        for term in noise_context_for_gate(g, params).terms
+    )
 
 
 def _layer_hamiltonian(gates, n_qubits: int) -> np.ndarray:
-    """Drive Hamiltonian (1/s) of one layer on the full register; virtual
-    RZ frames and idles carry no drive."""
+    """Drive Hamiltonian (1/s) of the given slots on the full register;
+    virtual RZ frames and idles carry no drive."""
     dim = 2**n_qubits
     h = np.zeros((dim, dim), dtype=complex)
     for g in gates:
@@ -265,10 +264,15 @@ def lindblad_reference(
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Integrate the master equation along the scheduled circuit.
 
-    Layers must be uniform in duration (true for the repeat experiments
-    and decomposed circuits).  Timed layers are keyed by their gates, so
-    each distinct layer builds its Hamiltonian, jump terms and RK4 map
-    once (:func:`~noisygates.lindblad.cached_segment_maps`).  Returns
+    Each slot of a timed layer acts over its own time window (see
+    :func:`_layer_segments`), so a layer splits into constant segments:
+    one for a layer of equal durations, more where a 1-qubit gate runs
+    beside a 2-qubit gate or a user IDLE is shorter than its layer.  A
+    segment's Hamiltonian sums its driven slots' drives and its jump terms
+    are its slots' ``noise_context_for_gate`` terms.  Segments are keyed
+    by (layer gates, segment index), so each distinct segment builds its
+    RK4 map once with ``steps_per_segment`` steps
+    (:func:`~noisygates.lindblad.cached_segment_maps`).  Returns
     (distributions, rho at every checkpoint, times).  Readout bitflips
     are applied to the distribution only, never to the running state.
     Registers wider than ``LINDBLAD_MAX_QUBITS`` raise ``ValueError``
@@ -279,21 +283,16 @@ def lindblad_reference(
         raise ValueError(
             f"the Lindblad reference supports at most {LINDBLAD_MAX_QUBITS} qubits; circuit has {n}"
         )
-    for layer in scheduled.layers:
-        durations = {g.duration for g in layer.gates if g.kind != "RZ" and (g.duration or 0) > 0}
-        if len(durations) > 1:
-            raise ValueError("lindblad reference requires uniform layer durations")
-
-    timed = [layer for layer in scheduled.layers if layer.duration > 0.0]
-    layers_by_key = {layer.gates: layer for layer in timed}
+    segments = {layer.gates: _layer_segments(layer) for layer in scheduled.layers if layer.duration > 0.0}
+    keys = [(layer.gates, i) for layer in scheduled.layers for i in range(len(segments.get(layer.gates, ())))]
 
     def build(key, uses):
-        layer = layers_by_key[key]
-        h = _layer_hamiltonian(layer.gates, n)
-        terms = _layer_noise_terms(layer, scheduled.params, n)
-        return segment_map(h, terms, layer.duration, steps_per_segment, uses)
+        duration, slots = segments[key[0]][key[1]]
+        h = _layer_hamiltonian(slots, n)
+        terms = _segment_terms(slots, scheduled.params, n)
+        return segment_map(h, terms, duration, steps_per_segment, uses)
 
-    maps = cached_segment_maps([layer.gates for layer in timed], build)
+    maps = cached_segment_maps(keys, build)
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     states = [rho.copy()]
@@ -303,10 +302,10 @@ def lindblad_reference(
             if g.kind == "RZ":
                 u = embed_operator(ideal_unitary(g), n, g.qubits)
                 rho = u @ rho @ u.conj().T
-        if layer.duration > 0.0:
+        for _ in segments.get(layer.gates, ()):
             rho = next(maps).apply(rho)
-            if not np.all(np.isfinite(rho)):
-                raise FloatingPointError(f"Lindblad integration diverged in layer {len(states) - 1}")
+        if not np.all(np.isfinite(rho)):
+            raise FloatingPointError(f"Lindblad integration diverged in layer {len(states) - 1}")
         states.append(rho.copy())
 
     rhos = [states[c] for c in checkpoint_layers]

@@ -2,9 +2,13 @@
 
     d rho / dt = -i [H, rho] + sum_k gamma_k (L rho L^dag - 1/2 {L^dag L, rho})
 
-with a piecewise-constant Hamiltonian schedule.  Classic fixed-step RK4;
-because the equation is linear and autonomous on each segment, one RK4
-step is a fixed superoperator, built once per distinct segment.  A
+with a piecewise-constant Hamiltonian schedule.  A segment is a stretch
+of time with constant Hamiltonian and jump terms; for a circuit,
+``experiments.lindblad_reference`` cuts each layer into segments at the
+edges of its slots' time windows, one segment for a layer of equal
+durations.  Classic fixed-step RK4; because the equation is linear and
+autonomous on each segment, one RK4 step is a fixed superoperator,
+built once per distinct segment.  A
 segment whose steps over all its uses outweigh the cost of powering that
 matrix (see :func:`segment_map`) is applied as the whole-segment map
 step^steps, with Hermitian symmetrisation at each segment boundary;
@@ -27,7 +31,6 @@ from .noise_model import LindbladTerm
 
 __all__ = [
     "LindbladProblem",
-    "lindblad_rhs",
     "rhs_superoperator",
     "rk4_step_matrix",
     "SegmentMap",
@@ -56,36 +59,14 @@ class LindbladProblem:
                 raise ValueError("segment durations must be positive")
 
 
-def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, terms) -> np.ndarray:
-    """Right-hand side of the master equation (terms = LindbladTerm list
-    or (rate, operator) pairs)."""
-    rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(hamiltonian, dtype=complex)
-    out = -1j * (h @ rho - rho @ h)
-    for term in terms:
-        if isinstance(term, LindbladTerm):
-            rate, op = term.rate, term.operator
-        else:
-            rate, op = term
-        if rate == 0.0:
-            continue
-        opd = dagger(op)
-        opdop = opd @ op
-        out += rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
-    return out
-
-
-def rhs_superoperator(hamiltonian: np.ndarray, terms) -> np.ndarray:
+def rhs_superoperator(hamiltonian: np.ndarray, terms: Sequence[LindbladTerm]) -> np.ndarray:
     """Matrix M acting on row-major vec(rho) with vec(d rho/dt) = M vec(rho)."""
     h = np.asarray(hamiltonian, dtype=complex)
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
     m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for term in terms:
-        if isinstance(term, LindbladTerm):
-            rate, op = term.rate, term.operator
-        else:
-            rate, op = term
+        rate, op = term.rate, term.operator
         if rate == 0.0:
             continue
         opd = dagger(op)

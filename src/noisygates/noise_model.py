@@ -23,6 +23,10 @@ discrete channels exactly over one gate duration:
 
 Each jump operator carries a dimensionless amplitude
 epsilon = sqrt(rate * duration).
+
+Which of these one scheduled slot carries is decided once, by
+:func:`slot_noise`; the trajectory engine, the channel simulator and the
+Lindblad reference all read it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, kron
+from .linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, embed, kron
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gates import GateSpec
@@ -45,6 +49,7 @@ __all__ = [
     "CalibrationError",
     "QubitParams",
     "DeviceParams",
+    "read_json_object",
     "load_calibration",
     "relaxation_rates",
     "depolarizing_rate",
@@ -52,8 +57,9 @@ __all__ = [
     "spam_strength",
     "LindbladTerm",
     "NoiseContext",
+    "SlotNoise",
+    "slot_noise",
     "noise_context_for_gate",
-    "relaxation_context",
     "TWO_QUBIT_PAULIS",
 ]
 
@@ -118,20 +124,28 @@ def _require_number(obj: dict, key: str, where: str) -> float:
     return float(val)
 
 
+def read_json_object(source: str | Path | dict, error: type[ValueError], what: str) -> dict:
+    """The JSON object a document source holds: a dict as given, a Path
+    or a one-line string ending in ``.json`` read from that file, any other
+    string parsed as JSON text.  Invalid JSON and a root that is not an
+    object raise ``error``, with messages naming ``what``."""
+    if isinstance(source, dict):
+        return source
+    text = source
+    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and source.strip().endswith(".json")):
+        text = Path(source).read_text()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} root must be an object")
+    return doc
+
+
 def load_calibration(source: str | Path | dict) -> DeviceParams:
     """Parse and validate a calibration document (path, JSON text or dict)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and source.strip().endswith(".json")):
-            text = Path(source).read_text()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CalibrationError(f"calibration is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CalibrationError("calibration root must be an object")
+    doc = read_json_object(source, CalibrationError, "calibration")
     extra = set(doc) - {"qubits", "gates"}
     if extra:
         raise CalibrationError(f"unknown top-level keys: {sorted(extra)}")
@@ -248,48 +262,51 @@ def _pauli_pairs() -> tuple[np.ndarray, ...]:
 TWO_QUBIT_PAULIS = _pauli_pairs()
 
 
-def relaxation_context(qubit: QubitParams, duration: float) -> NoiseContext:
-    """Relaxation-only context (idle slots carry no depolarisation)."""
-    gamma1, gamma_pd = relaxation_rates(qubit.t1_s, qubit.t2_s)
-    terms = (
-        LindbladTerm.from_rate(DECAY, gamma1, duration),
-        LindbladTerm.from_rate(PAULI_Z, gamma_pd / 4.0, duration),
-    )
-    return NoiseContext(terms=terms, gate_duration=duration)
+@dataclass(frozen=True)
+class SlotNoise:
+    """The noise one scheduled slot carries over ``duration``: each of its
+    qubits relaxes at ``relaxation[i]`` = (gamma1, gamma_pd), and a driven
+    slot also carries the depolarising set of its arity for the error
+    probability ``p_depolarizing``.  Idle slots have ``p_depolarizing``
+    None; a driven slot at p = 0 keeps its (zero-rate) depolarising set."""
+
+    duration: float
+    relaxation: tuple[tuple[float, float], ...]
+    p_depolarizing: float | None
 
 
-def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseContext:
-    """Jump terms for a driven gate: per-qubit relaxation plus the
-    depolarising set matching the gate's error probability, all with the
-    gate's duration."""
+def slot_noise(gate: "GateSpec", params: DeviceParams) -> SlotNoise:
+    """The noise rule every back-end follows: a slot relaxes each of its
+    qubits over its duration (the device default for its arity when the
+    gate has none) and a driven slot also depolarises at ``p_1q`` or
+    ``p_2q``.  RZ frames and zero-duration slots carry no noise."""
     qubits = gate.qubits
     if any(q >= params.n_qubits for q in qubits):
         raise ValueError(f"gate qubits {qubits} not in device (n={params.n_qubits})")
+    if len(qubits) > 2:
+        raise ValueError(f"unsupported gate arity: {len(qubits)}")
     duration = gate.duration if gate.duration is not None else params.gate_duration(len(qubits))
     if gate.kind == "RZ" or duration == 0:
-        return NoiseContext(terms=(), gate_duration=0.0)
-    if gate.kind == "IDLE":
-        return relaxation_context(params.qubits[qubits[0]], duration)
+        return SlotNoise(0.0, (), None)
+    relaxation = tuple(relaxation_rates(params.qubits[q].t1_s, params.qubits[q].t2_s) for q in qubits)
+    p = None if gate.kind == "IDLE" else (params.p_1q if len(qubits) == 1 else params.p_2q)
+    return SlotNoise(duration, relaxation, p)
 
+
+def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseContext:
+    """Jump terms of one slot's :func:`slot_noise`, on the slot's qubits:
+    amplitude damping and pure dephasing per qubit, then the depolarising
+    set of a driven slot, all with the slot's duration."""
+    noise = slot_noise(gate, params)
+    duration, arity = noise.duration, len(noise.relaxation)
     terms: list[LindbladTerm] = []
-    if len(qubits) == 1:
-        q = params.qubits[qubits[0]]
-        gamma1, gamma_pd = relaxation_rates(q.t1_s, q.t2_s)
-        gamma_d = depolarizing_rate(params.p_1q, duration)
-        terms.append(LindbladTerm.from_rate(DECAY, gamma1, duration))
-        terms.append(LindbladTerm.from_rate(PAULI_Z, gamma_pd / 4.0, duration))
-        for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-            terms.append(LindbladTerm.from_rate(pauli, gamma_d, duration))
-    elif len(qubits) == 2:
-        for pos, idx in enumerate(qubits):
-            q = params.qubits[idx]
-            gamma1, gamma_pd = relaxation_rates(q.t1_s, q.t2_s)
-            embed = (lambda op: kron(op, I2)) if pos == 0 else (lambda op: kron(I2, op))
-            terms.append(LindbladTerm.from_rate(embed(DECAY), gamma1, duration))
-            terms.append(LindbladTerm.from_rate(embed(PAULI_Z), gamma_pd / 4.0, duration))
-        gamma_d2 = two_qubit_depolarizing_rate(params.p_2q, duration)
-        for pauli in TWO_QUBIT_PAULIS:
-            terms.append(LindbladTerm.from_rate(pauli, gamma_d2, duration))
-    else:
-        raise ValueError(f"unsupported gate arity: {len(qubits)}")
+    for pos, (gamma1, gamma_pd) in enumerate(noise.relaxation):
+        for op, rate in ((DECAY, gamma1), (PAULI_Z, gamma_pd / 4.0)):
+            terms.append(LindbladTerm.from_rate(embed(op, (pos,), arity), rate, duration))
+    if noise.p_depolarizing is not None:
+        if arity == 1:
+            rate, paulis = depolarizing_rate(noise.p_depolarizing, duration), (PAULI_X, PAULI_Y, PAULI_Z)
+        else:
+            rate, paulis = two_qubit_depolarizing_rate(noise.p_depolarizing, duration), TWO_QUBIT_PAULIS
+        terms += [LindbladTerm.from_rate(pauli, rate, duration) for pauli in paulis]
     return NoiseContext(terms=tuple(terms), gate_duration=duration)

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,13 @@ class TestExitCodes:
         rc = main(compare_args(device_file, tmp_path / "out", **{"--backends": ""}))
         assert rc == 2
         assert "at least one backend" in capsys.readouterr().err
+
+    def test_compare_without_scored_backend_is_two(self, device_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(compare_args(device_file, out, **{"--backends": "lindblad"}))
+        assert rc == 2
+        assert "needs noisy_gates or channel" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoints_above_reps_is_two(self, device_file, tmp_path, capsys):
         rc = main(compare_args(device_file, tmp_path / "out", **{"--checkpoints": "50"}))
@@ -197,3 +205,33 @@ class TestSimulate:
             device_file, tmp_path / "out", **{"--experiment": "custom_circuit"}
         )[1:]
         assert main(argv) == 2
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestMixedLayerCircuit:
+    """X on qubit 2 beside a CNOT on qubits 0, 1: one layer of mixed
+    durations, run through every back-end."""
+
+    @pytest.mark.parametrize(
+        "command, backends",
+        [("compare", "noisy_gates,channel,lindblad"), ("simulate", "lindblad")],
+    )
+    def test_runs(self, command, backends, tmp_path, capsys):
+        argv = [command] + compare_args(
+            CONFIGS / "desk_device_3q.json",
+            tmp_path / "out",
+            **{
+                "--experiment": "custom_circuit",
+                "--circuit": str(CONFIGS / "mixed_layer_circuit.json"),
+                "--shots": "64",
+                "--runs": "1",
+                "--backends": backends,
+            },
+        )[1:]
+        assert main(argv) == 0
+        rundir = next(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+        rows = (rundir / "distributions.csv").read_text().splitlines()
+        assert rows[1].startswith("lindblad,0,2,")
+        assert len(rows[0].split(",")) == 4 + 2**3

@@ -23,7 +23,6 @@ from noisygates.engine import (
     expand_cnots,
     parse_circuit,
     run_shots,
-    run_trajectory,
     schedule_layers,
 )
 from noisygates.gates import GateSpec, ideal_unitary, spam_gate_batch
@@ -151,13 +150,15 @@ class TestDecomposeCnot:
 
 
 class TestRunTrajectory:
+    """One trajectory is ``run_shots`` with ``shots=1``."""
+
     def test_noiseless_x(self):
         circ = parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}]})
         sched = schedule_layers(circ, NOISELESS)
-        out = run_trajectory(sched, RngStream(0))
-        assert out.weight == pytest.approx(1.0, abs=1e-12)
-        assert abs(out.state[1]) == pytest.approx(1.0, abs=1e-12)
-        assert out.bitstring == 1
+        out = run_shots(sched, RunConfig(shots=1))
+        assert out.mean_weight[-1] == pytest.approx(1.0, abs=1e-12)
+        assert out.densities[-1][1, 1].real == pytest.approx(1.0, abs=1e-12)
+        assert out.counts[-1].tolist() == [0, 1]
 
     def test_spam_only_measurement(self):
         # empty circuit, measured qubit with p_readout = 0.25
@@ -197,6 +198,12 @@ class TestRunShots:
         sched = schedule_layers(circ, NOISELESS)
         result = run_shots(sched, RunConfig(shots=256, master_seed=0))
         assert result.mean_weight[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_duration_idle_is_identity(self):
+        # it carries no noise, as in the channel simulator and the reference
+        doc = {"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}, {"gate": "IDLE", "q": [0], "duration_s": 0.0}]}
+        result = run_shots(schedule_layers(parse_circuit(doc), NOISELESS), RunConfig(shots=4))
+        assert result.distributions[-1][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_distribution_normalised(self):
         circ = parse_circuit({"n_qubits": 2, "ops": [{"gate": "CNOT", "q": [0, 1]}] * 3, "measure": [0, 1]})

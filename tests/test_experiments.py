@@ -1,5 +1,9 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from noisygates import lindblad
 from noisygates.channels import embed_operator
@@ -7,16 +11,24 @@ from noisygates.engine import parse_circuit, schedule_layers
 from noisygates.experiments import (
     ExperimentConfig,
     _layer_hamiltonian,
-    _layer_noise_terms,
+    _layer_segments,
     build_experiment_circuit,
     channel_backend_run,
     checkpoint_gate_counts,
     lindblad_reference,
     run_compare,
 )
-from noisygates.gates import ideal_unitary
-from noisygates.linalg import dagger
-from noisygates.noise_model import DeviceParams, QubitParams
+from noisygates.gates import GateSpec, drive_generator, ideal_unitary
+from noisygates.linalg import DECAY, PAULI_X, PAULI_Y, PAULI_Z, dagger
+from noisygates.noise_model import (
+    DeviceParams,
+    LindbladTerm,
+    QubitParams,
+    TWO_QUBIT_PAULIS,
+    depolarizing_rate,
+    relaxation_rates,
+    two_qubit_depolarizing_rate,
+)
 
 DESK = DeviceParams(
     qubits=(
@@ -100,6 +112,35 @@ class TestLindbladReference:
         bare_dists, _, _ = lindblad_reference(bare, (1,))
         # readout bitflips pull weight off the |10> peak
         assert dists[0][2] < bare_dists[0][2]
+
+
+def _layer_noise_terms(layer, params: DeviceParams, n_qubits: int) -> tuple[LindbladTerm, ...]:
+    """Full-register jump terms active during one uniform layer:
+    always-on relaxation per qubit plus the driven gates' depolarising
+    sets."""
+    duration = max((g.duration for g in layer.gates), default=0.0)
+    terms: list[LindbladTerm] = []
+    for q in range(n_qubits):
+        qb = params.qubits[q]
+        gamma1, gamma_pd = relaxation_rates(qb.t1_s, qb.t2_s)
+        terms.append(LindbladTerm.from_rate(embed_operator(DECAY, n_qubits, (q,)), gamma1, duration))
+        terms.append(LindbladTerm.from_rate(embed_operator(PAULI_Z, n_qubits, (q,)), gamma_pd / 4.0, duration))
+    for g in layer.gates:
+        if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
+            continue
+        if len(g.qubits) == 1:
+            rate = depolarizing_rate(params.p_1q, g.duration)
+            for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+                terms.append(
+                    LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration)
+                )
+        else:
+            rate = two_qubit_depolarizing_rate(params.p_2q, g.duration)
+            for pauli in TWO_QUBIT_PAULIS:
+                terms.append(
+                    LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration)
+                )
+    return tuple(terms)
 
 
 def per_step_reference(sched, steps=100):
@@ -189,6 +230,90 @@ class TestLindbladReferenceCache:
             # single-use layers are stepped, the repeated CNOT is mapped
             assert repeats == {1, 100}
             assert any(g.kind == "RZ" for layer in sched.layers for g in layer.gates)
+
+
+DESK_3Q = replace(DESK, qubits=DESK.qubits + DESK.qubits[:1])
+
+
+def hand_relaxation(n):
+    """Relaxation terms of every qubit of DESK_3Q, written out."""
+    terms = []
+    for q in range(n):
+        t1, t2 = DESK_3Q.qubits[q].t1_s, DESK_3Q.qubits[q].t2_s
+        terms.append(LindbladTerm.from_rate(embed_operator(DECAY, n, (q,)), 1 / t1, 1.0))
+        terms.append(LindbladTerm.from_rate(embed_operator(PAULI_Z, n, (q,)), (2 / t2 - 1 / t1) / 4, 1.0))
+    return terms
+
+
+def hand_cnot(n):
+    """Drive (1/s) and 15-Pauli depolarising terms of a CNOT on qubits 0, 1."""
+    t = DESK_3Q.t_2q_s
+    rate = -math.log(1 - DESK_3Q.p_2q) / (16 * t)
+    h = embed_operator(drive_generator(GateSpec("CNOT", (0, 1))), n, (0, 1)) / t
+    return h, [LindbladTerm.from_rate(embed_operator(p, n, (0, 1)), rate, 1.0) for p in TWO_QUBIT_PAULIS]
+
+
+def propagate(rho, segments):
+    """rho through (hamiltonian, terms, duration) segments by the exact
+    exponential of each segment's superoperator."""
+    for h, terms, duration in segments:
+        m = lindblad.rhs_superoperator(h, terms)
+        rho = (expm(m * duration) @ rho.reshape(-1)).reshape(rho.shape)
+    return rho
+
+
+def reference_after_first_layer(ops):
+    """Lindblad reference after layers 1 and 2 of SX q0, SX q2 followed by
+    ``ops`` on the three-qubit desk register."""
+    doc = {"n_qubits": 3, "ops": [{"gate": "SX", "q": [0]}, {"gate": "SX", "q": [2]}] + ops}
+    sched = schedule_layers(parse_circuit(doc), DESK_3Q)
+    _, rhos, _ = lindblad_reference(sched, (1, 2))
+    return sched, rhos
+
+
+class TestMixedLayers:
+    def test_one_qubit_gate_beside_cnot_matches_hand_written_segments(self):
+        sched, (rho1, rho2) = reference_after_first_layer(
+            [{"gate": "CNOT", "q": [0, 1]}, {"gate": "X", "q": [2]}]
+        )
+        assert sched.layers[1].duration == DESK_3Q.t_2q_s
+        n, t1q, t2q = 3, DESK_3Q.t_1q_s, DESK_3Q.t_2q_s
+        h_cnot, cnot_terms = hand_cnot(n)
+        h_x = embed_operator(drive_generator(GateSpec("X", (2,))), n, (2,)) / t1q
+        rate = -math.log(1 - DESK_3Q.p_1q) / (4 * t1q)
+        x_terms = [LindbladTerm.from_rate(embed_operator(p, n, (2,)), rate, 1.0) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+        # the X runs beside the first t_1q of the CNOT, then qubit 2 idles
+        want = propagate(
+            rho1,
+            [
+                (h_cnot + h_x, hand_relaxation(n) + cnot_terms + x_terms, t1q),
+                (h_cnot, hand_relaxation(n) + cnot_terms, t2q - t1q),
+            ],
+        )
+        assert np.abs(rho2 - want).max() < 1e-6
+        # leaving out the X lands far from the reference
+        assert np.abs(rho2 - propagate(rho1, [(h_cnot, hand_relaxation(n) + cnot_terms, t2q)])).max() > 0.1
+
+    def test_idle_shorter_than_its_layer_runs_before_its_pad(self):
+        idle = 100e-9
+        sched, (rho1, rho2) = reference_after_first_layer(
+            [{"gate": "CNOT", "q": [0, 1]}, {"gate": "IDLE", "q": [2], "duration_s": idle}]
+        )
+        layer = sched.layers[1]
+        assert [(g.kind, g.qubits) for g in layer.gates] == [("CNOT", (0, 1)), ("IDLE", (2,)), ("IDLE", (2,))]
+        segments = _layer_segments(layer)
+        assert [slots for _, slots in segments] == [layer.gates[:2], (layer.gates[0], layer.gates[2])]
+        assert [d for d, _ in segments] == pytest.approx([idle, DESK_3Q.t_2q_s - idle], rel=1e-12)
+        # back to back, the idle and its pad relax qubit 2 for the whole layer
+        h_cnot, cnot_terms = hand_cnot(3)
+        want = propagate(rho1, [(h_cnot, hand_relaxation(3) + cnot_terms, DESK_3Q.t_2q_s)])
+        assert np.abs(rho2 - want).max() < 1e-6
+
+    def test_uniform_layer_is_one_segment(self):
+        doc = {"n_qubits": 3, "ops": [{"gate": "SX", "q": [0]}, {"gate": "RZ", "q": [1], "phi": 0.4}]}
+        layer = schedule_layers(parse_circuit(doc), DESK_3Q).layers[0]
+        timed = tuple(g for g in layer.gates if g.kind != "RZ")
+        assert _layer_segments(layer) == [(DESK_3Q.t_1q_s, timed)]
 
 
 class TestChannelBackend:

@@ -8,7 +8,6 @@ from noisygates.lindblad import (
     LindbladProblem,
     SegmentMap,
     cached_segment_maps,
-    lindblad_rhs,
     repeated_gate_solve,
     rhs_superoperator,
     segment_map,
@@ -19,6 +18,22 @@ from noisygates.linalg import DECAY, PAULI_X, PAULI_Z, dagger, expm
 from noisygates.noise_model import LindbladTerm
 
 RHO0 = np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, 0.6]], dtype=complex)
+
+
+def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, terms) -> np.ndarray:
+    """Oracle for rhs_superoperator: the master equation's right-hand
+    side evaluated on rho directly."""
+    rho = np.asarray(rho, dtype=complex)
+    h = np.asarray(hamiltonian, dtype=complex)
+    out = -1j * (h @ rho - rho @ h)
+    for term in terms:
+        rate, op = term.rate, term.operator
+        if rate == 0.0:
+            continue
+        opd = dagger(op)
+        opdop = opd @ op
+        out += rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
+    return out
 
 
 def relax_terms(gamma1, gamma_pd, horizon=1.0):
@@ -36,7 +51,7 @@ class TestRhs:
     def test_bitflip_on_ground_state(self):
         gamma = 0.7
         rho = np.diag([1.0, 0.0]).astype(complex)
-        out = lindblad_rhs(rho, np.zeros((2, 2)), ((gamma, PAULI_X),))
+        out = lindblad_rhs(rho, np.zeros((2, 2)), (LindbladTerm.from_rate(PAULI_X, gamma, 1.0),))
         assert np.allclose(out, gamma * np.diag([-1.0, 1.0]))
 
     def test_traceless(self):

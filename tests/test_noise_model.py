@@ -13,10 +13,12 @@ from noisygates.noise_model import (
     DeviceParams,
     LindbladTerm,
     QubitParams,
+    SlotNoise,
     depolarizing_rate,
     load_calibration,
     noise_context_for_gate,
     relaxation_rates,
+    slot_noise,
     spam_strength,
     two_qubit_depolarizing_rate,
 )
@@ -182,3 +184,25 @@ class TestNoiseContext:
         # Pauli, so each coefficient decays at 16*rate; one duration must
         # contract by exactly 1 - p
         assert math.exp(-16 * rate * duration) == pytest.approx(1 - p, abs=1e-12)
+
+
+class TestSlotNoise:
+    PARAMS = load_calibration(json.dumps(dict(MINIMAL, qubits=MINIMAL["qubits"] * 2)))
+
+    def test_driven_slots_depolarise_at_their_arity(self):
+        one = slot_noise(GateSpec("X", (1,)), self.PARAMS)
+        two = slot_noise(GateSpec("CNOT", (0, 1)), self.PARAMS)
+        assert (one.duration, one.p_depolarizing) == (35e-9, 1e-4)
+        assert (two.duration, two.p_depolarizing) == (300e-9, 1e-2)
+        assert one.relaxation == (relaxation_rates(100e-6, 100e-6),)
+        assert two.relaxation == one.relaxation * 2
+
+    def test_idle_slot_only_relaxes(self):
+        noise = slot_noise(GateSpec("IDLE", (0,), duration=1e-6), self.PARAMS)
+        assert noise.p_depolarizing is None
+        assert noise.duration == 1e-6 and len(noise.relaxation) == 1
+        assert len(noise_context_for_gate(GateSpec("IDLE", (0,), duration=1e-6), self.PARAMS).terms) == 2
+
+    @pytest.mark.parametrize("gate", [GateSpec("RZ", (0,), phi=0.3), GateSpec("X", (0,), duration=0.0)])
+    def test_frames_and_zero_duration_slots_carry_nothing(self, gate):
+        assert slot_noise(gate, self.PARAMS) == SlotNoise(0.0, (), None)
