@@ -1,21 +1,46 @@
-"""Kraus channel library and the density-matrix channel simulator.
+"""Kraus channel library, the channel simulator and the density-matrix
+kernel it shares with the Lindblad reference.
 
-This is the "apply noise after the ideal gate" baseline: per gate slot
-the ideal unitary acts first, then a depolarising channel for the gate
-error, then per-qubit relaxation over the gate duration; idle slots
-relax over their own duration and measured qubits see a bitflip channel
-before readout.  Which channels a slot carries follows
-``noise_model.slot_noise``, the rule the other back-ends share.
+The channel simulator is the "apply noise after the ideal gate"
+baseline: per gate slot the ideal unitary acts first, then a
+depolarising channel for the gate error, then per-qubit relaxation over
+the gate duration; idle slots relax over their own duration and measured
+qubits see a bitflip channel before readout.  Which channels a slot
+carries follows ``noise_model.slot_noise``, the rule the other back-ends
+share.
+
+The slots of a scheduled layer act on disjoint qubits, except a user
+IDLE followed by its pad on the same qubit, which run back to back.  So
+a layer's map is the product, in slot order, of one local superoperator
+per slot (4^k x 4^k for a slot on k <= 2 qubits).  :func:`evolve_layers`
+applies those maps with ``linalg.apply_superoperator``, building each
+once per distinct slot; the channel simulator and
+``experiments.lindblad_reference`` differ only in how a slot's map is
+built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, dagger, embed
+from .linalg import (
+    DECAY,
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PROJ_1,
+    apply_superoperator,
+    dagger,
+    embed,
+    superoperator,
+)
 from .noise_model import DeviceParams, TWO_QUBIT_PAULIS, slot_noise
 
 __all__ = [
@@ -26,13 +51,14 @@ __all__ = [
     "relaxation_channel",
     "apply_channel",
     "embed_operator",
+    "evolve_layers",
     "run_channel_sim",
 ]
 
 _COMPLETENESS_TOL = 1e-10
-# Widest register run_channel_sim accepts: its density matrix and every
-# embedded Kraus operator hold 4^n complex entries (16 MiB at n = 10), and
-# each product costs 8^n multiply-adds.
+# Widest register the density-matrix back-ends accept: rho holds 4^n
+# complex entries (16 MiB at n = 10), and each slot's update reads and
+# writes all of them.
 MAX_QUBITS = 10
 
 
@@ -124,54 +150,77 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits: tuple[int, ...
     """Apply a local channel to the listed qubits of a register density
     matrix; trace is preserved by Kraus completeness."""
     rho = np.asarray(rho, dtype=complex)
-    n = int(round(math.log2(rho.shape[0])))
     qubits = tuple(qubits)
     if channel.dim != 2 ** len(qubits):
         raise ValueError("channel dimension does not match qubit count")
-    out = np.zeros_like(rho)
-    for op in channel.operators:
-        full = embed_operator(op, n, qubits)
-        out += full @ rho @ dagger(full)
-    return out
+    return apply_superoperator(rho, superoperator(channel.operators), qubits)
 
 
-def run_channel_sim(scheduled, params: DeviceParams, initial: np.ndarray | None = None) -> list[np.ndarray]:
-    """Evolve a density matrix through a scheduled circuit layer by layer.
-
-    Per slot, in slot order: the ideal unitary, then the channels of the
-    slot's :func:`~noisygates.noise_model.slot_noise`, i.e. the
-    depolarising channel of a driven slot and relaxation over the slot's
-    duration on each of its qubits.  Returns the state
-    after every layer (readout bitflips are *not* applied here; the
-    measured distribution adds them, as ``bitflip_channel`` on each
-    measured qubit).  Registers wider than ``MAX_QUBITS`` raise
-    ``ValueError`` before anything is allocated.
-    """
+def _slot_superoperator(gate, params: DeviceParams) -> np.ndarray:
+    """Local superoperator of one slot in the channel simulator: the ideal
+    unitary, then the channels of the slot's
+    :func:`~noisygates.noise_model.slot_noise`, i.e. the depolarising
+    channel of a driven slot and relaxation over the slot's duration on
+    each of its qubits."""
     from .gates import ideal_unitary  # local import to avoid a cycle
 
+    noise = slot_noise(gate, params)
+    sup = superoperator([ideal_unitary(gate)])
+    if noise.p_depolarizing is not None:
+        depolarize = depolarizing_channel if len(gate.qubits) == 1 else two_qubit_depolarizing_channel
+        sup = superoperator(depolarize(noise.p_depolarizing).operators) @ sup
+    if noise.relaxation:
+        per_qubit = [relaxation_channel(g1, g_pd, noise.duration).operators for g1, g_pd in noise.relaxation]
+        sup = superoperator([reduce(np.kron, ops) for ops in itertools.product(*per_qubit)]) @ sup
+    return sup
+
+
+def evolve_layers(
+    scheduled, slot_map: Callable[..., np.ndarray], checkpoints: Sequence[int] | None = None
+) -> list[np.ndarray]:
+    """Density matrix of a scheduled circuit started in |0...0>, after each
+    of the layer counts ``checkpoints`` (0 is the initial state; default
+    every layer 1..L).
+
+    Each slot applies ``slot_map(gate)``, its local superoperator, on its
+    qubits, in slot order; each distinct ``GateSpec`` builds its map once
+    (the key holds the qubits, whose T1/T2 set an idle slot's noise).  rho
+    is symmetrised after every layer.  Registers wider than ``MAX_QUBITS``
+    raise ``ValueError`` before anything is allocated, and a state that
+    leaves the finite range raises ``FloatingPointError``.
+    """
     n = scheduled.n_qubits
     if n > MAX_QUBITS:
-        raise ValueError(f"the channel simulator supports at most {MAX_QUBITS} qubits; circuit has {n}")
-    d = 2**n
-    rho = np.zeros((d, d), dtype=complex)
-    if initial is None:
-        rho[0, 0] = 1.0
-    else:
-        rho = np.array(initial, dtype=complex)
-    series = []
-    for layer in scheduled.layers:
+        raise ValueError(
+            f"the density-matrix back-ends (channel simulator, Lindblad reference) support at most "
+            f"{MAX_QUBITS} qubits; circuit has {n}"
+        )
+    if checkpoints is None:
+        checkpoints = range(1, len(scheduled.layers) + 1)
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    kept = {0: rho}
+    maps: dict = {}
+    for index, layer in enumerate(scheduled.layers[: max(checkpoints, default=0)], 1):
         for gate in layer.gates:
-            u = ideal_unitary(gate)
-            full = embed_operator(u, n, gate.qubits)
-            rho = full @ rho @ dagger(full)
-            noise = slot_noise(gate, params)
-            p = noise.p_depolarizing
-            if p is not None:
-                depolarize = depolarizing_channel if len(gate.qubits) == 1 else two_qubit_depolarizing_channel
-                rho = apply_channel(rho, depolarize(p), gate.qubits)
-            for q, (gamma1, gamma_pd) in zip(gate.qubits, noise.relaxation):
-                rho = apply_channel(rho, relaxation_channel(gamma1, gamma_pd, noise.duration), (q,))
+            if gate not in maps:
+                maps[gate] = slot_map(gate)
+            rho = apply_superoperator(rho, maps[gate], gate.qubits)
         rho = 0.5 * (rho + dagger(rho))
-        series.append(rho.copy())
-    return series
+        if not np.all(np.isfinite(rho)):
+            raise FloatingPointError(f"density matrix diverged in layer {index - 1}")
+        if index in checkpoints:
+            kept[index] = rho
+    return [kept[c] for c in checkpoints]
 
+
+def run_channel_sim(
+    scheduled, params: DeviceParams, checkpoints: Sequence[int] | None = None
+) -> list[np.ndarray]:
+    """Evolve a density matrix through a scheduled circuit with
+    :func:`evolve_layers`, each slot mapped by :func:`_slot_superoperator`.
+    Returns the state after each checkpoint layer count (default every
+    layer); readout bitflips are *not* applied here, the measured
+    distribution adds them as ``bitflip_channel`` on each measured qubit.
+    """
+    return evolve_layers(scheduled, lambda gate: _slot_superoperator(gate, params), checkpoints)

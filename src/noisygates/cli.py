@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import CircuitError, parse_circuit
+from .engine import DENSE_DENSITY_MAX_QUBITS, CircuitError, parse_circuit
 from .experiments import (
     BACKENDS,
     EXPERIMENTS,
@@ -257,10 +257,13 @@ def _write_lindblad_rho(outdir: Path, result) -> None:
 
     if result.lindblad_rhos is None:
         return
+    # wider registers keep the diagonal only, as the engine keeps no
+    # density estimate above this width
     write_rho_series_csv(
         outdir / "lindblad_rho.csv",
         result.times,
         result.lindblad_rhos,
+        diagonal_only=result.lindblad_rhos[0].shape[0] > 2**DENSE_DENSITY_MAX_QUBITS,
     )
 
 

@@ -113,6 +113,8 @@ class Circuit:
 
 
 _OP_KEYS = {"gate", "q", "theta", "phi", "duration_s"}
+# Gates with a drive: a zero duration would make their drive infinite.
+_DRIVEN_KINDS = ("X", "SX", "RX", "CR", "CNOT")
 
 
 def parse_circuit(source: str | Path | dict) -> Circuit:
@@ -120,7 +122,9 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
 
     Format: ``{"n_qubits": int, "ops": [{"gate": kind, "q": [ints],
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
-    "measure": [ints]}``.
+    "measure": [ints]}``.  A ``duration_s`` must be finite and >= 0, and
+    > 0 on the driven gates X, SX, RX, CR and CNOT; a zero IDLE is the
+    identity.
     """
     doc = read_json_object(source, CircuitError, "circuit")
     extra = set(doc) - {"n_qubits", "ops", "measure"}
@@ -153,6 +157,14 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
             raise CircuitError(f"op {i}: {kind} requires 'theta'")
         if kind == "IDLE" and duration is None:
             raise CircuitError(f"op {i}: IDLE requires 'duration_s'")
+        if duration is not None:
+            number = isinstance(duration, (int, float)) and not isinstance(duration, bool)
+            if not (number and math.isfinite(duration)):
+                raise CircuitError(f"op {i}: 'duration_s' must be a finite number")
+            if duration < 0:
+                raise CircuitError(f"op {i}: 'duration_s' must be >= 0, got {duration!r}")
+            if duration == 0 and kind in _DRIVEN_KINDS:
+                raise CircuitError(f"op {i}: {kind} is driven and needs a positive 'duration_s'")
         if kind == "RZ":
             if phi is None:
                 raise CircuitError(f"op {i}: RZ requires 'phi'")

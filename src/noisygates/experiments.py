@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_channel, bitflip_channel, embed_operator, run_channel_sim
+from .channels import apply_channel, bitflip_channel, evolve_layers, run_channel_sim
 from .engine import (
     Circuit,
     RunConfig,
@@ -35,17 +35,17 @@ from .engine import (
     schedule_layers,
 )
 from .gates import GateSpec, drive_generator, ideal_unitary
+from .linalg import superoperator
 # ``solve`` stays bound here: perfbench/test_perfbench.py checks that
 # tracing restores ``experiments.solve``.
-from .lindblad import cached_segment_maps, segment_map, solve  # noqa: F401
+from .lindblad import rhs_superoperator, rk4_map, solve  # noqa: F401
 from .metrics import hellinger, mean_std_over_runs
-from .noise_model import DeviceParams, LindbladTerm, noise_context_for_gate
+from .noise_model import DeviceParams, noise_context_for_gate
 from .stochastic import RngStream
 
 __all__ = [
     "BACKENDS",
     "EXPERIMENTS",
-    "LINDBLAD_MAX_QUBITS",
     "ExperimentConfig",
     "ExperimentResult",
     "build_experiment_circuit",
@@ -61,11 +61,7 @@ EXPERIMENTS = ("repeat_x", "repeat_cr", "repeat_cnot", "custom_circuit")
 
 # Stream index offsets keep the three stochastic consumers independent.
 _CHANNEL_STREAM_BASE = 1_000_000
-_LINDBLAD_STEPS_PER_SEGMENT = 100
-# Widest register lindblad_reference accepts: its superoperator and RK4 step
-# matrix hold 16^n complex entries each, 16 MiB at n = 5 but 256 MiB at n = 6
-# and 4 GiB at n = 7, with several alive at once while a step is built.
-LINDBLAD_MAX_QUBITS = 5
+_LINDBLAD_STEPS_PER_SLOT = 100
 
 
 @dataclass(frozen=True)
@@ -177,13 +173,8 @@ def _channel_checkpoint_probs(
     scheduled: ScheduledCircuit, checkpoint_layers: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(readout distributions, pre-readout state diagonals) per checkpoint."""
-    series = run_channel_sim(scheduled, scheduled.params)
-    dim = 2**scheduled.n_qubits
-    initial = np.zeros((dim, dim), dtype=complex)
-    initial[0, 0] = 1.0
     probs, diags = [], []
-    for c in checkpoint_layers:
-        rho = series[c - 1] if c > 0 else initial
+    for rho in run_channel_sim(scheduled, scheduled.params, checkpoint_layers):
         diags.append(np.real(np.diag(rho)).copy())
         probs.append(_readout_distribution(rho, scheduled))
     return np.asarray(probs), np.asarray(diags)
@@ -207,108 +198,40 @@ def channel_backend_run(
     return out
 
 
-def _layer_segments(layer) -> list[tuple[float, tuple[GateSpec, ...]]]:
-    """(duration, active slots) of each constant segment of a timed layer.
-
-    A slot's window starts when the last earlier slot on any of its
-    qubits ends, the order in which the engine applies them, so a pad
-    follows a user IDLE shorter than its layer on the same qubit.  The
-    layer splits at every window edge; a segment's active slots are those
-    whose windows cover it.  A window ending within round-off of the
-    layer's end (a pad of T - d after a slot of d) ends there.
-    """
-    busy_until: dict[int, float] = {}
-    windows = []
-    for g in layer.gates:
-        if g.kind == "RZ" or not g.duration:
-            continue
-        start = max(busy_until.get(q, 0.0) for q in g.qubits)
-        end = start + g.duration
-        if math.isclose(end, layer.duration, rel_tol=1e-12):
-            end = layer.duration
-        busy_until.update(dict.fromkeys(g.qubits, end))
-        windows.append((start, end, g))
-    edges = sorted({t for start, end, _ in windows for t in (start, end)})
-    return [
-        (b - a, tuple(g for start, end, g in windows if start <= a and end >= b))
-        for a, b in zip(edges, edges[1:])
-    ]
-
-
-def _segment_terms(slots, params: DeviceParams, n_qubits: int) -> tuple[LindbladTerm, ...]:
-    """Every slot's ``noise_context_for_gate`` terms, embedded on its
-    qubits of the full register, in slot order."""
-    return tuple(
-        replace(term, operator=embed_operator(term.operator, n_qubits, g.qubits))
-        for g in slots
-        for term in noise_context_for_gate(g, params).terms
-    )
-
-
-def _layer_hamiltonian(gates, n_qubits: int) -> np.ndarray:
-    """Drive Hamiltonian (1/s) of the given slots on the full register;
-    virtual RZ frames and idles carry no drive."""
-    dim = 2**n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for g in gates:
-        if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
-            continue
-        h += embed_operator(drive_generator(g), n_qubits, g.qubits) / g.duration
-    return h
+def _lindblad_slot_map(gate: GateSpec, params: DeviceParams, steps: int) -> np.ndarray:
+    """Local RK4 map of one slot over its duration: its drive (none for an
+    idle) and its ``noise_context_for_gate`` terms, in ``steps`` steps.
+    A zero-duration slot (an RZ frame, a zero idle) is its ideal unitary."""
+    ctx = noise_context_for_gate(gate, params)
+    if ctx.gate_duration == 0.0:
+        return superoperator([ideal_unitary(gate)])
+    hamiltonian = drive_generator(gate) / ctx.gate_duration
+    return rk4_map(rhs_superoperator(hamiltonian, ctx.terms), ctx.gate_duration, steps)
 
 
 def lindblad_reference(
     scheduled: ScheduledCircuit,
     checkpoint_layers: tuple[int, ...],
-    steps_per_segment: int = _LINDBLAD_STEPS_PER_SEGMENT,
+    steps_per_slot: int = _LINDBLAD_STEPS_PER_SLOT,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Integrate the master equation along the scheduled circuit.
 
-    Each slot of a timed layer acts over its own time window (see
-    :func:`_layer_segments`), so a layer splits into constant segments:
-    one for a layer of equal durations, more where a 1-qubit gate runs
-    beside a 2-qubit gate or a user IDLE is shorter than its layer.  A
-    segment's Hamiltonian sums its driven slots' drives and its jump terms
-    are its slots' ``noise_context_for_gate`` terms.  Segments are keyed
-    by (layer gates, segment index), so each distinct segment builds its
-    RK4 map once with ``steps_per_segment`` steps
-    (:func:`~noisygates.lindblad.cached_segment_maps`).  Returns
+    Every slot evolves its own qubits over its own duration under its
+    drive and its ``noise_context_for_gate`` jump terms.  Slots of a layer
+    act on disjoint qubits (an idle and its pad run back to back), so
+    their generators commute and the layer's map is the product of the
+    slots' local maps, each a fixed-step RK4 propagator with
+    ``steps_per_slot`` steps, built once per distinct slot and applied by
+    :func:`~noisygates.channels.evolve_layers`.  Returns
     (distributions, rho at every checkpoint, times).  Readout bitflips
     are applied to the distribution only, never to the running state.
-    Registers wider than ``LINDBLAD_MAX_QUBITS`` raise ``ValueError``
+    Registers wider than ``channels.MAX_QUBITS`` raise ``ValueError``
     before anything is allocated.
     """
-    n = scheduled.n_qubits
-    if n > LINDBLAD_MAX_QUBITS:
-        raise ValueError(
-            f"the Lindblad reference supports at most {LINDBLAD_MAX_QUBITS} qubits; circuit has {n}"
-        )
-    segments = {layer.gates: _layer_segments(layer) for layer in scheduled.layers if layer.duration > 0.0}
-    keys = [(layer.gates, i) for layer in scheduled.layers for i in range(len(segments.get(layer.gates, ())))]
-
-    def build(key, uses):
-        duration, slots = segments[key[0]][key[1]]
-        h = _layer_hamiltonian(slots, n)
-        terms = _segment_terms(slots, scheduled.params, n)
-        return segment_map(h, terms, duration, steps_per_segment, uses)
-
-    maps = cached_segment_maps(keys, build)
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    states = [rho.copy()]
-    for layer in scheduled.layers:
-        # apply virtual RZ frames first (zero duration)
-        for g in layer.gates:
-            if g.kind == "RZ":
-                u = embed_operator(ideal_unitary(g), n, g.qubits)
-                rho = u @ rho @ u.conj().T
-        for _ in segments.get(layer.gates, ()):
-            rho = next(maps).apply(rho)
-        if not np.all(np.isfinite(rho)):
-            raise FloatingPointError(f"Lindblad integration diverged in layer {len(states) - 1}")
-        states.append(rho.copy())
-
-    rhos = [states[c] for c in checkpoint_layers]
+    params = scheduled.params
+    rhos = evolve_layers(
+        scheduled, lambda gate: _lindblad_slot_map(gate, params, steps_per_slot), checkpoint_layers
+    )
     dists = np.asarray([_readout_distribution(rho_c, scheduled) for rho_c in rhos])
     return dists, rhos, _checkpoint_times(scheduled, checkpoint_layers)
 

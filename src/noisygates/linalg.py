@@ -1,5 +1,6 @@
 """Dense complex linear algebra kernel: products, adjoints, Kronecker
-products, matrix exponentials and gate application to state vectors.
+products, matrix exponentials, gate application to state vectors and
+local superoperators applied to density matrices.
 
 All functions treat their inputs as values and return fresh arrays.  The
 matrix exponential supports stacks of matrices (shape ``(..., d, d)``),
@@ -33,6 +34,8 @@ __all__ = [
     "expm",
     "expm_2x2",
     "apply_gate",
+    "superoperator",
+    "apply_superoperator",
     "basis_state",
 ]
 
@@ -351,3 +354,27 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, qubits: list[int] | tuple[in
     out = out.reshape(shape)
     inv = np.argsort(perm)
     return np.transpose(out, inv).reshape(state.shape)
+
+
+# Density matrices use the row-major vec convention: vec(rho)[i d + j] =
+# rho[i, j], so vec(A rho B) = (A kron B^T) vec(rho).  The vec of an
+# n-qubit rho is then a 2n-qubit state whose qubits 0..n-1 index rows and
+# n..2n-1 columns, and a local map on qubits q acts on axes q and n + q.
+
+
+def superoperator(kraus) -> np.ndarray:
+    """Matrix of rho -> sum_K K rho K^dag on row-major vec(rho): the sum
+    of K kron conj(K) over the Kraus operators."""
+    return sum(np.kron(k, np.conj(k)) for k in np.asarray(kraus, dtype=complex))
+
+
+def apply_superoperator(rho: np.ndarray, sup: np.ndarray, qubits: list[int] | tuple[int, ...]) -> np.ndarray:
+    """Apply a superoperator on the listed qubits (acting on the row-major
+    vec of their 2^k x 2^k density matrix, first listed qubit most
+    significant) to the register density matrix ``rho``, through
+    :func:`apply_gate` on axes q and n + q of vec(rho)."""
+    d = rho.shape[0]
+    n = d.bit_length() - 1
+    qubits = list(qubits)
+    vec = apply_gate(rho.reshape(-1), sup, qubits + [n + q for q in qubits], 2 * n)
+    return vec.reshape(d, d)

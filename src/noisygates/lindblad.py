@@ -2,26 +2,22 @@
 
     d rho / dt = -i [H, rho] + sum_k gamma_k (L rho L^dag - 1/2 {L^dag L, rho})
 
-with a piecewise-constant Hamiltonian schedule.  A segment is a stretch
-of time with constant Hamiltonian and jump terms; for a circuit,
-``experiments.lindblad_reference`` cuts each layer into segments at the
-edges of its slots' time windows, one segment for a layer of equal
-durations.  Classic fixed-step RK4; because the equation is linear and
-autonomous on each segment, one RK4 step is a fixed superoperator,
-built once per distinct segment.  A
-segment whose steps over all its uses outweigh the cost of powering that
-matrix (see :func:`segment_map`) is applied as the whole-segment map
-step^steps, with Hermitian symmetrisation at each segment boundary;
-otherwise it is applied step by step, symmetrising after every step.
-Either way round-off drift is suppressed, and long repeated-gate
-references (tens of thousands of gates) stay cheap and bit-reproducible.
+with a piecewise-constant Hamiltonian schedule.  Classic fixed-step RK4:
+because the equation is linear and autonomous on each constant piece,
+one RK4 step is a fixed superoperator on row-major vec(rho) (the
+convention of ``linalg.superoperator``), and a piece of ``steps`` equal
+steps is the matrix power step^steps (:func:`rk4_map`), built once per
+distinct piece and applied with Hermitian symmetrisation after it, which
+keeps round-off drift down; long repeated-gate references (tens of
+thousands of gates) stay cheap and bit-reproducible.  For a circuit,
+``experiments.lindblad_reference`` builds one such map per distinct slot
+on the slot's own qubits.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +29,7 @@ __all__ = [
     "LindbladProblem",
     "rhs_superoperator",
     "rk4_step_matrix",
-    "SegmentMap",
-    "segment_map",
-    "cached_segment_maps",
+    "rk4_map",
     "solve",
     "repeated_gate_solve",
     "write_rho_series_csv",
@@ -91,84 +85,40 @@ def rk4_step_matrix(rhs_matrix: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SegmentMap:
-    """RK4 propagation across one constant segment: ``matrix`` applied
-    ``repeats`` times to row-major vec(rho), symmetrising rho after each
-    application."""
-
-    matrix: np.ndarray
-    repeats: int
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = rho.shape[0]
-        for _ in range(self.repeats):
-            rho = (self.matrix @ rho.reshape(-1)).reshape(d, d)
-            rho = 0.5 * (rho + dagger(rho))
-        return rho
+def rk4_map(rhs_matrix: np.ndarray, duration: float, steps: int) -> np.ndarray:
+    """RK4 propagator over ``duration`` in ``steps`` equal steps: the step
+    matrix raised to ``steps``."""
+    return np.linalg.matrix_power(rk4_step_matrix(rhs_matrix, duration / steps), steps)
 
 
-def segment_map(hamiltonian: np.ndarray, terms, duration: float, steps: int, uses: int = 1) -> SegmentMap:
-    """RK4 map of a segment of ``steps`` equal steps that occurs ``uses``
-    times.
-
-    Stepping costs uses * steps products with vec(rho); powering the
-    D x D step matrix (D = d^2) costs at most 2 ceil(log2 steps) products
-    of D x D matrices, i.e. that many times D such products.  The segment
-    is mapped as step^steps when stepping would cost more, else stepped.
-    Both agree in exact arithmetic.
-    """
-    step = rk4_step_matrix(rhs_superoperator(hamiltonian, terms), duration / steps)
-    if uses * steps > 2 * math.ceil(math.log2(steps)) * step.shape[0]:
-        return SegmentMap(np.linalg.matrix_power(step, steps), 1)
-    return SegmentMap(step, steps)
-
-
-def cached_segment_maps(
-    keys: Sequence[Hashable], build: Callable[[Hashable, int], SegmentMap]
-) -> Iterator[SegmentMap]:
-    """The map of each segment in order, for segments identified by
-    content ``keys``.  ``build(key, uses)`` runs once per distinct key,
-    and each map is dropped after its key's last occurrence."""
-    uses = Counter(keys)
-    last = {key: i for i, key in enumerate(keys)}
-    cache: dict[Hashable, SegmentMap] = {}
-    for i, key in enumerate(keys):
-        if key not in cache:
-            cache[key] = build(key, uses[key])
-        yield cache[key]
-        if last[key] == i:
-            del cache[key]
+def _propagate(prop: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """prop applied to row-major vec(rho), then Hermitian symmetrisation."""
+    rho = (prop @ rho.reshape(-1)).reshape(rho.shape)
+    return 0.5 * (rho + dagger(rho))
 
 
 def solve(problem: LindbladProblem, dt_max: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Integrate the problem, emitting rho at every segment boundary.
 
-    The step divides each segment evenly with step <= dt_max.  Segments
-    with equal generator and duration share one map.  Returns (times,
-    states) including the initial state at t = 0.  Aborts with a
-    diagnostic if the state leaves the finite range (instability).
+    The step divides each segment evenly with step <= dt_max, and each
+    segment is one :func:`rk4_map`; segments with equal generator and
+    duration share it.  Returns (times, states) including the initial
+    state at t = 0.  Aborts with a diagnostic if the state leaves the
+    finite range (instability).
     """
     if dt_max <= 0:
         raise ValueError("dt_max must be positive")
-    segments = {}
-    keys = []
-    for h, duration in problem.hamiltonians:
-        key = (np.asarray(h, dtype=complex).tobytes(), np.shape(h), duration)
-        segments.setdefault(key, (h, duration))
-        keys.append(key)
-
-    def build(key, uses):
-        h, duration = segments[key]
-        return segment_map(h, problem.terms, duration, max(1, math.ceil(duration / dt_max)), uses)
-
+    maps: dict = {}
     rho = np.array(problem.rho0, dtype=complex)
     times = [0.0]
     states = [rho.copy()]
     t = 0.0
-    maps = cached_segment_maps(keys, build)
-    for seg_index, ((_, duration), seg_map) in enumerate(zip(problem.hamiltonians, maps)):
-        rho = seg_map.apply(rho)
+    for seg_index, (h, duration) in enumerate(problem.hamiltonians):
+        key = (np.asarray(h, dtype=complex).tobytes(), np.shape(h), duration)
+        if key not in maps:
+            steps = max(1, math.ceil(duration / dt_max))
+            maps[key] = rk4_map(rhs_superoperator(h, problem.terms), duration, steps)
+        rho = _propagate(maps[key], rho)
         if not np.all(np.isfinite(rho)):
             raise FloatingPointError(
                 f"Lindblad integration diverged in segment {seg_index} (t={t:g})"
@@ -190,18 +140,17 @@ def repeated_gate_solve(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Fast path for long chains of one identical gate.
 
-    Builds one :func:`segment_map` for the gate, used ``n_gates`` times
-    (so long chains apply step^steps_per_gate once per gate), and records
-    every ``record_every``-th gate.  Identical in exact arithmetic to
+    Builds one :func:`rk4_map` for the gate, applies it ``n_gates``
+    times and records every ``record_every``-th gate.  Equal to
     :func:`solve` on the same grid; used for asymptote diagnostics over
     thousands of gates.
     """
-    gate_map = segment_map(hamiltonian, terms, duration, steps_per_gate, n_gates)
+    gate_map = rk4_map(rhs_superoperator(hamiltonian, terms), duration, steps_per_gate)
     rho = np.array(rho0, dtype=complex)
     times = [0.0]
     states = [rho.copy()]
     for g in range(1, n_gates + 1):
-        rho = gate_map.apply(rho)
+        rho = _propagate(gate_map, rho)
         if not np.all(np.isfinite(rho)):
             raise FloatingPointError(f"Lindblad integration diverged at gate {g}")
         if g % record_every == 0 or g == n_gates:

@@ -14,8 +14,9 @@ from noisygates.channels import (
     two_qubit_depolarizing_channel,
 )
 from noisygates.engine import parse_circuit, schedule_layers
+from noisygates.gates import ideal_unitary
 from noisygates.linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, kron
-from noisygates.noise_model import DeviceParams, QubitParams
+from noisygates.noise_model import DeviceParams, QubitParams, slot_noise
 
 DEVICE = DeviceParams(
     qubits=(
@@ -38,6 +39,42 @@ NOISELESS = DeviceParams(
     p_1q=0.0,
     p_2q=0.0,
 )
+
+
+def embedded_channel(rho, channel, qubits):
+    """Oracle for apply_channel: every Kraus operator embedded on the full
+    register and applied as K rho K^dag."""
+    n = int(round(math.log2(rho.shape[0])))
+    out = np.zeros_like(rho)
+    for op in channel.operators:
+        full = embed_operator(op, n, qubits)
+        out += full @ rho @ dagger(full)
+    return out
+
+
+def full_register_channel_sim(scheduled, params):
+    """Oracle for run_channel_sim: per slot, in slot order, the embedded
+    ideal unitary, then the slot_noise channels through
+    embedded_channel; rho symmetrised after every layer.  Returns the
+    state after every layer."""
+    n = scheduled.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    series = []
+    for layer in scheduled.layers:
+        for gate in layer.gates:
+            full = embed_operator(ideal_unitary(gate), n, gate.qubits)
+            rho = full @ rho @ dagger(full)
+            noise = slot_noise(gate, params)
+            p = noise.p_depolarizing
+            if p is not None:
+                depolarize = depolarizing_channel if len(gate.qubits) == 1 else two_qubit_depolarizing_channel
+                rho = embedded_channel(rho, depolarize(p), gate.qubits)
+            for q, (gamma1, gamma_pd) in zip(gate.qubits, noise.relaxation):
+                rho = embedded_channel(rho, relaxation_channel(gamma1, gamma_pd, noise.duration), (q,))
+        rho = 0.5 * (rho + dagger(rho))
+        series.append(rho.copy())
+    return series
 
 
 def completeness_defect(channel):
@@ -123,6 +160,15 @@ class TestApplyChannel:
         out = apply_channel(rho, relaxation_channel(1.0, 2.0, 0.3), (1,))
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("qubits", [(0,), (2,), (0, 2), (2, 1)])
+    def test_matches_embedded_kraus_operators(self, qubits):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = m @ m.conj().T
+        channel = relaxation_channel(1.0, 2.0, 0.3) if len(qubits) == 1 else two_qubit_depolarizing_channel(0.3)
+        got = apply_channel(rho, channel, qubits)
+        assert np.abs(got - embedded_channel(rho, channel, qubits)).max() < 1e-12
+
     def test_embed_matches_kron_for_ordered_qubits(self):
         op = np.arange(4, dtype=complex).reshape(2, 2)
         assert np.allclose(embed_operator(op, 2, (0,)), kron(op, I2))
@@ -173,3 +219,39 @@ class TestRunChannelSim:
         # even-gate-count envelope decays towards 0.5 monotonically
         even = rho00[1::2]
         assert np.all(np.diff(even) < 1e-9)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [{"gate": "X", "q": [0]}, {"gate": "CNOT", "q": [0, 1]}, {"gate": "SX", "q": [1]}] * 3,
+            [
+                {"gate": "SX", "q": [2]},
+                {"gate": "CR", "q": [2, 0], "theta": 0.8, "phi": 0.2},
+                {"gate": "RX", "q": [1], "theta": 1.1},
+                {"gate": "IDLE", "q": [1], "duration_s": 50e-9},
+                {"gate": "RZ", "q": [0], "phi": 0.6},
+                {"gate": "CNOT", "q": [1, 0]},
+                {"gate": "SX", "q": [2]},
+            ],
+        ],
+    )
+    def test_matches_full_register_oracle(self, ops):
+        device = DeviceParams(
+            qubits=DEVICE.qubits + DEVICE.qubits[:1], t_1q_s=35e-9, t_2q_s=300e-9, p_1q=5e-3, p_2q=0.04
+        )
+        sched = schedule_layers(parse_circuit({"n_qubits": 3, "ops": ops, "measure": []}), device)
+        got = run_channel_sim(sched, device)
+        want = full_register_channel_sim(sched, device)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() < 1e-12
+
+    def test_checkpoints_select_layers(self):
+        ops = [{"gate": "SX", "q": [0]}, {"gate": "CNOT", "q": [0, 1]}, {"gate": "X", "q": [1]}]
+        sched = schedule_layers(parse_circuit({"n_qubits": 2, "ops": ops, "measure": []}), DEVICE)
+        every = run_channel_sim(sched, DEVICE)
+        initial = np.zeros((4, 4), dtype=complex)
+        initial[0, 0] = 1.0
+        picked = run_channel_sim(sched, DEVICE, (0, 3, 1))
+        assert np.array_equal(picked[0], initial)
+        assert np.array_equal(picked[1], every[2]) and np.array_equal(picked[2], every[0])

@@ -22,6 +22,16 @@ def device_file(tmp_path):
     return path
 
 
+def ghz_files(tmp_path, n):
+    """Device and GHZ-ladder circuit files for an n-qubit register."""
+    device_path = tmp_path / f"device{n}.json"
+    device_path.write_text(json.dumps(dict(DEVICE, qubits=[DEVICE["qubits"][q % 2] for q in range(n)])))
+    ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+    circuit_path = tmp_path / f"ghz{n}.json"
+    circuit_path.write_text(json.dumps({"n_qubits": n, "ops": ops, "measure": list(range(n))}))
+    return device_path, circuit_path
+
+
 def compare_args(device_file, out, **overrides):
     args = {
         "--experiment": "repeat_x",
@@ -88,13 +98,8 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_seven_qubit_custom_circuit_is_two_at_once(self, command, tmp_path, capsys):
-        device = dict(DEVICE, qubits=[DEVICE["qubits"][q % 2] for q in range(7)])
-        device_path = tmp_path / "device7.json"
-        device_path.write_text(json.dumps(device))
-        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(6)]
-        circuit_path = tmp_path / "ghz7.json"
-        circuit_path.write_text(json.dumps({"n_qubits": 7, "ops": ops, "measure": list(range(7))}))
+    def test_eleven_qubit_custom_circuit_is_two_at_once(self, command, tmp_path, capsys):
+        device_path, circuit_path = ghz_files(tmp_path, 11)
         argv = [command] + compare_args(
             device_path,
             tmp_path / "out",
@@ -104,8 +109,20 @@ class TestExitCodes:
         rc = main(argv)
         elapsed = time.perf_counter() - start
         assert rc == 2
-        assert "at most 5 qubits" in capsys.readouterr().err
+        assert "at most 10 qubits" in capsys.readouterr().err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("duration", [0, -3.5e-8])
+    def test_bad_driven_duration_is_two(self, duration, device_file, tmp_path, capsys):
+        circuit_path = tmp_path / "bad.json"
+        ops = [{"gate": "SX", "q": [0]}, {"gate": "X", "q": [0], "duration_s": duration}]
+        circuit_path.write_text(json.dumps({"n_qubits": 1, "ops": ops}))
+        out = tmp_path / "out"
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        argv = compare_args(device_file, out, **custom)
+        assert main(argv) == 2
+        assert "op 1: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_forced_tolerance_failure_is_three(self, monkeypatch, capsys):
         monkeypatch.setenv("NOISYGATES_TOL_SCALE", "0.0")
@@ -178,12 +195,7 @@ class TestSimulate:
         assert main(argv) == 0
 
     def test_seven_qubits_without_lindblad_backend(self, tmp_path, capsys):
-        device = dict(DEVICE, qubits=[DEVICE["qubits"][q % 2] for q in range(7)])
-        device_path = tmp_path / "device7.json"
-        device_path.write_text(json.dumps(device))
-        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(6)]
-        circuit_path = tmp_path / "ghz7.json"
-        circuit_path.write_text(json.dumps({"n_qubits": 7, "ops": ops, "measure": list(range(7))}))
+        device_path, circuit_path = ghz_files(tmp_path, 7)
         argv = ["simulate"] + compare_args(
             device_path,
             tmp_path / "out",
@@ -199,6 +211,22 @@ class TestSimulate:
         assert [r.split(",")[0] for r in rows[1:]] == ["noisy_gates", "channel"]
         assert len(rows[0].split(",")) == 4 + 2**7
         assert not (rundir / "lindblad_rho.csv").exists()
+
+    def test_seven_qubit_compare_writes_reference_diagonal(self, tmp_path, capsys):
+        device_path, circuit_path = ghz_files(tmp_path, 7)
+        argv = compare_args(
+            device_path,
+            tmp_path / "out",
+            **{"--experiment": "custom_circuit", "--circuit": str(circuit_path), "--shots": "64", "--runs": "1"},
+        )
+        assert main(argv) == 0
+        rundir = next(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+        rows = (rundir / "lindblad_rho.csv").read_text().splitlines()
+        assert rows[0].split(",") == ["time_s"] + [f"rho_{i}{i}" for i in range(2**7)]
+        diagonal = [float(x) for x in rows[1].split(",")[1:]]
+        assert sum(diagonal) == pytest.approx(1.0, abs=1e-9)
+        assert diagonal[0] + diagonal[-1] > 0.8
+        assert (rundir / "hellinger.csv").exists()
 
     def test_custom_circuit_requires_file(self, device_file, tmp_path, capsys):
         argv = ["simulate"] + compare_args(

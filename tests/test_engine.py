@@ -97,6 +97,49 @@ class TestParseCircuit:
         with pytest.raises(CircuitError, match="twice"):
             Circuit(2, ((GateSpec("X", (0,)), GateSpec("SX", (0,))),))
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"gate": "X", "q": [0], "duration_s": -3.5e-8},
+            {"gate": "IDLE", "q": [0], "duration_s": -1e-9},
+            {"gate": "RZ", "q": [0], "phi": 0.3, "duration_s": -1e-9},
+        ],
+    )
+    def test_negative_duration_rejected(self, op):
+        doc = {"n_qubits": 2, "ops": [{"gate": "SX", "q": [1]}, op]}
+        with pytest.raises(CircuitError, match="op 1: 'duration_s' must be >= 0"):
+            parse_circuit(doc)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"gate": "X", "q": [0]},
+            {"gate": "SX", "q": [0]},
+            {"gate": "RX", "q": [0], "theta": 0.4},
+            {"gate": "CR", "q": [0, 1], "theta": 0.4},
+            {"gate": "CNOT", "q": [1, 0]},
+        ],
+    )
+    def test_zero_duration_driven_gate_rejected(self, op):
+        doc = {"n_qubits": 2, "ops": [{"gate": "SX", "q": [1]}, dict(op, duration_s=0)]}
+        with pytest.raises(CircuitError, match=f"op 1: {op['gate']} is driven and needs a positive"):
+            parse_circuit(doc)
+
+    @pytest.mark.parametrize("value", ["35e-9", float("nan"), float("inf"), True])
+    def test_non_numeric_duration_rejected(self, value):
+        with pytest.raises(CircuitError, match="op 0: 'duration_s' must be a finite number"):
+            parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0], "duration_s": value}]})
+
+    def test_zero_duration_idle_and_rz_accepted(self):
+        doc = {
+            "n_qubits": 1,
+            "ops": [
+                {"gate": "IDLE", "q": [0], "duration_s": 0},
+                {"gate": "RZ", "q": [0], "phi": 1.0, "duration_s": 0},
+            ],
+        }
+        assert [g.duration for layer in parse_circuit(doc).layers for g in layer] == [0, 0.0]
+
 
 class TestScheduleLayers:
     def test_single_qubit_no_idles(self):
@@ -349,11 +392,12 @@ class TestWidthLimits:
             run_shots(sched, RunConfig(shots=1))
 
     def test_lindblad_reference_rejects_wide_register(self):
-        from noisygates.experiments import LINDBLAD_MAX_QUBITS, lindblad_reference
+        from noisygates.channels import MAX_QUBITS as CHANNEL_MAX_QUBITS
+        from noisygates.experiments import lindblad_reference
 
-        n = LINDBLAD_MAX_QUBITS + 1
+        n = CHANNEL_MAX_QUBITS + 1
         sched = schedule_layers(parse_circuit({"n_qubits": n, "ops": []}), desk_register(n))
-        with pytest.raises(ValueError, match=f"at most {LINDBLAD_MAX_QUBITS} qubits"):
+        with pytest.raises(ValueError, match=f"at most {CHANNEL_MAX_QUBITS} qubits"):
             lindblad_reference(sched, (0,))
 
     def test_channel_sim_rejects_wide_register(self):

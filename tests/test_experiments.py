@@ -10,8 +10,6 @@ from noisygates.channels import embed_operator
 from noisygates.engine import parse_circuit, schedule_layers
 from noisygates.experiments import (
     ExperimentConfig,
-    _layer_hamiltonian,
-    _layer_segments,
     build_experiment_circuit,
     channel_backend_run,
     checkpoint_gate_counts,
@@ -26,6 +24,7 @@ from noisygates.noise_model import (
     QubitParams,
     TWO_QUBIT_PAULIS,
     depolarizing_rate,
+    noise_context_for_gate,
     relaxation_rates,
     two_qubit_depolarizing_rate,
 )
@@ -40,6 +39,9 @@ DESK = DeviceParams(
     p_1q=5e-4,
     p_2q=0.04,
 )
+
+
+DESK_3Q = replace(DESK, qubits=DESK.qubits + DESK.qubits[:1])
 
 
 def small_config(experiment="repeat_x", **kw):
@@ -143,11 +145,23 @@ def _layer_noise_terms(layer, params: DeviceParams, n_qubits: int) -> tuple[Lind
     return tuple(terms)
 
 
+def _layer_hamiltonian(gates, n_qubits: int) -> np.ndarray:
+    """Drive Hamiltonian (1/s) of the given slots on the full register;
+    virtual RZ frames and idles carry no drive."""
+    dim = 2**n_qubits
+    h = np.zeros((dim, dim), dtype=complex)
+    for g in gates:
+        if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
+            continue
+        h += embed_operator(drive_generator(g), n_qubits, g.qubits) / g.duration
+    return h
+
+
 def per_step_reference(sched, steps=100):
-    """Oracle for lindblad_reference: every timed layer's step matrix
-    built afresh and applied one RK4 step at a time, symmetrising after
-    each step.  Returns rho and the time after every layer, initial state
-    first."""
+    """Oracle for lindblad_reference on layers of equal durations: every
+    timed layer's full-register step matrix built afresh and applied one
+    RK4 step at a time, symmetrising after each step.  Returns rho and the
+    time after every layer, initial state first."""
     n = sched.n_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
@@ -200,39 +214,95 @@ def reference_cases():
 
 class TestLindbladReferenceCache:
     @pytest.mark.parametrize("case", ["repeat_x", "repeat_cnot", "framed"])
-    def test_matches_per_step_oracle_with_one_build_per_layer(self, case, monkeypatch):
+    def test_matches_per_step_oracle_with_one_build_per_slot(self, case, monkeypatch):
         sched = dict(reference_cases())[case]
-        builds, repeats = [], set()
-        rhs, seg = lindblad.rhs_superoperator, lindblad.segment_map
+        builds = []
+        rhs = lindblad.rhs_superoperator
 
         def counting_rhs(h, terms):
             builds.append(h)
             return rhs(h, terms)
 
-        def recording_map(*args):
-            out = seg(*args)
-            repeats.add(out.repeats)
-            return out
-
-        monkeypatch.setattr(lindblad, "rhs_superoperator", counting_rhs)
-        monkeypatch.setattr("noisygates.experiments.segment_map", recording_map)
+        monkeypatch.setattr("noisygates.experiments.rhs_superoperator", counting_rhs)
         layers = tuple(range(len(sched.layers) + 1))
         _, rhos, times = lindblad_reference(sched, layers)
         monkeypatch.undo()
 
-        distinct = {layer.gates for layer in sched.layers if layer.duration > 0.0}
-        assert len(builds) == len(distinct)
+        timed = {g for layer in sched.layers for g in layer.gates if g.kind != "RZ" and g.duration}
+        assert len(builds) == len(timed)
         oracle, oracle_times = per_step_reference(sched)
         for got, want in zip(rhos, oracle):
             assert np.abs(got - want).max() < 1e-11
         assert np.array_equal(times, oracle_times)
+        if case == "repeat_cnot":
+            # the prep X, its idle pad and the CNOT: three slots in two layers
+            assert len(timed) == 3
         if case == "framed":
-            # single-use layers are stepped, the repeated CNOT is mapped
-            assert repeats == {1, 100}
             assert any(g.kind == "RZ" for layer in sched.layers for g in layer.gates)
 
 
-DESK_3Q = replace(DESK, qubits=DESK.qubits + DESK.qubits[:1])
+def exact_slot_reference(sched):
+    """Oracle for lindblad_reference: each slot's drive and
+    ``noise_context_for_gate`` terms embedded on the full register and
+    evolved over the slot's duration by the exact exponential of their
+    superoperator, slot after slot; zero-duration slots apply their
+    unitary.  Returns rho after every layer, initial state first."""
+    n = sched.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    states = [rho]
+    for layer in sched.layers:
+        for g in layer.gates:
+            ctx = noise_context_for_gate(g, sched.params)
+            if ctx.gate_duration == 0.0:
+                u = embed_operator(ideal_unitary(g), n, g.qubits)
+                rho = u @ rho @ dagger(u)
+                continue
+            h = embed_operator(drive_generator(g), n, g.qubits) / ctx.gate_duration
+            terms = [replace(t, operator=embed_operator(t.operator, n, g.qubits)) for t in ctx.terms]
+            m = lindblad.rhs_superoperator(h, terms)
+            rho = (expm(m * ctx.gate_duration) @ rho.reshape(-1)).reshape(rho.shape)
+        states.append(rho)
+    return states
+
+
+# CR in both qubit orders, RX, a user IDLE shorter than its layer and RZ
+# frames on three qubits
+SLOT_CIRCUIT = {
+    "n_qubits": 3,
+    "ops": [
+        {"gate": "SX", "q": [0]},
+        {"gate": "RX", "q": [2], "theta": 0.9, "phi": 0.3},
+        {"gate": "CR", "q": [1, 0], "theta": 1.3, "phi": -0.4},
+        {"gate": "IDLE", "q": [2], "duration_s": 120e-9},
+        {"gate": "RZ", "q": [1], "phi": 0.8},
+        {"gate": "CR", "q": [0, 2], "theta": -0.7},
+        {"gate": "SX", "q": [1]},
+        {"gate": "CNOT", "q": [2, 1]},
+    ],
+    "measure": [1, 2],
+}
+
+
+def ghz(n):
+    device = replace(DESK, qubits=tuple(DESK.qubits[q % 2] for q in range(n)))
+    ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+    return schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), device)
+
+
+class TestExactSlotOracle:
+    @pytest.mark.parametrize("case", ["repeat_cnot", "framed", "slots", "ghz4"])
+    def test_rk4_reference_matches_exact_exponentials(self, case):
+        if case == "slots":
+            sched = schedule_layers(parse_circuit(SLOT_CIRCUIT), DESK_3Q)
+        elif case == "ghz4":
+            sched = ghz(4)
+        else:
+            sched = dict(reference_cases())[case]
+        layers = tuple(range(len(sched.layers) + 1))
+        _, rhos, _ = lindblad_reference(sched, layers)
+        for got, want in zip(rhos, exact_slot_reference(sched)):
+            assert np.abs(got - want).max() < 1e-7
 
 
 def hand_relaxation(n):
@@ -301,19 +371,10 @@ class TestMixedLayers:
         )
         layer = sched.layers[1]
         assert [(g.kind, g.qubits) for g in layer.gates] == [("CNOT", (0, 1)), ("IDLE", (2,)), ("IDLE", (2,))]
-        segments = _layer_segments(layer)
-        assert [slots for _, slots in segments] == [layer.gates[:2], (layer.gates[0], layer.gates[2])]
-        assert [d for d, _ in segments] == pytest.approx([idle, DESK_3Q.t_2q_s - idle], rel=1e-12)
         # back to back, the idle and its pad relax qubit 2 for the whole layer
         h_cnot, cnot_terms = hand_cnot(3)
         want = propagate(rho1, [(h_cnot, hand_relaxation(3) + cnot_terms, DESK_3Q.t_2q_s)])
         assert np.abs(rho2 - want).max() < 1e-6
-
-    def test_uniform_layer_is_one_segment(self):
-        doc = {"n_qubits": 3, "ops": [{"gate": "SX", "q": [0]}, {"gate": "RZ", "q": [1], "phi": 0.4}]}
-        layer = schedule_layers(parse_circuit(doc), DESK_3Q).layers[0]
-        timed = tuple(g for g in layer.gates if g.kind != "RZ")
-        assert _layer_segments(layer) == [(DESK_3Q.t_1q_s, timed)]
 
 
 class TestChannelBackend:

@@ -1,16 +1,14 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
 
 from noisygates.lindblad import (
     LindbladProblem,
-    SegmentMap,
-    cached_segment_maps,
     repeated_gate_solve,
     rhs_superoperator,
-    segment_map,
+    rk4_map,
+    rk4_step_matrix,
     solve,
     write_rho_series_csv,
 )
@@ -144,37 +142,18 @@ class TestSolve:
         assert np.abs(states[-1] - fast[-1]).max() < 1e-12
 
 
-class TestSegmentMaps:
-    def test_builds_once_per_key_and_frees_after_last_use(self):
-        built = []
-
-        def build(key, uses):
-            built.append((key, uses))
-            return SegmentMap(np.eye(1), 1)
-
-        keys = ["a", "b", "a", "c", "b"]
-        refs = []
-        for i, seg in enumerate(cached_segment_maps(keys, build)):
-            refs.append(weakref.ref(seg))
-            del seg
-            if i == 2:
-                assert refs[2]() is refs[0]()  # "a" is reused, not rebuilt
-            if i == 3:
-                assert refs[0]() is None  # "a" was last used at index 2
-                assert refs[1]() is not None  # "b" comes back at index 4
-        assert built == [("a", 2), ("b", 2), ("c", 1)]
-
-    @pytest.mark.parametrize("uses, mapped", [(1, False), (2, False), (3, True)])
-    def test_maps_when_stepping_costs_more_than_powering(self, uses, mapped):
-        # two qubits: D = 16, 100 steps: powering costs 2 * 7 * 16 = 224
-        # matrix-vector products, stepping costs 100 per use
+class TestRk4Map:
+    @pytest.mark.parametrize("steps", [1, 7, 100])
+    def test_power_equals_stepping(self, steps):
         h = np.kron(PAULI_X, PAULI_Z)
         terms = (LindbladTerm.from_rate(np.kron(DECAY, np.eye(2)), 0.3, 1.0),)
-        seg = segment_map(h, terms, 0.5, 100, uses)
-        assert (seg.repeats == 1) == mapped
-        step = segment_map(h, terms, 0.5, 100, 1)
-        rho0 = np.kron(RHO0, np.diag([1.0, 0.0]))
-        assert np.abs(seg.apply(rho0) - step.apply(rho0)).max() < 1e-13
+        m = rhs_superoperator(h, terms)
+        step = rk4_step_matrix(m, 0.5 / steps)
+        rho = np.kron(RHO0, np.diag([1.0, 0.0])).reshape(-1)
+        stepped = rho
+        for _ in range(steps):
+            stepped = step @ stepped
+        assert np.abs(rk4_map(m, 0.5, steps) @ rho - stepped).max() < 1e-13
 
 
 class TestCsv:
