@@ -141,7 +141,9 @@ def criterion_3_second_order() -> tuple[bool, str]:
         target = solve(problem, tg / 200)[1][-1]
         sampler = NoisyGateSampler(sched, ctx)
         gen = RngStream(303).generator
-        acc = np.zeros((2, 2), dtype=complex)
+        # second moment E[e_ij conj(e_lk)] of e = exp(Xi); rho0 and the
+        # constant prefix P are applied once, after the draws
+        moment = np.zeros((4, 4), dtype=complex)
         done = 0
         while done < draws:
             block = min(250_000, draws - done)
@@ -149,10 +151,11 @@ def criterion_3_second_order() -> tuple[bool, str]:
             for sign in (1.0, -1.0):  # antithetic pairs cancel the O(eps) noise
                 v = (sign * g) @ sampler.xi.factor.T
                 xi = (v[:, :4] + 1j * v[:, 4:]).reshape(block, 2, 2)
-                gates = sampler.prefix[None] @ expm_2x2(xi)
-                acc += np.einsum("sij,jk,slk->il", gates, rho0, gates.conj())
+                e = expm_2x2(xi).reshape(block, 4)
+                moment += e.T @ e.conj()
             done += block
-        avg = acc / (2 * draws)
+        inner = np.einsum("ijlk,jk->il", moment.reshape(2, 2, 2, 2), rho0) / (2 * draws)
+        avg = sampler.prefix @ inner @ sampler.prefix.conj().T
         devs.append(float(np.abs(avg - target).max()))
         epss.append(0.2 * scale)
     slope = float(np.polyfit(np.log(epss), np.log(devs), 1)[0])

@@ -40,6 +40,7 @@ from .experiments import (
     ExperimentConfig,
     run_compare,
 )
+from .linalg import basis_labels
 from .noise_model import CalibrationError, load_calibration
 
 USAGE_ERROR = 1
@@ -185,7 +186,7 @@ def _dim(result) -> int:
 
 def _write_distributions(outdir: Path, result, config: ExperimentConfig) -> None:
     dim = _dim(result)
-    cols = ",".join(f"p_{format(i, f'0{int(np.log2(dim))}b')}" for i in range(dim))
+    cols = ",".join(f"p_{b}" for b in basis_labels(dim))
     lines = [f"backend,run,checkpoint_gates,time_s,{cols}"]
 
     def emit(backend: str, run: int, dists: np.ndarray):
@@ -209,7 +210,7 @@ def _write_densities(outdir: Path, result) -> None:
     channel-simulator state, and (run 0) the trajectory average of
     unnormalised outer products, whose trace is the mean weight."""
     dim = _dim(result)
-    header = "backend,checkpoint_gates,time_s," + ",".join(f"rho_{i}{i}" for i in range(dim))
+    header = "backend,checkpoint_gates,time_s," + ",".join(f"rho_{b}" for b in basis_labels(dim))
     lines = [header]
 
     def emit(backend, values):

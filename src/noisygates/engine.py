@@ -115,6 +115,9 @@ class Circuit:
 _OP_KEYS = {"gate", "q", "theta", "phi", "duration_s"}
 # Gates with a drive: a zero duration would make their drive infinite.
 _DRIVEN_KINDS = ("X", "SX", "RX", "CR", "CNOT")
+# The angles each gate kind reads; an op carrying any other is rejected.
+_ANGLES = {"X": ("phi",), "SX": ("phi",), "RZ": ("phi",), "RX": ("theta", "phi"),
+           "CR": ("theta", "phi"), "CNOT": (), "IDLE": ()}
 
 
 def parse_circuit(source: str | Path | dict) -> Circuit:
@@ -122,9 +125,10 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
 
     Format: ``{"n_qubits": int, "ops": [{"gate": kind, "q": [ints],
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
-    "measure": [ints]}``.  A ``duration_s`` must be finite and >= 0, and
-    > 0 on the driven gates X, SX, RX, CR and CNOT; a zero IDLE is the
-    identity.
+    "measure": [ints]}``.  An op may carry only the angles its gate
+    reads: ``theta`` on RX and CR, ``phi`` on RZ, RX, X, SX and CR.  A
+    ``duration_s`` must be finite and >= 0, and > 0 on the driven gates
+    X, SX, RX, CR and CNOT; a zero IDLE is the identity.
     """
     doc = read_json_object(source, CircuitError, "circuit")
     extra = set(doc) - {"n_qubits", "ops", "measure"}
@@ -145,8 +149,11 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
         if extra:
             raise CircuitError(f"unknown keys in op {i}: {sorted(extra)}")
         kind = op.get("gate")
-        if kind not in ("X", "SX", "RZ", "RX", "CR", "CNOT", "IDLE"):
+        if not isinstance(kind, str) or kind not in _ANGLES:
             raise CircuitError(f"op {i}: unknown gate kind {kind!r}")
+        unread = [key for key in ("theta", "phi") if key in op and key not in _ANGLES[kind]]
+        if unread:
+            raise CircuitError(f"op {i}: {kind} does not read {unread[0]!r}")
         qubits = op.get("q")
         if not isinstance(qubits, list) or not all(isinstance(q, int) for q in qubits):
             raise CircuitError(f"op {i}: 'q' must be a list of ints")

@@ -11,11 +11,12 @@ operators in the interaction picture L_s = U_s^dag L U_s,
 
     Lambda = -1/2 sum_k eps_k^2 int_0^1 (L_s^dag L_s - L_s^2) ds,
 
-and Xi = i sum_k eps_k I_k stacks one exact Gaussian draw I_k of
-int_0^1 L_{k,s} dW_{k,s} per jump operator (independent Wiener
-processes).  The ensemble average of N rho N^dag reproduces the driven
-Lindblad evolution over the gate to second order in the noise
-amplitudes eps_k = sqrt(rate_k * duration).
+and Xi = i sum_k eps_k int_0^1 L_{k,s} dW_{k,s} is one exact Gaussian
+draw: the Wiener processes are independent, so its covariance is the
+sum of the per-term Ito covariances, factored once per gate.  The
+ensemble average of N rho N^dag reproduces the driven Lindblad
+evolution over the gate to second order in the noise amplitudes
+eps_k = sqrt(rate_k * duration).
 
 Idle relaxation and pre-measurement bitflip noise admit exactly
 sampleable gates (no truncation); both are provided here, as are the
@@ -32,7 +33,7 @@ import numpy as np
 
 from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, expm, expm_2x2, kron
 from .noise_model import NoiseContext, LindbladTerm
-from .stochastic import RngStream, gauss_legendre_rule
+from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
 __all__ = [
     "GateSpec",
@@ -40,21 +41,15 @@ __all__ = [
     "ideal_unitary",
     "drive_generator",
     "schedule",
-    "interaction_jump",
     "lambda_matrix",
     "XiSampler",
-    "sample_xi",
-    "sample_noisy_gate",
     "NoisyGateSampler",
-    "sample_spam_gate",
     "spam_gate_batch",
-    "sample_relaxation_gate",
     "relaxation_gate_batch",
     "SubstepPath",
     "build_substep_path",
     "xi_from_path",
     "small_noise_reference",
-    "estimate_commutator_term",
     "scale_context",
 ]
 
@@ -127,7 +122,7 @@ def ideal_unitary(gate: GateSpec) -> np.ndarray:
     raise ValueError(f"unknown gate kind: {kind!r}")
 
 
-def _generator(gate: GateSpec) -> np.ndarray:
+def drive_generator(gate: GateSpec) -> np.ndarray:
     """Dimensionless Hermitian G with exp(-i G) = ideal_unitary(gate)."""
     kind = gate.kind
     if kind == "RZ":
@@ -145,11 +140,6 @@ def _generator(gate: GateSpec) -> np.ndarray:
     if kind == "IDLE":
         return np.zeros((2, 2), dtype=complex)
     raise ValueError(f"unknown gate kind: {kind!r}")
-
-
-def drive_generator(gate: GateSpec) -> np.ndarray:
-    """Public alias for the gate's dimensionless drive generator."""
-    return _generator(gate)
 
 
 class DriveSchedule:
@@ -182,15 +172,7 @@ def schedule(gate: GateSpec) -> DriveSchedule:
     if gate.kind == "RZ":
         raise ValueError("RZ is virtual: it has no drive schedule")
     duration = gate.duration if gate.duration is not None else 0.0
-    return DriveSchedule(_generator(gate), duration)
-
-
-def interaction_jump(sched: DriveSchedule, jump: np.ndarray, s: float) -> np.ndarray:
-    """Jump operator in the interaction picture, U_s^dag L U_s."""
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    u = sched.unitary_at(s)
-    return dagger(u) @ np.asarray(jump, dtype=complex) @ u
+    return DriveSchedule(drive_generator(gate), duration)
 
 
 _QUAD_NODES = 32
@@ -221,42 +203,33 @@ def lambda_matrix(sched: DriveSchedule, ctx: NoiseContext) -> np.ndarray:
 class XiSampler:
     """Exact Gaussian sampler for Xi = i sum_k eps_k int L_{k,s} dW_{k,s}.
 
-    Precomputes, per jump operator, the covariance factor of the stacked
-    real vector [Re I, Im I] via the Ito isometry on the gate's
-    quadrature grid, then fuses all terms into a single real matrix
-    ``factor`` of shape ``(2 d^2, R)``.  Sampling uses a copy of it with
-    the real and imaginary rows interleaved, so a batch of draws is one
-    ``(S, R) @ (R, 2 d^2)`` product whose rows, viewed as complex, are
-    the flattened Xi with no further copy.
+    The Wiener processes are independent, so Xi is one Gaussian vector
+    whose covariance is the sum of the per-term Ito covariances.  On the
+    gate's quadrature grid the integrand i eps_k L_{k,s} of every term is
+    stacked as real vectors [Re, Im] of length 2 d^2, the Ito isometry
+    sums them into one (2 d^2, 2 d^2) covariance, and ``_psd_factor``
+    factors it once: ``factor`` has shape ``(2 d^2, R)`` with R its rank,
+    so each draw costs R = ``n_gaussians`` normals.  Sampling uses a copy
+    of ``factor`` with the real and imaginary rows interleaved, so a
+    batch of draws is one ``(S, R) @ (R, 2 d^2)`` product whose rows,
+    viewed as complex, are the flattened Xi with no further copy.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
         d = sched.dim
+        n = d * d
         self.dim = d
         svals, w = gauss_legendre_rule(_QUAD_NODES, _QUAD_PANELS)
-        blocks = []
+        cov = np.zeros((2 * n, 2 * n))
         for term in ctx.terms:
             if term.epsilon == 0.0:
                 continue
-            ls = _interaction_stack(sched, term.operator, svals)
-            vals = np.concatenate(
-                [ls.reshape(len(svals), -1).real, ls.reshape(len(svals), -1).imag], axis=1
-            )
-            cov = (vals * w[:, None]).T @ vals
-            lam, u = np.linalg.eigh(cov)
-            keep = lam > 1e-14 * max(float(lam.max()), 1.0)
-            if not np.any(keep):
-                continue
-            factor = u[:, keep] * np.sqrt(lam[keep])
-            # multiply the complex draw by i*eps: (re, im) -> eps*(-im, re)
-            n = d * d
-            rotated = np.empty_like(factor)
-            rotated[:n] = -term.epsilon * factor[n:]
-            rotated[n:] = term.epsilon * factor[:n]
-            blocks.append(rotated)
-        self.factor = np.concatenate(blocks, axis=1) if blocks else np.zeros((2 * d * d, 0))
+            ls = _interaction_stack(sched, term.operator, svals).reshape(len(svals), n)
+            # i * L: (Re, Im) -> (-Im, Re)
+            vals = np.concatenate([-ls.imag, ls.real], axis=1)
+            cov += term.epsilon**2 * ((vals * w[:, None]).T @ vals)
+        self.factor = _psd_factor(cov)
         self.n_gaussians = self.factor.shape[1]
-        n = d * d
         self._interleaved = np.empty((self.n_gaussians, 2 * n))
         self._interleaved[:, 0::2] = self.factor[:n].T
         self._interleaved[:, 1::2] = self.factor[n:].T
@@ -269,32 +242,17 @@ class XiSampler:
         return out[0] if size is None else out
 
 
-def sample_xi(sched: DriveSchedule, ctx: NoiseContext, rng: RngStream | np.random.Generator) -> np.ndarray:
-    gen = rng.generator if isinstance(rng, RngStream) else rng
-    return XiSampler(sched, ctx).sample(gen)
-
-
-def sample_noisy_gate(
-    sched: DriveSchedule, ctx: NoiseContext, rng: RngStream | np.random.Generator
-) -> np.ndarray:
-    """One noisy realisation N = U_g exp(Lambda) exp(Xi); non-unitary in
-    general, exactly the ideal unitary when all rates vanish."""
-    u_g = sched.unitary_at(1.0)
-    lam = lambda_matrix(sched, ctx)
-    xi = sample_xi(sched, ctx, rng)
-    return u_g @ expm(lam) @ expm(xi)
-
-
 class NoisyGateSampler:
     """Batched sampler for one (gate, noise context) pair.
 
-    Fuses U_g exp(Lambda) into a single prefix matrix P and keeps the
-    Gaussian factor for Xi, so sampling S realisations costs one
-    Gaussian block of ``(S, xi.n_gaussians)`` normals, one batched
-    exponential and the product P exp(Xi).  For one-qubit gates that
-    product is taken on the four entry vectors of the stack, which is
-    far cheaper than S separate 2x2 matrix products; for two-qubit gates
-    it is one matrix product of the stacked ``(S d, d)`` rows with P^T.
+    Fuses U_g exp(Lambda) into a single prefix matrix P and keeps the one
+    Gaussian factor of Xi (of the covariance summed over all jump terms),
+    so sampling S realisations costs one block of ``(S, xi.n_gaussians)``
+    normals, rank-many per draw, one batched exponential and the product
+    P exp(Xi).  For one-qubit gates that product is taken on the four
+    entry vectors of the stack, which is far cheaper than S separate 2x2
+    matrix products; for two-qubit gates it is one matrix product of the
+    stacked ``(S d, d)`` rows with P^T.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
@@ -319,19 +277,14 @@ class NoisyGateSampler:
         return out
 
 
-def sample_spam_gate(v: float, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Pre-measurement bitflip noise gate exp(i w X), w ~ N(0, v).
+def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` pre-measurement bitflip noise gates exp(i w X), w ~ N(0, v).
 
     Unitary for every draw; averaging N rho N^dag over draws gives the
     bitflip channel with p = (1 - e^{-2v})/2.
     """
     if v < 0:
         raise ValueError("strength v must be >= 0")
-    gen = rng.generator if isinstance(rng, RngStream) else rng
-    return spam_gate_batch(v, gen, 1)[0]
-
-
-def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray:
     w = gen.normal(0.0, math.sqrt(v), size=size) if v > 0 else np.zeros(size)
     out = np.zeros((size, 2, 2), dtype=complex)
     out[:, 0, 0] = out[:, 1, 1] = np.cos(w)
@@ -339,23 +292,16 @@ def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray
     return out
 
 
-def sample_relaxation_gate(
-    gamma1: float, gamma_pd: float, dt: float, rng: RngStream | np.random.Generator
+def relaxation_gate_batch(
+    gamma1: float, gamma_pd: float, dt: float, gen: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Exact idle relaxation gate (amplitude + phase damping over dt).
+    """``size`` exact idle relaxation gates (amplitude + phase damping over dt).
 
     Upper triangular with phase e^{i a W2} (a = sqrt(gamma_pd/4),
     W2 ~ N(0, dt)) and a Gaussian amplitude-transfer entry
     i S e^{-i a W2}, S ~ N(0, 1 - e^{-gamma1 dt}); the ensemble average
     of N rho N^dag equals the relaxation channel for any dt.
     """
-    gen = rng.generator if isinstance(rng, RngStream) else rng
-    return relaxation_gate_batch(gamma1, gamma_pd, dt, gen, 1)[0]
-
-
-def relaxation_gate_batch(
-    gamma1: float, gamma_pd: float, dt: float, gen: np.random.Generator, size: int
-) -> np.ndarray:
     if gamma1 < 0 or gamma_pd < 0:
         raise ValueError("rates must be >= 0")
     if dt <= 0:
@@ -395,10 +341,6 @@ class SubstepPath:
     increments: np.ndarray
 
     @property
-    def n_terms(self) -> int:
-        return self.increments.shape[0]
-
-    @property
     def n_steps(self) -> int:
         return self.increments.shape[1]
 
@@ -425,27 +367,6 @@ def _path_pieces(sched: DriveSchedule, ctx: NoiseContext, path: SubstepPath):
         a += term.epsilon * path.increments[k][:, None, None] * ls
     prefix = np.cumsum(a, axis=0) - a  # exclusive: S at the left endpoint
     return a, prefix, a.sum(axis=0)
-
-
-def estimate_commutator_term(
-    sched: DriveSchedule,
-    ctx: NoiseContext,
-    rng: RngStream | np.random.Generator | None = None,
-    m_substeps: int = 4096,
-    path: SubstepPath | None = None,
-) -> np.ndarray:
-    """Substep estimate of the double-Ito commutator
-    C = sum_{k,l} eps_k eps_l int dW_{k,s} int_0^s dW_{l,s'} [L_{k,s}, L_{l,s'}].
-
-    Diagnostic only: this term is dropped from the sampled gate, and its
-    ensemble effect sits below the third-order error budget.
-    """
-    if path is None:
-        if rng is None:
-            raise ValueError("provide either rng or a pre-drawn path")
-        path = build_substep_path(ctx, m_substeps, rng)
-    a, prefix, _ = _path_pieces(sched, ctx, path)
-    return np.einsum("mij,mjk->ik", a, prefix) - np.einsum("mij,mjk->ik", prefix, a)
 
 
 def xi_from_path(sched: DriveSchedule, ctx: NoiseContext, path: SubstepPath,

@@ -26,9 +26,6 @@ __all__ = [
     "DECAY",
     "PROJ_1",
     "dagger",
-    "is_unitary",
-    "is_hermitian",
-    "matmul",
     "kron",
     "embed",
     "expm",
@@ -36,7 +33,6 @@ __all__ = [
     "apply_gate",
     "superoperator",
     "apply_superoperator",
-    "basis_state",
 ]
 
 I2 = np.eye(2, dtype=complex)
@@ -47,33 +43,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 DECAY = np.array([[0, 1], [0, 0]], dtype=complex)
 PROJ_1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
-UNITARY_TOL = 1e-10
-HERMITIAN_TOL = 1e-12
-
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, batched over leading axes."""
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
-
-
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    eye = np.eye(m.shape[-1])
-    return bool(np.max(np.abs(dagger(m) @ m - eye)) <= tol)
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit square-dimension check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,11 +256,11 @@ def expm_2x2(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
-    """Computational basis state |index> on ``n_qubits`` (big-endian label)."""
-    state = np.zeros(2**n_qubits, dtype=complex)
-    state[index] = 1.0
-    return state
+def basis_labels(dim: int) -> list[str]:
+    """Big-endian bit strings of the ``dim`` = 2^n basis states, one
+    n-character label per index (``basis_labels(4)[2] == "10"``)."""
+    n = dim.bit_length() - 1
+    return [format(i, f"0{n}b") for i in range(dim)]
 
 
 # ``apply_gate`` runs a gate on ascending contiguous qubits lo..lo+k-1 as

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger
+from .linalg import basis_labels, dagger
 from .noise_model import LindbladTerm
 
 __all__ = [
@@ -160,20 +160,22 @@ def repeated_gate_solve(
 
 
 def write_rho_series_csv(path, times: np.ndarray, states: list[np.ndarray], diagonal_only: bool = False) -> None:
-    """CSV dump: time, then row-major Re/Im of rho (or just the diagonal)."""
+    """CSV dump: time, then row-major Re/Im of rho (or just the diagonal),
+    each entry named by the big-endian bit strings of its basis states."""
     d = states[0].shape[0]
+    labels = basis_labels(d)
     with open(path, "w", newline="") as fh:
         if diagonal_only:
-            header = ["time_s"] + [f"rho_{i}{i}" for i in range(d)]
+            header = ["time_s"] + [f"rho_{b}" for b in labels]
             fh.write(",".join(header) + "\n")
             for t, rho in zip(times, states):
                 row = [repr(float(t))] + [repr(float(np.real(rho[i, i]))) for i in range(d)]
                 fh.write(",".join(row) + "\n")
             return
         header = ["time_s"]
-        for i in range(d):
-            for j in range(d):
-                header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
+        for bi in labels:
+            for bj in labels:
+                header += [f"re_rho_{bi}_{bj}", f"im_rho_{bi}_{bj}"]
         fh.write(",".join(header) + "\n")
         for t, rho in zip(times, states):
             row = [repr(float(t))]

@@ -7,8 +7,6 @@ import numpy as np
 __all__ = [
     "clamp_probs",
     "hellinger",
-    "relative_improvement",
-    "fidelity",
     "mean_std_over_runs",
 ]
 
@@ -34,31 +32,6 @@ def hellinger(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
     return float(np.sqrt(0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)))
-
-
-def relative_improvement(h_baseline: float, h_method: float) -> float:
-    """|h_baseline - h_method| / h_baseline."""
-    if h_baseline <= 0:
-        raise ValueError("baseline distance must be positive")
-    return abs(h_baseline - h_method) / h_baseline
-
-
-def _psd_sqrt(rho: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    lam, u = np.linalg.eigh(rho)
-    if lam.min() < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {lam.min():.3e}")
-    return (u * np.sqrt(np.clip(lam, 0.0, None))) @ u.conj().T
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    root = _psd_sqrt(rho)
-    inner = root @ sigma @ root
-    lam = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    value = float(np.sum(np.sqrt(np.clip(lam, 0.0, None)))) ** 2
-    return min(max(value, 0.0), 1.0)
 
 
 def mean_std_over_runs(series_list) -> tuple[np.ndarray, np.ndarray]:

@@ -1,20 +1,16 @@
-"""Randomness for the trajectory simulator.
+"""Randomness and Gaussian factors for the trajectory simulator.
 
-Provides reproducible counter-based random streams, Wiener increments,
-and exact Gaussian sampling of Ito integrals of deterministic
-matrix-valued integrands.  The integrals I = int_0^1 f(s) dW_s have
-jointly Gaussian real/imaginary entry parts whose covariance follows
-from the Ito isometry; the covariance is evaluated by composite
-Gauss-Legendre quadrature, so sampling carries no time-discretisation
-error.  A substep Riemann-sum sampler is retained as a brute-force
-cross-check, and the product-formula defect used for order-of-
-convergence tests lives here as well.
+Provides reproducible counter-based random streams, the composite
+Gauss-Legendre rule on which Ito covariances are evaluated (so exact
+Gaussian draws of Ito integrals carry no time-discretisation error),
+the one factorisation rule that turns such a covariance into the
+matrix mapping independent normals onto the draw, and the
+product-formula defect used for order-of-convergence tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,13 +18,7 @@ from .linalg import expm
 
 __all__ = [
     "RngStream",
-    "ItoIntegralSpec",
-    "wiener_increments",
     "gauss_legendre_rule",
-    "ito_covariance",
-    "GaussianIntegralSampler",
-    "sample_ito_integral",
-    "sample_ito_substeps",
     "product_formula_error",
 ]
 
@@ -59,26 +49,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def wiener_increments(rng: RngStream | np.random.Generator, m: int, dt: float) -> np.ndarray:
-    """Draw ``m`` independent N(0, dt) Wiener increments."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    gen = rng.generator if isinstance(rng, RngStream) else rng
-    return gen.normal(0.0, np.sqrt(dt), size=m)
-
-
-@dataclass(frozen=True)
-class ItoIntegralSpec:
-    """Deterministic integrand s in [0, 1] -> complex matrix, plus the
-    quadrature resolution used for its covariance."""
-
-    integrand: Callable[[float], np.ndarray]
-    quadrature_nodes: int = 32
-    panels: int = 4
-
-
 def gauss_legendre_rule(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(nodes)
@@ -91,84 +61,19 @@ def gauss_legendre_rule(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _stacked_integrand(spec: ItoIntegralSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """Evaluate the integrand on the quadrature grid, stacked as real
-    vectors [Re entries, Im entries] of length 2 d^2 per node."""
-    if spec.quadrature_nodes < 16:
-        raise ValueError("quadrature_nodes must be >= 16")
-    s, w = gauss_legendre_rule(spec.quadrature_nodes, spec.panels)
-    first = np.asarray(spec.integrand(float(s[0])), dtype=complex)
-    d = first.shape[0]
-    vals = np.empty((len(s), 2 * d * d))
-    for i, si in enumerate(s):
-        m = np.asarray(spec.integrand(float(si)), dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"integrand not finite at s={si}")
-        vals[i, : d * d] = m.real
-        vals[i, d * d :] = m.imag
-    return vals, w, d
-
-
-def ito_covariance(spec: ItoIntegralSpec) -> np.ndarray:
-    """Covariance of the stacked real Gaussian vector [Re I, Im I] of
-    I = int_0^1 f(s) dW_s, from the Ito isometry
-    Cov[a, b] = int_0^1 f~_a(s) f~_b(s) ds."""
-    vals, w, _ = _stacked_integrand(spec)
-    return (vals * w[:, None]).T @ vals
-
-
 def _psd_factor(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Factor L with L L^T = cov for PSD cov; small negative eigenvalues
-    (round-off) are clipped, anything beyond -tol*scale fails loudly."""
+    """Factor L with L L^T = cov for PSD cov, one column per positive
+    eigenvalue, so L has as many columns as cov has rank.  Eigenvalues
+    below 1e-13 of the largest are round-off and dropped; a negative one
+    beyond -tol*scale fails loudly."""
     scale = float(np.max(np.abs(cov))) if cov.size else 0.0
     if scale == 0.0:
-        return np.zeros_like(cov)
+        return np.zeros((cov.shape[0], 0))
     lam, u = np.linalg.eigh(cov)
     if lam.min() < -tol * max(scale, 1.0):
         raise ValueError(f"covariance not PSD: min eigenvalue {lam.min():.3e}")
-    lam = np.clip(lam, 0.0, None)
-    lam[lam < 1e-13 * lam.max()] = 0.0  # drop round-off rank
-    return u * np.sqrt(lam)
-
-
-class GaussianIntegralSampler:
-    """Caches the covariance factor of an Ito integral so repeated draws
-    (and batched draws) cost one matrix-vector product each."""
-
-    def __init__(self, spec: ItoIntegralSpec):
-        self.dim = _stacked_integrand(spec)[2]
-        self.factor = _psd_factor(ito_covariance(spec))
-
-    def sample(self, rng: RngStream | np.random.Generator, size: int | None = None) -> np.ndarray:
-        gen = rng.generator if isinstance(rng, RngStream) else rng
-        d = self.dim
-        n = 1 if size is None else size
-        g = gen.standard_normal((n, 2 * d * d))
-        v = g @ self.factor.T
-        out = (v[:, : d * d] + 1j * v[:, d * d :]).reshape(n, d, d)
-        return out[0] if size is None else out
-
-
-def sample_ito_integral(spec: ItoIntegralSpec, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """One exact draw of int_0^1 f(s) dW_s (zero-mean Gaussian)."""
-    return GaussianIntegralSampler(spec).sample(rng)
-
-
-def sample_ito_substeps(
-    spec: ItoIntegralSpec, m_substeps: int, rng: RngStream | np.random.Generator
-) -> np.ndarray:
-    """Brute-force draw: midpoint Riemann sum sum_m f((m+1/2)/M) dW_m
-    with dW_m ~ N(0, 1/M).  Cross-validation oracle for
-    :func:`sample_ito_integral`."""
-    if m_substeps < 1:
-        raise ValueError("m_substeps must be >= 1")
-    dw = wiener_increments(rng, m_substeps, 1.0 / m_substeps)
-    mids = (np.arange(m_substeps) + 0.5) / m_substeps
-    out = None
-    for si, dwi in zip(mids, dw):
-        m = np.asarray(spec.integrand(float(si)), dtype=complex)
-        out = m * dwi if out is None else out + m * dwi
-    return out
+    keep = lam >= 1e-13 * lam.max()
+    return u[:, keep] * np.sqrt(lam[keep])
 
 
 def product_formula_error(

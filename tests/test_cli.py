@@ -124,6 +124,16 @@ class TestExitCodes:
         assert "op 1: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unread_angle_is_two(self, device_file, tmp_path, capsys):
+        circuit_path = tmp_path / "bad.json"
+        ops = [{"gate": "SX", "q": [0]}, {"gate": "RZ", "q": [0], "theta": 0.7}]
+        circuit_path.write_text(json.dumps({"n_qubits": 1, "ops": ops}))
+        out = tmp_path / "out"
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        assert main(compare_args(device_file, out, **custom)) == 2
+        assert "op 1: RZ does not read 'theta'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_forced_tolerance_failure_is_three(self, monkeypatch, capsys):
         monkeypatch.setenv("NOISYGATES_TOL_SCALE", "0.0")
         rc = main(["validate", "--criteria", "9"])
@@ -222,7 +232,9 @@ class TestSimulate:
         assert main(argv) == 0
         rundir = next(p for p in (tmp_path / "out").iterdir() if p.is_dir())
         rows = (rundir / "lindblad_rho.csv").read_text().splitlines()
-        assert rows[0].split(",") == ["time_s"] + [f"rho_{i}{i}" for i in range(2**7)]
+        assert rows[0].split(",") == ["time_s"] + [f"rho_{i:07b}" for i in range(2**7)]
+        header = (rundir / "density_diagonals.csv").read_text().splitlines()[0].split(",")
+        assert header[3:] == rows[0].split(",")[1:]
         diagonal = [float(x) for x in rows[1].split(",")[1:]]
         assert sum(diagonal) == pytest.approx(1.0, abs=1e-9)
         assert diagonal[0] + diagonal[-1] > 0.8

@@ -81,9 +81,10 @@ class TestParseCircuit:
         with pytest.raises(CircuitError, match="theta"):
             parse_circuit({"n_qubits": 2, "ops": [{"gate": "CR", "q": [0, 1]}]})
 
-    def test_unknown_gate(self):
+    @pytest.mark.parametrize("kind", ["H", ["X"], None])
+    def test_unknown_gate(self, kind):
         with pytest.raises(CircuitError, match="unknown gate"):
-            parse_circuit({"n_qubits": 1, "ops": [{"gate": "H", "q": [0]}]})
+            parse_circuit({"n_qubits": 1, "ops": [{"gate": kind, "q": [0]}]})
 
     def test_index_out_of_range(self):
         with pytest.raises(CircuitError):
@@ -129,6 +130,37 @@ class TestParseCircuit:
     def test_non_numeric_duration_rejected(self, value):
         with pytest.raises(CircuitError, match="op 0: 'duration_s' must be a finite number"):
             parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0], "duration_s": value}]})
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"gate": "RZ", "q": [0], "theta": 0.7},
+            {"gate": "X", "q": [0], "theta": 0.7},
+            {"gate": "SX", "q": [0], "theta": 0.7},
+            {"gate": "CNOT", "q": [0, 1], "theta": 0.7},
+            {"gate": "IDLE", "q": [0], "theta": 0.7, "duration_s": 1e-8},
+            {"gate": "CNOT", "q": [0, 1], "phi": 0.7},
+            {"gate": "IDLE", "q": [0], "phi": 0.7, "duration_s": 1e-8},
+        ],
+    )
+    def test_angle_the_gate_does_not_read_rejected(self, op):
+        key = "theta" if "theta" in op else "phi"
+        doc = {"n_qubits": 2, "ops": [{"gate": "SX", "q": [1]}, op]}
+        with pytest.raises(CircuitError, match=f"op 1: {op['gate']} does not read '{key}'"):
+            parse_circuit(doc)
+
+    def test_angles_the_gate_reads_accepted(self):
+        ops = [
+            {"gate": "RZ", "q": [0], "phi": 0.1},
+            {"gate": "X", "q": [0], "phi": 0.2},
+            {"gate": "SX", "q": [0], "phi": 0.3},
+            {"gate": "RX", "q": [0], "theta": 0.4, "phi": 0.5},
+            {"gate": "CR", "q": [0, 1], "theta": 0.6, "phi": 0.7},
+        ]
+        gates = [g for layer in parse_circuit({"n_qubits": 2, "ops": ops}).layers for g in layer]
+        assert [(g.theta, g.phi) for g in gates] == [
+            (None, 0.1), (None, 0.2), (None, 0.3), (0.4, 0.5), (0.6, 0.7)
+        ]
 
     def test_zero_duration_idle_and_rz_accepted(self):
         doc = {

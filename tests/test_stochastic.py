@@ -1,18 +1,111 @@
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
 import numpy as np
 import pytest
 import scipy.stats
 
+from noisygates.gates import GateSpec, XiSampler, scale_context, schedule
 from noisygates.linalg import DECAY, I2, PAULI_X
-from noisygates.stochastic import (
-    GaussianIntegralSampler,
-    ItoIntegralSpec,
-    RngStream,
-    ito_covariance,
-    product_formula_error,
-    sample_ito_integral,
-    sample_ito_substeps,
-    wiener_increments,
-)
+from noisygates.noise_model import load_calibration, noise_context_for_gate
+from noisygates.stochastic import RngStream, _psd_factor, gauss_legendre_rule, product_formula_error
+
+DESK_DEVICE = Path(__file__).resolve().parents[1] / "configs" / "desk_device.json"
+
+
+# ---------------------------------------------------------------------------
+# Generic sampler of Ito integrals I = int_0^1 f(s) dW_s of deterministic
+# matrix-valued integrands, with a substep Riemann-sum cross-check.  It is
+# the test oracle for XiSampler, which sums the same covariances over its
+# jump terms and factors them once.
+
+
+def wiener_increments(rng: RngStream | np.random.Generator, m: int, dt: float) -> np.ndarray:
+    """Draw ``m`` independent N(0, dt) Wiener increments."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    gen = rng.generator if isinstance(rng, RngStream) else rng
+    return gen.normal(0.0, np.sqrt(dt), size=m)
+
+
+@dataclass(frozen=True)
+class ItoIntegralSpec:
+    """Deterministic integrand s in [0, 1] -> complex matrix, plus the
+    quadrature resolution used for its covariance."""
+
+    integrand: Callable[[float], np.ndarray]
+    quadrature_nodes: int = 32
+    panels: int = 4
+
+
+def _stacked_integrand(spec: ItoIntegralSpec) -> tuple[np.ndarray, np.ndarray, int]:
+    """Evaluate the integrand on the quadrature grid, stacked as real
+    vectors [Re entries, Im entries] of length 2 d^2 per node."""
+    if spec.quadrature_nodes < 16:
+        raise ValueError("quadrature_nodes must be >= 16")
+    s, w = gauss_legendre_rule(spec.quadrature_nodes, spec.panels)
+    first = np.asarray(spec.integrand(float(s[0])), dtype=complex)
+    d = first.shape[0]
+    vals = np.empty((len(s), 2 * d * d))
+    for i, si in enumerate(s):
+        m = np.asarray(spec.integrand(float(si)), dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"integrand not finite at s={si}")
+        vals[i, : d * d] = m.real
+        vals[i, d * d :] = m.imag
+    return vals, w, d
+
+
+def ito_covariance(spec: ItoIntegralSpec) -> np.ndarray:
+    """Covariance of the stacked real Gaussian vector [Re I, Im I] of
+    I = int_0^1 f(s) dW_s, from the Ito isometry
+    Cov[a, b] = int_0^1 f~_a(s) f~_b(s) ds."""
+    vals, w, _ = _stacked_integrand(spec)
+    return (vals * w[:, None]).T @ vals
+
+
+class GaussianIntegralSampler:
+    """Caches the covariance factor of an Ito integral so repeated draws
+    (and batched draws) cost one matrix-vector product each."""
+
+    def __init__(self, spec: ItoIntegralSpec):
+        self.dim = _stacked_integrand(spec)[2]
+        self.factor = _psd_factor(ito_covariance(spec))
+
+    def sample(self, rng: RngStream | np.random.Generator, size: int | None = None) -> np.ndarray:
+        gen = rng.generator if isinstance(rng, RngStream) else rng
+        d = self.dim
+        n = 1 if size is None else size
+        g = gen.standard_normal((n, self.factor.shape[1]))
+        v = g @ self.factor.T
+        out = (v[:, : d * d] + 1j * v[:, d * d :]).reshape(n, d, d)
+        return out[0] if size is None else out
+
+
+def sample_ito_integral(spec: ItoIntegralSpec, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """One exact draw of int_0^1 f(s) dW_s (zero-mean Gaussian)."""
+    return GaussianIntegralSampler(spec).sample(rng)
+
+
+def sample_ito_substeps(
+    spec: ItoIntegralSpec, m_substeps: int, rng: RngStream | np.random.Generator
+) -> np.ndarray:
+    """Brute-force draw: midpoint Riemann sum sum_m f((m+1/2)/M) dW_m
+    with dW_m ~ N(0, 1/M).  Cross-validation oracle for
+    :func:`sample_ito_integral`."""
+    if m_substeps < 1:
+        raise ValueError("m_substeps must be >= 1")
+    dw = wiener_increments(rng, m_substeps, 1.0 / m_substeps)
+    mids = (np.arange(m_substeps) + 0.5) / m_substeps
+    out = None
+    for si, dwi in zip(mids, dw):
+        m = np.asarray(spec.integrand(float(si)), dtype=complex)
+        out = m * dwi if out is None else out + m * dwi
+    return out
 
 
 class TestRngStream:
@@ -147,3 +240,80 @@ class TestProductFormula:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             product_formula_error([np.eye(2)], [], 0.1)
+
+
+XI_GATES = {
+    "X": GateSpec("X", (0,)),
+    "SX": GateSpec("SX", (0,)),
+    "RX": GateSpec("RX", (0,), theta=0.7),
+    "CR": GateSpec("CR", (0, 1), theta=math.pi / 2),
+    "CNOT": GateSpec("CNOT", (0, 1)),
+    "IDLE": GateSpec("IDLE", (0,), duration=1e-7),
+}
+
+
+def desk_xi(name, noise_scale=1.0):
+    gate = XI_GATES[name]
+    ctx = scale_context(noise_context_for_gate(gate, load_calibration(DESK_DEVICE)), noise_scale)
+    sched = schedule(gate.with_duration(ctx.gate_duration))
+    return sched, ctx, XiSampler(sched, ctx)
+
+
+class TestXiSamplerFactor:
+    """XiSampler factors one covariance per gate.  The Wiener processes of
+    the jump terms are independent, so that covariance must be the sum,
+    over the terms, of the generic sampler's covariance of the integrand
+    i eps_k L_{k,s} = i eps_k U_s^dag L_k U_s."""
+
+    @pytest.mark.parametrize(
+        "name, noise_scale", [(name, 1.0) for name in XI_GATES] + [("X", 30.0), ("CNOT", 30.0)]
+    )
+    def test_covariance_is_sum_of_term_covariances(self, name, noise_scale):
+        sched, ctx, sampler = desk_xi(name, noise_scale)
+        want = 0.0
+        for term in ctx.terms:
+            def integrand(s, term=term):
+                u = sched.unitary_at(s)
+                return 1j * term.epsilon * (u.conj().T @ term.operator @ u)
+
+            factor = GaussianIntegralSampler(ItoIntegralSpec(integrand)).factor
+            want = want + factor @ factor.T
+        got = sampler.factor @ sampler.factor.T
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name, rank", [("X", 5), ("SX", 5), ("RX", 5), ("CR", 19), ("CNOT", 21), ("IDLE", 2)])
+    def test_normals_per_draw_are_the_rank(self, name, rank):
+        sampler = desk_xi(name)[2]
+        assert sampler.n_gaussians == rank
+        assert sampler.factor.shape == (2 * sampler.dim**2, rank)
+
+    @pytest.mark.parametrize("name", ["X", "CNOT"])
+    def test_zero_noise_draws_no_normals(self, name):
+        sampler = desk_xi(name, 0.0)[2]
+        assert sampler.n_gaussians == 0
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        draws = sampler.sample(gen, 3)
+        assert draws.shape == (3, sampler.dim, sampler.dim)
+        assert not np.any(draws)
+        assert gen.bit_generator.state == state
+
+
+class TestPsdFactor:
+    def test_one_column_per_positive_eigenvalue(self):
+        v = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0]]).T
+        cov = v @ v.T
+        factor = _psd_factor(cov)
+        assert factor.shape == (3, 2)
+        assert np.allclose(factor @ factor.T, cov, atol=1e-14)
+
+    def test_zero_covariance_has_no_columns(self):
+        assert _psd_factor(np.zeros((4, 4))).shape == (4, 0)
+
+    def test_round_off_negative_is_dropped(self):
+        factor = _psd_factor(np.diag([1.0, -1e-14]))
+        assert factor.shape == (2, 1)
+
+    def test_non_psd_raises(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            _psd_factor(np.diag([1.0, -0.1]))
