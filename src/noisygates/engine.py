@@ -18,18 +18,24 @@ n = 12).  The chunk size depends on n alone and each chunk draws from its
 own random stream keyed by (master seed, run index, chunk index), which
 makes results bit-identical for any worker count or execution order.
 
-Each layer first samples every slot's gate batch in slot order, then
-applies them in a few passes: slots on a contiguous run of at most
-``FUSE_MAX_QUBITS`` qubits are combined into one gate per shot (per-shot
-Kronecker products across qubits, products in slot order on a qubit), so
-a layer of idle pads costs about n / ``FUSE_MAX_QUBITS`` state updates
-instead of n.  Registers wider than ``MAX_QUBITS`` are rejected.
+Gates on different qubits commute, so one-qubit slots (noisy gates,
+relaxation pads, RZ frames, fixed idles) never touch the state batch
+directly.  Every slot is sampled in slot order, which fixes the random
+stream, and a one-qubit slot is multiplied onto its qubit's pending
+per-shot 2x2 factor.  A two-qubit slot absorbs the pending factors of
+both its qubits, G (P_a x P_b), and is applied to the states at once.  A
+checkpoint first flushes every pending factor into the states, in passes
+of at most ``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker
+products), so a circuit costs one state update per two-qubit gate plus
+about n / ``FUSE_MAX_QUBITS`` per checkpoint.  Registers wider than
+``MAX_QUBITS`` are rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +48,7 @@ from .gates import (
     schedule,
     spam_gate_batch,
 )
-from .linalg import apply_gate, embed, kron
+from .linalg import I2, apply_gate, kron, mul_2x2
 from .noise_model import DeviceParams, noise_context_for_gate, read_json_object, slot_noise, spam_strength
 from .stochastic import RngStream
 
@@ -68,9 +74,10 @@ __all__ = [
 # 2.4-2.6 s at a peak RSS of 70, 98 and 154 MiB.
 CHUNK_SHOTS = 1024
 STATE_BUDGET_BYTES = 4 * 2**20
-# Widest contiguous qubit run whose slots one pass applies together.  On
-# the same GHZ runs, runs of at most 2, 3 and 4 qubits took 4.0-4.4,
-# 2.2-2.4 and 2.3-2.5 s.
+# Widest run of adjacent qubits whose one-qubit factors one pass applies
+# together, at a checkpoint flush and for the readout gates.  Measured when
+# every layer was applied in such passes: on the same GHZ runs, runs of at
+# most 2, 3 and 4 qubits took 4.0-4.4, 2.2-2.4 and 2.3-2.5 s.
 FUSE_MAX_QUBITS = 3
 # Widest register run_shots accepts: one state vector is 16 MiB at n = 20
 # and each checkpoint's accumulators take 16 * 2^n bytes more.
@@ -103,9 +110,11 @@ class Circuit:
                     if q < 0 or q >= self.n_qubits:
                         raise CircuitError(f"qubit index {q} out of range")
                     seen.add(q)
-        for q in self.measured:
+        for i, q in enumerate(self.measured):
             if q < 0 or q >= self.n_qubits:
                 raise CircuitError(f"measured qubit {q} out of range")
+            if q in self.measured[:i]:
+                raise CircuitError(f"measured qubit {q} listed twice")
 
     @property
     def n_layers(self) -> int:
@@ -316,107 +325,56 @@ class EnsembleResult:
         return counts / counts.sum(axis=-1, keepdims=True)
 
 
-# A pass is one apply_gate call: (qubits, groups), groups in qubit order.
-# A group (width, members) acts on ``width`` adjacent qubits; its members
-# are (slot index, the slot's qubit positions within the group), in slot
-# order.
-_Pass = tuple[tuple[int, ...], tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]]
-
-
-def _plan_passes(slot_qubits: list[tuple[int, ...]]) -> list[_Pass]:
-    """Passes that apply a layer's slots, given each slot's qubits.
-
-    Slots sharing a qubit form a group; groups act on disjoint qubits, so
-    they commute.  Groups that cover a contiguous run of at most
-    ``FUSE_MAX_QUBITS`` qubits are packed, lowest qubit first, into
-    blocks of adjacent groups no wider than that, one pass per block.  The
-    slots of any other group get a pass each, in slot order.  A block of
-    a single slot is applied on that slot's own qubit list, exactly as
-    without fusion.
-    """
-    groups: list[tuple[set[int], list[int]]] = []
-    for index, qubits in enumerate(slot_qubits):
-        covered, members = set(qubits), [index]
-        for group in [g for g in groups if g[0] & covered]:
-            groups.remove(group)
-            covered |= group[0]
-            members += group[1]
-        groups.append((covered, sorted(members)))
-
-    def alone(index: int) -> _Pass:
-        k = len(slot_qubits[index])
-        return slot_qubits[index], ((k, ((index, tuple(range(k))),)),)
-
-    passes: list[_Pass] = []
-    blocks: list[list[tuple[int, int, list[int]]]] = []
-    for covered, members in sorted(groups, key=lambda g: min(g[0])):
-        lo, hi = min(covered), max(covered)
-        if hi - lo + 1 != len(covered) or len(covered) > FUSE_MAX_QUBITS:
-            passes += [alone(i) for i in members]
-        elif blocks and blocks[-1][-1][1] == lo - 1 and hi - blocks[-1][0][0] < FUSE_MAX_QUBITS:
-            blocks[-1].append((lo, hi, members))
+def _plan_passes(qubits) -> list[tuple[int, ...]]:
+    """Distinct qubits, ascending, packed into runs of adjacent qubits at
+    most ``FUSE_MAX_QUBITS`` wide: one ``apply_gate`` pass each."""
+    runs: list[list[int]] = []
+    for q in sorted(qubits):
+        if runs and runs[-1][-1] == q - 1 and len(runs[-1]) < FUSE_MAX_QUBITS:
+            runs[-1].append(q)
         else:
-            blocks.append([(lo, hi, members)])
-    for block in blocks:
-        if len(block) == 1 and len(block[0][2]) == 1:
-            passes.append(alone(block[0][2][0]))
-            continue
-        groups_out = tuple(
-            (hi - lo + 1, tuple((i, tuple(q - lo for q in slot_qubits[i])) for i in members))
-            for lo, hi, members in block
-        )
-        passes.append((tuple(range(block[0][0], block[-1][1] + 1)), groups_out))
-    return passes
+            runs.append([q])
+    return [tuple(run) for run in runs]
 
 
-def _pass_gate(gates: list[np.ndarray], groups) -> np.ndarray:
-    """Per-shot gate of one pass: the Kronecker product over its groups
-    of each group's slot gates, multiplied in slot order."""
-    block = None
-    for width, members in groups:
-        group = None
-        for index, positions in members:
-            gate = gates[index]
-            if positions != tuple(range(width)):
-                gate = embed(gate, positions, width)
-            group = gate if group is None else gate @ group
-        block = group if block is None else kron(block, group)
-    return block
+def _apply_single(states: np.ndarray, factors: dict[int, np.ndarray], n_qubits: int) -> np.ndarray:
+    """Apply one-qubit gates on distinct qubits, ``{qubit: gate}``, one
+    pass per adjacent run with the per-shot Kronecker product of its
+    gates (first qubit most significant)."""
+    for qubits in _plan_passes(factors):
+        states = apply_gate(states, reduce(kron, [factors[q] for q in qubits]), qubits, n_qubits)
+    return states
 
 
 class _Compiled:
-    """Per-layer samplers and passes resolved once per (circuit, device)."""
+    """Per-layer slot samplers resolved once per (circuit, device)."""
 
     def __init__(self, scheduled: ScheduledCircuit):
         self.scheduled = scheduled
         self.n_qubits = scheduled.n_qubits
         params = scheduled.params
-        self.layer_plans: list[list[tuple[str, object]]] = []
-        self.layer_passes: list[list[_Pass]] = []
+        self.layer_plans: list[list[tuple[tuple[int, ...], str, object]]] = []
         cache: dict[tuple, NoisyGateSampler] = {}
         for layer in scheduled.layers:
-            plan: list[tuple[str, object]] = []
+            plan: list[tuple[tuple[int, ...], str, object]] = []
             for gate in layer.gates:
                 noise = slot_noise(gate, params)
                 if gate.kind == "IDLE" and noise.relaxation:
                     (gamma1, gamma_pd), = noise.relaxation
-                    plan.append(("relax", (gamma1, gamma_pd, noise.duration)))
+                    plan.append((gate.qubits, "relax", (gamma1, gamma_pd, noise.duration)))
                 elif gate.kind in ("RZ", "IDLE"):
-                    plan.append(("fixed", ideal_unitary(gate)))
+                    plan.append((gate.qubits, "fixed", ideal_unitary(gate)))
                 else:
                     key = (gate.kind, gate.theta, gate.phi, gate.duration, gate.qubits)
                     if key not in cache:
                         ctx = noise_context_for_gate(gate, params)
                         cache[key] = NoisyGateSampler(schedule(gate), ctx)
-                    plan.append(("noisy", cache[key]))
+                    plan.append((gate.qubits, "noisy", cache[key]))
             self.layer_plans.append(plan)
-            self.layer_passes.append(_plan_passes([gate.qubits for gate in layer.gates]))
-        self.spam = [spam_strength(params.qubits[q].p_readout) for q in scheduled.measured]
-        self.spam_passes = _plan_passes([(q,) for q in scheduled.measured])
+        self.spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
 
     @staticmethod
-    def _draw(slot: tuple[str, object], gen: np.random.Generator, size: int) -> np.ndarray:
-        kind, payload = slot
+    def _draw(kind: str, payload, gen: np.random.Generator, size: int) -> np.ndarray:
         if kind == "fixed":
             return payload
         if kind == "relax":
@@ -424,25 +382,39 @@ class _Compiled:
             return relaxation_gate_batch(gamma1, gamma_pd, dt, gen, size)
         return payload.sample_batch(gen, size)
 
-    def _apply(self, states: np.ndarray, gates: list[np.ndarray], passes: list[_Pass]) -> np.ndarray:
-        for qubits, groups in passes:
-            states = apply_gate(states, _pass_gate(gates, groups), qubits, self.n_qubits)
+    def apply_layer(self, states: np.ndarray, pending: list, layer: int, gen: np.random.Generator) -> np.ndarray:
+        """Sample every slot of layer ``layer`` in slot order.  A one-qubit
+        slot is multiplied onto ``pending[q]``, its qubit's deferred
+        factor (None for none); a two-qubit slot absorbs both its qubits'
+        factors and is applied to ``states``, which is returned."""
+        size = states.shape[0]
+        for qubits, kind, payload in self.layer_plans[layer]:
+            gate = self._draw(kind, payload, gen, size)
+            if len(qubits) == 1:
+                (q,) = qubits
+                pending[q] = gate if pending[q] is None else mul_2x2(gate, pending[q])
+                continue
+            a, b = qubits
+            if pending[a] is not None or pending[b] is not None:
+                before = kron(I2 if pending[a] is None else pending[a], I2 if pending[b] is None else pending[b])
+                gate = gate @ before
+                pending[a] = pending[b] = None
+            states = apply_gate(states, gate, qubits, self.n_qubits)
         return states
 
-    def apply_layer(self, states: np.ndarray, layer: int, gen: np.random.Generator) -> np.ndarray:
-        """Sample every slot of layer ``layer`` in slot order, then apply
-        them in the layer's passes (applying draws nothing)."""
-        size = states.shape[0]
-        gates = [self._draw(slot, gen, size) for slot in self.layer_plans[layer]]
-        return self._apply(states, gates, self.layer_passes[layer])
+    def flush(self, states: np.ndarray, pending: list) -> np.ndarray:
+        """Apply every pending one-qubit factor to ``states`` and clear it."""
+        factors = {q: factor for q, factor in enumerate(pending) if factor is not None}
+        pending[:] = [None] * len(pending)
+        return _apply_single(states, factors, self.n_qubits)
 
     def measured_probs(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Per-trajectory Born probabilities at a readout point, with a
         fresh pre-measurement noise gate per measured qubit (the running
-        states are not modified)."""
+        states, which must hold no pending factor, are not modified)."""
         if self.spam:
-            gates = [spam_gate_batch(v, gen, states.shape[0]) for v in self.spam]
-            states = self._apply(states, gates, self.spam_passes)
+            gates = {q: spam_gate_batch(v, gen, states.shape[0]) for q, v in self.spam}
+            states = _apply_single(states, gates, self.n_qubits)
         return np.abs(states) ** 2
 
 
@@ -484,8 +456,11 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
         gen = root.child(chunk).generator
         states = np.zeros((size, dim), dtype=complex)
         states[:, 0] = 1.0
+        pending: list[np.ndarray | None] = [None] * n
         cp_iter = 0
         for layer_index in range(n_layers + 1):
+            if cp_iter < n_cp and cp_sorted[cp_iter] == layer_index:
+                states = compiled.flush(states, pending)
             while cp_iter < n_cp and cp_sorted[cp_iter] == layer_index:
                 probs = compiled.measured_probs(states, gen)
                 weights = probs.sum(axis=1)
@@ -503,7 +478,7 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
                     dens_acc[cp_iter] += np.einsum("si,sj->ij", states, states.conj())
                 cp_iter += 1
             if layer_index < n_layers:
-                states = compiled.apply_layer(states, layer_index, gen)
+                states = compiled.apply_layer(states, pending, layer_index, gen)
 
     times = np.array(
         [sum(l.duration for l in scheduled.layers[:c]) for c in cp_sorted]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, expm, expm_2x2, kron
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, expm, expm_2x2, kron, mul_2x2
 from .noise_model import NoiseContext, LindbladTerm
 from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
@@ -187,17 +187,20 @@ def _interaction_stack(sched: DriveSchedule, jump: np.ndarray, svals: np.ndarray
 def lambda_matrix(sched: DriveSchedule, ctx: NoiseContext) -> np.ndarray:
     """Deterministic drift -1/2 sum_k eps_k^2 int (L_s^dag L_s - L_s^2) ds.
 
-    Vanishes identically for Hermitian jumps (L^dag L = L^2)."""
+    Conjugation by U_s commutes with products and sums, so the integrand
+    is U_s^dag M U_s for the one summed operator
+    M = sum_k eps_k^2 (L_k^dag L_k - L_k^2), and one conjugated stack is
+    integrated instead of one per jump term.  Hermitian jumps give M = 0,
+    and so Lambda = 0, exactly."""
     d = sched.dim
-    out = np.zeros((d, d), dtype=complex)
-    svals, w = gauss_legendre_rule(_QUAD_NODES, _QUAD_PANELS)
+    summed = np.zeros((d, d), dtype=complex)
     for term in ctx.terms:
         if term.epsilon == 0.0:
             continue
-        ls = _interaction_stack(sched, term.operator, svals)
-        integ = np.einsum("s,sij->ij", w, dagger(ls) @ ls - ls @ ls)
-        out -= 0.5 * term.epsilon**2 * integ
-    return out
+        op = np.asarray(term.operator, dtype=complex)
+        summed += term.epsilon**2 * (dagger(op) @ op - op @ op)
+    svals, w = gauss_legendre_rule(_QUAD_NODES, _QUAD_PANELS)
+    return -0.5 * np.einsum("s,sij->ij", w, _interaction_stack(sched, summed, svals))
 
 
 class XiSampler:
@@ -249,9 +252,9 @@ class NoisyGateSampler:
     Gaussian factor of Xi (of the covariance summed over all jump terms),
     so sampling S realisations costs one block of ``(S, xi.n_gaussians)``
     normals, rank-many per draw, one batched exponential and the product
-    P exp(Xi).  For one-qubit gates that product is taken on the four
-    entry vectors of the stack, which is far cheaper than S separate 2x2
-    matrix products; for two-qubit gates it is one matrix product of the
+    P exp(Xi).  For one-qubit gates that product is ``mul_2x2`` on the
+    four entry vectors of the stack, which is far cheaper than S separate
+    2x2 matrix products; for two-qubit gates it is one matrix product of the
     stacked ``(S d, d)`` rows with P^T.
     """
 
@@ -266,15 +269,7 @@ class NoisyGateSampler:
         xi = self.xi.sample(gen, size)
         if self.dim != 2:
             return np.tensordot(expm(xi), self.prefix, axes=([1], [1])).swapaxes(1, 2)
-        e = expm_2x2(xi)
-        (p00, p01), (p10, p11) = self.prefix.tolist()
-        e00, e01, e10, e11 = e[:, 0, 0], e[:, 0, 1], e[:, 1, 0], e[:, 1, 1]
-        out = np.empty_like(e)
-        out[:, 0, 0] = p00 * e00 + p01 * e10
-        out[:, 0, 1] = p00 * e01 + p01 * e11
-        out[:, 1, 0] = p10 * e00 + p11 * e10
-        out[:, 1, 1] = p10 * e01 + p11 * e11
-        return out
+        return mul_2x2(self.prefix, expm_2x2(xi))
 
 
 def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray:

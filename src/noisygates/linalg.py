@@ -27,6 +27,7 @@ __all__ = [
     "PROJ_1",
     "dagger",
     "kron",
+    "mul_2x2",
     "embed",
     "expm",
     "expm_2x2",
@@ -56,6 +57,25 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a·b of (stacks of) 2x2 matrices, taken on the four entry
+    vectors: a ``(2, 2)`` factor broadcasts against an ``(S, 2, 2)``
+    stack.  On large stacks this is an order of magnitude faster than
+    ``a @ b``, which dispatches S small products."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shapes {a.shape} and {b.shape}")
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    np.add(a00 * b00, a01 * b10, out=out[..., 0, 0])
+    np.add(a00 * b01, a01 * b11, out=out[..., 0, 1])
+    np.add(a10 * b00, a11 * b10, out=out[..., 1, 0])
+    np.add(a10 * b01, a11 * b11, out=out[..., 1, 1])
+    return out
 
 
 def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:

@@ -134,6 +134,16 @@ class TestExitCodes:
         assert "op 1: RZ does not read 'theta'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_measured_qubit_is_two(self, device_file, tmp_path, capsys):
+        # each listing would apply the qubit's readout flip once more
+        circuit_path = tmp_path / "bad.json"
+        circuit_path.write_text(json.dumps({"n_qubits": 2, "ops": [], "measure": [0, 0, 1]}))
+        out = tmp_path / "out"
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        assert main(compare_args(device_file, out, **custom)) == 2
+        assert "measured qubit 0 listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_forced_tolerance_failure_is_three(self, monkeypatch, capsys):
         monkeypatch.setenv("NOISYGATES_TOL_SCALE", "0.0")
         rc = main(["validate", "--criteria", "9"])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from noisygates.engine import (
     Circuit,
     CircuitError,
     RunConfig,
-    _Compiled,
+    _plan_passes,
     chunk_shots,
     decompose_cnot,
     expand_cnots,
@@ -25,10 +26,24 @@ from noisygates.engine import (
     run_shots,
     schedule_layers,
 )
-from noisygates.gates import GateSpec, ideal_unitary, spam_gate_batch
+from noisygates.gates import (
+    GateSpec,
+    NoisyGateSampler,
+    ideal_unitary,
+    relaxation_gate_batch,
+    schedule,
+    spam_gate_batch,
+)
 from noisygates.channels import embed_operator
 from noisygates.linalg import apply_gate
-from noisygates.noise_model import DeviceParams, QubitParams, relaxation_rates, spam_strength
+from noisygates.noise_model import (
+    DeviceParams,
+    QubitParams,
+    noise_context_for_gate,
+    relaxation_rates,
+    slot_noise,
+    spam_strength,
+)
 from noisygates.stochastic import RngStream
 
 NOISELESS = DeviceParams(
@@ -93,6 +108,10 @@ class TestParseCircuit:
     def test_unknown_op_key_rejected(self):
         with pytest.raises(CircuitError, match="unknown keys"):
             parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0], "label": "a"}]})
+
+    def test_repeated_measured_qubit_rejected(self):
+        with pytest.raises(CircuitError, match="measured qubit 1 listed twice"):
+            parse_circuit({"n_qubits": 3, "ops": [], "measure": [2, 1, 0, 1]})
 
     def test_qubit_collision_in_layer(self):
         with pytest.raises(CircuitError, match="twice"):
@@ -340,70 +359,187 @@ def desk_register(n: int) -> DeviceParams:
     return replace(DESK, qubits=tuple(DESK.qubits[q % 2] for q in range(n)))
 
 
-def random_states(shots: int, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    states = rng.normal(size=(shots, 2**n)) + 1j * rng.normal(size=(shots, 2**n))
-    return states / np.linalg.norm(states, axis=1, keepdims=True)
+def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.ndarray, ...]:
+    """``run_shots``' distributions, counts, mean weights and densities,
+    computed with every slot and every readout gate applied to the states
+    by its own ``apply_gate`` call as soon as it is drawn, from the same
+    draws.  Each chunk's generator is appended to ``generators``."""
+    n, params = scheduled.n_qubits, scheduled.params
+    dim = 2**n
+    layers = []
+    for layer in scheduled.layers:
+        slots = []
+        for gate in layer.gates:
+            noise = slot_noise(gate, params)
+            if gate.kind == "IDLE" and noise.relaxation:
+                (gamma1, gamma_pd), = noise.relaxation
+                slots.append((gate.qubits, partial(relaxation_gate_batch, gamma1, gamma_pd, noise.duration)))
+            elif gate.kind in ("RZ", "IDLE"):
+                slots.append((gate.qubits, lambda gen, size, u=ideal_unitary(gate): u))
+            else:
+                sampler = NoisyGateSampler(schedule(gate), noise_context_for_gate(gate, params))
+                slots.append((gate.qubits, sampler.sample_batch))
+        layers.append(slots)
+    spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
+    checkpoints = sorted(config.checkpoints)
+    dist = np.zeros((len(checkpoints), dim))
+    weight = np.zeros(len(checkpoints))
+    counts = np.zeros((len(checkpoints), dim), dtype=np.int64)
+    dens = np.zeros((len(checkpoints), dim, dim), dtype=complex)
+    chunk = chunk_shots(n)
+    for c in range(-(-config.shots // chunk)):
+        size = min(chunk, config.shots - c * chunk)
+        gen = RngStream(config.master_seed, config.run_index).child(c).generator
+        generators.append(gen)
+        states = np.zeros((size, dim), dtype=complex)
+        states[:, 0] = 1.0
+        for at in range(len(layers) + 1):
+            for i in [i for i, cp in enumerate(checkpoints) if cp == at]:
+                read = states
+                for q, v in spam:
+                    read = apply_gate(read, spam_gate_batch(v, gen, size), (q,), n)
+                probs = np.abs(read) ** 2
+                w = probs.sum(axis=1)
+                dist[i] += probs.sum(axis=0)
+                weight[i] += w.sum()
+                u = gen.uniform(size=size)
+                idx = (np.cumsum(probs / w[:, None], axis=1) < u[:, None]).sum(axis=1).clip(0, dim - 1)
+                counts[i] += np.bincount(idx, minlength=dim)
+                dens[i] += np.einsum("si,sj->ij", states, states.conj())
+            if at < len(layers):
+                for qubits, draw in layers[at]:
+                    states = apply_gate(states, draw(gen, size), qubits, n)
+    return dist / weight[:, None], counts, weight / config.shots, dens / config.shots
 
 
-class TestFusedLayers:
-    # SX then its pad on q0, a descending CNOT on (2, 1), an idle q3 and a
-    # zero-duration RZ then its pad on q4: two fused passes, q0-q2 and q3-q4
-    MIXED = {
-        "n_qubits": 5,
-        "ops": [
-            {"gate": "SX", "q": [0]},
-            {"gate": "CNOT", "q": [2, 1]},
-            {"gate": "RZ", "q": [4], "phi": 0.7},
-        ],
-        "measure": [0, 1, 3, 4],
-    }
+# name: (circuit document, checkpoints, shots)
+DEFERRAL_CASES = {
+    # SX and RZ (each then its pad) beside a descending CNOT, q3 idle; then
+    # a 120 ns CR followed by pads on both its qubits, beside a CNOT and a
+    # padded X; a measured subset listed out of order
+    "mixed_layer": (
+        {
+            "n_qubits": 5,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "CNOT", "q": [2, 1]},
+                {"gate": "RZ", "q": [4], "phi": 0.7},
+                {"gate": "CNOT", "q": [0, 1]},
+                {"gate": "CR", "q": [3, 4], "theta": 0.9, "phi": 0.2, "duration_s": 120e-9},
+                {"gate": "X", "q": [2]},
+            ],
+            "measure": [4, 0, 3],
+        },
+        (1, 2),
+        48,
+    ),
+    "cr_cnot_both_orders": (
+        {
+            "n_qubits": 3,
+            "ops": [
+                {"gate": "X", "q": [0]},
+                {"gate": "SX", "q": [1], "phi": 0.4},
+                {"gate": "SX", "q": [2]},
+                {"gate": "CR", "q": [0, 1], "theta": 0.6},
+                {"gate": "CR", "q": [1, 0], "theta": -0.4, "phi": 0.5},
+                {"gate": "RX", "q": [2], "theta": 0.3},
+                {"gate": "CNOT", "q": [1, 2]},
+                {"gate": "CNOT", "q": [2, 1]},
+                {"gate": "X", "q": [0]},
+            ],
+            "measure": [0, 1, 2],
+        },
+        (2, 5),
+        64,
+    ),
+    "non_adjacent_cnot": (
+        {
+            "n_qubits": 4,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "X", "q": [3]},
+                {"gate": "CNOT", "q": [0, 2]},
+                {"gate": "SX", "q": [1]},
+                {"gate": "CNOT", "q": [2, 0]},
+                {"gate": "SX", "q": [0]},
+            ],
+            "measure": [0, 2, 3],
+        },
+        (1, 3),
+        40,
+    ),
+    "rz_frames": (
+        {
+            "n_qubits": 2,
+            "ops": [
+                {"gate": "RZ", "q": [0], "phi": 0.3},
+                {"gate": "SX", "q": [0]},
+                {"gate": "RZ", "q": [0], "phi": -1.1},
+                {"gate": "RZ", "q": [1], "phi": 2.0},
+                {"gate": "CNOT", "q": [0, 1]},
+                {"gate": "RZ", "q": [1], "phi": 0.4},
+                {"gate": "SX", "q": [1]},
+                {"gate": "RZ", "q": [0], "phi": 1.3},
+            ],
+            "measure": [1, 0],
+        },
+        (2, 3, 5),
+        64,
+    ),
+    "one_qubit": (
+        {
+            "n_qubits": 1,
+            "ops": [
+                {"gate": "X", "q": [0]},
+                {"gate": "RZ", "q": [0], "phi": 0.5},
+                {"gate": "SX", "q": [0]},
+                {"gate": "IDLE", "q": [0], "duration_s": 40e-9},
+                {"gate": "RX", "q": [0], "theta": 0.3, "phi": 0.1},
+                {"gate": "X", "q": [0]},
+            ],
+            "measure": [0],
+        },
+        (0, 3, 3, 6),
+        64,
+    ),
+    "unmeasured": (
+        {
+            "n_qubits": 3,
+            "ops": [{"gate": "SX", "q": [0]}, {"gate": "CNOT", "q": [0, 1]}, {"gate": "CNOT", "q": [1, 2]}],
+        },
+        (0, 1, 3),
+        32,
+    ),
+}
 
-    def compiled(self):
-        return _Compiled(schedule_layers(parse_circuit(self.MIXED), desk_register(5)))
 
-    def test_mixed_layer_matches_slot_by_slot(self):
-        compiled = self.compiled()
-        slots = compiled.scheduled.layers[0].gates
-        assert [g.kind for g in slots] == ["SX", "CNOT", "RZ", "IDLE", "IDLE", "IDLE"]
-        assert [qubits for qubits, _ in compiled.layer_passes[0]] == [(0, 1, 2), (3, 4)]
-        states = random_states(64, 5, seed=1)
-        fused_gen, slot_gen = RngStream(11).generator, RngStream(11).generator
-        fused = compiled.apply_layer(states, 0, fused_gen)
-        want = states
-        for slot, gate in zip(compiled.layer_plans[0], slots):
-            drawn = compiled._draw(slot, slot_gen, len(states))
-            want = apply_gate(want, drawn, gate.qubits, 5)
-        assert np.abs(fused - want).max() <= 1e-12 * np.abs(want).max()
-        np.testing.assert_equal(fused_gen.bit_generator.state, slot_gen.bit_generator.state)
+class TestDeferredGates:
+    """One-qubit slots wait as per-qubit factors until a two-qubit gate or
+    a checkpoint needs the qubit; the result must equal applying every
+    slot as it is drawn."""
 
-    def test_readout_gates_match_qubit_by_qubit(self):
-        compiled = self.compiled()
-        assert [qubits for qubits, _ in compiled.spam_passes] == [(0, 1), (3, 4)]
-        states = random_states(64, 5, seed=2)
-        fused_gen, slot_gen = RngStream(12).generator, RngStream(12).generator
-        fused = compiled.measured_probs(states, fused_gen)
-        want = states
-        for q in compiled.scheduled.measured:
-            v = spam_strength(compiled.scheduled.params.qubits[q].p_readout)
-            want = apply_gate(want, spam_gate_batch(v, slot_gen, len(states)), (q,), 5)
-        want = np.abs(want) ** 2
-        assert np.abs(fused - want).max() <= 1e-12 * want.max()
-        np.testing.assert_equal(fused_gen.bit_generator.state, slot_gen.bit_generator.state)
+    @pytest.mark.parametrize("name", DEFERRAL_CASES)
+    def test_matches_slot_by_slot(self, name, monkeypatch):
+        doc, checkpoints, shots = DEFERRAL_CASES[name]
+        scheduled = schedule_layers(parse_circuit(doc), desk_register(doc["n_qubits"]))
+        config = RunConfig(shots=shots, master_seed=11, run_index=2, checkpoints=checkpoints)
+        made = []
+        fget = RngStream.generator.fget
+        monkeypatch.setattr(RngStream, "generator", property(lambda self: made.append(fget(self)) or made[-1]))
+        result = run_shots(scheduled, config)
+        monkeypatch.undo()
+        oracle = []
+        dist, counts, mean_weight, dens = slot_by_slot(scheduled, config, oracle)
+        assert np.abs(result.distributions - dist).max() <= 1e-12 * np.abs(dist).max()
+        assert np.abs(result.mean_weight - mean_weight).max() <= 1e-12 * mean_weight.max()
+        assert np.abs(result.densities - dens).max() <= 1e-12 * np.abs(dens).max()
+        np.testing.assert_array_equal(result.counts, counts)
+        assert len(made) == len(oracle) == 1
+        np.testing.assert_equal(made[0].bit_generator.state, oracle[0].bit_generator.state)
 
-    def test_single_slot_layer_applies_gate_unchanged(self):
-        sched = schedule_layers(parse_circuit({"n_qubits": 2, "ops": [{"gate": "CNOT", "q": [1, 0]}]}), DESK)
-        compiled = _Compiled(sched)
-        ((qubits, groups),) = compiled.layer_passes[0]
-        assert qubits == (1, 0)
-        assert groups == ((2, ((0, (0, 1)),)),)
-
-    def test_non_contiguous_gate_is_applied_alone(self):
-        doc = {"n_qubits": 4, "ops": [{"gate": "CNOT", "q": [0, 2]}]}
-        compiled = _Compiled(schedule_layers(parse_circuit(doc), desk_register(4)))
-        passes = [qubits for qubits, _ in compiled.layer_passes[0]]
-        # the CNOT alone; the idle pads on q1 and q3 are not adjacent
-        assert sorted(passes) == [(0, 2), (1,), (3,)]
+    def test_passes_pack_adjacent_qubits(self):
+        assert _plan_passes([8, 0, 2, 1, 3, 5, 7]) == [(0, 1, 2), (3,), (5,), (7, 8)]
+        assert _plan_passes([]) == []
 
 
 class TestChunkShots:

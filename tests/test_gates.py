@@ -24,7 +24,7 @@ from noisygates.gates import (
 )
 from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, expm
 from noisygates.noise_model import LindbladTerm, NoiseContext, load_calibration, noise_context_for_gate
-from noisygates.stochastic import RngStream
+from noisygates.stochastic import RngStream, gauss_legendre_rule
 
 
 def make_context(*pairs, duration=1.0):
@@ -150,6 +150,26 @@ class TestLambdaMatrix:
     def test_zero_rates(self):
         ctx = make_context((DECAY, 0.0))
         assert np.abs(lambda_matrix(IDLE_SCHED, ctx)).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "gate",
+        [GateSpec("X", (0,)), GateSpec("RX", (0,), theta=0.7, phi=0.4), GateSpec("CR", (0, 1), theta=-1.2), GateSpec("CNOT", (0, 1))],
+        ids=lambda g: g.kind,
+    )
+    def test_matches_per_term_integrals(self, gate):
+        # the quadrature of each term's L_s^dag L_s - L_s^2, summed after
+        params = load_calibration(DESK_DEVICE)
+        sched = schedule(gate.with_duration(params.gate_duration(len(gate.qubits))))
+        ctx = scale_context(noise_context_for_gate(gate.with_duration(sched.duration), params), 30.0)
+        svals, w = gauss_legendre_rule(32, 4)
+        u = sched.unitaries(svals)
+        want = np.zeros((sched.dim, sched.dim), dtype=complex)
+        for term in ctx.terms:
+            ls = dagger(u) @ term.operator @ u
+            want -= 0.5 * term.epsilon**2 * np.einsum("s,sij->ij", w, dagger(ls) @ ls - ls @ ls)
+        got = lambda_matrix(sched, ctx)
+        assert np.abs(want).max() > 1e-3
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestSampleXi:

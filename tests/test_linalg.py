@@ -23,6 +23,7 @@ from noisygates.linalg import (
     expm,
     expm_2x2,
     kron,
+    mul_2x2,
 )
 
 
@@ -103,6 +104,30 @@ class TestKron:
     @given(complex_matrices(2), complex_matrices(2), complex_matrices(2))
     def test_associativity(self, a, b, c):
         assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-14)
+
+
+def random_stack(rng, lead: tuple[int, ...]) -> np.ndarray:
+    return rng.normal(size=lead + (2, 2)) + 1j * rng.normal(size=lead + (2, 2))
+
+
+class TestMul2x2:
+    @pytest.mark.parametrize("lead_a, lead_b", [((7,), (7,)), ((), (7,)), ((7,), ()), ((), ())])
+    def test_matches_matmul(self, lead_a, lead_b):
+        rng = np.random.default_rng(31)
+        a, b = random_stack(rng, lead_a), random_stack(rng, lead_b)
+        out = mul_2x2(a, b)
+        want = a @ b
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_order_matters(self):
+        # X Z = -i Y, Z X = i Y
+        assert np.allclose(mul_2x2(PAULI_X, PAULI_Z), -1j * PAULI_Y)
+        assert np.allclose(mul_2x2(PAULI_Z, np.stack([PAULI_X, I2])), np.stack([1j * PAULI_Y, PAULI_Z]))
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="2x2"):
+            mul_2x2(np.eye(4), np.eye(4))
 
 
 class TestExpm:

@@ -92,20 +92,20 @@ def sample_ito_integral(spec: ItoIntegralSpec, rng: RngStream | np.random.Genera
 
 
 def sample_ito_substeps(
-    spec: ItoIntegralSpec, m_substeps: int, rng: RngStream | np.random.Generator
+    spec: ItoIntegralSpec, m_substeps: int, rng: RngStream | np.random.Generator, size: int
 ) -> np.ndarray:
-    """Brute-force draw: midpoint Riemann sum sum_m f((m+1/2)/M) dW_m
-    with dW_m ~ N(0, 1/M).  Cross-validation oracle for
+    """Brute-force draws: ``size`` midpoint Riemann sums
+    sum_m f((m+1/2)/M) dW_m with dW_m ~ N(0, 1/M).  The integrand is
+    evaluated once on the M midpoints and the ``(size, M)`` increments
+    are drawn as one block, row by row.  Cross-validation oracle for
     :func:`sample_ito_integral`."""
     if m_substeps < 1:
         raise ValueError("m_substeps must be >= 1")
-    dw = wiener_increments(rng, m_substeps, 1.0 / m_substeps)
     mids = (np.arange(m_substeps) + 0.5) / m_substeps
-    out = None
-    for si, dwi in zip(mids, dw):
-        m = np.asarray(spec.integrand(float(si)), dtype=complex)
-        out = m * dwi if out is None else out + m * dwi
-    return out
+    values = np.stack([np.asarray(spec.integrand(float(si)), dtype=complex) for si in mids])
+    gen = rng.generator if isinstance(rng, RngStream) else rng
+    dw = gen.normal(0.0, math.sqrt(1.0 / m_substeps), size=(size, m_substeps))
+    return np.tensordot(dw, values, axes=(1, 0))
 
 
 class TestRngStream:
@@ -201,7 +201,7 @@ class TestSampleItoIntegral:
         spec = ItoIntegralSpec(lambda s: np.exp(-s / 2) * DECAY)
         exact = GaussianIntegralSampler(spec).sample(RngStream(23).generator, 10_000)
         gen = RngStream(24).generator
-        sub = np.stack([sample_ito_substeps(spec, 512, gen) for _ in range(10_000)])
+        sub = sample_ito_substeps(spec, 512, gen, 10_000)
         # same entry, two samplers: KS and moment agreement
         x = np.real(exact[:, 0, 1])
         y = np.real(sub[:, 0, 1])
