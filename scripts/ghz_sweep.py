@@ -4,11 +4,11 @@
 For each width n (in the order given) and each shot count, the circuit is
 SX on qubit 0 followed by CNOT(q, q + 1) for q = 0 .. n - 2, every qubit
 measured, on the desk calibration (configs/desk_device.json) with its
-qubits repeated over the register.  One ``run_shots`` call is timed per
-(width, shots) pair, and one line is printed for it: the width, the
-shots, the wall time of the call, the peak resident set size of this
-process so far, and the GHZ mass p(0...0) + p(1...1) of the weighted
-estimator.  Run from the repository root, BLAS pinned to one thread for
+qubits repeated over the register, master seed 0.  One ``run_shots``
+call is timed per (width, shots) pair, and one line is printed for it:
+the width, the shots, the wall time of the call, the peak resident set
+size of this process so far, and the GHZ mass p(0...0) + p(1...1) of the
+weighted estimator.  Run from the repository root, BLAS pinned to one thread for
 times comparable with perfbench:
 
     OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 8 12 16 --shots 1024
@@ -32,9 +32,13 @@ from noisygates.engine import RunConfig, parse_circuit, run_shots, schedule_laye
 from noisygates.noise_model import load_calibration  # noqa: E402
 
 
-def ghz_inputs(n: int, device: Path):
-    """Scheduled n-qubit GHZ ladder on ``device``'s qubits repeated."""
-    desk = json.loads(device.read_text())
+DEVICE = ROOT / "configs" / "desk_device.json"
+SEED = 0
+
+
+def ghz_inputs(n: int):
+    """Scheduled n-qubit GHZ ladder on the desk device's qubits repeated."""
+    desk = json.loads(DEVICE.read_text())
     qubits = [desk["qubits"][q % len(desk["qubits"])] for q in range(n)]
     params = load_calibration(json.dumps({"qubits": qubits, "gates": desk["gates"]}))
     ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
@@ -51,18 +55,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--qubits", type=int, nargs="+", required=True)
     parser.add_argument("--shots", type=int, nargs="+", default=[1024])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--device", type=Path, default=ROOT / "configs" / "desk_device.json")
     parser.add_argument("--mass-range", type=float, nargs=2, metavar=("LOW", "HIGH"))
     args = parser.parse_args(argv)
 
     outside = 0
     print("qubits shots wall_s peak_rss_mib ghz_mass")
     for n in args.qubits:
-        scheduled = ghz_inputs(n, args.device)
+        scheduled = ghz_inputs(n)
         for shots in args.shots:
             start = time.perf_counter()
-            dist = run_shots(scheduled, RunConfig(shots=shots, master_seed=args.seed)).distributions[-1]
+            dist = run_shots(scheduled, RunConfig(shots=shots, master_seed=SEED)).distributions[-1]
             wall = time.perf_counter() - start
             mass = float(dist[0] + dist[-1])
             print(f"{n} {shots} {wall:.3f} {peak_rss_mib():.1f} {mass:.4f}", flush=True)

@@ -66,8 +66,6 @@ def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a @ b``, which dispatches S small products."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
-        raise ValueError(f"expected 2x2 matrices, got shapes {a.shape} and {b.shape}")
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
