@@ -82,7 +82,7 @@ def build_parser() -> _Parser:
         p.add_argument("--estimator", choices=("weighted", "unweighted"), default="weighted")
         p.add_argument("--cnot-mode", choices=("direct", "decomposed"), default="direct")
         p.add_argument("--out", default="runs", help="output root directory")
-        p.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--parallel", type=_positive_int, default=os.cpu_count() or 1)
 
     add_common(sub.add_parser("simulate", help="run backends once and dump distributions"))
     add_common(sub.add_parser("compare", help="run the benchmarking protocol"))
@@ -165,9 +165,27 @@ def _serialise_config(command: str, args, config: ExperimentConfig) -> dict:
         "device": device,
     }
     if config.circuit is not None:
-        payload["circuit_layers"] = config.circuit.n_layers
-        payload["circuit_qubits"] = config.circuit.n_qubits
+        payload["circuit"] = _serialise_circuit(config.circuit)
     return payload
+
+
+def _serialise_circuit(circuit) -> dict:
+    """Every parsed op, layer by layer, and the measured qubits: two
+    circuits share a run directory only when they run the same ops.
+    Numbers are floats, so ``1`` and ``1.0`` hash alike."""
+
+    def number(x):
+        return None if x is None else float(x)
+
+    layers = [
+        [
+            {"gate": g.kind, "q": list(g.qubits), "theta": number(g.theta), "phi": number(g.phi),
+             "duration_s": number(g.duration)}
+            for g in layer
+        ]
+        for layer in circuit.layers
+    ]
+    return {"n_qubits": circuit.n_qubits, "layers": layers, "measure": list(circuit.measured)}
 
 
 def _write_metadata(outdir: Path, payload: dict) -> None:

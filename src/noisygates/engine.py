@@ -48,7 +48,7 @@ from .gates import (
     schedule,
     spam_gate_batch,
 )
-from .linalg import I2, apply_gate, kron, mul_2x2
+from .linalg import I2, Workspace, apply_gate, kron, mul_2x2
 from .noise_model import DeviceParams, noise_context_for_gate, read_json_object, slot_noise, spam_strength
 from .stochastic import RngStream
 
@@ -347,11 +347,23 @@ def _apply_single(states: np.ndarray, factors: dict[int, np.ndarray], n_qubits: 
 
 
 class _Compiled:
-    """Per-layer slot samplers resolved once per (circuit, device)."""
+    """Per-layer slot samplers of one scheduled circuit, resolved once per
+    distinct (gate, duration, qubits) and shared by every run of it: build
+    one and pass it to each ``run_shots`` call.  It also owns the one
+    ``Workspace`` its noisy-gate samplers draw (and, for two-qubit gates,
+    exponentiate) in, sized by the largest chunk it has served, so its
+    runs reuse the same pages for every gate and chunk.  Pickling it (to a
+    worker process) sends the samplers and an empty workspace.  Registers
+    wider than ``MAX_QUBITS`` raise ``ValueError``."""
 
     def __init__(self, scheduled: ScheduledCircuit):
+        if scheduled.n_qubits > MAX_QUBITS:
+            raise ValueError(
+                f"the trajectory engine supports at most {MAX_QUBITS} qubits; circuit has {scheduled.n_qubits}"
+            )
         self.scheduled = scheduled
         self.n_qubits = scheduled.n_qubits
+        self.workspace = Workspace()
         params = scheduled.params
         self.layer_plans: list[list[tuple[tuple[int, ...], str, object]]] = []
         cache: dict[tuple, NoisyGateSampler] = {}
@@ -373,14 +385,13 @@ class _Compiled:
             self.layer_plans.append(plan)
         self.spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
 
-    @staticmethod
-    def _draw(kind: str, payload, gen: np.random.Generator, size: int) -> np.ndarray:
+    def _draw(self, kind: str, payload, gen: np.random.Generator, size: int) -> np.ndarray:
         if kind == "fixed":
             return payload
         if kind == "relax":
             gamma1, gamma_pd, dt = payload
             return relaxation_gate_batch(gamma1, gamma_pd, dt, gen, size)
-        return payload.sample_batch(gen, size)
+        return payload.sample_batch(gen, size, self.workspace)
 
     def apply_layer(self, states: np.ndarray, pending: list, layer: int, gen: np.random.Generator) -> np.ndarray:
         """Sample every slot of layer ``layer`` in slot order.  A one-qubit
@@ -418,7 +429,7 @@ class _Compiled:
         return np.abs(states) ** 2
 
 
-def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
+def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compiled | None = None) -> EnsembleResult:
     """Ensemble over ``config.shots`` trajectories.
 
     Shots are simulated in chunks of ``chunk_shots(n)``, a function of the
@@ -427,14 +438,18 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     parallelism.  Checkpoints record the running ensemble after the stated
     number of layers (measured qubits get a fresh pre-measurement noise
     draw at every checkpoint, mirroring a family of circuits of increasing
-    depth that share noise prefixes).  Registers wider than ``MAX_QUBITS``
-    raise ``ValueError`` before anything is allocated.
+    depth that share noise prefixes).  ``compiled`` is the ``_Compiled``
+    built from this very ``scheduled`` when the caller shares one across
+    runs (another one raises ``ValueError``); it is built here when None.
+    Registers wider than ``MAX_QUBITS`` raise ``ValueError`` before
+    anything is allocated.
     """
+    if compiled is None:
+        compiled = _Compiled(scheduled)
+    elif compiled.scheduled is not scheduled:
+        raise ValueError("compiled was built from another scheduled circuit")
     n = scheduled.n_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"the trajectory engine supports at most {MAX_QUBITS} qubits; circuit has {n}")
     dim = 2**n
-    compiled = _Compiled(scheduled)
     n_layers = len(scheduled.layers)
     checkpoints = config.checkpoints if config.checkpoints is not None else (n_layers,)
     if any(c < 0 or c > n_layers for c in checkpoints):

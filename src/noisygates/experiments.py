@@ -30,6 +30,7 @@ from .engine import (
     Circuit,
     RunConfig,
     ScheduledCircuit,
+    _Compiled,
     expand_cnots,
     run_shots,
     schedule_layers,
@@ -139,18 +140,20 @@ def build_experiment_circuit(config: ExperimentConfig) -> tuple[Circuit, tuple[i
 
 
 def noisy_ensemble(
-    scheduled: ScheduledCircuit,
+    compiled: _Compiled,
     config: ExperimentConfig,
     checkpoint_layers: tuple[int, ...],
     run_index: int,
 ):
+    """Run ``run_index`` of the trajectory engine on a compiled circuit,
+    which every run of one ``compare`` shares."""
     run_cfg = RunConfig(
         shots=config.shots,
         master_seed=config.seed,
         run_index=run_index,
         checkpoints=checkpoint_layers,
     )
-    return run_shots(scheduled, run_cfg)
+    return run_shots(compiled.scheduled, run_cfg, compiled)
 
 
 def _readout_distribution(rho: np.ndarray, scheduled: ScheduledCircuit) -> np.ndarray:
@@ -257,8 +260,8 @@ class ExperimentResult:
 
 
 def _noisy_task(args):
-    scheduled, config, layers, run_index = args
-    result = noisy_ensemble(scheduled, config, layers, run_index)
+    compiled, config, layers, run_index = args
+    result = noisy_ensemble(compiled, config, layers, run_index)
     dists = result.distribution(slice(None), config.estimator)
     return dists, (result.densities if run_index == 0 else None)
 
@@ -292,7 +295,10 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
 
     noisy = channel = h_ng = h_ch = densities = state_diags = None
     if "noisy_gates" in config.backends:
-        tasks = [(scheduled, config, layers, r) for r in range(config.runs)]
+        # one compiled circuit for all runs; a worker process gets a pickled
+        # copy with an empty workspace
+        compiled = _Compiled(scheduled)
+        tasks = [(compiled, config, layers, r) for r in range(config.runs)]
         outs = _map_tasks(_noisy_task, tasks, config.parallel)
         noisy = np.asarray([o[0] for o in outs])
         densities = outs[0][1]

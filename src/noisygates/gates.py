@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, expm, expm_2x2, kron, mul_2x2
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, Workspace, dagger, expm, expm_2x2, expm_soa, kron, mul_2x2
 from .noise_model import NoiseContext, LindbladTerm
 from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
@@ -237,11 +237,19 @@ class XiSampler:
         self._interleaved[:, 0::2] = self.factor[:n].T
         self._interleaved[:, 1::2] = self.factor[n:].T
 
-    def sample(self, gen: np.random.Generator, size: int | None = None) -> np.ndarray:
+    def sample(
+        self, gen: np.random.Generator, size: int | None = None, workspace: Workspace | None = None
+    ) -> np.ndarray:
+        """``size`` draws of Xi, shape ``(size, d, d)``, or one ``(d, d)``
+        draw for None.  The normals and the draws are written into buffers
+        of ``workspace`` (a fresh one when None), so with a caller-held
+        workspace the result is a view that its next user overwrites."""
         d = self.dim
         n = 1 if size is None else size
-        g = gen.standard_normal((n, self.n_gaussians))
-        out = (g @ self._interleaved).view(complex).reshape(n, d, d)
+        ws = Workspace() if workspace is None else workspace
+        g = gen.standard_normal(out=ws.take("xi.normals", (n, self.n_gaussians), float))
+        flat = np.matmul(g, self._interleaved, out=ws.take("xi.draws", (n, 2 * d * d), float))
+        out = flat.view(complex).reshape(n, d, d)
         return out[0] if size is None else out
 
 
@@ -254,8 +262,13 @@ class NoisyGateSampler:
     normals, rank-many per draw, one batched exponential and the product
     P exp(Xi).  For one-qubit gates that product is ``mul_2x2`` on the
     four entry vectors of the stack, which is far cheaper than S separate
-    2x2 matrix products; for two-qubit gates it is one matrix product of the
-    stacked ``(S d, d)`` rows with P^T.
+    2x2 matrix products.  For two-qubit gates the draws are copied into
+    the ``(d, d, S)`` layout of ``linalg.expm_soa``, exponentiated there,
+    and multiplied by P as one ``(S d, d) @ (d, d)`` product of the
+    stacked rows.  The sampler holds no buffers itself: ``sample_batch``
+    runs in the caller's ``workspace``, and the returned batch, the only
+    array it allocates once the workspace is warm, is never a view into
+    it.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
@@ -263,13 +276,24 @@ class NoisyGateSampler:
         self.prefix = sched.unitary_at(1.0) @ expm(lambda_matrix(sched, ctx))
         self.xi = XiSampler(sched, ctx)
 
-    def sample_batch(self, gen: np.random.Generator, size: int) -> np.ndarray:
+    def sample_batch(self, gen: np.random.Generator, size: int, workspace: Workspace | None = None) -> np.ndarray:
+        """``size`` realisations P exp(Xi), shape ``(size, d, d)``, with
+        the temporaries in ``workspace`` (a fresh one when None)."""
+        d = self.dim
         if self.xi.n_gaussians == 0:
-            return np.broadcast_to(self.prefix, (size, self.dim, self.dim))
-        xi = self.xi.sample(gen, size)
-        if self.dim != 2:
-            return np.tensordot(expm(xi), self.prefix, axes=([1], [1])).swapaxes(1, 2)
-        return mul_2x2(self.prefix, expm_2x2(xi))
+            return np.broadcast_to(self.prefix, (size, d, d))
+        ws = Workspace() if workspace is None else workspace
+        xi = self.xi.sample(gen, size, ws)
+        if d == 2:
+            return mul_2x2(self.prefix, expm_2x2(xi))
+        x = ws.take("sampler.xi", (d, d, size))
+        np.copyto(x, xi.transpose(1, 2, 0))
+        f = expm_soa(x, ws)
+        # rows[s, k, i] = exp(Xi_s)[i, k], so rows @ P^T holds (P exp(Xi_s))[j, k]
+        # at [s, k, j]; rows reuses x's buffer, which f never views
+        rows = ws.take("sampler.xi", (size, d, d))
+        np.copyto(rows, f.transpose(2, 1, 0))
+        return np.dot(rows.reshape(size * d, d), self.prefix.T).reshape(size, d, d).swapaxes(1, 2)
 
 
 def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray:

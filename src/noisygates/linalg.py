@@ -2,9 +2,12 @@
 products, matrix exponentials, gate application to state vectors and
 local superoperators applied to density matrices.
 
-All functions treat their inputs as values and return fresh arrays.  The
-matrix exponential supports stacks of matrices (shape ``(..., d, d)``),
-which the trajectory engine relies on for batched sampling.
+Functions treat their inputs as values and return fresh arrays, with one
+exception: ``expm_soa``, the Padé core behind ``expm``, overwrites its
+input and returns a view into a caller-held ``Workspace``, so batched
+samplers that call it on every gate reuse the same buffers.  The matrix
+exponential supports stacks of matrices (shape ``(..., d, d)``), which
+the trajectory engine relies on for batched sampling.
 
 Qubit ordering is big-endian throughout the package: qubit 0 is the
 leftmost (most significant) bit of a basis label, so ``|10>`` on two
@@ -29,7 +32,9 @@ __all__ = [
     "kron",
     "mul_2x2",
     "embed",
+    "Workspace",
     "expm",
+    "expm_soa",
     "expm_2x2",
     "apply_gate",
     "superoperator",
@@ -126,11 +131,36 @@ def _pade_degree(norm: float) -> tuple[int, int]:
     return 7, math.ceil(math.log2(norm / _PADE_THETA[-1][1]))
 
 
-def _soa_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Products of two ``(d, d, S)`` stacks, matrix index first: d
-    broadcast multiply-adds over the S axis."""
-    out = x[:, :1] * y[:1]
-    tmp = np.empty_like(out)
+class Workspace:
+    """Named scratch buffers kept across calls, so a batched kernel run
+    many times reuses its pages instead of asking for fresh ones each time.
+
+    ``take(name, shape, dtype)`` returns a C-contiguous view onto the front
+    of buffer ``name``, growing it when the shape needs more room; its
+    contents are whatever the previous user left.  Views of one name alias
+    each other, so a caller uses one name per value that must stay alive,
+    and one dtype per name.  A workspace pickles as an empty one: worker
+    processes rebuild the buffers they use."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def __reduce__(self):
+        return Workspace, ()
+
+
+def _soa_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Products of two ``(d, d, S)`` stacks, matrix index first, into
+    ``out``: d broadcast multiply-adds over the S axis.  ``out`` and
+    ``tmp`` must not overlap ``x`` or ``y``."""
+    np.multiply(x[:, :1], y[:1], out=out)
     for k in range(1, x.shape[0]):
         out += np.multiply(x[:, k : k + 1], y[k : k + 1], out=tmp)
     return out
@@ -142,68 +172,95 @@ def _soa_add_identity(x: np.ndarray, c: float) -> None:
     x.reshape(d * d, -1)[:: d + 1] += c
 
 
-def _soa_solve(aug: np.ndarray) -> np.ndarray:
+def _soa_solve(aug: np.ndarray, ws: Workspace) -> np.ndarray:
     """q^-1 p for ``(d, d, S)`` stacks given as ``aug = [q | p]`` of shape
     ``(d, 2d, S)``, by Gauss-Jordan elimination over rows without pivoting
-    (``q`` must be column diagonally dominant).  Overwrites ``aug``."""
-    d = aug.shape[0]
+    (``q`` must be column diagonally dominant).  Overwrites ``aug`` and
+    returns a view of it."""
+    d, _, size = aug.shape
+    inv = ws.take("expm.inv", (size,))
+    col = ws.take("expm.col", (d, size))
+    update = ws.take("expm.update", aug.shape)
     for k in range(d):
         row = aug[k, k + 1 :]
-        row *= 1.0 / aug[k, k]
-        col = aug[:, k].copy()
+        row *= np.divide(1.0, aug[k, k], out=inv)
+        np.copyto(col, aug[:, k])
         col[k] = 0.0
-        aug[:, k + 1 :] -= col[:, None] * row
+        aug[:, k + 1 :] -= np.multiply(col[:, None], row, out=update[:, k + 1 :])
     return aug[:, d:]
+
+
+def expm_soa(x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Exponentials of the contiguous ``(d, d, S)`` stack ``x`` (matrix
+    index first, the S matrices on the last axis), evaluated as
+    :func:`expm` describes in the buffers of ``ws``: once ``ws`` holds
+    them, no stack-sized array is allocated.  ``x`` is overwritten, and
+    the result is a ``(d, d, S)`` view into ``ws``, valid until ``ws`` is
+    used again.  Raises ``ValueError`` on non-finite entries."""
+    d, _, size = x.shape
+
+    def take(name: str) -> np.ndarray:
+        return ws.take(name, x.shape)
+
+    norm = 0.0
+    if x.size:
+        # largest column sum of |x|; NaN or inf if any entry is not finite
+        absx = np.abs(x, out=ws.take("expm.abs", x.shape, float))
+        norm = float(np.sum(absx, axis=0, out=ws.take("expm.colsum", (d, size), float)).max())
+    if not math.isfinite(norm):
+        raise ValueError("non-finite entries in expm input")
+    if norm == 0.0:
+        f = take("expm.x2")
+        f[...] = np.eye(d)[:, :, None]
+        return f
+    degree, s = _pade_degree(norm)
+    if s:
+        x *= 2.0**-s
+    b = _PADE[degree]
+    tmp = take("expm.tmp")
+    x2 = _soa_matmul(x, x, take("expm.x2"), tmp)
+    odd = np.multiply(x2, b[3], out=take("expm.odd"))
+    even = np.multiply(x2, b[2], out=take("expm.even"))
+    spare = take("expm.power0"), take("expm.power1")
+    power = x2
+    for k in range(2, degree // 2 + 1):
+        power = _soa_matmul(power, x2, spare[k % 2], tmp)
+        odd += np.multiply(power, b[2 * k + 1], out=tmp)
+        even += np.multiply(power, b[2 * k], out=tmp)
+    _soa_add_identity(odd, b[1])
+    _soa_add_identity(even, b[0])
+    u = _soa_matmul(x, odd, spare[0], tmp)
+    aug = ws.take("expm.aug", (d, 2 * d, size))
+    np.subtract(even, u, out=aug[:, :d])
+    np.add(even, u, out=aug[:, d:])
+    f = _soa_solve(aug, ws)
+    for i in range(s):
+        f = _soa_matmul(f, f, spare[i % 2], tmp)
+    return f
 
 
 def expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Padé core.
 
-    Accepts a single matrix or a stack ``(..., d, d)``.  The Padé degree
-    m in {3, 5, 7} is chosen from the largest 1-norm in the stack with
-    Higham's theta_m bounds (N. J. Higham, SIAM J. Matrix Anal. Appl. 26
-    (2005) 1179); larger norms are scaled by 2^-s down to theta_7 and
-    squared back.  The stack is evaluated in structure-of-arrays form,
-    ``(d, d, S)`` with the S matrices on the last axis, so each matrix
-    product is d broadcast multiply-adds over S instead of S small
-    products.  The Padé denominator is solved by Gauss-Jordan elimination
-    without pivoting, which is stable because for ||A||_1 <= theta_m,
-    m <= 7, it is strictly column diagonally dominant.  Relative accuracy
-    is ~1e-14 for norms up to 10, which covers every generator used in
-    this package.
+    Accepts a single matrix or a stack ``(..., d, d)`` and returns a fresh
+    array.  The Padé degree m in {3, 5, 7} is chosen from the largest
+    1-norm in the stack with Higham's theta_m bounds (N. J. Higham, SIAM
+    J. Matrix Anal. Appl. 26 (2005) 1179); larger norms are scaled by 2^-s
+    down to theta_7 and squared back.  The stack is evaluated by
+    :func:`expm_soa` in structure-of-arrays form, ``(d, d, S)`` with the S
+    matrices on the last axis, so each matrix product is d broadcast
+    multiply-adds over S instead of S small products.  The Padé
+    denominator is solved by Gauss-Jordan elimination without pivoting,
+    which is stable because for ||A||_1 <= theta_m, m <= 7, it is strictly
+    column diagonally dominant.  Relative accuracy is ~1e-14 for norms up
+    to 10, which covers every generator used in this package.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in expm input")
-
     d = a.shape[-1]
-    norm = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
-    if norm == 0.0:
-        return np.broadcast_to(np.eye(d, dtype=complex), a.shape).copy()
-    degree, s = _pade_degree(norm)
-    x = a.reshape(-1, d, d).transpose(1, 2, 0).copy()
-    if s:
-        x *= 2.0**-s
-    b = _PADE[degree]
-    x2 = _soa_matmul(x, x)
-    odd, even = x2 * b[3], x2 * b[2]
-    scratch = np.empty_like(x2)
-    power = x2
-    for k in range(2, degree // 2 + 1):
-        power = _soa_matmul(power, x2)
-        odd += np.multiply(power, b[2 * k + 1], out=scratch)
-        even += np.multiply(power, b[2 * k], out=scratch)
-    _soa_add_identity(odd, b[1])
-    _soa_add_identity(even, b[0])
-    u = _soa_matmul(x, odd)
-    aug = np.empty((d, 2 * d, x.shape[2]), dtype=complex)
-    np.subtract(even, u, out=aug[:, :d])
-    np.add(even, u, out=aug[:, d:])
-    f = _soa_solve(aug)
-    for _ in range(s):
-        f = _soa_matmul(f, f)
+    stack = a.reshape(math.prod(a.shape[:-2]), d, d)
+    f = expm_soa(stack.transpose(1, 2, 0).copy(), Workspace())
     return np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(a.shape)
 
 

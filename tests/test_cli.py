@@ -81,6 +81,15 @@ class TestExitCodes:
             main(compare_args(device_file, tmp_path / "out", **{"--shots": "0"}))
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_is_usage_error(self, parallel, device_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(compare_args(device_file, out, **{"--parallel": parallel}))
+        assert exc.value.code == 1
+        assert "--parallel" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_backend_is_two(self, device_file, tmp_path, capsys):
         rc = main(compare_args(device_file, tmp_path / "out", **{"--backends": ""}))
         assert rc == 2
@@ -182,6 +191,29 @@ class TestCompareOutputs:
         assert "params_hash" in meta and "git_revision" in meta
         header = (rundir / "distributions.csv").read_text().splitlines()[0]
         assert header.startswith("backend,run,checkpoint_gates,time_s,")
+
+    def test_custom_circuits_get_their_own_directories(self, tmp_path, capsys):
+        # the stock Bell circuit, and the same circuit with its SX made an X:
+        # same layer count and width, different ops
+        bell = json.loads((CONFIGS / "bell_circuit.json").read_text())
+        variant = json.loads(json.dumps(bell))
+        variant["ops"][1]["gate"] = "X"
+        out = tmp_path / "out"
+        dirs = []
+        for name, doc in (("bell", bell), ("variant", variant), ("bell", bell)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = compare_args(
+                CONFIGS / "desk_device.json", out,
+                **{"--experiment": "custom_circuit", "--circuit": str(path), "--shots": "64", "--runs": "1"},
+            )
+            assert main(argv) == 0
+            dirs.append(Path(capsys.readouterr().out.strip()))
+        assert dirs[0] != dirs[1] and dirs[2] == dirs[0]
+        assert sorted(p.name for p in out.iterdir()) == sorted({d.name for d in dirs})
+        meta = json.loads((dirs[1] / "metadata.json").read_text())
+        assert meta["circuit"]["measure"] == [0, 1]
+        assert [op["gate"] for layer in meta["circuit"]["layers"] for op in layer] == ["RZ", "X", "RZ", "CNOT"]
 
     def test_summary_row_count(self, device_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ from noisygates.engine import (
     Circuit,
     CircuitError,
     RunConfig,
+    _Compiled,
     _plan_passes,
     chunk_shots,
     decompose_cnot,
@@ -540,6 +542,38 @@ class TestDeferredGates:
     def test_passes_pack_adjacent_qubits(self):
         assert _plan_passes([8, 0, 2, 1, 3, 5, 7]) == [(0, 1, 2), (3,), (5,), (7, 8)]
         assert _plan_passes([]) == []
+
+
+class TestSharedCompiled:
+    """One ``_Compiled`` serves every run of a circuit: the same results as
+    compiling per run, with its workspace reused across runs and chunk
+    sizes, and it pickles (to a worker process) without its buffers."""
+
+    def test_shared_across_runs_matches_per_run(self):
+        doc = {
+            "n_qubits": 3,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "CNOT", "q": [0, 1]},
+                {"gate": "CR", "q": [1, 2], "theta": 1.1},
+                {"gate": "CNOT", "q": [2, 0]},
+            ],
+            "measure": [0, 2],
+        }
+        scheduled = schedule_layers(parse_circuit(doc), desk_register(3))
+        compiled = _Compiled(scheduled)
+        size = len(pickle.dumps(compiled))
+        # 1500 shots: a full chunk of CHUNK_SHOTS, then a shorter one
+        for run in range(2):
+            config = RunConfig(shots=1500, master_seed=12, run_index=run, checkpoints=(2, 4))
+            shared, fresh = run_shots(scheduled, config, compiled), run_shots(scheduled, config)
+            for field in ("distributions", "counts", "mean_weight", "densities"):
+                np.testing.assert_array_equal(getattr(shared, field), getattr(fresh, field))
+        assert len(pickle.dumps(compiled)) == size
+        clone = pickle.loads(pickle.dumps(compiled))
+        np.testing.assert_array_equal(run_shots(clone.scheduled, config, clone).distributions, fresh.distributions)
+        with pytest.raises(ValueError, match="another scheduled circuit"):
+            run_shots(scheduled, config, clone)
 
 
 class TestChunkShots:

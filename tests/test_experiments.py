@@ -16,7 +16,7 @@ from noisygates.experiments import (
     lindblad_reference,
     run_compare,
 )
-from noisygates.gates import GateSpec, drive_generator, ideal_unitary
+from noisygates.gates import GateSpec, NoisyGateSampler, drive_generator, ideal_unitary
 from noisygates.linalg import DECAY, PAULI_X, PAULI_Y, PAULI_Z, dagger
 from noisygates.noise_model import (
     DeviceParams,
@@ -406,6 +406,19 @@ class TestRunCompare:
         assert np.array_equal(a.noisy_dists, b.noisy_dists)
         assert np.array_equal(a.h_channel, b.h_channel)
         assert a.improvement is not None
+
+    def test_builds_each_sampler_once(self, monkeypatch):
+        built = []
+        init = NoisyGateSampler.__init__
+
+        def counting_init(self, sched, ctx):
+            built.append(sched)
+            init(self, sched, ctx)
+
+        monkeypatch.setattr(NoisyGateSampler, "__init__", counting_init)
+        cfg = small_config("repeat_cnot", repetitions=6, checkpoints=2, shots=64, runs=3, backends=("noisy_gates",))
+        run_compare(cfg, hellinger_series=False)
+        assert len(built) == 2  # the prep X and the CNOT, shared by the three runs
 
     def test_backend_subset(self):
         cfg = small_config(backends=("lindblad",))

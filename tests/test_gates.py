@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from noisygates.gates import (
     spam_gate_batch,
     xi_from_path,
 )
-from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, expm
+from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, Workspace, _pade_degree, dagger, expm
 from noisygates.noise_model import LindbladTerm, NoiseContext, load_calibration, noise_context_for_gate
 from noisygates.stochastic import RngStream, gauss_legendre_rule
 
@@ -243,6 +244,14 @@ STREAM_GATES = {
 }
 
 
+def desk_sampler(name: str, noise_scale: float = 1.0) -> NoisyGateSampler:
+    """Sampler of ``STREAM_GATES[name]`` on the desk device, with every
+    noise amplitude scaled by ``noise_scale``."""
+    gate = STREAM_GATES[name]
+    ctx = scale_context(noise_context_for_gate(gate, load_calibration(DESK_DEVICE)), noise_scale)
+    return NoisyGateSampler(schedule(gate.with_duration(ctx.gate_duration)), ctx)
+
+
 class TestSampleBatchStream:
     """sample_batch draws one (size, n_gaussians) block of normals and
     returns prefix @ exp(Xi), with Xi read off ``xi.factor`` as criterion
@@ -254,11 +263,7 @@ class TestSampleBatchStream:
         [(name, 1.0) for name in STREAM_GATES] + [("X", 30.0), ("CNOT", 3.0), ("X", 0.0), ("CNOT", 0.0)],
     )
     def test_matches_factor_reference(self, name, noise_scale):
-        params = load_calibration(DESK_DEVICE)
-        gate = STREAM_GATES[name]
-        ctx = scale_context(noise_context_for_gate(gate, params), noise_scale)
-        gate = gate.with_duration(ctx.gate_duration)
-        sampler = NoisyGateSampler(schedule(gate), ctx)
+        sampler = desk_sampler(name, noise_scale)
         gen = np.random.default_rng(11)
         ref_gen = copy.deepcopy(gen)
         size, d = 1000, sampler.dim
@@ -272,6 +277,75 @@ class TestSampleBatchStream:
         assert got.shape == (size, d, d)
         assert np.abs(got - want).max() <= 1e-13
         assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+class TestSampleBatchWorkspace:
+    """Two-qubit ``sample_batch`` runs in a caller-held workspace: results
+    bit-identical to ``prefix @ expm(xi)`` on the same draws, however the
+    workspace was used before, and never a view into it."""
+
+    @pytest.mark.parametrize("name", ["CNOT", "CR"])
+    @pytest.mark.parametrize("noise_scale", [1.0, 30.0])
+    def test_matches_expm_bit_for_bit(self, name, noise_scale):
+        sampler = desk_sampler(name, noise_scale)
+        ws = Workspace()
+        gen = np.random.default_rng(17)
+        for _ in range(2):  # a cold workspace, then a warm one
+            ref_gen = copy.deepcopy(gen)
+            got = sampler.sample_batch(gen, 1000, ws)
+            xi = sampler.xi.sample(ref_gen, 1000)
+            assert np.array_equal(got, sampler.prefix @ expm(xi))
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+        if noise_scale > 1.0:  # the 30x draws take the scaling and squaring path
+            assert _pade_degree(np.abs(xi).sum(axis=-2).max())[1] > 0
+
+    def test_zero_noise_returns_prefix(self):
+        sampler = desk_sampler("CNOT", 0.0)
+        gen = np.random.default_rng(18)
+        state = copy.deepcopy(gen.bit_generator.state)
+        batch = sampler.sample_batch(gen, 5, Workspace())
+        assert np.array_equal(batch, np.broadcast_to(sampler.prefix, (5, 4, 4)))
+        assert gen.bit_generator.state == state
+
+    def test_sizes_and_samplers_in_turn_leave_no_stale_data(self):
+        ws = Workspace()
+        gen = np.random.default_rng(19)
+        for name, size in [("CNOT", 1000), ("CR", 64), ("CNOT", 1000), ("CR", 1000), ("CNOT", 64)]:
+            sampler = desk_sampler(name)
+            ref_gen = copy.deepcopy(gen)
+            assert np.array_equal(sampler.sample_batch(gen, size, ws), sampler.sample_batch(ref_gen, size))
+
+    def test_returned_batch_is_not_aliased(self):
+        sampler = desk_sampler("CNOT")
+        ws = Workspace()
+        gen = np.random.default_rng(20)
+        first = sampler.sample_batch(gen, 1000, ws)
+        kept = first.copy()
+        second = sampler.sample_batch(gen, 1000, ws)
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
+        assert not np.array_equal(first, second)
+
+    def test_normals_drawn_into_a_buffer_follow_the_stream(self):
+        # the engine's Philox streams
+        a, b = RngStream(21).generator, RngStream(21).generator
+        buf = np.empty((1000, 21))
+        for _ in range(2):
+            assert np.array_equal(a.standard_normal(out=buf), b.standard_normal((1000, 21)))
+        assert a.random() == b.random()
+
+    def test_warm_call_allocates_little_beyond_its_output(self):
+        sampler = desk_sampler("CNOT")
+        ws = Workspace()
+        gen = np.random.default_rng(22)
+        sampler.sample_batch(gen, 1000, ws)
+        tracemalloc.start()
+        try:
+            out = sampler.sample_batch(gen, 1000, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
 
 class TestSpamGate:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,12 +18,14 @@ from noisygates.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Workspace,
     apply_gate,
     basis_labels,
     dagger,
     embed,
     expm,
     expm_2x2,
+    expm_soa,
     kron,
     mul_2x2,
 )
@@ -300,6 +304,48 @@ class TestExpmAccuracy:
             expm_2x2(stack)
         with pytest.raises(ValueError):
             expm(stack)
+
+
+class TestExpmSoa:
+    """``expm_soa``, the core behind ``expm``, run in one reused
+    workspace: bit-identical to ``expm`` whatever the workspace served
+    before."""
+
+    def test_reused_workspace_matches_expm(self):
+        ws = Workspace()
+        rng = np.random.default_rng(31)
+        # d and S change from call to call; the norms pick Padé 3, 5, 7 and
+        # the scaling path
+        cases = [(4, 1000, 0.01), (2, 10, 0.2), (4, 64, 9.0), (3, 7, 0.9), (4, 1000, 25.0), (4, 1000, 0.01)]
+        for dim, size, norm in cases:
+            stack = with_one_norm(random_complex(rng, (size, dim, dim)), norm)
+            got = expm_soa(stack.transpose(1, 2, 0).copy(), ws)
+            assert got.shape == (dim, dim, size)
+            assert np.array_equal(got.transpose(2, 0, 1), expm(stack))
+
+    def test_zero_stack_is_identity(self):
+        ws = Workspace()
+        expm_soa(random_complex(np.random.default_rng(1), (4, 4, 5)), ws)  # leave data behind
+        got = expm_soa(np.zeros((4, 4, 5), dtype=complex), ws)
+        assert np.array_equal(got.transpose(2, 0, 1), np.broadcast_to(np.eye(4), (5, 4, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        x = np.zeros((4, 4, 3), dtype=complex)
+        x[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            expm_soa(x, Workspace())
+
+    def test_workspace_reuses_grows_and_pickles_empty(self):
+        ws = Workspace()
+        big = ws.take("a", (4, 4, 1000))
+        small = ws.take("a", (3, 5))
+        assert small.flags.c_contiguous and np.shares_memory(big, small)
+        assert not np.shares_memory(big, ws.take("b", (4, 4, 1000)))
+        grown = ws.take("a", (4, 4, 2000))
+        assert grown.shape == (4, 4, 2000) and not np.shares_memory(big, grown)
+        assert ws.take("c", (7,), float).dtype == np.float64
+        assert len(pickle.dumps(ws)) == len(pickle.dumps(Workspace()))
 
 
 def embedded_matrix(op: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
