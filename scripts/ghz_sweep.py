@@ -7,8 +7,10 @@ measured, on the desk calibration (configs/desk_device.json) with its
 qubits repeated over the register, master seed 0.  One ``run_shots``
 call is timed per (width, shots) pair, and one line is printed for it:
 the width, the shots, the wall time of the call, the peak resident set
-size of this process so far, and the GHZ mass p(0...0) + p(1...1) of the
-weighted estimator.  Run from the repository root, BLAS pinned to one thread for
+size of this process so far, the GHZ mass p(0...0) + p(1...1) of the
+weighted estimator, and the minor page faults and system CPU seconds of
+the call (``getrusage`` deltas), which grow when the call allocates fresh
+state-sized arrays.  Run from the repository root, BLAS pinned to one thread for
 times comparable with perfbench:
 
     OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 8 12 16 --shots 1024
@@ -59,15 +61,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     outside = 0
-    print("qubits shots wall_s peak_rss_mib ghz_mass")
+    print("qubits shots wall_s peak_rss_mib ghz_mass minor_faults sys_s")
     for n in args.qubits:
         scheduled = ghz_inputs(n)
         for shots in args.shots:
+            before = resource.getrusage(resource.RUSAGE_SELF)
             start = time.perf_counter()
             dist = run_shots(scheduled, RunConfig(shots=shots, master_seed=SEED)).distributions[-1]
             wall = time.perf_counter() - start
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            faults, sys_s = after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
             mass = float(dist[0] + dist[-1])
-            print(f"{n} {shots} {wall:.3f} {peak_rss_mib():.1f} {mass:.4f}", flush=True)
+            print(f"{n} {shots} {wall:.3f} {peak_rss_mib():.1f} {mass:.4f} {faults} {sys_s:.3f}", flush=True)
             if args.mass_range and not args.mass_range[0] < mass < args.mass_range[1]:
                 print(f"GHZ mass {mass:.4f} at n = {n} is outside {tuple(args.mass_range)}", file=sys.stderr)
                 outside += 1

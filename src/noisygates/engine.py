@@ -29,6 +29,12 @@ of at most ``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker
 products), so a circuit costs one state update per two-qubit gate plus
 about n / ``FUSE_MAX_QUBITS`` per checkpoint.  Registers wider than
 ``MAX_QUBITS`` are rejected.
+
+The state batch lives in the compiled circuit's workspace: every state
+update writes with ``apply_gate(..., out=)`` into the other buffer of a
+ping-pong pair, the readout gates pass between a second pair, and |psi|^2,
+the weights and each trajectory's outcome CDF are formed in place, so a
+chunk holds four state-sized buffers and a warm run allocates none.
 """
 
 from __future__ import annotations
@@ -337,12 +343,17 @@ def _plan_passes(qubits) -> list[tuple[int, ...]]:
     return [tuple(run) for run in runs]
 
 
-def _apply_single(states: np.ndarray, factors: dict[int, np.ndarray], n_qubits: int) -> np.ndarray:
+def _apply_single(
+    states: np.ndarray, factors: dict[int, np.ndarray], n_qubits: int, buffers: list[np.ndarray]
+) -> np.ndarray:
     """Apply one-qubit gates on distinct qubits, ``{qubit: gate}``, one
     pass per adjacent run with the per-shot Kronecker product of its
-    gates (first qubit most significant)."""
-    for qubits in _plan_passes(factors):
-        states = apply_gate(states, reduce(kron, [factors[q] for q in qubits]), qubits, n_qubits)
+    gates (first qubit most significant).  Pass i writes into
+    ``buffers[i % 2]``; returns the last buffer written, or ``states``
+    when there is no pass."""
+    for i, qubits in enumerate(_plan_passes(factors)):
+        gate = reduce(kron, [factors[q] for q in qubits])
+        states = apply_gate(states, gate, qubits, n_qubits, out=buffers[i % 2])
     return states
 
 
@@ -351,8 +362,9 @@ class _Compiled:
     distinct (gate, duration, qubits) and shared by every run of it: build
     one and pass it to each ``run_shots`` call.  It also owns the one
     ``Workspace`` its noisy-gate samplers draw (and, for two-qubit gates,
-    exponentiate) in, sized by the largest chunk it has served, so its
-    runs reuse the same pages for every gate and chunk.  Pickling it (to a
+    exponentiate) in and that holds each chunk's state and readout
+    buffers, sized by the largest chunk it has served, so its runs reuse
+    the same pages for every gate and chunk.  Pickling it (to a
     worker process) sends the samplers and an empty workspace.  Registers
     wider than ``MAX_QUBITS`` raise ``ValueError``."""
 
@@ -393,12 +405,22 @@ class _Compiled:
             return relaxation_gate_batch(gamma1, gamma_pd, dt, gen, size)
         return payload.sample_batch(gen, size, self.workspace)
 
-    def apply_layer(self, states: np.ndarray, pending: list, layer: int, gen: np.random.Generator) -> np.ndarray:
+    def state_pair(self, size: int) -> list[np.ndarray]:
+        """The two ``(size, 2^n)`` state buffers of a chunk, ``[states,
+        spare]``, with every trajectory in |0...0>."""
+        shape = (size, 2**self.n_qubits)
+        pair = [self.workspace.take(f"engine.states{i}", shape) for i in range(2)]
+        pair[0].fill(0.0)
+        pair[0][:, 0] = 1.0
+        return pair
+
+    def apply_layer(self, pair: list[np.ndarray], pending: list, layer: int, gen: np.random.Generator) -> None:
         """Sample every slot of layer ``layer`` in slot order.  A one-qubit
         slot is multiplied onto ``pending[q]``, its qubit's deferred
         factor (None for none); a two-qubit slot absorbs both its qubits'
-        factors and is applied to ``states``, which is returned."""
-        size = states.shape[0]
+        factors and is applied from ``pair[0]`` into ``pair[1]``, after
+        which the two swap places."""
+        size = pair[0].shape[0]
         for qubits, kind, payload in self.layer_plans[layer]:
             gate = self._draw(kind, payload, gen, size)
             if len(qubits) == 1:
@@ -410,23 +432,31 @@ class _Compiled:
                 before = kron(I2 if pending[a] is None else pending[a], I2 if pending[b] is None else pending[b])
                 gate = gate @ before
                 pending[a] = pending[b] = None
-            states = apply_gate(states, gate, qubits, self.n_qubits)
-        return states
+            apply_gate(pair[0], gate, qubits, self.n_qubits, out=pair[1])
+            pair.reverse()
 
-    def flush(self, states: np.ndarray, pending: list) -> np.ndarray:
-        """Apply every pending one-qubit factor to ``states`` and clear it."""
+    def flush(self, pair: list[np.ndarray], pending: list) -> None:
+        """Apply every pending one-qubit factor to the states ``pair[0]``,
+        passing between the two buffers of ``pair``, and clear it."""
         factors = {q: factor for q, factor in enumerate(pending) if factor is not None}
         pending[:] = [None] * len(pending)
-        return _apply_single(states, factors, self.n_qubits)
+        if _apply_single(pair[0], factors, self.n_qubits, pair[::-1]) is not pair[0]:
+            pair.reverse()
 
     def measured_probs(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
         """Per-trajectory Born probabilities at a readout point, with a
-        fresh pre-measurement noise gate per measured qubit (the running
-        states, which must hold no pending factor, are not modified)."""
+        fresh pre-measurement noise gate per measured qubit.  The readout
+        gates act on a copy, so the running ``states``, which must hold no
+        pending factor, are not modified.  The result is a view into the
+        workspace, valid until the next call."""
+        readout = [self.workspace.take(f"engine.readout{i}", states.shape) for i in range(2)]
         if self.spam:
             gates = {q: spam_gate_batch(v, gen, states.shape[0]) for q, v in self.spam}
-            states = _apply_single(states, gates, self.n_qubits)
-        return np.abs(states) ** 2
+            states = _apply_single(states, gates, self.n_qubits, readout)
+        free = readout[1] if states is readout[0] else readout[0]
+        probs = free.reshape(-1).view(float)[: states.size].reshape(states.shape)
+        np.abs(states, out=probs)
+        return np.square(probs, out=probs)
 
 
 def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compiled | None = None) -> EnsembleResult:
@@ -469,14 +499,14 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     for chunk in range(n_chunks):
         size = min(chunk_size, config.shots - chunk * chunk_size)
         gen = root.child(chunk).generator
-        states = np.zeros((size, dim), dtype=complex)
-        states[:, 0] = 1.0
+        pair = compiled.state_pair(size)
         pending: list[np.ndarray | None] = [None] * n
         cp_iter = 0
         for layer_index in range(n_layers + 1):
             if cp_iter < n_cp and cp_sorted[cp_iter] == layer_index:
-                states = compiled.flush(states, pending)
+                compiled.flush(pair, pending)
             while cp_iter < n_cp and cp_sorted[cp_iter] == layer_index:
+                states = pair[0]
                 probs = compiled.measured_probs(states, gen)
                 weights = probs.sum(axis=1)
                 if not np.all(np.isfinite(weights)):
@@ -485,15 +515,18 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
                     )
                 dist_acc[cp_iter] += probs.sum(axis=0)
                 weight_acc[cp_iter] += weights.sum()
-                cdf = np.cumsum(probs / weights[:, None], axis=1)
+                # probs becomes each trajectory's outcome CDF, in place
+                np.divide(probs, weights[:, None], out=probs)
+                cdf = np.cumsum(probs, axis=1, out=probs)
                 u = gen.uniform(size=size)
-                idx = (cdf < u[:, None]).sum(axis=1).clip(0, dim - 1)
+                below = np.less(cdf, u[:, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
+                idx = below.sum(axis=1).clip(0, dim - 1)
                 counts[cp_iter] += np.bincount(idx, minlength=dim)
                 if keep_density:
                     dens_acc[cp_iter] += np.einsum("si,sj->ij", states, states.conj())
                 cp_iter += 1
             if layer_index < n_layers:
-                states = compiled.apply_layer(states, pending, layer_index, gen)
+                compiled.apply_layer(pair, pending, layer_index, gen)
 
     times = np.array(
         [sum(l.duration for l in scheduled.layers[:c]) for c in cp_sorted]

@@ -26,6 +26,7 @@ against the truncated perturbative series on a shared noise path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,9 +180,24 @@ _QUAD_NODES = 32
 _QUAD_PANELS = 4
 
 
-def _interaction_stack(sched: DriveSchedule, jump: np.ndarray, svals: np.ndarray) -> np.ndarray:
+@functools.cache
+def _quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the composite Gauss-Legendre rule
+    every sampler integrates on, built on first use, once per process."""
+    svals, w = gauss_legendre_rule(_QUAD_NODES, _QUAD_PANELS)
+    svals.flags.writeable = w.flags.writeable = False
+    return svals, w
+
+
+def _interaction_stack(sched: DriveSchedule, jumps: np.ndarray, svals: np.ndarray) -> np.ndarray:
+    """U_s^dag L U_s for every s in ``svals``: shape ``(len(svals), d, d)``
+    for one jump L, ``(T, len(svals), d, d)`` for a ``(T, d, d)`` stack of
+    them, which is conjugated in one einsum call.  The einsum's summation
+    order fixes the bits of every sampler's covariance and so, through
+    the eigenvectors of its degenerate eigenvalues, which Xi each block of
+    normals draws; a matmul would give other, equally valid, draws."""
     u = sched.unitaries(svals)
-    return np.einsum("sji,jk,skl->sil", u.conj(), np.asarray(jump, dtype=complex), u)
+    return np.einsum("sji,...jk,skl->...sil", u.conj(), np.asarray(jumps, dtype=complex), u)
 
 
 def lambda_matrix(sched: DriveSchedule, ctx: NoiseContext) -> np.ndarray:
@@ -199,7 +215,7 @@ def lambda_matrix(sched: DriveSchedule, ctx: NoiseContext) -> np.ndarray:
             continue
         op = np.asarray(term.operator, dtype=complex)
         summed += term.epsilon**2 * (dagger(op) @ op - op @ op)
-    svals, w = gauss_legendre_rule(_QUAD_NODES, _QUAD_PANELS)
+    svals, w = _quadrature()
     return -0.5 * np.einsum("s,sij->ij", w, _interaction_stack(sched, summed, svals))
 
 
@@ -222,15 +238,16 @@ class XiSampler:
         d = sched.dim
         n = d * d
         self.dim = d
-        svals, w = gauss_legendre_rule(_QUAD_NODES, _QUAD_PANELS)
+        svals, w = _quadrature()
+        terms = [term for term in ctx.terms if term.epsilon != 0.0]
         cov = np.zeros((2 * n, 2 * n))
-        for term in ctx.terms:
-            if term.epsilon == 0.0:
-                continue
-            ls = _interaction_stack(sched, term.operator, svals).reshape(len(svals), n)
-            # i * L: (Re, Im) -> (-Im, Re)
-            vals = np.concatenate([-ls.imag, ls.real], axis=1)
-            cov += term.epsilon**2 * ((vals * w[:, None]).T @ vals)
+        if terms:
+            ops = np.array([term.operator for term in terms], dtype=complex)
+            stack = _interaction_stack(sched, ops, svals).reshape(len(terms), len(svals), n)
+            for term, ls in zip(terms, stack):
+                # i * L: (Re, Im) -> (-Im, Re)
+                vals = np.concatenate([-ls.imag, ls.real], axis=1)
+                cov += term.epsilon**2 * ((vals * w[:, None]).T @ vals)
         self.factor = _psd_factor(cov)
         self.n_gaussians = self.factor.shape[1]
         self._interleaved = np.empty((self.n_gaussians, 2 * n))
@@ -414,7 +431,7 @@ def small_noise_reference(sched: DriveSchedule, ctx: NoiseContext, path: Substep
     d = sched.dim
     a, prefix, s1 = _path_pieces(sched, ctx, path)
     drift = np.zeros((d, d), dtype=complex)
-    svals, w = gauss_legendre_rule(_QUAD_NODES, _QUAD_PANELS)
+    svals, w = _quadrature()
     for term in ctx.terms:
         if term.epsilon == 0.0:
             continue

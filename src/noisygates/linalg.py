@@ -2,10 +2,11 @@
 products, matrix exponentials, gate application to state vectors and
 local superoperators applied to density matrices.
 
-Functions treat their inputs as values and return fresh arrays, with one
-exception: ``expm_soa``, the Padé core behind ``expm``, overwrites its
-input and returns a view into a caller-held ``Workspace``, so batched
-samplers that call it on every gate reuse the same buffers.  The matrix
+Functions treat their inputs as values and return fresh arrays, with two
+exceptions that let batched callers reuse the same buffers on every
+gate: ``expm_soa``, the Padé core behind ``expm``, overwrites its input
+and returns a view into a caller-held ``Workspace``, and ``apply_gate``
+given ``out=`` writes the new states there and returns it.  The matrix
 exponential supports stacks of matrices (shape ``(..., d, d)``), which
 the trajectory engine relies on for batched sampling.
 
@@ -338,19 +339,33 @@ def basis_labels(dim: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(dim)]
 
 
-# ``apply_gate`` runs a gate on ascending contiguous qubits lo..lo+k-1 as
-# one product over the (S, 2^lo, 2^k, R) view, R = 2^(n-lo-k), when each
-# (2^k, R) slice holds at least STRIDED_MIN_SLICE amplitudes; below that,
-# numpy's dispatch of the S * 2^lo small products costs more than moving
-# the target axes.  Strided time over transposed time, one BLAS thread,
-# 4 MiB batches at (n, S) = (8, 1024), (12, 64), (16, 4), k = 1..3: slices
-# of 16 amplitudes 1.0-3.5, 32 0.6-2.2, 64 0.4-1.4, 128 0.3-1.0.  At 64 the
-# strided product wins for every n <= 12; on the 12-qubit GHZ benchmark a
-# bound of 128 made the run 1.3x slower than 64.
-STRIDED_MIN_SLICE = 64
+# ``apply_gate`` runs a gate on ascending contiguous qubits lo..lo+k-1 over
+# the (S, 2^lo, 2^k R) view of the states, R = 2^(n-lo-k), without moving
+# any axis.  A (2^k, R) slice of at least STRIDED_MIN_SLICE amplitudes takes
+# one product over the (S, 2^lo, 2^k, R) view; a smaller one takes
+# x @ kron(g, I_R)^T, S products of 2^lo rows whose cost per amplitude grows
+# with 2^k R and whose kron(g, I_R) batch holds S (2^k R)^2 entries.
+# Medians over 41 calls, one BLAS thread, 4 MiB batches with ``out`` given,
+# at (n, S) = (8, 1024), (12, 64), (16, 4), k = 1..3, in ms:
+#   slice 16: kron 4.5-5.9, 1.2-1.5, 1.0-1.3; strided 6.6-7.7, 5.8-6.7, 5.6-8.9
+#   slice 32: kron 19-24, 2.0-2.1, 1.4-2.0;   strided 3.6-6.1, 3.0-3.5, 2.9-3.7
+#   slice 64: kron 67-72, 4.2-5.4, 2.5-3.1;   strided 2.6-2.9, 1.5-2.3, 1.9-2.3
+# The kron batch outgrows the state when (2^k R)^2 > 2^n, so at n = 8 a
+# slice of 32 costs 4-6x more by kron, and at n >= 12 1.4-2.6x more
+# strided; a bound of 32 keeps every case within 2.6x of the faster path.
+# End to end, 64 instead of 32 left the 12-qubit GHZ benchmark unchanged
+# (0.86-1.01 s against 0.85-0.87 s) and made 8-qubit GHZ at 1024 shots
+# 0.25 s at 95 MiB peak RSS instead of 0.17 s at 64 MiB.
+STRIDED_MIN_SLICE = 32
 
 
-def apply_gate(state: np.ndarray, gate: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int | None = None) -> np.ndarray:
+def apply_gate(
+    state: np.ndarray,
+    gate: np.ndarray,
+    qubits: list[int] | tuple[int, ...],
+    n_qubits: int | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Apply ``gate`` to the listed qubits of ``state``.
 
     ``state`` may be a single vector of length 2**n or a batch
@@ -358,12 +373,18 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, qubits: list[int] | tuple[in
     ``(S, d, d)`` with d = 2**len(qubits).  The first listed qubit is the
     most significant bit of the gate's local ordering.
 
+    The result is a fresh array when ``out`` is None.  Otherwise it is
+    written into ``out``, a C-contiguous complex array of ``state``'s shape
+    that shares no memory with it (else ``ValueError``), and ``out`` is
+    returned.
+
     Gates on ascending contiguous qubits lo..lo+k-1 run without moving any
-    axis: as ``x @ gate^T`` over the ``(S, 2^lo, 2^k)`` view when they end
-    the register, and as one product over the ``(S, 2^lo, 2^k, R)`` view,
-    R = 2^(n-lo-k), when a (2^k, R) slice holds at least
-    ``STRIDED_MIN_SLICE`` amplitudes.  Other qubit lists, and smaller
-    slices, move the target axes to the front and back again.
+    axis, on the ``(S, 2^lo, 2^k R)`` view with R = 2^(n-lo-k): as one
+    product over the ``(S, 2^lo, 2^k, R)`` view when a (2^k, R) slice holds
+    at least ``STRIDED_MIN_SLICE`` amplitudes, else as
+    ``x @ kron(gate, I_R)^T`` (for R = 1 that is ``x @ gate^T``).  Other
+    qubit lists, descending or not adjacent, move the target axes to the
+    front and back again.
     """
     state = np.asarray(state, dtype=complex)
     gate = np.asarray(gate, dtype=complex)
@@ -378,18 +399,27 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, qubits: list[int] | tuple[in
         raise ValueError(f"duplicate qubit indices: {qubits}")
     if any(q < 0 or q >= n_qubits for q in qubits):
         raise ValueError(f"qubit index out of range: {qubits} (n={n_qubits})")
+    if out is not None:
+        if out.shape != state.shape or out.dtype != complex or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous complex array of shape {state.shape}")
+        if np.shares_memory(out, state):
+            raise ValueError("out overlaps state")
 
     lead = 1 if batched else 0
     lo = qubits[0] if qubits else 0
     if qubits == list(range(lo, lo + k)):
         trailing = 2 ** (n_qubits - lo - k)
-        if trailing == 1:
-            x = state.reshape(state.shape[:lead] + (2**lo, 2**k))
-            return (x @ np.swapaxes(gate, -1, -2)).reshape(state.shape)
-        if trailing << k >= STRIDED_MIN_SLICE:
+        if trailing == 1 or trailing << k < STRIDED_MIN_SLICE:
+            g = np.swapaxes(gate, -1, -2)
+            if trailing > 1:
+                g = kron(g, np.eye(trailing))
+            x = state.reshape(state.shape[:lead] + (2**lo, g.shape[-1]))
+            y = np.matmul(x, g, out=None if out is None else out.reshape(x.shape))
+        else:
             x = state.reshape(state.shape[:lead] + (2**lo, 2**k, trailing))
             g = gate[:, None] if gate.ndim > 2 else gate
-            return (g @ x).reshape(state.shape)
+            y = np.matmul(g, x, out=None if out is None else out.reshape(x.shape))
+        return y.reshape(state.shape) if out is None else out
 
     full = state.reshape(state.shape[:lead] + (2,) * n_qubits)
     axes = [q + lead for q in qubits]
@@ -398,10 +428,12 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, qubits: list[int] | tuple[in
     moved = np.transpose(full, perm)
     shape = moved.shape
     moved = moved.reshape(state.shape[:lead] + (2**k, -1))
-    out = gate @ moved if gate.ndim > 2 or not batched else np.einsum("ij,sjk->sik", gate, moved)
-    out = out.reshape(shape)
-    inv = np.argsort(perm)
-    return np.transpose(out, inv).reshape(state.shape)
+    y = gate @ moved if gate.ndim > 2 or not batched else np.einsum("ij,sjk->sik", gate, moved)
+    back = np.transpose(y.reshape(shape), np.argsort(perm))
+    if out is None:
+        return back.reshape(state.shape)
+    np.copyto(out.reshape(full.shape), back)
+    return out
 
 
 # Density matrices use the row-major vec convention: vec(rho)[i d + j] =

@@ -362,9 +362,9 @@ def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-# (n, qubits): every path of apply_gate -- register-ending (R = 1),
-# strided (2^k R >= STRIDED_MIN_SLICE), contiguous below the slice bound,
-# descending and non-adjacent lists.
+# (n, qubits): every path of apply_gate -- kron (2^k R < STRIDED_MIN_SLICE,
+# R = 1 among them), strided (2^k R >= STRIDED_MIN_SLICE), and the
+# transposed path of descending and non-adjacent lists.
 APPLY_CASES = [
     (1, [0]),
     (2, [0, 1]),
@@ -387,15 +387,34 @@ def apply_path(n, qubits):
         return "transpose"
     rest = 2 ** (n - lo - k)
     if rest == 1:
-        return "register-ending"
-    return "strided" if rest << k >= STRIDED_MIN_SLICE else "transpose"
+        return "kron, R = 1"
+    return "strided" if rest << k >= STRIDED_MIN_SLICE else "kron"
+
+
+# Every run of k <= 3 adjacent qubits on n <= 7, ascending and descending.
+RUNS = [
+    (n, list(range(lo, lo + k))[::step])
+    for n in range(1, 8)
+    for k in range(1, min(3, n) + 1)
+    for lo in range(n - k + 1)
+    for step in ((1, -1) if k > 1 else (1,))
+]
+
+
+def reference(state, gate, qubits, n):
+    """apply_gate's result built from the embedded matrix, per shot."""
+    d, shots = gate.shape[-1], state.shape[0] if state.ndim == 2 else 1
+    gates = gate if gate.ndim == 3 else np.broadcast_to(gate, (shots, d, d))
+    states = state if state.ndim == 2 else state[None]
+    want = np.stack([embedded_matrix(g, qubits, n) @ v for g, v in zip(gates, states)])
+    return want.reshape(state.shape)
 
 
 class TestApplyGateAgainstEmbedding:
     def test_cases_cover_every_path(self):
         paths = {apply_path(n, q) for n, q in APPLY_CASES}
-        assert paths == {"register-ending", "strided", "transpose"}
-        assert any(apply_path(n, q) == "transpose" and q == sorted(q) for n, q in APPLY_CASES)
+        assert paths == {"kron, R = 1", "kron", "strided", "transpose"}
+        assert {apply_path(n, q) for n, q in RUNS} == paths
 
     @pytest.mark.parametrize("n,qubits", APPLY_CASES)
     @pytest.mark.parametrize("mode", ["single", "batched states", "batched both"])
@@ -429,11 +448,39 @@ class TestApplyGateAgainstEmbedding:
         d, shots = 2**k, 2
         gate = random_complex(rng, (shots, d, d) if batched_gate else (d, d))
         state = random_complex(rng, (shots, 2**n) if batched_state else (2**n,))
-        out = apply_gate(state, gate, qubits, n)
-        gates = gate if batched_gate else np.broadcast_to(gate, (shots, d, d))
-        states = state if batched_state else state[None]
-        want = np.stack([embedded_matrix(g, qubits, n) @ v for g, v in zip(gates, states)])
-        assert np.abs(out - want.reshape(out.shape)).max() <= 1e-12 * np.abs(want).max()
+        want = reference(state, gate, qubits, n)
+        assert np.abs(apply_gate(state, gate, qubits, n) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_adjacent_run(self, n):
+        rng = np.random.default_rng(n)
+        shots = 3
+        for _, qubits in [case for case in RUNS if case[0] == n]:
+            d = 2 ** len(qubits)
+            for gate_shape, state_shape in (((d, d), (2**n,)), ((d, d), (shots, 2**n)), ((shots, d, d), (shots, 2**n))):
+                gate, state = random_complex(rng, gate_shape), random_complex(rng, state_shape)
+                before = state.copy()
+                want = reference(state, gate, qubits, n)
+                bound = 1e-12 * np.abs(want).max()
+                assert np.abs(apply_gate(state, gate, qubits, n) - want).max() <= bound, qubits
+                out = np.full(state.shape, np.nan, dtype=complex)
+                assert apply_gate(state, gate, qubits, n, out=out) is out
+                assert np.abs(out - want).max() <= bound, qubits
+                assert np.array_equal(state, before)
+
+    @pytest.mark.parametrize("n,qubits", [(3, [1]), (6, [0]), (6, [2, 3]), (5, [1, 0])])
+    def test_out_overlapping_state_rejected(self, n, qubits):
+        d, shots = 2 ** len(qubits), 2
+        gate = random_complex(np.random.default_rng(0), (d, d))
+        buf = np.zeros(3 * shots * 2**n, dtype=complex)
+        state = buf[: shots * 2**n].reshape(shots, 2**n)
+        shifted = buf[2**n : 2**n + shots * 2**n].reshape(shots, 2**n)
+        for out in (state, shifted):
+            with pytest.raises(ValueError, match="overlaps"):
+                apply_gate(state, gate, qubits, n, out=out)
+        for out in (np.empty((shots, 2**n + 1), dtype=complex), np.empty((shots, 2**n)), np.empty((2**n, shots), dtype=complex).T):
+            with pytest.raises(ValueError, match="C-contiguous complex"):
+                apply_gate(state, gate, qubits, n, out=out)
 
     @pytest.mark.parametrize("n,qubits", [(1, [0]), (3, [2, 0]), (4, [1, 3, 2]), (5, [0, 1]), (5, [4])])
     def test_embed_is_the_reference_matrix(self, n, qubits):
