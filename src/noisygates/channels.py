@@ -4,10 +4,12 @@ kernel it shares with the Lindblad reference.
 The channel simulator is the "apply noise after the ideal gate"
 baseline: per gate slot the ideal unitary acts first, then a
 depolarising channel for the gate error, then per-qubit relaxation over
-the gate duration; idle slots relax over their own duration and measured
-qubits see a bitflip channel before readout.  Which channels a slot
-carries follows ``noise_model.slot_noise``, the rule the other back-ends
-share.
+the gate duration; idle slots relax over their own duration.  Which
+channels a slot carries follows ``noise_model.slot_noise``, the rule the
+other back-ends share.  Readout bitflips on the measured qubits never
+touch the running state: a bit flip changes only diag(rho), so
+``experiments._readout_distribution`` applies them to the outcome
+probabilities, for this back-end and the Lindblad reference alike.
 
 The slots of a scheduled layer act on disjoint qubits, except a user
 IDLE followed by its pad on the same qubit, which run back to back.  So
@@ -33,21 +35,18 @@ from .linalg import (
     DECAY,
     I2,
     PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PROJ_1,
     apply_superoperator,
     dagger,
     embed,
     superoperator,
 )
-from .noise_model import DeviceParams, TWO_QUBIT_PAULIS, slot_noise
+from .noise_model import DeviceParams, depolarizing_paulis, slot_noise
 
 __all__ = [
     "KrausChannel",
     "bitflip_channel",
     "depolarizing_channel",
-    "two_qubit_depolarizing_channel",
     "relaxation_channel",
     "apply_channel",
     "embed_operator",
@@ -99,21 +98,16 @@ def bitflip_channel(p: float) -> KrausChannel:
     return KrausChannel((math.sqrt(1 - p) * I2, math.sqrt(p) * PAULI_X))
 
 
-def depolarizing_channel(p: float) -> KrausChannel:
-    """Isotropic single-qubit Pauli noise with total error p; contracts
-    the Bloch vector by exactly (1 - p)."""
+def depolarizing_channel(p: float, arity: int) -> KrausChannel:
+    """Symmetric depolarising channel on ``arity`` qubits with total
+    error p: sqrt(1 - (4^k - 1) p / 4^k) I and sqrt(p / 4^k) P for each of
+    the 4^k - 1 :func:`~noisygates.noise_model.depolarizing_paulis` P
+    (k = ``arity``).  Every non-identity Pauli coefficient contracts by
+    exactly 1 - p; for one qubit, so does the Bloch vector."""
     _check_probability(p)
-    ops = [math.sqrt(1 - 0.75 * p) * I2]
-    ops += [math.sqrt(p / 4) * pauli for pauli in (PAULI_X, PAULI_Y, PAULI_Z)]
-    return KrausChannel(tuple(ops))
-
-
-def two_qubit_depolarizing_channel(p: float) -> KrausChannel:
-    """Symmetric 15-Pauli two-qubit depolarising channel with total
-    error p (every non-identity Pauli coefficient contracts by 1 - p)."""
-    _check_probability(p)
-    ops = [math.sqrt(1 - 15 * p / 16) * np.eye(4, dtype=complex)]
-    ops += [math.sqrt(p / 16) * pauli for pauli in TWO_QUBIT_PAULIS]
+    d2 = 4**arity
+    ops = [math.sqrt(1 - (d2 - 1) * p / d2) * np.eye(2**arity, dtype=complex)]
+    ops += [math.sqrt(p / d2) * pauli for pauli in depolarizing_paulis(arity)]
     return KrausChannel(tuple(ops))
 
 
@@ -167,8 +161,7 @@ def _slot_superoperator(gate, params: DeviceParams) -> np.ndarray:
     noise = slot_noise(gate, params)
     sup = superoperator([ideal_unitary(gate)])
     if noise.p_depolarizing is not None:
-        depolarize = depolarizing_channel if len(gate.qubits) == 1 else two_qubit_depolarizing_channel
-        sup = superoperator(depolarize(noise.p_depolarizing).operators) @ sup
+        sup = superoperator(depolarizing_channel(noise.p_depolarizing, len(gate.qubits)).operators) @ sup
     if noise.relaxation:
         per_qubit = [relaxation_channel(g1, g_pd, noise.duration).operators for g1, g_pd in noise.relaxation]
         sup = superoperator([reduce(np.kron, ops) for ops in itertools.product(*per_qubit)]) @ sup
@@ -221,6 +214,6 @@ def run_channel_sim(
     :func:`evolve_layers`, each slot mapped by :func:`_slot_superoperator`.
     Returns the state after each checkpoint layer count (default every
     layer); readout bitflips are *not* applied here, the measured
-    distribution adds them as ``bitflip_channel`` on each measured qubit.
+    distribution applies them to the diagonal.
     """
     return evolve_layers(scheduled, lambda gate: _slot_superoperator(gate, params), checkpoints)

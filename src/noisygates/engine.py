@@ -55,7 +55,7 @@ from .gates import (
     spam_gate_batch,
 )
 from .linalg import I2, Workspace, apply_gate, kron, mul_2x2
-from .noise_model import DeviceParams, noise_context_for_gate, read_json_object, slot_noise, spam_strength
+from .noise_model import DeviceParams, is_finite_number, noise_context_for_gate, read_json_object, slot_noise, spam_strength
 from .stochastic import RngStream
 
 __all__ = [
@@ -141,7 +141,8 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
     Format: ``{"n_qubits": int, "ops": [{"gate": kind, "q": [ints],
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
     "measure": [ints]}``.  An op may carry only the angles its gate
-    reads: ``theta`` on RX and CR, ``phi`` on RZ, RX, X, SX and CR.  A
+    reads: ``theta`` on RX and CR, ``phi`` on RZ, RX, X, SX and CR, each
+    a finite JSON number (not a bool or a string).  A
     ``duration_s`` must be finite and >= 0, and > 0 on the driven gates
     X, SX, RX, CR and CNOT; a zero IDLE is the identity.
     """
@@ -169,6 +170,9 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
         unread = [key for key in ("theta", "phi") if key in op and key not in _ANGLES[kind]]
         if unread:
             raise CircuitError(f"op {i}: {kind} does not read {unread[0]!r}")
+        for key in ("theta", "phi"):
+            if key in op and not is_finite_number(op[key]):
+                raise CircuitError(f"op {i}: {key!r} must be a finite number, got {op[key]!r}")
         qubits = op.get("q")
         if not isinstance(qubits, list) or not all(isinstance(q, int) for q in qubits):
             raise CircuitError(f"op {i}: 'q' must be a list of ints")
@@ -180,16 +184,13 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
         if kind == "IDLE" and duration is None:
             raise CircuitError(f"op {i}: IDLE requires 'duration_s'")
         if duration is not None:
-            number = isinstance(duration, (int, float)) and not isinstance(duration, bool)
-            if not (number and math.isfinite(duration)):
+            if not is_finite_number(duration):
                 raise CircuitError(f"op {i}: 'duration_s' must be a finite number")
             if duration < 0:
                 raise CircuitError(f"op {i}: 'duration_s' must be >= 0, got {duration!r}")
             if duration == 0 and kind in _DRIVEN_KINDS:
                 raise CircuitError(f"op {i}: {kind} is driven and needs a positive 'duration_s'")
         if kind == "RZ":
-            if phi is None:
-                raise CircuitError(f"op {i}: RZ requires 'phi'")
             duration = 0.0
         if any(q < 0 or q >= n for q in qubits):
             raise CircuitError(f"op {i}: qubit index out of range 0..{n - 1}: {qubits}")
@@ -235,6 +236,12 @@ class ScheduledCircuit:
     layers: tuple[ScheduledLayer, ...]
     measured: tuple[int, ...]
     params: DeviceParams
+
+    def checkpoint_times(self, layer_counts) -> np.ndarray:
+        """Time at the end of the first ``c`` layers for each ``c`` in
+        ``layer_counts``: their durations, summed left to right."""
+        elapsed = np.concatenate([[0.0], np.cumsum([layer.duration for layer in self.layers])])
+        return elapsed[list(layer_counts)]
 
 
 def schedule_layers(circuit: Circuit, params: DeviceParams) -> ScheduledCircuit:
@@ -528,9 +535,7 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
             if layer_index < n_layers:
                 compiled.apply_layer(pair, pending, layer_index, gen)
 
-    times = np.array(
-        [sum(l.duration for l in scheduled.layers[:c]) for c in cp_sorted]
-    )
+    times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]
     return EnsembleResult(
         checkpoints=cp_sorted,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_channel, bitflip_channel, evolve_layers, run_channel_sim
+from .channels import evolve_layers, run_channel_sim
 from .engine import (
     Circuit,
     RunConfig,
@@ -158,18 +158,16 @@ def noisy_ensemble(
 
 def _readout_distribution(rho: np.ndarray, scheduled: ScheduledCircuit) -> np.ndarray:
     """Outcome distribution of ``rho`` after a bitflip readout channel on
-    each measured qubit; ``rho`` itself is left untouched."""
+    each measured qubit.  A bit flip with probability e changes only the
+    diagonal, as the classical map p <- (1 - e) p + e flip_q(p), so only
+    diag(rho) is read (big-endian: qubit q is axis q of the 2 x ... x 2
+    view)."""
+    p = np.real(np.diag(rho)).reshape((2,) * scheduled.n_qubits)
     for q in scheduled.measured:
-        rho = apply_channel(rho, bitflip_channel(scheduled.params.qubits[q].p_readout), (q,))
-    p = np.real(np.diag(rho)).clip(min=0.0)
+        e = scheduled.params.qubits[q].p_readout
+        p = (1 - e) * p + e * np.flip(p, axis=q)
+    p = p.reshape(-1).clip(min=0.0)
     return p / p.sum()
-
-
-def _checkpoint_times(scheduled: ScheduledCircuit, checkpoint_layers: tuple[int, ...]) -> np.ndarray:
-    """Time at the end of each checkpoint layer: the summed durations of
-    the layers before it."""
-    elapsed = np.concatenate([[0.0], np.cumsum([layer.duration for layer in scheduled.layers])])
-    return elapsed[list(checkpoint_layers)]
 
 
 def _channel_checkpoint_probs(
@@ -236,7 +234,7 @@ def lindblad_reference(
         scheduled, lambda gate: _lindblad_slot_map(gate, params, steps_per_slot), checkpoint_layers
     )
     dists = np.asarray([_readout_distribution(rho_c, scheduled) for rho_c in rhos])
-    return dists, rhos, _checkpoint_times(scheduled, checkpoint_layers)
+    return dists, rhos, scheduled.checkpoint_times(checkpoint_layers)
 
 
 @dataclass
@@ -281,7 +279,7 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
     """
     circuit, layers, counts = build_experiment_circuit(config)
     scheduled = schedule_layers(circuit, config.device)
-    times = _checkpoint_times(scheduled, layers)
+    times = scheduled.checkpoint_times(layers)
     lb_dists = lb_rhos = None
     if hellinger_series or "lindblad" in config.backends:
         lb_dists, lb_rhos, _ = lindblad_reference(scheduled, layers)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, Workspace, dagger, expm, expm_2x2, expm_soa, kron, mul_2x2
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, dagger, expm, expm_2x2, expm_soa, kron, mul_2x2
 from .noise_model import NoiseContext, LindbladTerm
 from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
@@ -92,39 +92,21 @@ class GateSpec:
         return 2 ** len(self.qubits)
 
 
-def _rx(theta: float, phi: float) -> np.ndarray:
-    axis = math.cos(phi) * PAULI_X + math.sin(phi) * PAULI_Y
-    return math.cos(theta / 2) * I2 - 1j * math.sin(theta / 2) * axis
-
-
 def ideal_unitary(gate: GateSpec) -> np.ndarray:
-    """Noise-free unitary of the gate (global phases fixed by the drive:
-    X = RX(pi) = -iX_pauli, while CNOT is the textbook block-diag(I, X))."""
-    kind = gate.kind
-    if kind == "RZ":
+    """Noise-free unitary of the gate: the RZ frame diag(1, e^{i phi}),
+    which is virtual and has no drive, and for every other kind the end
+    point U_g = exp(-i G) of its drive schedule, so the global phases are
+    the drive's (X = RX(pi) = -iX_pauli, CNOT = block-diag(I, X)) and a
+    zero-length IDLE is exactly I."""
+    if gate.kind == "RZ":
         return np.array([[1, 0], [0, np.exp(1j * gate.phi)]], dtype=complex)
-    if kind == "RX":
-        return _rx(gate.theta, gate.phi)
-    if kind == "X":
-        return _rx(math.pi, gate.phi)
-    if kind == "SX":
-        return _rx(math.pi / 2, gate.phi)
-    if kind == "CR":
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = _rx(gate.theta, gate.phi)
-        out[2:, 2:] = _rx(-gate.theta, gate.phi)
-        return out
-    if kind == "CNOT":
-        out = np.eye(4, dtype=complex)
-        out[2:, 2:] = PAULI_X
-        return out
-    if kind == "IDLE":
-        return I2.copy()
-    raise ValueError(f"unknown gate kind: {kind!r}")
+    return schedule(gate).unitary_at(1.0)
 
 
 def drive_generator(gate: GateSpec) -> np.ndarray:
-    """Dimensionless Hermitian G with exp(-i G) = ideal_unitary(gate)."""
+    """Dimensionless Hermitian G of the gate's drive, U_s = exp(-i s G):
+    the one definition of each driven gate kind (and of the undriven
+    IDLE), from which :func:`ideal_unitary` takes U_g = exp(-i G)."""
     kind = gate.kind
     if kind == "RZ":
         raise ValueError("RZ is virtual: it has no drive schedule")
@@ -136,8 +118,7 @@ def drive_generator(gate: GateSpec) -> np.ndarray:
         axis = math.cos(gate.phi) * PAULI_X + math.sin(gate.phi) * PAULI_Y
         return kron(PAULI_Z, (gate.theta / 2) * axis)
     if kind == "CNOT":
-        proj1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        return (math.pi / 2) * kron(proj1, PAULI_X - I2)
+        return (math.pi / 2) * kron(PROJ_1, PAULI_X - I2)
     if kind == "IDLE":
         return np.zeros((2, 2), dtype=complex)
     raise ValueError(f"unknown gate kind: {kind!r}")

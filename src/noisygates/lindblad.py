@@ -8,10 +8,10 @@ one RK4 step is a fixed superoperator on row-major vec(rho) (the
 convention of ``linalg.superoperator``), and a piece of ``steps`` equal
 steps is the matrix power step^steps (:func:`rk4_map`), built once per
 distinct piece and applied with Hermitian symmetrisation after it, which
-keeps round-off drift down; long repeated-gate references (tens of
-thousands of gates) stay cheap and bit-reproducible.  For a circuit,
+keeps round-off drift down.  For a circuit,
 ``experiments.lindblad_reference`` builds one such map per distinct slot
-on the slot's own qubits.
+on the slot's own qubits, so a long repeated-gate reference (tens of
+thousands of gates) builds one map and stays cheap and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "rk4_step_matrix",
     "rk4_map",
     "solve",
-    "repeated_gate_solve",
     "write_rho_series_csv",
 ]
 
@@ -126,36 +125,6 @@ def solve(problem: LindbladProblem, dt_max: float) -> tuple[np.ndarray, list[np.
         t += duration
         times.append(t)
         states.append(rho.copy())
-    return np.array(times), states
-
-
-def repeated_gate_solve(
-    hamiltonian: np.ndarray,
-    duration: float,
-    terms,
-    n_gates: int,
-    rho0: np.ndarray,
-    steps_per_gate: int = 100,
-    record_every: int = 1,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Fast path for long chains of one identical gate.
-
-    Builds one :func:`rk4_map` for the gate, applies it ``n_gates``
-    times and records every ``record_every``-th gate.  Equal to
-    :func:`solve` on the same grid; used for asymptote diagnostics over
-    thousands of gates.
-    """
-    gate_map = rk4_map(rhs_superoperator(hamiltonian, terms), duration, steps_per_gate)
-    rho = np.array(rho0, dtype=complex)
-    times = [0.0]
-    states = [rho.copy()]
-    for g in range(1, n_gates + 1):
-        rho = _propagate(gate_map, rho)
-        if not np.all(np.isfinite(rho)):
-            raise FloatingPointError(f"Lindblad integration diverged at gate {g}")
-        if g % record_every == 0 or g == n_gates:
-            times.append(g * duration)
-            states.append(rho.copy())
     return np.array(times), states
 
 

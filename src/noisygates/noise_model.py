@@ -13,11 +13,10 @@ discrete channels exactly over one gate duration:
 
 * amplitude damping gamma1 = 1/T1 and pure dephasing
   gamma_pd = 2/T2 - 1/T1 (requires T2 <= 2 T1),
-* single-qubit depolarising jumps X, Y, Z each at
-  gamma_d = -ln(1-p)/(4 t) contract the Bloch vector by exactly (1-p),
-* the 15 two-qubit Pauli jumps each at gamma_d2 = -ln(1-p)/(16 t)
-  reproduce the symmetric two-qubit depolarising channel with total
-  error p,
+* the 4^k - 1 non-identity k-qubit Pauli jumps of a k-qubit gate, each
+  at gamma_d = -ln(1-p)/(4^k t), reproduce the symmetric depolarising
+  channel with total error p (for k = 1, X, Y and Z contract the Bloch
+  vector by exactly 1-p),
 * the readout bitflip probability p maps to the pre-measurement noise
   strength v = -ln(1-2p)/2 via p = (1 - e^{-2v})/2.
 
@@ -31,6 +30,7 @@ Lindblad reference all read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -49,18 +49,18 @@ __all__ = [
     "CalibrationError",
     "QubitParams",
     "DeviceParams",
+    "is_finite_number",
     "read_json_object",
     "load_calibration",
     "relaxation_rates",
+    "depolarizing_paulis",
     "depolarizing_rate",
-    "two_qubit_depolarizing_rate",
     "spam_strength",
     "LindbladTerm",
     "NoiseContext",
     "SlotNoise",
     "slot_noise",
     "noise_context_for_gate",
-    "TWO_QUBIT_PAULIS",
 ]
 
 
@@ -81,8 +81,9 @@ class QubitParams:
             raise CalibrationError(
                 f"T2 exceeds 2*T1 (t2_s={self.t2_s:g}, t1_s={self.t1_s:g})"
             )
-        if not (0 <= self.p_readout < 1):
-            raise CalibrationError(f"p_readout out of [0, 1): {self.p_readout:g}")
+        # spam_strength needs p < 1/2: at 1/2 the readout is a coin flip
+        if not (0 <= self.p_readout < 0.5):
+            raise CalibrationError(f"p_readout out of [0, 0.5): {self.p_readout:g}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,16 @@ _QUBIT_KEYS = {"t1_s", "t2_s", "p_readout"}
 _GATE_KEYS = {"t_1q_s", "t_2q_s", "p_1q", "p_2q"}
 
 
+def is_finite_number(val) -> bool:
+    """True for a finite int or float (a JSON number, not a bool)."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
 def _require_number(obj: dict, key: str, where: str) -> float:
     if key not in obj:
         raise CalibrationError(f"missing key '{key}' in {where}")
     val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+    if not is_finite_number(val):
         raise CalibrationError(f"key '{key}' in {where} must be a finite number")
     return float(val)
 
@@ -196,26 +202,26 @@ def relaxation_rates(t1: float, t2: float) -> tuple[float, float]:
     return gamma1, max(gamma_pd, 0.0)
 
 
-def depolarizing_rate(p_gate: float, duration: float) -> float:
-    """Rate for each of the X, Y, Z jumps so that one gate duration
-    contracts the Bloch vector by exactly (1 - p_gate)."""
+def depolarizing_paulis(arity: int) -> tuple[np.ndarray, ...]:
+    """The 4^arity - 1 non-identity Paulis on ``arity`` qubits, in
+    ``itertools.product((I, X, Y, Z), repeat=arity)`` order with the
+    identity left out: (X, Y, Z) for one qubit, (IX, IY, ..., ZZ) for two
+    (first factor on the first qubit)."""
+    singles = (I2, PAULI_X, PAULI_Y, PAULI_Z)
+    return tuple(functools.reduce(kron, ops) for ops in itertools.product(singles, repeat=arity))[1:]
+
+
+def depolarizing_rate(p_gate: float, duration: float, arity: int) -> float:
+    """Rate for each of the :func:`depolarizing_paulis` jumps of an
+    ``arity``-qubit gate so that one gate duration reproduces the
+    symmetric depolarising channel with total error p_gate: every
+    non-identity Pauli coefficient contracts by exactly 1 - p_gate, at
+    decay rate 4^arity * rate."""
     if not (0 <= p_gate < 1):
         raise ValueError(f"p_gate out of [0, 1): {p_gate:g}")
     if duration <= 0:
         raise ValueError("duration must be positive")
-    return -math.log1p(-p_gate) / (4.0 * duration)
-
-
-def two_qubit_depolarizing_rate(p_gate: float, duration: float) -> float:
-    """Rate for each of the 15 non-identity Pauli-pair jumps so that one
-    gate duration reproduces the symmetric two-qubit depolarising
-    channel with total error p_gate (every non-identity Pauli
-    coefficient contracts by 1 - p_gate, decay rate 16*rate)."""
-    if not (0 <= p_gate < 1):
-        raise ValueError(f"p_gate out of [0, 1): {p_gate:g}")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return -math.log1p(-p_gate) / (16.0 * duration)
+    return -math.log1p(-p_gate) / (4**arity * duration)
 
 
 def spam_strength(p_readout: float) -> float:
@@ -252,14 +258,6 @@ class NoiseContext:
     @property
     def dim(self) -> int:
         return self.terms[0].operator.shape[0] if self.terms else 0
-
-
-def _pauli_pairs() -> tuple[np.ndarray, ...]:
-    singles = (I2, PAULI_X, PAULI_Y, PAULI_Z)
-    return tuple(kron(a, b) for a, b in itertools.product(singles, repeat=2))[1:]
-
-
-TWO_QUBIT_PAULIS = _pauli_pairs()
 
 
 @dataclass(frozen=True)
@@ -304,9 +302,6 @@ def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseConte
         for op, rate in ((DECAY, gamma1), (PAULI_Z, gamma_pd / 4.0)):
             terms.append(LindbladTerm.from_rate(embed(op, (pos,), arity), rate, duration))
     if noise.p_depolarizing is not None:
-        if arity == 1:
-            rate, paulis = depolarizing_rate(noise.p_depolarizing, duration), (PAULI_X, PAULI_Y, PAULI_Z)
-        else:
-            rate, paulis = two_qubit_depolarizing_rate(noise.p_depolarizing, duration), TWO_QUBIT_PAULIS
-        terms += [LindbladTerm.from_rate(pauli, rate, duration) for pauli in paulis]
+        rate = depolarizing_rate(noise.p_depolarizing, duration, arity)
+        terms += [LindbladTerm.from_rate(pauli, rate, duration) for pauli in depolarizing_paulis(arity)]
     return NoiseContext(terms=tuple(terms), gate_duration=duration)

@@ -11,12 +11,11 @@ from noisygates.channels import (
     embed_operator,
     relaxation_channel,
     run_channel_sim,
-    two_qubit_depolarizing_channel,
 )
 from noisygates.engine import parse_circuit, schedule_layers
 from noisygates.gates import ideal_unitary
 from noisygates.linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, kron
-from noisygates.noise_model import DeviceParams, QubitParams, slot_noise
+from noisygates.noise_model import DeviceParams, QubitParams, depolarizing_paulis, slot_noise
 
 DEVICE = DeviceParams(
     qubits=(
@@ -68,8 +67,7 @@ def full_register_channel_sim(scheduled, params):
             noise = slot_noise(gate, params)
             p = noise.p_depolarizing
             if p is not None:
-                depolarize = depolarizing_channel if len(gate.qubits) == 1 else two_qubit_depolarizing_channel
-                rho = embedded_channel(rho, depolarize(p), gate.qubits)
+                rho = embedded_channel(rho, depolarizing_channel(p, len(gate.qubits)), gate.qubits)
             for q, (gamma1, gamma_pd) in zip(gate.qubits, noise.relaxation):
                 rho = embedded_channel(rho, relaxation_channel(gamma1, gamma_pd, noise.duration), (q,))
         rho = 0.5 * (rho + dagger(rho))
@@ -94,11 +92,23 @@ class TestChannelConstructors:
 
     def test_depolarizing_full_strength(self):
         rho = np.array([[0.9, 0.2j], [-0.2j, 0.1]], dtype=complex)
-        assert np.allclose(depolarizing_channel(1.0)(rho), np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(depolarizing_channel(1.0, 1)(rho), np.eye(2) / 2, atol=1e-12)
+        rho2 = np.kron(rho, np.array([[0.3, 0.1], [0.1, 0.7]], dtype=complex))
+        assert np.allclose(depolarizing_channel(1.0, 2)(rho2), np.eye(4) / 4, atol=1e-12)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_depolarizing_kraus_weights(self, arity):
+        # sqrt(1 - (4^k - 1) p / 4^k) I, then sqrt(p / 4^k) P per Pauli
+        p, d = 0.3, 2**arity
+        ops = depolarizing_channel(p, arity).operators
+        assert len(ops) == d * d
+        assert np.allclose(ops[0], math.sqrt(1 - (d * d - 1) * p / (d * d)) * np.eye(d), atol=1e-15)
+        for op, pauli in zip(ops[1:], depolarizing_paulis(arity)):
+            assert np.allclose(op, math.sqrt(p / (d * d)) * pauli, atol=1e-15)
 
     def test_depolarizing_bloch_contraction(self):
         p = 0.37
-        ch = depolarizing_channel(p)
+        ch = depolarizing_channel(p, 1)
         for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
             rho = 0.5 * (I2 + 0.6 * pauli)
             out = ch(rho)
@@ -106,12 +116,15 @@ class TestChannelConstructors:
             assert coeff == pytest.approx(0.6 * (1 - p), abs=1e-12)
 
     def test_two_qubit_contraction(self):
+        # each of the 15 Pauli coefficients contracts by 1 - p, alone
         p = 0.2
-        ch = two_qubit_depolarizing_channel(p)
-        rho = np.eye(4, dtype=complex) / 4 + 0.1 * kron(PAULI_Y, PAULI_Z)
-        out = ch(rho)
-        coeff = np.real(np.trace(out @ kron(PAULI_Y, PAULI_Z))) / 4
-        assert coeff == pytest.approx(0.1 * (1 - p), abs=1e-12)
+        ch = depolarizing_channel(p, 2)
+        paulis = depolarizing_paulis(2)
+        for i, pauli in enumerate(paulis):
+            out = ch(np.eye(4, dtype=complex) / 4 + 0.1 * pauli)
+            for j, other in enumerate(paulis):
+                coeff = np.real(np.trace(out @ other)) / 4
+                assert coeff == pytest.approx(0.1 * (1 - p) if i == j else 0.0, abs=1e-12)
 
     def test_relaxation_identity_at_zero_time(self):
         ch = relaxation_channel(1e4, 1.5e4, 0.0)
@@ -127,8 +140,8 @@ class TestChannelConstructors:
         "channel",
         [
             bitflip_channel(0.3),
-            depolarizing_channel(0.7),
-            two_qubit_depolarizing_channel(0.25),
+            depolarizing_channel(0.7, 1),
+            depolarizing_channel(0.25, 2),
             relaxation_channel(2.0, 1.0, 0.8),
         ],
     )
@@ -165,7 +178,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(3)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = m @ m.conj().T
-        channel = relaxation_channel(1.0, 2.0, 0.3) if len(qubits) == 1 else two_qubit_depolarizing_channel(0.3)
+        channel = relaxation_channel(1.0, 2.0, 0.3) if len(qubits) == 1 else depolarizing_channel(0.3, 2)
         got = apply_channel(rho, channel, qubits)
         assert np.abs(got - embedded_channel(rho, channel, qubits)).max() < 1e-12
 

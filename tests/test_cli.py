@@ -143,6 +143,40 @@ class TestExitCodes:
         assert "op 1: RZ does not read 'theta'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "op, key",
+        [
+            ('{"gate": "RX", "q": [0], "theta": "abc"}', "theta"),
+            ('{"gate": "RX", "q": [0], "theta": NaN}', "theta"),
+            ('{"gate": "RX", "q": [0], "theta": 0.5, "phi": Infinity}', "phi"),
+            ('{"gate": "RX", "q": [0], "theta": 0.5, "phi": "1.5"}', "phi"),
+        ],
+    )
+    def test_bad_angle_is_two(self, op, key, device_file, tmp_path, capsys):
+        circuit_path = tmp_path / "bad.json"
+        circuit_path.write_text('{"n_qubits": 1, "ops": [{"gate": "SX", "q": [0]}, ' + op + "]}")
+        out = tmp_path / "out"
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        assert main(compare_args(device_file, out, **custom)) == 2
+        assert f"op 1: '{key}' must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, backends", [("simulate", "channel,lindblad"), ("compare", "noisy_gates,channel,lindblad")]
+    )
+    def test_readout_error_from_half_is_two(self, command, backends, tmp_path, capsys):
+        # repeat_cnot measures both qubits; p_readout >= 0.5 has no
+        # pre-measurement noise strength, so the calibration is refused
+        bad = json.loads(json.dumps(DEVICE))
+        bad["qubits"][1]["p_readout"] = 0.6
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        overrides = {"--experiment": "repeat_cnot", "--reps": "4", "--checkpoints": "2", "--backends": backends}
+        assert main([command] + compare_args(path, out, **overrides)[1:]) == 2
+        assert "p_readout out of [0, 0.5): 0.6" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_measured_qubit_is_two(self, device_file, tmp_path, capsys):
         # each listing would apply the qubit's readout flip once more
         circuit_path = tmp_path / "bad.json"

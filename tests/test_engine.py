@@ -171,6 +171,41 @@ class TestParseCircuit:
         with pytest.raises(CircuitError, match=f"op 1: {op['gate']} does not read '{key}'"):
             parse_circuit(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("theta", "abc"),
+            ("theta", "1.5"),
+            ("theta", float("nan")),
+            ("theta", float("inf")),
+            ("theta", True),
+            ("theta", None),
+            ("theta", [1.0]),
+            ("phi", "1.5"),
+            ("phi", float("-inf")),
+            ("phi", float("nan")),
+            ("phi", False),
+            ("phi", None),
+        ],
+    )
+    def test_angle_not_a_finite_number_rejected(self, key, value):
+        op = {"gate": "RX", "q": [0], "theta": 0.4, key: value}
+        doc = {"n_qubits": 1, "ops": [{"gate": "SX", "q": [0]}, op]}
+        with pytest.raises(CircuitError, match=f"op 1: '{key}' must be a finite number"):
+            parse_circuit(doc)
+
+    @pytest.mark.parametrize("text", ['"theta": NaN', '"theta": Infinity', '"phi": -Infinity'])
+    def test_json_nan_and_infinity_angles_rejected(self, text):
+        # Python's json reads these non-standard literals as floats
+        doc = '{"n_qubits": 2, "ops": [{"gate": "CR", "q": [0, 1], "theta": 1.0, ' + text + "}]}"
+        with pytest.raises(CircuitError, match="op 0: '(theta|phi)' must be a finite number"):
+            parse_circuit(doc)
+
+    def test_integer_angles_accepted(self):
+        ops = [{"gate": "RX", "q": [0], "theta": 1, "phi": -2}, {"gate": "RZ", "q": [0], "phi": 3}]
+        gates = [g for layer in parse_circuit({"n_qubits": 1, "ops": ops}).layers for g in layer]
+        assert [(g.theta, g.phi) for g in gates] == [(1, -2.0), (None, 3.0)]
+
     def test_angles_the_gate_reads_accepted(self):
         ops = [
             {"gate": "RZ", "q": [0], "phi": 0.1},
@@ -196,6 +231,26 @@ class TestParseCircuit:
 
 
 class TestScheduleLayers:
+    def test_checkpoint_times_sum_left_to_right(self):
+        # default and explicit durations, a zero-length RZ layer and a short IDLE
+        ops = [
+            {"gate": "X", "q": [0]},
+            {"gate": "CNOT", "q": [0, 1]},
+            {"gate": "IDLE", "q": [1], "duration_s": 1.1e-8},
+            {"gate": "RZ", "q": [1], "phi": 0.3},
+            {"gate": "SX", "q": [1], "duration_s": 3.3e-8},
+            {"gate": "CR", "q": [1, 0], "theta": 0.5, "duration_s": 2.9e-7},
+        ]
+        sched = schedule_layers(parse_circuit({"n_qubits": 2, "ops": ops}), DESK)
+        counts = tuple(range(len(sched.layers) + 1))
+        want = [0.0]
+        for layer in sched.layers:
+            want.append(want[-1] + layer.duration)
+        assert sched.checkpoint_times(counts).tolist() == want
+        assert sched.checkpoint_times((3, 1)).tolist() == [want[3], want[1]]
+        result = run_shots(sched, RunConfig(shots=4, checkpoints=counts))
+        assert result.times.tolist() == want
+
     def test_single_qubit_no_idles(self):
         circ = parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}]})
         sched = schedule_layers(circ, DESK)

@@ -6,10 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from noisygates import lindblad
-from noisygates.channels import embed_operator
+from noisygates.channels import apply_channel, bitflip_channel, embed_operator
 from noisygates.engine import parse_circuit, schedule_layers
 from noisygates.experiments import (
     ExperimentConfig,
+    _readout_distribution,
     build_experiment_circuit,
     channel_backend_run,
     checkpoint_gate_counts,
@@ -22,11 +23,10 @@ from noisygates.noise_model import (
     DeviceParams,
     LindbladTerm,
     QubitParams,
-    TWO_QUBIT_PAULIS,
+    depolarizing_paulis,
     depolarizing_rate,
     noise_context_for_gate,
     relaxation_rates,
-    two_qubit_depolarizing_rate,
 )
 
 DESK = DeviceParams(
@@ -130,18 +130,10 @@ def _layer_noise_terms(layer, params: DeviceParams, n_qubits: int) -> tuple[Lind
     for g in layer.gates:
         if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
             continue
-        if len(g.qubits) == 1:
-            rate = depolarizing_rate(params.p_1q, g.duration)
-            for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
-                terms.append(
-                    LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration)
-                )
-        else:
-            rate = two_qubit_depolarizing_rate(params.p_2q, g.duration)
-            for pauli in TWO_QUBIT_PAULIS:
-                terms.append(
-                    LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration)
-                )
+        arity = len(g.qubits)
+        rate = depolarizing_rate(params.p_1q if arity == 1 else params.p_2q, g.duration, arity)
+        for pauli in depolarizing_paulis(arity):
+            terms.append(LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration))
     return tuple(terms)
 
 
@@ -320,7 +312,7 @@ def hand_cnot(n):
     t = DESK_3Q.t_2q_s
     rate = -math.log(1 - DESK_3Q.p_2q) / (16 * t)
     h = embed_operator(drive_generator(GateSpec("CNOT", (0, 1))), n, (0, 1)) / t
-    return h, [LindbladTerm.from_rate(embed_operator(p, n, (0, 1)), rate, 1.0) for p in TWO_QUBIT_PAULIS]
+    return h, [LindbladTerm.from_rate(embed_operator(p, n, (0, 1)), rate, 1.0) for p in depolarizing_paulis(2)]
 
 
 def propagate(rho, segments):
@@ -392,6 +384,49 @@ class TestChannelBackend:
         a = channel_backend_run(sched, cfg, layers, run_index=0)
         b = channel_backend_run(sched, cfg, layers, run_index=1)
         assert not np.array_equal(a, b)
+
+
+def full_state_readout(rho, scheduled):
+    """Oracle for _readout_distribution: a bitflip channel on each
+    measured qubit applied to the whole rho, then its diagonal."""
+    for q in scheduled.measured:
+        rho = apply_channel(rho, bitflip_channel(scheduled.params.qubits[q].p_readout), (q,))
+    p = np.real(np.diag(rho)).clip(min=0.0)
+    return p / p.sum()
+
+
+class TestReadoutDistribution:
+    PARAMS = replace(
+        DESK_3Q,
+        qubits=(
+            QubitParams(t1_s=100e-6, t2_s=80e-6, p_readout=0.02),
+            QubitParams(t1_s=90e-6, t2_s=70e-6, p_readout=0.11),
+            QubitParams(t1_s=100e-6, t2_s=80e-6, p_readout=0.3),
+        ),
+    )
+
+    @pytest.mark.parametrize("measured", [[2, 0], [1], [0, 2, 1], []])
+    def test_matches_full_state_bitflips(self, measured):
+        # a random mixed state on n = 3; the subset is listed out of order,
+        # and the qubits left out must not be flipped
+        circuit = parse_circuit({"n_qubits": 3, "ops": [], "measure": measured})
+        scheduled = schedule_layers(circuit, self.PARAMS)
+        gen = np.random.default_rng(11)
+        a = gen.normal(size=(8, 8)) + 1j * gen.normal(size=(8, 8))
+        rho = a @ dagger(a)
+        rho /= np.trace(rho).real
+        before = rho.copy()
+        got = _readout_distribution(rho, scheduled)
+        assert np.abs(got - full_state_readout(rho, scheduled)).max() < 1e-15
+        assert np.array_equal(rho, before)
+
+    def test_flip_of_a_basis_state(self):
+        # |010> with qubit 1 flipped at 0.11: 0.89 on 010, 0.11 on 000
+        circuit = parse_circuit({"n_qubits": 3, "ops": [], "measure": [1]})
+        rho = np.zeros((8, 8), dtype=complex)
+        rho[2, 2] = 1.0
+        got = _readout_distribution(rho, schedule_layers(circuit, self.PARAMS))
+        assert np.allclose(got, [0.11, 0, 0.89, 0, 0, 0, 0, 0], atol=1e-16)
 
 
 class TestRunCompare:

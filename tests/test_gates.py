@@ -70,7 +70,57 @@ def estimate_commutator_term(sched, ctx, rng=None, m_substeps=4096, path=None):
     return np.einsum("mij,mjk->ik", a, prefix) - np.einsum("mij,mjk->ik", prefix, a)
 
 
+def closed_form_rx(theta, phi):
+    """RX(theta) about the axis cos(phi) X + sin(phi) Y."""
+    axis = math.cos(phi) * PAULI_X + math.sin(phi) * PAULI_Y
+    return math.cos(theta / 2) * I2 - 1j * math.sin(theta / 2) * axis
+
+
+def closed_form_unitary(gate):
+    """Oracle for ideal_unitary on the driven and idle kinds, written out
+    by hand instead of taken from the drive."""
+    if gate.kind == "RX":
+        return closed_form_rx(gate.theta, gate.phi)
+    if gate.kind in ("X", "SX"):
+        return closed_form_rx(math.pi if gate.kind == "X" else math.pi / 2, gate.phi)
+    if gate.kind == "CR":
+        out = np.zeros((4, 4), dtype=complex)
+        out[:2, :2] = closed_form_rx(gate.theta, gate.phi)
+        out[2:, 2:] = closed_form_rx(-gate.theta, gate.phi)
+        return out
+    if gate.kind == "CNOT":
+        out = np.eye(4, dtype=complex)
+        out[2:, 2:] = PAULI_X
+        return out
+    assert gate.kind == "IDLE"
+    return I2
+
+
+CLOSED_FORM_GATES = [
+    GateSpec("X", (0,)),
+    GateSpec("X", (0,), phi=0.4),
+    GateSpec("SX", (0,)),
+    GateSpec("SX", (0,), phi=-1.2),
+    GateSpec("RX", (0,), theta=0.7, phi=0.3),
+    GateSpec("RX", (0,), theta=-2.9, phi=2.5),
+    GateSpec("CR", (0, 1), theta=1.1, phi=0.2),
+    GateSpec("CR", (0, 1), theta=-math.pi / 2),
+    GateSpec("CNOT", (0, 1)),
+    GateSpec("IDLE", (0,), duration=0.0),
+    GateSpec("IDLE", (0,), duration=5e-8),
+]
+
+
 class TestIdealUnitaries:
+    @pytest.mark.parametrize("gate", CLOSED_FORM_GATES, ids=repr)
+    def test_matches_closed_form(self, gate):
+        u = ideal_unitary(gate)
+        assert u.shape == (gate.dim, gate.dim)
+        assert np.abs(u - closed_form_unitary(gate)).max() <= 1e-14
+
+    def test_zero_length_idle_is_exact_identity(self):
+        assert np.array_equal(ideal_unitary(GateSpec("IDLE", (0,), duration=0.0)), I2)
+
     def test_rx_pi(self):
         assert np.allclose(ideal_unitary(GateSpec("X", (0,))), -1j * PAULI_X, atol=1e-14)
 
@@ -97,14 +147,14 @@ class TestIdealUnitaries:
 class TestSchedule:
     def test_x_halfway(self):
         sched = schedule(GateSpec("X", (0,)).with_duration(1.0))
-        want = ideal_unitary(GateSpec("RX", (0,), theta=math.pi / 2))
+        want = closed_form_rx(math.pi / 2, 0.0)
         assert np.allclose(sched.unitary_at(0.5), want, atol=1e-12)
 
     def test_cr_linear_traversal(self):
         theta = 1.1
         sched = schedule(GateSpec("CR", (0, 1), theta=theta).with_duration(1.0))
         for s in (0.25, 0.7):
-            want = ideal_unitary(GateSpec("CR", (0, 1), theta=s * theta))
+            want = closed_form_unitary(GateSpec("CR", (0, 1), theta=s * theta))
             assert np.allclose(sched.unitaries(np.array([s]))[0], want, atol=1e-12)
 
     def test_endpoint_unitarity(self):
@@ -112,7 +162,7 @@ class TestSchedule:
             sched = schedule(spec.with_duration(1.0))
             u = sched.unitary_at(1.0)
             assert np.abs(dagger(u) @ u - np.eye(u.shape[0])).max() <= 1e-10
-            assert np.allclose(sched.unitary_at(1.0), ideal_unitary(spec), atol=1e-12)
+            assert np.allclose(u, closed_form_unitary(spec), atol=1e-12)
 
     def test_rz_has_no_schedule(self):
         with pytest.raises(ValueError):

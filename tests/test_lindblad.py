@@ -5,7 +5,6 @@ import pytest
 
 from noisygates.lindblad import (
     LindbladProblem,
-    repeated_gate_solve,
     rhs_superoperator,
     rk4_map,
     rk4_step_matrix,
@@ -132,14 +131,6 @@ class TestSolve:
         times, states = solve(problem, 0.25)
         assert np.allclose(times, [0.0, 1.0, 3.0])
         assert len(states) == 3
-
-    def test_repeated_gate_solve_matches_solve(self):
-        h = 2.0 * PAULI_X
-        terms = relax_terms(0.3, 0.2)
-        problem = LindbladProblem(hamiltonians=((h, 0.5),) * 8, terms=terms, rho0=RHO0)
-        _, states = solve(problem, 0.5 / 50)
-        _, fast = repeated_gate_solve(h, 0.5, terms, 8, RHO0, steps_per_gate=50)
-        assert np.abs(states[-1] - fast[-1]).max() < 1e-12
 
 
 class TestRk4Map:

@@ -4,23 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from noisygates.channels import two_qubit_depolarizing_channel
+from noisygates.channels import depolarizing_channel
 from noisygates.gates import GateSpec
 from noisygates.lindblad import LindbladProblem, solve
-from noisygates.linalg import PAULI_X, PAULI_Y, PAULI_Z
+from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z
 from noisygates.noise_model import (
     CalibrationError,
     DeviceParams,
     LindbladTerm,
     QubitParams,
     SlotNoise,
+    depolarizing_paulis,
     depolarizing_rate,
     load_calibration,
     noise_context_for_gate,
     relaxation_rates,
     slot_noise,
     spam_strength,
-    two_qubit_depolarizing_rate,
 )
 
 MINIMAL = {
@@ -46,6 +46,19 @@ class TestLoadCalibration:
         del doc["qubits"][0]["p_readout"]
         with pytest.raises(CalibrationError, match="p_readout"):
             load_calibration(doc)
+
+    @pytest.mark.parametrize("p_readout", [0.5, 0.6, 1.0, -0.1])
+    def test_p_readout_outside_spam_range_rejected(self, p_readout):
+        # the pre-measurement noise strength -ln(1 - 2p)/2 needs p < 1/2
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["qubits"][0]["p_readout"] = p_readout
+        with pytest.raises(CalibrationError, match=r"p_readout out of \[0, 0.5\)"):
+            load_calibration(doc)
+
+    def test_p_readout_just_below_half_loads(self):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["qubits"][0]["p_readout"] = 0.4999
+        assert spam_strength(load_calibration(doc).qubits[0].p_readout) > 0
 
     def test_unknown_keys_rejected(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -87,17 +100,59 @@ class TestRelaxationRates:
         assert (g1, gpd) == (0.0, 0.0)
 
 
+PAULI_LABELS = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+
+
+def pauli_word(word):
+    """Kronecker product of the one-qubit Paulis named in ``word``."""
+    out = np.ones((1, 1), dtype=complex)
+    for c in word:
+        out = np.kron(out, PAULI_LABELS[c])
+    return out
+
+
 class TestDepolarizingRate:
     def test_zero_error(self):
-        assert depolarizing_rate(0.0, 1.0) == 0.0
+        for arity in (1, 2):
+            assert depolarizing_rate(0.0, 1.0, arity) == 0.0
 
     def test_closed_form_inverse(self):
-        assert depolarizing_rate(1 - math.exp(-4), 1.0) == pytest.approx(1.0)
+        for arity in (1, 2):
+            assert depolarizing_rate(1 - math.exp(-(4**arity)), 1.0, arity) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "arity, words",
+        [(1, "X Y Z"), (2, "IX IY IZ XI XX XY XZ YI YX YY YZ ZI ZX ZY ZZ")],
+    )
+    def test_paulis_in_product_order(self, arity, words):
+        paulis = depolarizing_paulis(arity)
+        assert len(paulis) == 4**arity - 1
+        for got, word in zip(paulis, words.split()):
+            assert np.array_equal(got, pauli_word(word))
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_every_pauli_coefficient_contracts_by_one_minus_p(self, arity):
+        # the Lindblad flow of the depolarising set over one duration is
+        # the depolarising channel of the same arity
+        p, duration = 0.3, 2.0
+        rate = depolarizing_rate(p, duration, arity)
+        terms = tuple(LindbladTerm.from_rate(op, rate, duration) for op in depolarizing_paulis(arity))
+        d = 2**arity
+        rho0 = np.eye(d, dtype=complex) / d
+        for k, pauli in enumerate(depolarizing_paulis(arity)):
+            rho0 = rho0 + (0.1 - 0.01 * k) / d * pauli
+        problem = LindbladProblem(hamiltonians=((np.zeros((d, d)), duration),), terms=terms, rho0=rho0)
+        _, states = solve(problem, duration / 400)
+        for pauli in depolarizing_paulis(arity):
+            before = np.real(np.trace(rho0 @ pauli))
+            after = np.real(np.trace(states[-1] @ pauli))
+            assert after == pytest.approx((1 - p) * before, abs=1e-8)
+        assert np.abs(states[-1] - depolarizing_channel(p, arity)(rho0)).max() < 1e-8
 
     def test_bloch_contraction_oracle(self):
         # one gate of X, Y, Z jumps at gamma_d shrinks the Bloch vector by 1 - p
         p, duration = 0.3, 2.0
-        gamma = depolarizing_rate(p, duration)
+        gamma = depolarizing_rate(p, duration, 1)
         rho0 = 0.5 * (np.eye(2) + 0.8 * PAULI_X + 0.1 * PAULI_Y - 0.3 * PAULI_Z)
         terms = tuple(LindbladTerm.from_rate(op, gamma, duration) for op in (PAULI_X, PAULI_Y, PAULI_Z))
         problem = LindbladProblem(hamiltonians=((np.zeros((2, 2)), duration),), terms=terms, rho0=rho0)
@@ -146,6 +201,32 @@ class TestNoiseContext:
         ctx = noise_context_for_gate(GateSpec("X", (0,)), params)
         assert all(t.rate == 0.0 for t in ctx.terms)
 
+    def test_x_terms_pinned(self):
+        params = load_calibration(json.dumps(MINIMAL))
+        ctx = noise_context_for_gate(GateSpec("X", (0,)), params)
+        gamma1, gamma_pd = relaxation_rates(100e-6, 100e-6)
+        rate = -math.log1p(-1e-4) / (4 * 35e-9)
+        want = [(DECAY, gamma1), (PAULI_Z, gamma_pd / 4), (PAULI_X, rate), (PAULI_Y, rate), (PAULI_Z, rate)]
+        assert ctx.gate_duration == 35e-9
+        assert [t.rate for t in ctx.terms] == [r for _, r in want]
+        for term, (op, _) in zip(ctx.terms, want):
+            assert np.array_equal(term.operator, op)
+
+    def test_cnot_terms_pinned(self):
+        doc = dict(MINIMAL, qubits=[MINIMAL["qubits"][0], {"t1_s": 90e-6, "t2_s": 70e-6, "p_readout": 0.0}])
+        ctx = noise_context_for_gate(GateSpec("CNOT", (0, 1)), load_calibration(json.dumps(doc)))
+        (g1a, gpda), (g1b, gpdb) = relaxation_rates(100e-6, 100e-6), relaxation_rates(90e-6, 70e-6)
+        rate = -math.log1p(-1e-2) / (16 * 300e-9)
+        want = [
+            (np.kron(DECAY, I2), g1a), (np.kron(PAULI_Z, I2), gpda / 4),
+            (np.kron(I2, DECAY), g1b), (np.kron(I2, PAULI_Z), gpdb / 4),
+        ]
+        want += [(pauli_word(w), rate) for w in "IX IY IZ XI XX XY XZ YI YX YY YZ ZI ZX ZY ZZ".split()]
+        assert ctx.gate_duration == 300e-9
+        assert [t.rate for t in ctx.terms] == [r for _, r in want]
+        for term, (op, _) in zip(ctx.terms, want):
+            assert np.array_equal(term.operator, op)
+
     def test_rz_is_noiseless(self):
         params = load_calibration(json.dumps(MINIMAL))
         ctx = noise_context_for_gate(GateSpec("RZ", (0,), phi=0.3), params)
@@ -174,12 +255,12 @@ class TestNoiseContext:
             hamiltonians=((np.zeros((4, 4)), params.t_2q_s),), terms=ctx.terms, rho0=rho0
         )
         _, states = solve(problem, params.t_2q_s / 400)
-        want = two_qubit_depolarizing_channel(0.04)(rho0)
+        want = depolarizing_channel(0.04, 2)(rho0)
         assert np.abs(states[-1] - want).max() < 2e-3
 
     def test_two_qubit_rate_closed_form(self):
         p, duration = 0.04, 300e-9
-        rate = two_qubit_depolarizing_rate(p, duration)
+        rate = depolarizing_rate(p, duration, 2)
         # 8 of the 15 Pauli pairs anticommute with any fixed non-identity
         # Pauli, so each coefficient decays at 16*rate; one duration must
         # contract by exactly 1 - p
