@@ -3,17 +3,13 @@
 Each criterion is a self-contained check with a pinned tolerance and a
 fixed seed; ``run_criteria`` executes them and reports one line per
 criterion.  The same functions back ``noisygates validate`` and the
-pytest acceptance module.
-
-Tolerances can be scaled through the ``NOISYGATES_TOL_SCALE``
-environment variable (default 1.0); this exists so the failure path of
-the validate command is testable, not for loosening checks.
+pytest acceptance module.  Every threshold is a literal in its
+criterion, and no setting changes it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 
@@ -34,8 +30,10 @@ from .gates import (
     spam_gate_batch,
     xi_from_path,
     _interaction_stack,
+    _path_pieces,
+    _quadrature,
 )
-from .lindblad import LindbladProblem, solve
+from .lindblad import solve
 from .linalg import DECAY, PAULI_X, PAULI_Y, PAULI_Z, expm, expm_2x2
 from .noise_model import (
     DeviceParams,
@@ -44,7 +42,7 @@ from .noise_model import (
     QubitParams,
     spam_strength,
 )
-from .stochastic import RngStream, gauss_legendre_rule, product_formula_error
+from .stochastic import RngStream, product_formula_error
 
 __all__ = ["CriterionResult", "DESK_CALIBRATION", "desk_device", "run_criteria", "CRITERIA"]
 
@@ -64,10 +62,6 @@ def desk_device() -> DeviceParams:
         qubits=tuple(QubitParams(**q) for q in DESK_CALIBRATION["qubits"]),
         **DESK_CALIBRATION["gates"],
     )
-
-
-def _tol(x: float) -> float:
-    return x * float(os.environ.get("NOISYGATES_TOL_SCALE", "1.0"))
 
 
 @dataclass
@@ -91,7 +85,7 @@ def criterion_1_spam() -> tuple[bool, str]:
     rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
     avg = _gate_ensemble(batch, rho0)
     dev = float(np.abs(avg - np.diag([0.75, 0.25])).max())
-    return dev <= _tol(0.005), f"max entry deviation {dev:.2e} (tol 5e-3)"
+    return dev <= 0.005, f"max entry deviation {dev:.2e} (tol 5e-3)"
 
 
 def criterion_2_relaxation() -> tuple[bool, str]:
@@ -112,7 +106,7 @@ def criterion_2_relaxation() -> tuple[bool, str]:
     p1 = -math.expm1(-math.log(2))
     pz = (1 - p1) * -math.expm1(-0.2)
     details.append(f"coherence factor sqrt(1-p1-pz)={math.sqrt(1 - p1 - pz):.4f}")
-    return worst <= _tol(0.005), f"worst {worst:.2e} (tol 5e-3); " + " ".join(details)
+    return worst <= 0.005, f"worst {worst:.2e} (tol 5e-3); " + " ".join(details)
 
 
 def _x_gate_context(scale2: float, tg: float = 1.0) -> NoiseContext:
@@ -137,8 +131,7 @@ def criterion_3_second_order() -> tuple[bool, str]:
     devs, epss = [], []
     for scale in (1.0, 0.5, 0.25):
         ctx = _x_gate_context(scale**2, tg)
-        problem = LindbladProblem(hamiltonians=((hamiltonian, tg),), terms=ctx.terms, rho0=rho0)
-        target = solve(problem, tg / 200)[1][-1]
+        target = solve(hamiltonian, ctx.terms, rho0, tg, tg / 200)
         sampler = NoisyGateSampler(sched, ctx)
         gen = RngStream(303).generator
         # second moment E[e_ij conj(e_lk)] of e = exp(Xi); rho0 and the
@@ -160,7 +153,7 @@ def criterion_3_second_order() -> tuple[bool, str]:
         epss.append(0.2 * scale)
     slope = float(np.polyfit(np.log(epss), np.log(devs), 1)[0])
     detail = f"slope {slope:.2f} (need >= 2.5); deviations {['%.1e' % d for d in devs]}"
-    return slope >= _tol(2.5), detail
+    return slope >= 2.5, detail
 
 
 def criterion_4_product_formula() -> tuple[bool, str]:
@@ -179,7 +172,7 @@ def criterion_4_product_formula() -> tuple[bool, str]:
         errs = [product_formula_error(a_list, b_list, e) for e in eps_grid]
         slopes.append(float(np.polyfit(np.log(eps_grid), np.log(errs), 1)[0]))
     worst = min(slopes)
-    return worst >= _tol(2.7), f"min slope {worst:.2f} over 20 instances (need >= 2.7)"
+    return worst >= 2.7, f"min slope {worst:.2f} over 20 instances (need >= 2.7)"
 
 
 def criterion_5_small_noise() -> tuple[bool, str]:
@@ -210,15 +203,13 @@ def criterion_5_small_noise() -> tuple[bool, str]:
 
     # Ito-rule identity: discrete form is exact; the continuum drift form
     # differs by the quadratic-variation fluctuation ~ eps^2 / sqrt(M).
-    from .gates import _path_pieces
-
     path = build_substep_path(ctx, m_substeps, RngStream(515))
     a, prefix, s1 = _path_pieces(sched, ctx, path)
     lhs = np.einsum("mij,mjk->ik", a, prefix)
     comm = lhs - np.einsum("mij,mjk->ik", prefix, a)
     quad = np.einsum("mij,mjk->ik", a, a)
     discrete_resid = float(np.abs(lhs - 0.5 * (s1 @ s1 + comm - quad)).max())
-    svals, w = gauss_legendre_rule(32, 4)
+    svals, w = _quadrature()
     drift = np.zeros((2, 2), dtype=complex)
     fluct_scale = 0.0
     for t in ctx.terms:
@@ -229,7 +220,7 @@ def criterion_5_small_noise() -> tuple[bool, str]:
     cont_resid = float(np.abs(lhs - 0.5 * (s1 @ s1 + comm - drift)).max())
     cont_tol = 5.0 * 0.5 * math.sqrt(2.0 / m_substeps) * fluct_scale
 
-    ok = min_slope >= _tol(2.5) and discrete_resid <= _tol(1e-10) and cont_resid <= _tol(cont_tol)
+    ok = min_slope >= 2.5 and discrete_resid <= 1e-10 and cont_resid <= cont_tol
     detail = (
         f"min slope {min_slope:.2f} (need >= 2.5); Ito identity discrete {discrete_resid:.1e}, "
         f"continuum {cont_resid:.1e} (tol {cont_tol:.1e}, M={m_substeps})"
@@ -266,7 +257,7 @@ def criterion_6_x_benchmark() -> tuple[bool, str]:
     config = _x_benchmark_config()
     horizon = replace(config, repetitions=15_000, checkpoints=1)
     circuit, layers, _ = build_experiment_circuit(horizon)
-    _, rhos, _ = lindblad_reference(schedule_layers(circuit, horizon.device), layers)
+    _, rhos = lindblad_reference(schedule_layers(circuit, horizon.device), layers)
     asymptote_dev = abs(float(np.real(rhos[-1][0, 0])) - 0.5)
 
     result = run_compare(config)
@@ -276,7 +267,7 @@ def criterion_6_x_benchmark() -> tuple[bool, str]:
     window_dev = abs(float(tail[-1]) - 0.5)
     improvement = result.improvement
 
-    ok = asymptote_dev <= _tol(0.02) and monotone and wins >= 0.8 * len(tail)
+    ok = asymptote_dev <= 0.02 and monotone and wins >= 0.8 * len(tail)
     detail = (
         f"asymptote |rho00-0.5|={asymptote_dev:.3f} at 15000 gates (tol 0.02); "
         f"500-gate window tail {tail[-1]:.3f} (monotone={monotone}); "
@@ -301,7 +292,7 @@ def criterion_7_cr_benchmark() -> tuple[bool, str]:
     tail_dev = abs(float(result.lindblad_dists[-1, 2]) - 0.25)
     wins = int(np.sum(result.mean_h_noisy <= result.mean_h_channel))
     n = len(result.gate_counts)
-    ok = tail_dev <= _tol(0.02) and wins >= 0.8 * n
+    ok = tail_dev <= 0.02 and wins >= 0.8 * n
     detail = (
         f"|rho22-0.25|={tail_dev:.3f} at 100 gates (tol 0.02); wins {wins}/{n}; "
         f"improvement mean {result.improvement.mean():.2f} [reported]"
@@ -342,7 +333,6 @@ def criterion_9_lindblad() -> tuple[bool, str]:
         LindbladTerm.from_rate(PAULI_Z, gamma_pd / 4, horizon),
     )
     h0 = np.zeros((2, 2), dtype=complex)
-    problem = LindbladProblem(hamiltonians=((h0, horizon),), terms=terms, rho0=rho0)
 
     def analytic(t):
         out = np.empty((2, 2), dtype=complex)
@@ -353,17 +343,15 @@ def criterion_9_lindblad() -> tuple[bool, str]:
         out[1, 0] = rho0[1, 0] * decay
         return out
 
-    _, states = solve(problem, horizon / 100)
     exact = analytic(horizon)
-    err_fine = float(np.abs(states[-1] - exact).max())
+    err_fine = float(np.abs(solve(h0, terms, rho0, horizon, horizon / 100) - exact).max())
 
     errs, steps = [], (10, 20, 40)
     for n in steps:
-        _, st = solve(problem, horizon / n)
-        errs.append(float(np.abs(st[-1] - exact).max()))
+        errs.append(float(np.abs(solve(h0, terms, rho0, horizon, horizon / n) - exact).max()))
     slope = float(np.polyfit(np.log([horizon / n for n in steps]), np.log(errs), 1)[0])
 
-    ok = err_fine <= _tol(1e-8) and slope >= _tol(3.7)
+    ok = err_fine <= 1e-8 and slope >= 3.7
     detail = f"analytic deviation {err_fine:.1e} (tol 1e-8); RK4 slope {slope:.2f} (need >= 3.7)"
     return ok, detail
 

@@ -33,8 +33,6 @@ import numpy as np
 
 from .linalg import (
     DECAY,
-    I2,
-    PAULI_X,
     PROJ_1,
     apply_superoperator,
     dagger,
@@ -45,7 +43,6 @@ from .noise_model import DeviceParams, depolarizing_paulis, slot_noise
 
 __all__ = [
     "KrausChannel",
-    "bitflip_channel",
     "depolarizing_channel",
     "relaxation_channel",
     "apply_channel",
@@ -90,12 +87,6 @@ class KrausChannel:
 def _check_probability(p: float, name: str = "p") -> None:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {p:g}")
-
-
-def bitflip_channel(p: float) -> KrausChannel:
-    """rho -> (1-p) rho + p X rho X."""
-    _check_probability(p)
-    return KrausChannel((math.sqrt(1 - p) * I2, math.sqrt(p) * PAULI_X))
 
 
 def depolarizing_channel(p: float, arity: int) -> KrausChannel:
@@ -169,11 +160,10 @@ def _slot_superoperator(gate, params: DeviceParams) -> np.ndarray:
 
 
 def evolve_layers(
-    scheduled, slot_map: Callable[..., np.ndarray], checkpoints: Sequence[int] | None = None
+    scheduled, slot_map: Callable[..., np.ndarray], checkpoints: Sequence[int]
 ) -> list[np.ndarray]:
     """Density matrix of a scheduled circuit started in |0...0>, after each
-    of the layer counts ``checkpoints`` (0 is the initial state; default
-    every layer 1..L).
+    of the layer counts ``checkpoints`` (0 is the initial state).
 
     Each slot applies ``slot_map(gate)``, its local superoperator, on its
     qubits, in slot order; each distinct ``GateSpec`` builds its map once
@@ -188,8 +178,6 @@ def evolve_layers(
             f"the density-matrix back-ends (channel simulator, Lindblad reference) support at most "
             f"{MAX_QUBITS} qubits; circuit has {n}"
         )
-    if checkpoints is None:
-        checkpoints = range(1, len(scheduled.layers) + 1)
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     kept = {0: rho}
@@ -207,13 +195,11 @@ def evolve_layers(
     return [kept[c] for c in checkpoints]
 
 
-def run_channel_sim(
-    scheduled, params: DeviceParams, checkpoints: Sequence[int] | None = None
-) -> list[np.ndarray]:
+def run_channel_sim(scheduled, checkpoints: Sequence[int]) -> list[np.ndarray]:
     """Evolve a density matrix through a scheduled circuit with
-    :func:`evolve_layers`, each slot mapped by :func:`_slot_superoperator`.
-    Returns the state after each checkpoint layer count (default every
-    layer); readout bitflips are *not* applied here, the measured
-    distribution applies them to the diagonal.
+    :func:`evolve_layers`, each slot mapped by :func:`_slot_superoperator`
+    under the circuit's own device parameters.  Returns the state after
+    each checkpoint layer count; readout bitflips are *not* applied here,
+    the measured distribution applies them to the diagonal.
     """
-    return evolve_layers(scheduled, lambda gate: _slot_superoperator(gate, params), checkpoints)
+    return evolve_layers(scheduled, lambda gate: _slot_superoperator(gate, scheduled.params), checkpoints)

@@ -141,7 +141,7 @@ def _git_revision() -> str:
     return "unknown"
 
 
-def _serialise_config(command: str, args, config: ExperimentConfig) -> dict:
+def _serialise_config(command: str, config: ExperimentConfig) -> dict:
     device = {
         "qubits": [asdict(q) for q in config.device.qubits],
         "gates": {
@@ -271,9 +271,33 @@ def _write_summary(outdir: Path, result) -> None:
     (outdir / "summary.csv").write_text("\n".join(lines) + "\n")
 
 
-def _write_lindblad_rho(outdir: Path, result) -> None:
-    from .lindblad import write_rho_series_csv
+def write_rho_series_csv(path, times: np.ndarray, states: list[np.ndarray], diagonal_only: bool = False) -> None:
+    """CSV dump: time, then row-major Re/Im of rho (or just the diagonal),
+    each entry named by the big-endian bit strings of its basis states."""
+    d = states[0].shape[0]
+    labels = basis_labels(d)
+    with open(path, "w", newline="") as fh:
+        if diagonal_only:
+            header = ["time_s"] + [f"rho_{b}" for b in labels]
+            fh.write(",".join(header) + "\n")
+            for t, rho in zip(times, states):
+                row = [_float(t)] + [_float(np.real(rho[i, i])) for i in range(d)]
+                fh.write(",".join(row) + "\n")
+            return
+        header = ["time_s"]
+        for bi in labels:
+            for bj in labels:
+                header += [f"re_rho_{bi}_{bj}", f"im_rho_{bi}_{bj}"]
+        fh.write(",".join(header) + "\n")
+        for t, rho in zip(times, states):
+            row = [_float(t)]
+            for i in range(d):
+                for j in range(d):
+                    row += [_float(np.real(rho[i, j])), _float(np.imag(rho[i, j]))]
+            fh.write(",".join(row) + "\n")
 
+
+def _write_lindblad_rho(outdir: Path, result) -> None:
     if result.lindblad_rhos is None:
         return
     # wider registers keep the diagonal only, as the engine keeps no
@@ -288,7 +312,7 @@ def _write_lindblad_rho(outdir: Path, result) -> None:
 
 def cmd_simulate(args) -> int:
     config = replace(_config_from_args(args), runs=1)
-    payload = _serialise_config("simulate", args, config)
+    payload = _serialise_config("simulate", config)
     outdir = Path(args.out) / f"simulate-{_config_digest(payload)}"
     outdir.mkdir(parents=True, exist_ok=True)
     result = run_compare(config, hellinger_series=False)
@@ -304,7 +328,7 @@ def cmd_compare(args) -> int:
     config = _config_from_args(args)
     if not {"noisy_gates", "channel"} & set(config.backends):
         raise ValueError("compare needs noisy_gates or channel in --backends: it scores them against the lindblad reference")
-    payload = _serialise_config("compare", args, config)
+    payload = _serialise_config("compare", config)
     outdir = Path(args.out) / f"compare-{_config_digest(payload)}"
     outdir.mkdir(parents=True, exist_ok=True)
     result = run_compare(config)

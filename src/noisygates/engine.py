@@ -2,8 +2,9 @@
 
 Circuits are JSON documents (see ``parse_circuit``); operations are
 packed greedily into layers (ASAP).  Scheduling attaches device
-durations, pads idle qubits with exact relaxation slots and appends a
-pre-measurement noise slot per measured qubit.
+durations and pads idle qubits with exact relaxation slots.  It adds no
+readout slot: each measured qubit's pre-measurement noise gate is drawn
+at every checkpoint by ``_Compiled.measured_probs``.
 
 The unraveling is linear: trajectory states are *not* renormalised, the
 unbiased density estimate is the plain average of outer products and
@@ -135,12 +136,17 @@ _ANGLES = {"X": ("phi",), "SX": ("phi",), "RZ": ("phi",), "RX": ("theta", "phi")
            "CR": ("theta", "phi"), "CNOT": (), "IDLE": ()}
 
 
+def _is_int(val) -> bool:
+    """True for a JSON integer (an int, not a bool)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def parse_circuit(source: str | Path | dict) -> Circuit:
     """Parse a circuit document and pack its ops into ASAP layers.
 
     Format: ``{"n_qubits": int, "ops": [{"gate": kind, "q": [ints],
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
-    "measure": [ints]}``.  An op may carry only the angles its gate
+    "measure": [ints]}``, the ints JSON integers (not bools).  An op may carry only the angles its gate
     reads: ``theta`` on RX and CR, ``phi`` on RZ, RX, X, SX and CR, each
     a finite JSON number (not a bool or a string).  A
     ``duration_s`` must be finite and >= 0, and > 0 on the driven gates
@@ -151,7 +157,7 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
     if extra:
         raise CircuitError(f"unknown top-level keys: {sorted(extra)}")
     n = doc.get("n_qubits")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise CircuitError("'n_qubits' must be a positive integer")
     ops_doc = doc.get("ops", [])
     if not isinstance(ops_doc, list):
@@ -174,7 +180,7 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
             if key in op and not is_finite_number(op[key]):
                 raise CircuitError(f"op {i}: {key!r} must be a finite number, got {op[key]!r}")
         qubits = op.get("q")
-        if not isinstance(qubits, list) or not all(isinstance(q, int) for q in qubits):
+        if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
             raise CircuitError(f"op {i}: 'q' must be a list of ints")
         theta = op.get("theta")
         phi = op.get("phi", 0.0)
@@ -200,7 +206,7 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
             raise CircuitError(f"op {i}: {exc}") from exc
 
     measured = doc.get("measure", [])
-    if not isinstance(measured, list) or not all(isinstance(q, int) for q in measured):
+    if not isinstance(measured, list) or not all(_is_int(q) for q in measured):
         raise CircuitError("'measure' must be a list of ints")
 
     return Circuit(n_qubits=n, layers=_pack_asap(n, gates), measured=tuple(measured))

@@ -175,7 +175,7 @@ def _channel_checkpoint_probs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(readout distributions, pre-readout state diagonals) per checkpoint."""
     probs, diags = [], []
-    for rho in run_channel_sim(scheduled, scheduled.params, checkpoint_layers):
+    for rho in run_channel_sim(scheduled, checkpoint_layers):
         diags.append(np.real(np.diag(rho)).copy())
         probs.append(_readout_distribution(rho, scheduled))
     return np.asarray(probs), np.asarray(diags)
@@ -186,11 +186,10 @@ def channel_backend_run(
     config: ExperimentConfig,
     checkpoint_layers: tuple[int, ...],
     run_index: int,
-    exact_probs: np.ndarray | None = None,
+    exact_probs: np.ndarray,
 ) -> np.ndarray:
-    """Finite-shot sample of the exact channel-simulator distributions."""
-    if exact_probs is None:
-        exact_probs = _channel_checkpoint_probs(scheduled, checkpoint_layers)[0]
+    """Finite-shot sample of ``exact_probs``, the exact channel-simulator
+    distributions at the checkpoints (``_channel_checkpoint_probs``)."""
     gen = RngStream(config.seed, stream_index=_CHANNEL_STREAM_BASE + run_index).generator
     out = np.empty_like(exact_probs)
     for j, p in enumerate(exact_probs):
@@ -199,22 +198,21 @@ def channel_backend_run(
     return out
 
 
-def _lindblad_slot_map(gate: GateSpec, params: DeviceParams, steps: int) -> np.ndarray:
+def _lindblad_slot_map(gate: GateSpec, params: DeviceParams) -> np.ndarray:
     """Local RK4 map of one slot over its duration: its drive (none for an
-    idle) and its ``noise_context_for_gate`` terms, in ``steps`` steps.
+    idle) and its ``noise_context_for_gate`` terms, in
+    ``_LINDBLAD_STEPS_PER_SLOT`` steps.
     A zero-duration slot (an RZ frame, a zero idle) is its ideal unitary."""
     ctx = noise_context_for_gate(gate, params)
     if ctx.gate_duration == 0.0:
         return superoperator([ideal_unitary(gate)])
     hamiltonian = drive_generator(gate) / ctx.gate_duration
-    return rk4_map(rhs_superoperator(hamiltonian, ctx.terms), ctx.gate_duration, steps)
+    return rk4_map(rhs_superoperator(hamiltonian, ctx.terms), ctx.gate_duration, _LINDBLAD_STEPS_PER_SLOT)
 
 
 def lindblad_reference(
-    scheduled: ScheduledCircuit,
-    checkpoint_layers: tuple[int, ...],
-    steps_per_slot: int = _LINDBLAD_STEPS_PER_SLOT,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    scheduled: ScheduledCircuit, checkpoint_layers: tuple[int, ...]
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Integrate the master equation along the scheduled circuit.
 
     Every slot evolves its own qubits over its own duration under its
@@ -222,19 +220,16 @@ def lindblad_reference(
     act on disjoint qubits (an idle and its pad run back to back), so
     their generators commute and the layer's map is the product of the
     slots' local maps, each a fixed-step RK4 propagator with
-    ``steps_per_slot`` steps, built once per distinct slot and applied by
-    :func:`~noisygates.channels.evolve_layers`.  Returns
-    (distributions, rho at every checkpoint, times).  Readout bitflips
+    ``_LINDBLAD_STEPS_PER_SLOT`` steps, built once per distinct slot and
+    applied by :func:`~noisygates.channels.evolve_layers`.  Returns
+    (distributions, rho at every checkpoint).  Readout bitflips
     are applied to the distribution only, never to the running state.
     Registers wider than ``channels.MAX_QUBITS`` raise ``ValueError``
     before anything is allocated.
     """
-    params = scheduled.params
-    rhos = evolve_layers(
-        scheduled, lambda gate: _lindblad_slot_map(gate, params, steps_per_slot), checkpoint_layers
-    )
+    rhos = evolve_layers(scheduled, lambda gate: _lindblad_slot_map(gate, scheduled.params), checkpoint_layers)
     dists = np.asarray([_readout_distribution(rho_c, scheduled) for rho_c in rhos])
-    return dists, rhos, scheduled.checkpoint_times(checkpoint_layers)
+    return dists, rhos
 
 
 @dataclass
@@ -282,7 +277,7 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
     times = scheduled.checkpoint_times(layers)
     lb_dists = lb_rhos = None
     if hellinger_series or "lindblad" in config.backends:
-        lb_dists, lb_rhos, _ = lindblad_reference(scheduled, layers)
+        lb_dists, lb_rhos = lindblad_reference(scheduled, layers)
 
     def series(dists):
         if not hellinger_series:

@@ -131,9 +131,8 @@ class DriveSchedule:
     many time nodes are evaluated from one eigendecomposition.
     """
 
-    def __init__(self, generator: np.ndarray, duration: float):
+    def __init__(self, generator: np.ndarray):
         self.generator = np.asarray(generator, dtype=complex)
-        self.duration = float(duration)
         self._evals, self._evecs = np.linalg.eigh(self.generator)
 
     @property
@@ -153,8 +152,7 @@ def schedule(gate: GateSpec) -> DriveSchedule:
     """Drive schedule traversing the gate linearly in rescaled time."""
     if gate.kind == "RZ":
         raise ValueError("RZ is virtual: it has no drive schedule")
-    duration = gate.duration if gate.duration is not None else 0.0
-    return DriveSchedule(drive_generator(gate), duration)
+    return DriveSchedule(drive_generator(gate))
 
 
 _QUAD_NODES = 32

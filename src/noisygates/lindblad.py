@@ -2,54 +2,34 @@
 
     d rho / dt = -i [H, rho] + sum_k gamma_k (L rho L^dag - 1/2 {L^dag L, rho})
 
-with a piecewise-constant Hamiltonian schedule.  Classic fixed-step RK4:
-because the equation is linear and autonomous on each constant piece,
-one RK4 step is a fixed superoperator on row-major vec(rho) (the
-convention of ``linalg.superoperator``), and a piece of ``steps`` equal
-steps is the matrix power step^steps (:func:`rk4_map`), built once per
-distinct piece and applied with Hermitian symmetrisation after it, which
-keeps round-off drift down.  For a circuit,
-``experiments.lindblad_reference`` builds one such map per distinct slot
-on the slot's own qubits, so a long repeated-gate reference (tens of
-thousands of gates) builds one map and stays cheap and bit-reproducible.
+with a constant Hamiltonian.  Classic fixed-step RK4: because the
+equation is linear and autonomous, one RK4 step is a fixed
+superoperator on row-major vec(rho) (the convention of
+``linalg.superoperator``), and ``steps`` equal steps are the matrix
+power step^steps (:func:`rk4_map`).  :func:`solve` applies one such map
+to an initial state and symmetrises the result, which keeps round-off
+drift down.  For a circuit, ``experiments.lindblad_reference`` builds
+one map per distinct slot on the slot's own qubits, so a long
+repeated-gate reference (tens of thousands of gates) builds one map and
+stays cheap and bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import basis_labels, dagger
+from .linalg import dagger
 from .noise_model import LindbladTerm
 
 __all__ = [
-    "LindbladProblem",
     "rhs_superoperator",
     "rk4_step_matrix",
     "rk4_map",
     "solve",
-    "write_rho_series_csv",
 ]
-
-
-@dataclass(frozen=True)
-class LindbladProblem:
-    """Hamiltonian schedule (generator in 1/s, duration in s) with jump
-    terms on the full register and an initial density matrix."""
-
-    hamiltonians: tuple[tuple[np.ndarray, float], ...]
-    terms: tuple[LindbladTerm, ...]
-    rho0: np.ndarray
-
-    def __post_init__(self):
-        for h, duration in self.hamiltonians:
-            if not np.all(np.isfinite(h)):
-                raise ValueError("non-finite Hamiltonian generator")
-            if duration <= 0:
-                raise ValueError("segment durations must be positive")
 
 
 def rhs_superoperator(hamiltonian: np.ndarray, terms: Sequence[LindbladTerm]) -> np.ndarray:
@@ -90,65 +70,27 @@ def rk4_map(rhs_matrix: np.ndarray, duration: float, steps: int) -> np.ndarray:
     return np.linalg.matrix_power(rk4_step_matrix(rhs_matrix, duration / steps), steps)
 
 
-def _propagate(prop: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """prop applied to row-major vec(rho), then Hermitian symmetrisation."""
-    rho = (prop @ rho.reshape(-1)).reshape(rho.shape)
-    return 0.5 * (rho + dagger(rho))
+def solve(
+    hamiltonian: np.ndarray,
+    terms: Sequence[LindbladTerm],
+    rho0: np.ndarray,
+    duration: float,
+    dt_max: float,
+) -> np.ndarray:
+    """rho after ``duration`` under ``hamiltonian`` (generator in 1/s) and
+    the jump ``terms``, from ``rho0``.
 
-
-def solve(problem: LindbladProblem, dt_max: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Integrate the problem, emitting rho at every segment boundary.
-
-    The step divides each segment evenly with step <= dt_max, and each
-    segment is one :func:`rk4_map`; segments with equal generator and
-    duration share it.  Returns (times, states) including the initial
-    state at t = 0.  Aborts with a diagnostic if the state leaves the
-    finite range (instability).
+    One :func:`rk4_map` of max(1, ceil(duration / dt_max)) equal steps,
+    then Hermitian symmetrisation.  Raises ``FloatingPointError`` if the
+    state leaves the finite range (instability).
     """
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
-    maps: dict = {}
-    rho = np.array(problem.rho0, dtype=complex)
-    times = [0.0]
-    states = [rho.copy()]
-    t = 0.0
-    for seg_index, (h, duration) in enumerate(problem.hamiltonians):
-        key = (np.asarray(h, dtype=complex).tobytes(), np.shape(h), duration)
-        if key not in maps:
-            steps = max(1, math.ceil(duration / dt_max))
-            maps[key] = rk4_map(rhs_superoperator(h, problem.terms), duration, steps)
-        rho = _propagate(maps[key], rho)
-        if not np.all(np.isfinite(rho)):
-            raise FloatingPointError(
-                f"Lindblad integration diverged in segment {seg_index} (t={t:g})"
-            )
-        t += duration
-        times.append(t)
-        states.append(rho.copy())
-    return np.array(times), states
-
-
-def write_rho_series_csv(path, times: np.ndarray, states: list[np.ndarray], diagonal_only: bool = False) -> None:
-    """CSV dump: time, then row-major Re/Im of rho (or just the diagonal),
-    each entry named by the big-endian bit strings of its basis states."""
-    d = states[0].shape[0]
-    labels = basis_labels(d)
-    with open(path, "w", newline="") as fh:
-        if diagonal_only:
-            header = ["time_s"] + [f"rho_{b}" for b in labels]
-            fh.write(",".join(header) + "\n")
-            for t, rho in zip(times, states):
-                row = [repr(float(t))] + [repr(float(np.real(rho[i, i]))) for i in range(d)]
-                fh.write(",".join(row) + "\n")
-            return
-        header = ["time_s"]
-        for bi in labels:
-            for bj in labels:
-                header += [f"re_rho_{bi}_{bj}", f"im_rho_{bi}_{bj}"]
-        fh.write(",".join(header) + "\n")
-        for t, rho in zip(times, states):
-            row = [repr(float(t))]
-            for i in range(d):
-                for j in range(d):
-                    row += [repr(float(np.real(rho[i, j]))), repr(float(np.imag(rho[i, j])))]
-            fh.write(",".join(row) + "\n")
+    if duration <= 0 or dt_max <= 0:
+        raise ValueError("duration and dt_max must be positive")
+    steps = max(1, math.ceil(duration / dt_max))
+    prop = rk4_map(rhs_superoperator(hamiltonian, terms), duration, steps)
+    rho = np.asarray(rho0, dtype=complex)
+    rho = (prop @ rho.reshape(-1)).reshape(rho.shape)
+    rho = 0.5 * (rho + dagger(rho))
+    if not np.all(np.isfinite(rho)):
+        raise FloatingPointError("Lindblad integration diverged")
+    return rho

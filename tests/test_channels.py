@@ -6,7 +6,6 @@ import pytest
 from noisygates.channels import (
     KrausChannel,
     apply_channel,
-    bitflip_channel,
     depolarizing_channel,
     embed_operator,
     relaxation_channel,
@@ -38,6 +37,17 @@ NOISELESS = DeviceParams(
     p_1q=0.0,
     p_2q=0.0,
 )
+
+
+def bitflip_channel(p: float) -> KrausChannel:
+    """rho -> (1-p) rho + p X rho X: the readout flip as a channel, for
+    oracles (the back-ends flip outcome probabilities instead)."""
+    return KrausChannel((math.sqrt(1 - p) * I2, math.sqrt(p) * PAULI_X))
+
+
+def every_layer(scheduled):
+    """Checkpoints after every layer of a scheduled circuit."""
+    return range(1, len(scheduled.layers) + 1)
 
 
 def embedded_channel(rho, channel, qubits):
@@ -200,18 +210,20 @@ class TestApplyChannel:
 class TestRunChannelSim:
     def test_empty_circuit(self):
         circ = parse_circuit({"n_qubits": 1, "ops": [], "measure": []})
-        series = run_channel_sim(schedule_layers(circ, DEVICE), DEVICE)
+        series = run_channel_sim(schedule_layers(circ, DEVICE), ())
         assert series == []
 
     def test_noiseless_x_flips(self):
         circ = parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}], "measure": []})
-        series = run_channel_sim(schedule_layers(circ, NOISELESS), NOISELESS)
+        sched = schedule_layers(circ, NOISELESS)
+        series = run_channel_sim(sched, every_layer(sched))
         assert series[-1][1, 1].real == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_and_hermiticity_preserved(self):
         ops = [{"gate": "X", "q": [0]}, {"gate": "CNOT", "q": [0, 1]}, {"gate": "SX", "q": [1]}]
         circ = parse_circuit({"n_qubits": 2, "ops": ops * 5, "measure": []})
-        series = run_channel_sim(schedule_layers(circ, DEVICE), DEVICE)
+        sched = schedule_layers(circ, DEVICE)
+        series = run_channel_sim(sched, every_layer(sched))
         for rho in series:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
             assert np.abs(rho - dagger(rho)).max() < 1e-10
@@ -226,7 +238,8 @@ class TestRunChannelSim:
         )
         ops = [{"gate": "X", "q": [0]}] * 2000
         circ = parse_circuit({"n_qubits": 1, "ops": ops, "measure": []})
-        series = run_channel_sim(schedule_layers(circ, hot), hot)
+        sched = schedule_layers(circ, hot)
+        series = run_channel_sim(sched, every_layer(sched))
         rho00 = np.array([np.real(r[0, 0]) for r in series])
         assert abs(rho00[-1] - 0.5) < 0.01
         # even-gate-count envelope decays towards 0.5 monotonically
@@ -253,7 +266,7 @@ class TestRunChannelSim:
             qubits=DEVICE.qubits + DEVICE.qubits[:1], t_1q_s=35e-9, t_2q_s=300e-9, p_1q=5e-3, p_2q=0.04
         )
         sched = schedule_layers(parse_circuit({"n_qubits": 3, "ops": ops, "measure": []}), device)
-        got = run_channel_sim(sched, device)
+        got = run_channel_sim(sched, every_layer(sched))
         want = full_register_channel_sim(sched, device)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -262,9 +275,9 @@ class TestRunChannelSim:
     def test_checkpoints_select_layers(self):
         ops = [{"gate": "SX", "q": [0]}, {"gate": "CNOT", "q": [0, 1]}, {"gate": "X", "q": [1]}]
         sched = schedule_layers(parse_circuit({"n_qubits": 2, "ops": ops, "measure": []}), DEVICE)
-        every = run_channel_sim(sched, DEVICE)
+        every = run_channel_sim(sched, every_layer(sched))
         initial = np.zeros((4, 4), dtype=complex)
         initial[0, 0] = 1.0
-        picked = run_channel_sim(sched, DEVICE, (0, 3, 1))
+        picked = run_channel_sim(sched, (0, 3, 1))
         assert np.array_equal(picked[0], initial)
         assert np.array_equal(picked[1], every[2]) and np.array_equal(picked[2], every[0])

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from noisygates.cli import main
+import noisygates
+from noisygates.cli import main, write_rho_series_csv
 
 DEVICE = {
     "qubits": [
@@ -187,8 +192,27 @@ class TestExitCodes:
         assert "measured qubit 0 listed twice" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n_qubits": True, "ops": []}, "'n_qubits' must be a positive integer"),
+            ({"n_qubits": 2, "ops": [{"gate": "CNOT", "q": [False, True]}]}, "op 0: 'q' must be a list of ints"),
+            ({"n_qubits": 1, "ops": [], "measure": [False]}, "'measure' must be a list of ints"),
+        ],
+        ids=["n_qubits", "q", "measure"],
+    )
+    def test_boolean_qubit_fields_are_two(self, doc, message, device_file, tmp_path, capsys):
+        circuit_path = tmp_path / "bad.json"
+        circuit_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        assert main(compare_args(device_file, out, **custom)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_forced_tolerance_failure_is_three(self, monkeypatch, capsys):
-        monkeypatch.setenv("NOISYGATES_TOL_SCALE", "0.0")
+        failing = (9, "always fails", lambda: (False, "forced failure"), 10.0)
+        monkeypatch.setattr("noisygates.acceptance.CRITERIA", (failing,))
         rc = main(["validate", "--criteria", "9"])
         captured = capsys.readouterr()
         assert rc == 3
@@ -351,3 +375,66 @@ class TestMixedLayerCircuit:
         rows = (rundir / "distributions.csv").read_text().splitlines()
         assert rows[1].startswith("lindblad,0,2,")
         assert len(rows[0].split(",")) == 4 + 2**3
+
+
+RHO0 = np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, 0.6]], dtype=complex)
+
+
+class TestCsv:
+    def test_roundtrip_shapes(self, tmp_path):
+        times = np.array([0.0, 1.0])
+        states = [RHO0, RHO0]
+        full = tmp_path / "full.csv"
+        diag = tmp_path / "diag.csv"
+        write_rho_series_csv(full, times, states)
+        write_rho_series_csv(diag, times, states, diagonal_only=True)
+        assert full.read_text().splitlines()[0].startswith("time_s,re_rho_0_0,im_rho_0_0,re_rho_0_1")
+        rows = diag.read_text().splitlines()
+        assert rows[0] == "time_s,rho_0,rho_1"
+        assert len(rows) == 3
+
+    @pytest.mark.parametrize("n_qubits, diagonal_only", [(5, False), (7, True)])
+    def test_header_names_are_unique_bit_strings(self, tmp_path, n_qubits, diagonal_only):
+        d = 2**n_qubits
+        path = tmp_path / "rho.csv"
+        write_rho_series_csv(path, np.array([0.0]), [np.eye(d) / d], diagonal_only=diagonal_only)
+        header = path.read_text().splitlines()[0].split(",")
+        assert len(header) == 1 + (d if diagonal_only else 2 * d * d)
+        assert len(set(header)) == len(header)
+        if diagonal_only:
+            assert header[1 + 10] == "rho_0001010"
+        else:
+            # entries (1, 23) and (12, 3), which undelimited indices would merge
+            assert header[1 + 2 * (d * 1 + 23)] == "re_rho_00001_10111"
+            assert header[1 + 2 * (d * 12 + 3)] == "re_rho_01100_00011"
+
+
+NO_SCIPY_SCRIPT = """
+import importlib, json, pkgutil, sys, tempfile
+from pathlib import Path
+import noisygates
+from noisygates.cli import main
+
+for module in pkgutil.iter_modules(noisygates.__path__):
+    importlib.import_module("noisygates." + module.name)
+with tempfile.TemporaryDirectory() as tmp:
+    device = Path(tmp) / "device.json"
+    device.write_text(sys.argv[1])
+    rc = main(["compare", "--reps", "4", "--checkpoints", "2", "--shots", "32", "--runs", "1",
+               "--parallel", "1", "--device", str(device), "--out", tmp])
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_package_runs_without_scipy():
+    # scipy is a test dependency only: no noisygates module, nor a compare
+    # through every back-end, may load it
+    src = str(Path(noisygates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(DEVICE)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == {"rc": 0, "scipy": []}

@@ -116,6 +116,20 @@ class TestParseCircuit:
         with pytest.raises(CircuitError, match="measured qubit 1 listed twice"):
             parse_circuit({"n_qubits": 3, "ops": [], "measure": [2, 1, 0, 1]})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n_qubits": True, "ops": [{"gate": "X", "q": [0]}]}, "'n_qubits' must be a positive integer"),
+            ({"n_qubits": 1, "ops": [{"gate": "X", "q": [False]}]}, "op 0: 'q' must be a list of ints"),
+            ({"n_qubits": 2, "ops": [{"gate": "CNOT", "q": [False, True]}]}, "op 0: 'q' must be a list of ints"),
+            ({"n_qubits": 1, "ops": [], "measure": [False]}, "'measure' must be a list of ints"),
+        ],
+        ids=["n_qubits", "q", "cnot_q", "measure"],
+    )
+    def test_json_booleans_are_not_integers(self, doc, message):
+        with pytest.raises(CircuitError, match=message):
+            parse_circuit(doc)
+
     def test_qubit_collision_in_layer(self):
         with pytest.raises(CircuitError, match="twice"):
             Circuit(2, ((GateSpec("X", (0,)), GateSpec("SX", (0,))),))
@@ -400,7 +414,7 @@ class TestRunShots:
         )
         circ, layers, _ = build_experiment_circuit(config)
         sched = schedule_layers(circ, DESK)
-        lb_dists, _, _ = lindblad_reference(sched, layers)
+        lb_dists, _ = lindblad_reference(sched, layers)
         result = run_shots(sched, RunConfig(shots=10_000, master_seed=2, checkpoints=layers))
         assert np.abs(result.distributions - lb_dists).max() < 0.01
 
@@ -686,13 +700,13 @@ class TestWidthLimits:
         n = CHANNEL_MAX_QUBITS + 1
         sched = schedule_layers(parse_circuit({"n_qubits": n, "ops": []}), desk_register(n))
         with pytest.raises(ValueError, match=f"at most {CHANNEL_MAX_QUBITS} qubits"):
-            run_channel_sim(sched, sched.params)
+            run_channel_sim(sched, (0,))
 
 
 # Memory bounds for a 16-qubit, 16-shot GHZ run in a fresh process.  It
 # allocated at most 27 MiB at once in chunks of four 1 MiB states, against
 # 83 MiB as one 16-shot chunk; the process peaked at 76 MiB resident, of
-# which numpy, scipy and noisygates take about 65 (Linux x86-64, numpy 2.4).
+# which numpy and noisygates take about 65 (Linux x86-64, numpy 2.4).
 # The resident peak is read as VmHWM: a child's ru_maxrss keeps the peak of
 # the process that spawned it (Linux carries it across exec), which under
 # pytest is the test runner's.

@@ -6,10 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from noisygates import lindblad
-from noisygates.channels import apply_channel, bitflip_channel, embed_operator
+from noisygates.channels import apply_channel, embed_operator
 from noisygates.engine import parse_circuit, schedule_layers
 from noisygates.experiments import (
     ExperimentConfig,
+    _channel_checkpoint_probs,
     _readout_distribution,
     build_experiment_circuit,
     channel_backend_run,
@@ -28,6 +29,7 @@ from noisygates.noise_model import (
     noise_context_for_gate,
     relaxation_rates,
 )
+from test_channels import bitflip_channel
 
 DESK = DeviceParams(
     qubits=(
@@ -99,7 +101,7 @@ class TestLindbladReference:
         cfg = small_config("repeat_cr", repetitions=2, checkpoints=1)
         circ, _, _ = build_experiment_circuit(cfg)
         sched = schedule_layers(circ, DESK)
-        dists, rhos, _ = lindblad_reference(sched, (1,))
+        dists, rhos = lindblad_reference(sched, (1,))
         # after the prep X the register sits in |10> up to gate noise
         assert dists[0][2] > 0.99
 
@@ -107,11 +109,11 @@ class TestLindbladReference:
         cfg = small_config("repeat_cnot", repetitions=2, checkpoints=1)
         circ, layers, _ = build_experiment_circuit(cfg)
         sched = schedule_layers(circ, DESK)
-        dists, _, _ = lindblad_reference(sched, (1,))
+        dists, _ = lindblad_reference(sched, (1,))
         bare = schedule_layers(
             build_experiment_circuit(small_config("repeat_cr", repetitions=2, checkpoints=1))[0], DESK
         )
-        bare_dists, _, _ = lindblad_reference(bare, (1,))
+        bare_dists, _ = lindblad_reference(bare, (1,))
         # readout bitflips pull weight off the |10> peak
         assert dists[0][2] < bare_dists[0][2]
 
@@ -217,7 +219,7 @@ class TestLindbladReferenceCache:
 
         monkeypatch.setattr("noisygates.experiments.rhs_superoperator", counting_rhs)
         layers = tuple(range(len(sched.layers) + 1))
-        _, rhos, times = lindblad_reference(sched, layers)
+        _, rhos = lindblad_reference(sched, layers)
         monkeypatch.undo()
 
         timed = {g for layer in sched.layers for g in layer.gates if g.kind != "RZ" and g.duration}
@@ -225,7 +227,7 @@ class TestLindbladReferenceCache:
         oracle, oracle_times = per_step_reference(sched)
         for got, want in zip(rhos, oracle):
             assert np.abs(got - want).max() < 1e-11
-        assert np.array_equal(times, oracle_times)
+        assert np.array_equal(sched.checkpoint_times(layers), oracle_times)
         if case == "repeat_cnot":
             # the prep X, its idle pad and the CNOT: three slots in two layers
             assert len(timed) == 3
@@ -292,7 +294,7 @@ class TestExactSlotOracle:
         else:
             sched = dict(reference_cases())[case]
         layers = tuple(range(len(sched.layers) + 1))
-        _, rhos, _ = lindblad_reference(sched, layers)
+        _, rhos = lindblad_reference(sched, layers)
         for got, want in zip(rhos, exact_slot_reference(sched)):
             assert np.abs(got - want).max() < 1e-7
 
@@ -329,7 +331,7 @@ def reference_after_first_layer(ops):
     ``ops`` on the three-qubit desk register."""
     doc = {"n_qubits": 3, "ops": [{"gate": "SX", "q": [0]}, {"gate": "SX", "q": [2]}] + ops}
     sched = schedule_layers(parse_circuit(doc), DESK_3Q)
-    _, rhos, _ = lindblad_reference(sched, (1, 2))
+    _, rhos = lindblad_reference(sched, (1, 2))
     return sched, rhos
 
 
@@ -374,15 +376,17 @@ class TestChannelBackend:
         cfg = small_config()
         circ, layers, _ = build_experiment_circuit(cfg)
         sched = schedule_layers(circ, DESK)
-        dists = channel_backend_run(sched, cfg, layers, run_index=0)
+        exact = _channel_checkpoint_probs(sched, layers)[0]
+        dists = channel_backend_run(sched, cfg, layers, 0, exact)
         assert np.allclose(dists.sum(axis=1), 1.0)
 
     def test_run_index_varies_sampling(self):
         cfg = small_config()
         circ, layers, _ = build_experiment_circuit(cfg)
         sched = schedule_layers(circ, DESK)
-        a = channel_backend_run(sched, cfg, layers, run_index=0)
-        b = channel_backend_run(sched, cfg, layers, run_index=1)
+        exact = _channel_checkpoint_probs(sched, layers)[0]
+        a = channel_backend_run(sched, cfg, layers, 0, exact)
+        b = channel_backend_run(sched, cfg, layers, 1, exact)
         assert not np.array_equal(a, b)
 
 

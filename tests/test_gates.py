@@ -33,7 +33,7 @@ def make_context(*pairs, duration=1.0):
     return NoiseContext(terms=terms, gate_duration=duration)
 
 
-IDLE_SCHED = DriveSchedule(np.zeros((2, 2)), 1.0)
+IDLE_SCHED = DriveSchedule(np.zeros((2, 2)))
 
 
 def interaction_jump(sched, jump, s):
@@ -210,8 +210,9 @@ class TestLambdaMatrix:
     def test_matches_per_term_integrals(self, gate):
         # the quadrature of each term's L_s^dag L_s - L_s^2, summed after
         params = load_calibration(DESK_DEVICE)
-        sched = schedule(gate.with_duration(params.gate_duration(len(gate.qubits))))
-        ctx = scale_context(noise_context_for_gate(gate.with_duration(sched.duration), params), 30.0)
+        timed = gate.with_duration(params.gate_duration(len(gate.qubits)))
+        sched = schedule(timed)
+        ctx = scale_context(noise_context_for_gate(timed, params), 30.0)
         svals, w = gauss_legendre_rule(32, 4)
         u = sched.unitaries(svals)
         want = np.zeros((sched.dim, sched.dim), dtype=complex)

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from noisygates.lindblad import (
-    LindbladProblem,
-    rhs_superoperator,
-    rk4_map,
-    rk4_step_matrix,
-    solve,
-    write_rho_series_csv,
-)
+from noisygates.lindblad import rhs_superoperator, rk4_map, rk4_step_matrix, solve
 from noisygates.linalg import DECAY, PAULI_X, PAULI_Z, dagger, expm
 from noisygates.noise_model import LindbladTerm
 
@@ -73,13 +66,8 @@ class TestSolve:
     def test_relaxation_analytic(self):
         gamma1, gamma_pd = 1.0e4, 1.5e4
         horizon = 2.0e-4
-        problem = LindbladProblem(
-            hamiltonians=((np.zeros((2, 2)), horizon),),
-            terms=relax_terms(gamma1, gamma_pd, horizon),
-            rho0=RHO0,
-        )
-        _, states = solve(problem, horizon / 100)
-        out = states[-1]
+        terms = relax_terms(gamma1, gamma_pd, horizon)
+        out = solve(np.zeros((2, 2)), terms, RHO0, horizon, horizon / 100)
         assert out[1, 1].real == pytest.approx(
             RHO0[1, 1].real * math.exp(-gamma1 * horizon), abs=1e-8
         )
@@ -89,48 +77,47 @@ class TestSolve:
     def test_unitary_limit(self):
         h = 3.0 * PAULI_X
         t = 0.7
-        problem = LindbladProblem(hamiltonians=((h, t),), terms=(), rho0=RHO0)
-        _, states = solve(problem, t / 400)
+        out = solve(h, (), RHO0, t, t / 400)
         u = expm(-1j * h * t)
-        assert np.abs(states[-1] - u @ RHO0 @ dagger(u)).max() < 1e-8
+        assert np.abs(out - u @ RHO0 @ dagger(u)).max() < 1e-8
 
     def test_trace_drift_over_many_steps(self):
         horizon = 1.0e-3
-        problem = LindbladProblem(
-            hamiltonians=((1e5 * PAULI_X, horizon),),
-            terms=relax_terms(1.0e4, 1.5e4, horizon),
-            rho0=RHO0,
-        )
-        _, states = solve(problem, horizon / 10_000)
-        assert abs(np.trace(states[-1]).real - 1.0) < 1e-9
-        assert np.abs(states[-1] - dagger(states[-1])).max() < 1e-10
+        out = solve(1e5 * PAULI_X, relax_terms(1.0e4, 1.5e4, horizon), RHO0, horizon, horizon / 10_000)
+        assert abs(np.trace(out).real - 1.0) < 1e-9
+        assert np.abs(out - dagger(out)).max() < 1e-10
 
     def test_fourth_order_convergence(self):
         gamma1 = 1.0e4
         horizon = 2.0e-4
-        problem = LindbladProblem(
-            hamiltonians=((np.zeros((2, 2)), horizon),),
-            terms=relax_terms(gamma1, 0.0, horizon),
-            rho0=RHO0,
-        )
+        terms = relax_terms(gamma1, 0.0, horizon)
         exact11 = RHO0[1, 1].real * math.exp(-gamma1 * horizon)
         errs = []
         steps = (10, 20, 40)
         for n in steps:
-            _, states = solve(problem, horizon / n)
-            errs.append(abs(states[-1][1, 1].real - exact11))
+            out = solve(np.zeros((2, 2)), terms, RHO0, horizon, horizon / n)
+            errs.append(abs(out[1, 1].real - exact11))
         slope = np.polyfit(np.log([horizon / n for n in steps]), np.log(errs), 1)[0]
         assert slope >= 3.7
 
-    def test_segment_boundaries_emitted(self):
-        problem = LindbladProblem(
-            hamiltonians=((np.zeros((2, 2)), 1.0), (PAULI_X, 2.0)),
-            terms=(),
-            rho0=RHO0,
-        )
-        times, states = solve(problem, 0.25)
-        assert np.allclose(times, [0.0, 1.0, 3.0])
-        assert len(states) == 3
+    def test_one_map_of_rounded_up_steps(self):
+        # horizon / 100 rounds to a quotient just above 100, so 101 steps
+        horizon = 2.0e-4
+        terms = relax_terms(1.0e4, 1.5e4, horizon)
+        assert math.ceil(horizon / (horizon / 100)) == 101
+        m = rhs_superoperator(np.zeros((2, 2)), terms)
+        want = (rk4_map(m, horizon, 101) @ RHO0.reshape(-1)).reshape(2, 2)
+        want = 0.5 * (want + dagger(want))
+        assert np.array_equal(solve(np.zeros((2, 2)), terms, RHO0, horizon, horizon / 100), want)
+
+    def test_divergence_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
+            solve(np.zeros((2, 2)), relax_terms(1e200, 0.0), RHO0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("duration, dt_max", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1)])
+    def test_nonpositive_duration_or_step_rejected(self, duration, dt_max):
+        with pytest.raises(ValueError, match="must be positive"):
+            solve(np.zeros((2, 2)), (), RHO0, duration, dt_max)
 
 
 class TestRk4Map:
@@ -145,32 +132,3 @@ class TestRk4Map:
         for _ in range(steps):
             stepped = step @ stepped
         assert np.abs(rk4_map(m, 0.5, steps) @ rho - stepped).max() < 1e-13
-
-
-class TestCsv:
-    def test_roundtrip_shapes(self, tmp_path):
-        times = np.array([0.0, 1.0])
-        states = [RHO0, RHO0]
-        full = tmp_path / "full.csv"
-        diag = tmp_path / "diag.csv"
-        write_rho_series_csv(full, times, states)
-        write_rho_series_csv(diag, times, states, diagonal_only=True)
-        assert full.read_text().splitlines()[0].startswith("time_s,re_rho_0_0,im_rho_0_0,re_rho_0_1")
-        rows = diag.read_text().splitlines()
-        assert rows[0] == "time_s,rho_0,rho_1"
-        assert len(rows) == 3
-
-    @pytest.mark.parametrize("n_qubits, diagonal_only", [(5, False), (7, True)])
-    def test_header_names_are_unique_bit_strings(self, tmp_path, n_qubits, diagonal_only):
-        d = 2**n_qubits
-        path = tmp_path / "rho.csv"
-        write_rho_series_csv(path, np.array([0.0]), [np.eye(d) / d], diagonal_only=diagonal_only)
-        header = path.read_text().splitlines()[0].split(",")
-        assert len(header) == 1 + (d if diagonal_only else 2 * d * d)
-        assert len(set(header)) == len(header)
-        if diagonal_only:
-            assert header[1 + 10] == "rho_0001010"
-        else:
-            # entries (1, 23) and (12, 3), which undelimited indices would merge
-            assert header[1 + 2 * (d * 1 + 23)] == "re_rho_00001_10111"
-            assert header[1 + 2 * (d * 12 + 3)] == "re_rho_01100_00011"

@@ -6,7 +6,7 @@ import pytest
 
 from noisygates.channels import depolarizing_channel
 from noisygates.gates import GateSpec
-from noisygates.lindblad import LindbladProblem, solve
+from noisygates.lindblad import solve
 from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z
 from noisygates.noise_model import (
     CalibrationError,
@@ -141,13 +141,12 @@ class TestDepolarizingRate:
         rho0 = np.eye(d, dtype=complex) / d
         for k, pauli in enumerate(depolarizing_paulis(arity)):
             rho0 = rho0 + (0.1 - 0.01 * k) / d * pauli
-        problem = LindbladProblem(hamiltonians=((np.zeros((d, d)), duration),), terms=terms, rho0=rho0)
-        _, states = solve(problem, duration / 400)
+        rho = solve(np.zeros((d, d)), terms, rho0, duration, duration / 400)
         for pauli in depolarizing_paulis(arity):
             before = np.real(np.trace(rho0 @ pauli))
-            after = np.real(np.trace(states[-1] @ pauli))
+            after = np.real(np.trace(rho @ pauli))
             assert after == pytest.approx((1 - p) * before, abs=1e-8)
-        assert np.abs(states[-1] - depolarizing_channel(p, arity)(rho0)).max() < 1e-8
+        assert np.abs(rho - depolarizing_channel(p, arity)(rho0)).max() < 1e-8
 
     def test_bloch_contraction_oracle(self):
         # one gate of X, Y, Z jumps at gamma_d shrinks the Bloch vector by 1 - p
@@ -155,10 +154,9 @@ class TestDepolarizingRate:
         gamma = depolarizing_rate(p, duration, 1)
         rho0 = 0.5 * (np.eye(2) + 0.8 * PAULI_X + 0.1 * PAULI_Y - 0.3 * PAULI_Z)
         terms = tuple(LindbladTerm.from_rate(op, gamma, duration) for op in (PAULI_X, PAULI_Y, PAULI_Z))
-        problem = LindbladProblem(hamiltonians=((np.zeros((2, 2)), duration),), terms=terms, rho0=rho0)
-        _, states = solve(problem, duration / 400)
+        rho = solve(np.zeros((2, 2)), terms, rho0, duration, duration / 400)
         contracted = 0.5 * np.eye(2) + (1 - p) * (rho0 - 0.5 * np.eye(2))
-        assert np.abs(states[-1] - contracted).max() < 1e-6
+        assert np.abs(rho - contracted).max() < 1e-6
 
 
 class TestSpamStrength:
@@ -251,12 +249,9 @@ class TestNoiseContext:
         rho0[2, 2] = 1.0
         rho0 += 0.1 * np.kron(PAULI_X, PAULI_X)
         rho0 /= np.trace(rho0).real
-        problem = LindbladProblem(
-            hamiltonians=((np.zeros((4, 4)), params.t_2q_s),), terms=ctx.terms, rho0=rho0
-        )
-        _, states = solve(problem, params.t_2q_s / 400)
+        rho = solve(np.zeros((4, 4)), ctx.terms, rho0, params.t_2q_s, params.t_2q_s / 400)
         want = depolarizing_channel(0.04, 2)(rho0)
-        assert np.abs(states[-1] - want).max() < 2e-3
+        assert np.abs(rho - want).max() < 2e-3
 
     def test_two_qubit_rate_closed_form(self):
         p, duration = 0.04, 300e-9

@@ -69,7 +69,7 @@ def test_back_ends_agree_at_zero_noise(doc):
     layers = tuple(range(len(sched.layers) + 1))
     ensemble = run_shots(sched, RunConfig(shots=SHOTS, checkpoints=layers))
     channel = _channel_checkpoint_probs(sched, layers)[0]
-    ref_dists, ref_rhos, _ = lindblad_reference(sched, layers)
+    ref_dists, ref_rhos = lindblad_reference(sched, layers)
     assert np.abs(channel - ref_dists).max() < TOL
     assert np.abs(ensemble.distributions - ref_dists).max() < TOL
     assert np.abs(ensemble.densities - np.asarray(ref_rhos)).max() < TOL
