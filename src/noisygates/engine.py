@@ -146,11 +146,12 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
 
     Format: ``{"n_qubits": int, "ops": [{"gate": kind, "q": [ints],
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
-    "measure": [ints]}``, the ints JSON integers (not bools).  An op may carry only the angles its gate
-    reads: ``theta`` on RX and CR, ``phi`` on RZ, RX, X, SX and CR, each
-    a finite JSON number (not a bool or a string).  A
-    ``duration_s`` must be finite and >= 0, and > 0 on the driven gates
-    X, SX, RX, CR and CNOT; a zero IDLE is the identity.
+    "measure": [ints]}``, each int a JSON integer (not a bool).  An op
+    may carry only the angles its gate reads: ``theta`` on RX and CR,
+    ``phi`` on RZ, RX, X, SX and CR, each a finite JSON number (not a
+    bool or a string).  A ``duration_s`` must be finite and >= 0, and > 0
+    on the driven gates X, SX, RX, CR and CNOT; a zero IDLE is the
+    identity.
     """
     doc = read_json_object(source, CircuitError, "circuit")
     extra = set(doc) - {"n_qubits", "ops", "measure"}
