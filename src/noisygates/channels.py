@@ -77,12 +77,6 @@ class KrausChannel:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for op in self.operators:
-            out += op @ rho @ dagger(op)
-        return out
-
 
 def _check_probability(p: float, name: str = "p") -> None:
     if not (0.0 <= p <= 1.0):

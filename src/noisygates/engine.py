@@ -1,8 +1,11 @@
 """Circuit representation, scheduling and Monte Carlo trajectory engine.
 
-Circuits are JSON documents (see ``parse_circuit``); operations are
-packed greedily into layers (ASAP).  Scheduling attaches device
-durations and pads idle qubits with exact relaxation slots.  It adds no
+Circuits are JSON documents (see ``parse_circuit``, which checks the
+document) or lists of ``GateSpec`` (whose construction checks each
+gate against ``gates.GATE_KINDS``).  Every circuit, the stock
+experiments' included, is packed greedily into layers by ``_pack_asap``
+(ASAP).  Scheduling attaches device durations and pads idle qubits
+with exact relaxation slots.  It adds no
 readout slot: each measured qubit's pre-measurement noise gate is drawn
 at every checkpoint by ``_Compiled.measured_probs``.
 
@@ -48,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .gates import (
+    GATE_KINDS,
     GateSpec,
     NoisyGateSampler,
     ideal_unitary,
@@ -129,11 +133,6 @@ class Circuit:
 
 
 _OP_KEYS = {"gate", "q", "theta", "phi", "duration_s"}
-# Gates with a drive: a zero duration would make their drive infinite.
-_DRIVEN_KINDS = ("X", "SX", "RX", "CR", "CNOT")
-# The angles each gate kind reads; an op carrying any other is rejected.
-_ANGLES = {"X": ("phi",), "SX": ("phi",), "RZ": ("phi",), "RX": ("theta", "phi"),
-           "CR": ("theta", "phi"), "CNOT": (), "IDLE": ()}
 
 
 def _is_int(val) -> bool:
@@ -146,12 +145,16 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
 
     Format: ``{"n_qubits": int, "ops": [{"gate": kind, "q": [ints],
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
-    "measure": [ints]}``, each int a JSON integer (not a bool).  An op
-    may carry only the angles its gate reads: ``theta`` on RX and CR,
-    ``phi`` on RZ, RX, X, SX and CR, each a finite JSON number (not a
-    bool or a string).  A ``duration_s`` must be finite and >= 0, and > 0
-    on the driven gates X, SX, RX, CR and CNOT; a zero IDLE is the
-    identity.
+    "measure": [ints]}``, each int a JSON integer (not a bool).  The
+    parser checks the document: its keys, its JSON types, that an op
+    carries only the angles its gate reads (``theta`` on RX and CR,
+    ``phi`` on RZ, RX, X, SX and CR, each a finite JSON number, not a
+    bool or a string), a finite ``duration_s`` on every IDLE and the
+    qubit range.  ``GateSpec`` then checks each gate as it does for
+    library callers (``theta`` present, a ``duration_s`` >= 0 and > 0 on
+    the driven gates X, SX, RX, CR and CNOT, the arity) and its message
+    is raised as ``op i: ...``.  An RZ needs no ``duration_s``; a zero
+    IDLE is the identity.
     """
     doc = read_json_object(source, CircuitError, "circuit")
     extra = set(doc) - {"n_qubits", "ops", "measure"}
@@ -172,9 +175,9 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
         if extra:
             raise CircuitError(f"unknown keys in op {i}: {sorted(extra)}")
         kind = op.get("gate")
-        if not isinstance(kind, str) or kind not in _ANGLES:
+        if not isinstance(kind, str) or kind not in GATE_KINDS:
             raise CircuitError(f"op {i}: unknown gate kind {kind!r}")
-        unread = [key for key in ("theta", "phi") if key in op and key not in _ANGLES[kind]]
+        unread = [key for key in ("theta", "phi") if key in op and key not in GATE_KINDS[kind].angles]
         if unread:
             raise CircuitError(f"op {i}: {kind} does not read {unread[0]!r}")
         for key in ("theta", "phi"):
@@ -183,26 +186,17 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
         qubits = op.get("q")
         if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
             raise CircuitError(f"op {i}: 'q' must be a list of ints")
-        theta = op.get("theta")
-        phi = op.get("phi", 0.0)
         duration = op.get("duration_s")
-        if kind in ("RX", "CR") and theta is None:
-            raise CircuitError(f"op {i}: {kind} requires 'theta'")
         if kind == "IDLE" and duration is None:
             raise CircuitError(f"op {i}: IDLE requires 'duration_s'")
-        if duration is not None:
-            if not is_finite_number(duration):
-                raise CircuitError(f"op {i}: 'duration_s' must be a finite number")
-            if duration < 0:
-                raise CircuitError(f"op {i}: 'duration_s' must be >= 0, got {duration!r}")
-            if duration == 0 and kind in _DRIVEN_KINDS:
-                raise CircuitError(f"op {i}: {kind} is driven and needs a positive 'duration_s'")
-        if kind == "RZ":
-            duration = 0.0
+        if duration is not None and not is_finite_number(duration):
+            raise CircuitError(f"op {i}: 'duration_s' must be a finite number")
         if any(q < 0 or q >= n for q in qubits):
             raise CircuitError(f"op {i}: qubit index out of range 0..{n - 1}: {qubits}")
         try:
-            gates.append(GateSpec(kind, tuple(qubits), theta=theta, phi=float(phi), duration=duration))
+            gates.append(
+                GateSpec(kind, tuple(qubits), theta=op.get("theta"), phi=float(op.get("phi", 0.0)), duration=duration)
+            )
         except ValueError as exc:
             raise CircuitError(f"op {i}: {exc}") from exc
 
@@ -210,22 +204,26 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
     if not isinstance(measured, list) or not all(_is_int(q) for q in measured):
         raise CircuitError("'measure' must be a list of ints")
 
-    return Circuit(n_qubits=n, layers=_pack_asap(n, gates), measured=tuple(measured))
+    return Circuit(n_qubits=n, layers=_pack_asap(n, gates)[0], measured=tuple(measured))
 
 
-def _pack_asap(n_qubits: int, gates: list[GateSpec]) -> tuple[tuple[GateSpec, ...], ...]:
-    """Greedy ASAP packing: each gate lands in the earliest layer after the
-    last one touching any of its qubits."""
+def _pack_asap(n_qubits: int, gates: list[GateSpec]) -> tuple[tuple[tuple[GateSpec, ...], ...], list[int]]:
+    """Greedy ASAP packing, the one layout of every circuit: each gate
+    lands in the earliest layer after the last one touching any of its
+    qubits.  Returns the layers and, for each gate, the depth (number of
+    layers) once it and every gate before it are placed."""
     frontier = [0] * n_qubits
     layers: list[list[GateSpec]] = []
+    depths: list[int] = []
     for gate in gates:
         at = max(frontier[q] for q in gate.qubits)
-        while len(layers) <= at:
+        if at == len(layers):
             layers.append([])
         layers[at].append(gate)
         for q in gate.qubits:
             frontier[q] = at + 1
-    return tuple(tuple(layer) for layer in layers)
+        depths.append(len(layers))
+    return tuple(tuple(layer) for layer in layers), depths
 
 
 @dataclass(frozen=True)
@@ -297,7 +295,7 @@ def decompose_cnot(gate: GateSpec) -> list[GateSpec]:
     return [
         GateSpec("CR", (ctrl, targ), theta=-math.pi / 2),
         GateSpec("SX", (targ,)),
-        GateSpec("RZ", (ctrl,), phi=math.pi / 2, duration=0.0),
+        GateSpec("RZ", (ctrl,), phi=math.pi / 2),
     ]
 
 
@@ -308,7 +306,7 @@ def expand_cnots(circuit: Circuit) -> Circuit:
     for layer in circuit.layers:
         for gate in layer:
             ops.extend(decompose_cnot(gate) if gate.kind == "CNOT" else [gate])
-    return Circuit(circuit.n_qubits, _pack_asap(circuit.n_qubits, ops), circuit.measured)
+    return Circuit(circuit.n_qubits, _pack_asap(circuit.n_qubits, ops)[0], circuit.measured)
 
 
 @dataclass(frozen=True)
@@ -357,9 +355,7 @@ def _plan_passes(qubits) -> list[tuple[int, ...]]:
     return [tuple(run) for run in runs]
 
 
-def _apply_single(
-    states: np.ndarray, factors: dict[int, np.ndarray], n_qubits: int, buffers: list[np.ndarray]
-) -> np.ndarray:
+def _apply_single(states: np.ndarray, factors: dict[int, np.ndarray], buffers: list[np.ndarray]) -> np.ndarray:
     """Apply one-qubit gates on distinct qubits, ``{qubit: gate}``, one
     pass per adjacent run with the per-shot Kronecker product of its
     gates (first qubit most significant).  Pass i writes into
@@ -367,7 +363,7 @@ def _apply_single(
     when there is no pass."""
     for i, qubits in enumerate(_plan_passes(factors)):
         gate = reduce(kron, [factors[q] for q in qubits])
-        states = apply_gate(states, gate, qubits, n_qubits, out=buffers[i % 2])
+        states = apply_gate(states, gate, qubits, out=buffers[i % 2])
     return states
 
 
@@ -400,7 +396,7 @@ class _Compiled:
                 if gate.kind == "IDLE" and noise.relaxation:
                     (gamma1, gamma_pd), = noise.relaxation
                     plan.append((gate.qubits, "relax", (gamma1, gamma_pd, noise.duration)))
-                elif gate.kind in ("RZ", "IDLE"):
+                elif not GATE_KINDS[gate.kind].driven:
                     plan.append((gate.qubits, "fixed", ideal_unitary(gate)))
                 else:
                     key = (gate.kind, gate.theta, gate.phi, gate.duration, gate.qubits)
@@ -446,7 +442,7 @@ class _Compiled:
                 before = kron(I2 if pending[a] is None else pending[a], I2 if pending[b] is None else pending[b])
                 gate = gate @ before
                 pending[a] = pending[b] = None
-            apply_gate(pair[0], gate, qubits, self.n_qubits, out=pair[1])
+            apply_gate(pair[0], gate, qubits, out=pair[1])
             pair.reverse()
 
     def flush(self, pair: list[np.ndarray], pending: list) -> None:
@@ -454,7 +450,7 @@ class _Compiled:
         passing between the two buffers of ``pair``, and clear it."""
         factors = {q: factor for q, factor in enumerate(pending) if factor is not None}
         pending[:] = [None] * len(pending)
-        if _apply_single(pair[0], factors, self.n_qubits, pair[::-1]) is not pair[0]:
+        if _apply_single(pair[0], factors, pair[::-1]) is not pair[0]:
             pair.reverse()
 
     def measured_probs(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -466,7 +462,7 @@ class _Compiled:
         readout = [self.workspace.take(f"engine.readout{i}", states.shape) for i in range(2)]
         if self.spam:
             gates = {q: spam_gate_batch(v, gen, states.shape[0]) for q, v in self.spam}
-            states = _apply_single(states, gates, self.n_qubits, readout)
+            states = _apply_single(states, gates, readout)
         free = readout[1] if states is readout[0] else readout[0]
         probs = free.reshape(-1).view(float)[: states.size].reshape(states.shape)
         np.abs(states, out=probs)

@@ -31,6 +31,8 @@ from .engine import (
     RunConfig,
     ScheduledCircuit,
     _Compiled,
+    _pack_asap,
+    decompose_cnot,
     expand_cnots,
     run_shots,
     schedule_layers,
@@ -52,7 +54,6 @@ __all__ = [
     "build_experiment_circuit",
     "checkpoint_gate_counts",
     "lindblad_reference",
-    "noisy_ensemble",
     "channel_backend_run",
     "run_compare",
 ]
@@ -107,53 +108,36 @@ def checkpoint_gate_counts(repetitions: int, checkpoints: int) -> tuple[int, ...
 
 
 def build_experiment_circuit(config: ExperimentConfig) -> tuple[Circuit, tuple[int, ...], tuple[int, ...]]:
-    """Returns (circuit, checkpoint layer indices, checkpoint gate counts)."""
+    """Returns (circuit, checkpoint layer indices, checkpoint gate counts).
+
+    A stock experiment is its prep ops (none for ``repeat_x``, X on qubit 0
+    for the two-qubit ones) followed by ``repetitions`` copies of its body:
+    one X, one CR(pi), or one CNOT, which ``decomposed`` mode replaces by
+    ``decompose_cnot``'s native ops.  ``_pack_asap`` lays the ops out, and a
+    checkpoint of c gates sits at the depth after the last op of the c-th
+    repetition.  A custom circuit has one checkpoint, at its end.
+    """
     if config.experiment == "custom_circuit":
         circ = config.circuit
         if config.cnot_mode == "decomposed":
             circ = expand_cnots(circ)
         return circ, (circ.n_layers,), (circ.n_layers,)
 
-    counts = checkpoint_gate_counts(config.repetitions, config.checkpoints)
+    measured = ()
     if config.experiment == "repeat_x":
-        gates = [GateSpec("X", (0,)) for _ in range(config.repetitions)]
-        circ = Circuit(1, tuple((g,) for g in gates), measured=())
-        layers = tuple(counts)
-        return circ, layers, counts
-
-    prep = GateSpec("X", (0,))
-    if config.experiment == "repeat_cr":
-        body = [GateSpec("CR", (0, 1), theta=math.pi, phi=0.0) for _ in range(config.repetitions)]
-        circ = Circuit(2, tuple([(prep,)] + [(g,) for g in body]), measured=())
-        layers = tuple(1 + c for c in counts)
-        return circ, layers, counts
-
-    body = [GateSpec("CNOT", (0, 1)) for _ in range(config.repetitions)]
-    circ = Circuit(2, tuple([(prep,)] + [(g,) for g in body]), measured=(0, 1))
-    if config.cnot_mode == "decomposed":
-        circ = expand_cnots(circ)
-        # prep X is one layer; each CNOT expands to CR + (SX, RZ) = 2 layers
-        layers = tuple(1 + 2 * c for c in counts)
+        n, prep, body = 1, [], [GateSpec("X", (0,))]
     else:
-        layers = tuple(1 + c for c in counts)
-    return circ, layers, counts
-
-
-def noisy_ensemble(
-    compiled: _Compiled,
-    config: ExperimentConfig,
-    checkpoint_layers: tuple[int, ...],
-    run_index: int,
-):
-    """Run ``run_index`` of the trajectory engine on a compiled circuit,
-    which every run of one ``compare`` shares."""
-    run_cfg = RunConfig(
-        shots=config.shots,
-        master_seed=config.seed,
-        run_index=run_index,
-        checkpoints=checkpoint_layers,
-    )
-    return run_shots(compiled.scheduled, run_cfg, compiled)
+        n, prep = 2, [GateSpec("X", (0,))]
+        if config.experiment == "repeat_cr":
+            body = [GateSpec("CR", (0, 1), theta=math.pi, phi=0.0)]
+        else:
+            body, measured = [GateSpec("CNOT", (0, 1))], (0, 1)
+            if config.cnot_mode == "decomposed":
+                body = decompose_cnot(body[0])
+    layers, depths = _pack_asap(n, prep + body * config.repetitions)
+    counts = checkpoint_gate_counts(config.repetitions, config.checkpoints)
+    checkpoint_layers = tuple(depths[len(prep) + c * len(body) - 1] for c in counts)
+    return Circuit(n, layers, measured), checkpoint_layers, counts
 
 
 def _readout_distribution(rho: np.ndarray, scheduled: ScheduledCircuit) -> np.ndarray:
@@ -181,15 +165,11 @@ def _channel_checkpoint_probs(
     return np.asarray(probs), np.asarray(diags)
 
 
-def channel_backend_run(
-    scheduled: ScheduledCircuit,
-    config: ExperimentConfig,
-    checkpoint_layers: tuple[int, ...],
-    run_index: int,
-    exact_probs: np.ndarray,
-) -> np.ndarray:
-    """Finite-shot sample of ``exact_probs``, the exact channel-simulator
-    distributions at the checkpoints (``_channel_checkpoint_probs``)."""
+def channel_backend_run(config: ExperimentConfig, run_index: int, exact_probs: np.ndarray) -> np.ndarray:
+    """Run ``run_index`` of the channel back-end: a finite-shot sample of
+    ``exact_probs``, the exact channel-simulator distributions at the
+    checkpoints (``_channel_checkpoint_probs``), from the run's own stream
+    (seed, ``_CHANNEL_STREAM_BASE`` + run)."""
     gen = RngStream(config.seed, stream_index=_CHANNEL_STREAM_BASE + run_index).generator
     out = np.empty_like(exact_probs)
     for j, p in enumerate(exact_probs):
@@ -253,15 +233,14 @@ class ExperimentResult:
 
 
 def _noisy_task(args):
+    """Run ``run_index`` of the trajectory engine on the compiled circuit
+    every run of one ``compare`` shares: its distributions at the
+    checkpoint ``layers``, and run 0's density estimates."""
     compiled, config, layers, run_index = args
-    result = noisy_ensemble(compiled, config, layers, run_index)
+    run_cfg = RunConfig(shots=config.shots, master_seed=config.seed, run_index=run_index, checkpoints=layers)
+    result = run_shots(compiled.scheduled, run_cfg, compiled)
     dists = result.distribution(slice(None), config.estimator)
     return dists, (result.densities if run_index == 0 else None)
-
-
-def _channel_task(args):
-    scheduled, config, layers, run_index, exact = args
-    return channel_backend_run(scheduled, config, layers, run_index, exact)
 
 
 def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> ExperimentResult:
@@ -298,8 +277,8 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
         h_ng = series(noisy)
     if "channel" in config.backends:
         exact, state_diags = _channel_checkpoint_probs(scheduled, layers)
-        tasks = [(scheduled, config, layers, r, exact) for r in range(config.runs)]
-        channel = np.asarray(_map_tasks(_channel_task, tasks, config.parallel))
+        # sampling a run takes far less than starting a worker process
+        channel = np.asarray([channel_backend_run(config, r, exact) for r in range(config.runs)])
         h_ch = series(channel)
 
     result = ExperimentResult(

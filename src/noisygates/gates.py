@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .noise_model import NoiseContext, LindbladTerm
 from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
 __all__ = [
+    "GATE_KINDS",
+    "GateKind",
     "GateSpec",
     "DriveSchedule",
     "ideal_unitary",
@@ -54,7 +57,27 @@ __all__ = [
     "scale_context",
 ]
 
-GATE_KINDS = ("RZ", "RX", "X", "SX", "CR", "CNOT", "IDLE")
+class GateKind(NamedTuple):
+    """What every gate of one kind shares: how many qubits it acts on, the
+    angles it reads and whether it has a drive (which a zero duration
+    would make infinite)."""
+
+    arity: int
+    angles: tuple[str, ...]
+    driven: bool
+
+
+# The one table of gate kinds.  RZ is a virtual frame change and IDLE a
+# relaxation slot; neither has a drive.
+GATE_KINDS = {
+    "RZ": GateKind(1, ("phi",), False),
+    "RX": GateKind(1, ("theta", "phi"), True),
+    "X": GateKind(1, ("phi",), True),
+    "SX": GateKind(1, ("phi",), True),
+    "CR": GateKind(2, ("theta", "phi"), True),
+    "CNOT": GateKind(2, (), True),
+    "IDLE": GateKind(1, (), False),
+}
 
 
 @dataclass(frozen=True)
@@ -63,8 +86,13 @@ class GateSpec:
 
     ``theta``/``phi`` parametrise rotations; ``duration`` is in seconds
     and may be left None to be filled in from device calibration when
-    the circuit is scheduled.  RZ is a virtual frame change: duration 0
-    and noiseless.
+    the circuit is scheduled.  RZ is a virtual frame change: noiseless,
+    and its duration is stored as 0.0 whether given as None or 0.
+
+    Construction is the one semantic check of a gate, for parsed circuits
+    and library callers alike: a known kind, ``theta`` on the kinds that
+    read it, a duration >= 0 (> 0 on driven kinds, none but 0 on RZ) and
+    the kind's arity.  Its messages read as ``parse_circuit``'s.
     """
 
     kind: str
@@ -74,22 +102,25 @@ class GateSpec:
     duration: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind: {self.kind!r}")
-        if self.kind in ("RX", "CR") and self.theta is None:
-            raise ValueError(f"{self.kind} requires theta")
-        if self.kind == "RZ" and self.duration not in (None, 0.0):
-            raise ValueError("RZ is virtual and has zero duration")
-        arity = 2 if self.kind in ("CR", "CNOT") else 1
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} acts on {arity} qubit(s), got {self.qubits}")
+        spec = GATE_KINDS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if "theta" in spec.angles and self.theta is None:
+            raise ValueError(f"{self.kind} requires 'theta'")
+        if self.duration is not None:
+            if self.duration < 0:
+                raise ValueError(f"'duration_s' must be >= 0, got {self.duration!r}")
+            if self.duration == 0 and spec.driven:
+                raise ValueError(f"{self.kind} is driven and needs a positive 'duration_s'")
+        if self.kind == "RZ":
+            if self.duration not in (None, 0):
+                raise ValueError("RZ is virtual and has zero duration")
+            object.__setattr__(self, "duration", 0.0)
+        if len(self.qubits) != spec.arity:
+            raise ValueError(f"{self.kind} acts on {spec.arity} qubit(s), got {self.qubits}")
 
     def with_duration(self, duration: float) -> "GateSpec":
         return GateSpec(self.kind, self.qubits, self.theta, self.phi, duration)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.qubits)
 
 
 def ideal_unitary(gate: GateSpec) -> np.ndarray:
@@ -150,8 +181,6 @@ class DriveSchedule:
 
 def schedule(gate: GateSpec) -> DriveSchedule:
     """Drive schedule traversing the gate linearly in rescaled time."""
-    if gate.kind == "RZ":
-        raise ValueError("RZ is virtual: it has no drive schedule")
     return DriveSchedule(drive_generator(gate))
 
 
@@ -233,20 +262,14 @@ class XiSampler:
         self._interleaved[:, 0::2] = self.factor[:n].T
         self._interleaved[:, 1::2] = self.factor[n:].T
 
-    def sample(
-        self, gen: np.random.Generator, size: int | None = None, workspace: Workspace | None = None
-    ) -> np.ndarray:
-        """``size`` draws of Xi, shape ``(size, d, d)``, or one ``(d, d)``
-        draw for None.  The normals and the draws are written into buffers
-        of ``workspace`` (a fresh one when None), so with a caller-held
-        workspace the result is a view that its next user overwrites."""
+    def sample(self, gen: np.random.Generator, size: int, workspace: Workspace) -> np.ndarray:
+        """``size`` draws of Xi, shape ``(size, d, d)``.  The normals and
+        the draws are written into buffers of ``workspace``, so the result
+        is a view that the workspace's next user overwrites."""
         d = self.dim
-        n = 1 if size is None else size
-        ws = Workspace() if workspace is None else workspace
-        g = gen.standard_normal(out=ws.take("xi.normals", (n, self.n_gaussians), float))
-        flat = np.matmul(g, self._interleaved, out=ws.take("xi.draws", (n, 2 * d * d), float))
-        out = flat.view(complex).reshape(n, d, d)
-        return out[0] if size is None else out
+        g = gen.standard_normal(out=workspace.take("xi.normals", (size, self.n_gaussians), float))
+        flat = np.matmul(g, self._interleaved, out=workspace.take("xi.draws", (size, 2 * d * d), float))
+        return flat.view(complex).reshape(size, d, d)
 
 
 class NoisyGateSampler:
@@ -272,22 +295,21 @@ class NoisyGateSampler:
         self.prefix = sched.unitary_at(1.0) @ expm(lambda_matrix(sched, ctx))
         self.xi = XiSampler(sched, ctx)
 
-    def sample_batch(self, gen: np.random.Generator, size: int, workspace: Workspace | None = None) -> np.ndarray:
+    def sample_batch(self, gen: np.random.Generator, size: int, workspace: Workspace) -> np.ndarray:
         """``size`` realisations P exp(Xi), shape ``(size, d, d)``, with
-        the temporaries in ``workspace`` (a fresh one when None)."""
+        the temporaries in ``workspace``."""
         d = self.dim
         if self.xi.n_gaussians == 0:
             return np.broadcast_to(self.prefix, (size, d, d))
-        ws = Workspace() if workspace is None else workspace
-        xi = self.xi.sample(gen, size, ws)
+        xi = self.xi.sample(gen, size, workspace)
         if d == 2:
             return mul_2x2(self.prefix, expm_2x2(xi))
-        x = ws.take("sampler.xi", (d, d, size))
+        x = workspace.take("sampler.xi", (d, d, size))
         np.copyto(x, xi.transpose(1, 2, 0))
-        f = expm_soa(x, ws)
+        f = expm_soa(x, workspace)
         # rows[s, k, i] = exp(Xi_s)[i, k], so rows @ P^T holds (P exp(Xi_s))[j, k]
         # at [s, k, j]; rows reuses x's buffer, which f never views
-        rows = ws.take("sampler.xi", (size, d, d))
+        rows = workspace.take("sampler.xi", (size, d, d))
         np.copyto(rows, f.transpose(2, 1, 0))
         return np.dot(rows.reshape(size * d, d), self.prefix.T).reshape(size, d, d).swapaxes(1, 2)
 

@@ -363,13 +363,13 @@ def apply_gate(
     state: np.ndarray,
     gate: np.ndarray,
     qubits: list[int] | tuple[int, ...],
-    n_qubits: int | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply ``gate`` to the listed qubits of ``state``.
 
     ``state`` may be a single vector of length 2**n or a batch
-    ``(S, 2**n)``; ``gate`` must be ``(d, d)`` or a matching batch
+    ``(S, 2**n)``, whose last axis gives n (2n for a vec(rho));
+    ``gate`` must be ``(d, d)`` or a matching batch
     ``(S, d, d)`` with d = 2**len(qubits).  The first listed qubit is the
     most significant bit of the gate's local ordering.
 
@@ -389,8 +389,7 @@ def apply_gate(
     state = np.asarray(state, dtype=complex)
     gate = np.asarray(gate, dtype=complex)
     batched = state.ndim == 2
-    if n_qubits is None:
-        n_qubits = int(round(np.log2(state.shape[-1])))
+    n_qubits = state.shape[-1].bit_length() - 1
     qubits = list(qubits)
     k = len(qubits)
     if gate.shape[-1] != 2**k:
@@ -456,5 +455,5 @@ def apply_superoperator(rho: np.ndarray, sup: np.ndarray, qubits: list[int] | tu
     d = rho.shape[0]
     n = d.bit_length() - 1
     qubits = list(qubits)
-    vec = apply_gate(rho.reshape(-1), sup, qubits + [n + q for q in qubits], 2 * n)
+    vec = apply_gate(rho.reshape(-1), sup, qubits + [n + q for q in qubits])
     return vec.reshape(d, d)

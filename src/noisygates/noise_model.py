@@ -255,10 +255,6 @@ class NoiseContext:
     terms: tuple[LindbladTerm, ...]
     gate_duration: float
 
-    @property
-    def dim(self) -> int:
-        return self.terms[0].operator.shape[0] if self.terms else 0
-
 
 @dataclass(frozen=True)
 class SlotNoise:
@@ -277,14 +273,12 @@ def slot_noise(gate: "GateSpec", params: DeviceParams) -> SlotNoise:
     """The noise rule every back-end follows: a slot relaxes each of its
     qubits over its duration (the device default for its arity when the
     gate has none) and a driven slot also depolarises at ``p_1q`` or
-    ``p_2q``.  RZ frames and zero-duration slots carry no noise."""
+    ``p_2q``.  Zero-duration slots, RZ frames among them, carry no noise."""
     qubits = gate.qubits
     if any(q >= params.n_qubits for q in qubits):
         raise ValueError(f"gate qubits {qubits} not in device (n={params.n_qubits})")
-    if len(qubits) > 2:
-        raise ValueError(f"unsupported gate arity: {len(qubits)}")
     duration = gate.duration if gate.duration is not None else params.gate_duration(len(qubits))
-    if gate.kind == "RZ" or duration == 0:
+    if duration == 0:
         return SlotNoise(0.0, (), None)
     relaxation = tuple(relaxation_rates(params.qubits[q].t1_s, params.qubits[q].t2_s) for q in qubits)
     p = None if gate.kind == "IDLE" else (params.p_1q if len(qubits) == 1 else params.p_2q)

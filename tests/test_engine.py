@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import noisygates
-from noisygates.channels import relaxation_channel
+from noisygates.channels import apply_channel, relaxation_channel
 from noisygates.engine import (
     CHUNK_SHOTS,
     MAX_QUBITS,
@@ -29,7 +29,9 @@ from noisygates.engine import (
     run_shots,
     schedule_layers,
 )
+from noisygates.experiments import _channel_checkpoint_probs, lindblad_reference
 from noisygates.gates import (
+    GATE_KINDS,
     GateSpec,
     NoisyGateSampler,
     ideal_unitary,
@@ -38,7 +40,7 @@ from noisygates.gates import (
     spam_gate_batch,
 )
 from noisygates.channels import embed_operator
-from noisygates.linalg import apply_gate
+from noisygates.linalg import Workspace, apply_gate
 from noisygates.noise_model import (
     DeviceParams,
     QubitParams,
@@ -315,6 +317,113 @@ class TestDecomposeCnot:
         assert result.distributions[-1][3] == pytest.approx(1.0, abs=1e-12)
 
 
+# T1 = T2 = 1000 s and no gate or readout error: the three back-ends then
+# describe the same ideal circuit (see test_zero_noise_agreement.py)
+QUIET = DeviceParams(
+    qubits=(QubitParams(t1_s=1000.0, t2_s=1000.0, p_readout=0.0),) * 2,
+    t_1q_s=35e-9,
+    t_2q_s=100e-9,
+    p_1q=0.0,
+    p_2q=0.0,
+)
+
+
+def table_op(kind: str, **extra) -> dict:
+    """An op of ``kind`` on qubits 0, 1, ... with every angle the kind
+    reads (IDLE with the duration it needs), updated by ``extra``."""
+    spec = GATE_KINDS[kind]
+    op = {"gate": kind, "q": list(range(spec.arity))}
+    op.update((key, value) for key, value in (("theta", 0.7), ("phi", 0.3)) if key in spec.angles)
+    if kind == "IDLE":
+        op["duration_s"] = 5e-8
+    op.update(extra)
+    return op
+
+
+def spec_of(op: dict) -> GateSpec:
+    """The library GateSpec of an op document."""
+    return GateSpec(
+        op["gate"], tuple(op["q"]), theta=op.get("theta"), phi=op.get("phi", 0.0), duration=op.get("duration_s")
+    )
+
+
+def every_back_end(circuit: Circuit, params: DeviceParams, shots: int = 256) -> tuple[np.ndarray, ...]:
+    """Distributions after every layer from the trajectory engine (and its
+    density estimates), the exact channel simulator and the Lindblad
+    reference."""
+    sched = schedule_layers(circuit, params)
+    layers = tuple(range(len(sched.layers) + 1))
+    ensemble = run_shots(sched, RunConfig(shots=shots, master_seed=3, checkpoints=layers))
+    channel = _channel_checkpoint_probs(sched, layers)[0]
+    reference = lindblad_reference(sched, layers)[0]
+    return ensemble.distributions, ensemble.densities, channel, reference
+
+
+class TestGateTable:
+    """``GATE_KINDS`` is the one list of gate kinds, and ``GateSpec`` checks
+    every gate, parsed or built in the library, the same way."""
+
+    def test_library_rz_without_duration_runs_on_every_back_end(self):
+        rz = GateSpec("RZ", (0,), phi=0.3)
+        assert rz.duration == 0.0
+        library = Circuit(1, ((GateSpec("SX", (0,)),), (rz,), (GateSpec("SX", (0,)),)), measured=(0,))
+        doc = {
+            "n_qubits": 1,
+            "ops": [{"gate": "SX", "q": [0]}, {"gate": "RZ", "q": [0], "phi": 0.3}, {"gate": "SX", "q": [0]}],
+            "measure": [0],
+        }
+        parsed = parse_circuit(doc)
+        assert parsed == library
+        for got, want in zip(every_back_end(library, DESK), every_back_end(parsed, DESK)):
+            assert np.array_equal(got, want)
+        bare = schedule_layers(Circuit(1, ((rz,),)), DESK)
+        assert bare.layers[0].duration == 0.0
+
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_every_kind_builds_parses_and_runs(self, kind):
+        op = table_op(kind)
+        sx = {"gate": "SX", "q": [0]}
+        parsed = parse_circuit({"n_qubits": 2, "ops": [sx, op, sx], "measure": [0, 1]})
+        assert parsed.layers[1] == (spec_of(op),)
+        dists, densities, channel, reference = every_back_end(parsed, QUIET, shots=4096)
+        for got in (dists, channel):
+            assert np.abs(got - reference).max() < 1e-6
+        assert np.allclose(dists.sum(axis=1), 1.0)
+        assert densities.shape == (len(dists), 4, 4)
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [(table_op(kind, duration_s=-1e-9), "'duration_s' must be >= 0, got -1e-09") for kind in GATE_KINDS]
+        + [
+            (table_op(kind, duration_s=0), f"{kind} is driven and needs a positive 'duration_s'")
+            for kind, spec in GATE_KINDS.items()
+            if spec.driven
+        ]
+        + [
+            ({k: v for k, v in table_op(kind).items() if k != "theta"}, f"{kind} requires 'theta'")
+            for kind, spec in GATE_KINDS.items()
+            if "theta" in spec.angles
+        ],
+        ids=repr,
+    )
+    def test_gate_spec_rejects_with_the_parser_message(self, op, message):
+        with pytest.raises(ValueError) as built:
+            spec_of(op)
+        assert str(built.value) == message
+        with pytest.raises(CircuitError) as parsed:
+            parse_circuit({"n_qubits": 2, "ops": [op]})
+        assert str(parsed.value) == f"op 0: {message}"
+
+    @pytest.mark.parametrize("duration", [None, 0, 0.0])
+    def test_rz_duration_is_stored_as_zero(self, duration):
+        gate = GateSpec("RZ", (0,), phi=0.3, duration=duration)
+        assert gate.duration == 0.0 and isinstance(gate.duration, float)
+
+    def test_rz_with_a_positive_duration_rejected(self):
+        with pytest.raises(ValueError, match="RZ is virtual and has zero duration"):
+            GateSpec("RZ", (0,), phi=0.3, duration=1e-8)
+
+
 class TestRunTrajectory:
     """One trajectory is ``run_shots`` with ``shots=1``."""
 
@@ -397,7 +506,7 @@ class TestRunShots:
         result = run_shots(sched, RunConfig(shots=100_000, master_seed=9))
         gamma1, gamma_pd = relaxation_rates(100e-6, 80e-6)
         rho1 = np.diag([0.0, 1.0]).astype(complex)
-        want = relaxation_channel(gamma1, gamma_pd, idle)(rho1)
+        want = apply_channel(rho1, relaxation_channel(gamma1, gamma_pd, idle), (0,))
         got_p1 = result.distributions[-1][1]
         # 5 standard errors of the weighted estimator
         se = 5 * math.sqrt(want[1, 1].real * (1 - want[1, 1].real) / 100_000)
@@ -450,7 +559,7 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
                 slots.append((gate.qubits, lambda gen, size, u=ideal_unitary(gate): u))
             else:
                 sampler = NoisyGateSampler(schedule(gate), noise_context_for_gate(gate, params))
-                slots.append((gate.qubits, sampler.sample_batch))
+                slots.append((gate.qubits, partial(sampler.sample_batch, workspace=Workspace())))
         layers.append(slots)
     spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
     checkpoints = sorted(config.checkpoints)
@@ -469,7 +578,7 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
             for i in [i for i, cp in enumerate(checkpoints) if cp == at]:
                 read = states
                 for q, v in spam:
-                    read = apply_gate(read, spam_gate_batch(v, gen, size), (q,), n)
+                    read = apply_gate(read, spam_gate_batch(v, gen, size), (q,))
                 probs = np.abs(read) ** 2
                 w = probs.sum(axis=1)
                 dist[i] += probs.sum(axis=0)
@@ -480,7 +589,7 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
                 dens[i] += np.einsum("si,sj->ij", states, states.conj())
             if at < len(layers):
                 for qubits, draw in layers[at]:
-                    states = apply_gate(states, draw(gen, size), qubits, n)
+                    states = apply_gate(states, draw(gen, size), qubits)
     return dist / weight[:, None], counts, weight / config.shots, dens / config.shots
 
 

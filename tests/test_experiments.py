@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from noisygates import lindblad
 from noisygates.channels import apply_channel, embed_operator
-from noisygates.engine import parse_circuit, schedule_layers
+from noisygates.engine import Circuit, expand_cnots, parse_circuit, schedule_layers
 from noisygates.experiments import (
     ExperimentConfig,
     _channel_checkpoint_probs,
@@ -94,6 +94,43 @@ class TestCircuitBuilders:
         cfg = small_config("repeat_cnot", cnot_mode="decomposed")
         circ, layers, counts = build_experiment_circuit(cfg)
         assert layers[-1] == 1 + 2 * counts[-1]
+
+
+def hand_built_experiment(config: ExperimentConfig) -> tuple[Circuit, tuple[int, ...]]:
+    """Oracle for build_experiment_circuit: each stock experiment laid out
+    by hand, one gate per layer, with its checkpoint layers counted by
+    hand (a decomposed CNOT takes two layers: CR, then SX beside RZ)."""
+    counts = checkpoint_gate_counts(config.repetitions, config.checkpoints)
+    if config.experiment == "repeat_x":
+        return Circuit(1, tuple((GateSpec("X", (0,)),) for _ in range(config.repetitions))), counts
+    prep = GateSpec("X", (0,))
+    if config.experiment == "repeat_cr":
+        body = [GateSpec("CR", (0, 1), theta=math.pi, phi=0.0) for _ in range(config.repetitions)]
+        return Circuit(2, tuple([(prep,)] + [(g,) for g in body])), tuple(1 + c for c in counts)
+    body = [GateSpec("CNOT", (0, 1)) for _ in range(config.repetitions)]
+    circ = Circuit(2, tuple([(prep,)] + [(g,) for g in body]), measured=(0, 1))
+    if config.cnot_mode == "decomposed":
+        return expand_cnots(circ), tuple(1 + 2 * c for c in counts)
+    return circ, tuple(1 + c for c in counts)
+
+
+@pytest.mark.parametrize(
+    "experiment, cnot_mode, repetitions, checkpoints",
+    [
+        (experiment, cnot_mode, repetitions, checkpoints)
+        for experiment, cnot_mode in [
+            ("repeat_x", "direct"), ("repeat_cr", "direct"), ("repeat_cnot", "direct"), ("repeat_cnot", "decomposed")
+        ]
+        for repetitions in (1, 2, 7, 100, 500)
+        for checkpoints in (1, 3, 50)
+        if checkpoints <= repetitions
+    ],
+)
+def test_stock_layouts_match_the_hand_built_ones(experiment, cnot_mode, repetitions, checkpoints):
+    cfg = small_config(experiment, cnot_mode=cnot_mode, repetitions=repetitions, checkpoints=checkpoints)
+    circ, layers, counts = build_experiment_circuit(cfg)
+    assert counts == checkpoint_gate_counts(repetitions, checkpoints)
+    assert (circ, layers) == hand_built_experiment(cfg)
 
 
 class TestLindbladReference:
@@ -377,7 +414,7 @@ class TestChannelBackend:
         circ, layers, _ = build_experiment_circuit(cfg)
         sched = schedule_layers(circ, DESK)
         exact = _channel_checkpoint_probs(sched, layers)[0]
-        dists = channel_backend_run(sched, cfg, layers, 0, exact)
+        dists = channel_backend_run(cfg, 0, exact)
         assert np.allclose(dists.sum(axis=1), 1.0)
 
     def test_run_index_varies_sampling(self):
@@ -385,8 +422,8 @@ class TestChannelBackend:
         circ, layers, _ = build_experiment_circuit(cfg)
         sched = schedule_layers(circ, DESK)
         exact = _channel_checkpoint_probs(sched, layers)[0]
-        a = channel_backend_run(sched, cfg, layers, 0, exact)
-        b = channel_backend_run(sched, cfg, layers, 1, exact)
+        a = channel_backend_run(cfg, 0, exact)
+        b = channel_backend_run(cfg, 1, exact)
         assert not np.array_equal(a, b)
 
 

@@ -423,7 +423,7 @@ class TestApplyGateAgainstEmbedding:
         d, shots = 2 ** len(qubits), 3
         gate = random_complex(rng, (shots, d, d) if mode == "batched both" else (d, d))
         state = random_complex(rng, (2**n,) if mode == "single" else (shots, 2**n))
-        out = apply_gate(state, gate, qubits, n)
+        out = apply_gate(state, gate, qubits)
         if mode == "single":
             want = embedded_matrix(gate, qubits, n) @ state
         elif mode == "batched states":
@@ -449,7 +449,7 @@ class TestApplyGateAgainstEmbedding:
         gate = random_complex(rng, (shots, d, d) if batched_gate else (d, d))
         state = random_complex(rng, (shots, 2**n) if batched_state else (2**n,))
         want = reference(state, gate, qubits, n)
-        assert np.abs(apply_gate(state, gate, qubits, n) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(apply_gate(state, gate, qubits) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_adjacent_run(self, n):
@@ -462,9 +462,9 @@ class TestApplyGateAgainstEmbedding:
                 before = state.copy()
                 want = reference(state, gate, qubits, n)
                 bound = 1e-12 * np.abs(want).max()
-                assert np.abs(apply_gate(state, gate, qubits, n) - want).max() <= bound, qubits
+                assert np.abs(apply_gate(state, gate, qubits) - want).max() <= bound, qubits
                 out = np.full(state.shape, np.nan, dtype=complex)
-                assert apply_gate(state, gate, qubits, n, out=out) is out
+                assert apply_gate(state, gate, qubits, out=out) is out
                 assert np.abs(out - want).max() <= bound, qubits
                 assert np.array_equal(state, before)
 
@@ -477,10 +477,10 @@ class TestApplyGateAgainstEmbedding:
         shifted = buf[2**n : 2**n + shots * 2**n].reshape(shots, 2**n)
         for out in (state, shifted):
             with pytest.raises(ValueError, match="overlaps"):
-                apply_gate(state, gate, qubits, n, out=out)
+                apply_gate(state, gate, qubits, out=out)
         for out in (np.empty((shots, 2**n + 1), dtype=complex), np.empty((shots, 2**n)), np.empty((2**n, shots), dtype=complex).T):
             with pytest.raises(ValueError, match="C-contiguous complex"):
-                apply_gate(state, gate, qubits, n, out=out)
+                apply_gate(state, gate, qubits, out=out)
 
     @pytest.mark.parametrize("n,qubits", [(1, [0]), (3, [2, 0]), (4, [1, 3, 2]), (5, [0, 1]), (5, [4])])
     def test_embed_is_the_reference_matrix(self, n, qubits):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from noisygates.channels import depolarizing_channel
+from noisygates.channels import apply_channel, depolarizing_channel
 from noisygates.gates import GateSpec
 from noisygates.lindblad import solve
 from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z
@@ -146,7 +146,7 @@ class TestDepolarizingRate:
             before = np.real(np.trace(rho0 @ pauli))
             after = np.real(np.trace(rho @ pauli))
             assert after == pytest.approx((1 - p) * before, abs=1e-8)
-        assert np.abs(rho - depolarizing_channel(p, arity)(rho0)).max() < 1e-8
+        assert np.abs(rho - apply_channel(rho0, depolarizing_channel(p, arity), range(arity))).max() < 1e-8
 
     def test_bloch_contraction_oracle(self):
         # one gate of X, Y, Z jumps at gamma_d shrinks the Bloch vector by 1 - p
@@ -250,7 +250,7 @@ class TestNoiseContext:
         rho0 += 0.1 * np.kron(PAULI_X, PAULI_X)
         rho0 /= np.trace(rho0).real
         rho = solve(np.zeros((4, 4)), ctx.terms, rho0, params.t_2q_s, params.t_2q_s / 400)
-        want = depolarizing_channel(0.04, 2)(rho0)
+        want = apply_channel(rho0, depolarizing_channel(0.04, 2), (0, 1))
         assert np.abs(rho - want).max() < 2e-3
 
     def test_two_qubit_rate_closed_form(self):
@@ -279,6 +279,6 @@ class TestSlotNoise:
         assert noise.duration == 1e-6 and len(noise.relaxation) == 1
         assert len(noise_context_for_gate(GateSpec("IDLE", (0,), duration=1e-6), self.PARAMS).terms) == 2
 
-    @pytest.mark.parametrize("gate", [GateSpec("RZ", (0,), phi=0.3), GateSpec("X", (0,), duration=0.0)])
+    @pytest.mark.parametrize("gate", [GateSpec("RZ", (0,), phi=0.3), GateSpec("IDLE", (0,), duration=0.0)])
     def test_frames_and_zero_duration_slots_carry_nothing(self, gate):
         assert slot_noise(gate, self.PARAMS) == SlotNoise(0.0, (), None)

@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from noisygates.gates import GateSpec, XiSampler, scale_context, schedule
-from noisygates.linalg import DECAY, I2, PAULI_X
+from noisygates.linalg import DECAY, I2, PAULI_X, Workspace
 from noisygates.noise_model import load_calibration, noise_context_for_gate
 from noisygates.stochastic import RngStream, _psd_factor, gauss_legendre_rule, product_formula_error
 
@@ -293,7 +293,7 @@ class TestXiSamplerFactor:
         assert sampler.n_gaussians == 0
         gen = np.random.default_rng(0)
         state = gen.bit_generator.state
-        draws = sampler.sample(gen, 3)
+        draws = sampler.sample(gen, 3, Workspace())
         assert draws.shape == (3, sampler.dim, sampler.dim)
         assert not np.any(draws)
         assert gen.bit_generator.state == state

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from noisygates.engine import RunConfig, parse_circuit, run_shots, schedule_layers
 from noisygates.experiments import _channel_checkpoint_probs, lindblad_reference
+from noisygates.gates import GATE_KINDS
 from noisygates.noise_model import DeviceParams, QubitParams
 
 QUIET = DeviceParams(
@@ -30,7 +31,6 @@ QUIET = DeviceParams(
 SHOTS = 8192
 TOL = 1e-6
 
-KINDS = ("X", "SX", "RX", "RZ", "CR", "CNOT", "IDLE")
 angles = st.floats(-math.pi, math.pi, allow_nan=False)
 durations = st.floats(10e-9, 100e-9)
 
@@ -41,19 +41,17 @@ def circuits(draw):
     explicit durations or device defaults, two-qubit gates in either
     qubit order and any measured subset."""
     n = draw(st.integers(1, 3))
-    kinds = [k for k in KINDS if n > 1 or k not in ("CR", "CNOT")]
+    kinds = [k for k, spec in GATE_KINDS.items() if spec.arity <= n]
     ops = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(kinds))
-        arity = 2 if kind in ("CR", "CNOT") else 1
-        op = {"gate": kind, "q": list(draw(st.permutations(range(n)))[:arity])}
-        if kind in ("RX", "CR"):
-            op["theta"] = draw(angles)
-        if kind != "CNOT" and kind != "IDLE":
-            op["phi"] = draw(angles)
+        spec = GATE_KINDS[kind]
+        op = {"gate": kind, "q": list(draw(st.permutations(range(n)))[: spec.arity])}
+        for key in spec.angles:
+            op[key] = draw(angles)
         if kind == "IDLE":
             op["duration_s"] = draw(st.just(0.0) | durations)
-        elif kind != "RZ":
+        elif spec.driven:
             duration = draw(st.none() | durations)
             if duration is not None:
                 op["duration_s"] = duration
