@@ -313,9 +313,9 @@ def _write_lindblad_rho(outdir: Path, result) -> None:
 def cmd_simulate(args) -> int:
     config = replace(_config_from_args(args), runs=1)
     payload = _serialise_config("simulate", config)
+    result = run_compare(config, hellinger_series=False)
     outdir = Path(args.out) / f"simulate-{_config_digest(payload)}"
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_compare(config, hellinger_series=False)
     _write_metadata(outdir, payload)
     _write_distributions(outdir, result, config)
     _write_densities(outdir, result)
@@ -329,9 +329,9 @@ def cmd_compare(args) -> int:
     if not {"noisy_gates", "channel"} & set(config.backends):
         raise ValueError("compare needs noisy_gates or channel in --backends: it scores them against the lindblad reference")
     payload = _serialise_config("compare", config)
+    result = run_compare(config)
     outdir = Path(args.out) / f"compare-{_config_digest(payload)}"
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_compare(config)
     _write_metadata(outdir, payload)
     _write_distributions(outdir, result, config)
     _write_densities(outdir, result)

@@ -1,11 +1,11 @@
 """Circuit representation, scheduling and Monte Carlo trajectory engine.
 
-Circuits are JSON documents (see ``parse_circuit``, which checks the
-document) or lists of ``GateSpec`` (whose construction checks each
-gate against ``gates.GATE_KINDS``).  Every circuit, the stock
-experiments' included, is packed greedily into layers by ``_pack_asap``
-(ASAP).  Scheduling attaches device durations and pads idle qubits
-with exact relaxation slots.  It adds no
+Circuits are JSON documents or lists of ``GateSpec``.  Each rule is
+checked once: ``parse_circuit`` checks the document, ``GateSpec`` each
+gate, ``Circuit`` the register and ``schedule_layers`` the device width.
+Every circuit, the stock experiments' included, is packed greedily into
+layers by ``_pack_asap`` (ASAP).  Scheduling attaches device durations
+and pads idle qubits with exact relaxation slots.  It adds no
 readout slot: each measured qubit's pre-measurement noise gate is drawn
 at every checkpoint by ``_Compiled.measured_probs``.
 
@@ -107,6 +107,10 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gate layers on an ``n_qubits`` register.  Construction is the one
+    check of the register, parsed or built in the library: every qubit in
+    0..n_qubits-1 and none twice in one layer or in ``measured``."""
+
     n_qubits: int
     layers: tuple[tuple[GateSpec, ...], ...]
     measured: tuple[int, ...] = ()
@@ -119,11 +123,11 @@ class Circuit:
                     if q in seen:
                         raise CircuitError(f"qubit {q} used twice in one layer")
                     if q < 0 or q >= self.n_qubits:
-                        raise CircuitError(f"qubit index {q} out of range")
+                        raise CircuitError(f"qubit index {q} out of range 0..{self.n_qubits - 1}")
                     seen.add(q)
         for i, q in enumerate(self.measured):
             if q < 0 or q >= self.n_qubits:
-                raise CircuitError(f"measured qubit {q} out of range")
+                raise CircuitError(f"measured qubit {q} out of range 0..{self.n_qubits - 1}")
             if q in self.measured[:i]:
                 raise CircuitError(f"measured qubit {q} listed twice")
 
@@ -146,15 +150,12 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
     Format: ``{"n_qubits": int, "ops": [{"gate": kind, "q": [ints],
     "theta"?: float, "phi"?: float, "duration_s"?: float}],
     "measure": [ints]}``, each int a JSON integer (not a bool).  The
-    parser checks the document: its keys, its JSON types, that an op
-    carries only the angles its gate reads (``theta`` on RX and CR,
-    ``phi`` on RZ, RX, X, SX and CR, each a finite JSON number, not a
-    bool or a string), a finite ``duration_s`` on every IDLE and the
-    qubit range.  ``GateSpec`` then checks each gate as it does for
-    library callers (``theta`` present, a ``duration_s`` >= 0 and > 0 on
-    the driven gates X, SX, RX, CR and CNOT, the arity) and its message
-    is raised as ``op i: ...``.  An RZ needs no ``duration_s``; a zero
-    IDLE is the identity.
+    parser checks only the document: its keys, its JSON types (a
+    ``theta``, ``phi`` or ``duration_s`` present is a finite JSON number,
+    not a bool, a string or null) and that an op carries only the angles
+    its gate reads (``theta`` on RX and CR, ``phi`` on RZ, RX, X, SX and
+    CR).  Every gate rule is ``GateSpec``'s, raised as ``op i: ...``, and
+    every register rule, the qubit range included, is ``Circuit``'s.
     """
     doc = read_json_object(source, CircuitError, "circuit")
     extra = set(doc) - {"n_qubits", "ops", "measure"}
@@ -174,49 +175,40 @@ def parse_circuit(source: str | Path | dict) -> Circuit:
         extra = set(op) - _OP_KEYS
         if extra:
             raise CircuitError(f"unknown keys in op {i}: {sorted(extra)}")
-        kind = op.get("gate")
-        if not isinstance(kind, str) or kind not in GATE_KINDS:
-            raise CircuitError(f"op {i}: unknown gate kind {kind!r}")
-        unread = [key for key in ("theta", "phi") if key in op and key not in GATE_KINDS[kind].angles]
-        if unread:
-            raise CircuitError(f"op {i}: {kind} does not read {unread[0]!r}")
-        for key in ("theta", "phi"):
+        for key in ("theta", "phi", "duration_s"):
             if key in op and not is_finite_number(op[key]):
                 raise CircuitError(f"op {i}: {key!r} must be a finite number, got {op[key]!r}")
         qubits = op.get("q")
         if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
             raise CircuitError(f"op {i}: 'q' must be a list of ints")
-        duration = op.get("duration_s")
-        if kind == "IDLE" and duration is None:
-            raise CircuitError(f"op {i}: IDLE requires 'duration_s'")
-        if duration is not None and not is_finite_number(duration):
-            raise CircuitError(f"op {i}: 'duration_s' must be a finite number")
-        if any(q < 0 or q >= n for q in qubits):
-            raise CircuitError(f"op {i}: qubit index out of range 0..{n - 1}: {qubits}")
+        phi = float(op.get("phi", 0.0))
         try:
-            gates.append(
-                GateSpec(kind, tuple(qubits), theta=op.get("theta"), phi=float(op.get("phi", 0.0)), duration=duration)
-            )
+            gate = GateSpec(op.get("gate"), tuple(qubits), op.get("theta"), phi, op.get("duration_s"))
         except ValueError as exc:
             raise CircuitError(f"op {i}: {exc}") from exc
+        unread = [key for key in ("theta", "phi") if key in op and key not in GATE_KINDS[gate.kind].angles]
+        if unread:
+            raise CircuitError(f"op {i}: {gate.kind} does not read {unread[0]!r}")
+        gates.append(gate)
 
     measured = doc.get("measure", [])
     if not isinstance(measured, list) or not all(_is_int(q) for q in measured):
         raise CircuitError("'measure' must be a list of ints")
 
-    return Circuit(n_qubits=n, layers=_pack_asap(n, gates)[0], measured=tuple(measured))
+    return Circuit(n_qubits=n, layers=_pack_asap(gates)[0], measured=tuple(measured))
 
 
-def _pack_asap(n_qubits: int, gates: list[GateSpec]) -> tuple[tuple[tuple[GateSpec, ...], ...], list[int]]:
+def _pack_asap(gates: list[GateSpec]) -> tuple[tuple[tuple[GateSpec, ...], ...], list[int]]:
     """Greedy ASAP packing, the one layout of every circuit: each gate
     lands in the earliest layer after the last one touching any of its
     qubits.  Returns the layers and, for each gate, the depth (number of
-    layers) once it and every gate before it are placed."""
-    frontier = [0] * n_qubits
+    layers) once it and every gate before it are placed.  It reads no
+    register width, so it allocates nothing sized by one."""
+    frontier: dict[int, int] = {}
     layers: list[list[GateSpec]] = []
     depths: list[int] = []
     for gate in gates:
-        at = max(frontier[q] for q in gate.qubits)
+        at = max(frontier.get(q, 0) for q in gate.qubits)
         if at == len(layers):
             layers.append([])
         layers[at].append(gate)
@@ -306,7 +298,7 @@ def expand_cnots(circuit: Circuit) -> Circuit:
     for layer in circuit.layers:
         for gate in layer:
             ops.extend(decompose_cnot(gate) if gate.kind == "CNOT" else [gate])
-    return Circuit(circuit.n_qubits, _pack_asap(circuit.n_qubits, ops)[0], circuit.measured)
+    return Circuit(circuit.n_qubits, _pack_asap(ops)[0], circuit.measured)
 
 
 @dataclass(frozen=True)
@@ -369,14 +361,14 @@ def _apply_single(states: np.ndarray, factors: dict[int, np.ndarray], buffers: l
 
 class _Compiled:
     """Per-layer slot samplers of one scheduled circuit, resolved once per
-    distinct (gate, duration, qubits) and shared by every run of it: build
-    one and pass it to each ``run_shots`` call.  It also owns the one
+    distinct ``GateSpec`` and shared by every run of it: build one and
+    pass it to each ``run_shots`` call.  It also owns the one
     ``Workspace`` its noisy-gate samplers draw (and, for two-qubit gates,
     exponentiate) in and that holds each chunk's state and readout
     buffers, sized by the largest chunk it has served, so its runs reuse
-    the same pages for every gate and chunk.  Pickling it (to a
-    worker process) sends the samplers and an empty workspace.  Registers
-    wider than ``MAX_QUBITS`` raise ``ValueError``."""
+    the same pages for every gate and chunk.  Pickling it (to a worker
+    process) sends the samplers and an empty workspace.  Registers wider
+    than ``MAX_QUBITS`` raise ``ValueError``."""
 
     def __init__(self, scheduled: ScheduledCircuit):
         if scheduled.n_qubits > MAX_QUBITS:
@@ -388,22 +380,20 @@ class _Compiled:
         self.workspace = Workspace()
         params = scheduled.params
         self.layer_plans: list[list[tuple[tuple[int, ...], str, object]]] = []
-        cache: dict[tuple, NoisyGateSampler] = {}
+        cache: dict[GateSpec, NoisyGateSampler] = {}
         for layer in scheduled.layers:
             plan: list[tuple[tuple[int, ...], str, object]] = []
             for gate in layer.gates:
                 noise = slot_noise(gate, params)
-                if gate.kind == "IDLE" and noise.relaxation:
+                if gate.driven:
+                    if gate not in cache:
+                        cache[gate] = NoisyGateSampler(schedule(gate), noise_context_for_gate(gate, params))
+                    plan.append((gate.qubits, "noisy", cache[gate]))
+                elif noise.relaxation:
                     (gamma1, gamma_pd), = noise.relaxation
                     plan.append((gate.qubits, "relax", (gamma1, gamma_pd, noise.duration)))
-                elif not GATE_KINDS[gate.kind].driven:
-                    plan.append((gate.qubits, "fixed", ideal_unitary(gate)))
                 else:
-                    key = (gate.kind, gate.theta, gate.phi, gate.duration, gate.qubits)
-                    if key not in cache:
-                        ctx = noise_context_for_gate(gate, params)
-                        cache[key] = NoisyGateSampler(schedule(gate), ctx)
-                    plan.append((gate.qubits, "noisy", cache[key]))
+                    plan.append((gate.qubits, "fixed", ideal_unitary(gate)))
             self.layer_plans.append(plan)
         self.spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
 

@@ -134,7 +134,7 @@ def build_experiment_circuit(config: ExperimentConfig) -> tuple[Circuit, tuple[i
             body, measured = [GateSpec("CNOT", (0, 1))], (0, 1)
             if config.cnot_mode == "decomposed":
                 body = decompose_cnot(body[0])
-    layers, depths = _pack_asap(n, prep + body * config.repetitions)
+    layers, depths = _pack_asap(prep + body * config.repetitions)
     counts = checkpoint_gate_counts(config.repetitions, config.checkpoints)
     checkpoint_layers = tuple(depths[len(prep) + c * len(body) - 1] for c in counts)
     return Circuit(n, layers, measured), checkpoint_layers, counts
@@ -247,9 +247,9 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
     """Run the selected backends and, with ``hellinger_series``, compute
     their Hellinger series against the Lindblad reference, the yardstick.
 
-    The reference is computed first, so a register it cannot hold fails
-    before any other work, and only when something needs it: the
-    Hellinger series or the ``lindblad`` backend.
+    The density-matrix back-ends run first, so a register they cannot
+    hold fails before any trajectory is drawn.  The reference runs only
+    when something needs it: the Hellinger series or ``lindblad``.
     """
     circuit, layers, counts = build_experiment_circuit(config)
     scheduled = schedule_layers(circuit, config.device)
@@ -266,6 +266,11 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
         )
 
     noisy = channel = h_ng = h_ch = densities = state_diags = None
+    if "channel" in config.backends:
+        exact, state_diags = _channel_checkpoint_probs(scheduled, layers)
+        # sampling a run takes far less than starting a worker process
+        channel = np.asarray([channel_backend_run(config, r, exact) for r in range(config.runs)])
+        h_ch = series(channel)
     if "noisy_gates" in config.backends:
         # one compiled circuit for all runs; a worker process gets a pickled
         # copy with an empty workspace
@@ -275,11 +280,6 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
         noisy = np.asarray([o[0] for o in outs])
         densities = outs[0][1]
         h_ng = series(noisy)
-    if "channel" in config.backends:
-        exact, state_diags = _channel_checkpoint_probs(scheduled, layers)
-        # sampling a run takes far less than starting a worker process
-        channel = np.asarray([channel_backend_run(config, r, exact) for r in range(config.runs)])
-        h_ch = series(channel)
 
     result = ExperimentResult(
         config=config,

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, dagger, expm, expm_2x2, expm_soa, kron, mul_2x2
-from .noise_model import NoiseContext, LindbladTerm
+from .noise_model import NoiseContext, LindbladTerm, is_finite_number
 from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
 __all__ = [
@@ -89,10 +89,10 @@ class GateSpec:
     the circuit is scheduled.  RZ is a virtual frame change: noiseless,
     and its duration is stored as 0.0 whether given as None or 0.
 
-    Construction is the one semantic check of a gate, for parsed circuits
-    and library callers alike: a known kind, ``theta`` on the kinds that
-    read it, a duration >= 0 (> 0 on driven kinds, none but 0 on RZ) and
-    the kind's arity.  Its messages read as ``parse_circuit``'s.
+    Construction is the one check of a gate, parsed or built in the
+    library: a known kind, ``theta`` on the kinds that read it, finite
+    numbers (not bools), a duration >= 0 (> 0 on driven kinds, none but 0
+    on RZ, required on IDLE) and the arity, in ``parse_circuit``'s words.
     """
 
     kind: str
@@ -102,22 +102,32 @@ class GateSpec:
     duration: float | None = None
 
     def __post_init__(self):
-        spec = GATE_KINDS.get(self.kind)
+        spec = GATE_KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if spec is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if "theta" in spec.angles and self.theta is None:
             raise ValueError(f"{self.kind} requires 'theta'")
-        if self.duration is not None:
-            if self.duration < 0:
-                raise ValueError(f"'duration_s' must be >= 0, got {self.duration!r}")
-            if self.duration == 0 and spec.driven:
-                raise ValueError(f"{self.kind} is driven and needs a positive 'duration_s'")
+        for key, val in (("theta", self.theta), ("phi", self.phi), ("duration_s", self.duration)):
+            if val is not None and not is_finite_number(val):
+                raise ValueError(f"{key!r} must be a finite number, got {val!r}")
+        if self.duration is None:
+            if self.kind == "IDLE":
+                raise ValueError("IDLE requires 'duration_s'")
+        elif self.duration < 0:
+            raise ValueError(f"'duration_s' must be >= 0, got {self.duration!r}")
+        elif self.duration == 0 and spec.driven:
+            raise ValueError(f"{self.kind} is driven and needs a positive 'duration_s'")
         if self.kind == "RZ":
             if self.duration not in (None, 0):
                 raise ValueError("RZ is virtual and has zero duration")
             object.__setattr__(self, "duration", 0.0)
         if len(self.qubits) != spec.arity:
             raise ValueError(f"{self.kind} acts on {spec.arity} qubit(s), got {self.qubits}")
+
+    @property
+    def driven(self) -> bool:
+        """Whether the gate has a drive, and so depolarises (RZ, IDLE: no)."""
+        return GATE_KINDS[self.kind].driven
 
     def with_duration(self, duration: float) -> "GateSpec":
         return GateSpec(self.kind, self.qubits, self.theta, self.phi, duration)

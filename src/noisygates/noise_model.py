@@ -281,7 +281,7 @@ def slot_noise(gate: "GateSpec", params: DeviceParams) -> SlotNoise:
     if duration == 0:
         return SlotNoise(0.0, (), None)
     relaxation = tuple(relaxation_rates(params.qubits[q].t1_s, params.qubits[q].t2_s) for q in qubits)
-    p = None if gate.kind == "IDLE" else (params.p_1q if len(qubits) == 1 else params.p_2q)
+    p = (params.p_1q if len(qubits) == 1 else params.p_2q) if gate.driven else None
     return SlotNoise(duration, relaxation, p)
 
 

@@ -113,11 +113,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_eleven_qubit_custom_circuit_is_two_at_once(self, command, tmp_path, capsys):
+        # 8000 shots would keep the trajectory engine busy for seconds; the
+        # density-matrix back-ends reject the register before it starts
         device_path, circuit_path = ghz_files(tmp_path, 11)
+        out = tmp_path / "out"
         argv = [command] + compare_args(
             device_path,
-            tmp_path / "out",
-            **{"--experiment": "custom_circuit", "--circuit": str(circuit_path)},
+            out,
+            **{
+                "--experiment": "custom_circuit",
+                "--circuit": str(circuit_path),
+                "--backends": "noisy_gates,channel",
+                "--shots": "8000",
+            },
         )[1:]
         start = time.perf_counter()
         rc = main(argv)
@@ -125,6 +133,22 @@ class TestExitCodes:
         assert rc == 2
         assert "at most 10 qubits" in capsys.readouterr().err
         assert elapsed < 1.0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_register_wider_than_memory_is_two_at_once(self, command, device_file, tmp_path, capsys):
+        n = 2**62
+        circuit_path = tmp_path / "wide.json"
+        circuit_path.write_text(json.dumps({"n_qubits": n, "ops": [{"gate": "X", "q": [n - 1]}], "measure": [0]}))
+        out = tmp_path / "out"
+        argv = [command] + compare_args(
+            device_file, out, **{"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        )[1:]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"circuit needs {n} qubits, device has 2" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("duration", [0, -3.5e-8])
     def test_bad_driven_duration_is_two(self, duration, device_file, tmp_path, capsys):

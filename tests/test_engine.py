@@ -107,8 +107,13 @@ class TestParseCircuit:
             parse_circuit({"n_qubits": 1, "ops": [{"gate": kind, "q": [0]}]})
 
     def test_index_out_of_range(self):
-        with pytest.raises(CircuitError):
-            parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [1]}]})
+        # the range is the register's rule, checked by Circuit alone
+        for op in ({"gate": "X", "q": [1]}, {"gate": "CNOT", "q": [0, -1]}):
+            message = f"qubit index {op['q'][-1]} out of range 0..0"
+            with pytest.raises(CircuitError, match=message):
+                parse_circuit({"n_qubits": 1, "ops": [op]})
+            with pytest.raises(CircuitError, match=message):
+                Circuit(1, ((spec_of(op),),))
 
     def test_unknown_op_key_rejected(self):
         with pytest.raises(CircuitError, match="unknown keys"):
@@ -403,7 +408,13 @@ class TestGateTable:
             ({k: v for k, v in table_op(kind).items() if k != "theta"}, f"{kind} requires 'theta'")
             for kind, spec in GATE_KINDS.items()
             if "theta" in spec.angles
-        ],
+        ]
+        + [
+            (table_op(kind, **{key: value}), f"{key!r} must be a finite number, got {value!r}")
+            for kind, key in (("X", "duration_s"), ("IDLE", "duration_s"), ("RX", "theta"), ("CR", "phi"))
+            for value in (math.nan, math.inf, -math.inf, True)
+        ]
+        + [({k: v for k, v in table_op("IDLE").items() if k != "duration_s"}, "IDLE requires 'duration_s'")],
         ids=repr,
     )
     def test_gate_spec_rejects_with_the_parser_message(self, op, message):
@@ -413,6 +424,12 @@ class TestGateTable:
         with pytest.raises(CircuitError) as parsed:
             parse_circuit({"n_qubits": 2, "ops": [op]})
         assert str(parsed.value) == f"op 0: {message}"
+
+    @pytest.mark.parametrize("kind", GATE_KINDS)
+    def test_driven_flag_decides_depolarising_noise(self, kind):
+        gate = spec_of(table_op(kind))
+        assert gate.driven == GATE_KINDS[kind].driven
+        assert (slot_noise(gate, DESK).p_depolarizing is not None) == gate.driven
 
     @pytest.mark.parametrize("duration", [None, 0, 0.0])
     def test_rz_duration_is_stored_as_zero(self, duration):
@@ -788,6 +805,13 @@ class TestChunkShots:
 
 
 class TestWidthLimits:
+    def test_register_wider_than_memory_fails_at_scheduling(self):
+        n = 2**62
+        circuit = parse_circuit({"n_qubits": n, "ops": [{"gate": "X", "q": [n - 1]}], "measure": [0]})
+        assert circuit.layers == ((GateSpec("X", (n - 1,)),),)
+        with pytest.raises(CircuitError, match=f"circuit needs {n} qubits, device has 2"):
+            schedule_layers(circuit, DESK)
+
     def test_run_shots_rejects_wide_register(self):
         n = MAX_QUBITS + 1
         sched = schedule_layers(parse_circuit({"n_qubits": n, "ops": []}), desk_register(n))
