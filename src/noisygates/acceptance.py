@@ -24,6 +24,7 @@ from .gates import (
     build_substep_path,
     lambda_matrix,
     relaxation_gate_batch,
+    relaxation_normals,
     scale_context,
     schedule,
     small_noise_reference,
@@ -98,7 +99,8 @@ def criterion_2_relaxation() -> tuple[bool, str]:
         channel = relaxation_channel(g1dt, gpddt, 1.0)
         for label, rho in (("|1>", rho_one), ("|+>", rho_plus)):
             gen = RngStream(2_000 + int(1000 * g1dt)).generator
-            batch = relaxation_gate_batch(g1dt, gpddt, 1.0, gen, 100_000)
+            normals = gen.standard_normal((relaxation_normals(g1dt, gpddt, 1.0), 100_000))
+            batch = relaxation_gate_batch(g1dt, gpddt, 1.0, normals)
             dev = float(np.abs(_gate_ensemble(batch, rho) - apply_channel(rho, channel, (0,))).max())
             worst = max(worst, dev)
             details.append(f"g1dt={g1dt:.2f},{label}:{dev:.1e}")

@@ -22,16 +22,29 @@ n = 12).  The chunk size depends on n alone and each chunk draws from its
 own random stream keyed by (master seed, run index, chunk index), which
 makes results bit-identical for any worker count or execution order.
 
+Samplers are pure functions of standard normals, and the engine alone
+owns the draw order.  Between two checkpoints (a segment) every draw of
+a chunk is a standard normal taken in slot order: a noisy gate reads
+``xi.n_gaussians`` per shot and a relaxation pad one per nonzero variance
+(``normal(0, sigma)`` is sigma times a standard normal).  So each segment
+is drawn in one ``standard_normal`` block, cut into pieces of at most
+``PIECE_NORMALS`` normals (a cut contiguous draw yields the same
+numbers), and slot i, reading r_i normals per shot, takes the next
+S r_i of its piece.  The checkpoint's readout normals and uniforms
+follow the segment.  Within a piece, the k slots of one one-qubit noisy
+gate are sampled by one call of its fused kernel,
+``NoisyGateSampler.sample_batch``, into one ``(2, 2, k S)`` buffer.
+
 Gates on different qubits commute, so one-qubit slots (noisy gates,
 relaxation pads, RZ frames, fixed idles) never touch the state batch
-directly.  Every slot is sampled in slot order, which fixes the random
-stream, and a one-qubit slot is multiplied onto its qubit's pending
-per-shot 2x2 factor.  A two-qubit slot absorbs the pending factors of
-both its qubits, G (P_a x P_b), and is applied to the states at once.  A
-checkpoint first flushes every pending factor into the states, in passes
-of at most ``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker
-products), so a circuit costs one state update per two-qubit gate plus
-about n / ``FUSE_MAX_QUBITS`` per checkpoint.  Registers wider than
+directly: each is multiplied, in slot order and in place, onto its
+qubit's pending per-shot ``(2, 2, S)`` factor in the workspace.  A
+two-qubit slot absorbs the pending factors of both its qubits,
+G (P_a x P_b), and is applied to the states at once.  A checkpoint first
+flushes every pending factor into the states, in passes of at most
+``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker products), so a
+circuit costs one state update per two-qubit gate plus about
+n / ``FUSE_MAX_QUBITS`` per checkpoint.  Registers wider than
 ``MAX_QUBITS`` are rejected.
 
 The state batch lives in the compiled circuit's workspace: every state
@@ -47,6 +60,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,10 +70,11 @@ from .gates import (
     NoisyGateSampler,
     ideal_unitary,
     relaxation_gate_batch,
+    relaxation_normals,
     schedule,
     spam_gate_batch,
 )
-from .linalg import I2, Workspace, apply_gate, kron, mul_2x2
+from .linalg import I2, Workspace, apply_gate, kron
 from .noise_model import DeviceParams, is_finite_number, noise_context_for_gate, read_json_object, slot_noise, spam_strength
 from .stochastic import RngStream
 
@@ -94,6 +109,14 @@ FUSE_MAX_QUBITS = 3
 # and each checkpoint's accumulators take 16 * 2^n bytes more.
 MAX_QUBITS = 20
 DENSE_DENSITY_MAX_QUBITS = 5
+# Most standard normals one piece of a checkpoint segment draws at once, as
+# one block; each one-qubit sampler's slots in the piece take one kernel
+# call.  A longer segment is cut into pieces between slots, which keeps the
+# stream: a contiguous draw cut in two yields the same numbers.  At 1024
+# shots a piece holds four desk-noise one-qubit gates (5 normals a shot
+# each) or one CNOT (21), so the block takes at most 160 KiB (or one slot's
+# normals) and the kernel's buffers, 240 bytes a gate draw, 960 KiB.
+PIECE_NORMALS = 20480
 
 
 def chunk_shots(n_qubits: int) -> int:
@@ -359,16 +382,38 @@ def _apply_single(states: np.ndarray, factors: dict[int, np.ndarray], buffers: l
     return states
 
 
+class _Slot(NamedTuple):
+    """One slot of the plan, reading ``normals`` standard normals per shot.
+    ``kind`` is "fused" (a one-qubit noisy gate; payload its sampler),
+    "noisy" (a two-qubit one), "relax" (payload ``(gamma1, gamma_pd,
+    dt)``) or "fixed" (payload the unitary, for one qubit as a
+    ``(2, 2, 1)`` stack)."""
+
+    qubits: tuple[int, ...]
+    kind: str
+    payload: object
+    normals: int
+
+
+def _fixed_slot(qubits: tuple[int, ...], unitary: np.ndarray) -> _Slot:
+    return _Slot(qubits, "fixed", unitary if len(qubits) == 2 else unitary[:, :, None], 0)
+
+
+def _per_shot(factor: np.ndarray | None) -> np.ndarray:
+    """A pending ``(2, 2, S)`` factor as its ``(S, 2, 2)`` view; I for none."""
+    return I2 if factor is None else factor.transpose(2, 0, 1)
+
+
 class _Compiled:
-    """Per-layer slot samplers of one scheduled circuit, resolved once per
-    distinct ``GateSpec`` and shared by every run of it: build one and
+    """The slot plan of one scheduled circuit, its samplers resolved once
+    per distinct ``GateSpec`` and shared by every run of it: build one and
     pass it to each ``run_shots`` call.  It also owns the one
-    ``Workspace`` its noisy-gate samplers draw (and, for two-qubit gates,
-    exponentiate) in and that holds each chunk's state and readout
-    buffers, sized by the largest chunk it has served, so its runs reuse
-    the same pages for every gate and chunk.  Pickling it (to a worker
-    process) sends the samplers and an empty workspace.  Registers wider
-    than ``MAX_QUBITS`` raise ``ValueError``."""
+    ``Workspace`` that its samplers run in and that holds each chunk's
+    normals, pending factors, state and readout buffers, sized by the
+    largest chunk and piece it has served, so its runs reuse the same
+    pages for every gate and chunk.  Pickling it (to a worker process)
+    sends the samplers and an empty workspace.  Registers wider than
+    ``MAX_QUBITS`` raise ``ValueError``."""
 
     def __init__(self, scheduled: ScheduledCircuit):
         if scheduled.n_qubits > MAX_QUBITS:
@@ -379,31 +424,30 @@ class _Compiled:
         self.n_qubits = scheduled.n_qubits
         self.workspace = Workspace()
         params = scheduled.params
-        self.layer_plans: list[list[tuple[tuple[int, ...], str, object]]] = []
+        # every slot in plan order; layer i is slots[layer_starts[i]:layer_starts[i + 1]]
+        self.slots: list[_Slot] = []
+        self.layer_starts = [0]
         cache: dict[GateSpec, NoisyGateSampler] = {}
         for layer in scheduled.layers:
-            plan: list[tuple[tuple[int, ...], str, object]] = []
             for gate in layer.gates:
                 noise = slot_noise(gate, params)
                 if gate.driven:
                     if gate not in cache:
                         cache[gate] = NoisyGateSampler(schedule(gate), noise_context_for_gate(gate, params))
-                    plan.append((gate.qubits, "noisy", cache[gate]))
+                    sampler = cache[gate]
+                    if sampler.xi.n_gaussians == 0:
+                        self.slots.append(_fixed_slot(gate.qubits, sampler.prefix))
+                    else:
+                        kind = "fused" if sampler.dim == 2 else "noisy"
+                        self.slots.append(_Slot(gate.qubits, kind, sampler, sampler.xi.n_gaussians))
                 elif noise.relaxation:
                     (gamma1, gamma_pd), = noise.relaxation
-                    plan.append((gate.qubits, "relax", (gamma1, gamma_pd, noise.duration)))
+                    rates = (gamma1, gamma_pd, noise.duration)
+                    self.slots.append(_Slot(gate.qubits, "relax", rates, relaxation_normals(*rates)))
                 else:
-                    plan.append((gate.qubits, "fixed", ideal_unitary(gate)))
-            self.layer_plans.append(plan)
+                    self.slots.append(_fixed_slot(gate.qubits, ideal_unitary(gate)))
+            self.layer_starts.append(len(self.slots))
         self.spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
-
-    def _draw(self, kind: str, payload, gen: np.random.Generator, size: int) -> np.ndarray:
-        if kind == "fixed":
-            return payload
-        if kind == "relax":
-            gamma1, gamma_pd, dt = payload
-            return relaxation_gate_batch(gamma1, gamma_pd, dt, gen, size)
-        return payload.sample_batch(gen, size, self.workspace)
 
     def state_pair(self, size: int) -> list[np.ndarray]:
         """The two ``(size, 2^n)`` state buffers of a chunk, ``[states,
@@ -414,31 +458,101 @@ class _Compiled:
         pair[0][:, 0] = 1.0
         return pair
 
-    def apply_layer(self, pair: list[np.ndarray], pending: list, layer: int, gen: np.random.Generator) -> None:
-        """Sample every slot of layer ``layer`` in slot order.  A one-qubit
-        slot is multiplied onto ``pending[q]``, its qubit's deferred
-        factor (None for none); a two-qubit slot absorbs both its qubits'
-        factors and is applied from ``pair[0]`` into ``pair[1]``, after
-        which the two swap places."""
+    def apply_layers(
+        self, pair: list[np.ndarray], pending: list, start: int, stop: int, gen: np.random.Generator
+    ) -> None:
+        """Sample and apply layers ``start`` .. ``stop - 1``, the segment
+        before a checkpoint (or the end).  Its normals are drawn in plan
+        order, in one ``standard_normal`` block per piece: a run of slots
+        that reads at most ``PIECE_NORMALS`` normals, or one slot that
+        reads more.  ``pending[q]`` is qubit q's deferred ``(2, 2, S)``
+        factor (None for none); two-qubit slots are applied from
+        ``pair[0]`` into ``pair[1]``, after which the two swap places."""
         size = pair[0].shape[0]
-        for qubits, kind, payload in self.layer_plans[layer]:
-            gate = self._draw(kind, payload, gen, size)
+        first, end = self.layer_starts[start], self.layer_starts[stop]
+        while first < end:
+            last, count = first, 0
+            while last < end:
+                more = self.slots[last].normals * size
+                if count and count + more > PIECE_NORMALS:
+                    break
+                count += more
+                last += 1
+            block = gen.standard_normal(out=self.workspace.take("engine.normals", (count,), float))
+            self._apply_piece(pair, pending, self.slots[first:last], block)
+            first = last
+
+    def _apply_piece(self, pair: list[np.ndarray], pending: list, slots: list[_Slot], block: np.ndarray) -> None:
+        """Apply ``slots`` in plan order, slot j reading its normals from
+        ``block`` after those of the slots before it.  Every one-qubit
+        noisy slot of one sampler is sampled by one kernel call first."""
+        size = pair[0].shape[0]
+        ws = self.workspace
+        offsets = [0]
+        for slot in slots:
+            offsets.append(offsets[-1] + slot.normals * size)
+        groups: dict[NoisyGateSampler, list[int]] = {}
+        for j, slot in enumerate(slots):
+            if slot.kind == "fused":
+                groups.setdefault(slot.payload, []).append(j)
+        factors = ws.take("engine.factors", (2, 2, size * sum(map(len, groups.values()))))
+        fused: dict[int, np.ndarray] = {}
+        col = 0
+        for sampler, members in groups.items():
+            n = size * sampler.xi.n_gaussians
+            if offsets[members[-1]] - offsets[members[0]] == n * (len(members) - 1):
+                normals = block[offsets[members[0]] : offsets[members[-1]] + n]
+            else:
+                parts = [block[offsets[j] : offsets[j] + n] for j in members]
+                normals = np.concatenate(parts, out=ws.take("engine.gather", (n * len(members),), float))
+            out = factors[:, :, col : col + size * len(members)]
+            sampler.sample_batch(normals.reshape(-1, sampler.xi.n_gaussians), ws, out=out)
+            for i, j in enumerate(members):
+                fused[j] = out[:, :, i * size : (i + 1) * size]
+            col += size * len(members)
+
+        for j, (qubits, kind, payload, r) in enumerate(slots):
+            normals = block[offsets[j] : offsets[j + 1]]
+            if kind == "fused":
+                gate = fused[j]
+            elif kind == "relax":
+                gate = relaxation_gate_batch(*payload, normals.reshape(r, size)).transpose(1, 2, 0)
+            elif kind == "noisy":
+                gate = payload.sample_batch(normals.reshape(size, r), ws)
+            else:
+                gate = payload
             if len(qubits) == 1:
-                (q,) = qubits
-                pending[q] = gate if pending[q] is None else mul_2x2(gate, pending[q])
+                self._compose(pending, qubits[0], gate, size)
                 continue
             a, b = qubits
             if pending[a] is not None or pending[b] is not None:
-                before = kron(I2 if pending[a] is None else pending[a], I2 if pending[b] is None else pending[b])
-                gate = gate @ before
+                gate = gate @ kron(_per_shot(pending[a]), _per_shot(pending[b]))
                 pending[a] = pending[b] = None
             apply_gate(pair[0], gate, qubits, out=pair[1])
             pair.reverse()
 
+    def _compose(self, pending: list, q: int, gate: np.ndarray, size: int) -> None:
+        """pending[q] <- gate pending[q], in place, for a ``(2, 2, S)``
+        gate or a ``(2, 2, 1)`` one that broadcasts.  A qubit with no
+        pending factor takes a copy of the gate in its workspace buffer."""
+        factor = pending[q]
+        if factor is None:
+            pending[q] = self.workspace.take(f"engine.pending{q}", (2, 2, size))
+            np.copyto(pending[q], gate)
+            return
+        # row i of the product is gate[i, 0] factor[0] + gate[i, 1] factor[1],
+        # so once the right-hand terms are kept, factor[1] and then factor[0]
+        # can be overwritten
+        right = np.multiply(gate[:, 1:], factor[1:], out=self.workspace.take("engine.right", factor.shape))
+        np.multiply(gate[1, 0], factor[0], out=factor[1])
+        factor[1] += right[1]
+        np.multiply(gate[0, 0], factor[0], out=factor[0])
+        factor[0] += right[0]
+
     def flush(self, pair: list[np.ndarray], pending: list) -> None:
         """Apply every pending one-qubit factor to the states ``pair[0]``,
         passing between the two buffers of ``pair``, and clear it."""
-        factors = {q: factor for q, factor in enumerate(pending) if factor is not None}
+        factors = {q: _per_shot(factor) for q, factor in enumerate(pending) if factor is not None}
         pending[:] = [None] * len(pending)
         if _apply_single(pair[0], factors, pair[::-1]) is not pair[0]:
             pair.reverse()
@@ -501,32 +615,28 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
         gen = root.child(chunk).generator
         pair = compiled.state_pair(size)
         pending: list[np.ndarray | None] = [None] * n
-        cp_iter = 0
-        for layer_index in range(n_layers + 1):
-            if cp_iter < n_cp and cp_sorted[cp_iter] == layer_index:
-                compiled.flush(pair, pending)
-            while cp_iter < n_cp and cp_sorted[cp_iter] == layer_index:
-                states = pair[0]
-                probs = compiled.measured_probs(states, gen)
-                weights = probs.sum(axis=1)
-                if not np.all(np.isfinite(weights)):
-                    raise FloatingPointError(
-                        f"trajectory weights diverged at checkpoint {layer_index}"
-                    )
-                dist_acc[cp_iter] += probs.sum(axis=0)
-                weight_acc[cp_iter] += weights.sum()
-                # probs becomes each trajectory's outcome CDF, in place
-                np.divide(probs, weights[:, None], out=probs)
-                cdf = np.cumsum(probs, axis=1, out=probs)
-                u = gen.uniform(size=size)
-                below = np.less(cdf, u[:, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
-                idx = below.sum(axis=1).clip(0, dim - 1)
-                counts[cp_iter] += np.bincount(idx, minlength=dim)
-                if keep_density:
-                    dens_acc[cp_iter] += np.einsum("si,sj->ij", states, states.conj())
-                cp_iter += 1
-            if layer_index < n_layers:
-                compiled.apply_layer(pair, pending, layer_index, gen)
+        done = 0
+        for cp_iter, at in enumerate(cp_sorted):
+            compiled.apply_layers(pair, pending, done, at, gen)
+            compiled.flush(pair, pending)
+            done = at
+            states = pair[0]
+            probs = compiled.measured_probs(states, gen)
+            weights = probs.sum(axis=1)
+            if not np.all(np.isfinite(weights)):
+                raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
+            dist_acc[cp_iter] += probs.sum(axis=0)
+            weight_acc[cp_iter] += weights.sum()
+            # probs becomes each trajectory's outcome CDF, in place
+            np.divide(probs, weights[:, None], out=probs)
+            cdf = np.cumsum(probs, axis=1, out=probs)
+            u = gen.uniform(size=size)
+            below = np.less(cdf, u[:, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
+            idx = below.sum(axis=1).clip(0, dim - 1)
+            counts[cp_iter] += np.bincount(idx, minlength=dim)
+            if keep_density:
+                dens_acc[cp_iter] += np.einsum("si,sj->ij", states, states.conj())
+        compiled.apply_layers(pair, pending, done, n_layers, gen)
 
     times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, dagger, expm, expm_2x2, expm_soa, kron, mul_2x2
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, cosh_sinhc, dagger, expm, expm_soa, kron
 from .noise_model import NoiseContext, LindbladTerm, is_finite_number
 from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
@@ -50,6 +50,7 @@ __all__ = [
     "NoisyGateSampler",
     "spam_gate_batch",
     "relaxation_gate_batch",
+    "relaxation_normals",
     "SubstepPath",
     "build_substep_path",
     "xi_from_path",
@@ -272,48 +273,91 @@ class XiSampler:
         self._interleaved[:, 0::2] = self.factor[:n].T
         self._interleaved[:, 1::2] = self.factor[n:].T
 
-    def sample(self, gen: np.random.Generator, size: int, workspace: Workspace) -> np.ndarray:
-        """``size`` draws of Xi, shape ``(size, d, d)``.  The normals and
-        the draws are written into buffers of ``workspace``, so the result
-        is a view that the workspace's next user overwrites."""
+    def draws(self, normals: np.ndarray, workspace: Workspace) -> np.ndarray:
+        """Xi for each row of ``normals``, an ``(S, n_gaussians)`` array of
+        standard normals: shape ``(S, d, d)``, a view into ``workspace``
+        that its next user overwrites."""
         d = self.dim
+        flat = workspace.take("xi.draws", (normals.shape[0], 2 * d * d), float)
+        return np.matmul(normals, self._interleaved, out=flat).view(complex).reshape(-1, d, d)
+
+    def sample(self, gen: np.random.Generator, size: int, workspace: Workspace) -> np.ndarray:
+        """``size`` draws of Xi from ``gen``, as :meth:`draws` returns them,
+        with the normals in ``workspace`` too."""
         g = gen.standard_normal(out=workspace.take("xi.normals", (size, self.n_gaussians), float))
-        flat = np.matmul(g, self._interleaved, out=workspace.take("xi.draws", (size, 2 * d * d), float))
-        return flat.view(complex).reshape(size, d, d)
+        return self.draws(g, workspace)
+
+
+# Up to this largest |mu| in a batch, e^mu is taken as 1 + mu: the Taylor
+# remainder is then below 2^-54.  mu = tr Xi / 2 is only rounding (~1e-17)
+# for traceless jump operators, which every stock gate has, and np.exp
+# would cost more than the rest of the factor.
+_EXP_MU_LINEAR = 2.0**-27
 
 
 class NoisyGateSampler:
-    """Batched sampler for one (gate, noise context) pair.
+    """Batched sampler for one (gate, noise context) pair: a pure function
+    from blocks of standard normals to realisations P exp(Xi).
 
     Fuses U_g exp(Lambda) into a single prefix matrix P and keeps the one
     Gaussian factor of Xi (of the covariance summed over all jump terms),
-    so sampling S realisations costs one block of ``(S, xi.n_gaussians)``
-    normals, rank-many per draw, one batched exponential and the product
-    P exp(Xi).  For one-qubit gates that product is ``mul_2x2`` on the
-    four entry vectors of the stack, which is far cheaper than S separate
-    2x2 matrix products.  For two-qubit gates the draws are copied into
-    the ``(d, d, S)`` layout of ``linalg.expm_soa``, exponentiated there,
-    and multiplied by P as one ``(S d, d) @ (d, d)`` product of the
-    stacked rows.  The sampler holds no buffers itself: ``sample_batch``
-    runs in the caller's ``workspace``, and the returned batch, the only
-    array it allocates once the workspace is warm, is never a view into
-    it.
+    so each realisation reads ``xi.n_gaussians`` normals, drawn by the
+    caller.
+
+    One-qubit gates take a fused kernel.  Xi is linear in the normals,
+    and so are mu = tr Xi / 2, d00 = (Xi00 - Xi11) / 2, Xi01, Xi10 and the
+    four entries of A = P (Xi - mu I).  One real ``(R, 16)`` matrix, built
+    here, maps a block of normals onto those eight complex numbers per
+    draw in one matrix product.  With q^2 = d00^2 + Xi01 Xi10 and
+    (c, t) = (cosh q, sinh(q)/q) from ``linalg.cosh_sinhc``, the
+    realisation is P e^Xi = e^mu (c P + t A), written entry by entry into
+    a ``(2, 2, S)`` array, so no per-draw ``(S, 2, 2)`` stack is formed.
+
+    Two-qubit gates copy the draws into the ``(d, d, S)`` layout of
+    ``linalg.expm_soa``, exponentiate them there, and multiply by P as
+    one ``(S d, d) @ (d, d)`` product of the stacked rows.  The sampler
+    holds no buffers itself: ``sample_batch`` runs in the caller's
+    ``workspace``.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
         self.dim = sched.dim
         self.prefix = sched.unitary_at(1.0) @ expm(lambda_matrix(sched, ctx))
         self.xi = XiSampler(sched, ctx)
+        if self.dim == 2:
+            x00, x01, x10, x11 = self.xi.factor[:4] + 1j * self.xi.factor[4:]
+            mu, d00 = 0.5 * (x00 + x11), 0.5 * (x00 - x11)
+            (p00, p01), (p10, p11) = self.prefix
+            entries = np.array([
+                mu, d00, x01, x10,
+                p00 * d00 + p01 * x10, p00 * x01 - p01 * d00,
+                p10 * d00 + p11 * x10, p10 * x01 - p11 * d00,
+            ])
+            # normals -> the (Re, Im) pairs of the eight entries, interleaved
+            self._fused = np.empty((self.xi.n_gaussians, 16))
+            self._fused[:, 0::2] = entries.real.T
+            self._fused[:, 1::2] = entries.imag.T
 
-    def sample_batch(self, gen: np.random.Generator, size: int, workspace: Workspace) -> np.ndarray:
-        """``size`` realisations P exp(Xi), shape ``(size, d, d)``, with
-        the temporaries in ``workspace``."""
+    def sample_batch(self, normals: np.ndarray, workspace: Workspace, out: np.ndarray | None = None) -> np.ndarray:
+        """One realisation P exp(Xi) for each row of ``normals``, an
+        ``(S, xi.n_gaussians)`` array of standard normals, as an
+        ``(S, d, d)`` array, with the temporaries in ``workspace``.
+
+        For d = 2 the result is the transposed view of ``out``, a
+        ``(2, 2, S)`` complex array (fresh when None) that the kernel
+        fills.  For d = 4 it is a fresh array, and ``out`` must be None.
+        Non-finite normals raise ``ValueError``."""
         d = self.dim
+        size = normals.shape[0]
+        if d == 2:
+            if out is None:
+                out = np.empty((2, 2, size), dtype=complex)
+            return self._fused_batch(normals, workspace, out).transpose(2, 0, 1)
+        if out is not None:
+            raise ValueError("only one-qubit samplers take out")
         if self.xi.n_gaussians == 0:
             return np.broadcast_to(self.prefix, (size, d, d))
-        xi = self.xi.sample(gen, size, workspace)
-        if d == 2:
-            return mul_2x2(self.prefix, expm_2x2(xi))
+        xi = self.xi.draws(normals, workspace)
         x = workspace.take("sampler.xi", (d, d, size))
         np.copyto(x, xi.transpose(1, 2, 0))
         f = expm_soa(x, workspace)
@@ -322,6 +366,27 @@ class NoisyGateSampler:
         rows = workspace.take("sampler.xi", (size, d, d))
         np.copyto(rows, f.transpose(2, 1, 0))
         return np.dot(rows.reshape(size * d, d), self.prefix.T).reshape(size, d, d).swapaxes(1, 2)
+
+    def _fused_batch(self, normals: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
+        """The one-qubit kernel: fills the ``(2, 2, S)`` array ``out``."""
+        size = normals.shape[0]
+        coef = np.matmul(normals, self._fused, out=ws.take("sampler.coef", (size, 16), float)).view(complex)
+        mu, d00, x01, x10 = coef[:, 0], coef[:, 1], coef[:, 2], coef[:, 3]
+        ct = ws.take("sampler.ct", (2, size))
+        q2 = np.multiply(d00, d00, out=ws.take("sampler.q2", (size,)))
+        q2 += np.multiply(x01, x10, out=ct[0])
+        c, t = cosh_sinhc(q2, ct)
+        # q2's buffer is scratch from here on
+        mu_max = float(np.abs(mu, out=q2.view(float)[:size]).max()) if size else 0.0
+        if not math.isfinite(mu_max):
+            raise ValueError("non-finite normals")
+        scale = np.add(mu, 1.0, out=q2) if mu_max <= _EXP_MU_LINEAR else np.exp(mu, out=q2)
+        c *= scale
+        t *= scale
+        np.multiply(coef[:, 4:].T.reshape(2, 2, size), t, out=out)
+        for (i, j), p in np.ndenumerate(self.prefix):
+            out[i, j] += np.multiply(c, p, out=q2)
+        return out
 
 
 def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -339,10 +404,18 @@ def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray
     return out
 
 
-def relaxation_gate_batch(
-    gamma1: float, gamma_pd: float, dt: float, gen: np.random.Generator, size: int
-) -> np.ndarray:
-    """``size`` exact idle relaxation gates (amplitude + phase damping over dt).
+def relaxation_normals(gamma1: float, gamma_pd: float, dt: float) -> int:
+    """Standard normals one relaxation gate reads: one for the phase when
+    gamma_pd > 0, then one for the amplitude transfer when
+    1 - e^{-gamma1 dt} > 0."""
+    return int(gamma_pd > 0) + int(-math.expm1(-gamma1 * dt) > 0)
+
+
+def relaxation_gate_batch(gamma1: float, gamma_pd: float, dt: float, normals: np.ndarray) -> np.ndarray:
+    """Exact idle relaxation gates (amplitude + phase damping over dt),
+    one per column of ``normals``, an ``(r, S)`` array of standard normals
+    with r = ``relaxation_normals(gamma1, gamma_pd, dt)`` rows, in the
+    order that function names them.  Returns a fresh ``(S, 2, 2)`` array.
 
     Upper triangular with phase e^{i a W2} (a = sqrt(gamma_pd/4),
     W2 ~ N(0, dt)) and a Gaussian amplitude-transfer entry
@@ -353,10 +426,15 @@ def relaxation_gate_batch(
         raise ValueError("rates must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    rows = relaxation_normals(gamma1, gamma_pd, dt)
+    if normals.ndim != 2 or normals.shape[0] != rows:
+        raise ValueError(f"expected {rows} rows of normals, got shape {normals.shape}")
+    size = normals.shape[1]
+    row = iter(normals)
     alpha = math.sqrt(gamma_pd / 4.0)
-    w2 = gen.normal(0.0, math.sqrt(dt), size=size) if gamma_pd > 0 else np.zeros(size)
+    w2 = math.sqrt(dt) * next(row) if gamma_pd > 0 else np.zeros(size)
     var_s = -math.expm1(-gamma1 * dt)
-    s = gen.normal(0.0, math.sqrt(var_s), size=size) if var_s > 0 else np.zeros(size)
+    s = math.sqrt(var_s) * next(row) if var_s > 0 else np.zeros(size)
     phase = np.exp(1j * alpha * w2)
     out = np.zeros((size, 2, 2), dtype=complex)
     out[:, 0, 0] = phase

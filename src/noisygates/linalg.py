@@ -2,10 +2,11 @@
 products, matrix exponentials, gate application to state vectors and
 local superoperators applied to density matrices.
 
-Functions treat their inputs as values and return fresh arrays, with two
-exceptions that let batched callers reuse the same buffers on every
-gate: ``expm_soa``, the Padé core behind ``expm``, overwrites its input
-and returns a view into a caller-held ``Workspace``, and ``apply_gate``
+Functions treat their inputs as values and return fresh arrays, with
+three exceptions that let batched callers reuse the same buffers on
+every gate: ``expm_soa``, the Padé core behind ``expm``, overwrites its
+input and returns a view into a caller-held ``Workspace``,
+``cosh_sinhc`` writes into the ``out`` it is given, and ``apply_gate``
 given ``out=`` writes the new states there and returns it.  The matrix
 exponential supports stacks of matrices (shape ``(..., d, d)``), which
 the trajectory engine relies on for batched sampling.
@@ -31,12 +32,12 @@ __all__ = [
     "PROJ_1",
     "dagger",
     "kron",
-    "mul_2x2",
     "embed",
     "Workspace",
     "expm",
     "expm_soa",
     "expm_2x2",
+    "cosh_sinhc",
     "apply_gate",
     "superoperator",
     "apply_superoperator",
@@ -63,23 +64,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
-def mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a·b of (stacks of) 2x2 matrices, taken on the four entry
-    vectors: a ``(2, 2)`` factor broadcasts against an ``(S, 2, 2)``
-    stack.  On large stacks this is an order of magnitude faster than
-    ``a @ b``, which dispatches S small products."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    np.add(a00 * b00, a01 * b10, out=out[..., 0, 0])
-    np.add(a00 * b01, a01 * b11, out=out[..., 0, 1])
-    np.add(a10 * b00, a11 * b10, out=out[..., 1, 0])
-    np.add(a10 * b01, a11 * b11, out=out[..., 1, 1])
-    return out
 
 
 def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -287,16 +271,45 @@ def _series_terms(reach: float) -> tuple[int, int]:
     return bisect.bisect_left(_SERIES_REACH, reach / 4.0**s) + 1, s
 
 
+def cosh_sinhc(q2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(cosh q, sinh(q)/q) for every entry of the 1-d complex array
+    ``q2`` = q^2, written into the two rows of ``out``, a
+    ``(2, len(q2))`` complex array, and returned.  Both are even power
+    series in q^2, summed by Horner's rule to as many terms as the largest
+    |q^2| needs for double precision, so no square root or branch appears;
+    each row is summed on its own, which keeps numpy on its contiguous
+    loops.  Larger arguments are scaled by 2^-s and squared back with
+    cosh 2x = c^2 + t^2 q^2, sinh(2x)/(2x) = c t for x = q / 2.  Raises
+    ``ValueError`` if any |q^2| is not finite."""
+    reach = float(np.max(np.abs(q2))) if q2.size else 0.0
+    if not math.isfinite(reach):
+        raise ValueError("non-finite entries in the exponent")
+    terms, s = _series_terms(reach)
+    z = q2 / 4.0**s if s else q2
+    c, t = out
+    c.fill(_SERIES_COEF[terms - 1, 0])
+    t.fill(_SERIES_COEF[terms - 1, 1])
+    for k in range(terms - 2, -1, -1):
+        c *= z
+        c += _SERIES_COEF[k, 0]
+        t *= z
+        t += _SERIES_COEF[k, 1]
+    if s:
+        t /= 2.0**s
+        for _ in range(s):
+            c2 = c * c + t * t * q2
+            np.multiply(2.0 * c, t, out=t)
+            c[...] = c2
+    return out
+
+
 def expm_2x2(m: np.ndarray) -> np.ndarray:
     """Closed-form exponential of (stacks of) 2x2 complex matrices.
 
     Uses e^M = e^mu (cosh(q) I + sinh(q)/q D) with mu = tr M / 2, the
-    traceless part D = M - mu I and q^2 = -det D (so D^2 = q^2 I).  cosh q
-    and sinh(q)/q are even power series in q^2, summed to as many terms
-    as the stack's largest |q^2| needs for double precision, so no square
-    root or branch appears.  Larger arguments are scaled by 2^-s and
-    squared back with (c I + t D)^2 = (c^2 + t^2 q^2) I + 2 c t D.
-    Agrees with :func:`expm` to ~1e-14 and is much faster on large batches.
+    traceless part D = M - mu I and q^2 = -det D (so D^2 = q^2 I), the
+    two series from :func:`cosh_sinhc`.  Agrees with :func:`expm` to
+    ~1e-14 and is much faster on large batches.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (2, 2):
@@ -306,20 +319,7 @@ def expm_2x2(m: np.ndarray) -> np.ndarray:
     mu = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
     d00 = a[..., 0, 0] - mu
     q2 = d00 * d00 + a[..., 0, 1] * a[..., 1, 0]
-    terms, s = _series_terms(float(np.max(np.abs(q2))) if q2.size else 0.0)
-    z = q2 / 4.0**s if s else q2
-    # Horner in z for (cosh q, sinh(q)/q) at once, on a (2, ...) stack
-    coef = _SERIES_COEF.reshape((_SERIES_MAX_TERMS, 2) + (1,) * z.ndim)
-    ct = np.empty((2,) + z.shape, dtype=complex)
-    ct[...] = coef[terms - 1]
-    for k in range(terms - 2, -1, -1):
-        ct *= z
-        ct += coef[k]
-    c, t = ct
-    if s:
-        t = t / 2.0**s
-        for _ in range(s):
-            c, t = c * c + t * t * q2, 2.0 * c * t
+    c, t = cosh_sinhc(q2.reshape(-1), np.empty((2, q2.size), dtype=complex)).reshape((2,) + q2.shape)
     scale = np.exp(mu)
     c *= scale
     t *= scale

@@ -117,8 +117,15 @@ _GATE_KEYS = {"t_1q_s", "t_2q_s", "p_1q", "p_2q"}
 
 
 def is_finite_number(val) -> bool:
-    """True for a finite int or float (a JSON number, not a bool)."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    """True for a finite int or float (a JSON number, not a bool).  An
+    int too large for a float, which ``math.isfinite`` cannot convert, is
+    not one."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _require_number(obj: dict, key: str, where: str) -> float:

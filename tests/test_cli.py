@@ -206,6 +206,20 @@ class TestExitCodes:
         assert "p_readout out of [0, 0.5): 0.6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integer_too_large_for_a_float_is_two(self, device_file, tmp_path, capsys):
+        # a 400-digit theta, then a 400-digit t1_s: no float holds either
+        huge = "1" + "0" * 400
+        circuit_path = tmp_path / "huge.json"
+        circuit_path.write_text('{"n_qubits": 1, "ops": [{"gate": "RX", "q": [0], "theta": ' + huge + "}]}")
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        assert main(compare_args(device_file, tmp_path / "out", **custom)) == 2
+        assert "op 0: 'theta' must be a finite number" in capsys.readouterr().err
+        device_path = tmp_path / "huge_device.json"
+        device_path.write_text(json.dumps(DEVICE).replace('"t1_s": 0.0001', '"t1_s": ' + huge, 1))
+        assert main(compare_args(device_path, tmp_path / "out")) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_measured_qubit_is_two(self, device_file, tmp_path, capsys):
         # each listing would apply the qubit's readout flip once more
         circuit_path = tmp_path / "bad.json"

@@ -17,6 +17,7 @@ from noisygates.channels import apply_channel, relaxation_channel
 from noisygates.engine import (
     CHUNK_SHOTS,
     MAX_QUBITS,
+    PIECE_NORMALS,
     Circuit,
     CircuitError,
     RunConfig,
@@ -36,11 +37,12 @@ from noisygates.gates import (
     NoisyGateSampler,
     ideal_unitary,
     relaxation_gate_batch,
+    relaxation_normals,
     schedule,
     spam_gate_batch,
 )
 from noisygates.channels import embed_operator
-from noisygates.linalg import Workspace, apply_gate
+from noisygates.linalg import apply_gate, expm, expm_2x2
 from noisygates.noise_model import (
     DeviceParams,
     QubitParams,
@@ -50,6 +52,7 @@ from noisygates.noise_model import (
     spam_strength,
 )
 from noisygates.stochastic import RngStream
+from test_linalg import mul_2x2
 
 NOISELESS = DeviceParams(
     qubits=(
@@ -220,6 +223,11 @@ class TestParseCircuit:
         # Python's json reads these non-standard literals as floats
         doc = '{"n_qubits": 2, "ops": [{"gate": "CR", "q": [0, 1], "theta": 1.0, ' + text + "}]}"
         with pytest.raises(CircuitError, match="op 0: '(theta|phi)' must be a finite number"):
+            parse_circuit(doc)
+
+    def test_integer_angle_too_large_for_a_float_rejected(self):
+        doc = '{"n_qubits": 1, "ops": [{"gate": "RX", "q": [0], "theta": 1' + "0" * 400 + "}]}"
+        with pytest.raises(CircuitError, match="op 0: 'theta' must be a finite number"):
             parse_circuit(doc)
 
     def test_integer_angles_accepted(self):
@@ -557,11 +565,28 @@ def desk_register(n: int) -> DeviceParams:
     return replace(DESK, qubits=tuple(DESK.qubits[q % 2] for q in range(n)))
 
 
+def noisy_gates_from_normals(sampler: NoisyGateSampler, gen, size: int) -> np.ndarray:
+    """``size`` realisations P exp(Xi), each from its own row of normals
+    drawn from ``gen``, mapped onto Xi through ``xi.factor``."""
+    d = sampler.dim
+    v = gen.standard_normal((size, sampler.xi.n_gaussians)) @ sampler.xi.factor.T
+    xi = (v[:, : d * d] + 1j * v[:, d * d :]).reshape(size, d, d)
+    return mul_2x2(sampler.prefix, expm_2x2(xi)) if d == 2 else sampler.prefix @ expm(xi)
+
+
+def relaxation_from_normals(gamma1: float, gamma_pd: float, dt: float, gen, size: int) -> np.ndarray:
+    rows = relaxation_normals(gamma1, gamma_pd, dt)
+    return relaxation_gate_batch(gamma1, gamma_pd, dt, gen.standard_normal((rows, size)))
+
+
 def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.ndarray, ...]:
     """``run_shots``' distributions, counts, mean weights and densities,
     computed with every slot and every readout gate applied to the states
-    by its own ``apply_gate`` call as soon as it is drawn, from the same
-    draws.  Each chunk's generator is appended to ``generators``."""
+    by its own ``apply_gate`` call as soon as it is drawn.  Each slot
+    draws its own normals from the chunk's generator, in slot order, and
+    a noisy gate is exponentiated by ``expm_2x2`` or ``expm``, not by the
+    samplers' kernels.  Each chunk's generator is appended to
+    ``generators``."""
     n, params = scheduled.n_qubits, scheduled.params
     dim = 2**n
     layers = []
@@ -571,12 +596,12 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
             noise = slot_noise(gate, params)
             if gate.kind == "IDLE" and noise.relaxation:
                 (gamma1, gamma_pd), = noise.relaxation
-                slots.append((gate.qubits, partial(relaxation_gate_batch, gamma1, gamma_pd, noise.duration)))
+                slots.append((gate.qubits, partial(relaxation_from_normals, gamma1, gamma_pd, noise.duration)))
             elif gate.kind in ("RZ", "IDLE"):
                 slots.append((gate.qubits, lambda gen, size, u=ideal_unitary(gate): u))
             else:
                 sampler = NoisyGateSampler(schedule(gate), noise_context_for_gate(gate, params))
-                slots.append((gate.qubits, partial(sampler.sample_batch, workspace=Workspace())))
+                slots.append((gate.qubits, partial(noisy_gates_from_normals, sampler)))
         layers.append(slots)
     spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
     checkpoints = sorted(config.checkpoints)
@@ -708,6 +733,29 @@ DEFERRAL_CASES = {
         (0, 1, 3),
         32,
     ),
+    # 20 X gates, then 50 mixed layers: the segment before checkpoint 69
+    # reads more than PIECE_NORMALS normals at 128 shots, so it is drawn in
+    # pieces, the first X gates sampled by one kernel call on adjacent
+    # normals and the later ones on gathered normals
+    "long_segment": (
+        {
+            "n_qubits": 1,
+            "ops": [{"gate": "X", "q": [0]}] * 20 + [
+                [
+                    {"gate": "SX", "q": [0]},
+                    {"gate": "X", "q": [0]},
+                    {"gate": "RZ", "q": [0], "phi": 0.3},
+                    {"gate": "IDLE", "q": [0], "duration_s": 40e-9},
+                    {"gate": "SX", "q": [0], "phi": 0.2},
+                    {"gate": "X", "q": [0]},
+                ][i % 6]
+                for i in range(50)
+            ],
+            "measure": [0],
+        },
+        (0, 69, 70),
+        128,
+    ),
 }
 
 
@@ -734,6 +782,12 @@ class TestDeferredGates:
         np.testing.assert_array_equal(result.counts, counts)
         assert len(made) == len(oracle) == 1
         np.testing.assert_equal(made[0].bit_generator.state, oracle[0].bit_generator.state)
+
+    def test_long_segment_is_cut_into_pieces(self):
+        doc, (_, cut, _), shots = DEFERRAL_CASES["long_segment"]
+        compiled = _Compiled(schedule_layers(parse_circuit(doc), desk_register(1)))
+        normals = sum(slot.normals for slot in compiled.slots[: compiled.layer_starts[cut]])
+        assert normals * shots > PIECE_NORMALS
 
     def test_passes_pack_adjacent_qubits(self):
         assert _plan_passes([8, 0, 2, 1, 3, 5, 7]) == [(0, 1, 2), (3,), (5,), (7, 8)]
@@ -792,6 +846,20 @@ class TestSharedCompiled:
         # the warm run allocates no state batch (4 MiB at 64 shots): 0.76 MiB
         # peak, where each pass allocating a fresh batch peaked at 24 MiB
         assert peak < 2 * 2**20
+
+
+def test_piece_buffers_stay_within_the_cap():
+    # 500 X gates in one segment at 1024 shots: 512,000 gate draws of 5
+    # normals, which would take 20 MiB of normals and 120 MiB of kernel
+    # buffers as one piece.  The block holds PIECE_NORMALS normals, and
+    # the widest kernel buffer 16 reals for each of its gate draws.
+    doc = {"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}] * 500, "measure": [0]}
+    scheduled = schedule_layers(parse_circuit(doc), DESK)
+    compiled = _Compiled(scheduled)
+    run_shots(scheduled, RunConfig(shots=1024, master_seed=3, checkpoints=(0, 500)), compiled)
+    buffers = compiled.workspace._buffers
+    assert buffers["engine.normals"].nbytes == PIECE_NORMALS * 8
+    assert max(buf.nbytes for buf in buffers.values()) == PIECE_NORMALS // 5 * 16 * 8
 
 
 class TestChunkShots:

@@ -12,20 +12,23 @@ from noisygates.gates import (
     GateSpec,
     NoisyGateSampler,
     XiSampler,
+    _EXP_MU_LINEAR,
     _path_pieces,
     build_substep_path,
     ideal_unitary,
     lambda_matrix,
     relaxation_gate_batch,
+    relaxation_normals,
     scale_context,
     schedule,
     small_noise_reference,
     spam_gate_batch,
     xi_from_path,
 )
-from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, Workspace, _pade_degree, dagger, expm
+from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, _pade_degree, _series_terms, dagger, expm, expm_2x2
 from noisygates.noise_model import LindbladTerm, NoiseContext, load_calibration, noise_context_for_gate
 from noisygates.stochastic import RngStream, gauss_legendre_rule
+from test_linalg import mul_2x2
 
 
 def make_context(*pairs, duration=1.0):
@@ -52,12 +55,24 @@ def sample_noisy_gate(sched, ctx, rng):
     return sched.unitary_at(1.0) @ expm(lambda_matrix(sched, ctx)) @ expm(sample_xi(sched, ctx, rng))
 
 
+def draw_batch(sampler, gen, size, workspace):
+    """``sampler.sample_batch`` on ``size`` rows of normals from ``gen``."""
+    return sampler.sample_batch(gen.standard_normal((size, sampler.xi.n_gaussians)), workspace)
+
+
+def draw_relaxation(gamma1, gamma_pd, dt, gen, size):
+    """``size`` relaxation gates on normals from ``gen``, which draws them
+    as the trajectory engine does, one row per variance in turn."""
+    rows = relaxation_normals(gamma1, gamma_pd, dt)
+    return relaxation_gate_batch(gamma1, gamma_pd, dt, gen.standard_normal((rows, size)))
+
+
 def sample_spam_gate(v, rng):
     return spam_gate_batch(v, rng.generator, 1)[0]
 
 
 def sample_relaxation_gate(gamma1, gamma_pd, dt, rng):
-    return relaxation_gate_batch(gamma1, gamma_pd, dt, rng.generator, 1)[0]
+    return draw_relaxation(gamma1, gamma_pd, dt, rng.generator, 1)[0]
 
 
 def estimate_commutator_term(sched, ctx, rng=None, m_substeps=4096, path=None):
@@ -263,7 +278,7 @@ class TestSampleNoisyGate:
     def test_mean_weight_near_one(self):
         sched = schedule(GateSpec("X", (0,)).with_duration(1.0))
         ctx = make_context((DECAY, 0.04), (PAULI_X, 0.01), (PAULI_Y, 0.01), (PAULI_Z, 0.0125))
-        batch = NoisyGateSampler(sched, ctx).sample_batch(RngStream(7).generator, 100_000, Workspace())
+        batch = draw_batch(NoisyGateSampler(sched, ctx), RngStream(7).generator, 100_000, Workspace())
         state = np.array([1, 1], dtype=complex) / math.sqrt(2)
         weights = np.abs(batch @ state) ** 2
         w = weights.sum(axis=1)
@@ -272,7 +287,7 @@ class TestSampleNoisyGate:
     def test_ensemble_channel_is_completely_positive(self):
         sched = schedule(GateSpec("X", (0,)).with_duration(1.0))
         ctx = make_context((DECAY, 0.04), (PAULI_Z, 0.01))
-        batch = NoisyGateSampler(sched, ctx).sample_batch(RngStream(8).generator, 100_000, Workspace())
+        batch = draw_batch(NoisyGateSampler(sched, ctx), RngStream(8).generator, 100_000, Workspace())
         # Choi matrix of the sampled ensemble map
         choi = np.zeros((4, 4), dtype=complex)
         for i in range(2):
@@ -304,9 +319,9 @@ def desk_sampler(name: str, noise_scale: float = 1.0) -> NoisyGateSampler:
 
 
 class TestSampleBatchStream:
-    """sample_batch draws one (size, n_gaussians) block of normals and
-    returns prefix @ exp(Xi), with Xi read off ``xi.factor`` as criterion
-    3 reads it.  Scaled contexts push the exponentials past their
+    """sample_batch maps one (size, n_gaussians) block of normals onto
+    prefix @ exp(Xi), with Xi read off ``xi.factor`` as criterion 3 reads
+    it.  Scaled contexts push the exponentials past their
     unscaled ranges; scale 0 is the zero-noise context."""
 
     @pytest.mark.parametrize(
@@ -319,7 +334,7 @@ class TestSampleBatchStream:
         ref_gen = copy.deepcopy(gen)
         size, d = 1000, sampler.dim
 
-        got = sampler.sample_batch(gen, size, Workspace())
+        got = draw_batch(sampler, gen, size, Workspace())
         g = ref_gen.standard_normal((size, sampler.xi.n_gaussians))
         v = g @ sampler.xi.factor.T
         xi = (v[:, : d * d] + 1j * v[:, d * d :]).reshape(size, d, d)
@@ -328,6 +343,51 @@ class TestSampleBatchStream:
         assert got.shape == (size, d, d)
         assert np.abs(got - want).max() <= 1e-13
         assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+class TestFusedKernel:
+    """The one-qubit kernel, e^mu (c P + t A) from one matrix product of
+    the normals, against prefix @ expm_2x2(Xi) on the same normals, with
+    Xi read off ``xi.factor``.  Scale 30 reaches the series' scaling
+    branch, and a jump with a trace (PROJ_1) the np.exp branch of e^mu."""
+
+    @staticmethod
+    def check(sampler, seed=23):
+        normals = np.random.default_rng(seed).standard_normal((1000, sampler.xi.n_gaussians))
+        out = np.empty((2, 2, 1000), dtype=complex)
+        got = sampler.sample_batch(normals, Workspace(), out=out)
+        v = normals @ sampler.xi.factor.T
+        xi = (v[:, :4] + 1j * v[:, 4:]).reshape(-1, 2, 2)
+        assert got.shape == (1000, 2, 2) and np.shares_memory(got, out)
+        assert np.abs(got - mul_2x2(sampler.prefix, expm_2x2(xi))).max() <= 1e-14
+        d00 = 0.5 * (xi[:, 0, 0] - xi[:, 1, 1])
+        q2 = d00 * d00 + xi[:, 0, 1] * xi[:, 1, 0]
+        mu = 0.5 * (xi[:, 0, 0] + xi[:, 1, 1])
+        return _series_terms(np.abs(q2).max())[1], np.abs(mu).max()
+
+    @pytest.mark.parametrize("name", ["X", "SX", "RX"])
+    def test_matches_expm_2x2_at_desk_noise(self, name):
+        scaling, mu = self.check(desk_sampler(name))
+        assert scaling == 0 and mu <= _EXP_MU_LINEAR
+
+    @pytest.mark.parametrize("name", ["X", "SX", "RX"])
+    def test_matches_expm_2x2_in_the_scaling_branch(self, name):
+        scaling, _ = self.check(desk_sampler(name, 30.0))
+        assert scaling > 0
+
+    def test_matches_expm_2x2_with_a_traced_jump(self):
+        ctx = make_context((PROJ_1, 0.04), (DECAY, 0.02))
+        sampler = NoisyGateSampler(schedule(GateSpec("X", (0,)).with_duration(1.0)), ctx)
+        _, mu = self.check(sampler)
+        assert mu > _EXP_MU_LINEAR
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_normals(self, bad):
+        sampler = desk_sampler("X")
+        normals = np.random.default_rng(24).standard_normal((64, sampler.xi.n_gaussians))
+        normals[17, 2] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            sampler.sample_batch(normals, Workspace())
 
 
 class TestSampleBatchWorkspace:
@@ -343,7 +403,7 @@ class TestSampleBatchWorkspace:
         gen = np.random.default_rng(17)
         for _ in range(2):  # a cold workspace, then a warm one
             ref_gen = copy.deepcopy(gen)
-            got = sampler.sample_batch(gen, 1000, ws)
+            got = draw_batch(sampler, gen, 1000, ws)
             xi = sampler.xi.sample(ref_gen, 1000, Workspace())
             assert np.array_equal(got, sampler.prefix @ expm(xi))
             assert gen.bit_generator.state == ref_gen.bit_generator.state
@@ -354,7 +414,7 @@ class TestSampleBatchWorkspace:
         sampler = desk_sampler("CNOT", 0.0)
         gen = np.random.default_rng(18)
         state = copy.deepcopy(gen.bit_generator.state)
-        batch = sampler.sample_batch(gen, 5, Workspace())
+        batch = draw_batch(sampler, gen, 5, Workspace())
         assert np.array_equal(batch, np.broadcast_to(sampler.prefix, (5, 4, 4)))
         assert gen.bit_generator.state == state
 
@@ -364,15 +424,15 @@ class TestSampleBatchWorkspace:
         for name, size in [("CNOT", 1000), ("CR", 64), ("CNOT", 1000), ("CR", 1000), ("CNOT", 64)]:
             sampler = desk_sampler(name)
             ref_gen = copy.deepcopy(gen)
-            assert np.array_equal(sampler.sample_batch(gen, size, ws), sampler.sample_batch(ref_gen, size, Workspace()))
+            assert np.array_equal(draw_batch(sampler, gen, size, ws), draw_batch(sampler, ref_gen, size, Workspace()))
 
     def test_returned_batch_is_not_aliased(self):
         sampler = desk_sampler("CNOT")
         ws = Workspace()
         gen = np.random.default_rng(20)
-        first = sampler.sample_batch(gen, 1000, ws)
+        first = draw_batch(sampler, gen, 1000, ws)
         kept = first.copy()
-        second = sampler.sample_batch(gen, 1000, ws)
+        second = draw_batch(sampler, gen, 1000, ws)
         assert np.array_equal(first, kept)
         assert not np.shares_memory(first, second)
         assert not np.array_equal(first, second)
@@ -389,10 +449,11 @@ class TestSampleBatchWorkspace:
         sampler = desk_sampler("CNOT")
         ws = Workspace()
         gen = np.random.default_rng(22)
-        sampler.sample_batch(gen, 1000, ws)
+        draw_batch(sampler, gen, 1000, ws)
+        normals = gen.standard_normal((1000, sampler.xi.n_gaussians))
         tracemalloc.start()
         try:
-            out = sampler.sample_batch(gen, 1000, ws)
+            out = sampler.sample_batch(normals, ws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -416,12 +477,22 @@ class TestSpamGate:
 
 
 class TestRelaxationGate:
+    def test_reads_one_row_of_normals_per_variance(self):
+        assert [relaxation_normals(*r) for r in [(0.1, 0.2, 1.0), (0.1, 0.0, 1.0), (0.0, 0.2, 1.0), (0.0, 0.0, 1.0)]] == [2, 1, 1, 0]
+        normals = np.random.default_rng(25).standard_normal((2, 8))
+        with pytest.raises(ValueError, match="expected 1 rows"):
+            relaxation_gate_batch(0.1, 0.0, 1.0, normals)
+        # the phase row first, then the transfer row
+        batch = relaxation_gate_batch(0.1, 0.2, 1.0, normals)
+        assert np.allclose(np.angle(batch[:, 0, 0]), math.sqrt(0.05) * normals[0])
+        assert np.allclose(np.abs(batch[:, 0, 1]), math.sqrt(-math.expm1(-0.1)) * np.abs(normals[1]))
+
     def test_zero_rates_identity(self):
         assert np.allclose(sample_relaxation_gate(0.0, 0.0, 1.0, RngStream(4)), I2)
 
     def test_transfer_variance(self):
         g1, dt = 0.7, 1.0
-        batch = relaxation_gate_batch(g1, 0.0, dt, RngStream(5).generator, 100_000)
+        batch = draw_relaxation(g1, 0.0, dt, RngStream(5).generator, 100_000)
         s = np.abs(batch[:, 0, 1])
         var = (s**2).mean()
         want = 1 - math.exp(-g1 * dt)
@@ -436,7 +507,7 @@ class TestRelaxationGate:
             "one": np.diag([0.0, 1.0]).astype(complex),
             "plus": np.full((2, 2), 0.5, dtype=complex),
         }
-        batch = relaxation_gate_batch(g1dt, gpddt, 1.0, RngStream(6).generator, 100_000)
+        batch = draw_relaxation(g1dt, gpddt, 1.0, RngStream(6).generator, 100_000)
         for rho in states.values():
             avg = np.einsum("sij,jk,slk->il", batch, rho, batch.conj()) / batch.shape[0]
             assert np.abs(avg - apply_channel(rho, channel, (0,))).max() < 0.005
@@ -446,7 +517,7 @@ class TestRelaxationGate:
         p1 = 1 - math.exp(-g1dt)
         pz = (1 - p1) * (1 - math.exp(-gpddt))
         rho = np.full((2, 2), 0.5, dtype=complex)
-        batch = relaxation_gate_batch(g1dt, gpddt, 1.0, RngStream(7).generator, 200_000)
+        batch = draw_relaxation(g1dt, gpddt, 1.0, RngStream(7).generator, 200_000)
         avg = np.einsum("sij,jk,slk->il", batch, rho, batch.conj()) / batch.shape[0]
         assert abs(avg[0, 1]) == pytest.approx(0.5 * math.sqrt(1 - p1 - pz), abs=0.004)
 

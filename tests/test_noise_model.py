@@ -16,6 +16,7 @@ from noisygates.noise_model import (
     SlotNoise,
     depolarizing_paulis,
     depolarizing_rate,
+    is_finite_number,
     load_calibration,
     noise_context_for_gate,
     relaxation_rates,
@@ -34,6 +35,14 @@ class TestLoadCalibration:
         params = load_calibration(json.dumps(MINIMAL))
         assert params.n_qubits == 1
         assert params.qubits[0].t1_s == 100e-6
+
+    @pytest.mark.parametrize("key", ["t1_s", "p_readout"])
+    def test_integer_too_large_for_a_float_rejected(self, key):
+        # json reads a 400-digit integer as an int, which has no float value
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["qubits"][0][key] = json.loads("1" + "0" * 400)
+        with pytest.raises(CalibrationError, match=f"key '{key}' in qubit 0 must be a finite number"):
+            load_calibration(doc)
 
     def test_t2_exceeding_2t1_rejected(self):
         doc = json.loads(json.dumps(MINIMAL))
@@ -282,3 +291,12 @@ class TestSlotNoise:
     @pytest.mark.parametrize("gate", [GateSpec("RZ", (0,), phi=0.3), GateSpec("IDLE", (0,), duration=0.0)])
     def test_frames_and_zero_duration_slots_carry_nothing(self, gate):
         assert slot_noise(gate, self.PARAMS) == SlotNoise(0.0, (), None)
+
+
+@pytest.mark.parametrize(
+    "val, finite",
+    [(1, True), (-2.5, True), (10**300, True), (10**400, False), (-(10**400), False),
+     (math.inf, False), (math.nan, False), (True, False), ("1", False), (None, False)],
+)
+def test_is_finite_number(val, finite):
+    assert is_finite_number(val) is finite
