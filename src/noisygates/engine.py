@@ -31,27 +31,42 @@ is drawn in one ``standard_normal`` block, cut into pieces of at most
 ``PIECE_NORMALS`` normals (a cut contiguous draw yields the same
 numbers), and slot i, reading r_i normals per shot, takes the next
 S r_i of its piece.  The checkpoint's readout normals and uniforms
-follow the segment.  Within a piece, the k slots of one one-qubit noisy
-gate are sampled by one call of its fused kernel,
-``NoisyGateSampler.sample_batch``, into one ``(2, 2, k S)`` buffer.
+follow the segment; the layers after the last checkpoint are not drawn.
+Within a piece, the k slots of one one-qubit noisy gate are sampled by
+one call of its fused kernel, ``NoisyGateSampler.sample_batch``, and the
+k relaxation pads of one (gamma1, gamma_pd, dt) by one
+``relaxation_gate_batch`` call, each into a ``(2, 2, k S)`` buffer.
 
 Gates on different qubits commute, so one-qubit slots (noisy gates,
 relaxation pads, RZ frames, fixed idles) never touch the state batch
 directly: each is multiplied, in slot order and in place, onto its
 qubit's pending per-shot ``(2, 2, S)`` factor in the workspace.  A
 two-qubit slot absorbs the pending factors of both its qubits,
-G (P_a x P_b), and is applied to the states at once.  A checkpoint first
-flushes every pending factor into the states, in passes of at most
-``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker products), so a
-circuit costs one state update per two-qubit gate plus about
-n / ``FUSE_MAX_QUBITS`` per checkpoint.  Registers wider than
-``MAX_QUBITS`` are rejected.
+G (P_a x P_b).  Where a chunk's state batch fills ``STATE_BUDGET_BYTES``
+(n >= 8) a slot on adjacent qubits then waits as well, in a block: a
+per-shot product of two-qubit gates on at most ``FUSE_MAX_QUBITS``
+adjacent qubits.  The slot joins the block it overlaps when their union
+spans at most ``FUSE_MAX_QUBITS`` qubits; otherwise that block is
+applied and the slot starts a block.  A qubit's one-qubit factor acts
+after its block.  Every other two-qubit slot is applied at once, after
+the blocks it overlaps.  A checkpoint applies each block with its
+qubits' one-qubit factors and the other one-qubit factors, in passes of
+at most ``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker
+products).  At the last checkpoint of a register that keeps no dense
+density (n > ``DENSE_DENSITY_MAX_QUBITS``) the readout gates join the
+one-qubit factors first, drawn where the readout draws them, so they take
+no passes of their own.  On the 12-qubit GHZ ladder a 64-shot chunk
+makes 9 state passes: 5 blocks and 4 at the checkpoint.  Registers
+wider than ``MAX_QUBITS`` are rejected.
 
 The state batch lives in the compiled circuit's workspace: every state
 update writes with ``apply_gate(..., out=)`` into the other buffer of a
-ping-pong pair, the readout gates pass between a second pair, and |psi|^2,
-the weights and each trajectory's outcome CDF are formed in place, so a
-chunk holds four state-sized buffers and a warm run allocates none.
+ping-pong pair, and |psi|^2, the weights and each trajectory's outcome
+CDF are formed in place in the spare buffer.  Readout gates that act on
+a copy, at every checkpoint of a register that keeps densities and at
+every checkpoint but the last of a wider one, pass between a second
+pair.  So a chunk holds two state-sized buffers, or four with such a
+readout, and a warm run allocates no state-sized array.
 """
 
 from __future__ import annotations
@@ -100,10 +115,11 @@ __all__ = [
 # 2.4-2.6 s at a peak RSS of 70, 98 and 154 MiB.
 CHUNK_SHOTS = 1024
 STATE_BUDGET_BYTES = 4 * 2**20
-# Widest run of adjacent qubits whose one-qubit factors one pass applies
-# together, at a checkpoint flush and for the readout gates.  Measured when
-# every layer was applied in such passes: on the same GHZ runs, runs of at
-# most 2, 3 and 4 qubits took 4.0-4.4, 2.2-2.4 and 2.3-2.5 s.
+# Widest run of adjacent qubits one deferred operator spans: a block of
+# two-qubit gates, and each pass of a checkpoint or of the readout gates.
+# Measured when every layer was applied in such passes: on the same GHZ
+# runs, runs of at most 2, 3 and 4 qubits took 4.0-4.4, 2.2-2.4 and
+# 2.3-2.5 s.
 FUSE_MAX_QUBITS = 3
 # Widest register run_shots accepts: one state vector is 16 MiB at n = 20
 # and each checkpoint's accumulators take 16 * 2^n bytes more.
@@ -358,28 +374,41 @@ class EnsembleResult:
         return counts / counts.sum(axis=-1, keepdims=True)
 
 
-def _plan_passes(qubits) -> list[tuple[int, ...]]:
-    """Distinct qubits, ascending, packed into runs of adjacent qubits at
-    most ``FUSE_MAX_QUBITS`` wide: one ``apply_gate`` pass each."""
-    runs: list[list[int]] = []
-    for q in sorted(qubits):
-        if runs and runs[-1][-1] == q - 1 and len(runs[-1]) < FUSE_MAX_QUBITS:
-            runs[-1].append(q)
+def _plan_passes(runs) -> list[list[tuple[int, ...]]]:
+    """Disjoint runs of ascending adjacent qubits (a lone qubit is a run of
+    one), taken in ascending order and packed into passes: a run joins the
+    pass before it when it is adjacent to it and the pass then spans at
+    most ``FUSE_MAX_QUBITS`` qubits.  One ``apply_gate`` pass each."""
+    passes: list[list[tuple[int, ...]]] = []
+    for run in sorted(runs):
+        if passes and passes[-1][-1][-1] == run[0] - 1 and run[-1] - passes[-1][0][0] < FUSE_MAX_QUBITS:
+            passes[-1].append(run)
         else:
-            runs.append([q])
-    return [tuple(run) for run in runs]
+            passes.append([run])
+    return passes
 
 
-def _apply_single(states: np.ndarray, factors: dict[int, np.ndarray], buffers: list[np.ndarray]) -> np.ndarray:
-    """Apply one-qubit gates on distinct qubits, ``{qubit: gate}``, one
-    pass per adjacent run with the per-shot Kronecker product of its
-    gates (first qubit most significant).  Pass i writes into
-    ``buffers[i % 2]``; returns the last buffer written, or ``states``
-    when there is no pass."""
-    for i, qubits in enumerate(_plan_passes(factors)):
-        gate = reduce(kron, [factors[q] for q in qubits])
-        states = apply_gate(states, gate, qubits, out=buffers[i % 2])
+def _apply_passes(states: np.ndarray, ops: dict[tuple[int, ...], np.ndarray], buffers: list[np.ndarray]) -> np.ndarray:
+    """Apply operators on disjoint runs of adjacent qubits, ``{run:
+    (S, d, d) or (d, d) operator}``, one pass per ``_plan_passes`` group
+    with the per-shot Kronecker product of its operators (first qubit
+    most significant).  Pass i writes into ``buffers[i % 2]``; returns the
+    last buffer written, or ``states`` when there is no pass."""
+    for i, runs in enumerate(_plan_passes(ops)):
+        gate = reduce(kron, [ops[run] for run in runs])
+        states = apply_gate(states, gate, sum(runs, ()), out=buffers[i % 2])
     return states
+
+
+def _widen(op: np.ndarray, run: tuple[int, ...], span: tuple[int, ...]) -> np.ndarray:
+    """``op`` on the adjacent qubits ``run`` as an operator on ``span``,
+    the adjacent qubits around them: identities before and after."""
+    before, after = run[0] - span[0], span[-1] - run[-1]
+    if before:
+        op = kron(np.eye(2**before), op)
+    if after:
+        op = kron(op, np.eye(2**after))
+    return op
 
 
 class _Slot(NamedTuple):
@@ -402,6 +431,18 @@ def _fixed_slot(qubits: tuple[int, ...], unitary: np.ndarray) -> _Slot:
 def _per_shot(factor: np.ndarray | None) -> np.ndarray:
     """A pending ``(2, 2, S)`` factor as its ``(S, 2, 2)`` view; I for none."""
     return I2 if factor is None else factor.transpose(2, 0, 1)
+
+
+class _Pending:
+    """The gates of one chunk not yet applied to its states.  ``one[q]``
+    is qubit q's one-qubit ``(2, 2, S)`` factor (None for none), and
+    ``blocks`` maps disjoint runs of at most ``FUSE_MAX_QUBITS`` ascending
+    adjacent qubits to per-shot ``(S, d, d)`` (or one ``(d, d)``) products
+    of two-qubit gates.  A qubit's one-qubit factor acts after its block."""
+
+    def __init__(self, n_qubits: int):
+        self.one: list[np.ndarray | None] = [None] * n_qubits
+        self.blocks: dict[tuple[int, ...], np.ndarray] = {}
 
 
 class _Compiled:
@@ -448,6 +489,16 @@ class _Compiled:
                     self.slots.append(_fixed_slot(gate.qubits, ideal_unitary(gate)))
             self.layer_starts.append(len(self.slots))
         self.spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
+        # Two-qubit gates wait in blocks where a chunk's state batch fills
+        # STATE_BUDGET_BYTES (n >= 8): there a state pass costs more than
+        # the per-shot block products that save it.  The GHZ ladder of
+        # scripts/ghz_sweep.py at 1024 shots (one BLAS thread, the median
+        # of 9 warm calls in each of two sessions) took, without and with
+        # blocks, at n = 6: 0.047-0.051 and 0.049-0.062 s; n = 7:
+        # 0.070-0.086 and 0.063-0.074 s; n = 8: 0.100-0.108 and
+        # 0.095-0.103 s; n = 10: 0.250-0.255 and 0.193-0.240 s; n = 12
+        # (one session): 0.89 and 0.68 s.
+        self.pair_blocks = chunk_shots(self.n_qubits) * 16 * 2**self.n_qubits >= STATE_BUDGET_BYTES
 
     def state_pair(self, size: int) -> list[np.ndarray]:
         """The two ``(size, 2^n)`` state buffers of a chunk, ``[states,
@@ -459,14 +510,13 @@ class _Compiled:
         return pair
 
     def apply_layers(
-        self, pair: list[np.ndarray], pending: list, start: int, stop: int, gen: np.random.Generator
+        self, pair: list[np.ndarray], pending: _Pending, start: int, stop: int, gen: np.random.Generator
     ) -> None:
-        """Sample and apply layers ``start`` .. ``stop - 1``, the segment
-        before a checkpoint (or the end).  Its normals are drawn in plan
-        order, in one ``standard_normal`` block per piece: a run of slots
-        that reads at most ``PIECE_NORMALS`` normals, or one slot that
-        reads more.  ``pending[q]`` is qubit q's deferred ``(2, 2, S)``
-        factor (None for none); two-qubit slots are applied from
+        """Sample layers ``start`` .. ``stop - 1``, the segment before a
+        checkpoint, onto ``pending`` and the states ``pair[0]``.  Its
+        normals are drawn in plan order, in one ``standard_normal`` block
+        per piece: a run of slots that reads at most ``PIECE_NORMALS``
+        normals, or one slot that reads more.  A state update writes
         ``pair[0]`` into ``pair[1]``, after which the two swap places."""
         size = pair[0].shape[0]
         first, end = self.layer_starts[start], self.layer_starts[stop]
@@ -482,63 +532,64 @@ class _Compiled:
             self._apply_piece(pair, pending, self.slots[first:last], block)
             first = last
 
-    def _apply_piece(self, pair: list[np.ndarray], pending: list, slots: list[_Slot], block: np.ndarray) -> None:
+    def _apply_piece(self, pair: list[np.ndarray], pending: _Pending, slots: list[_Slot], block: np.ndarray) -> None:
         """Apply ``slots`` in plan order, slot j reading its normals from
-        ``block`` after those of the slots before it.  Every one-qubit
-        noisy slot of one sampler is sampled by one kernel call first."""
+        ``block`` after those of the slots before it.  First the one-qubit
+        noisy slots of each sampler, and the relaxation pads of each
+        (gamma1, gamma_pd, dt), are sampled by one call each."""
         size = pair[0].shape[0]
         ws = self.workspace
         offsets = [0]
         for slot in slots:
             offsets.append(offsets[-1] + slot.normals * size)
-        groups: dict[NoisyGateSampler, list[int]] = {}
+        groups: dict[object, list[int]] = {}
         for j, slot in enumerate(slots):
-            if slot.kind == "fused":
+            if slot.kind in ("fused", "relax"):
                 groups.setdefault(slot.payload, []).append(j)
         factors = ws.take("engine.factors", (2, 2, size * sum(map(len, groups.values()))))
-        fused: dict[int, np.ndarray] = {}
+        built: dict[int, np.ndarray] = {}
         col = 0
-        for sampler, members in groups.items():
-            n = size * sampler.xi.n_gaussians
-            if offsets[members[-1]] - offsets[members[0]] == n * (len(members) - 1):
-                normals = block[offsets[members[0]] : offsets[members[-1]] + n]
-            else:
-                parts = [block[offsets[j] : offsets[j] + n] for j in members]
-                normals = np.concatenate(parts, out=ws.take("engine.gather", (n * len(members),), float))
+        for payload, members in groups.items():
+            r = slots[members[0]].normals
+            n = size * r
             out = factors[:, :, col : col + size * len(members)]
-            sampler.sample_batch(normals.reshape(-1, sampler.xi.n_gaussians), ws, out=out)
+            parts = [block[offsets[j] : offsets[j] + n] for j in members]
+            if slots[members[0]].kind == "fused":
+                if offsets[members[-1]] - offsets[members[0]] == n * (len(members) - 1):
+                    normals = block[offsets[members[0]] : offsets[members[-1]] + n]
+                else:
+                    normals = np.concatenate(parts, out=ws.take("engine.gather", (n * len(members),), float))
+                payload.sample_batch(normals.reshape(-1, r), ws, out=out)
+            else:
+                # a pad reads r rows of S normals; the batch reads row i of
+                # every pad of the group side by side
+                rows = ws.take("engine.gather", (r, len(members), size), float)
+                np.stack([part.reshape(r, size) for part in parts], axis=1, out=rows)
+                relaxation_gate_batch(*payload, rows.reshape(r, len(members) * size), out=out.transpose(2, 0, 1))
             for i, j in enumerate(members):
-                fused[j] = out[:, :, i * size : (i + 1) * size]
+                built[j] = out[:, :, i * size : (i + 1) * size]
             col += size * len(members)
 
         for j, (qubits, kind, payload, r) in enumerate(slots):
-            normals = block[offsets[j] : offsets[j + 1]]
-            if kind == "fused":
-                gate = fused[j]
-            elif kind == "relax":
-                gate = relaxation_gate_batch(*payload, normals.reshape(r, size)).transpose(1, 2, 0)
+            if j in built:
+                gate = built[j]
             elif kind == "noisy":
-                gate = payload.sample_batch(normals.reshape(size, r), ws)
+                gate = payload.sample_batch(block[offsets[j] : offsets[j + 1]].reshape(size, r), ws)
             else:
                 gate = payload
             if len(qubits) == 1:
-                self._compose(pending, qubits[0], gate, size)
-                continue
-            a, b = qubits
-            if pending[a] is not None or pending[b] is not None:
-                gate = gate @ kron(_per_shot(pending[a]), _per_shot(pending[b]))
-                pending[a] = pending[b] = None
-            apply_gate(pair[0], gate, qubits, out=pair[1])
-            pair.reverse()
+                self._compose(pending.one, qubits[0], gate, size)
+            else:
+                self._apply_pair(pair, pending, qubits, gate)
 
-    def _compose(self, pending: list, q: int, gate: np.ndarray, size: int) -> None:
-        """pending[q] <- gate pending[q], in place, for a ``(2, 2, S)``
-        gate or a ``(2, 2, 1)`` one that broadcasts.  A qubit with no
-        pending factor takes a copy of the gate in its workspace buffer."""
-        factor = pending[q]
+    def _compose(self, one: list, q: int, gate: np.ndarray, size: int) -> None:
+        """one[q] <- gate one[q], in place, for a ``(2, 2, S)`` gate or a
+        ``(2, 2, 1)`` one that broadcasts.  A qubit with no pending factor
+        takes a copy of the gate in its workspace buffer."""
+        factor = one[q]
         if factor is None:
-            pending[q] = self.workspace.take(f"engine.pending{q}", (2, 2, size))
-            np.copyto(pending[q], gate)
+            one[q] = self.workspace.take(f"engine.pending{q}", (2, 2, size))
+            np.copyto(one[q], gate)
             return
         # row i of the product is gate[i, 0] factor[0] + gate[i, 1] factor[1],
         # so once the right-hand terms are kept, factor[1] and then factor[0]
@@ -549,26 +600,86 @@ class _Compiled:
         np.multiply(gate[0, 0], factor[0], out=factor[0])
         factor[0] += right[0]
 
-    def flush(self, pair: list[np.ndarray], pending: list) -> None:
-        """Apply every pending one-qubit factor to the states ``pair[0]``,
-        passing between the two buffers of ``pair``, and clear it."""
-        factors = {q: _per_shot(factor) for q, factor in enumerate(pending) if factor is not None}
-        pending[:] = [None] * len(pending)
-        if _apply_single(pair[0], factors, pair[::-1]) is not pair[0]:
+    def _apply_pair(self, pair: list[np.ndarray], pending: _Pending, qubits: tuple[int, ...], gate: np.ndarray) -> None:
+        """A two-qubit slot G on (a, b): it absorbs the one-qubit factors of
+        its qubits, G (P_a x P_b).  With ``pair_blocks`` and adjacent
+        qubits it then joins the block it overlaps when their union spans
+        at most ``FUSE_MAX_QUBITS`` qubits; otherwise the blocks it
+        overlaps are applied and it starts a block.  Other slots are
+        applied at once, after the blocks they overlap."""
+        one = pending.one
+        a, b = qubits
+        if one[a] is not None or one[b] is not None:
+            gate = gate @ kron(_per_shot(one[a]), _per_shot(one[b]))
+            one[a] = one[b] = None
+        touched = [run for run in pending.blocks if a in run or b in run]
+        if self.pair_blocks and abs(a - b) == 1:
+            run = (min(a, b), max(a, b))
+            if a > b:
+                # the same gate on (b, a): swap the two bits of each index
+                gate = gate[..., [0, 2, 1, 3], :][..., [0, 2, 1, 3]]
+            if len(touched) == 1:
+                span = tuple(range(min(run[0], touched[0][0]), max(run[-1], touched[0][-1]) + 1))
+                if len(span) <= FUSE_MAX_QUBITS:
+                    block = pending.blocks.pop(touched[0])
+                    pending.blocks[span] = _widen(gate, run, span) @ _widen(block, touched[0], span)
+                    return
+            self._apply_blocks(pair, pending, touched)
+            pending.blocks[run] = gate
+            return
+        self._apply_blocks(pair, pending, touched)
+        apply_gate(pair[0], gate, qubits, out=pair[1])
+        pair.reverse()
+
+    @staticmethod
+    def _apply_blocks(pair: list[np.ndarray], pending: _Pending, runs: list[tuple[int, ...]]) -> None:
+        """Apply and drop the blocks on ``runs``; the one-qubit factors of
+        their qubits stay pending."""
+        for run in runs:
+            apply_gate(pair[0], pending.blocks.pop(run), run, out=pair[1])
             pair.reverse()
 
-    def measured_probs(self, states: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        """Per-trajectory Born probabilities at a readout point, with a
-        fresh pre-measurement noise gate per measured qubit.  The readout
-        gates act on a copy, so the running ``states``, which must hold no
-        pending factor, are not modified.  The result is a view into the
-        workspace, valid until the next call."""
-        readout = [self.workspace.take(f"engine.readout{i}", states.shape) for i in range(2)]
-        if self.spam:
-            gates = {q: spam_gate_batch(v, gen, states.shape[0]) for q, v in self.spam}
-            states = _apply_single(states, gates, readout)
-        free = readout[1] if states is readout[0] else readout[0]
-        probs = free.reshape(-1).view(float)[: states.size].reshape(states.shape)
+    def flush(self, pair: list[np.ndarray], pending: _Pending) -> None:
+        """Apply every pending gate to the states ``pair[0]``, passing
+        between the two buffers of ``pair``, and clear ``pending``: each
+        block with the one-qubit factors of its qubits multiplied on after
+        it, and the other one-qubit factors, packed by ``_plan_passes``."""
+        one = pending.one
+        ops: dict[tuple[int, ...], np.ndarray] = {}
+        for run, block in pending.blocks.items():
+            if any(one[q] is not None for q in run):
+                block = reduce(kron, [_per_shot(one[q]) for q in run]) @ block
+                for q in run:
+                    one[q] = None
+            ops[run] = block
+        ops.update({(q,): _per_shot(factor) for q, factor in enumerate(one) if factor is not None})
+        one[:] = [None] * len(one)
+        pending.blocks.clear()
+        if _apply_passes(pair[0], ops, pair[::-1]) is not pair[0]:
+            pair.reverse()
+
+    def measured_probs(
+        self, pair: list[np.ndarray], pending: _Pending, gen: np.random.Generator, fold: bool
+    ) -> np.ndarray:
+        """Per-trajectory Born probabilities at a readout point, after the
+        pending gates are flushed into the states ``pair[0]``, with a fresh
+        pre-measurement noise gate per measured qubit drawn in measured
+        order.  With ``fold`` the readout gates join the one-qubit factors
+        before the flush, so the states then hold them; without, they act
+        on a copy in two buffers of the workspace, and the states do not.
+        The result is a view into ``pair[1]``, valid until the next state
+        update."""
+        size = pair[0].shape[0]
+        if fold:
+            for q, v in self.spam:
+                self._compose(pending.one, q, spam_gate_batch(v, gen, size).transpose(1, 2, 0), size)
+        self.flush(pair, pending)
+        states = pair[0]
+        if self.spam and not fold:
+            readout = [self.workspace.take(f"engine.readout{i}", states.shape) for i in range(2)]
+            gates = {(q,): spam_gate_batch(v, gen, size) for q, v in self.spam}
+            states = _apply_passes(states, gates, readout)
+        probs = pair[1].reshape(-1).view(float)[: states.size].reshape(states.shape)
         np.abs(states, out=probs)
         return np.square(probs, out=probs)
 
@@ -582,7 +693,9 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     parallelism.  Checkpoints record the running ensemble after the stated
     number of layers (measured qubits get a fresh pre-measurement noise
     draw at every checkpoint, mirroring a family of circuits of increasing
-    depth that share noise prefixes).  ``compiled`` is the ``_Compiled``
+    depth that share noise prefixes).  The layers after the last
+    checkpoint are neither drawn nor applied: each chunk has its own
+    stream, so no result reads them.  ``compiled`` is the ``_Compiled``
     built from this very ``scheduled`` when the caller shares one across
     runs (another one raises ``ValueError``); it is built here when None.
     Registers wider than ``MAX_QUBITS`` raise ``ValueError`` before
@@ -614,14 +727,16 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
         size = min(chunk_size, config.shots - chunk * chunk_size)
         gen = root.child(chunk).generator
         pair = compiled.state_pair(size)
-        pending: list[np.ndarray | None] = [None] * n
+        pending = _Pending(n)
         done = 0
         for cp_iter, at in enumerate(cp_sorted):
             compiled.apply_layers(pair, pending, done, at, gen)
-            compiled.flush(pair, pending)
             done = at
+            # after the last checkpoint only its density would read the
+            # states, so without one its readout gates fold into them
+            fold = not keep_density and cp_iter == n_cp - 1
+            probs = compiled.measured_probs(pair, pending, gen, fold)
             states = pair[0]
-            probs = compiled.measured_probs(states, gen)
             weights = probs.sum(axis=1)
             if not np.all(np.isfinite(weights)):
                 raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
@@ -636,7 +751,6 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
             counts[cp_iter] += np.bincount(idx, minlength=dim)
             if keep_density:
                 dens_acc[cp_iter] += np.einsum("si,sj->ij", states, states.conj())
-        compiled.apply_layers(pair, pending, done, n_layers, gen)
 
     times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]

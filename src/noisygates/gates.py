@@ -411,11 +411,15 @@ def relaxation_normals(gamma1: float, gamma_pd: float, dt: float) -> int:
     return int(gamma_pd > 0) + int(-math.expm1(-gamma1 * dt) > 0)
 
 
-def relaxation_gate_batch(gamma1: float, gamma_pd: float, dt: float, normals: np.ndarray) -> np.ndarray:
+def relaxation_gate_batch(
+    gamma1: float, gamma_pd: float, dt: float, normals: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact idle relaxation gates (amplitude + phase damping over dt),
     one per column of ``normals``, an ``(r, S)`` array of standard normals
     with r = ``relaxation_normals(gamma1, gamma_pd, dt)`` rows, in the
-    order that function names them.  Returns a fresh ``(S, 2, 2)`` array.
+    order that function names them.  Returns ``out``, a complex
+    ``(S, 2, 2)`` array of any strides that is filled, or a fresh one when
+    None.
 
     Upper triangular with phase e^{i a W2} (a = sqrt(gamma_pd/4),
     W2 ~ N(0, dt)) and a Gaussian amplitude-transfer entry
@@ -436,9 +440,11 @@ def relaxation_gate_batch(gamma1: float, gamma_pd: float, dt: float, normals: np
     var_s = -math.expm1(-gamma1 * dt)
     s = math.sqrt(var_s) * next(row) if var_s > 0 else np.zeros(size)
     phase = np.exp(1j * alpha * w2)
-    out = np.zeros((size, 2, 2), dtype=complex)
+    if out is None:
+        out = np.empty((size, 2, 2), dtype=complex)
     out[:, 0, 0] = phase
     out[:, 0, 1] = 1j * s / phase
+    out[:, 1, 0] = 0.0
     out[:, 1, 1] = math.exp(-0.5 * gamma1 * dt) / phase
     return out
 

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import noisygates
+from noisygates import engine
 from noisygates.channels import apply_channel, relaxation_channel
 from noisygates.engine import (
     CHUNK_SHOTS,
+    DENSE_DENSITY_MAX_QUBITS,
     MAX_QUBITS,
     PIECE_NORMALS,
     Circuit,
@@ -580,12 +582,13 @@ def relaxation_from_normals(gamma1: float, gamma_pd: float, dt: float, gen, size
 
 
 def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.ndarray, ...]:
-    """``run_shots``' distributions, counts, mean weights and densities,
-    computed with every slot and every readout gate applied to the states
-    by its own ``apply_gate`` call as soon as it is drawn.  Each slot
-    draws its own normals from the chunk's generator, in slot order, and
-    a noisy gate is exponentiated by ``expm_2x2`` or ``expm``, not by the
-    samplers' kernels.  Each chunk's generator is appended to
+    """``run_shots``' distributions, counts, mean weights and densities
+    (None above ``DENSE_DENSITY_MAX_QUBITS`` qubits), computed with every
+    slot up to the last checkpoint and every readout gate applied to the
+    states by its own ``apply_gate`` call as soon as it is drawn.  Each
+    slot draws its own normals from the chunk's generator, in slot order,
+    and a noisy gate is exponentiated by ``expm_2x2`` or ``expm``, not by
+    the samplers' kernels.  Each chunk's generator is appended to
     ``generators``."""
     n, params = scheduled.n_qubits, scheduled.params
     dim = 2**n
@@ -608,7 +611,7 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
     dist = np.zeros((len(checkpoints), dim))
     weight = np.zeros(len(checkpoints))
     counts = np.zeros((len(checkpoints), dim), dtype=np.int64)
-    dens = np.zeros((len(checkpoints), dim, dim), dtype=complex)
+    dens = np.zeros((len(checkpoints), dim, dim), dtype=complex) if n <= DENSE_DENSITY_MAX_QUBITS else None
     chunk = chunk_shots(n)
     for c in range(-(-config.shots // chunk)):
         size = min(chunk, config.shots - c * chunk)
@@ -616,7 +619,7 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
         generators.append(gen)
         states = np.zeros((size, dim), dtype=complex)
         states[:, 0] = 1.0
-        for at in range(len(layers) + 1):
+        for at in range(checkpoints[-1] + 1):
             for i in [i for i, cp in enumerate(checkpoints) if cp == at]:
                 read = states
                 for q, v in spam:
@@ -628,11 +631,12 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
                 u = gen.uniform(size=size)
                 idx = (np.cumsum(probs / w[:, None], axis=1) < u[:, None]).sum(axis=1).clip(0, dim - 1)
                 counts[i] += np.bincount(idx, minlength=dim)
-                dens[i] += np.einsum("si,sj->ij", states, states.conj())
-            if at < len(layers):
+                if dens is not None:
+                    dens[i] += np.einsum("si,sj->ij", states, states.conj())
+            if at < checkpoints[-1]:
                 for qubits, draw in layers[at]:
                     states = apply_gate(states, draw(gen, size), qubits)
-    return dist / weight[:, None], counts, weight / config.shots, dens / config.shots
+    return dist / weight[:, None], counts, weight / config.shots, None if dens is None else dens / config.shots
 
 
 # name: (circuit document, checkpoints, shots)
@@ -756,6 +760,59 @@ DEFERRAL_CASES = {
         (0, 69, 70),
         128,
     ),
+    # From 8 qubits two-qubit gates on adjacent qubits wait in blocks of
+    # at most 3.  A ladder: blocks {0,1} -> {0,1,2}, then CNOT(2,3) would
+    # span 4 qubits, so that block is applied and {2,3} starts; the
+    # middle checkpoints flush blocks with pads on their qubits, and the
+    # layer after the last checkpoint is never applied
+    "block_ladder": (
+        {
+            "n_qubits": 8,
+            "ops": [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(7)],
+            "measure": list(range(8)),
+        },
+        (3, 4, 7),
+        24,
+    ),
+    # a descending CNOT, then a descending CR joining its block after
+    # one-qubit gates on both; blocks side by side; a non-adjacent CNOT on
+    # a block's qubit; a measured subset out of order
+    "block_rules": (
+        {
+            "n_qubits": 8,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "X", "q": [3]},
+                {"gate": "CNOT", "q": [1, 0]},
+                {"gate": "SX", "q": [1], "phi": 0.3},
+                {"gate": "CR", "q": [2, 1], "theta": 0.7, "phi": 0.2},
+                {"gate": "RZ", "q": [0], "phi": 0.4},
+                {"gate": "CNOT", "q": [2, 3]},
+                {"gate": "CNOT", "q": [4, 3]},
+                {"gate": "X", "q": [2]},
+                {"gate": "CNOT", "q": [6, 4]},
+                {"gate": "CNOT", "q": [6, 7]},
+                {"gate": "CR", "q": [6, 5], "theta": -0.5},
+                {"gate": "SX", "q": [7]},
+                {"gate": "CNOT", "q": [0, 1]},
+            ],
+            "measure": [6, 2, 0, 5, 3],
+        },
+        (4, 7, 9),
+        40,
+    ),
+    # no measured qubit; the last checkpoint listed twice, so only its
+    # second readout may act on the states
+    "block_unmeasured": (
+        {
+            "n_qubits": 9,
+            "ops": [{"gate": "SX", "q": [q]} for q in (0, 4, 8)]
+            + [{"gate": "CNOT", "q": [q, q + 1]} for q in (0, 4, 7)]
+            + [{"gate": "CR", "q": [q + 1, q], "theta": 0.9} for q in (1, 5, 2)],
+        },
+        (0, 2, 4, 4),
+        16,
+    ),
 }
 
 
@@ -778,7 +835,10 @@ class TestDeferredGates:
         dist, counts, mean_weight, dens = slot_by_slot(scheduled, config, oracle)
         assert np.abs(result.distributions - dist).max() <= 1e-12 * np.abs(dist).max()
         assert np.abs(result.mean_weight - mean_weight).max() <= 1e-12 * mean_weight.max()
-        assert np.abs(result.densities - dens).max() <= 1e-12 * np.abs(dens).max()
+        if dens is None:
+            assert result.densities is None
+        else:
+            assert np.abs(result.densities - dens).max() <= 1e-12 * np.abs(dens).max()
         np.testing.assert_array_equal(result.counts, counts)
         assert len(made) == len(oracle) == 1
         np.testing.assert_equal(made[0].bit_generator.state, oracle[0].bit_generator.state)
@@ -789,8 +849,24 @@ class TestDeferredGates:
         normals = sum(slot.normals for slot in compiled.slots[: compiled.layer_starts[cut]])
         assert normals * shots > PIECE_NORMALS
 
+    def test_ghz12_chunk_applies_at_most_ten_passes(self, monkeypatch):
+        # one 64-shot chunk: 5 block passes, then 4 passes at the
+        # checkpoint with the readout gates folded in, every one on
+        # ascending adjacent qubits
+        n = 12
+        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+        scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+        calls = []
+        monkeypatch.setattr(engine, "apply_gate", lambda *args, **kw: calls.append(args[2]) or apply_gate(*args, **kw))
+        run_shots(scheduled, RunConfig(shots=chunk_shots(n), master_seed=7))
+        assert len(calls) <= 10
+        assert all(list(qubits) == list(range(qubits[0], qubits[-1] + 1)) for qubits in calls)
+
     def test_passes_pack_adjacent_qubits(self):
-        assert _plan_passes([8, 0, 2, 1, 3, 5, 7]) == [(0, 1, 2), (3,), (5,), (7, 8)]
+        singles = [(8,), (0,), (2,), (1,), (3,), (5,), (7,)]
+        assert _plan_passes(singles) == [[(0,), (1,), (2,)], [(3,)], [(5,)], [(7,), (8,)]]
+        runs = [(9,), (0,), (2, 3), (1,), (4, 5, 6), (7,), (10, 11)]
+        assert _plan_passes(runs) == [[(0,), (1,)], [(2, 3)], [(4, 5, 6)], [(7,)], [(9,), (10, 11)]]
         assert _plan_passes([]) == []
 
 

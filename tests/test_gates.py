@@ -487,6 +487,13 @@ class TestRelaxationGate:
         assert np.allclose(np.angle(batch[:, 0, 0]), math.sqrt(0.05) * normals[0])
         assert np.allclose(np.abs(batch[:, 0, 1]), math.sqrt(-math.expm1(-0.1)) * np.abs(normals[1]))
 
+    def test_fills_a_strided_out_over_stale_data(self):
+        normals = np.random.default_rng(26).standard_normal((2, 8))
+        buf = np.full((2, 2, 8), np.nan, dtype=complex)
+        out = relaxation_gate_batch(0.1, 0.2, 1.0, normals, out=buf.transpose(2, 0, 1))
+        assert np.shares_memory(out, buf)
+        np.testing.assert_array_equal(out, relaxation_gate_batch(0.1, 0.2, 1.0, normals))
+
     def test_zero_rates_identity(self):
         assert np.allclose(sample_relaxation_gate(0.0, 0.0, 1.0, RngStream(4)), I2)
 
