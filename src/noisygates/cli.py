@@ -343,16 +343,22 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .acceptance import run_criteria
+    from . import acceptance
 
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             numbers = [int(x) for x in args.criteria.split(",") if x]
         except ValueError:
             print("invalid --criteria list", file=sys.stderr)
             return USAGE_ERROR
-    results = run_criteria(numbers)
+        known = [c[0] for c in acceptance.CRITERIA]
+        unknown = [x for x in numbers if x not in known]
+        if not numbers or unknown:
+            what = f"unknown criteria {unknown}" if unknown else "no criterion"
+            print(f"error: --criteria lists {what}; the criteria are {known}", file=sys.stderr)
+            return USAGE_ERROR
+    results = acceptance.run_criteria(numbers)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:

@@ -49,24 +49,26 @@ adjacent qubits.  The slot joins the block it overlaps when their union
 spans at most ``FUSE_MAX_QUBITS`` qubits; otherwise that block is
 applied and the slot starts a block.  A qubit's one-qubit factor acts
 after its block.  Every other two-qubit slot is applied at once, after
-the blocks it overlaps.  A checkpoint applies each block with its
-qubits' one-qubit factors and the other one-qubit factors, in passes of
+the blocks it overlaps.  Pending gates stay pending across checkpoints:
+a checkpoint reads the states through them, each measured qubit's
+readout gate multiplied onto a copy of its qubit's factor, applying
+each block with its qubits' factors and the other factors in passes of
 at most ``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker
-products).  At the last checkpoint of a register that keeps no dense
-density (n > ``DENSE_DENSITY_MAX_QUBITS``) the readout gates join the
-one-qubit factors first, drawn where the readout draws them, so they take
-no passes of their own.  On the 12-qubit GHZ ladder a 64-shot chunk
-makes 9 state passes: 5 blocks and 4 at the checkpoint.  Registers
-wider than ``MAX_QUBITS`` are rejected.
+products).  A register that keeps a dense density
+(n <= ``DENSE_DENSITY_MAX_QUBITS``) first reads the pending gates alone
+for it.  On the 12-qubit GHZ ladder a 64-shot chunk makes 9 state
+passes: 5 blocks and 4 at the checkpoint.  Registers wider than
+``MAX_QUBITS`` are rejected.
 
-The state batch lives in the compiled circuit's workspace: every state
-update writes with ``apply_gate(..., out=)`` into the other buffer of a
-ping-pong pair, and |psi|^2, the weights and each trajectory's outcome
-CDF are formed in place in the spare buffer.  Readout gates that act on
-a copy, at every checkpoint of a register that keeps densities and at
-every checkpoint but the last of a wider one, pass between a second
-pair.  So a chunk holds two state-sized buffers, or four with such a
-readout, and a warm run allocates no state-sized array.
+The state batch lives in the compiled circuit's workspace, in two
+buffers, ``states`` and ``spare``: every state update writes with
+``apply_gate(..., out=)`` into the other one.  A checkpoint's read writes
+its passes into ``spare`` and a scratch buffer in turn (the states' own
+at the last checkpoint, after which nothing reads them, else a workspace
+copy), and |psi|^2, the weights and each trajectory's outcome CDF are
+formed in place in the one of the two it did not end in.  So a chunk
+holds two state-sized buffers, three with an earlier checkpoint, and a
+warm run allocates none.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ __all__ = [
 CHUNK_SHOTS = 1024
 STATE_BUDGET_BYTES = 4 * 2**20
 # Widest run of adjacent qubits one deferred operator spans: a block of
-# two-qubit gates, and each pass of a checkpoint or of the readout gates.
+# two-qubit gates, and each pass of a checkpoint's read.
 # Measured when every layer was applied in such passes: on the same GHZ
 # runs, runs of at most 2, 3 and 4 qubits took 4.0-4.4, 2.2-2.4 and
 # 2.3-2.5 s.
@@ -350,6 +352,8 @@ class RunConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass
@@ -433,16 +437,42 @@ def _per_shot(factor: np.ndarray | None) -> np.ndarray:
     return I2 if factor is None else factor.transpose(2, 0, 1)
 
 
-class _Pending:
-    """The gates of one chunk not yet applied to its states.  ``one[q]``
-    is qubit q's one-qubit ``(2, 2, S)`` factor (None for none), and
-    ``blocks`` maps disjoint runs of at most ``FUSE_MAX_QUBITS`` ascending
-    adjacent qubits to per-shot ``(S, d, d)`` (or one ``(d, d)``) products
-    of two-qubit gates.  A qubit's one-qubit factor acts after its block."""
+class _Chunk:
+    """One chunk's ``(S, 2^n)`` states, starting in |0...0>, its ``spare``
+    buffer and the gates not yet applied to them: ``one[q]``, qubit q's
+    one-qubit ``(2, 2, S)`` factor (None for none), acting after
+    ``blocks``, which maps disjoint runs of at most ``FUSE_MAX_QUBITS``
+    ascending adjacent qubits to per-shot ``(S, d, d)`` (or one ``(d, d)``)
+    products of two-qubit gates."""
 
-    def __init__(self, n_qubits: int):
+    def __init__(self, workspace: Workspace, n_qubits: int, size: int):
+        shape = (size, 2**n_qubits)
+        self.states, self.spare = (workspace.take(f"engine.states{i}", shape) for i in range(2))
+        self.states.fill(0.0)
+        self.states[:, 0] = 1.0
         self.one: list[np.ndarray | None] = [None] * n_qubits
         self.blocks: dict[tuple[int, ...], np.ndarray] = {}
+
+    def apply(self, ops: dict[tuple[int, ...], np.ndarray]) -> None:
+        """Apply ``ops`` (as ``_apply_passes`` takes them) to the states,
+        each pass writing into the other buffer, which then holds them."""
+        if _apply_passes(self.states, ops, [self.spare, self.states]) is self.spare:
+            self.states, self.spare = self.spare, self.states
+
+    def read(self, factors: list[np.ndarray | None], scratch: np.ndarray) -> np.ndarray:
+        """The states with the blocks applied and then the one-qubit
+        ``factors`` (indexed like ``one``), packed by ``_plan_passes`` and
+        written into ``spare`` and ``scratch`` in turn.  Returns the last
+        buffer written, or ``states`` when there is no pass.  The chunk
+        does not change unless ``scratch`` is ``states``."""
+        ops: dict[tuple[int, ...], np.ndarray] = {}
+        for run, block in self.blocks.items():
+            if any(factors[q] is not None for q in run):
+                block = reduce(kron, [_per_shot(factors[q]) for q in run]) @ block
+            ops[run] = block
+        blocked = {q for run in self.blocks for q in run}
+        ops.update({(q,): _per_shot(f) for q, f in enumerate(factors) if f is not None and q not in blocked})
+        return _apply_passes(self.states, ops, [self.spare, scratch])
 
 
 class _Compiled:
@@ -450,11 +480,11 @@ class _Compiled:
     per distinct ``GateSpec`` and shared by every run of it: build one and
     pass it to each ``run_shots`` call.  It also owns the one
     ``Workspace`` that its samplers run in and that holds each chunk's
-    normals, pending factors, state and readout buffers, sized by the
-    largest chunk and piece it has served, so its runs reuse the same
-    pages for every gate and chunk.  Pickling it (to a worker process)
-    sends the samplers and an empty workspace.  Registers wider than
-    ``MAX_QUBITS`` raise ``ValueError``."""
+    normals, pending factors and state buffers, sized by the largest chunk
+    and piece it has served, so its runs reuse the same pages for every
+    gate and chunk.  Pickling it (to a worker process) sends the samplers
+    and an empty workspace.  Registers wider than ``MAX_QUBITS`` raise
+    ``ValueError``."""
 
     def __init__(self, scheduled: ScheduledCircuit):
         if scheduled.n_qubits > MAX_QUBITS:
@@ -500,25 +530,13 @@ class _Compiled:
         # (one session): 0.89 and 0.68 s.
         self.pair_blocks = chunk_shots(self.n_qubits) * 16 * 2**self.n_qubits >= STATE_BUDGET_BYTES
 
-    def state_pair(self, size: int) -> list[np.ndarray]:
-        """The two ``(size, 2^n)`` state buffers of a chunk, ``[states,
-        spare]``, with every trajectory in |0...0>."""
-        shape = (size, 2**self.n_qubits)
-        pair = [self.workspace.take(f"engine.states{i}", shape) for i in range(2)]
-        pair[0].fill(0.0)
-        pair[0][:, 0] = 1.0
-        return pair
-
-    def apply_layers(
-        self, pair: list[np.ndarray], pending: _Pending, start: int, stop: int, gen: np.random.Generator
-    ) -> None:
+    def apply_layers(self, chunk: _Chunk, start: int, stop: int, gen: np.random.Generator) -> None:
         """Sample layers ``start`` .. ``stop - 1``, the segment before a
-        checkpoint, onto ``pending`` and the states ``pair[0]``.  Its
-        normals are drawn in plan order, in one ``standard_normal`` block
-        per piece: a run of slots that reads at most ``PIECE_NORMALS``
-        normals, or one slot that reads more.  A state update writes
-        ``pair[0]`` into ``pair[1]``, after which the two swap places."""
-        size = pair[0].shape[0]
+        checkpoint, onto ``chunk``.  Its normals are drawn in plan order,
+        in one ``standard_normal`` block per piece: a run of slots that
+        reads at most ``PIECE_NORMALS`` normals, or one slot that reads
+        more."""
+        size = len(chunk.states)
         first, end = self.layer_starts[start], self.layer_starts[stop]
         while first < end:
             last, count = first, 0
@@ -529,15 +547,15 @@ class _Compiled:
                 count += more
                 last += 1
             block = gen.standard_normal(out=self.workspace.take("engine.normals", (count,), float))
-            self._apply_piece(pair, pending, self.slots[first:last], block)
+            self._apply_piece(chunk, self.slots[first:last], block)
             first = last
 
-    def _apply_piece(self, pair: list[np.ndarray], pending: _Pending, slots: list[_Slot], block: np.ndarray) -> None:
+    def _apply_piece(self, chunk: _Chunk, slots: list[_Slot], block: np.ndarray) -> None:
         """Apply ``slots`` in plan order, slot j reading its normals from
         ``block`` after those of the slots before it.  First the one-qubit
         noisy slots of each sampler, and the relaxation pads of each
         (gamma1, gamma_pd, dt), are sampled by one call each."""
-        size = pair[0].shape[0]
+        size = len(chunk.states)
         ws = self.workspace
         offsets = [0]
         for slot in slots:
@@ -577,110 +595,87 @@ class _Compiled:
                 gate = payload.sample_batch(block[offsets[j] : offsets[j + 1]].reshape(size, r), ws)
             else:
                 gate = payload
-            if len(qubits) == 1:
-                self._compose(pending.one, qubits[0], gate, size)
+            q = qubits[0]
+            if len(qubits) == 2:
+                self._apply_pair(chunk, qubits, gate)
+            elif chunk.one[q] is None:
+                chunk.one[q] = ws.take(f"engine.pending{q}", (2, 2, size))
+                np.copyto(chunk.one[q], gate)
             else:
-                self._apply_pair(pair, pending, qubits, gate)
+                self._compose(gate, chunk.one[q], chunk.one[q])
 
-    def _compose(self, one: list, q: int, gate: np.ndarray, size: int) -> None:
-        """one[q] <- gate one[q], in place, for a ``(2, 2, S)`` gate or a
-        ``(2, 2, 1)`` one that broadcasts.  A qubit with no pending factor
-        takes a copy of the gate in its workspace buffer."""
-        factor = one[q]
-        if factor is None:
-            one[q] = self.workspace.take(f"engine.pending{q}", (2, 2, size))
-            np.copyto(one[q], gate)
-            return
+    def _compose(self, gate: np.ndarray, factor: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """gate factor into ``out``, which may be ``factor`` itself, for a
+        ``(2, 2, S)`` gate or a ``(2, 2, 1)`` one that broadcasts and a
+        ``(2, 2, S)`` factor."""
         # row i of the product is gate[i, 0] factor[0] + gate[i, 1] factor[1],
-        # so once the right-hand terms are kept, factor[1] and then factor[0]
-        # can be overwritten
-        right = np.multiply(gate[:, 1:], factor[1:], out=self.workspace.take("engine.right", factor.shape))
-        np.multiply(gate[1, 0], factor[0], out=factor[1])
-        factor[1] += right[1]
-        np.multiply(gate[0, 0], factor[0], out=factor[0])
-        factor[0] += right[0]
+        # so once the right-hand terms are kept, row 1 and then row 0 of
+        # out can be written even where out is factor
+        right = np.multiply(gate[:, 1:], factor[1:], out=self.workspace.take("engine.right", out.shape))
+        np.multiply(gate[1, 0], factor[0], out=out[1])
+        out[1] += right[1]
+        np.multiply(gate[0, 0], factor[0], out=out[0])
+        out[0] += right[0]
+        return out
 
-    def _apply_pair(self, pair: list[np.ndarray], pending: _Pending, qubits: tuple[int, ...], gate: np.ndarray) -> None:
+    def _apply_pair(self, chunk: _Chunk, qubits: tuple[int, ...], gate: np.ndarray) -> None:
         """A two-qubit slot G on (a, b): it absorbs the one-qubit factors of
         its qubits, G (P_a x P_b).  With ``pair_blocks`` and adjacent
         qubits it then joins the block it overlaps when their union spans
         at most ``FUSE_MAX_QUBITS`` qubits; otherwise the blocks it
         overlaps are applied and it starts a block.  Other slots are
         applied at once, after the blocks they overlap."""
-        one = pending.one
+        one = chunk.one
         a, b = qubits
         if one[a] is not None or one[b] is not None:
             gate = gate @ kron(_per_shot(one[a]), _per_shot(one[b]))
             one[a] = one[b] = None
-        touched = [run for run in pending.blocks if a in run or b in run]
+        touched = {run: chunk.blocks.pop(run) for run in list(chunk.blocks) if a in run or b in run}
         if self.pair_blocks and abs(a - b) == 1:
             run = (min(a, b), max(a, b))
             if a > b:
                 # the same gate on (b, a): swap the two bits of each index
                 gate = gate[..., [0, 2, 1, 3], :][..., [0, 2, 1, 3]]
             if len(touched) == 1:
-                span = tuple(range(min(run[0], touched[0][0]), max(run[-1], touched[0][-1]) + 1))
+                (old, block), = touched.items()
+                span = tuple(range(min(run[0], old[0]), max(run[-1], old[-1]) + 1))
                 if len(span) <= FUSE_MAX_QUBITS:
-                    block = pending.blocks.pop(touched[0])
-                    pending.blocks[span] = _widen(gate, run, span) @ _widen(block, touched[0], span)
+                    chunk.blocks[span] = _widen(gate, run, span) @ _widen(block, old, span)
                     return
-            self._apply_blocks(pair, pending, touched)
-            pending.blocks[run] = gate
+            chunk.apply(touched)
+            chunk.blocks[run] = gate
             return
-        self._apply_blocks(pair, pending, touched)
-        apply_gate(pair[0], gate, qubits, out=pair[1])
-        pair.reverse()
+        chunk.apply(touched)
+        chunk.apply({qubits: gate})
 
-    @staticmethod
-    def _apply_blocks(pair: list[np.ndarray], pending: _Pending, runs: list[tuple[int, ...]]) -> None:
-        """Apply and drop the blocks on ``runs``; the one-qubit factors of
-        their qubits stay pending."""
-        for run in runs:
-            apply_gate(pair[0], pending.blocks.pop(run), run, out=pair[1])
-            pair.reverse()
-
-    def flush(self, pair: list[np.ndarray], pending: _Pending) -> None:
-        """Apply every pending gate to the states ``pair[0]``, passing
-        between the two buffers of ``pair``, and clear ``pending``: each
-        block with the one-qubit factors of its qubits multiplied on after
-        it, and the other one-qubit factors, packed by ``_plan_passes``."""
-        one = pending.one
-        ops: dict[tuple[int, ...], np.ndarray] = {}
-        for run, block in pending.blocks.items():
-            if any(one[q] is not None for q in run):
-                block = reduce(kron, [_per_shot(one[q]) for q in run]) @ block
-                for q in run:
-                    one[q] = None
-            ops[run] = block
-        ops.update({(q,): _per_shot(factor) for q, factor in enumerate(one) if factor is not None})
-        one[:] = [None] * len(one)
-        pending.blocks.clear()
-        if _apply_passes(pair[0], ops, pair[::-1]) is not pair[0]:
-            pair.reverse()
+    def scratch(self, chunk: _Chunk, final: bool) -> np.ndarray:
+        """The buffer a read of ``chunk`` writes every other pass into: the
+        states themselves for the ``final`` read, after which nothing
+        reads them, else a state-sized copy in the workspace."""
+        return chunk.states if final else self.workspace.take("engine.scratch", chunk.states.shape)
 
     def measured_probs(
-        self, pair: list[np.ndarray], pending: _Pending, gen: np.random.Generator, fold: bool
+        self, chunk: _Chunk, gen: np.random.Generator, scratch: np.ndarray, read: np.ndarray | None = None
     ) -> np.ndarray:
-        """Per-trajectory Born probabilities at a readout point, after the
-        pending gates are flushed into the states ``pair[0]``, with a fresh
-        pre-measurement noise gate per measured qubit drawn in measured
-        order.  With ``fold`` the readout gates join the one-qubit factors
-        before the flush, so the states then hold them; without, they act
-        on a copy in two buffers of the workspace, and the states do not.
-        The result is a view into ``pair[1]``, valid until the next state
-        update."""
-        size = pair[0].shape[0]
-        if fold:
+        """Per-trajectory Born probabilities |R P psi|^2 at a checkpoint, for
+        the pending gates P of ``chunk`` and a fresh pre-measurement noise
+        gate R per measured qubit, drawn in measured order and multiplied
+        onto a copy of its qubit's factor, read by ``chunk.read(...,
+        scratch)``.  ``read`` is P psi when the caller has read it, all
+        there is to read without measured qubits.  The result is a view
+        into ``spare`` or ``scratch``, whichever the read did not end in."""
+        size = len(chunk.states)
+        if self.spam or read is None:
+            factors = list(chunk.one)
             for q, v in self.spam:
-                self._compose(pending.one, q, spam_gate_batch(v, gen, size).transpose(1, 2, 0), size)
-        self.flush(pair, pending)
-        states = pair[0]
-        if self.spam and not fold:
-            readout = [self.workspace.take(f"engine.readout{i}", states.shape) for i in range(2)]
-            gates = {(q,): spam_gate_batch(v, gen, size) for q, v in self.spam}
-            states = _apply_passes(states, gates, readout)
-        probs = pair[1].reshape(-1).view(float)[: states.size].reshape(states.shape)
-        np.abs(states, out=probs)
+                gate = spam_gate_batch(v, gen, size).transpose(1, 2, 0)
+                if factors[q] is not None:
+                    gate = self._compose(gate, factors[q], self.workspace.take(f"engine.measured{q}", gate.shape))
+                factors[q] = gate
+            read = chunk.read(factors, scratch)
+        out = scratch if read is chunk.spare else chunk.spare
+        probs = out.reshape(-1).view(float)[: read.size].reshape(read.shape)
+        np.abs(read, out=probs)
         return np.square(probs, out=probs)
 
 
@@ -723,20 +718,22 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     chunk_size = chunk_shots(n)
     n_chunks = (config.shots + chunk_size - 1) // chunk_size
     root = RngStream(config.master_seed, stream_index=config.run_index)
-    for chunk in range(n_chunks):
-        size = min(chunk_size, config.shots - chunk * chunk_size)
-        gen = root.child(chunk).generator
-        pair = compiled.state_pair(size)
-        pending = _Pending(n)
+    for c in range(n_chunks):
+        size = min(chunk_size, config.shots - c * chunk_size)
+        gen = root.child(c).generator
+        chunk = _Chunk(compiled.workspace, n, size)
         done = 0
         for cp_iter, at in enumerate(cp_sorted):
-            compiled.apply_layers(pair, pending, done, at, gen)
+            compiled.apply_layers(chunk, done, at, gen)
             done = at
-            # after the last checkpoint only its density would read the
-            # states, so without one its readout gates fold into them
-            fold = not keep_density and cp_iter == n_cp - 1
-            probs = compiled.measured_probs(pair, pending, gen, fold)
-            states = pair[0]
+            last = cp_iter == n_cp - 1
+            read = None
+            if keep_density:
+                # the density reads the pending gates alone; while the
+                # readout gates have the states still to read, it leaves them
+                read = chunk.read(chunk.one, compiled.scratch(chunk, last and not compiled.spam))
+                dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
+            probs = compiled.measured_probs(chunk, gen, compiled.scratch(chunk, last), read)
             weights = probs.sum(axis=1)
             if not np.all(np.isfinite(weights)):
                 raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
@@ -749,8 +746,6 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
             below = np.less(cdf, u[:, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
             idx = below.sum(axis=1).clip(0, dim - 1)
             counts[cp_iter] += np.bincount(idx, minlength=dim)
-            if keep_density:
-                dens_acc[cp_iter] += np.einsum("si,sj->ij", states, states.conj())
 
     times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("shots must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.backends:
             raise ValueError("select at least one backend")
         unknown = set(self.backends) - set(BACKENDS)
@@ -179,15 +181,17 @@ def channel_backend_run(config: ExperimentConfig, run_index: int, exact_probs: n
 
 
 def _lindblad_slot_map(gate: GateSpec, params: DeviceParams) -> np.ndarray:
-    """Local RK4 map of one slot over its duration: its drive (none for an
-    idle) and its ``noise_context_for_gate`` terms, in
-    ``_LINDBLAD_STEPS_PER_SLOT`` steps.
+    """Local RK4 map of one slot: its drive (none for an idle) and its
+    ``noise_context_for_gate`` terms, integrated in the slot's own time
+    s = t / T over [0, 1] in ``_LINDBLAD_STEPS_PER_SLOT`` steps.  There
+    the drive is ``drive_generator(gate)`` and each term's rate is
+    epsilon^2 = rate T, so no step divides by T, however short the slot.
     A zero-duration slot (an RZ frame, a zero idle) is its ideal unitary."""
     ctx = noise_context_for_gate(gate, params)
     if ctx.gate_duration == 0.0:
         return superoperator([ideal_unitary(gate)])
-    hamiltonian = drive_generator(gate) / ctx.gate_duration
-    return rk4_map(rhs_superoperator(hamiltonian, ctx.terms), ctx.gate_duration, _LINDBLAD_STEPS_PER_SLOT)
+    terms = [replace(term, rate=term.epsilon**2) for term in ctx.terms]
+    return rk4_map(rhs_superoperator(drive_generator(gate), terms), 1.0, _LINDBLAD_STEPS_PER_SLOT)
 
 
 def lindblad_reference(

@@ -248,6 +248,30 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "criteria, message",
+        [("11", "unknown criteria [11]"), ("0,1", "unknown criteria [0]"), (",", "no criterion"), ("", "no criterion")],
+    )
+    def test_unknown_or_empty_criteria_are_usage_errors(self, criteria, message, monkeypatch, capsys):
+        def refuse(numbers=None):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr("noisygates.acceptance.run_criteria", refuse)
+        assert main(["validate", "--criteria", criteria]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_is_two_before_any_back_end(self, device_file, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kw):
+            raise AssertionError("a back-end ran")
+
+        monkeypatch.setattr("noisygates.cli.run_compare", refuse)
+        out = tmp_path / "out"
+        assert main(["simulate"] + compare_args(device_file, out, **{"--seed": "-1"})[1:]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_forced_tolerance_failure_is_three(self, monkeypatch, capsys):
         failing = (9, "always fails", lambda: (False, "forced failure"), 10.0)
         monkeypatch.setattr("noisygates.acceptance.CRITERIA", (failing,))
@@ -386,6 +410,25 @@ class TestSimulate:
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("idle_s", [5e-324, 1e-310])
+def test_subnormal_idle_runs_on_every_back_end(idle_s, device_file, tmp_path, capsys):
+    # the Lindblad map of a slot integrates over the slot's own time, so a
+    # subnormal duration divides nothing; the idle is then the identity
+    def lindblad_row(ops, out):
+        circuit_path = tmp_path / "circuit.json"
+        circuit_path.write_text(json.dumps({"n_qubits": 1, "ops": ops, "measure": [0]}))
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path), "--shots": "64"}
+        assert main(["simulate"] + compare_args(device_file, tmp_path / out, **custom)[1:]) == 0
+        rundir = next((tmp_path / out).iterdir())
+        rows = (rundir / "distributions.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["lindblad", "noisy_gates", "channel"]
+        return np.array([float(x) for x in rows[1].split(",")[4:]])
+
+    x = {"gate": "X", "q": [0]}
+    with_idle = lindblad_row([x, {"gate": "IDLE", "q": [0], "duration_s": idle_s}], "idle")
+    np.testing.assert_allclose(with_idle, lindblad_row([x], "x"), rtol=0, atol=1e-12)
 
 
 class TestMixedLayerCircuit:

@@ -479,6 +479,10 @@ class TestRunTrajectory:
 
 
 class TestRunShots:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            RunConfig(shots=1, master_seed=-3)
+
     def test_deterministic_across_calls(self):
         circ = parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}] * 20})
         sched = schedule_layers(circ, DESK)
@@ -762,8 +766,9 @@ DEFERRAL_CASES = {
     ),
     # From 8 qubits two-qubit gates on adjacent qubits wait in blocks of
     # at most 3.  A ladder: blocks {0,1} -> {0,1,2}, then CNOT(2,3) would
-    # span 4 qubits, so that block is applied and {2,3} starts; the
-    # middle checkpoints flush blocks with pads on their qubits, and the
+    # span 4 qubits, so that block is applied and {2,3} starts.  Block
+    # {0,1} stays pending across checkpoint 2 and grows after it; the
+    # middle checkpoints read blocks with pads on their qubits, and the
     # layer after the last checkpoint is never applied
     "block_ladder": (
         {
@@ -771,7 +776,7 @@ DEFERRAL_CASES = {
             "ops": [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(7)],
             "measure": list(range(8)),
         },
-        (3, 4, 7),
+        (2, 3, 4, 7),
         24,
     ),
     # a descending CNOT, then a descending CR joining its block after
@@ -851,8 +856,9 @@ class TestDeferredGates:
 
     def test_ghz12_chunk_applies_at_most_ten_passes(self, monkeypatch):
         # one 64-shot chunk: 5 block passes, then 4 passes at the
-        # checkpoint with the readout gates folded in, every one on
-        # ascending adjacent qubits
+        # checkpoint, which reads the last block and the one-qubit factors
+        # with the readout gates multiplied on, every one on ascending
+        # adjacent qubits
         n = 12
         ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
         scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
@@ -922,6 +928,20 @@ class TestSharedCompiled:
         # the warm run allocates no state batch (4 MiB at 64 shots): 0.76 MiB
         # peak, where each pass allocating a fresh batch peaked at 24 MiB
         assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("checkpoints, buffers", [((0, 6, 12), 3), (None, 2)])
+def test_state_sized_buffers(checkpoints, buffers):
+    # a chunk's states and spare; a checkpoint before the last reads into
+    # one workspace copy as well, while the last one's reads may write the
+    # states, which nothing reads after it
+    n = 12
+    ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+    scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+    compiled = _Compiled(scheduled)
+    run_shots(scheduled, RunConfig(shots=2 * chunk_shots(n), master_seed=4, checkpoints=checkpoints), compiled)
+    state_bytes = chunk_shots(n) * 16 * 2**n
+    assert sum(buf.nbytes >= state_bytes for buf in compiled.workspace._buffers.values()) == buffers
 
 
 def test_piece_buffers_stay_within_the_cap():

@@ -72,6 +72,10 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             small_config(checkpoints=100, repetitions=40)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            small_config(seed=-1)
+
 
 class TestCircuitBuilders:
     def test_repeat_x_shape(self):
