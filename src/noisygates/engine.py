@@ -344,16 +344,21 @@ def expand_cnots(circuit: Circuit) -> Circuit:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run: ``shots`` >= 1, and the ``master_seed`` and ``run_index``
+    >= 0 that name its chunk streams, each an int and not a bool."""
+
     shots: int
     master_seed: int = 0
     run_index: int = 0
     checkpoints: tuple[int, ...] | None = None  # layer counts; None = end only
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
+        for name, low in (("shots", 1), ("master_seed", 0), ("run_index", 0)):
+            val = getattr(self, name)
+            if not _is_int(val):
+                raise ValueError(f"{name} must be an int, got {val!r}")
+            if val < low:
+                raise ValueError(f"{name} must be >= {low}, got {val}")
 
 
 @dataclass

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, cosh_sinhc, dagger, expm, expm_soa, kron
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, cosh_sinhc, dagger, exp_mu, expm, expm4_soa, kron
 from .noise_model import NoiseContext, LindbladTerm, is_finite_number
 from .stochastic import RngStream, _psd_factor, gauss_legendre_rule
 
@@ -288,13 +288,6 @@ class XiSampler:
         return self.draws(g, workspace)
 
 
-# Up to this largest |mu| in a batch, e^mu is taken as 1 + mu: the Taylor
-# remainder is then below 2^-54.  mu = tr Xi / 2 is only rounding (~1e-17)
-# for traceless jump operators, which every stock gate has, and np.exp
-# would cost more than the rest of the factor.
-_EXP_MU_LINEAR = 2.0**-27
-
-
 class NoisyGateSampler:
     """Batched sampler for one (gate, noise context) pair: a pure function
     from blocks of standard normals to realisations P exp(Xi).
@@ -313,10 +306,10 @@ class NoisyGateSampler:
     realisation is P e^Xi = e^mu (c P + t A), written entry by entry into
     a ``(2, 2, S)`` array, so no per-draw ``(S, 2, 2)`` stack is formed.
 
-    Two-qubit gates copy the draws into the ``(d, d, S)`` layout of
-    ``linalg.expm_soa``, exponentiate them there, and multiply by P as
-    one ``(S d, d) @ (d, d)`` product of the stacked rows.  The sampler
-    holds no buffers itself: ``sample_batch`` runs in the caller's
+    Two-qubit gates copy the draws into the ``(4, 4, S)`` layout of
+    ``linalg.expm4_soa``, the Cayley-Hamilton kernel, exponentiate them
+    there, and multiply by P as one ``(4, 4) @ (4, 4 S)`` product.  The
+    sampler holds no buffers itself: ``sample_batch`` runs in the caller's
     ``workspace``.
     """
 
@@ -345,8 +338,9 @@ class NoisyGateSampler:
 
         For d = 2 the result is the transposed view of ``out``, a
         ``(2, 2, S)`` complex array (fresh when None) that the kernel
-        fills.  For d = 4 it is a fresh array, and ``out`` must be None.
-        Non-finite normals raise ``ValueError``."""
+        fills.  For d = 4 it is the transposed view of a fresh
+        ``(4, 4, S)`` array, and ``out`` must be None.  Non-finite normals
+        raise ``ValueError``."""
         d = self.dim
         size = normals.shape[0]
         if d == 2:
@@ -360,12 +354,8 @@ class NoisyGateSampler:
         xi = self.xi.draws(normals, workspace)
         x = workspace.take("sampler.xi", (d, d, size))
         np.copyto(x, xi.transpose(1, 2, 0))
-        f = expm_soa(x, workspace)
-        # rows[s, k, i] = exp(Xi_s)[i, k], so rows @ P^T holds (P exp(Xi_s))[j, k]
-        # at [s, k, j]; rows reuses x's buffer, which f never views
-        rows = workspace.take("sampler.xi", (size, d, d))
-        np.copyto(rows, f.transpose(2, 1, 0))
-        return np.dot(rows.reshape(size * d, d), self.prefix.T).reshape(size, d, d).swapaxes(1, 2)
+        f = expm4_soa(x, workspace)
+        return np.dot(self.prefix, f.reshape(d, d * size)).reshape(d, d, size).transpose(2, 0, 1)
 
     def _fused_batch(self, normals: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
         """The one-qubit kernel: fills the ``(2, 2, S)`` array ``out``."""
@@ -377,10 +367,7 @@ class NoisyGateSampler:
         q2 += np.multiply(x01, x10, out=ct[0])
         c, t = cosh_sinhc(q2, ct)
         # q2's buffer is scratch from here on
-        mu_max = float(np.abs(mu, out=q2.view(float)[:size]).max()) if size else 0.0
-        if not math.isfinite(mu_max):
-            raise ValueError("non-finite normals")
-        scale = np.add(mu, 1.0, out=q2) if mu_max <= _EXP_MU_LINEAR else np.exp(mu, out=q2)
+        scale = exp_mu(mu, q2)
         c *= scale
         t *= scale
         np.multiply(coef[:, 4:].T.reshape(2, 2, size), t, out=out)

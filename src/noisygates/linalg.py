@@ -3,13 +3,14 @@ products, matrix exponentials, gate application to state vectors and
 local superoperators applied to density matrices.
 
 Functions treat their inputs as values and return fresh arrays, with
-three exceptions that let batched callers reuse the same buffers on
-every gate: ``expm_soa``, the Padé core behind ``expm``, overwrites its
-input and returns a view into a caller-held ``Workspace``,
-``cosh_sinhc`` writes into the ``out`` it is given, and ``apply_gate``
-given ``out=`` writes the new states there and returns it.  The matrix
-exponential supports stacks of matrices (shape ``(..., d, d)``), which
-the trajectory engine relies on for batched sampling.
+exceptions that let batched callers reuse the same buffers on every
+gate: ``expm4_soa``, the Cayley-Hamilton exponential of two-qubit
+stacks, overwrites its input and returns a view into a caller-held
+``Workspace``; ``cosh_sinhc`` and ``exp_mu``, the pieces of the
+one-qubit exponential, write into the ``out`` they are given; and
+``apply_gate`` given ``out=`` writes the new states there and returns
+it.  ``expm``, a Padé exponential of a matrix or a stack
+``(..., d, d)`` of any d, returns a fresh array.
 
 Qubit ordering is big-endian throughout the package: qubit 0 is the
 leftmost (most significant) bit of a basis label, so ``|10>`` on two
@@ -19,6 +20,7 @@ qubits is amplitude index 2.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -35,9 +37,10 @@ __all__ = [
     "embed",
     "Workspace",
     "expm",
-    "expm_soa",
+    "expm4_soa",
     "expm_2x2",
     "cosh_sinhc",
+    "exp_mu",
     "apply_gate",
     "superoperator",
     "apply_superoperator",
@@ -151,6 +154,15 @@ def _soa_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) 
     return out
 
 
+def _soa_norm(x: np.ndarray, ws: Workspace) -> float:
+    """Largest 1-norm (column sum of |x|) in the ``(d, d, S)`` stack ``x``,
+    0 for an empty stack; NaN or inf if any entry is not finite."""
+    if not x.size:
+        return 0.0
+    absx = np.abs(x, out=ws.take("norm.abs", x.shape, float))
+    return float(np.sum(absx, axis=0, out=ws.take("norm.colsum", x.shape[1:], float)).max())
+
+
 def _soa_add_identity(x: np.ndarray, c: float) -> None:
     """x += c I in place, for a contiguous ``(d, d, S)`` stack."""
     d = x.shape[0]
@@ -175,7 +187,7 @@ def _soa_solve(aug: np.ndarray, ws: Workspace) -> np.ndarray:
     return aug[:, d:]
 
 
-def expm_soa(x: np.ndarray, ws: Workspace) -> np.ndarray:
+def _expm_soa(x: np.ndarray, ws: Workspace) -> np.ndarray:
     """Exponentials of the contiguous ``(d, d, S)`` stack ``x`` (matrix
     index first, the S matrices on the last axis), evaluated as
     :func:`expm` describes in the buffers of ``ws``: once ``ws`` holds
@@ -187,11 +199,7 @@ def expm_soa(x: np.ndarray, ws: Workspace) -> np.ndarray:
     def take(name: str) -> np.ndarray:
         return ws.take(name, x.shape)
 
-    norm = 0.0
-    if x.size:
-        # largest column sum of |x|; NaN or inf if any entry is not finite
-        absx = np.abs(x, out=ws.take("expm.abs", x.shape, float))
-        norm = float(np.sum(absx, axis=0, out=ws.take("expm.colsum", (d, size), float)).max())
+    norm = _soa_norm(x, ws)
     if not math.isfinite(norm):
         raise ValueError("non-finite entries in expm input")
     if norm == 0.0:
@@ -232,7 +240,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     1-norm in the stack with Higham's theta_m bounds (N. J. Higham, SIAM
     J. Matrix Anal. Appl. 26 (2005) 1179); larger norms are scaled by 2^-s
     down to theta_7 and squared back.  The stack is evaluated by
-    :func:`expm_soa` in structure-of-arrays form, ``(d, d, S)`` with the S
+    :func:`_expm_soa` in structure-of-arrays form, ``(d, d, S)`` with the S
     matrices on the last axis, so each matrix product is d broadcast
     multiply-adds over S instead of S small products.  The Padé
     denominator is solved by Gauss-Jordan elimination without pivoting,
@@ -245,7 +253,7 @@ def expm(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
     d = a.shape[-1]
     stack = a.reshape(math.prod(a.shape[:-2]), d, d)
-    f = expm_soa(stack.transpose(1, 2, 0).copy(), Workspace())
+    f = _expm_soa(stack.transpose(1, 2, 0).copy(), Workspace())
     return np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(a.shape)
 
 
@@ -301,6 +309,143 @@ def cosh_sinhc(q2: np.ndarray, out: np.ndarray) -> np.ndarray:
             np.multiply(2.0 * c, t, out=t)
             c[...] = c2
     return out
+
+
+# Up to this largest |mu| in a batch, e^mu is taken as 1 + mu: the Taylor
+# remainder is then below 2^-54.  mu = tr Xi / d is only rounding (~1e-17)
+# for traceless jump operators, which every stock gate has, and np.exp
+# would cost more than the rest of the factor.
+_EXP_MU_LINEAR = 2.0**-27
+
+
+def exp_mu(mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^mu for the 1-d complex array ``mu`` into ``out``, a complex array
+    of its length apart from ``mu``, and returned: 1 + mu while
+    every |mu| is at most ``_EXP_MU_LINEAR``, else ``np.exp``.  Raises
+    ``ValueError`` if any mu is not finite."""
+    top = float(np.abs(mu, out=out.view(float)[: mu.size]).max()) if mu.size else 0.0
+    if not math.isfinite(top):
+        raise ValueError("non-finite entries in the exponent")
+    return np.add(mu, 1.0, out=out) if top <= _EXP_MU_LINEAR else np.exp(mu, out=out)
+
+
+# expm4_soa scales a stack with ||D||_1 > _CH_THETA by 2^-s and squares
+# back s times.  Its coefficients' rounding errors are polynomials in D, so
+# every squaring doubles them, and theta = 2, one squaring fewer than 1,
+# halves them.  With tr D = 0, ||e^D|| >= 1 while the partial sums stay
+# below e^2 < 8, so cancellation costs under 3 bits.
+_CH_THETA = 2.0
+
+
+def _taylor_terms(nu: float) -> tuple[int, int]:
+    """(degree N, scaling power s) for a stack whose norms are at most
+    ``nu``: scaled by 2^-s into ``_CH_THETA``, the fewest N whose Taylor
+    tail bound nu^(N+1) e^nu / (N+1)! is at most 2^-53."""
+    s = math.ceil(math.log2(nu / _CH_THETA)) if nu > _CH_THETA else 0
+    nu /= 2.0**s
+    n, tail = 0, nu * math.exp(nu)
+    while tail > 2.0**-53:
+        n += 1
+        tail *= nu / (n + 1)
+    return n, s
+
+
+@functools.cache
+def _taylor_weights(n: int) -> np.ndarray:
+    """``w[k, m]`` = 1/(m + k)! for m <= n - k, else 0: row k of
+    ``w @ h[: n + 1]`` is G_k = sum_(m <= n - k) h_m / (m + k)!."""
+    w = np.zeros((4, n + 1))
+    for k in range(4):
+        w[k, : max(n - k + 1, 0)] = [1.0 / math.factorial(m + k) for m in range(n - k + 1)]
+    w.flags.writeable = False
+    return w
+
+
+def expm4_soa(x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Exponentials of the contiguous ``(4, 4, S)`` stack ``x`` (matrix
+    index first), in the buffers of ``ws``.  ``x`` is overwritten, and the
+    result is a ``(4, 4, S)`` view into ``ws``, valid until ``ws`` is used
+    again.  Raises ``ValueError`` on non-finite entries.
+
+    The trace mu = tr x / 4 is split off, e^x = e^mu e^D, with e^mu from
+    :func:`exp_mu`.  For the traceless D, Cayley-Hamilton gives
+    D^4 = b2 D^2 + b1 D + b0 I with b2 = s2/2, b1 = s3/3 and
+    b0 = s4/4 - s2^2/8 from s_k = tr D^k, two stack products giving D^2
+    and D^3.  Multiplying a I + b D + c D^2 + h D^3 by D gives
+    b0 h I + (a + b1 h) D + (b + b2 h) D^2 + c D^3, so the D^3 coordinate
+    of D^n is h_n, for h_0..2 = 0, h_3 = 1 and
+    h_(n+4) = b2 h_(n+2) + b1 h_(n+1) + b0 h_n, and the Taylor series of
+    degree N is e^D = c0 I + c1 D + c2 D^2 + c3 D^3 with c3 = G0,
+    c2 = 1/2 + b0 G3 + b1 G2 + b2 G1, c1 = 1 + b0 G2 + b1 G1 and
+    c0 = 1 + b0 G1, where G_k = sum_(m <= N - k) h_m / (m + k)! is one
+    real matrix product.  Each c is its leading Taylor coefficient plus a
+    small correction, so no two large terms cancel, and no eigenvalue is
+    formed (Moler & Van Loan, SIAM Rev. 45 (2003) 3).  N and the scaling
+    come from the batch's largest 1-norm of D (:func:`_taylor_terms`)."""
+    size = x.shape[-1]
+
+    def take(name: str, shape: tuple[int, ...] = (size,)) -> np.ndarray:
+        return ws.take(name, shape)
+
+    def trace(m: np.ndarray, name: str) -> np.ndarray:
+        return np.sum(m.reshape(16, size)[::5], axis=0, out=take(name))
+
+    mu = trace(x, "ch.mu")
+    mu *= 0.25
+    x.reshape(16, size)[::5] -= mu
+    scale = exp_mu(mu, take("ch.scale"))
+    norm = _soa_norm(x, ws)
+    if not math.isfinite(norm):
+        raise ValueError("non-finite entries in expm input")
+    n, s = _taylor_terms(norm)
+    if s:
+        x *= 2.0**-s
+    tmp = take("ch.tmp", x.shape)
+    d2 = _soa_matmul(x, x, take("ch.d2", x.shape), tmp)
+    d3 = _soa_matmul(d2, x, take("ch.d3", x.shape), tmp)
+    b2 = trace(d2, "ch.b2")
+    b2 *= 0.5
+    b1 = trace(d3, "ch.b1")
+    b1 /= 3.0
+    # b0 = s4/4 - s2^2/8 = tr(D^2 D^2)/4 - b2^2/2
+    b0 = np.sum(np.multiply(d2, d2.transpose(1, 0, 2), out=tmp).reshape(16, size), axis=0, out=take("ch.b0"))
+    b0 *= 0.25
+    t2 = take("ch.t", (2, size))
+    t = t2[0]
+    np.multiply(b2, b2, out=t)
+    t *= 0.5
+    b0 -= t
+    # h_4..6 = 0, b2, b1 follow from h_0..3
+    h = take("ch.h", (max(n, 6) + 1, size))
+    h[:5] = 0.0
+    h[3] = 1.0
+    h[5] = b2
+    h[6] = b1
+    for k in range(7, n + 1):
+        np.multiply(b2, h[k - 2], out=h[k])
+        h[k] += np.multiply(b1, h[k - 3], out=t)
+        h[k] += np.multiply(b0, h[k - 4], out=t)
+    g = np.dot(_taylor_weights(n), h[: n + 1].view(float), out=ws.take("ch.g", (4, 2 * size), float)).view(complex)
+    c = np.multiply(g[1:], b0, out=take("ch.c", (3, size)))
+    c[1:] += np.multiply(g[1:3], b1, out=t2)
+    c[2] += np.multiply(g[1], b2, out=t)
+    c0, c1, c2 = c
+    c0 += 1.0
+    c1 += 1.0
+    c2 += 0.5
+    c3 = g[0]
+    if not s:
+        c *= scale
+        c3 *= scale
+    f = np.multiply(x, c1, out=take("ch.f", x.shape))
+    f += np.multiply(d2, c2, out=tmp)
+    f += np.multiply(d3, c3, out=tmp)
+    _soa_add_identity(f, c0)
+    for i in range(s):
+        f = _soa_matmul(f, f, (d2, d3)[i % 2], tmp)
+    if s:
+        f *= scale
+    return f
 
 
 def expm_2x2(m: np.ndarray) -> np.ndarray:

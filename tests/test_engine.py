@@ -483,6 +483,29 @@ class TestRunShots:
         with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
             RunConfig(shots=1, master_seed=-3)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("shots", 0, "shots must be >= 1, got 0"),
+            ("shots", 2.5, "shots must be an int, got 2.5"),
+            ("shots", True, "shots must be an int, got True"),
+            ("master_seed", 1.5, "master_seed must be an int, got 1.5"),
+            ("master_seed", False, "master_seed must be an int, got False"),
+            ("run_index", -1, "run_index must be >= 0, got -1"),
+            ("run_index", 1.0, "run_index must be an int, got 1.0"),
+            ("run_index", None, "run_index must be an int, got None"),
+        ],
+    )
+    def test_every_field_checked_at_construction(self, field, value, message):
+        fields = {"shots": 4, "master_seed": 0, "run_index": 0, field: value}
+        with pytest.raises(ValueError) as err:
+            RunConfig(**fields)
+        assert str(err.value) == message
+
+    def test_large_ints_accepted(self):
+        config = RunConfig(shots=1, master_seed=2**70, run_index=2**40)
+        assert (config.shots, config.master_seed, config.run_index) == (1, 2**70, 2**40)
+
     def test_deterministic_across_calls(self):
         circ = parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}] * 20})
         sched = schedule_layers(circ, DESK)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from noisygates.channels import apply_channel, relaxation_channel
 from noisygates.gates import (
@@ -12,7 +13,6 @@ from noisygates.gates import (
     GateSpec,
     NoisyGateSampler,
     XiSampler,
-    _EXP_MU_LINEAR,
     _path_pieces,
     build_substep_path,
     ideal_unitary,
@@ -25,7 +25,21 @@ from noisygates.gates import (
     spam_gate_batch,
     xi_from_path,
 )
-from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, PROJ_1, Workspace, _pade_degree, _series_terms, dagger, expm, expm_2x2
+from noisygates.linalg import (
+    _EXP_MU_LINEAR,
+    DECAY,
+    I2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    PROJ_1,
+    Workspace,
+    _series_terms,
+    _taylor_terms,
+    dagger,
+    expm,
+    expm_2x2,
+)
 from noisygates.noise_model import LindbladTerm, NoiseContext, load_calibration, noise_context_for_gate
 from noisygates.stochastic import RngStream, gauss_legendre_rule
 from test_linalg import mul_2x2
@@ -392,7 +406,8 @@ class TestFusedKernel:
 
 class TestSampleBatchWorkspace:
     """Two-qubit ``sample_batch`` runs in a caller-held workspace: results
-    bit-identical to ``prefix @ expm(xi)`` on the same draws, however the
+    within 1e-14 of ``prefix @ scipy.linalg.expm(xi)`` on the same draws,
+    relative to each matrix's largest entry, bit-identical however the
     workspace was used before, and never a view into it."""
 
     @pytest.mark.parametrize("name", ["CNOT", "CR"])
@@ -405,10 +420,21 @@ class TestSampleBatchWorkspace:
             ref_gen = copy.deepcopy(gen)
             got = draw_batch(sampler, gen, 1000, ws)
             xi = sampler.xi.sample(ref_gen, 1000, Workspace())
-            assert np.array_equal(got, sampler.prefix @ expm(xi))
+            for g, m in zip(got, xi):
+                want = sampler.prefix @ scipy.linalg.expm(m)
+                assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
             assert gen.bit_generator.state == ref_gen.bit_generator.state
-        if noise_scale > 1.0:  # the 30x draws take the scaling and squaring path
-            assert _pade_degree(np.abs(xi).sum(axis=-2).max())[1] > 0
+        # the 30x draws take the scaling and squaring branch
+        traceless = xi - np.trace(xi, axis1=1, axis2=2)[:, None, None] / 4 * np.eye(4)
+        assert (_taylor_terms(np.abs(traceless).sum(axis=-2).max())[1] > 0) == (noise_scale > 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_normals(self, bad):
+        sampler = desk_sampler("CNOT")
+        normals = np.random.default_rng(25).standard_normal((64, sampler.xi.n_gaussians))
+        normals[17, 2] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            sampler.sample_batch(normals, Workspace())
 
     def test_zero_noise_returns_prefix(self):
         sampler = desk_sampler("CNOT", 0.0)

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -7,11 +8,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noisygates.linalg import (
+    _CH_THETA,
+    _EXP_MU_LINEAR,
     _PADE,
     _PADE_THETA,
     _SERIES_REACH,
     _pade_degree,
     _series_terms,
+    _taylor_terms,
     STRIDED_MIN_SLICE,
     DECAY,
     I2,
@@ -25,7 +29,8 @@ from noisygates.linalg import (
     embed,
     expm,
     expm_2x2,
-    expm_soa,
+    expm4_soa,
+    _expm_soa,
     kron,
 )
 
@@ -324,7 +329,7 @@ class TestExpmAccuracy:
 
 
 class TestExpmSoa:
-    """``expm_soa``, the core behind ``expm``, run in one reused
+    """``_expm_soa``, the core behind ``expm``, run in one reused
     workspace: bit-identical to ``expm`` whatever the workspace served
     before."""
 
@@ -336,14 +341,14 @@ class TestExpmSoa:
         cases = [(4, 1000, 0.01), (2, 10, 0.2), (4, 64, 9.0), (3, 7, 0.9), (4, 1000, 25.0), (4, 1000, 0.01)]
         for dim, size, norm in cases:
             stack = with_one_norm(random_complex(rng, (size, dim, dim)), norm)
-            got = expm_soa(stack.transpose(1, 2, 0).copy(), ws)
+            got = _expm_soa(stack.transpose(1, 2, 0).copy(), ws)
             assert got.shape == (dim, dim, size)
             assert np.array_equal(got.transpose(2, 0, 1), expm(stack))
 
     def test_zero_stack_is_identity(self):
         ws = Workspace()
-        expm_soa(random_complex(np.random.default_rng(1), (4, 4, 5)), ws)  # leave data behind
-        got = expm_soa(np.zeros((4, 4, 5), dtype=complex), ws)
+        _expm_soa(random_complex(np.random.default_rng(1), (4, 4, 5)), ws)  # leave data behind
+        got = _expm_soa(np.zeros((4, 4, 5), dtype=complex), ws)
         assert np.array_equal(got.transpose(2, 0, 1), np.broadcast_to(np.eye(4), (5, 4, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -351,7 +356,7 @@ class TestExpmSoa:
         x = np.zeros((4, 4, 3), dtype=complex)
         x[1, 2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            expm_soa(x, Workspace())
+            _expm_soa(x, Workspace())
 
     def test_workspace_reuses_grows_and_pickles_empty(self):
         ws = Workspace()
@@ -363,6 +368,99 @@ class TestExpmSoa:
         assert grown.shape == (4, 4, 2000) and not np.shares_memory(big, grown)
         assert ws.take("c", (7,), float).dtype == np.float64
         assert len(pickle.dumps(ws)) == len(pickle.dumps(Workspace()))
+
+
+def expm4(a, ws=None):
+    """``expm4_soa`` on an ``(S, 4, 4)`` stack, which stays unchanged,
+    as an ``(S, 4, 4)`` copy."""
+    got = expm4_soa(a.transpose(1, 2, 0).copy(), Workspace() if ws is None else ws)
+    return got.transpose(2, 0, 1).copy()
+
+
+def stack_of(kind, rng, size=40):
+    """``size`` 4x4 matrices of one structure, each with its own
+    nonzero trace."""
+    a = random_complex(rng, (size, 4, 4))
+    if kind == "upper":
+        a = np.triu(a)
+    elif kind == "jordan":
+        a = np.zeros_like(a)
+        a[:, [0, 1, 2], [1, 2, 3]] = random_complex(rng, (size, 1))
+    elif kind == "anti-hermitian":
+        a = a - dagger(a)
+    trace = random_complex(rng, (size, 1, 1))
+    return a + trace * np.eye(4)
+
+
+def tail_bound(nu, n):
+    """nu^(N+1) e^nu / (N+1)!: the Taylor tail of e^D past degree N."""
+    return nu ** (n + 1) * math.exp(nu) / math.factorial(n + 1)
+
+
+class TestExpm4Soa:
+    """The Cayley-Hamilton kernel of two-qubit exponentials against scipy,
+    within 1e-14 of each matrix's largest entry."""
+
+    @pytest.mark.parametrize("kind", ["random", "upper", "jordan", "anti-hermitian"])
+    @pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.5, 0.99, 1.5, 4.0, 10.0])
+    def test_matches_scipy(self, kind, norm):
+        a = with_one_norm(stack_of(kind, np.random.default_rng(11)), norm)
+        before = a.copy()
+        assert_matches_scipy(expm4(a), a, bound=1e-14)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_small_trace_either_side_of_linear_exp(self, factor):
+        # e^mu is 1 + mu up to _EXP_MU_LINEAR, np.exp past it
+        rng = np.random.default_rng(7)
+        a = with_one_norm(random_complex(rng, (64, 4, 4)), 0.8)
+        a -= np.trace(a, axis1=1, axis2=2)[:, None, None] / 4 * np.eye(4)
+        a += factor * _EXP_MU_LINEAR * np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 1, 1))) * np.eye(4)
+        assert_matches_scipy(expm4(a), a, bound=1e-14)
+
+    def test_large_trace(self):
+        a = stack_of("random", np.random.default_rng(8))
+        a += (1.5 - 2.0j) * np.eye(4)
+        assert_matches_scipy(expm4(a), a, bound=1e-14)
+
+    def test_zero_matrix_is_identity(self):
+        ws = Workspace()
+        expm4(random_complex(np.random.default_rng(9), (5, 4, 4)), ws)  # leave data behind
+        got = expm4(np.zeros((5, 4, 4), dtype=complex), ws)
+        assert np.array_equal(got, np.broadcast_to(np.eye(4), (5, 4, 4)))
+
+    def test_empty_stack(self):
+        got = expm4_soa(np.zeros((4, 4, 0), dtype=complex), Workspace())
+        assert got.shape == (4, 4, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (3, 3)])
+    def test_rejects_non_finite(self, bad, entry):
+        x = np.zeros((4, 4, 3), dtype=complex)
+        x[entry + (1,)] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            expm4_soa(x, Workspace())
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-8, 1e-3, 0.5, 0.77, 0.99, 1.0, 1.5, _CH_THETA])
+    def test_fewest_terms_within_the_tail_bound(self, nu):
+        n, s = _taylor_terms(nu)
+        assert s == 0
+        assert tail_bound(nu, n) <= 2.0**-53
+        assert n == 0 or tail_bound(nu, n - 1) > 2.0**-53
+
+    @pytest.mark.parametrize("nu", [_CH_THETA * 1.001, 4.0, 10.0, 26.0, 1e3])
+    def test_scaling_into_theta(self, nu):
+        n, s = _taylor_terms(nu)
+        assert nu / 2**s <= _CH_THETA < nu / 2 ** (s - 1)
+        assert tail_bound(nu / 2**s, n) <= 2.0**-53 < tail_bound(nu / 2**s, n - 1)
+
+    def test_reused_workspace_bit_identical(self):
+        ws = Workspace()
+        rng = np.random.default_rng(10)
+        # S changes from call to call; 9.0 takes the scaling branch
+        for size, norm in [(1000, 0.7), (64, 9.0), (7, 0.01), (1000, 0.7)]:
+            a = with_one_norm(random_complex(rng, (size, 4, 4)), norm)
+            assert np.array_equal(expm4(a, ws), expm4(a))
 
 
 def embedded_matrix(op: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
