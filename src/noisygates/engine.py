@@ -185,6 +185,17 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
+def _check_int_fields(obj, bounds: tuple[tuple[str, int], ...]) -> None:
+    """``ValueError`` unless each field ``name`` of ``obj`` in ``bounds``,
+    ``((name, low), ...)``, is an int, not a bool, and at least ``low``."""
+    for name, low in bounds:
+        val = getattr(obj, name)
+        if not _is_int(val):
+            raise ValueError(f"{name} must be an int, got {val!r}")
+        if val < low:
+            raise ValueError(f"{name} must be >= {low}, got {val}")
+
+
 def parse_circuit(source: str | Path | dict) -> Circuit:
     """Parse a circuit document and pack its ops into ASAP layers.
 
@@ -353,12 +364,7 @@ class RunConfig:
     checkpoints: tuple[int, ...] | None = None  # layer counts; None = end only
 
     def __post_init__(self):
-        for name, low in (("shots", 1), ("master_seed", 0), ("run_index", 0)):
-            val = getattr(self, name)
-            if not _is_int(val):
-                raise ValueError(f"{name} must be an int, got {val!r}")
-            if val < low:
-                raise ValueError(f"{name} must be >= {low}, got {val}")
+        _check_int_fields(self, (("shots", 1), ("master_seed", 0), ("run_index", 0)))
 
 
 @dataclass

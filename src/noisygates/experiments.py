@@ -20,7 +20,6 @@ simulator run).  The Lindblad reference is deterministic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from .engine import (
     RunConfig,
     ScheduledCircuit,
     _Compiled,
+    _check_int_fields,
     _pack_asap,
     decompose_cnot,
     expand_cnots,
@@ -84,16 +84,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if not (1 <= self.checkpoints <= self.repetitions):
+        _check_int_fields(
+            self, (("repetitions", 1), ("checkpoints", 1), ("shots", 1), ("runs", 1), ("seed", 0), ("parallel", 1))
+        )
+        if self.checkpoints > self.repetitions:
             raise ValueError("checkpoints must lie in 1..repetitions")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.backends:
             raise ValueError("select at least one backend")
         unknown = set(self.backends) - set(BACKENDS)
@@ -310,7 +305,12 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
 
 
 def _map_tasks(fn, tasks, parallel: int):
+    """``fn`` over ``tasks`` in order: in this process for one worker or
+    task, else in a pool of up to ``parallel`` processes, imported only
+    then, since it loads ``multiprocessing``."""
     if parallel <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
         return list(pool.map(fn, tasks))

@@ -9,7 +9,7 @@ stacks, overwrites its input and returns a view into a caller-held
 ``Workspace``; ``cosh_sinhc`` and ``exp_mu``, the pieces of the
 one-qubit exponential, write into the ``out`` they are given; and
 ``apply_gate`` given ``out=`` writes the new states there and returns
-it.  ``expm``, a Padé exponential of a matrix or a stack
+it.  ``expm``, the Taylor exponential of a matrix or a stack
 ``(..., d, d)`` of any d, returns a fresh array.
 
 Qubit ordering is big-endian throughout the package: qubit 0 is the
@@ -85,40 +85,6 @@ def embed(op: np.ndarray, qubits: list[int] | tuple[int, ...], n_qubits: int) ->
     return tensor.reshape(lead + (2**n_qubits, 2**n_qubits))
 
 
-# Padé(m) coefficients b_0..b_m for expm (Higham 2005): the approximant
-# is p(-A)^-1 p(A) with p(x) = sum_j b_j x^j.  theta_m is the largest
-# 1-norm at which degree m meets double precision without scaling.
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-}
-_PADE_THETA = (
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-)
-# The denominator q_m(A) = p_m(-A) is solved for without pivoting.  With
-# ||A||_1 <= theta_m, q_m(A) / b_0 = I + E where
-# ||E||_1 <= sum_{j>=1} (b_j / b_0) theta_m^j = 0.008, 0.134, 0.594 for
-# m = 3, 5, 7, so every column of q_m(A) is strictly diagonally dominant.
-# Each Schur complement of a column diagonally dominant matrix is column
-# diagonally dominant too, so partial pivoting would never exchange a row
-# and elimination without it has growth factor at most 2 (Wilkinson).  The
-# same sum is 1.76 at theta_9 and 11.7 at theta_13, which is why larger
-# norms are scaled down to theta_7 instead of using degrees 9 or 13.
-
-
-def _pade_degree(norm: float) -> tuple[int, int]:
-    """(degree m, scaling power s) for a stack whose largest 1-norm is
-    ``norm``: the cheapest m with norm <= theta_m, else Padé(7) after
-    scaling by 2^-s down to theta_7."""
-    for m, theta in _PADE_THETA:
-        if norm <= theta:
-            return m, 0
-    return 7, math.ceil(math.log2(norm / _PADE_THETA[-1][1]))
-
-
 class Workspace:
     """Named scratch buffers kept across calls, so a batched kernel run
     many times reuses its pages instead of asking for fresh ones each time.
@@ -167,94 +133,6 @@ def _soa_add_identity(x: np.ndarray, c: float) -> None:
     """x += c I in place, for a contiguous ``(d, d, S)`` stack."""
     d = x.shape[0]
     x.reshape(d * d, -1)[:: d + 1] += c
-
-
-def _soa_solve(aug: np.ndarray, ws: Workspace) -> np.ndarray:
-    """q^-1 p for ``(d, d, S)`` stacks given as ``aug = [q | p]`` of shape
-    ``(d, 2d, S)``, by Gauss-Jordan elimination over rows without pivoting
-    (``q`` must be column diagonally dominant).  Overwrites ``aug`` and
-    returns a view of it."""
-    d, _, size = aug.shape
-    inv = ws.take("expm.inv", (size,))
-    col = ws.take("expm.col", (d, size))
-    update = ws.take("expm.update", aug.shape)
-    for k in range(d):
-        row = aug[k, k + 1 :]
-        row *= np.divide(1.0, aug[k, k], out=inv)
-        np.copyto(col, aug[:, k])
-        col[k] = 0.0
-        aug[:, k + 1 :] -= np.multiply(col[:, None], row, out=update[:, k + 1 :])
-    return aug[:, d:]
-
-
-def _expm_soa(x: np.ndarray, ws: Workspace) -> np.ndarray:
-    """Exponentials of the contiguous ``(d, d, S)`` stack ``x`` (matrix
-    index first, the S matrices on the last axis), evaluated as
-    :func:`expm` describes in the buffers of ``ws``: once ``ws`` holds
-    them, no stack-sized array is allocated.  ``x`` is overwritten, and
-    the result is a ``(d, d, S)`` view into ``ws``, valid until ``ws`` is
-    used again.  Raises ``ValueError`` on non-finite entries."""
-    d, _, size = x.shape
-
-    def take(name: str) -> np.ndarray:
-        return ws.take(name, x.shape)
-
-    norm = _soa_norm(x, ws)
-    if not math.isfinite(norm):
-        raise ValueError("non-finite entries in expm input")
-    if norm == 0.0:
-        f = take("expm.x2")
-        f[...] = np.eye(d)[:, :, None]
-        return f
-    degree, s = _pade_degree(norm)
-    if s:
-        x *= 2.0**-s
-    b = _PADE[degree]
-    tmp = take("expm.tmp")
-    x2 = _soa_matmul(x, x, take("expm.x2"), tmp)
-    odd = np.multiply(x2, b[3], out=take("expm.odd"))
-    even = np.multiply(x2, b[2], out=take("expm.even"))
-    spare = take("expm.power0"), take("expm.power1")
-    power = x2
-    for k in range(2, degree // 2 + 1):
-        power = _soa_matmul(power, x2, spare[k % 2], tmp)
-        odd += np.multiply(power, b[2 * k + 1], out=tmp)
-        even += np.multiply(power, b[2 * k], out=tmp)
-    _soa_add_identity(odd, b[1])
-    _soa_add_identity(even, b[0])
-    u = _soa_matmul(x, odd, spare[0], tmp)
-    aug = ws.take("expm.aug", (d, 2 * d, size))
-    np.subtract(even, u, out=aug[:, :d])
-    np.add(even, u, out=aug[:, d:])
-    f = _soa_solve(aug, ws)
-    for i in range(s):
-        f = _soa_matmul(f, f, spare[i % 2], tmp)
-    return f
-
-
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Padé core.
-
-    Accepts a single matrix or a stack ``(..., d, d)`` and returns a fresh
-    array.  The Padé degree m in {3, 5, 7} is chosen from the largest
-    1-norm in the stack with Higham's theta_m bounds (N. J. Higham, SIAM
-    J. Matrix Anal. Appl. 26 (2005) 1179); larger norms are scaled by 2^-s
-    down to theta_7 and squared back.  The stack is evaluated by
-    :func:`_expm_soa` in structure-of-arrays form, ``(d, d, S)`` with the S
-    matrices on the last axis, so each matrix product is d broadcast
-    multiply-adds over S instead of S small products.  The Padé
-    denominator is solved by Gauss-Jordan elimination without pivoting,
-    which is stable because for ||A||_1 <= theta_m, m <= 7, it is strictly
-    column diagonally dominant.  Relative accuracy is ~1e-14 for norms up
-    to 10, which covers every generator used in this package.
-    """
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {a.shape}")
-    d = a.shape[-1]
-    stack = a.reshape(math.prod(a.shape[:-2]), d, d)
-    f = _expm_soa(stack.transpose(1, 2, 0).copy(), Workspace())
-    return np.ascontiguousarray(f.transpose(2, 0, 1)).reshape(a.shape)
 
 
 # _SERIES_REACH[K - 1] is the largest |q^2| at which K terms of the even
@@ -329,25 +207,58 @@ def exp_mu(mu: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(mu, 1.0, out=out) if top <= _EXP_MU_LINEAR else np.exp(mu, out=out)
 
 
-# expm4_soa scales a stack with ||D||_1 > _CH_THETA by 2^-s and squares
-# back s times.  Its coefficients' rounding errors are polynomials in D, so
-# every squaring doubles them, and theta = 2, one squaring fewer than 1,
-# halves them.  With tr D = 0, ||e^D|| >= 1 while the partial sums stay
-# below e^2 < 8, so cancellation costs under 3 bits.
-_CH_THETA = 2.0
+# expm and expm4_soa scale a stack with 1-norm above _TAYLOR_THETA by 2^-s
+# and square back s times.  The rounding errors of the truncated series are
+# polynomials in the scaled matrix, so every squaring doubles them, and
+# theta = 2, one squaring fewer than 1, halves them.  The partial sums stay
+# below e^2 < 8; expm4_soa splits off the trace, so ||e^D|| >= 1 and
+# cancellation costs it under 3 bits.
+_TAYLOR_THETA = 2.0
 
 
 def _taylor_terms(nu: float) -> tuple[int, int]:
     """(degree N, scaling power s) for a stack whose norms are at most
-    ``nu``: scaled by 2^-s into ``_CH_THETA``, the fewest N whose Taylor
-    tail bound nu^(N+1) e^nu / (N+1)! is at most 2^-53."""
-    s = math.ceil(math.log2(nu / _CH_THETA)) if nu > _CH_THETA else 0
+    ``nu``: scaled by 2^-s into ``_TAYLOR_THETA``, the fewest N whose
+    Taylor tail bound nu^(N+1) e^nu / (N+1)! is at most 2^-53."""
+    s = math.ceil(math.log2(nu / _TAYLOR_THETA)) if nu > _TAYLOR_THETA else 0
     nu /= 2.0**s
     n, tail = 0, nu * math.exp(nu)
     while tail > 2.0**-53:
         n += 1
         tail *= nu / (n + 1)
     return n, s
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a matrix or a stack ``(..., d, d)`` of any d,
+    as a fresh array, by scaling and squaring a truncated Taylor series
+    (Moler & Van Loan, SIAM Rev. 45 (2003) 3).
+
+    The degree N and the scaling power s come from the stack's largest
+    1-norm by :func:`_taylor_terms`, as in :func:`expm4_soa`.  The series
+    of X = 2^-s A is summed by Horner's rule,
+    I + X (I + X/2 (... (I + X/N))), and squared s times.  Unlike
+    :func:`expm4_soa` it keeps the trace: a Lindblad generator's
+    eigenvalue 0 would become -tr A / d, and e^(A - (tr A / d) I) would
+    overflow at large decay.  Raises ``ValueError`` on non-square or
+    non-finite input."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    norm = float(np.abs(a).sum(axis=-2).max()) if a.size else 0.0
+    if not math.isfinite(norm):
+        raise ValueError("non-finite entries in expm input")
+    n, s = _taylor_terms(norm)
+    x = a * 2.0**-s
+    eye = np.eye(a.shape[-1])
+    f = np.broadcast_to(eye, a.shape).astype(complex)
+    for k in range(n, 0, -1):
+        f = x @ f
+        f /= k
+        f += eye
+    for _ in range(s):
+        f = f @ f
+    return f
 
 
 @functools.cache

@@ -503,13 +503,16 @@ with tempfile.TemporaryDirectory() as tmp:
     device.write_text(sys.argv[1])
     rc = main(["compare", "--reps", "4", "--checkpoints", "2", "--shots", "32", "--runs", "1",
                "--parallel", "1", "--device", str(device), "--out", tmp])
-print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+pool = ("multiprocessing", "concurrent.futures.process")
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "pool": sorted(m for m in sys.modules if m.startswith(pool))}))
 """
 
 
 def test_package_runs_without_scipy():
     # scipy is a test dependency only: no noisygates module, nor a compare
-    # through every back-end, may load it
+    # through every back-end, may load it; nor may they load a process
+    # pool, which only --parallel above 1 uses
     src = str(Path(noisygates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
@@ -518,4 +521,4 @@ def test_package_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out == {"rc": 0, "scipy": []}
+    assert out == {"rc": 0, "scipy": [], "pool": []}

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,29 @@ class TestCheckpoints:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             small_config(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("repetitions", 0, "repetitions must be >= 1, got 0"),
+            ("repetitions", 40.0, "repetitions must be an int, got 40.0"),
+            ("checkpoints", 0, "checkpoints must be >= 1, got 0"),
+            ("checkpoints", True, "checkpoints must be an int, got True"),
+            ("shots", 0, "shots must be >= 1, got 0"),
+            ("shots", 2.5, "shots must be an int, got 2.5"),
+            ("shots", True, "shots must be an int, got True"),
+            ("runs", 0, "runs must be >= 1, got 0"),
+            ("runs", 1.5, "runs must be an int, got 1.5"),
+            ("seed", 1.5, "seed must be an int, got 1.5"),
+            ("seed", False, "seed must be an int, got False"),
+            ("parallel", 0, "parallel must be >= 1, got 0"),
+            ("parallel", -3, "parallel must be >= 1, got -3"),
+            ("parallel", None, "parallel must be an int, got None"),
+        ],
+    )
+    def test_every_int_field_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: value})
 
 
 class TestCircuitBuilders:

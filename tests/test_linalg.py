@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from noisygates.gates import GateSpec, drive_generator
 from noisygates.linalg import (
-    _CH_THETA,
     _EXP_MU_LINEAR,
-    _PADE,
-    _PADE_THETA,
     _SERIES_REACH,
-    _pade_degree,
+    _TAYLOR_THETA,
     _series_terms,
     _taylor_terms,
     STRIDED_MIN_SLICE,
@@ -30,9 +29,10 @@ from noisygates.linalg import (
     expm,
     expm_2x2,
     expm4_soa,
-    _expm_soa,
     kron,
 )
+from noisygates.lindblad import rhs_superoperator
+from noisygates.noise_model import DeviceParams, QubitParams, noise_context_for_gate
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -186,7 +186,7 @@ class TestExpm:
         h = 0.5 * (h + dagger(h))
         assert is_unitary(expm(-1j * h))
 
-    def test_closed_form_2x2_agrees_with_pade(self):
+    def test_closed_form_2x2_agrees_with_expm(self):
         rng = np.random.default_rng(3)
         batch = rng.normal(size=(64, 2, 2)) + 1j * rng.normal(size=(64, 2, 2))
         assert np.abs(expm_2x2(batch) - expm(batch)).max() < 1e-11
@@ -199,7 +199,7 @@ class TestExpm:
             assert np.allclose(stacked[i], expm(batch[i]), atol=1e-12)
 
 
-def assert_matches_scipy(got, a, bound=1e-11):
+def assert_matches_scipy(got, a, bound=1e-12):
     """Every matrix of the stack within ``bound`` of scipy, relative to
     that matrix's largest entry."""
     d = a.shape[-1]
@@ -220,41 +220,108 @@ def with_q2(rng, z, mu=0.0):
     return np.array([[mu + a00, b], [(z - a00 * a00) / b, mu - a00]])
 
 
+def tail_bound(nu, n):
+    """nu^(N+1) e^nu / (N+1)!: the Taylor tail of e^D past degree N."""
+    return nu ** (n + 1) * math.exp(nu) / math.factorial(n + 1)
+
+
+def degree_switch(n):
+    """The 1-norm, below ``_TAYLOR_THETA``, at which ``_taylor_terms``
+    moves from degree n to n + 1: where the tail bound of degree n
+    reaches 2^-53, by bisection."""
+    lo, hi = 0.0, _TAYLOR_THETA
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if tail_bound(mid, n) <= 2.0**-53 else (lo, mid)
+    return lo
+
+
 STRADDLE = (1.0 - 1e-6, 1.0 + 1e-6)
-# either side of every Padé theta_m, and far above theta_7 (including the
-# former theta_9 = 2.10 and theta_13 = 5.37)
-EXPM_NORMS = [theta * f for _, theta in _PADE_THETA for f in STRADDLE] + [2.1, 5.4, 30.0, 100.0]
+# every 1-norm at which _taylor_terms changes the degree N (the first,
+# about 1.1e-16, leaves N = 0), and every one at which it changes the
+# scaling power s, up to s = 9
+DEGREE_SWITCHES = [degree_switch(n) for n in range(_taylor_terms(_TAYLOR_THETA)[0])]
+SCALING_SWITCHES = [_TAYLOR_THETA * 2.0**k for k in range(9)]
+EXPM_NORMS = [nu * f for nu in DEGREE_SWITCHES + SCALING_SWITCHES for f in STRADDLE]
+
+DESK = DeviceParams(
+    qubits=(
+        QubitParams(t1_s=100e-6, t2_s=80e-6, p_readout=0.02),
+        QubitParams(t1_s=90e-6, t2_s=70e-6, p_readout=0.025),
+    ),
+    t_1q_s=35e-9,
+    t_2q_s=300e-9,
+    p_1q=5e-4,
+    p_2q=0.04,
+)
+
+
+def slot_generator(gate):
+    """Lindblad generator of one slot of ``gate`` on ``DESK`` in the
+    slot's own time, as the Lindblad reference builds it: the drive and
+    each term at rate epsilon^2."""
+    terms = [replace(term, rate=term.epsilon**2) for term in noise_context_for_gate(gate, DESK).terms]
+    return rhs_superoperator(drive_generator(gate), terms)
 
 
 class TestExpmAccuracy:
     """Both exponentials against scipy where their evaluation changes:
-    either side of every Padé theta_m and every series-degree switch."""
+    either side of every switch of the Taylor degree N and scaling power
+    s, and of every series-degree switch."""
 
-    @pytest.mark.parametrize("dim", [2, 4])
-    @pytest.mark.parametrize("degree, theta", _PADE_THETA)
-    def test_either_side_of_pade_theta(self, dim, degree, theta):
-        rng = np.random.default_rng(degree * 10 + dim)
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
+    @pytest.mark.parametrize("degree", range(len(DEGREE_SWITCHES)))
+    def test_either_side_of_degree_switch(self, dim, degree):
+        rng = np.random.default_rng(degree * 20 + dim)
+        a = random_complex(rng, (dim, dim))
         picked = []
         for factor in STRADDLE:
-            m = with_one_norm(a, theta * factor)
-            picked.append(_pade_degree(np.abs(m).sum(axis=-2).max()))
+            m = with_one_norm(a, DEGREE_SWITCHES[degree] * factor)
+            picked.append(_taylor_terms(np.abs(m).sum(axis=-2).max()))
             assert_matches_scipy(expm(m), m)
             if dim == 2:
                 assert_matches_scipy(expm_2x2(m), m)
-        assert picked[0] == (degree, 0) and picked[1] != picked[0]
+        assert picked == [(degree, 0), (degree + 1, 0)]
 
-    @pytest.mark.parametrize("degree, theta", _PADE_THETA)
-    def test_pade_denominator_diagonally_dominant(self, degree, theta):
-        # expm solves q_m(A) without pivoting: sum_{j>=1} b_j/b_0 theta^j
-        # bounds ||q_m(A)/b_0 - I||_1 and must stay below 1
-        b = _PADE[degree]
-        assert sum(b[j] / b[0] * theta**j for j in range(1, degree + 1)) < 1.0
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
+    @pytest.mark.parametrize("power", range(len(SCALING_SWITCHES)))
+    def test_either_side_of_scaling_switch(self, dim, power):
+        rng = np.random.default_rng(power * 20 + dim)
+        a = random_complex(rng, (dim, dim))
+        picked = []
+        for factor in STRADDLE:
+            m = with_one_norm(a, SCALING_SWITCHES[power] * factor)
+            picked.append(_taylor_terms(np.abs(m).sum(axis=-2).max())[1])
+            assert_matches_scipy(expm(m), m)
+            if dim == 2:
+                assert_matches_scipy(expm_2x2(m), m)
+        assert picked == [power, power + 1]
 
-    def test_only_dominant_degrees_kept(self):
-        assert sorted(_PADE) == [m for m, _ in _PADE_THETA]
-        top = _PADE_THETA[-1][1]
-        assert _pade_degree(100.0) == (7, int(np.ceil(np.log2(100.0 / top))))
+    def test_degree_zero_is_identity(self):
+        a = with_one_norm(random_complex(np.random.default_rng(5), (3, 4, 4)), 1e-17)
+        got = expm(a)
+        assert np.array_equal(got, np.broadcast_to(np.eye(4), a.shape))
+        assert_matches_scipy(got, a)
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_empty_stack(self, dim):
+        assert expm(np.zeros((0, dim, dim))).shape == (0, dim, dim)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            GateSpec("X", (0,)),
+            GateSpec("CNOT", (0, 1)),
+            GateSpec("RX", (0,), theta=1e4),
+            GateSpec("X", (0,), duration=1.0),
+        ],
+        ids=["x", "cnot", "rx_theta_1e4", "x_one_second"],
+    )
+    def test_slot_lindblad_generator(self, gate):
+        # 4x4 and 16x16 superoperators, a drive of 1-norm 1e4 and decay
+        # rates of 1e4 per slot
+        m = slot_generator(gate)
+        assert_matches_scipy(expm(m), m)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -268,7 +335,7 @@ class TestExpmAccuracy:
         before = a.copy()
         got = expm(a)
         assert got.shape == a.shape
-        assert np.array_equal(a, before)
+        assert np.array_equal(a, before) and not np.shares_memory(got, a)
         assert_matches_scipy(got, a)
 
     @pytest.mark.parametrize("terms", range(1, len(_SERIES_REACH) + 1))
@@ -328,36 +395,7 @@ class TestExpmAccuracy:
             expm(stack)
 
 
-class TestExpmSoa:
-    """``_expm_soa``, the core behind ``expm``, run in one reused
-    workspace: bit-identical to ``expm`` whatever the workspace served
-    before."""
-
-    def test_reused_workspace_matches_expm(self):
-        ws = Workspace()
-        rng = np.random.default_rng(31)
-        # d and S change from call to call; the norms pick Padé 3, 5, 7 and
-        # the scaling path
-        cases = [(4, 1000, 0.01), (2, 10, 0.2), (4, 64, 9.0), (3, 7, 0.9), (4, 1000, 25.0), (4, 1000, 0.01)]
-        for dim, size, norm in cases:
-            stack = with_one_norm(random_complex(rng, (size, dim, dim)), norm)
-            got = _expm_soa(stack.transpose(1, 2, 0).copy(), ws)
-            assert got.shape == (dim, dim, size)
-            assert np.array_equal(got.transpose(2, 0, 1), expm(stack))
-
-    def test_zero_stack_is_identity(self):
-        ws = Workspace()
-        _expm_soa(random_complex(np.random.default_rng(1), (4, 4, 5)), ws)  # leave data behind
-        got = _expm_soa(np.zeros((4, 4, 5), dtype=complex), ws)
-        assert np.array_equal(got.transpose(2, 0, 1), np.broadcast_to(np.eye(4), (5, 4, 4)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
-    def test_rejects_non_finite(self, bad):
-        x = np.zeros((4, 4, 3), dtype=complex)
-        x[1, 2, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            _expm_soa(x, Workspace())
-
+class TestWorkspace:
     def test_workspace_reuses_grows_and_pickles_empty(self):
         ws = Workspace()
         big = ws.take("a", (4, 4, 1000))
@@ -390,11 +428,6 @@ def stack_of(kind, rng, size=40):
         a = a - dagger(a)
     trace = random_complex(rng, (size, 1, 1))
     return a + trace * np.eye(4)
-
-
-def tail_bound(nu, n):
-    """nu^(N+1) e^nu / (N+1)!: the Taylor tail of e^D past degree N."""
-    return nu ** (n + 1) * math.exp(nu) / math.factorial(n + 1)
 
 
 class TestExpm4Soa:
@@ -441,17 +474,17 @@ class TestExpm4Soa:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             expm4_soa(x, Workspace())
 
-    @pytest.mark.parametrize("nu", [0.0, 1e-8, 1e-3, 0.5, 0.77, 0.99, 1.0, 1.5, _CH_THETA])
+    @pytest.mark.parametrize("nu", [0.0, 1e-8, 1e-3, 0.5, 0.77, 0.99, 1.0, 1.5, _TAYLOR_THETA])
     def test_fewest_terms_within_the_tail_bound(self, nu):
         n, s = _taylor_terms(nu)
         assert s == 0
         assert tail_bound(nu, n) <= 2.0**-53
         assert n == 0 or tail_bound(nu, n - 1) > 2.0**-53
 
-    @pytest.mark.parametrize("nu", [_CH_THETA * 1.001, 4.0, 10.0, 26.0, 1e3])
+    @pytest.mark.parametrize("nu", [_TAYLOR_THETA * 1.001, 4.0, 10.0, 26.0, 1e3])
     def test_scaling_into_theta(self, nu):
         n, s = _taylor_terms(nu)
-        assert nu / 2**s <= _CH_THETA < nu / 2 ** (s - 1)
+        assert nu / 2**s <= _TAYLOR_THETA < nu / 2 ** (s - 1)
         assert tail_bound(nu / 2**s, n) <= 2.0**-53 < tail_bound(nu / 2**s, n - 1)
 
     def test_reused_workspace_bit_identical(self):
