@@ -81,8 +81,8 @@ def _gate_ensemble(batch: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def criterion_1_spam() -> tuple[bool, str]:
     """SPAM gate ensemble equals the bitflip channel with p = 0.25."""
     v = spam_strength(0.25)
-    gen = RngStream(101).generator
-    batch = spam_gate_batch(v, gen, 100_000)
+    w = RngStream(101).generator.normal(0.0, math.sqrt(v), 100_000)
+    batch = spam_gate_batch(v, w)
     rho0 = np.array([[1, 0], [0, 0]], dtype=complex)
     avg = _gate_ensemble(batch, rho0)
     dev = float(np.abs(avg - np.diag([0.75, 0.25])).max())

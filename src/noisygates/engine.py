@@ -22,20 +22,33 @@ n = 12).  The chunk size depends on n alone and each chunk draws from its
 own random stream keyed by (master seed, run index, chunk index), which
 makes results bit-identical for any worker count or execution order.
 
-Samplers are pure functions of standard normals, and the engine alone
-owns the draw order.  Between two checkpoints (a segment) every draw of
-a chunk is a standard normal taken in slot order: a noisy gate reads
-``xi.n_gaussians`` per shot and a relaxation pad one per nonzero variance
-(``normal(0, sigma)`` is sigma times a standard normal).  So each segment
-is drawn in one ``standard_normal`` block, cut into pieces of at most
-``PIECE_NORMALS`` normals (a cut contiguous draw yields the same
-numbers), and slot i, reading r_i normals per shot, takes the next
-S r_i of its piece.  The checkpoint's readout normals and uniforms
-follow the segment; the layers after the last checkpoint are not drawn.
-Within a piece, the k slots of one one-qubit noisy gate are sampled by
-one call of its fused kernel, ``NoisyGateSampler.sample_batch``, and the
-k relaxation pads of one (gamma1, gamma_pd, dt) by one
+Samplers, readout gates included, are pure functions of their draws,
+and the engine alone owns the draw order.  Between two checkpoints (a
+segment) every draw of a chunk is a standard normal taken in slot order:
+a noisy gate reads ``xi.n_gaussians`` per shot and a relaxation pad one
+per nonzero variance (``normal(0, sigma)`` is sigma times a standard
+normal).  So each segment is drawn in one ``standard_normal`` block, cut
+by ``_Compiled.pieces`` into pieces of at most ``PIECE_NORMALS`` normals
+(a cut contiguous draw yields the same numbers), and slot i, reading r_i
+normals per shot, takes the next S r_i of its piece.  The checkpoint
+follows the segment: one ``normal(0, sqrt(v))`` angle per shot for each
+measured qubit with readout strength v > 0, in measured order, then one
+``uniform`` per shot.  The layers after the last checkpoint are not
+drawn.  Within a piece, the k slots of one one-qubit noisy gate are
+sampled by one call of its fused kernel, ``NoisyGateSampler.sample_batch``,
+and the k relaxation pads of one (gamma1, gamma_pd, dt) by one
 ``relaxation_gate_batch`` call, each into a ``(2, 2, k S)`` buffer.
+
+Nothing the engine computes changes which numbers a chunk draws, so
+``run_shots`` draws them on a helper thread (``_Draws``), ahead of the
+state updates, and the calling thread does everything else: it makes
+each chunk's generator and hands it over, then takes the blocks in
+order, one per piece and one per checkpoint.  The blocks live in
+``DRAW_BLOCKS`` workspace buffers that the helper fills in turn, so it
+runs at most that many blocks ahead; each is free again once the
+calling thread takes the next.  The helper is joined before
+``run_shots`` returns or raises, and an error it meets is raised on the
+calling thread.
 
 Gates on different qubits commute, so one-qubit slots (noisy gates,
 relaxation pads, RZ frames, fixed idles) never touch the state batch
@@ -74,6 +87,8 @@ warm run allocates none.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -135,6 +150,12 @@ DENSE_DENSITY_MAX_QUBITS = 5
 # each) or one CNOT (21), so the block takes at most 160 KiB (or one slot's
 # normals) and the kernel's buffers, 240 bytes a gate draw, 960 KiB.
 PIECE_NORMALS = 20480
+# Blocks of the random stream the helper thread of run_shots draws ahead of
+# the state updates, one workspace buffer each, 160 KiB at 1024 shots.  A
+# repeat_x compare (500 X gates, 4000 shots, 3 runs; the median of 5 calls,
+# one BLAS thread, 2 vCPUs) took 1.29, 1.16, 0.93 and 0.96 s with 2, 3, 4
+# and 6 blocks.
+DRAW_BLOCKS = 4
 
 
 def chunk_shots(n_qubits: int) -> int:
@@ -541,13 +562,14 @@ class _Compiled:
         # (one session): 0.89 and 0.68 s.
         self.pair_blocks = chunk_shots(self.n_qubits) * 16 * 2**self.n_qubits >= STATE_BUDGET_BYTES
 
-    def apply_layers(self, chunk: _Chunk, start: int, stop: int, gen: np.random.Generator) -> None:
-        """Sample layers ``start`` .. ``stop - 1``, the segment before a
-        checkpoint, onto ``chunk``.  Its normals are drawn in plan order,
-        in one ``standard_normal`` block per piece: a run of slots that
-        reads at most ``PIECE_NORMALS`` normals, or one slot that reads
-        more."""
-        size = len(chunk.states)
+    def pieces(self, start: int, stop: int, size: int) -> list[tuple[int, int, int]]:
+        """Layers ``start`` .. ``stop - 1``, the segment before a
+        checkpoint, at ``size`` shots, cut into pieces ``(first, last,
+        count)``: slots ``first`` .. ``last - 1``, whose normals are drawn
+        in plan order as one ``standard_normal`` block of ``count``.  A
+        piece is a run of slots that reads at most ``PIECE_NORMALS``
+        normals, or one slot that reads more."""
+        pieces = []
         first, end = self.layer_starts[start], self.layer_starts[stop]
         while first < end:
             last, count = first, 0
@@ -557,9 +579,15 @@ class _Compiled:
                     break
                 count += more
                 last += 1
-            block = gen.standard_normal(out=self.workspace.take("engine.normals", (count,), float))
-            self._apply_piece(chunk, self.slots[first:last], block)
+            pieces.append((first, last, count))
             first = last
+        return pieces
+
+    def apply_layers(self, chunk: _Chunk, pieces: list[tuple[int, int, int]], draws: _Draws) -> None:
+        """Sample a segment's ``pieces`` onto ``chunk``, each from the next
+        block of ``draws``."""
+        for first, last, _ in pieces:
+            self._apply_piece(chunk, self.slots[first:last], draws.take())
 
     def _apply_piece(self, chunk: _Chunk, slots: list[_Slot], block: np.ndarray) -> None:
         """Apply ``slots`` in plan order, slot j reading its normals from
@@ -666,20 +694,20 @@ class _Compiled:
         return chunk.states if final else self.workspace.take("engine.scratch", chunk.states.shape)
 
     def measured_probs(
-        self, chunk: _Chunk, gen: np.random.Generator, scratch: np.ndarray, read: np.ndarray | None = None
+        self, chunk: _Chunk, angles: np.ndarray, scratch: np.ndarray, read: np.ndarray | None = None
     ) -> np.ndarray:
         """Per-trajectory Born probabilities |R P psi|^2 at a checkpoint, for
         the pending gates P of ``chunk`` and a fresh pre-measurement noise
-        gate R per measured qubit, drawn in measured order and multiplied
-        onto a copy of its qubit's factor, read by ``chunk.read(...,
-        scratch)``.  ``read`` is P psi when the caller has read it, all
-        there is to read without measured qubits.  The result is a view
-        into ``spare`` or ``scratch``, whichever the read did not end in."""
-        size = len(chunk.states)
+        gate R per measured qubit, built from its row of drawn ``angles``
+        (measured order) and multiplied onto a copy of its qubit's factor,
+        read by ``chunk.read(..., scratch)``.  ``read`` is P psi when the
+        caller has read it, all there is to read without measured qubits.
+        The result is a view into ``spare`` or ``scratch``, whichever the
+        read did not end in."""
         if self.spam or read is None:
             factors = list(chunk.one)
-            for q, v in self.spam:
-                gate = spam_gate_batch(v, gen, size).transpose(1, 2, 0)
+            for (q, v), w in zip(self.spam, angles):
+                gate = spam_gate_batch(v, w).transpose(1, 2, 0)
                 if factors[q] is not None:
                     gate = self._compose(gate, factors[q], self.workspace.take(f"engine.measured{q}", gate.shape))
                 factors[q] = gate
@@ -688,6 +716,106 @@ class _Compiled:
         probs = out.reshape(-1).view(float)[: read.size].reshape(read.shape)
         np.abs(read, out=probs)
         return np.square(probs, out=probs)
+
+
+class _Draws:
+    """The random streams of a run's chunks, drawn by a helper thread in
+    plan order, ahead of the state updates.  For each chunk of
+    ``streams``, ``(generator, size)`` pairs, and each segment of
+    ``plans[size]``, the helper draws one block of standard normals per
+    piece and then one ``(m + 1, size)`` checkpoint block: the readout
+    angles of the m measured qubits of ``spam``, ``(qubit, v)`` pairs,
+    ``normal(0, sqrt(v))`` where v > 0 (a row with v = 0 is left as it
+    is, and ``spam_gate_batch`` does not read it), then the uniforms.
+
+    The helper calls only ``Generator`` methods.  The calling thread makes
+    each generator, so ``RngStream.generator``, which the benchmark's
+    span recorder wraps, runs on one thread.  It takes the
+    ``DRAW_BLOCKS`` workspace buffers that the helper fills in turn
+    before the helper starts, since ``Workspace.take`` is not
+    thread-safe.  It hands the first ``DRAW_BLOCKS`` chunks over at the
+    start and one more at each ``next_chunk``, so the helper, at most
+    ``DRAW_BLOCKS`` blocks and so at most that many chunks ahead, never
+    waits for a generator.  ``take`` returns the next block, valid until
+    the following ``take``, or raises the error the helper met instead.
+    Leaving the ``with`` block stops the helper and joins it."""
+
+    def __init__(
+        self,
+        workspace: Workspace,
+        plans: dict[int, list[list[tuple[int, int, int]]]],
+        spam: list[tuple[int, float]],
+        streams: Iterator[tuple[np.random.Generator, int]],
+    ):
+        # imported on first use, so importing the package loads no more
+        # than numpy does
+        import queue
+
+        self._plans, self._streams = plans, streams
+        self._scales = [math.sqrt(v) for _, v in spam]
+        counts = [count for plan in plans.values() for pieces in plan for *_, count in pieces]
+        cap = max(counts + [(len(spam) + 1) * size for size in plans])
+        self._free, self._chunks, self._drawn = queue.SimpleQueue(), queue.SimpleQueue(), queue.SimpleQueue()
+        for i in range(DRAW_BLOCKS):
+            self._free.put(workspace.take(f"engine.normals{i}", (cap,), float))
+        self._taken = None
+        self._thread = threading.Thread(target=self._draw, name="noisygates-draws", daemon=True)
+
+    def __enter__(self) -> _Draws:
+        for _ in range(DRAW_BLOCKS):
+            self.next_chunk()
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # the helper waits on at most one of the two queues; None stops it
+        self._free.put(None)
+        self._chunks.put(None)
+        self._thread.join()
+
+    def next_chunk(self) -> None:
+        """Hand the next chunk of ``streams``, if any, to the helper."""
+        stream = next(self._streams, None)
+        if stream is not None:
+            self._chunks.put(stream)
+
+    def take(self) -> np.ndarray:
+        """The next block; the one taken before it is free again."""
+        if self._taken is not None:
+            self._free.put(self._taken)
+        self._taken, block = self._drawn.get()
+        if isinstance(block, BaseException):
+            raise block
+        return block
+
+    def _block(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+        """A free buffer and its front as ``shape``; None once stopped."""
+        buf = self._free.get()
+        return None if buf is None else (buf, buf[: math.prod(shape)].reshape(shape))
+
+    def _draw(self) -> None:
+        """The helper: every block in order, until stopped."""
+        try:
+            while (stream := self._chunks.get()) is not None:
+                gen, size = stream
+                for pieces in self._plans[size]:
+                    for *_, count in pieces:
+                        if (taken := self._block((count,))) is None:
+                            return
+                        gen.standard_normal(out=taken[1])
+                        self._drawn.put(taken)
+                    if (taken := self._block((len(self._scales) + 1, size))) is None:
+                        return
+                    *angles, uniforms = taken[1]
+                    for row, scale in zip(angles, self._scales):
+                        if scale > 0:
+                            row[:] = gen.normal(0.0, scale, size)
+                    uniforms[:] = gen.uniform(size=size)
+                    self._drawn.put(taken)
+        except BaseException as exc:
+            # whatever stops the helper is raised on the calling thread,
+            # which would otherwise wait for the block forever
+            self._drawn.put((None, exc))
 
 
 def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compiled | None = None) -> EnsembleResult:
@@ -701,11 +829,14 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     draw at every checkpoint, mirroring a family of circuits of increasing
     depth that share noise prefixes).  The layers after the last
     checkpoint are neither drawn nor applied: each chunk has its own
-    stream, so no result reads them.  ``compiled`` is the ``_Compiled``
-    built from this very ``scheduled`` when the caller shares one across
-    runs (another one raises ``ValueError``); it is built here when None.
-    Registers wider than ``MAX_QUBITS`` raise ``ValueError`` before
-    anything is allocated.
+    stream, so no result reads them.  A helper thread draws the streams
+    (``_Draws``) and is joined before this returns or raises.
+    ``compiled`` is the ``_Compiled`` built from this very ``scheduled``
+    when the caller shares one across runs (another one raises
+    ``ValueError``); it is built here when None.  Registers wider than
+    ``MAX_QUBITS`` raise ``ValueError`` before anything is allocated.  A
+    checkpoint whose weights are not finite, or all zero, raises
+    ``FloatingPointError``.
     """
     if compiled is None:
         compiled = _Compiled(scheduled)
@@ -728,35 +859,40 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
 
     chunk_size = chunk_shots(n)
     n_chunks = (config.shots + chunk_size - 1) // chunk_size
+    sizes = [min(chunk_size, config.shots - c * chunk_size) for c in range(n_chunks)]
+    segments = list(zip((0,) + cp_sorted, cp_sorted))
+    plans = {size: [compiled.pieces(start, stop, size) for start, stop in segments] for size in set(sizes)}
     root = RngStream(config.master_seed, stream_index=config.run_index)
-    for c in range(n_chunks):
-        size = min(chunk_size, config.shots - c * chunk_size)
-        gen = root.child(c).generator
-        chunk = _Chunk(compiled.workspace, n, size)
-        done = 0
-        for cp_iter, at in enumerate(cp_sorted):
-            compiled.apply_layers(chunk, done, at, gen)
-            done = at
-            last = cp_iter == n_cp - 1
-            read = None
-            if keep_density:
-                # the density reads the pending gates alone; while the
-                # readout gates have the states still to read, it leaves them
-                read = chunk.read(chunk.one, compiled.scratch(chunk, last and not compiled.spam))
-                dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
-            probs = compiled.measured_probs(chunk, gen, compiled.scratch(chunk, last), read)
-            weights = probs.sum(axis=1)
-            if not np.all(np.isfinite(weights)):
-                raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
-            dist_acc[cp_iter] += probs.sum(axis=0)
-            weight_acc[cp_iter] += weights.sum()
-            # probs becomes each trajectory's outcome CDF, in place
-            np.divide(probs, weights[:, None], out=probs)
-            cdf = np.cumsum(probs, axis=1, out=probs)
-            u = gen.uniform(size=size)
-            below = np.less(cdf, u[:, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
-            idx = below.sum(axis=1).clip(0, dim - 1)
-            counts[cp_iter] += np.bincount(idx, minlength=dim)
+    streams = ((root.child(c).generator, size) for c, size in enumerate(sizes))
+    with _Draws(compiled.workspace, plans, compiled.spam, streams) as draws:
+        for size in sizes:
+            draws.next_chunk()
+            chunk = _Chunk(compiled.workspace, n, size)
+            for cp_iter, at in enumerate(cp_sorted):
+                compiled.apply_layers(chunk, plans[size][cp_iter], draws)
+                last = cp_iter == n_cp - 1
+                read = None
+                if keep_density:
+                    # the density reads the pending gates alone; while the
+                    # readout gates have the states still to read, it leaves them
+                    read = chunk.read(chunk.one, compiled.scratch(chunk, last and not compiled.spam))
+                    dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
+                readout = draws.take()
+                probs = compiled.measured_probs(chunk, readout[:-1], compiled.scratch(chunk, last), read)
+                weights = probs.sum(axis=1)
+                if not np.all(np.isfinite(weights)):
+                    raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
+                total = weights.sum()
+                if total == 0.0:
+                    raise FloatingPointError(f"every trajectory weight is zero at checkpoint {at}")
+                dist_acc[cp_iter] += probs.sum(axis=0)
+                weight_acc[cp_iter] += total
+                # probs becomes each trajectory's outcome CDF, in place
+                np.divide(probs, weights[:, None], out=probs)
+                cdf = np.cumsum(probs, axis=1, out=probs)
+                below = np.less(cdf, readout[-1, :, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
+                idx = below.sum(axis=1).clip(0, dim - 1)
+                counts[cp_iter] += np.bincount(idx, minlength=dim)
 
     times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]

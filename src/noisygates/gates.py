@@ -376,15 +376,20 @@ class NoisyGateSampler:
         return out
 
 
-def spam_gate_batch(v: float, gen: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` pre-measurement bitflip noise gates exp(i w X), w ~ N(0, v).
+def spam_gate_batch(v: float, w: np.ndarray) -> np.ndarray:
+    """Pre-measurement bitflip noise gates exp(i w X), one per angle of
+    ``w``, drawn as w ~ N(0, v), i.e. ``normal(0, sqrt(v))``.  At v = 0
+    nothing is drawn: every gate is the identity and ``w`` is read for
+    its length alone.
 
     Unitary for every draw; averaging N rho N^dag over draws gives the
     bitflip channel with p = (1 - e^{-2v})/2.
     """
     if v < 0:
         raise ValueError("strength v must be >= 0")
-    w = gen.normal(0.0, math.sqrt(v), size=size) if v > 0 else np.zeros(size)
+    size = len(w)
+    if v == 0:
+        w = np.zeros(size)
     out = np.zeros((size, 2, 2), dtype=complex)
     out[:, 0, 0] = out[:, 1, 1] = np.cos(w)
     out[:, 0, 1] = out[:, 1, 0] = 1j * np.sin(w)

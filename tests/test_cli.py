@@ -1,8 +1,11 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +275,27 @@ class TestExitCodes:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_every_weight_zero_is_three(self, parallel, device_file, tmp_path, capsys):
+        # one X lasting 1 s, 10^4 T1: every trajectory weight underflows to
+        # zero, which once exited 0 and wrote nan,nan
+        circuit_path = tmp_path / "slow_x.json"
+        ops = [{"gate": "X", "q": [0], "duration_s": 1.0}]
+        circuit_path.write_text(json.dumps({"n_qubits": 1, "ops": ops, "measure": [0]}))
+        out = tmp_path / "out"
+        custom = {
+            "--experiment": "custom_circuit",
+            "--circuit": str(circuit_path),
+            "--backends": "noisy_gates",
+            "--parallel": parallel,
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate"] + compare_args(device_file, out, **custom)[1:])
+        assert rc == 3
+        assert "numeric failure: every trajectory weight is zero at checkpoint 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_forced_tolerance_failure_is_three(self, monkeypatch, capsys):
         failing = (9, "always fails", lambda: (False, "forced failure"), 10.0)
         monkeypatch.setattr("noisygates.acceptance.CRITERIA", (failing,))
@@ -488,6 +512,23 @@ class TestCsv:
             # entries (1, 23) and (12, 3), which undelimited indices would merge
             assert header[1 + 2 * (d * 1 + 23)] == "re_rho_00001_10111"
             assert header[1 + 2 * (d * 12 + 3)] == "re_rho_01100_00011"
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the process pool does not fork")
+def test_no_draw_thread_alive_when_the_pool_forks(device_file, tmp_path, monkeypatch, capsys):
+    # runs in this process, then in a pool of two forked workers: each
+    # run_shots joins the thread that draws its streams before it returns
+    threads_at_fork = []
+    fork = os.fork
+
+    def recording_fork():
+        threads_at_fork.append([thread.name for thread in threading.enumerate()])
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    assert main(compare_args(device_file, tmp_path / "p1")) == 0
+    assert main(compare_args(device_file, tmp_path / "p2", **{"--parallel": "2"})) == 0
+    assert threads_at_fork == [["MainThread"]] * 2
 
 
 NO_SCIPY_SCRIPT = """

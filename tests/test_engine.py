@@ -4,10 +4,13 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +44,6 @@ from noisygates.gates import (
     relaxation_gate_batch,
     relaxation_normals,
     schedule,
-    spam_gate_batch,
 )
 from noisygates.channels import embed_operator
 from noisygates.linalg import apply_gate, expm, expm_2x2
@@ -54,6 +56,7 @@ from noisygates.noise_model import (
     spam_strength,
 )
 from noisygates.stochastic import RngStream
+from test_gates import draw_spam
 from test_linalg import mul_2x2
 
 NOISELESS = DeviceParams(
@@ -650,7 +653,7 @@ def slot_by_slot(scheduled, config: RunConfig, generators: list) -> tuple[np.nda
             for i in [i for i, cp in enumerate(checkpoints) if cp == at]:
                 read = states
                 for q, v in spam:
-                    read = apply_gate(read, spam_gate_batch(v, gen, size), (q,))
+                    read = apply_gate(read, draw_spam(v, gen, size), (q,))
                 probs = np.abs(read) ** 2
                 w = probs.sum(axis=1)
                 dist[i] += probs.sum(axis=0)
@@ -953,6 +956,123 @@ class TestSharedCompiled:
         assert peak < 2 * 2**20
 
 
+def run_within(call, seconds: float = 60.0) -> dict:
+    """``call()`` on a thread of its own, as ``{"result": ...}`` or
+    ``{"error": ...}``; a call still running after ``seconds`` fails the
+    test, so a deadlocked draw thread cannot hang it."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = call()
+        except BaseException as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"the call has not returned in {seconds} s"
+    return box
+
+
+class TestDrawThread:
+    """``run_shots`` draws the chunk streams on a helper thread.  Whether
+    the run returns, raises on the calling thread or fails on the helper,
+    the helper is joined, the error reaches the caller, and the next run
+    on the same compiled circuit equals one on a fresh compile."""
+
+    # three chunks, two checkpoints, two measured qubits
+    DOC = {
+        "n_qubits": 2,
+        "ops": [{"gate": "SX", "q": [0]}, {"gate": "CNOT", "q": [0, 1]}, {"gate": "X", "q": [1]}],
+        "measure": [1, 0],
+    }
+    CONFIG = RunConfig(shots=2500, master_seed=3, checkpoints=(1, 3))
+
+    @staticmethod
+    def assert_rerun_matches_fresh(scheduled, compiled, config):
+        shared, fresh = run_shots(scheduled, config, compiled), run_shots(scheduled, config)
+        for field in ("distributions", "counts", "mean_weight", "densities"):
+            np.testing.assert_array_equal(getattr(shared, field), getattr(fresh, field))
+
+    def test_run_that_returns(self):
+        scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(2))
+        compiled = _Compiled(scheduled)
+        before = threading.active_count()
+        box = run_within(lambda: run_shots(scheduled, self.CONFIG, compiled))
+        assert "result" in box
+        assert threading.active_count() == before
+        self.assert_rerun_matches_fresh(scheduled, compiled, self.CONFIG)
+
+    def test_run_that_raises_on_the_calling_thread(self):
+        # one X lasting 1 s, 10^4 T1: every weight underflows to zero at
+        # checkpoint 1 of chunk 0, while the helper has drawn ahead
+        doc = {"n_qubits": 1, "ops": [{"gate": "X", "q": [0], "duration_s": 1.0}], "measure": [0]}
+        scheduled = schedule_layers(parse_circuit(doc), DESK)
+        compiled = _Compiled(scheduled)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            box = run_within(lambda: run_shots(scheduled, RunConfig(shots=3000, checkpoints=(0, 1)), compiled))
+        assert isinstance(box.get("error"), FloatingPointError)
+        assert str(box["error"]) == "every trajectory weight is zero at checkpoint 1"
+        assert threading.active_count() == before
+        self.assert_rerun_matches_fresh(scheduled, compiled, RunConfig(shots=3000, checkpoints=(0,)))
+
+    def test_run_whose_draw_fails_on_the_helper(self, monkeypatch):
+        # chunk 1's generator fails at its first draw, which the helper
+        # makes while the calling thread works on chunk 0
+        failed_on = []
+
+        def fail(*args, **kwargs):
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+
+        broken = SimpleNamespace(standard_normal=fail, normal=fail, uniform=fail)
+        fget = RngStream.generator.fget
+        monkeypatch.setattr(RngStream, "generator", property(lambda self: broken if self._path == (1,) else fget(self)))
+        scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(2))
+        compiled = _Compiled(scheduled)
+        before = threading.active_count()
+        box = run_within(lambda: run_shots(scheduled, self.CONFIG, compiled))
+        monkeypatch.undo()
+        assert isinstance(box.get("error"), RuntimeError)
+        assert str(box["error"]) == "draw failed"
+        assert [thread.name for thread in failed_on] == ["noisygates-draws"]
+        assert threading.active_count() == before
+        self.assert_rerun_matches_fresh(scheduled, compiled, self.CONFIG)
+
+
+    def test_concurrent_runs_with_fast_thread_switches(self, monkeypatch):
+        # four runs at once, each with its own helper drawing into two
+        # blocks, switching threads every 10 us: a block rewritten while
+        # its run still reads it would change that run's result
+        doc = dict(self.DOC, ops=self.DOC["ops"] * 8)
+        scheduled = schedule_layers(parse_circuit(doc), desk_register(2))
+        config = RunConfig(shots=2500, master_seed=8, checkpoints=(4, 9, 17))
+        expected = run_shots(scheduled, config)
+        monkeypatch.setattr(engine, "DRAW_BLOCKS", 2)
+        boxes = [{} for _ in range(4)]
+
+        def run(box):
+            box["result"] = run_shots(scheduled, config, _Compiled(scheduled))
+
+        threads = [threading.Thread(target=run, args=(box,), daemon=True) for box in boxes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for box in boxes:
+            for field in ("distributions", "counts", "mean_weight", "densities"):
+                np.testing.assert_array_equal(getattr(box["result"], field), getattr(expected, field))
+
+
 @pytest.mark.parametrize("checkpoints, buffers", [((0, 6, 12), 3), (None, 2)])
 def test_state_sized_buffers(checkpoints, buffers):
     # a chunk's states and spare; a checkpoint before the last reads into
@@ -977,7 +1097,7 @@ def test_piece_buffers_stay_within_the_cap():
     compiled = _Compiled(scheduled)
     run_shots(scheduled, RunConfig(shots=1024, master_seed=3, checkpoints=(0, 500)), compiled)
     buffers = compiled.workspace._buffers
-    assert buffers["engine.normals"].nbytes == PIECE_NORMALS * 8
+    assert buffers["engine.normals0"].nbytes == PIECE_NORMALS * 8
     assert max(buf.nbytes for buf in buffers.values()) == PIECE_NORMALS // 5 * 16 * 8
 
 

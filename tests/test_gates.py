@@ -81,8 +81,15 @@ def draw_relaxation(gamma1, gamma_pd, dt, gen, size):
     return relaxation_gate_batch(gamma1, gamma_pd, dt, gen.standard_normal((rows, size)))
 
 
+def draw_spam(v, gen, size):
+    """``size`` readout gates on angles drawn from ``gen`` as the
+    trajectory engine draws them: none at v = 0."""
+    w = gen.normal(0.0, math.sqrt(v), size) if v > 0 else np.zeros(size)
+    return spam_gate_batch(v, w)
+
+
 def sample_spam_gate(v, rng):
-    return spam_gate_batch(v, rng.generator, 1)[0]
+    return draw_spam(v, rng.generator, 1)[0]
 
 
 def sample_relaxation_gate(gamma1, gamma_pd, dt, rng):
@@ -489,14 +496,16 @@ class TestSampleBatchWorkspace:
 class TestSpamGate:
     def test_zero_strength(self):
         assert np.allclose(sample_spam_gate(0.0, RngStream(1)), I2)
+        # nothing is drawn at v = 0, so the angles are not read
+        np.testing.assert_array_equal(spam_gate_batch(0.0, np.ones(3)), np.broadcast_to(I2, (3, 2, 2)))
 
     def test_every_draw_unitary(self):
-        batch = spam_gate_batch(0.3466, RngStream(2).generator, 200)
+        batch = draw_spam(0.3466, RngStream(2).generator, 200)
         for u in batch:
             assert np.abs(dagger(u) @ u - I2).max() <= 1e-10
 
     def test_bitflip_ensemble(self):
-        batch = spam_gate_batch(math.log(2) / 2, RngStream(3).generator, 100_000)
+        batch = draw_spam(math.log(2) / 2, RngStream(3).generator, 100_000)
         rho = np.array([[1, 0], [0, 0]], dtype=complex)
         avg = np.einsum("sij,jk,slk->il", batch, rho, batch.conj()) / batch.shape[0]
         assert np.abs(avg - np.diag([0.75, 0.25])).max() < 0.005
