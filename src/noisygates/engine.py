@@ -40,13 +40,13 @@ and the k relaxation pads of one (gamma1, gamma_pd, dt) by one
 ``relaxation_gate_batch`` call, each into a ``(2, 2, k S)`` buffer.
 
 Nothing the engine computes changes which numbers a chunk draws, so
-``run_shots`` draws them on a helper thread (``_Draws``), ahead of the
-state updates, and the calling thread does everything else: it makes
-each chunk's generator and hands it over, then takes the blocks in
-order, one per piece and one per checkpoint.  The blocks live in
-``DRAW_BLOCKS`` workspace buffers that the helper fills in turn, so it
-runs at most that many blocks ahead; each is free again once the
-calling thread takes the next.  The helper is joined before
+``run_shots`` draws them on a helper thread, ahead of the state updates.
+The calling thread states the draw order once, as jobs
+(``_draw_jobs``): each chunk's generator, made on reaching the chunk,
+then one ``standard_normal`` job per piece and one job per checkpoint.
+It queues each job with its block, the next of ``DRAW_BLOCKS`` workspace
+buffers, as it frees the block held there, and the helper (``_Draws``)
+runs the jobs in order and nothing else.  The helper is joined before
 ``run_shots`` returns or raises, and an error it meets is raised on the
 calling thread.
 
@@ -391,7 +391,9 @@ class RunConfig:
 @dataclass
 class EnsembleResult:
     """Aggregates per checkpoint: outcome distributions, sampled counts
-    and (for small registers) the unnormalised density estimate."""
+    and (for small registers) the unnormalised density estimate.  Each
+    trajectory of positive weight samples one outcome into ``counts``; a
+    trajectory of weight 0 samples none."""
 
     checkpoints: tuple[int, ...]
     times: np.ndarray
@@ -718,104 +720,89 @@ class _Compiled:
         return np.square(probs, out=probs)
 
 
-class _Draws:
-    """The random streams of a run's chunks, drawn by a helper thread in
-    plan order, ahead of the state updates.  For each chunk of
-    ``streams``, ``(generator, size)`` pairs, and each segment of
-    ``plans[size]``, the helper draws one block of standard normals per
-    piece and then one ``(m + 1, size)`` checkpoint block: the readout
-    angles of the m measured qubits of ``spam``, ``(qubit, v)`` pairs,
-    ``normal(0, sqrt(v))`` where v > 0 (a row with v = 0 is left as it
-    is, and ``spam_gate_batch`` does not read it), then the uniforms.
+def _draw_jobs(
+    root: RngStream, sizes: list[int], plans: dict[int, list[list[tuple[int, int, int]]]], spam: list[tuple[int, float]]
+) -> Iterator[tuple[tuple[int, ...], object]]:
+    """The run's random stream, in draw order, as ``(shape, fill)`` jobs:
+    ``fill(out=block)`` fills a float block of ``shape`` and returns it.
+    Chunk c makes ``root.child(c).generator`` when reached, then yields,
+    per segment of ``plans[sizes[c]]``, a ``standard_normal`` job per piece
+    and a checkpoint job: a row of ``normal(0, sqrt(v))`` readout angles
+    for each measured qubit of ``spam``, ``(qubit, v)`` pairs (left as it
+    is where v = 0, which ``spam_gate_batch`` does not read), then the
+    uniforms."""
+    scales = [math.sqrt(v) for _, v in spam]
+    for c, size in enumerate(sizes):
+        gen = root.child(c).generator
 
-    The helper calls only ``Generator`` methods.  The calling thread makes
-    each generator, so ``RngStream.generator``, which the benchmark's
-    span recorder wraps, runs on one thread.  It takes the
-    ``DRAW_BLOCKS`` workspace buffers that the helper fills in turn
-    before the helper starts, since ``Workspace.take`` is not
-    thread-safe.  It hands the first ``DRAW_BLOCKS`` chunks over at the
-    start and one more at each ``next_chunk``, so the helper, at most
-    ``DRAW_BLOCKS`` blocks and so at most that many chunks ahead, never
-    waits for a generator.  ``take`` returns the next block, valid until
-    the following ``take``, or raises the error the helper met instead.
+        def checkpoint(out: np.ndarray, gen: np.random.Generator = gen) -> np.ndarray:
+            *angles, uniforms = out
+            for row, scale in zip(angles, scales):
+                if scale > 0:
+                    row[:] = gen.normal(0.0, scale, len(row))
+            uniforms[:] = gen.uniform(size=len(uniforms))
+            return out
+
+        for pieces in plans[size]:
+            for *_, count in pieces:
+                yield (count,), gen.standard_normal
+            yield (len(scales) + 1, size), checkpoint
+
+
+class _Draws:
+    """A helper thread that runs ``jobs``, as ``_draw_jobs`` yields them,
+    in order and ahead of the calling thread, and does nothing else.  The
+    calling thread advances ``jobs`` and queues job i with its block,
+    workspace buffer ``engine.normals{i % DRAW_BLOCKS}``: ``take`` queues
+    the next job into the buffer of the block taken before it, now free,
+    and returns the next block, valid until the following ``take``, or
+    raises the helper's error, after which the helper draws no more.
     Leaving the ``with`` block stops the helper and joins it."""
 
-    def __init__(
-        self,
-        workspace: Workspace,
-        plans: dict[int, list[list[tuple[int, int, int]]]],
-        spam: list[tuple[int, float]],
-        streams: Iterator[tuple[np.random.Generator, int]],
-    ):
+    def __init__(self, workspace: Workspace, jobs: Iterator[tuple[tuple[int, ...], object]]):
         # imported on first use, so importing the package loads no more
         # than numpy does
         import queue
 
-        self._plans, self._streams = plans, streams
-        self._scales = [math.sqrt(v) for _, v in spam]
-        counts = [count for plan in plans.values() for pieces in plan for *_, count in pieces]
-        cap = max(counts + [(len(spam) + 1) * size for size in plans])
-        self._free, self._chunks, self._drawn = queue.SimpleQueue(), queue.SimpleQueue(), queue.SimpleQueue()
-        for i in range(DRAW_BLOCKS):
-            self._free.put(workspace.take(f"engine.normals{i}", (cap,), float))
-        self._taken = None
-        self._thread = threading.Thread(target=self._draw, name="noisygates-draws", daemon=True)
+        self._workspace, self._jobs = workspace, enumerate(jobs)
+        self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name="noisygates-draws", daemon=True)
 
     def __enter__(self) -> _Draws:
-        for _ in range(DRAW_BLOCKS):
-            self.next_chunk()
+        for _ in range(DRAW_BLOCKS - 1):
+            self._queue()
         self._thread.start()
         return self
 
     def __exit__(self, *exc) -> None:
-        # the helper waits on at most one of the two queues; None stops it
-        self._free.put(None)
-        self._chunks.put(None)
+        self._todo.put(None)
         self._thread.join()
-
-    def next_chunk(self) -> None:
-        """Hand the next chunk of ``streams``, if any, to the helper."""
-        stream = next(self._streams, None)
-        if stream is not None:
-            self._chunks.put(stream)
 
     def take(self) -> np.ndarray:
         """The next block; the one taken before it is free again."""
-        if self._taken is not None:
-            self._free.put(self._taken)
-        self._taken, block = self._drawn.get()
+        self._queue()
+        block = self._done.get()
         if isinstance(block, BaseException):
             raise block
         return block
 
-    def _block(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-        """A free buffer and its front as ``shape``; None once stopped."""
-        buf = self._free.get()
-        return None if buf is None else (buf, buf[: math.prod(shape)].reshape(shape))
+    def _queue(self) -> None:
+        """Queue the next job of ``jobs``, if any, with its block."""
+        job = next(self._jobs, None)
+        if job is not None:
+            i, (shape, fill) = job
+            self._todo.put((fill, self._workspace.take(f"engine.normals{i % DRAW_BLOCKS}", shape, float)))
 
-    def _draw(self) -> None:
-        """The helper: every block in order, until stopped."""
+    def _run(self) -> None:
+        """The helper: each queued job in order, until None or an error,
+        which it passes on, as the calling thread would otherwise wait for
+        the block forever."""
         try:
-            while (stream := self._chunks.get()) is not None:
-                gen, size = stream
-                for pieces in self._plans[size]:
-                    for *_, count in pieces:
-                        if (taken := self._block((count,))) is None:
-                            return
-                        gen.standard_normal(out=taken[1])
-                        self._drawn.put(taken)
-                    if (taken := self._block((len(self._scales) + 1, size))) is None:
-                        return
-                    *angles, uniforms = taken[1]
-                    for row, scale in zip(angles, self._scales):
-                        if scale > 0:
-                            row[:] = gen.normal(0.0, scale, size)
-                    uniforms[:] = gen.uniform(size=size)
-                    self._drawn.put(taken)
+            while (job := self._todo.get()) is not None:
+                fill, block = job
+                self._done.put(fill(out=block))
         except BaseException as exc:
-            # whatever stops the helper is raised on the calling thread,
-            # which would otherwise wait for the block forever
-            self._drawn.put((None, exc))
+            self._done.put(exc)
 
 
 def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compiled | None = None) -> EnsembleResult:
@@ -863,10 +850,8 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     segments = list(zip((0,) + cp_sorted, cp_sorted))
     plans = {size: [compiled.pieces(start, stop, size) for start, stop in segments] for size in set(sizes)}
     root = RngStream(config.master_seed, stream_index=config.run_index)
-    streams = ((root.child(c).generator, size) for c, size in enumerate(sizes))
-    with _Draws(compiled.workspace, plans, compiled.spam, streams) as draws:
+    with _Draws(compiled.workspace, _draw_jobs(root, sizes, plans, compiled.spam)) as draws:
         for size in sizes:
-            draws.next_chunk()
             chunk = _Chunk(compiled.workspace, n, size)
             for cp_iter, at in enumerate(cp_sorted):
                 compiled.apply_layers(chunk, plans[size][cp_iter], draws)
@@ -887,12 +872,14 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
                     raise FloatingPointError(f"every trajectory weight is zero at checkpoint {at}")
                 dist_acc[cp_iter] += probs.sum(axis=0)
                 weight_acc[cp_iter] += total
-                # probs becomes each trajectory's outcome CDF, in place
-                np.divide(probs, weights[:, None], out=probs)
+                # probs becomes each trajectory's outcome CDF, in place; a
+                # trajectory of weight 0 has no CDF and draws no outcome
+                drawn = weights > 0.0
+                np.divide(probs, weights[:, None], out=probs, where=drawn[:, None])
                 cdf = np.cumsum(probs, axis=1, out=probs)
                 below = np.less(cdf, readout[-1, :, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
                 idx = below.sum(axis=1).clip(0, dim - 1)
-                counts[cp_iter] += np.bincount(idx, minlength=dim)
+                counts[cp_iter] += np.bincount(idx[drawn], minlength=dim)
 
     times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]

@@ -1042,6 +1042,28 @@ class TestDrawThread:
         assert threading.active_count() == before
         self.assert_rerun_matches_fresh(scheduled, compiled, self.CONFIG)
 
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
+    def test_any_number_of_blocks_draws_the_same_stream(self, blocks, monkeypatch):
+        # chunks of 1,024 and 452 shots; each chunk's generator is made on
+        # the calling thread, where the benchmark's span recorder times it
+        scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(2))
+        config = RunConfig(shots=1476, master_seed=3, checkpoints=(1, 3))
+        expected = run_shots(scheduled, config)
+        made_on = []
+        fget = RngStream.generator.fget
+
+        def generator(stream):
+            made_on.append(threading.current_thread())
+            return fget(stream)
+
+        monkeypatch.setattr(RngStream, "generator", property(generator))
+        monkeypatch.setattr(engine, "DRAW_BLOCKS", blocks)
+        box = run_within(lambda: (threading.current_thread(), run_shots(scheduled, config, _Compiled(scheduled))))
+        monkeypatch.undo()
+        caller, result = box["result"]
+        assert made_on == [caller, caller]
+        for field in ("distributions", "counts", "mean_weight", "densities"):
+            np.testing.assert_array_equal(getattr(result, field), getattr(expected, field))
 
     def test_concurrent_runs_with_fast_thread_switches(self, monkeypatch):
         # four runs at once, each with its own helper drawing into two
@@ -1071,6 +1093,19 @@ class TestDrawThread:
         for box in boxes:
             for field in ("distributions", "counts", "mean_weight", "densities"):
                 np.testing.assert_array_equal(getattr(box["result"], field), getattr(expected, field))
+
+
+def test_zero_weight_trajectories_draw_no_outcome():
+    # one X lasting 0.45 s, 4,500 T1: 3,673 of the 4,000 weights underflow
+    # to zero.  Those draw no outcome (they were once counted as outcome
+    # 0, through a NaN CDF), so the counts hold the other 327 alone.
+    doc = {"n_qubits": 1, "ops": [{"gate": "X", "q": [0], "duration_s": 0.45}], "measure": [0]}
+    scheduled = schedule_layers(parse_circuit(doc), DESK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_shots(scheduled, RunConfig(shots=4000))
+    np.testing.assert_array_equal(result.counts, [[176, 151]])
+    assert result.distributions[0, 0] == pytest.approx(0.561, abs=1e-3)
 
 
 @pytest.mark.parametrize("checkpoints, buffers", [((0, 6, 12), 3), (None, 2)])
