@@ -3,8 +3,9 @@
 Per Monte Carlo trajectory, each ideal gate is replaced by a sampled
 non-unitary matrix whose ensemble average reproduces the driven
 Lindblad dynamics to second order in the noise amplitudes.  A Kraus
-channel simulator and an RK4 Lindblad integrator serve as baselines,
-with a Hellinger-distance benchmarking harness on top.
+channel simulator and a Lindblad reference, the exact exponential of
+each slot's master-equation generator, serve as baselines, with a
+Hellinger-distance benchmarking harness on top.
 """
 
 from . import channels, engine, experiments, gates, lindblad, linalg, metrics, noise_model, stochastic

@@ -195,9 +195,7 @@ def criterion_5_small_noise() -> tuple[bool, str]:
         resids, epss = [], []
         for scale in (1.0, 0.5, 0.25):
             sctx = scale_context(ctx, scale)
-            exp_side = expm(lambda_matrix(sched, sctx)) @ expm(
-                xi_from_path(sched, sctx, path, include_commutator=True)
-            )
+            exp_side = expm(lambda_matrix(sched, sctx)) @ expm(xi_from_path(sched, sctx, path))
             resids.append(float(np.abs(exp_side - small_noise_reference(sched, sctx, path)).max()))
             epss.append(0.2 * scale)
         slopes.append(float(np.polyfit(np.log(epss), np.log(resids), 1)[0]))

@@ -405,9 +405,12 @@ class EnsembleResult:
 
     def distribution(self, index: int | slice = -1, estimator: str = "weighted") -> np.ndarray:
         """Outcome distribution at checkpoint ``index`` (a slice gives one
-        row per checkpoint) from the weighted or the sampled estimator."""
+        row per checkpoint) from the ``weighted`` or the sampled
+        (``unweighted``) estimator; any other name raises ``ValueError``."""
         if estimator == "weighted":
             return self.distributions[index]
+        if estimator != "unweighted":
+            raise ValueError(f"unknown estimator {estimator!r}; choose one of weighted, unweighted")
         counts = self.counts[index]
         return counts / counts.sum(axis=-1, keepdims=True)
 

@@ -14,7 +14,8 @@ backends; the X and CR experiments compare bare populations.
 The channel backend is evaluated exactly and then *sampled* with the
 configured number of shots per checkpoint, so its run-to-run scatter is
 comparable with the trajectory backend (both emulate a finite-shot
-simulator run).  The Lindblad reference is deterministic.
+simulator run).  The Lindblad reference is deterministic: each slot
+evolves by the exact exponential of its master-equation generator.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .engine import (
     schedule_layers,
 )
 from .gates import GateSpec, drive_generator, ideal_unitary
-from .linalg import superoperator
+from .linalg import expm, superoperator
 # ``solve`` stays bound here: perfbench/test_perfbench.py checks that
 # tracing restores ``experiments.solve``.
-from .lindblad import rhs_superoperator, rk4_map, solve  # noqa: F401
+from .lindblad import rhs_superoperator, solve  # noqa: F401
 from .metrics import hellinger, mean_std_over_runs
 from .noise_model import DeviceParams, noise_context_for_gate
 from .stochastic import RngStream
@@ -63,7 +64,6 @@ EXPERIMENTS = ("repeat_x", "repeat_cr", "repeat_cnot", "custom_circuit")
 
 # Stream index offsets keep the three stochastic consumers independent.
 _CHANNEL_STREAM_BASE = 1_000_000
-_LINDBLAD_STEPS_PER_SLOT = 100
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown backends: {sorted(unknown)}")
         if self.experiment == "custom_circuit" and self.circuit is None:
             raise ValueError("custom_circuit requires a parsed circuit")
+        for name, allowed in (("estimator", ("weighted", "unweighted")), ("cnot_mode", ("direct", "decomposed"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; choose one of {', '.join(allowed)}")
 
 
 def checkpoint_gate_counts(repetitions: int, checkpoints: int) -> tuple[int, ...]:
@@ -176,17 +179,18 @@ def channel_backend_run(config: ExperimentConfig, run_index: int, exact_probs: n
 
 
 def _lindblad_slot_map(gate: GateSpec, params: DeviceParams) -> np.ndarray:
-    """Local RK4 map of one slot: its drive (none for an idle) and its
-    ``noise_context_for_gate`` terms, integrated in the slot's own time
-    s = t / T over [0, 1] in ``_LINDBLAD_STEPS_PER_SLOT`` steps.  There
-    the drive is ``drive_generator(gate)`` and each term's rate is
-    epsilon^2 = rate T, so no step divides by T, however short the slot.
-    A zero-duration slot (an RZ frame, a zero idle) is its ideal unitary."""
+    """Local map of one slot: the exact exponential (``linalg.expm``) of
+    the generator of its drive (none for an idle) and its
+    ``noise_context_for_gate`` terms in the slot's own time s = t / T,
+    over s in [0, 1].  There the drive is ``drive_generator(gate)`` and
+    each term's rate is epsilon^2 = rate T, so nothing divides by T,
+    however short the slot.  A zero-duration slot (an RZ frame, a zero
+    idle) is its ideal unitary."""
     ctx = noise_context_for_gate(gate, params)
     if ctx.gate_duration == 0.0:
         return superoperator([ideal_unitary(gate)])
     terms = [replace(term, rate=term.epsilon**2) for term in ctx.terms]
-    return rk4_map(rhs_superoperator(drive_generator(gate), terms), 1.0, _LINDBLAD_STEPS_PER_SLOT)
+    return expm(rhs_superoperator(drive_generator(gate), terms))
 
 
 def lindblad_reference(
@@ -198,9 +202,9 @@ def lindblad_reference(
     drive and its ``noise_context_for_gate`` jump terms.  Slots of a layer
     act on disjoint qubits (an idle and its pad run back to back), so
     their generators commute and the layer's map is the product of the
-    slots' local maps, each a fixed-step RK4 propagator with
-    ``_LINDBLAD_STEPS_PER_SLOT`` steps, built once per distinct slot and
-    applied by :func:`~noisygates.channels.evolve_layers`.  Returns
+    slots' local maps, each the exact exponential of its generator, built
+    once per distinct slot and applied by
+    :func:`~noisygates.channels.evolve_layers`.  Returns
     (distributions, rho at every checkpoint).  Readout bitflips
     are applied to the distribution only, never to the running state.
     Registers wider than ``channels.MAX_QUBITS`` raise ``ValueError``

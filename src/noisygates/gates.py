@@ -349,8 +349,6 @@ class NoisyGateSampler:
             return self._fused_batch(normals, workspace, out).transpose(2, 0, 1)
         if out is not None:
             raise ValueError("only one-qubit samplers take out")
-        if self.xi.n_gaussians == 0:
-            return np.broadcast_to(self.prefix, (size, d, d))
         xi = self.xi.draws(normals, workspace)
         x = workspace.take("sampler.xi", (d, d, size))
         np.copyto(x, xi.transpose(1, 2, 0))
@@ -492,17 +490,13 @@ def _path_pieces(sched: DriveSchedule, ctx: NoiseContext, path: SubstepPath):
     return a, prefix, a.sum(axis=0)
 
 
-def xi_from_path(sched: DriveSchedule, ctx: NoiseContext, path: SubstepPath,
-                 include_commutator: bool = True) -> np.ndarray:
+def xi_from_path(sched: DriveSchedule, ctx: NoiseContext, path: SubstepPath) -> np.ndarray:
     """Substep realisation of Xi = i sum_k eps_k S1_k - 1/2 C on the
-    given path (set ``include_commutator=False`` for the production form
-    that drops C)."""
+    given path, C = sum_m [A_m, S_m] the commutator of the increments
+    with their exclusive prefix sums."""
     a, prefix, s1 = _path_pieces(sched, ctx, path)
-    xi = 1j * s1
-    if include_commutator:
-        comm = np.einsum("mij,mjk->ik", a, prefix) - np.einsum("mij,mjk->ik", prefix, a)
-        xi = xi - 0.5 * comm
-    return xi
+    comm = np.einsum("mij,mjk->ik", a, prefix) - np.einsum("mij,mjk->ik", prefix, a)
+    return 1j * s1 - 0.5 * comm
 
 
 def small_noise_reference(sched: DriveSchedule, ctx: NoiseContext, path: SubstepPath) -> np.ndarray:

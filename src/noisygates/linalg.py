@@ -19,7 +19,6 @@ qubits is amplitude index 2.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -135,51 +134,35 @@ def _soa_add_identity(x: np.ndarray, c: float) -> None:
     x.reshape(d * d, -1)[:: d + 1] += c
 
 
-# _SERIES_REACH[K - 1] is the largest |q^2| at which K terms of the even
-# series cosh q = sum_k q^2k/(2k)! and sinh(q)/q = sum_k q^2k/(2k+1)!
-# leave a tail below 2^-53; _SERIES_COEF[k] = (1/(2k)!, 1/(2k+1)!).
-_SERIES_MAX_TERMS = 10
-_SERIES_REACH = tuple(
-    (math.factorial(2 * k) * 2.0**-54) ** (1.0 / k) for k in range(1, _SERIES_MAX_TERMS + 1)
-)
-_SERIES_COEF = np.array(
-    [(1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)) for k in range(_SERIES_MAX_TERMS)]
-)
-
-
-def _series_terms(reach: float) -> tuple[int, int]:
-    """(terms K, scaling power s) for a stack whose largest |q^2| is
-    ``reach``: the fewest terms that reach it, else all of them after
-    scaling q by 2^-s (q^2 by 4^-s) into their reach."""
-    s = 0
-    if reach > _SERIES_REACH[-1]:
-        s = math.ceil(0.5 * math.log2(reach / _SERIES_REACH[-1]))
-    return bisect.bisect_left(_SERIES_REACH, reach / 4.0**s) + 1, s
-
-
 def cosh_sinhc(q2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(cosh q, sinh(q)/q) for every entry of the 1-d complex array
     ``q2`` = q^2, written into the two rows of ``out``, a
     ``(2, len(q2))`` complex array, and returned.  Both are even power
-    series in q^2, summed by Horner's rule to as many terms as the largest
-    |q^2| needs for double precision, so no square root or branch appears;
-    each row is summed on its own, which keeps numpy on its contiguous
-    loops.  Larger arguments are scaled by 2^-s and squared back with
-    cosh 2x = c^2 + t^2 q^2, sinh(2x)/(2x) = c t for x = q / 2.  Raises
-    ``ValueError`` if any |q^2| is not finite."""
+    series in q^2, so no square root of an entry or branch appears.  The
+    degree N and scaling power s come from the largest |q| by
+    :func:`_taylor_terms`, and both series are summed by Horner's rule to
+    K = N // 2 + 1 terms in z = q^2 / 4^s, so each tail lies within the
+    Taylor tail of e^|q| past degree N.  Each row is summed on its own,
+    which keeps numpy on its contiguous loops.  Scaled arguments are
+    squared back with cosh 2x = c^2 + t^2 q^2, sinh(2x)/(2x) = c t for
+    x = q / 2.  Raises ``ValueError`` if any |q^2| is not finite."""
     reach = float(np.max(np.abs(q2))) if q2.size else 0.0
     if not math.isfinite(reach):
         raise ValueError("non-finite entries in the exponent")
-    terms, s = _series_terms(reach)
+    n, s = _taylor_terms(math.sqrt(reach))
+    terms = n // 2 + 1
+    # 1/m! for m < 2K: the even entries for cosh, the odd for sinh(q)/q
+    coef = _taylor_weights(2 * terms - 1)[0]
+    cosh_coef, sinhc_coef = coef[0::2], coef[1::2]
     z = q2 / 4.0**s if s else q2
     c, t = out
-    c.fill(_SERIES_COEF[terms - 1, 0])
-    t.fill(_SERIES_COEF[terms - 1, 1])
+    c.fill(cosh_coef[-1])
+    t.fill(sinhc_coef[-1])
     for k in range(terms - 2, -1, -1):
         c *= z
-        c += _SERIES_COEF[k, 0]
+        c += cosh_coef[k]
         t *= z
-        t += _SERIES_COEF[k, 1]
+        t += sinhc_coef[k]
     if s:
         t /= 2.0**s
         for _ in range(s):
@@ -207,10 +190,11 @@ def exp_mu(mu: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(mu, 1.0, out=out) if top <= _EXP_MU_LINEAR else np.exp(mu, out=out)
 
 
-# expm and expm4_soa scale a stack with 1-norm above _TAYLOR_THETA by 2^-s
-# and square back s times.  The rounding errors of the truncated series are
-# polynomials in the scaled matrix, so every squaring doubles them, and
-# theta = 2, one squaring fewer than 1, halves them.  The partial sums stay
+# expm and expm4_soa scale a stack with 1-norm above _TAYLOR_THETA by 2^-s,
+# cosh_sinhc one with largest |q| above it, and square back s times.  The
+# rounding errors of the truncated series are polynomials in the scaled
+# matrix, so every squaring doubles them, and theta = 2, one squaring fewer
+# than 1, halves them.  The partial sums stay
 # below e^2 < 8; expm4_soa splits off the trace, so ||e^D|| >= 1 and
 # cancellation costs it under 3 bits.
 _TAYLOR_THETA = 2.0

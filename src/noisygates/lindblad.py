@@ -8,10 +8,10 @@ superoperator on row-major vec(rho) (the convention of
 ``linalg.superoperator``), and ``steps`` equal steps are the matrix
 power step^steps (:func:`rk4_map`).  :func:`solve` applies one such map
 to an initial state and symmetrises the result, which keeps round-off
-drift down.  For a circuit, ``experiments.lindblad_reference`` builds
-one map per distinct slot on the slot's own qubits, so a long
-repeated-gate reference (tens of thousands of gates) builds one map and
-stays cheap and bit-reproducible.
+drift down.  The circuit reference, ``experiments.lindblad_reference``,
+takes only :func:`rhs_superoperator` from here: each of its slot maps is
+the exact exponential of that generator (``linalg.expm``), so RK4
+serves :func:`solve` alone.
 """
 
 from __future__ import annotations

@@ -455,6 +455,37 @@ def test_subnormal_idle_runs_on_every_back_end(idle_s, device_file, tmp_path, ca
     np.testing.assert_allclose(with_idle, lindblad_row([x], "x"), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "op, lindblad_p0",
+    [
+        ({"gate": "RX", "q": [0], "theta": 1e4}, 0.0434),
+        ({"gate": "RX", "q": [0], "theta": 1e6}, 0.9492),
+        ({"gate": "X", "q": [0], "duration_s": 1.0}, 0.98),
+        ({"gate": "IDLE", "q": [0], "duration_s": 1e300}, 0.98),
+    ],
+    ids=["rx_theta_1e4", "rx_theta_1e6", "x_one_second", "idle_1e300_s"],
+)
+def test_large_rotation_or_decay_runs_on_the_density_back_ends(op, lindblad_p0, device_file, tmp_path, capsys):
+    # each Lindblad slot map is the exact exponential of its generator, so
+    # no rotation or decay per slot is too large for it; after a full decay
+    # only the readout flips (p_readout 0.02) move weight off |0>
+    circuit_path = tmp_path / "circuit.json"
+    circuit_path.write_text(json.dumps({"n_qubits": 1, "ops": [op], "measure": [0]}))
+    custom = {
+        "--experiment": "custom_circuit",
+        "--circuit": str(circuit_path),
+        "--backends": "lindblad,channel",
+        "--runs": "1",
+    }
+    assert main(["simulate"] + compare_args(device_file, tmp_path / "out", **custom)[1:]) == 0
+    rundir = next((tmp_path / "out").iterdir())
+    rows = [row.split(",") for row in (rundir / "distributions.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["lindblad", "channel"]
+    values = np.array([[float(x) for x in row[3:]] for row in rows])
+    assert np.all(np.isfinite(values))
+    assert values[0, 1] == pytest.approx(lindblad_p0, abs=1e-4)
+
+
 class TestMixedLayerCircuit:
     """X on qubit 2 beside a CNOT on qubits 0, 1: one layer of mixed
     durations, run through every back-end."""

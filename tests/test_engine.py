@@ -591,6 +591,14 @@ class TestRunShots:
         unweighted = result.counts[-1] / result.counts[-1].sum()
         assert np.abs(result.distributions[-1] - unweighted).max() < 0.02
 
+    def test_distribution_names_its_estimator(self):
+        sched = schedule_layers(parse_circuit({"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}]}), DESK)
+        result = run_shots(sched, RunConfig(shots=64, master_seed=4))
+        assert np.array_equal(result.distribution(-1, "weighted"), result.distributions[-1])
+        assert np.array_equal(result.distribution(-1, "unweighted"), result.counts[-1] / 64)
+        with pytest.raises(ValueError, match="^unknown estimator 'weigthed'; choose one of weighted, unweighted$"):
+            result.distribution(-1, "weigthed")
+
 
 def desk_register(n: int) -> DeviceParams:
     """The two desk qubits repeated over an n-qubit register."""

@@ -12,6 +12,7 @@ from noisygates.engine import Circuit, expand_cnots, parse_circuit, schedule_lay
 from noisygates.experiments import (
     ExperimentConfig,
     _channel_checkpoint_probs,
+    _lindblad_slot_map,
     _readout_distribution,
     build_experiment_circuit,
     channel_backend_run,
@@ -26,9 +27,7 @@ from noisygates.noise_model import (
     LindbladTerm,
     QubitParams,
     depolarizing_paulis,
-    depolarizing_rate,
     noise_context_for_gate,
-    relaxation_rates,
 )
 from test_channels import bitflip_channel
 
@@ -99,6 +98,17 @@ class TestCheckpoints:
     def test_every_int_field_checked(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("estimator", "weigthed", "unknown estimator 'weigthed'; choose one of weighted, unweighted"),
+            ("cnot_mode", "decompose", "unknown cnot_mode 'decompose'; choose one of direct, decomposed"),
+        ],
+    )
+    def test_unknown_estimator_or_cnot_mode_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config("repeat_cnot", **{field: value})
 
 
 class TestCircuitBuilders:
@@ -183,67 +193,6 @@ class TestLindbladReference:
         assert dists[0][2] < bare_dists[0][2]
 
 
-def _layer_noise_terms(layer, params: DeviceParams, n_qubits: int) -> tuple[LindbladTerm, ...]:
-    """Full-register jump terms active during one uniform layer:
-    always-on relaxation per qubit plus the driven gates' depolarising
-    sets."""
-    duration = max((g.duration for g in layer.gates), default=0.0)
-    terms: list[LindbladTerm] = []
-    for q in range(n_qubits):
-        qb = params.qubits[q]
-        gamma1, gamma_pd = relaxation_rates(qb.t1_s, qb.t2_s)
-        terms.append(LindbladTerm.from_rate(embed_operator(DECAY, n_qubits, (q,)), gamma1, duration))
-        terms.append(LindbladTerm.from_rate(embed_operator(PAULI_Z, n_qubits, (q,)), gamma_pd / 4.0, duration))
-    for g in layer.gates:
-        if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
-            continue
-        arity = len(g.qubits)
-        rate = depolarizing_rate(params.p_1q if arity == 1 else params.p_2q, g.duration, arity)
-        for pauli in depolarizing_paulis(arity):
-            terms.append(LindbladTerm.from_rate(embed_operator(pauli, n_qubits, g.qubits), rate, g.duration))
-    return tuple(terms)
-
-
-def _layer_hamiltonian(gates, n_qubits: int) -> np.ndarray:
-    """Drive Hamiltonian (1/s) of the given slots on the full register;
-    virtual RZ frames and idles carry no drive."""
-    dim = 2**n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for g in gates:
-        if g.kind in ("RZ", "IDLE") or (g.duration or 0.0) == 0.0:
-            continue
-        h += embed_operator(drive_generator(g), n_qubits, g.qubits) / g.duration
-    return h
-
-
-def per_step_reference(sched, steps=100):
-    """Oracle for lindblad_reference on layers of equal durations: every
-    timed layer's full-register step matrix built afresh and applied one
-    RK4 step at a time, symmetrising after each step.  Returns rho and the
-    time after every layer, initial state first."""
-    n = sched.n_qubits
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    states, times, t = [rho], [0.0], 0.0
-    for layer in sched.layers:
-        for g in layer.gates:
-            if g.kind == "RZ":
-                u = embed_operator(ideal_unitary(g), n, g.qubits)
-                rho = u @ rho @ dagger(u)
-        if layer.duration > 0.0:
-            m = lindblad.rhs_superoperator(
-                _layer_hamiltonian(layer.gates, n), _layer_noise_terms(layer, sched.params, n)
-            )
-            step = lindblad.rk4_step_matrix(m, layer.duration / steps)
-            for _ in range(steps):
-                rho = (step @ rho.reshape(-1)).reshape(rho.shape)
-                rho = 0.5 * (rho + dagger(rho))
-            t += layer.duration
-        states.append(rho)
-        times.append(t)
-    return states, times
-
-
 # SX then RZ frames (zero-duration slots beside driven gates and alone),
 # single-use layers and a CNOT repeated often enough to be mapped whole
 FRAMED_CIRCUIT = {
@@ -273,7 +222,7 @@ def reference_cases():
 
 class TestLindbladReferenceCache:
     @pytest.mark.parametrize("case", ["repeat_x", "repeat_cnot", "framed"])
-    def test_matches_per_step_oracle_with_one_build_per_slot(self, case, monkeypatch):
+    def test_matches_exact_slot_oracle_with_one_build_per_slot(self, case, monkeypatch):
         sched = dict(reference_cases())[case]
         builds = []
         rhs = lindblad.rhs_superoperator
@@ -289,10 +238,10 @@ class TestLindbladReferenceCache:
 
         timed = {g for layer in sched.layers for g in layer.gates if g.kind != "RZ" and g.duration}
         assert len(builds) == len(timed)
-        oracle, oracle_times = per_step_reference(sched)
-        for got, want in zip(rhos, oracle):
+        for got, want in zip(rhos, exact_slot_reference(sched)):
             assert np.abs(got - want).max() < 1e-11
-        assert np.array_equal(sched.checkpoint_times(layers), oracle_times)
+        layer_ends = np.cumsum([0.0] + [layer.duration for layer in sched.layers])
+        assert np.array_equal(sched.checkpoint_times(layers), layer_ends)
         if case == "repeat_cnot":
             # the prep X, its idle pad and the CNOT: three slots in two layers
             assert len(timed) == 3
@@ -351,7 +300,7 @@ def ghz(n):
 
 class TestExactSlotOracle:
     @pytest.mark.parametrize("case", ["repeat_cnot", "framed", "slots", "ghz4"])
-    def test_rk4_reference_matches_exact_exponentials(self, case):
+    def test_reference_matches_exact_exponentials(self, case):
         if case == "slots":
             sched = schedule_layers(parse_circuit(SLOT_CIRCUIT), DESK_3Q)
         elif case == "ghz4":
@@ -361,7 +310,38 @@ class TestExactSlotOracle:
         layers = tuple(range(len(sched.layers) + 1))
         _, rhos = lindblad_reference(sched, layers)
         for got, want in zip(rhos, exact_slot_reference(sched)):
-            assert np.abs(got - want).max() < 1e-7
+            assert np.abs(got - want).max() < 1e-12
+
+
+class TestSlotMaps:
+    """Each slot map is the exact exponential of its generator: within
+    1e-12 of scipy's exp(T L) in physical time, however large the rotation
+    or the decay of the slot."""
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            GateSpec("X", (0,)),
+            GateSpec("SX", (1,)),
+            GateSpec("CR", (0, 1), theta=math.pi),
+            GateSpec("CNOT", (1, 0)),
+            GateSpec("RX", (0,), theta=40.0, phi=0.3),
+        ],
+        ids=["x", "sx", "cr", "cnot", "rx_theta_40"],
+    )
+    def test_matches_scipy(self, gate):
+        ctx = noise_context_for_gate(gate, DESK)
+        t = ctx.gate_duration
+        m = lindblad.rhs_superoperator(drive_generator(gate) / t, ctx.terms)
+        assert np.abs(_lindblad_slot_map(gate, DESK) - expm(m * t)).max() < 1e-12
+
+    def test_idle_of_1e300_s_is_full_decay(self):
+        # |0><0| stays, |1><1| decays into it and every coherence is gone;
+        # scipy's expm returns NaN here
+        got = _lindblad_slot_map(GateSpec("IDLE", (0,), duration=1e300), DESK)
+        want = np.zeros((4, 4))
+        want[0, 0] = want[0, 3] = 1.0
+        assert np.abs(got - want).max() < 1e-12
 
 
 def hand_relaxation(n):
@@ -419,7 +399,7 @@ class TestMixedLayers:
                 (h_cnot, hand_relaxation(n) + cnot_terms, t2q - t1q),
             ],
         )
-        assert np.abs(rho2 - want).max() < 1e-6
+        assert np.abs(rho2 - want).max() < 1e-12
         # leaving out the X lands far from the reference
         assert np.abs(rho2 - propagate(rho1, [(h_cnot, hand_relaxation(n) + cnot_terms, t2q)])).max() > 0.1
 
@@ -433,7 +413,7 @@ class TestMixedLayers:
         # back to back, the idle and its pad relax qubit 2 for the whole layer
         h_cnot, cnot_terms = hand_cnot(3)
         want = propagate(rho1, [(h_cnot, hand_relaxation(3) + cnot_terms, DESK_3Q.t_2q_s)])
-        assert np.abs(rho2 - want).max() < 1e-6
+        assert np.abs(rho2 - want).max() < 1e-12
 
 
 class TestChannelBackend:

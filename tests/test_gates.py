@@ -34,7 +34,6 @@ from noisygates.linalg import (
     PAULI_Z,
     PROJ_1,
     Workspace,
-    _series_terms,
     _taylor_terms,
     dagger,
     expm,
@@ -369,8 +368,9 @@ class TestSampleBatchStream:
 class TestFusedKernel:
     """The one-qubit kernel, e^mu (c P + t A) from one matrix product of
     the normals, against prefix @ expm_2x2(Xi) on the same normals, with
-    Xi read off ``xi.factor``.  Scale 30 reaches the series' scaling
-    branch, and a jump with a trace (PROJ_1) the np.exp branch of e^mu."""
+    Xi read off ``xi.factor``.  Scale 60 reaches the series' scaling
+    branch (max|q| is 3.6 there, 1.8 at scale 30, and the branch starts
+    at 2), and a jump with a trace (PROJ_1) the np.exp branch of e^mu."""
 
     @staticmethod
     def check(sampler, seed=23):
@@ -384,7 +384,7 @@ class TestFusedKernel:
         d00 = 0.5 * (xi[:, 0, 0] - xi[:, 1, 1])
         q2 = d00 * d00 + xi[:, 0, 1] * xi[:, 1, 0]
         mu = 0.5 * (xi[:, 0, 0] + xi[:, 1, 1])
-        return _series_terms(np.abs(q2).max())[1], np.abs(mu).max()
+        return _taylor_terms(math.sqrt(np.abs(q2).max()))[1], np.abs(mu).max()
 
     @pytest.mark.parametrize("name", ["X", "SX", "RX"])
     def test_matches_expm_2x2_at_desk_noise(self, name):
@@ -393,7 +393,7 @@ class TestFusedKernel:
 
     @pytest.mark.parametrize("name", ["X", "SX", "RX"])
     def test_matches_expm_2x2_in_the_scaling_branch(self, name):
-        scaling, _ = self.check(desk_sampler(name, 30.0))
+        scaling, _ = self.check(desk_sampler(name, 60.0))
         assert scaling > 0
 
     def test_matches_expm_2x2_with_a_traced_jump(self):
@@ -599,9 +599,7 @@ class TestSmallNoiseReference:
         scales = (1.0, 0.5, 0.25)
         for scale in scales:
             sctx = scale_context(ctx, scale)
-            exp_side = expm(lambda_matrix(sched, sctx)) @ expm(
-                xi_from_path(sched, sctx, path, include_commutator=True)
-            )
+            exp_side = expm(lambda_matrix(sched, sctx)) @ expm(xi_from_path(sched, sctx, path))
             resids.append(np.abs(exp_side - small_noise_reference(sched, sctx, path)).max())
         slope = np.polyfit(np.log([0.2 * s for s in scales]), np.log(resids), 1)[0]
         assert slope >= 2.5

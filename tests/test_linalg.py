@@ -11,9 +11,7 @@ from hypothesis.extra.numpy import arrays
 from noisygates.gates import GateSpec, drive_generator
 from noisygates.linalg import (
     _EXP_MU_LINEAR,
-    _SERIES_REACH,
     _TAYLOR_THETA,
-    _series_terms,
     _taylor_terms,
     STRIDED_MIN_SLICE,
     DECAY,
@@ -267,7 +265,7 @@ def slot_generator(gate):
 class TestExpmAccuracy:
     """Both exponentials against scipy where their evaluation changes:
     either side of every switch of the Taylor degree N and scaling power
-    s, and of every series-degree switch."""
+    s, in the 1-norm and, for ``cosh_sinhc``, in |q|."""
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 16])
     @pytest.mark.parametrize("degree", range(len(DEGREE_SWITCHES)))
@@ -338,18 +336,26 @@ class TestExpmAccuracy:
         assert np.array_equal(a, before) and not np.shares_memory(got, a)
         assert_matches_scipy(got, a)
 
-    @pytest.mark.parametrize("terms", range(1, len(_SERIES_REACH) + 1))
-    def test_either_side_of_series_switch(self, terms):
-        rng = np.random.default_rng(terms)
-        reach = _SERIES_REACH[terms - 1]
+    @pytest.mark.parametrize("switch", range(len(DEGREE_SWITCHES + SCALING_SWITCHES)))
+    def test_either_side_of_switch_as_cosh_sinhc_sees_it(self, switch, monkeypatch):
+        # cosh_sinhc takes (N, s) from the largest |q| = sqrt(max|q^2|)
+        q_norm = (DEGREE_SWITCHES + SCALING_SWITCHES)[switch]
+        rng = np.random.default_rng(switch)
         picked = []
+
+        def recording(nu):
+            picked.append((nu, _taylor_terms(nu)))
+            return picked[-1][1]
+
+        monkeypatch.setattr("noisygates.linalg._taylor_terms", recording)
         for factor in STRADDLE:
-            z = reach * factor * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            m = with_q2(rng, z, mu=0.1j)
-            picked.append(_series_terms(abs(z)))
+            z = (q_norm * factor) ** 2 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            m = with_q2(rng, z)
             assert_matches_scipy(expm_2x2(m), m)
-            assert_matches_scipy(expm(m), m)
-        assert picked[0] == (terms, 0) and picked[1] != picked[0]
+        assert len(picked) == 2
+        (nu_lo, below), (nu_hi, above) = picked
+        assert np.allclose([nu_lo, nu_hi], [q_norm * f for f in STRADDLE], rtol=1e-9, atol=0)
+        assert below != above
 
     def test_zero_matrix(self):
         zero = np.zeros((3, 2, 2), dtype=complex)

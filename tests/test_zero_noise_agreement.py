@@ -5,9 +5,9 @@ so they must agree at every checkpoint on any circuit the parser accepts.
 T1 = T2 = 1000 s and every error probability 0 leave Gaussian noise of
 amplitude about 1e-5 per slot in the engine; at 8192 shots its weighted
 estimator and density estimate stay within about 3e-7 of the reference
-(measured over random circuits of this grammar), and the reference's RK4
-error against the exact channel states is below 3e-8.  Durations are kept
-at or below 100 ns so the noise stays that small.
+(measured over random circuits of this grammar), and the reference takes
+each slot's exact exponential.  Durations are kept at or below 100 ns so
+the noise stays that small.
 """
 
 import math
