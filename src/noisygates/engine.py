@@ -6,8 +6,8 @@ gate, ``Circuit`` the register and ``schedule_layers`` the device width.
 Every circuit, the stock experiments' included, is packed greedily into
 layers by ``_pack_asap`` (ASAP).  Scheduling attaches device durations
 and pads idle qubits with exact relaxation slots.  It adds no
-readout slot: each measured qubit's pre-measurement noise gate is drawn
-at every checkpoint by ``_Compiled.measured_probs``.
+readout slot: the readout gate of each measured qubit with readout
+noise is drawn at every checkpoint by ``_Compiled.measured_probs``.
 
 The unraveling is linear: trajectory states are *not* renormalised, the
 unbiased density estimate is the plain average of outer products and
@@ -22,28 +22,29 @@ n = 12).  The chunk size depends on n alone and each chunk draws from its
 own random stream keyed by (master seed, run index, chunk index), which
 makes results bit-identical for any worker count or execution order.
 
-Samplers, readout gates included, are pure functions of their draws,
-and the engine alone owns the draw order.  Between two checkpoints (a
-segment) every draw of a chunk is a standard normal taken in slot order:
+Samplers, readout gates included, are pure functions of standard
+normals, and the engine alone owns the draw order.  Between two
+checkpoints (a segment) the normals of a chunk are taken in slot order:
 a noisy gate reads ``xi.n_gaussians`` per shot and a relaxation pad one
-per nonzero variance (``normal(0, sigma)`` is sigma times a standard
-normal).  So each segment is drawn in one ``standard_normal`` block, cut
-by ``_Compiled.pieces`` into pieces of at most ``PIECE_NORMALS`` normals
-(a cut contiguous draw yields the same numbers), and slot i, reading r_i
-normals per shot, takes the next S r_i of its piece.  The checkpoint
-follows the segment: one ``normal(0, sqrt(v))`` angle per shot for each
-measured qubit with readout strength v > 0, in measured order, then one
-``uniform`` per shot.  The layers after the last checkpoint are not
-drawn.  Within a piece, the k slots of one one-qubit noisy gate are
-sampled by one call of its fused kernel, ``NoisyGateSampler.sample_batch``,
-and the k relaxation pads of one (gamma1, gamma_pd, dt) by one
+per nonzero variance.  So each segment is drawn in one
+``standard_normal`` block, cut by ``_Compiled.pieces`` into pieces of
+at most ``PIECE_NORMALS`` normals (a cut contiguous draw yields the same
+numbers), and slot i, reading r_i normals per shot, takes the next
+S r_i of its piece.  The checkpoint follows the segment: a row of S
+normals for each measured qubit with readout strength v > 0, in
+measured order (a qubit at v = 0 has no readout gate and no row), then
+S uniforms.  The layers after the last checkpoint are not drawn.
+Within a piece, the k slots of one one-qubit noisy gate are sampled by
+one call of its fused kernel, ``NoisyGateSampler.sample_batch``, and
+the k relaxation pads of one (gamma1, gamma_pd, dt) by one
 ``relaxation_gate_batch`` call, each into a ``(2, 2, k S)`` buffer.
 
 Nothing the engine computes changes which numbers a chunk draws, so
 ``run_shots`` draws them on a helper thread, ahead of the state updates.
 The calling thread states the draw order once, as jobs
-(``_draw_jobs``): each chunk's generator, made on reaching the chunk,
-then one ``standard_normal`` job per piece and one job per checkpoint.
+(``_draw_jobs``), each a ``Generator`` method that fills a block: per
+chunk, a ``standard_normal`` job per piece and, per checkpoint, one for
+the readout rows, if any, and a ``random`` job for the uniforms.
 It queues each job with its block, the next of ``DRAW_BLOCKS`` workspace
 buffers, as it frees the block held there, and the helper (``_Draws``)
 runs the jobs in order and nothing else.  The helper is joined before
@@ -63,15 +64,14 @@ spans at most ``FUSE_MAX_QUBITS`` qubits; otherwise that block is
 applied and the slot starts a block.  A qubit's one-qubit factor acts
 after its block.  Every other two-qubit slot is applied at once, after
 the blocks it overlaps.  Pending gates stay pending across checkpoints:
-a checkpoint reads the states through them, each measured qubit's
-readout gate multiplied onto a copy of its qubit's factor, applying
-each block with its qubits' factors and the other factors in passes of
-at most ``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker
-products).  A register that keeps a dense density
-(n <= ``DENSE_DENSITY_MAX_QUBITS``) first reads the pending gates alone
-for it.  On the 12-qubit GHZ ladder a 64-shot chunk makes 9 state
-passes: 5 blocks and 4 at the checkpoint.  Registers wider than
-``MAX_QUBITS`` are rejected.
+a checkpoint reads the states through them, each readout gate
+multiplied onto a copy of its qubit's factor, applying each block with
+its qubits' factors and the other factors in passes of at most
+``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker products).  A
+register that keeps a dense density (n <= ``DENSE_DENSITY_MAX_QUBITS``)
+first reads the pending gates alone for it.  On the 12-qubit GHZ
+ladder a 64-shot chunk makes 9 state passes: 5 blocks and 4 at the
+checkpoint.  Registers wider than ``MAX_QUBITS`` are rejected.
 
 The state batch lives in the compiled circuit's workspace, in two
 buffers, ``states`` and ``spare``: every state update writes with
@@ -555,7 +555,7 @@ class _Compiled:
                 else:
                     self.slots.append(_fixed_slot(gate.qubits, ideal_unitary(gate)))
             self.layer_starts.append(len(self.slots))
-        self.spam = [(q, spam_strength(params.qubits[q].p_readout)) for q in scheduled.measured]
+        self.readout = [(q, v) for q in scheduled.measured if (v := spam_strength(params.qubits[q].p_readout)) > 0]
         # Two-qubit gates wait in blocks where a chunk's state batch fills
         # STATE_BUDGET_BYTES (n >= 8): there a state pass costs more than
         # the per-shot block products that save it.  The GHZ ladder of
@@ -699,20 +699,20 @@ class _Compiled:
         return chunk.states if final else self.workspace.take("engine.scratch", chunk.states.shape)
 
     def measured_probs(
-        self, chunk: _Chunk, angles: np.ndarray, scratch: np.ndarray, read: np.ndarray | None = None
+        self, chunk: _Chunk, normals: np.ndarray, scratch: np.ndarray, read: np.ndarray | None = None
     ) -> np.ndarray:
         """Per-trajectory Born probabilities |R P psi|^2 at a checkpoint, for
         the pending gates P of ``chunk`` and a fresh pre-measurement noise
-        gate R per measured qubit, built from its row of drawn ``angles``
-        (measured order) and multiplied onto a copy of its qubit's factor,
-        read by ``chunk.read(..., scratch)``.  ``read`` is P psi when the
-        caller has read it, all there is to read without measured qubits.
-        The result is a view into ``spare`` or ``scratch``, whichever the
-        read did not end in."""
-        if self.spam or read is None:
+        gate R per qubit of ``readout``, built from its row of standard
+        ``normals`` and multiplied onto a copy of its qubit's factor, read
+        by ``chunk.read(..., scratch)``.  ``read`` is P psi when the caller
+        has read it, all there is to read without readout gates.  The
+        result is a view into ``spare`` or ``scratch``, whichever the read
+        did not end in."""
+        if self.readout or read is None:
             factors = list(chunk.one)
-            for (q, v), w in zip(self.spam, angles):
-                gate = spam_gate_batch(v, w).transpose(1, 2, 0)
+            for (q, v), z in zip(self.readout, normals):
+                gate = spam_gate_batch(v, z).transpose(1, 2, 0)
                 if factors[q] is not None:
                     gate = self._compose(gate, factors[q], self.workspace.take(f"engine.measured{q}", gate.shape))
                 factors[q] = gate
@@ -724,32 +724,23 @@ class _Compiled:
 
 
 def _draw_jobs(
-    root: RngStream, sizes: list[int], plans: dict[int, list[list[tuple[int, int, int]]]], spam: list[tuple[int, float]]
+    root: RngStream, sizes: list[int], plans: dict[int, list[list[tuple[int, int, int]]]], readout: int
 ) -> Iterator[tuple[tuple[int, ...], object]]:
-    """The run's random stream, in draw order, as ``(shape, fill)`` jobs:
-    ``fill(out=block)`` fills a float block of ``shape`` and returns it.
-    Chunk c makes ``root.child(c).generator`` when reached, then yields,
-    per segment of ``plans[sizes[c]]``, a ``standard_normal`` job per piece
-    and a checkpoint job: a row of ``normal(0, sqrt(v))`` readout angles
-    for each measured qubit of ``spam``, ``(qubit, v)`` pairs (left as it
-    is where v = 0, which ``spam_gate_batch`` does not read), then the
-    uniforms."""
-    scales = [math.sqrt(v) for _, v in spam]
+    """The run's random stream, in draw order, as ``(shape, fill)`` jobs,
+    each a bound ``Generator`` method: ``fill(out=block)`` fills a float
+    block of ``shape`` and returns it.  Chunk c makes
+    ``root.child(c).generator`` when reached, then yields, per segment of
+    ``plans[sizes[c]]``, a ``standard_normal`` job per piece, a
+    ``standard_normal`` job of ``readout`` rows (one per readout gate)
+    when ``readout`` > 0, and a ``random`` job for the uniforms."""
     for c, size in enumerate(sizes):
         gen = root.child(c).generator
-
-        def checkpoint(out: np.ndarray, gen: np.random.Generator = gen) -> np.ndarray:
-            *angles, uniforms = out
-            for row, scale in zip(angles, scales):
-                if scale > 0:
-                    row[:] = gen.normal(0.0, scale, len(row))
-            uniforms[:] = gen.uniform(size=len(uniforms))
-            return out
-
         for pieces in plans[size]:
             for *_, count in pieces:
                 yield (count,), gen.standard_normal
-            yield (len(scales) + 1, size), checkpoint
+            if readout:
+                yield (readout, size), gen.standard_normal
+            yield (size,), gen.random
 
 
 class _Draws:
@@ -853,7 +844,7 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     segments = list(zip((0,) + cp_sorted, cp_sorted))
     plans = {size: [compiled.pieces(start, stop, size) for start, stop in segments] for size in set(sizes)}
     root = RngStream(config.master_seed, stream_index=config.run_index)
-    with _Draws(compiled.workspace, _draw_jobs(root, sizes, plans, compiled.spam)) as draws:
+    with _Draws(compiled.workspace, _draw_jobs(root, sizes, plans, len(compiled.readout))) as draws:
         for size in sizes:
             chunk = _Chunk(compiled.workspace, n, size)
             for cp_iter, at in enumerate(cp_sorted):
@@ -863,10 +854,12 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
                 if keep_density:
                     # the density reads the pending gates alone; while the
                     # readout gates have the states still to read, it leaves them
-                    read = chunk.read(chunk.one, compiled.scratch(chunk, last and not compiled.spam))
+                    read = chunk.read(chunk.one, compiled.scratch(chunk, last and not compiled.readout))
                     dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
-                readout = draws.take()
-                probs = compiled.measured_probs(chunk, readout[:-1], compiled.scratch(chunk, last), read)
+                # the readout normals are read before the next take frees their block
+                normals = draws.take() if compiled.readout else ()
+                probs = compiled.measured_probs(chunk, normals, compiled.scratch(chunk, last), read)
+                uniforms = draws.take()
                 weights = probs.sum(axis=1)
                 if not np.all(np.isfinite(weights)):
                     raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
@@ -880,7 +873,7 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
                 drawn = weights > 0.0
                 np.divide(probs, weights[:, None], out=probs, where=drawn[:, None])
                 cdf = np.cumsum(probs, axis=1, out=probs)
-                below = np.less(cdf, readout[-1, :, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
+                below = np.less(cdf, uniforms[:, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
                 idx = below.sum(axis=1).clip(0, dim - 1)
                 counts[cp_iter] += np.bincount(idx[drawn], minlength=dim)
 

@@ -41,6 +41,7 @@ __all__ = [
     "GATE_KINDS",
     "GateKind",
     "GateSpec",
+    "MAX_THETA",
     "DriveSchedule",
     "ideal_unitary",
     "drive_generator",
@@ -80,6 +81,10 @@ GATE_KINDS = {
     "IDLE": GateKind(1, (), False),
 }
 
+# Largest |theta| a gate takes: the Lindblad slot map of RX(theta) is within
+# 6.6e-11 of scipy's expm at 1e6, 3.6e-5 at 1e12, and overflows near 1e30.
+MAX_THETA = 1e6
+
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -92,8 +97,9 @@ class GateSpec:
 
     Construction is the one check of a gate, parsed or built in the
     library: a known kind, ``theta`` on the kinds that read it, finite
-    numbers (not bools), a duration >= 0 (> 0 on driven kinds, none but 0
-    on RZ, required on IDLE) and the arity, in ``parse_circuit``'s words.
+    numbers (not bools), |theta| <= ``MAX_THETA``, a duration >= 0 (> 0
+    on driven kinds, none but 0 on RZ, required on IDLE) and the arity,
+    in ``parse_circuit``'s words.
     """
 
     kind: str
@@ -111,6 +117,8 @@ class GateSpec:
         for key, val in (("theta", self.theta), ("phi", self.phi), ("duration_s", self.duration)):
             if val is not None and not is_finite_number(val):
                 raise ValueError(f"{key!r} must be a finite number, got {val!r}")
+        if self.theta is not None and abs(self.theta) > MAX_THETA:
+            raise ValueError(f"'theta' must satisfy |theta| <= {MAX_THETA:g}, got {self.theta!r}")
         if self.duration is None:
             if self.kind == "IDLE":
                 raise ValueError("IDLE requires 'duration_s'")
@@ -374,21 +382,17 @@ class NoisyGateSampler:
         return out
 
 
-def spam_gate_batch(v: float, w: np.ndarray) -> np.ndarray:
-    """Pre-measurement bitflip noise gates exp(i w X), one per angle of
-    ``w``, drawn as w ~ N(0, v), i.e. ``normal(0, sqrt(v))``.  At v = 0
-    nothing is drawn: every gate is the identity and ``w`` is read for
-    its length alone.
+def spam_gate_batch(v: float, z: np.ndarray) -> np.ndarray:
+    """Pre-measurement bitflip noise gates exp(i w X) at w = sqrt(v) z,
+    one per standard normal of ``z``, so that w ~ N(0, v).
 
     Unitary for every draw; averaging N rho N^dag over draws gives the
     bitflip channel with p = (1 - e^{-2v})/2.
     """
     if v < 0:
         raise ValueError("strength v must be >= 0")
-    size = len(w)
-    if v == 0:
-        w = np.zeros(size)
-    out = np.zeros((size, 2, 2), dtype=complex)
+    w = math.sqrt(v) * z
+    out = np.zeros((len(w), 2, 2), dtype=complex)
     out[:, 0, 0] = out[:, 1, 1] = np.cos(w)
     out[:, 0, 1] = out[:, 1, 0] = 1j * np.sin(w)
     return out

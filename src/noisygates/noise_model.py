@@ -21,7 +21,9 @@ discrete channels exactly over one gate duration:
   strength v = -ln(1-2p)/2 via p = (1 - e^{-2v})/2.
 
 Each jump operator carries a dimensionless amplitude
-epsilon = sqrt(rate * duration).
+epsilon = sqrt(rate * duration); a depolarising jump's is computed as
+sqrt(-ln(1-p)/4^k), which reads no duration, so it stays finite where
+the rate overflows.
 
 Which of these one scheduled slot carries is decided once, by
 :func:`slot_noise`; the trajectory engine, the channel simulator and the
@@ -304,5 +306,6 @@ def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseConte
             terms.append(LindbladTerm.from_rate(embed(op, (pos,), arity), rate, duration))
     if noise.p_depolarizing is not None:
         rate = depolarizing_rate(noise.p_depolarizing, duration, arity)
-        terms += [LindbladTerm.from_rate(pauli, rate, duration) for pauli in depolarizing_paulis(arity)]
+        epsilon = math.sqrt(-math.log1p(-noise.p_depolarizing) / 4**arity)
+        terms += [LindbladTerm(pauli, rate, epsilon) for pauli in depolarizing_paulis(arity)]
     return NoiseContext(terms=tuple(terms), gate_duration=duration)

@@ -194,6 +194,22 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "op",
+        [{"gate": "RX", "q": [0], "theta": 1.1e6}, {"gate": "CR", "q": [0, 1], "theta": -1e300}],
+        ids=["rx_1.1e6", "cr_minus_1e300"],
+    )
+    def test_theta_beyond_the_bound_is_two(self, op, device_file, tmp_path, capsys):
+        # the Lindblad slot map drifts from the exact one as theta grows
+        # and overflows near 1e30, so |theta| above 1e6 is refused
+        circuit_path = tmp_path / "bad.json"
+        circuit_path.write_text(json.dumps({"n_qubits": 2, "ops": [op]}))
+        out = tmp_path / "out"
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path)}
+        assert main(compare_args(device_file, out, **custom)) == 2
+        assert f"op 0: 'theta' must satisfy |theta| <= 1e+06, got {op['theta']!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, backends", [("simulate", "channel,lindblad"), ("compare", "noisy_gates,channel,lindblad")]
     )
     def test_readout_error_from_half_is_two(self, command, backends, tmp_path, capsys):
@@ -453,6 +469,33 @@ def test_subnormal_idle_runs_on_every_back_end(idle_s, device_file, tmp_path, ca
     x = {"gate": "X", "q": [0]}
     with_idle = lindblad_row([x, {"gate": "IDLE", "q": [0], "duration_s": idle_s}], "idle")
     np.testing.assert_allclose(with_idle, lindblad_row([x], "x"), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [{"gate": "X", "q": [0], "duration_s": 5e-324}, {"gate": "CNOT", "q": [0, 1], "duration_s": 1e-310}],
+    ids=["x_5e-324_s", "cnot_1e-310_s"],
+)
+def test_subnormal_gate_runs_on_every_back_end(op, device_file, tmp_path, capsys):
+    # a depolarising amplitude eps^2 = -ln(1 - p)/4^k reads no duration, so
+    # it stays finite where the rate -ln(1 - p)/(4^k T) overflows; the
+    # Lindblad row then equals that of the same gate lasting 1e-300 s
+    def rows(duration_s, out):
+        circuit_path = tmp_path / f"{out}.json"
+        circuit_path.write_text(json.dumps({"n_qubits": 2, "ops": [dict(op, duration_s=duration_s)], "measure": [0, 1]}))
+        custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path), "--shots": "64", "--runs": "1"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate"] + compare_args(device_file, tmp_path / out, **custom)[1:]) == 0
+        rundir = next((tmp_path / out).iterdir())
+        rows = [row.split(",") for row in (rundir / "distributions.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["lindblad", "noisy_gates", "channel"]
+        values = np.array([[float(x) for x in row[4:]] for row in rows])
+        assert np.all(np.isfinite(values))
+        return values
+
+    subnormal = rows(op["duration_s"], "subnormal")
+    np.testing.assert_allclose(subnormal[0], rows(1e-300, "tiny")[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

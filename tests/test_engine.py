@@ -852,7 +852,42 @@ DEFERRAL_CASES = {
         (0, 2, 4, 4),
         16,
     ),
+    # qubit 0 has no readout noise (see READOUT_FREE): it has no readout
+    # gate and draws no row, beside two measured qubits that do
+    "readout_free_qubit": (
+        {
+            "n_qubits": 3,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "CNOT", "q": [0, 1]},
+                {"gate": "X", "q": [2]},
+                {"gate": "CNOT", "q": [1, 2]},
+            ],
+            "measure": [2, 0, 1],
+        },
+        (0, 1, 3),
+        40,
+    ),
+    # every measured qubit is free of readout noise: no readout draws at all
+    "readout_free_register": (
+        {
+            "n_qubits": 2,
+            "ops": [{"gate": "SX", "q": [0]}, {"gate": "CNOT", "q": [0, 1]}, {"gate": "X", "q": [1]}],
+            "measure": [1, 0],
+        },
+        (1, 2, 3),
+        40,
+    ),
 }
+# qubits whose p_readout is 0 in a case's device
+READOUT_FREE = {"readout_free_qubit": (0,), "readout_free_register": (0, 1)}
+
+
+def deferral_device(name: str, n: int) -> DeviceParams:
+    """The desk register of case ``name``, p_readout 0 on its ``READOUT_FREE`` qubits."""
+    qubits = desk_register(n).qubits
+    free = READOUT_FREE.get(name, ())
+    return replace(DESK, qubits=tuple(replace(qp, p_readout=0.0) if q in free else qp for q, qp in enumerate(qubits)))
 
 
 class TestDeferredGates:
@@ -863,7 +898,7 @@ class TestDeferredGates:
     @pytest.mark.parametrize("name", DEFERRAL_CASES)
     def test_matches_slot_by_slot(self, name, monkeypatch):
         doc, checkpoints, shots = DEFERRAL_CASES[name]
-        scheduled = schedule_layers(parse_circuit(doc), desk_register(doc["n_qubits"]))
+        scheduled = schedule_layers(parse_circuit(doc), deferral_device(name, doc["n_qubits"]))
         config = RunConfig(shots=shots, master_seed=11, run_index=2, checkpoints=checkpoints)
         made = []
         fget = RngStream.generator.fget
@@ -1036,7 +1071,7 @@ class TestDrawThread:
             failed_on.append(threading.current_thread())
             raise RuntimeError("draw failed")
 
-        broken = SimpleNamespace(standard_normal=fail, normal=fail, uniform=fail)
+        broken = SimpleNamespace(standard_normal=fail, random=fail)
         fget = RngStream.generator.fget
         monkeypatch.setattr(RngStream, "generator", property(lambda self: broken if self._path == (1,) else fget(self)))
         scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(2))
@@ -1049,6 +1084,21 @@ class TestDrawThread:
         assert [thread.name for thread in failed_on] == ["noisygates-draws"]
         assert threading.active_count() == before
         self.assert_rerun_matches_fresh(scheduled, compiled, self.CONFIG)
+
+    def test_every_job_is_a_generator_fill(self):
+        # per segment, a standard_normal job per piece, one for the two
+        # readout rows, and a random job for the uniforms
+        compiled = _Compiled(schedule_layers(parse_circuit(self.DOC), desk_register(2)))
+        sizes = [1024, 452]
+        plans = {size: [compiled.pieces(0, 1, size), compiled.pieces(1, 3, size)] for size in sizes}
+        jobs = list(engine._draw_jobs(RngStream(3), sizes, plans, len(compiled.readout)))
+        want = []
+        for size in sizes:
+            for pieces in plans[size]:
+                want += [((count,), "standard_normal") for *_, count in pieces]
+                want += [((2, size), "standard_normal"), ((size,), "random")]
+        assert [(shape, fill.__name__) for shape, fill in jobs] == want
+        assert all(isinstance(fill.__self__, np.random.Generator) for _, fill in jobs)
 
     @pytest.mark.parametrize("blocks", [1, 2, 4])
     def test_any_number_of_blocks_draws_the_same_stream(self, blocks, monkeypatch):

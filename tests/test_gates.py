@@ -81,14 +81,11 @@ def draw_relaxation(gamma1, gamma_pd, dt, gen, size):
 
 
 def draw_spam(v, gen, size):
-    """``size`` readout gates on angles drawn from ``gen`` as the
-    trajectory engine draws them: none at v = 0."""
+    """``size`` readout gates exp(i w X) on angles w ~ N(0, v) drawn from
+    ``gen`` as ``normal(0, sqrt(v))``, none at v = 0, and built here, so
+    the stream is stated apart from ``spam_gate_batch``."""
     w = gen.normal(0.0, math.sqrt(v), size) if v > 0 else np.zeros(size)
-    return spam_gate_batch(v, w)
-
-
-def sample_spam_gate(v, rng):
-    return draw_spam(v, rng.generator, 1)[0]
+    return np.cos(w)[:, None, None] * I2 + 1j * np.sin(w)[:, None, None] * PAULI_X
 
 
 def sample_relaxation_gate(gamma1, gamma_pd, dt, rng):
@@ -495,17 +492,23 @@ class TestSampleBatchWorkspace:
 
 class TestSpamGate:
     def test_zero_strength(self):
-        assert np.allclose(sample_spam_gate(0.0, RngStream(1)), I2)
-        # nothing is drawn at v = 0, so the angles are not read
-        np.testing.assert_array_equal(spam_gate_batch(0.0, np.ones(3)), np.broadcast_to(I2, (3, 2, 2)))
+        # the gate of standard normal z is exp(i w X) at w = sqrt(v) z:
+        # the identity at v = 0
+        z = RngStream(1).generator.standard_normal(5)
+        for v in (0.0, 0.3466):
+            want = np.array([scipy.linalg.expm(1j * math.sqrt(v) * zi * PAULI_X) for zi in z])
+            assert np.abs(spam_gate_batch(v, z) - want).max() <= 1e-15
+        np.testing.assert_array_equal(spam_gate_batch(0.0, z), np.broadcast_to(I2, (5, 2, 2)))
+        with pytest.raises(ValueError, match="strength v must be >= 0"):
+            spam_gate_batch(-0.1, z)
 
     def test_every_draw_unitary(self):
-        batch = draw_spam(0.3466, RngStream(2).generator, 200)
+        batch = spam_gate_batch(0.3466, RngStream(2).generator.standard_normal(200))
         for u in batch:
             assert np.abs(dagger(u) @ u - I2).max() <= 1e-10
 
     def test_bitflip_ensemble(self):
-        batch = draw_spam(math.log(2) / 2, RngStream(3).generator, 100_000)
+        batch = spam_gate_batch(math.log(2) / 2, RngStream(3).generator.standard_normal(100_000))
         rho = np.array([[1, 0], [0, 0]], dtype=complex)
         avg = np.einsum("sij,jk,slk->il", batch, rho, batch.conj()) / batch.shape[0]
         assert np.abs(avg - np.diag([0.75, 0.25])).max() < 0.005

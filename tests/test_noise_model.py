@@ -234,6 +234,16 @@ class TestNoiseContext:
         for term, (op, _) in zip(ctx.terms, want):
             assert np.array_equal(term.operator, op)
 
+    def test_depolarising_amplitude_reads_no_duration(self):
+        # eps^2 = -ln(1 - p)/4^k at any duration, a subnormal one included,
+        # where the rate overflows; the rate keeps depolarizing_rate's value
+        params = load_calibration(json.dumps(MINIMAL))
+        for duration in (35e-9, 5e-324):
+            ctx = noise_context_for_gate(GateSpec("X", (0,), duration=duration), params)
+            for term in ctx.terms[2:]:
+                assert term.epsilon == math.sqrt(-math.log1p(-1e-4) / 4)
+                assert term.rate == depolarizing_rate(1e-4, duration, 1)
+
     def test_rz_is_noiseless(self):
         params = load_calibration(json.dumps(MINIMAL))
         ctx = noise_context_for_gate(GateSpec("RZ", (0,), phi=0.3), params)
