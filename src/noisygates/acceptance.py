@@ -110,29 +110,27 @@ def criterion_2_relaxation() -> tuple[bool, str]:
     return worst <= 0.005, f"worst {worst:.2e} (tol 5e-3); " + " ".join(details)
 
 
-def _x_gate_context(scale2: float, tg: float = 1.0) -> NoiseContext:
+def _x_gate_context(scale2: float) -> NoiseContext:
     g1, gpd, gd = 0.04 * scale2, 0.02 * scale2, 0.008 * scale2
     terms = (
-        LindbladTerm.from_rate(DECAY, g1, tg),
-        LindbladTerm.from_rate(PAULI_Z, gpd / 4, tg),
-        LindbladTerm.from_rate(PAULI_X, gd, tg),
-        LindbladTerm.from_rate(PAULI_Y, gd, tg),
-        LindbladTerm.from_rate(PAULI_Z, gd, tg),
+        LindbladTerm.from_rate(DECAY, g1, 1.0),
+        LindbladTerm.from_rate(PAULI_Z, gpd / 4, 1.0),
+        LindbladTerm.from_rate(PAULI_X, gd, 1.0),
+        LindbladTerm.from_rate(PAULI_Y, gd, 1.0),
+        LindbladTerm.from_rate(PAULI_Z, gd, 1.0),
     )
-    return NoiseContext(terms=terms, gate_duration=tg)
+    return NoiseContext(terms=terms, gate_duration=1.0)
 
 
 def criterion_3_second_order() -> tuple[bool, str]:
     """E[N rho N^dag] deviates from one-gate Lindblad evolution as eps^3."""
-    tg = 1.0
     sched = schedule(GateSpec("X", (0,)))
     rho0 = np.array([[0.7, 0.3 + 0.2j], [0.3 - 0.2j, 0.3]], dtype=complex)
-    hamiltonian = sched.generator / tg
     draws = 1_500_000
     devs, epss = [], []
     for scale in (1.0, 0.5, 0.25):
-        ctx = _x_gate_context(scale**2, tg)
-        target = solve(hamiltonian, ctx.terms, rho0, tg, tg / 200)
+        ctx = _x_gate_context(scale**2)
+        target = solve(sched.generator, ctx.terms, rho0, 200)
         sampler = NoisyGateSampler(sched, ctx)
         gen = RngStream(303).generator
         ws = Workspace()
@@ -327,6 +325,7 @@ def criterion_9_lindblad() -> tuple[bool, str]:
     gamma1, gamma_pd = 1.0e4, 1.5e4
     horizon = 2.0e-4
     rho0 = np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, 0.6]], dtype=complex)
+    # one slot of length horizon: RK4 steps of horizon / n, rates eps^2 = gamma horizon
     terms = (
         LindbladTerm.from_rate(DECAY, gamma1, horizon),
         LindbladTerm.from_rate(PAULI_Z, gamma_pd / 4, horizon),
@@ -343,12 +342,12 @@ def criterion_9_lindblad() -> tuple[bool, str]:
         return out
 
     exact = analytic(horizon)
-    err_fine = float(np.abs(solve(h0, terms, rho0, horizon, horizon / 100) - exact).max())
+    err_fine = float(np.abs(solve(h0, terms, rho0, 100) - exact).max())
 
     errs, steps = [], (10, 20, 40)
     for n in steps:
-        errs.append(float(np.abs(solve(h0, terms, rho0, horizon, horizon / n) - exact).max()))
-    slope = float(np.polyfit(np.log([horizon / n for n in steps]), np.log(errs), 1)[0])
+        errs.append(float(np.abs(solve(h0, terms, rho0, n) - exact).max()))
+    slope = float(np.polyfit(np.log([1 / n for n in steps]), np.log(errs), 1)[0])
 
     ok = err_fine <= 1e-8 and slope >= 3.7
     detail = f"analytic deviation {err_fine:.1e} (tol 1e-8); RK4 slope {slope:.2f} (need >= 3.7)"

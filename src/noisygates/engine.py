@@ -377,7 +377,9 @@ def expand_cnots(circuit: Circuit) -> Circuit:
 @dataclass(frozen=True)
 class RunConfig:
     """One run: ``shots`` >= 1, and the ``master_seed`` and ``run_index``
-    >= 0 that name its chunk streams, each an int and not a bool."""
+    >= 0 that name its chunk streams, each an int and not a bool.
+    ``checkpoints`` is None or a non-empty tuple of such ints; their
+    range is checked against the circuit by :func:`run_shots`."""
 
     shots: int
     master_seed: int = 0
@@ -386,6 +388,9 @@ class RunConfig:
 
     def __post_init__(self):
         _check_int_fields(self, (("shots", 1), ("master_seed", 0), ("run_index", 0)))
+        cps = self.checkpoints
+        if cps is not None and not (isinstance(cps, tuple) and cps and all(map(_is_int, cps))):
+            raise ValueError(f"checkpoints must be None or a non-empty tuple of ints, got {cps!r}")
 
 
 @dataclass

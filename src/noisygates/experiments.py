@@ -21,7 +21,7 @@ evolves by the exact exponential of its master-equation generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,17 +180,14 @@ def channel_backend_run(config: ExperimentConfig, run_index: int, exact_probs: n
 
 def _lindblad_slot_map(gate: GateSpec, params: DeviceParams) -> np.ndarray:
     """Local map of one slot: the exact exponential (``linalg.expm``) of
-    the generator of its drive (none for an idle) and its
-    ``noise_context_for_gate`` terms in the slot's own time s = t / T,
-    over s in [0, 1].  There the drive is ``drive_generator(gate)`` and
-    each term's rate is epsilon^2 = rate T, so nothing divides by T,
-    however short the slot.  A zero-duration slot (an RZ frame, a zero
-    idle) is its ideal unitary."""
+    the slot-time generator (``lindblad.rhs_superoperator``) of its drive
+    ``drive_generator(gate)`` (none for an idle) and its
+    ``noise_context_for_gate`` terms, over s in [0, 1].  A zero-duration
+    slot (an RZ frame, a zero idle) is its ideal unitary."""
     ctx = noise_context_for_gate(gate, params)
     if ctx.gate_duration == 0.0:
         return superoperator([ideal_unitary(gate)])
-    terms = [replace(term, rate=term.epsilon**2) for term in ctx.terms]
-    return expm(rhs_superoperator(drive_generator(gate), terms))
+    return expm(rhs_superoperator(drive_generator(gate), ctx.terms))
 
 
 def lindblad_reference(

@@ -1,9 +1,12 @@
 """Reference density-matrix integrator for the driven Lindblad equation
+in a slot's own time s = t / T over [0, 1],
 
-    d rho / dt = -i [H, rho] + sum_k gamma_k (L rho L^dag - 1/2 {L^dag L, rho})
+    d rho / ds = -i [H, rho] + sum_k eps_k^2 (L rho L^dag - 1/2 {L^dag L, rho})
 
-with a constant Hamiltonian.  Classic fixed-step RK4: because the
-equation is linear and autonomous, one RK4 step is a fixed
+with a constant generator H (the drive over the whole slot, so H = T h
+for a Hamiltonian h in 1/s) and each jump at rate eps_k^2 = gamma_k T.
+Nothing divides by T, however short the slot.  Classic fixed-step RK4:
+because the equation is linear and autonomous, one RK4 step is a fixed
 superoperator on row-major vec(rho) (the convention of
 ``linalg.superoperator``), and ``steps`` equal steps are the matrix
 power step^steps (:func:`rk4_map`).  :func:`solve` applies one such map
@@ -16,7 +19,6 @@ serves :func:`solve` alone.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -32,14 +34,15 @@ __all__ = [
 ]
 
 
-def rhs_superoperator(hamiltonian: np.ndarray, terms: Sequence[LindbladTerm]) -> np.ndarray:
-    """Matrix M acting on row-major vec(rho) with vec(d rho/dt) = M vec(rho)."""
-    h = np.asarray(hamiltonian, dtype=complex)
+def rhs_superoperator(generator: np.ndarray, terms: Sequence[LindbladTerm]) -> np.ndarray:
+    """Matrix M acting on row-major vec(rho) with vec(d rho/ds) = M vec(rho),
+    each term at rate epsilon^2."""
+    h = np.asarray(generator, dtype=complex)
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
     m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for term in terms:
-        rate, op = term.rate, term.operator
+        rate, op = term.epsilon**2, term.operator
         if rate == 0.0:
             continue
         opd = dagger(op)
@@ -64,30 +67,28 @@ def rk4_step_matrix(rhs_matrix: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def rk4_map(rhs_matrix: np.ndarray, duration: float, steps: int) -> np.ndarray:
-    """RK4 propagator over ``duration`` in ``steps`` equal steps: the step
+def rk4_map(rhs_matrix: np.ndarray, steps: int) -> np.ndarray:
+    """RK4 propagator over s in [0, 1] in ``steps`` equal steps: the step
     matrix raised to ``steps``."""
-    return np.linalg.matrix_power(rk4_step_matrix(rhs_matrix, duration / steps), steps)
+    return np.linalg.matrix_power(rk4_step_matrix(rhs_matrix, 1.0 / steps), steps)
 
 
 def solve(
-    hamiltonian: np.ndarray,
+    generator: np.ndarray,
     terms: Sequence[LindbladTerm],
     rho0: np.ndarray,
-    duration: float,
-    dt_max: float,
+    steps: int,
 ) -> np.ndarray:
-    """rho after ``duration`` under ``hamiltonian`` (generator in 1/s) and
-    the jump ``terms``, from ``rho0``.
+    """rho at the end of a slot under ``generator`` and the jump ``terms``
+    (:func:`rhs_superoperator`), from ``rho0``.
 
-    One :func:`rk4_map` of max(1, ceil(duration / dt_max)) equal steps,
-    then Hermitian symmetrisation.  Raises ``FloatingPointError`` if the
-    state leaves the finite range (instability).
+    One :func:`rk4_map` of ``steps`` (an int >= 1) equal steps, then
+    Hermitian symmetrisation.  Raises ``FloatingPointError`` if the state
+    leaves the finite range (instability).
     """
-    if duration <= 0 or dt_max <= 0:
-        raise ValueError("duration and dt_max must be positive")
-    steps = max(1, math.ceil(duration / dt_max))
-    prop = rk4_map(rhs_superoperator(hamiltonian, terms), duration, steps)
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
+    prop = rk4_map(rhs_superoperator(generator, terms), steps)
     rho = np.asarray(rho0, dtype=complex)
     rho = (prop @ rho.reshape(-1)).reshape(rho.shape)
     rho = 0.5 * (rho + dagger(rho))

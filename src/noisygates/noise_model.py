@@ -1,4 +1,4 @@
-"""Device calibration and its conversion to jump operators with rates.
+"""Device calibration and its conversion to jump operators with amplitudes.
 
 The calibration file is a strict JSON document::
 
@@ -9,21 +9,22 @@ The calibration file is a strict JSON document::
 
 All times are in seconds; unknown keys are rejected.  Rates are derived
 so that the continuous jump processes reproduce the corresponding
-discrete channels exactly over one gate duration:
+discrete channels exactly over one gate duration T:
 
 * amplitude damping gamma1 = 1/T1 and pure dephasing
   gamma_pd = 2/T2 - 1/T1 (requires T2 <= 2 T1),
 * the 4^k - 1 non-identity k-qubit Pauli jumps of a k-qubit gate, each
-  at gamma_d = -ln(1-p)/(4^k t), reproduce the symmetric depolarising
+  at gamma_d = -ln(1-p)/(4^k T), reproduce the symmetric depolarising
   channel with total error p (for k = 1, X, Y and Z contract the Bloch
   vector by exactly 1-p),
 * the readout bitflip probability p maps to the pre-measurement noise
   strength v = -ln(1-2p)/2 via p = (1 - e^{-2v})/2.
 
-Each jump operator carries a dimensionless amplitude
-epsilon = sqrt(rate * duration); a depolarising jump's is computed as
-sqrt(-ln(1-p)/4^k), which reads no duration, so it stays finite where
-the rate overflows.
+A jump term carries one number, its dimensionless amplitude
+epsilon = sqrt(gamma T) over the slot (:meth:`LindbladTerm.from_rate`):
+in the slot's own time s = t/T in [0, 1] it runs at rate epsilon^2.  A
+depolarising jump's is computed as sqrt(-ln(1-p)/4^k), which reads no
+duration, so it stays finite where gamma_d overflows.
 
 Which of these one scheduled slot carries is decided once, by
 :func:`slot_noise`; the trajectory engine, the channel simulator and the
@@ -56,7 +57,6 @@ __all__ = [
     "load_calibration",
     "relaxation_rates",
     "depolarizing_paulis",
-    "depolarizing_rate",
     "spam_strength",
     "LindbladTerm",
     "NoiseContext",
@@ -220,19 +220,6 @@ def depolarizing_paulis(arity: int) -> tuple[np.ndarray, ...]:
     return tuple(functools.reduce(kron, ops) for ops in itertools.product(singles, repeat=arity))[1:]
 
 
-def depolarizing_rate(p_gate: float, duration: float, arity: int) -> float:
-    """Rate for each of the :func:`depolarizing_paulis` jumps of an
-    ``arity``-qubit gate so that one gate duration reproduces the
-    symmetric depolarising channel with total error p_gate: every
-    non-identity Pauli coefficient contracts by exactly 1 - p_gate, at
-    decay rate 4^arity * rate."""
-    if not (0 <= p_gate < 1):
-        raise ValueError(f"p_gate out of [0, 1): {p_gate:g}")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return -math.log1p(-p_gate) / (4**arity * duration)
-
-
 def spam_strength(p_readout: float) -> float:
     """Pre-measurement noise strength v with p = (1 - e^{-2v})/2, i.e.
     v = -ln(1 - 2p)/2.  Requires p < 1/2."""
@@ -243,18 +230,19 @@ def spam_strength(p_readout: float) -> float:
 
 @dataclass(frozen=True)
 class LindbladTerm:
-    """Jump operator with rate (1/s) and dimensionless amplitude
-    epsilon = sqrt(rate * duration)."""
+    """Jump operator with dimensionless amplitude epsilon: over a slot's
+    own time s in [0, 1] it acts at rate epsilon^2."""
 
     operator: np.ndarray
-    rate: float
     epsilon: float
 
     @classmethod
     def from_rate(cls, operator: np.ndarray, rate: float, duration: float) -> "LindbladTerm":
+        """The term of a jump at ``rate`` (1/s) over ``duration``:
+        epsilon = sqrt(rate * duration)."""
         if rate < 0:
             raise ValueError("rate must be >= 0")
-        return cls(operator=np.asarray(operator, dtype=complex), rate=rate, epsilon=math.sqrt(rate * duration))
+        return cls(operator=np.asarray(operator, dtype=complex), epsilon=math.sqrt(rate * duration))
 
 
 @dataclass(frozen=True)
@@ -271,7 +259,7 @@ class SlotNoise:
     qubits relaxes at ``relaxation[i]`` = (gamma1, gamma_pd), and a driven
     slot also carries the depolarising set of its arity for the error
     probability ``p_depolarizing``.  Idle slots have ``p_depolarizing``
-    None; a driven slot at p = 0 keeps its (zero-rate) depolarising set."""
+    None; a driven slot at p = 0 keeps its (zero-amplitude) depolarising set."""
 
     duration: float
     relaxation: tuple[tuple[float, float], ...]
@@ -297,7 +285,7 @@ def slot_noise(gate: "GateSpec", params: DeviceParams) -> SlotNoise:
 def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseContext:
     """Jump terms of one slot's :func:`slot_noise`, on the slot's qubits:
     amplitude damping and pure dephasing per qubit, then the depolarising
-    set of a driven slot, all with the slot's duration."""
+    set of a driven slot, each with its amplitude over the slot's duration."""
     noise = slot_noise(gate, params)
     duration, arity = noise.duration, len(noise.relaxation)
     terms: list[LindbladTerm] = []
@@ -305,7 +293,6 @@ def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseConte
         for op, rate in ((DECAY, gamma1), (PAULI_Z, gamma_pd / 4.0)):
             terms.append(LindbladTerm.from_rate(embed(op, (pos,), arity), rate, duration))
     if noise.p_depolarizing is not None:
-        rate = depolarizing_rate(noise.p_depolarizing, duration, arity)
         epsilon = math.sqrt(-math.log1p(-noise.p_depolarizing) / 4**arity)
-        terms += [LindbladTerm(pauli, rate, epsilon) for pauli in depolarizing_paulis(arity)]
+        terms += [LindbladTerm(pauli, epsilon) for pauli in depolarizing_paulis(arity)]
     return NoiseContext(terms=tuple(terms), gate_duration=duration)

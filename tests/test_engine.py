@@ -497,6 +497,15 @@ class TestRunShots:
             ("run_index", -1, "run_index must be >= 0, got -1"),
             ("run_index", 1.0, "run_index must be an int, got 1.0"),
             ("run_index", None, "run_index must be an int, got None"),
+            ("checkpoints", (1.5,), "checkpoints must be None or a non-empty tuple of ints, got (1.5,)"),
+            ("checkpoints", (True,), "checkpoints must be None or a non-empty tuple of ints, got (True,)"),
+            ("checkpoints", (), "checkpoints must be None or a non-empty tuple of ints, got ()"),
+            ("checkpoints", [1], "checkpoints must be None or a non-empty tuple of ints, got [1]"),
+            (
+                "checkpoints",
+                (0, np.int64(1)),
+                "checkpoints must be None or a non-empty tuple of ints, got (0, np.int64(1))",
+            ),
         ],
     )
     def test_every_field_checked_at_construction(self, field, value, message):

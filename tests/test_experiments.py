@@ -20,7 +20,7 @@ from noisygates.experiments import (
     lindblad_reference,
     run_compare,
 )
-from noisygates.gates import GateSpec, NoisyGateSampler, drive_generator, ideal_unitary
+from noisygates.gates import MAX_THETA, GateSpec, NoisyGateSampler, drive_generator, ideal_unitary
 from noisygates.linalg import DECAY, PAULI_X, PAULI_Y, PAULI_Z, dagger
 from noisygates.noise_model import (
     DeviceParams,
@@ -249,12 +249,20 @@ class TestLindbladReferenceCache:
             assert any(g.kind == "RZ" for layer in sched.layers for g in layer.gates)
 
 
+def per_second(terms, duration):
+    """``terms`` of one slot of ``duration`` restated in physical time:
+    amplitude epsilon / sqrt(T), so rhs_superoperator runs each at its
+    rate epsilon^2 / T in 1/s."""
+    return [replace(t, epsilon=t.epsilon / math.sqrt(duration)) for t in terms]
+
+
 def exact_slot_reference(sched):
     """Oracle for lindblad_reference: each slot's drive and
     ``noise_context_for_gate`` terms embedded on the full register and
-    evolved over the slot's duration by the exact exponential of their
-    superoperator, slot after slot; zero-duration slots apply their
-    unitary.  Returns rho after every layer, initial state first."""
+    evolved in physical time over the slot's duration by the exact
+    exponential of their superoperator, slot after slot; zero-duration
+    slots apply their unitary.  Returns rho after every layer, initial
+    state first."""
     n = sched.n_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
@@ -268,7 +276,7 @@ def exact_slot_reference(sched):
                 continue
             h = embed_operator(drive_generator(g), n, g.qubits) / ctx.gate_duration
             terms = [replace(t, operator=embed_operator(t.operator, n, g.qubits)) for t in ctx.terms]
-            m = lindblad.rhs_superoperator(h, terms)
+            m = lindblad.rhs_superoperator(h, per_second(terms, ctx.gate_duration))
             rho = (expm(m * ctx.gate_duration) @ rho.reshape(-1)).reshape(rho.shape)
         states.append(rho)
     return states
@@ -332,8 +340,21 @@ class TestSlotMaps:
     def test_matches_scipy(self, gate):
         ctx = noise_context_for_gate(gate, DESK)
         t = ctx.gate_duration
-        m = lindblad.rhs_superoperator(drive_generator(gate) / t, ctx.terms)
+        m = lindblad.rhs_superoperator(drive_generator(gate) / t, per_second(ctx.terms, t))
         assert np.abs(_lindblad_slot_map(gate, DESK) - expm(m * t)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "theta, bound", [(40.0, 2e-14), (1e4, 5e-12), (MAX_THETA, 1.5e-10)], ids=["40", "1e4", "max_theta"]
+    )
+    def test_rx_matches_60_digit_exponential(self, theta, bound):
+        # measured 2.2e-15, 5.9e-13 and 1.5e-11 of the largest entry
+        mpmath = pytest.importorskip("mpmath")
+        gate = GateSpec("RX", (0,), theta=theta)
+        m = lindblad.rhs_superoperator(drive_generator(gate), noise_context_for_gate(gate, DESK).terms)
+        with mpmath.workdps(60):
+            exact = mpmath.expm(mpmath.matrix(m.tolist()))
+            want = np.array(exact.tolist(), dtype=complex)
+        assert np.abs(_lindblad_slot_map(gate, DESK) - want).max() <= bound * np.abs(want).max()
 
     def test_idle_of_1e300_s_is_full_decay(self):
         # |0><0| stays, |1><1| decays into it and every coherence is gone;

@@ -1,6 +1,5 @@
 import math
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,8 +257,7 @@ def slot_generator(gate):
     """Lindblad generator of one slot of ``gate`` on ``DESK`` in the
     slot's own time, as the Lindblad reference builds it: the drive and
     each term at rate epsilon^2."""
-    terms = [replace(term, rate=term.epsilon**2) for term in noise_context_for_gate(gate, DESK).terms]
-    return rhs_superoperator(drive_generator(gate), terms)
+    return rhs_superoperator(drive_generator(gate), noise_context_for_gate(gate, DESK).terms)
 
 
 class TestExpmAccuracy:

@@ -12,12 +12,12 @@ RHO0 = np.array([[0.4, 0.3 - 0.1j], [0.3 + 0.1j, 0.6]], dtype=complex)
 
 def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, terms) -> np.ndarray:
     """Oracle for rhs_superoperator: the master equation's right-hand
-    side evaluated on rho directly."""
+    side evaluated on rho directly, each term at rate epsilon^2."""
     rho = np.asarray(rho, dtype=complex)
     h = np.asarray(hamiltonian, dtype=complex)
     out = -1j * (h @ rho - rho @ h)
     for term in terms:
-        rate, op = term.rate, term.operator
+        rate, op = term.epsilon**2, term.operator
         if rate == 0.0:
             continue
         opd = dagger(op)
@@ -63,11 +63,15 @@ class TestRhs:
 
 
 class TestSolve:
+    """One slot of ``horizon`` seconds, stated in the slot's own time: the
+    generator is the Hamiltonian times the horizon and each term's rate is
+    epsilon^2 = gamma * horizon."""
+
     def test_relaxation_analytic(self):
         gamma1, gamma_pd = 1.0e4, 1.5e4
         horizon = 2.0e-4
         terms = relax_terms(gamma1, gamma_pd, horizon)
-        out = solve(np.zeros((2, 2)), terms, RHO0, horizon, horizon / 100)
+        out = solve(np.zeros((2, 2)), terms, RHO0, 100)
         assert out[1, 1].real == pytest.approx(
             RHO0[1, 1].real * math.exp(-gamma1 * horizon), abs=1e-8
         )
@@ -77,13 +81,13 @@ class TestSolve:
     def test_unitary_limit(self):
         h = 3.0 * PAULI_X
         t = 0.7
-        out = solve(h, (), RHO0, t, t / 400)
+        out = solve(h * t, (), RHO0, 400)
         u = expm(-1j * h * t)
         assert np.abs(out - u @ RHO0 @ dagger(u)).max() < 1e-8
 
     def test_trace_drift_over_many_steps(self):
         horizon = 1.0e-3
-        out = solve(1e5 * PAULI_X, relax_terms(1.0e4, 1.5e4, horizon), RHO0, horizon, horizon / 10_000)
+        out = solve(1e5 * horizon * PAULI_X, relax_terms(1.0e4, 1.5e4, horizon), RHO0, 10_000)
         assert abs(np.trace(out).real - 1.0) < 1e-9
         assert np.abs(out - dagger(out)).max() < 1e-10
 
@@ -95,29 +99,28 @@ class TestSolve:
         errs = []
         steps = (10, 20, 40)
         for n in steps:
-            out = solve(np.zeros((2, 2)), terms, RHO0, horizon, horizon / n)
+            out = solve(np.zeros((2, 2)), terms, RHO0, n)
             errs.append(abs(out[1, 1].real - exact11))
-        slope = np.polyfit(np.log([horizon / n for n in steps]), np.log(errs), 1)[0]
+        slope = np.polyfit(np.log([1 / n for n in steps]), np.log(errs), 1)[0]
         assert slope >= 3.7
 
-    def test_one_map_of_rounded_up_steps(self):
-        # horizon / 100 rounds to a quotient just above 100, so 101 steps
+    @pytest.mark.parametrize("steps", [1, 100, 101])
+    def test_one_map_of_the_given_steps(self, steps):
         horizon = 2.0e-4
         terms = relax_terms(1.0e4, 1.5e4, horizon)
-        assert math.ceil(horizon / (horizon / 100)) == 101
         m = rhs_superoperator(np.zeros((2, 2)), terms)
-        want = (rk4_map(m, horizon, 101) @ RHO0.reshape(-1)).reshape(2, 2)
+        want = (rk4_map(m, steps) @ RHO0.reshape(-1)).reshape(2, 2)
         want = 0.5 * (want + dagger(want))
-        assert np.array_equal(solve(np.zeros((2, 2)), terms, RHO0, horizon, horizon / 100), want)
+        assert np.array_equal(solve(np.zeros((2, 2)), terms, RHO0, steps), want)
 
     def test_divergence_raises(self):
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
-            solve(np.zeros((2, 2)), relax_terms(1e200, 0.0), RHO0, 1.0, 1.0)
+            solve(np.zeros((2, 2)), relax_terms(1e200, 0.0), RHO0, 1)
 
-    @pytest.mark.parametrize("duration, dt_max", [(0.0, 0.1), (1.0, 0.0), (-1.0, 0.1)])
-    def test_nonpositive_duration_or_step_rejected(self, duration, dt_max):
-        with pytest.raises(ValueError, match="must be positive"):
-            solve(np.zeros((2, 2)), (), RHO0, duration, dt_max)
+    @pytest.mark.parametrize("steps", [0, -1, 2.5, True, np.int64(3)])
+    def test_steps_other_than_an_int_of_at_least_one_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an int >= 1"):
+            solve(np.zeros((2, 2)), (), RHO0, steps)
 
 
 class TestRk4Map:
@@ -126,9 +129,9 @@ class TestRk4Map:
         h = np.kron(PAULI_X, PAULI_Z)
         terms = (LindbladTerm.from_rate(np.kron(DECAY, np.eye(2)), 0.3, 1.0),)
         m = rhs_superoperator(h, terms)
-        step = rk4_step_matrix(m, 0.5 / steps)
+        step = rk4_step_matrix(m, 1.0 / steps)
         rho = np.kron(RHO0, np.diag([1.0, 0.0])).reshape(-1)
         stepped = rho
         for _ in range(steps):
             stepped = step @ stepped
-        assert np.abs(rk4_map(m, 0.5, steps) @ rho - stepped).max() < 1e-13
+        assert np.abs(rk4_map(m, steps) @ rho - stepped).max() < 1e-13

@@ -15,7 +15,6 @@ from noisygates.noise_model import (
     QubitParams,
     SlotNoise,
     depolarizing_paulis,
-    depolarizing_rate,
     is_finite_number,
     load_calibration,
     noise_context_for_gate,
@@ -120,14 +119,25 @@ def pauli_word(word):
     return out
 
 
-class TestDepolarizingRate:
+def depolarising_terms(p, arity):
+    """The depolarising terms of a driven ``arity``-qubit slot at error p,
+    relaxation suppressed, from noise_context_for_gate."""
+    quiet = QubitParams(t1_s=1e300, t2_s=1e300, p_readout=0.0)
+    params = DeviceParams(qubits=(quiet,) * arity, t_1q_s=35e-9, t_2q_s=300e-9, p_1q=p, p_2q=p)
+    gate = GateSpec("X", (0,)) if arity == 1 else GateSpec("CNOT", (0, 1))
+    return noise_context_for_gate(gate, params).terms[2 * arity:]
+
+
+class TestDepolarizingAmplitude:
     def test_zero_error(self):
         for arity in (1, 2):
-            assert depolarizing_rate(0.0, 1.0, arity) == 0.0
+            assert all(t.epsilon == 0.0 for t in depolarising_terms(0.0, arity))
 
     def test_closed_form_inverse(self):
+        # eps^2 = -ln(1 - p)/4^k is 1 at p = 1 - e^(-4^k)
         for arity in (1, 2):
-            assert depolarizing_rate(1 - math.exp(-(4**arity)), 1.0, arity) == pytest.approx(1.0)
+            for term in depolarising_terms(1 - math.exp(-(4**arity)), arity):
+                assert term.epsilon**2 == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "arity, words",
@@ -141,16 +151,16 @@ class TestDepolarizingRate:
 
     @pytest.mark.parametrize("arity", [1, 2])
     def test_every_pauli_coefficient_contracts_by_one_minus_p(self, arity):
-        # the Lindblad flow of the depolarising set over one duration is
-        # the depolarising channel of the same arity
-        p, duration = 0.3, 2.0
-        rate = depolarizing_rate(p, duration, arity)
-        terms = tuple(LindbladTerm.from_rate(op, rate, duration) for op in depolarizing_paulis(arity))
+        # the Lindblad flow of the depolarising set over its slot is the
+        # depolarising channel of the same arity
+        p = 0.3
+        terms = depolarising_terms(p, arity)
+        assert [t.operator.tolist() for t in terms] == [op.tolist() for op in depolarizing_paulis(arity)]
         d = 2**arity
         rho0 = np.eye(d, dtype=complex) / d
         for k, pauli in enumerate(depolarizing_paulis(arity)):
             rho0 = rho0 + (0.1 - 0.01 * k) / d * pauli
-        rho = solve(np.zeros((d, d)), terms, rho0, duration, duration / 400)
+        rho = solve(np.zeros((d, d)), terms, rho0, 400)
         for pauli in depolarizing_paulis(arity):
             before = np.real(np.trace(rho0 @ pauli))
             after = np.real(np.trace(rho @ pauli))
@@ -158,12 +168,13 @@ class TestDepolarizingRate:
         assert np.abs(rho - apply_channel(rho0, depolarizing_channel(p, arity), range(arity))).max() < 1e-8
 
     def test_bloch_contraction_oracle(self):
-        # one gate of X, Y, Z jumps at gamma_d shrinks the Bloch vector by 1 - p
+        # one gate of X, Y, Z jumps at gamma_d = -ln(1 - p)/(4 T) shrinks
+        # the Bloch vector by 1 - p
         p, duration = 0.3, 2.0
-        gamma = depolarizing_rate(p, duration, 1)
+        gamma = -math.log(1 - p) / (4 * duration)
         rho0 = 0.5 * (np.eye(2) + 0.8 * PAULI_X + 0.1 * PAULI_Y - 0.3 * PAULI_Z)
         terms = tuple(LindbladTerm.from_rate(op, gamma, duration) for op in (PAULI_X, PAULI_Y, PAULI_Z))
-        rho = solve(np.zeros((2, 2)), terms, rho0, duration, duration / 400)
+        rho = solve(np.zeros((2, 2)), terms, rho0, 400)
         contracted = 0.5 * np.eye(2) + (1 - p) * (rho0 - 0.5 * np.eye(2))
         assert np.abs(rho - contracted).max() < 1e-6
 
@@ -192,10 +203,14 @@ class TestNoiseContext:
         assert len(ctx.terms) == 5
 
     def test_epsilon_invariant(self):
+        # eps^2 = gamma T for the rates gamma1, gamma_pd / 4 and
+        # gamma_d = -ln(1 - p)/(4 T) of the module docstring
         params = load_calibration(json.dumps(MINIMAL))
         ctx = noise_context_for_gate(GateSpec("X", (0,)), params)
-        for term in ctx.terms:
-            assert term.epsilon**2 == pytest.approx(term.rate * ctx.gate_duration, abs=1e-12)
+        gamma1, gamma_pd = relaxation_rates(100e-6, 100e-6)
+        t = ctx.gate_duration
+        rates = [gamma1, gamma_pd / 4] + [-math.log(1 - 1e-4) / (4 * t)] * 3
+        assert [term.epsilon**2 for term in ctx.terms] == pytest.approx([r * t for r in rates], rel=1e-12)
 
     def test_zero_noise_limit(self):
         params = DeviceParams(
@@ -206,16 +221,18 @@ class TestNoiseContext:
             p_2q=0.0,
         )
         ctx = noise_context_for_gate(GateSpec("X", (0,)), params)
-        assert all(t.rate == 0.0 for t in ctx.terms)
+        assert all(t.epsilon == 0.0 for t in ctx.terms)
 
     def test_x_terms_pinned(self):
         params = load_calibration(json.dumps(MINIMAL))
         ctx = noise_context_for_gate(GateSpec("X", (0,)), params)
         gamma1, gamma_pd = relaxation_rates(100e-6, 100e-6)
-        rate = -math.log1p(-1e-4) / (4 * 35e-9)
-        want = [(DECAY, gamma1), (PAULI_Z, gamma_pd / 4), (PAULI_X, rate), (PAULI_Y, rate), (PAULI_Z, rate)]
-        assert ctx.gate_duration == 35e-9
-        assert [t.rate for t in ctx.terms] == [r for _, r in want]
+        t = 35e-9
+        eps = math.sqrt(-math.log1p(-1e-4) / 4)
+        want = [(DECAY, math.sqrt(gamma1 * t)), (PAULI_Z, math.sqrt(gamma_pd / 4 * t))]
+        want += [(PAULI_X, eps), (PAULI_Y, eps), (PAULI_Z, eps)]
+        assert ctx.gate_duration == t
+        assert [term.epsilon for term in ctx.terms] == [e for _, e in want]
         for term, (op, _) in zip(ctx.terms, want):
             assert np.array_equal(term.operator, op)
 
@@ -223,26 +240,27 @@ class TestNoiseContext:
         doc = dict(MINIMAL, qubits=[MINIMAL["qubits"][0], {"t1_s": 90e-6, "t2_s": 70e-6, "p_readout": 0.0}])
         ctx = noise_context_for_gate(GateSpec("CNOT", (0, 1)), load_calibration(json.dumps(doc)))
         (g1a, gpda), (g1b, gpdb) = relaxation_rates(100e-6, 100e-6), relaxation_rates(90e-6, 70e-6)
-        rate = -math.log1p(-1e-2) / (16 * 300e-9)
+        t = 300e-9
+        eps = math.sqrt(-math.log1p(-1e-2) / 16)
         want = [
             (np.kron(DECAY, I2), g1a), (np.kron(PAULI_Z, I2), gpda / 4),
             (np.kron(I2, DECAY), g1b), (np.kron(I2, PAULI_Z), gpdb / 4),
         ]
-        want += [(pauli_word(w), rate) for w in "IX IY IZ XI XX XY XZ YI YX YY YZ ZI ZX ZY ZZ".split()]
-        assert ctx.gate_duration == 300e-9
-        assert [t.rate for t in ctx.terms] == [r for _, r in want]
+        want = [(op, math.sqrt(rate * t)) for op, rate in want]
+        want += [(pauli_word(w), eps) for w in "IX IY IZ XI XX XY XZ YI YX YY YZ ZI ZX ZY ZZ".split()]
+        assert ctx.gate_duration == t
+        assert [term.epsilon for term in ctx.terms] == [e for _, e in want]
         for term, (op, _) in zip(ctx.terms, want):
             assert np.array_equal(term.operator, op)
 
     def test_depolarising_amplitude_reads_no_duration(self):
         # eps^2 = -ln(1 - p)/4^k at any duration, a subnormal one included,
-        # where the rate overflows; the rate keeps depolarizing_rate's value
+        # where the rate -ln(1 - p)/(4^k T) overflows
         params = load_calibration(json.dumps(MINIMAL))
         for duration in (35e-9, 5e-324):
             ctx = noise_context_for_gate(GateSpec("X", (0,), duration=duration), params)
             for term in ctx.terms[2:]:
                 assert term.epsilon == math.sqrt(-math.log1p(-1e-4) / 4)
-                assert term.rate == depolarizing_rate(1e-4, duration, 1)
 
     def test_rz_is_noiseless(self):
         params = load_calibration(json.dumps(MINIMAL))
@@ -268,17 +286,17 @@ class TestNoiseContext:
         rho0[2, 2] = 1.0
         rho0 += 0.1 * np.kron(PAULI_X, PAULI_X)
         rho0 /= np.trace(rho0).real
-        rho = solve(np.zeros((4, 4)), ctx.terms, rho0, params.t_2q_s, params.t_2q_s / 400)
+        rho = solve(np.zeros((4, 4)), ctx.terms, rho0, 400)
         want = apply_channel(rho0, depolarizing_channel(0.04, 2), (0, 1))
         assert np.abs(rho - want).max() < 2e-3
 
-    def test_two_qubit_rate_closed_form(self):
-        p, duration = 0.04, 300e-9
-        rate = depolarizing_rate(p, duration, 2)
+    def test_two_qubit_amplitude_closed_form(self):
+        p = 0.04
         # 8 of the 15 Pauli pairs anticommute with any fixed non-identity
-        # Pauli, so each coefficient decays at 16*rate; one duration must
-        # contract by exactly 1 - p
-        assert math.exp(-16 * rate * duration) == pytest.approx(1 - p, abs=1e-12)
+        # Pauli, so each coefficient decays at 16 eps^2 per slot; one slot
+        # must contract by exactly 1 - p
+        for term in depolarising_terms(p, 2):
+            assert math.exp(-16 * term.epsilon**2) == pytest.approx(1 - p, abs=1e-12)
 
 
 class TestSlotNoise:
