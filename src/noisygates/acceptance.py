@@ -258,11 +258,11 @@ def criterion_6_x_benchmark() -> tuple[bool, str]:
     asymptote_dev = abs(float(np.real(rhos[-1][0, 0])) - 0.5)
 
     result = run_compare(config)
-    tail = result.lindblad_dists[:, 0]
+    tail = result.dists["lindblad"][0, :, 0]
     monotone = bool(np.all(np.diff(tail) < 1e-9) and np.all(tail > 0.5))
-    wins = int(np.sum(result.mean_h_noisy <= result.mean_h_channel))
+    wins = int(np.sum(result.mean_std("noisy_gates")[0] <= result.mean_std("channel")[0]))
     window_dev = abs(float(tail[-1]) - 0.5)
-    improvement = result.improvement
+    improvement = result.improvement()
 
     ok = asymptote_dev <= 0.02 and monotone and wins >= 0.8 * len(tail)
     detail = (
@@ -286,13 +286,13 @@ def criterion_7_cr_benchmark() -> tuple[bool, str]:
     )
     result = run_compare(config)
     # rho_22 = <10| rho |10>, big-endian index 2
-    tail_dev = abs(float(result.lindblad_dists[-1, 2]) - 0.25)
-    wins = int(np.sum(result.mean_h_noisy <= result.mean_h_channel))
+    tail_dev = abs(float(result.dists["lindblad"][0, -1, 2]) - 0.25)
+    wins = int(np.sum(result.mean_std("noisy_gates")[0] <= result.mean_std("channel")[0]))
     n = len(result.gate_counts)
     ok = tail_dev <= 0.02 and wins >= 0.8 * n
     detail = (
         f"|rho22-0.25|={tail_dev:.3f} at 100 gates (tol 0.02); wins {wins}/{n}; "
-        f"improvement mean {result.improvement.mean():.2f} [reported]"
+        f"improvement mean {result.improvement().mean():.2f} [reported]"
     )
     return ok, detail
 
@@ -309,13 +309,14 @@ def criterion_8_cnot_benchmark() -> tuple[bool, str]:
         cnot_mode="direct",
     )
     result = run_compare(config)
-    positive = int(np.sum(result.improvement > 0))
+    improvement = result.improvement()
+    positive = int(np.sum(improvement > 0))
     n = len(result.gate_counts)
-    tail_dev = abs(float(result.lindblad_dists[-1, 2]) - 0.25)
+    tail_dev = abs(float(result.dists["lindblad"][0, -1, 2]) - 0.25)
     ok = positive >= 0.7 * n
     detail = (
         f"improvement > 0 at {positive}/{n} checkpoints (need >= {int(0.7 * n)}); "
-        f"mean improvement {result.improvement.mean():.2f}; |rho22-0.25|={tail_dev:.3f} [reported]"
+        f"mean improvement {improvement.mean():.2f}; |rho22-0.25|={tail_dev:.3f} [reported]"
     )
     return ok, detail
 

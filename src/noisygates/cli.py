@@ -11,6 +11,12 @@ Three subcommands:
 * ``validate``: execute the acceptance suite and print a PASS/FAIL
   table.
 
+``simulate`` and ``compare`` share one write path (``cmd_run``): each CSV
+is one loop over the back-ends of ``experiments.ExperimentResult``'s maps
+in that file's fixed order, and a back-end that did not run or was not
+scored leaves no rows, or empty cells in a column named after it.
+``--circuit`` runs only with ``--experiment custom_circuit``.
+
 Every invocation writes into one directory named by a hash of the
 configuration; reruns with an identical configuration are byte-identical
 (no timestamps, stable float formatting), independent of ``--parallel``.
@@ -37,6 +43,7 @@ from .engine import DENSE_DENSITY_MAX_QUBITS, CircuitError, parse_circuit
 from .experiments import (
     BACKENDS,
     EXPERIMENTS,
+    SCORED,
     ExperimentConfig,
     run_compare,
 )
@@ -93,18 +100,20 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    custom = args.experiment == "custom_circuit"
+    if custom and not args.circuit:
+        raise CalibrationError("custom_circuit requires --circuit")
+    if args.circuit and not custom:
+        # --experiment defaults to repeat_x, which would run in place of the circuit
+        raise ValueError("--circuit runs only with --experiment custom_circuit")
     device = load_calibration(Path(args.device))
-    circuit = None
-    if args.experiment == "custom_circuit":
-        if not args.circuit:
-            raise CalibrationError("custom_circuit requires --circuit")
-        circuit = parse_circuit(Path(args.circuit))
+    circuit = parse_circuit(Path(args.circuit)) if custom else None
     backends = tuple(b for b in args.backends.split(",") if b)
     return ExperimentConfig(
         experiment=args.experiment,
         device=device,
         repetitions=args.reps,
-        checkpoints=args.checkpoints if args.experiment != "custom_circuit" else 1,
+        checkpoints=1 if custom else args.checkpoints,
         shots=args.shots,
         runs=args.runs,
         seed=args.seed,
@@ -136,7 +145,7 @@ def _git_revision() -> str:
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return "unknown"
 
@@ -196,148 +205,117 @@ def _write_metadata(outdir: Path, payload: dict) -> None:
     (outdir / "metadata.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def _dim(result) -> int:
-    """Hilbert-space dimension of whichever backends ran."""
-    dists = (result.lindblad_dists, result.noisy_dists, result.channel_dists)
-    return next(d for d in dists if d is not None).shape[-1]
+def _checkpoint_rows(result, key: str, table) -> list[str]:
+    """One row per checkpoint: the ``key`` cells (each ending in a comma),
+    the gate count, the time, then the checkpoint's row of ``table``,
+    where None leaves an empty cell."""
+    return [
+        f"{key}{count},{_float(t)}," + ",".join("" if v is None else _float(v) for v in values)
+        for count, t, values in zip(result.gate_counts, result.times, table)
+    ]
 
 
-def _write_distributions(outdir: Path, result, config: ExperimentConfig) -> None:
-    dim = _dim(result)
-    cols = ",".join(f"p_{b}" for b in basis_labels(dim))
-    lines = [f"backend,run,checkpoint_gates,time_s,{cols}"]
+def _basis_columns(result, prefix: str) -> str:
+    """One ``prefix``_<bits> column name per basis state."""
+    dim = next(iter(result.dists.values())).shape[-1]
+    return ",".join(f"{prefix}_{s}" for s in basis_labels(dim))
 
-    def emit(backend: str, run: int, dists: np.ndarray):
-        for j, count in enumerate(result.gate_counts):
-            probs = ",".join(_float(p) for p in dists[j])
-            lines.append(f"{backend},{run},{count},{_float(result.times[j])},{probs}")
 
-    if "lindblad" in config.backends:
-        emit("lindblad", 0, result.lindblad_dists)
-    if result.noisy_dists is not None:
-        for r in range(result.noisy_dists.shape[0]):
-            emit("noisy_gates", r, result.noisy_dists[r])
-    if result.channel_dists is not None:
-        for r in range(result.channel_dists.shape[0]):
-            emit("channel", r, result.channel_dists[r])
-    (outdir / "distributions.csv").write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def _write_distributions(outdir: Path, result) -> None:
+    """Per-run outcome distributions of the back-ends in ``--backends``:
+    ``compare`` runs the reference to score the others, but its rows
+    appear only when it is listed."""
+    rows = []
+    for b in ("lindblad", "noisy_gates", "channel"):
+        if b in result.config.backends:
+            for r, run in enumerate(result.dists[b]):
+                rows += _checkpoint_rows(result, f"{b},{r},", run)
+    _write_csv(outdir / "distributions.csv", "backend,run,checkpoint_gates,time_s," + _basis_columns(result, "p"), rows)
 
 
 def _write_densities(outdir: Path, result) -> None:
-    """Per-backend density diagonals: the Lindblad reference, the exact
-    channel-simulator state, and (run 0) the trajectory average of
-    unnormalised outer products, whose trace is the mean weight."""
-    dim = _dim(result)
-    header = "backend,checkpoint_gates,time_s," + ",".join(f"rho_{b}" for b in basis_labels(dim))
-    lines = [header]
-
-    def emit(backend, values):
-        for j, count in enumerate(result.gate_counts):
-            diag = ",".join(_float(v) for v in values[j])
-            lines.append(f"{backend},{count},{_float(result.times[j])},{diag}")
-
-    if result.lindblad_rhos is not None:
-        emit("lindblad", [[np.real(r[i, i]) for i in range(dim)] for r in result.lindblad_rhos])
-    if result.channel_state_diags is not None:
-        emit("channel", result.channel_state_diags)
-    if result.noisy_densities is not None:
-        emit("noisy_gates", [np.real(np.diag(d)) for d in result.noisy_densities])
-    (outdir / "density_diagonals.csv").write_text("\n".join(lines) + "\n")
+    """Per-backend density diagonals: the Lindblad reference whenever it
+    ran, the exact channel-simulator state, and (run 0) the trajectory
+    average of unnormalised outer products, whose trace is the mean
+    weight."""
+    rows = []
+    for b in ("lindblad", "channel", "noisy_gates"):
+        if b in result.diagonals:
+            rows += _checkpoint_rows(result, f"{b},", result.diagonals[b])
+    _write_csv(outdir / "density_diagonals.csv", "backend,checkpoint_gates,time_s," + _basis_columns(result, "rho"), rows)
 
 
 def _write_hellinger(outdir: Path, result) -> None:
-    lines = ["run,checkpoint_gates,time_s,h_noisy_gates,h_channel"]
-    runs = result.h_noisy.shape[0] if result.h_noisy is not None else result.h_channel.shape[0]
-    for r in range(runs):
-        for j, count in enumerate(result.gate_counts):
-            hn = _float(result.h_noisy[r, j]) if result.h_noisy is not None else ""
-            hc = _float(result.h_channel[r, j]) if result.h_channel is not None else ""
-            lines.append(f"{r},{count},{_float(result.times[j])},{hn},{hc}")
-    (outdir / "hellinger.csv").write_text("\n".join(lines) + "\n")
+    """Per-run Hellinger series, noisy_gates then channel; a back-end that
+    was not scored leaves its cells empty."""
+    blank = [None] * len(result.gate_counts)
+    rows = []
+    for r in range(result.config.runs):
+        columns = [result.hellinger[b][r] if b in result.hellinger else blank for b in SCORED]
+        rows += _checkpoint_rows(result, f"{r},", zip(*columns))
+    _write_csv(outdir / "hellinger.csv", "run,checkpoint_gates,time_s,h_noisy_gates,h_channel", rows)
 
 
 def _write_summary(outdir: Path, result) -> None:
-    lines = [
+    """Per-checkpoint mean and standard deviation of each scored
+    back-end's series, and the relative improvement when both were
+    scored; what is missing leaves empty cells."""
+    blank = [None] * len(result.gate_counts)
+    columns = []
+    for b in SCORED:
+        columns += result.mean_std(b) if b in result.hellinger else (blank, blank)
+    improvement = result.improvement()
+    columns.append(blank if improvement is None else improvement)
+    header = (
         "checkpoint_gates,time_s,mean_h_noisy_gates,std_h_noisy_gates,"
         "mean_h_channel,std_h_channel,relative_improvement"
-    ]
-    for j, count in enumerate(result.gate_counts):
-        mn = _float(result.mean_h_noisy[j]) if result.mean_h_noisy is not None else ""
-        sn = _float(result.std_h_noisy[j]) if result.std_h_noisy is not None else ""
-        mc = _float(result.mean_h_channel[j]) if result.mean_h_channel is not None else ""
-        sc = _float(result.std_h_channel[j]) if result.std_h_channel is not None else ""
-        imp = _float(result.improvement[j]) if result.improvement is not None else ""
-        lines.append(f"{count},{_float(result.times[j])},{mn},{sn},{mc},{sc},{imp}")
-    (outdir / "summary.csv").write_text("\n".join(lines) + "\n")
+    )
+    _write_csv(outdir / "summary.csv", header, _checkpoint_rows(result, "", zip(*columns)))
 
 
 def write_rho_series_csv(path, times: np.ndarray, states: list[np.ndarray], diagonal_only: bool = False) -> None:
     """CSV dump: time, then row-major Re/Im of rho (or just the diagonal),
     each entry named by the big-endian bit strings of its basis states."""
-    d = states[0].shape[0]
-    labels = basis_labels(d)
-    with open(path, "w", newline="") as fh:
-        if diagonal_only:
-            header = ["time_s"] + [f"rho_{b}" for b in labels]
-            fh.write(",".join(header) + "\n")
-            for t, rho in zip(times, states):
-                row = [_float(t)] + [_float(np.real(rho[i, i])) for i in range(d)]
-                fh.write(",".join(row) + "\n")
-            return
-        header = ["time_s"]
-        for bi in labels:
-            for bj in labels:
-                header += [f"re_rho_{bi}_{bj}", f"im_rho_{bi}_{bj}"]
-        fh.write(",".join(header) + "\n")
-        for t, rho in zip(times, states):
-            row = [_float(t)]
-            for i in range(d):
-                for j in range(d):
-                    row += [_float(np.real(rho[i, j])), _float(np.imag(rho[i, j]))]
-            fh.write(",".join(row) + "\n")
+    labels = basis_labels(states[0].shape[0])
+    if diagonal_only:
+        names = [f"rho_{b}" for b in labels]
+        rows = [np.real(np.diag(rho)) for rho in states]
+    else:
+        names = [f"{part}_rho_{bi}_{bj}" for bi in labels for bj in labels for part in ("re", "im")]
+        rows = [np.stack([rho.real, rho.imag], axis=-1).ravel() for rho in states]
+    lines = [",".join(_float(x) for x in (t, *row)) for t, row in zip(times, rows)]
+    _write_csv(Path(path), ",".join(["time_s", *names]), lines)
 
 
-def _write_lindblad_rho(outdir: Path, result) -> None:
-    if result.lindblad_rhos is None:
-        return
-    # wider registers keep the diagonal only, as the engine keeps no
-    # density estimate above this width
-    write_rho_series_csv(
-        outdir / "lindblad_rho.csv",
-        result.times,
-        result.lindblad_rhos,
-        diagonal_only=result.lindblad_rhos[0].shape[0] > 2**DENSE_DENSITY_MAX_QUBITS,
-    )
-
-
-def cmd_simulate(args) -> int:
-    config = replace(_config_from_args(args), runs=1)
-    payload = _serialise_config("simulate", config)
-    result = run_compare(config, hellinger_series=False)
-    outdir = Path(args.out) / f"simulate-{_config_digest(payload)}"
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_metadata(outdir, payload)
-    _write_distributions(outdir, result, config)
-    _write_densities(outdir, result)
-    _write_lindblad_rho(outdir, result)
-    print(outdir)
-    return 0
-
-
-def cmd_compare(args) -> int:
+def cmd_run(args) -> int:
+    """``simulate`` (one run of each listed back-end) or ``compare`` (the
+    ``--runs`` runs, scored against the reference), written to one
+    directory named by the configuration's hash."""
     config = _config_from_args(args)
-    if not {"noisy_gates", "channel"} & set(config.backends):
+    scored = args.command == "compare"
+    if scored and not set(SCORED) & set(config.backends):
         raise ValueError("compare needs noisy_gates or channel in --backends: it scores them against the lindblad reference")
-    payload = _serialise_config("compare", config)
-    result = run_compare(config)
-    outdir = Path(args.out) / f"compare-{_config_digest(payload)}"
+    if not scored:
+        config = replace(config, runs=1)
+    payload = _serialise_config(args.command, config)
+    result = run_compare(config, hellinger_series=scored)
+    outdir = Path(args.out) / f"{args.command}-{_config_digest(payload)}"
     outdir.mkdir(parents=True, exist_ok=True)
     _write_metadata(outdir, payload)
-    _write_distributions(outdir, result, config)
+    _write_distributions(outdir, result)
     _write_densities(outdir, result)
-    _write_hellinger(outdir, result)
-    _write_summary(outdir, result)
-    _write_lindblad_rho(outdir, result)
+    if scored:
+        _write_hellinger(outdir, result)
+        _write_summary(outdir, result)
+    for b, states in result.rhos.items():
+        # wider registers keep the diagonal only, as the engine keeps no
+        # density estimate above this width
+        diagonal_only = states[0].shape[0] > 2**DENSE_DENSITY_MAX_QUBITS
+        write_rho_series_csv(outdir / f"{b}_rho.csv", result.times, states, diagonal_only)
     print(outdir)
     return 0
 
@@ -377,11 +355,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        return cmd_validate(args)
+        if args.command == "validate":
+            return cmd_validate(args)
+        return cmd_run(args)
     except (CalibrationError, CircuitError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR

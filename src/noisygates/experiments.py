@@ -16,12 +16,16 @@ configured number of shots per checkpoint, so its run-to-run scatter is
 comparable with the trajectory backend (both emulate a finite-shot
 simulator run).  The Lindblad reference is deterministic: each slot
 evolves by the exact exponential of its master-equation generator.
+
+``run_compare`` returns one ``ExperimentResult`` for every choice of
+back-ends: its distributions, state diagonals and Hellinger series are
+maps keyed by back-end name, holding the back-ends that ran.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +56,7 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentResult",
+    "SCORED",
     "build_experiment_circuit",
     "checkpoint_gate_counts",
     "lindblad_reference",
@@ -60,6 +65,8 @@ __all__ = [
 ]
 
 BACKENDS = ("noisy_gates", "channel", "lindblad")
+# the back-ends scored against the Lindblad reference, in column order
+SCORED = ("noisy_gates", "channel")
 EXPERIMENTS = ("repeat_x", "repeat_cr", "repeat_cnot", "custom_circuit")
 
 # Stream index offsets keep the three stochastic consumers independent.
@@ -214,94 +221,94 @@ def lindblad_reference(
 
 @dataclass
 class ExperimentResult:
+    """Maps keyed by back-end name, each holding the back-ends that ran:
+    ``dists`` (runs, checkpoints, 2**n), the reference as its one run;
+    ``diagonals`` (checkpoints, 2**n), the pre-readout state diagonals
+    (for ``noisy_gates`` run 0's estimate, kept up to
+    ``engine.DENSE_DENSITY_MAX_QUBITS`` qubits); ``hellinger`` (runs,
+    checkpoints) for the scored back-ends; ``rhos``, the reference's
+    density matrices.  Statistics of the series are computed on request.
+    """
+
     config: ExperimentConfig
     gate_counts: tuple[int, ...]
     times: np.ndarray
-    lindblad_dists: np.ndarray | None
-    lindblad_rhos: list[np.ndarray] | None
-    noisy_dists: np.ndarray | None  # (runs, n_cp, dim)
-    channel_dists: np.ndarray | None
-    h_noisy: np.ndarray | None  # (runs, n_cp)
-    h_channel: np.ndarray | None
-    mean_h_noisy: np.ndarray | None = None
-    std_h_noisy: np.ndarray | None = None
-    mean_h_channel: np.ndarray | None = None
-    std_h_channel: np.ndarray | None = None
-    improvement: np.ndarray | None = None
-    noisy_densities: np.ndarray | None = None  # run 0 average outer products
-    channel_state_diags: np.ndarray | None = None  # pre-readout diagonals
+    dists: dict[str, np.ndarray] = field(default_factory=dict)
+    diagonals: dict[str, np.ndarray] = field(default_factory=dict)
+    hellinger: dict[str, np.ndarray] = field(default_factory=dict)
+    rhos: dict[str, list[np.ndarray]] = field(default_factory=dict)
+
+    def mean_std(self, backend: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-checkpoint mean and standard deviation over runs of
+        ``backend``'s Hellinger series."""
+        return mean_std_over_runs(self.hellinger[backend])
+
+    def improvement(self) -> np.ndarray | None:
+        """|mean_h_channel - mean_h_noisy| / mean_h_channel per checkpoint,
+        0 where the channel mean is 0; None unless both were scored."""
+        if not set(SCORED) <= self.hellinger.keys():
+            return None
+        noisy, channel = self.mean_std("noisy_gates")[0], self.mean_std("channel")[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            imp = np.abs(channel - noisy) / channel
+        return np.where(channel > 0, imp, 0.0)
 
 
 def _noisy_task(args):
     """Run ``run_index`` of the trajectory engine on the compiled circuit
     every run of one ``compare`` shares: its distributions at the
-    checkpoint ``layers``, and run 0's density estimates."""
+    checkpoint ``layers``, and run 0's density diagonals (None where the
+    engine keeps no density)."""
     compiled, config, layers, run_index = args
     run_cfg = RunConfig(shots=config.shots, master_seed=config.seed, run_index=run_index, checkpoints=layers)
     result = run_shots(compiled.scheduled, run_cfg, compiled)
     dists = result.distribution(slice(None), config.estimator)
-    return dists, (result.densities if run_index == 0 else None)
+    if run_index != 0 or result.densities is None:
+        return dists, None
+    return dists, np.real(np.diagonal(result.densities, axis1=1, axis2=2)).copy()
 
 
 def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> ExperimentResult:
-    """Run the selected backends and, with ``hellinger_series``, compute
-    their Hellinger series against the Lindblad reference, the yardstick.
+    """Run the selected backends and, with ``hellinger_series``, score
+    ``noisy_gates`` and ``channel`` by their Hellinger series against the
+    Lindblad reference, the yardstick.
 
     The density-matrix back-ends run first, so a register they cannot
     hold fails before any trajectory is drawn.  The reference runs only
-    when something needs it: the Hellinger series or ``lindblad``.
+    when something needs it: the Hellinger series or ``lindblad``.  Once
+    run, its entries are in ``dists``, ``diagonals`` and ``rhos`` whether
+    ``lindblad`` is listed or not.
     """
     circuit, layers, counts = build_experiment_circuit(config)
     scheduled = schedule_layers(circuit, config.device)
-    times = scheduled.checkpoint_times(layers)
-    lb_dists = lb_rhos = None
+    result = ExperimentResult(config, counts, scheduled.checkpoint_times(layers))
     if hellinger_series or "lindblad" in config.backends:
-        lb_dists, lb_rhos = lindblad_reference(scheduled, layers)
+        dists, rhos = lindblad_reference(scheduled, layers)
+        result.dists["lindblad"] = dists[None]
+        result.rhos["lindblad"] = rhos
+        result.diagonals["lindblad"] = np.asarray([np.real(np.diag(rho)) for rho in rhos])
 
-    def series(dists):
-        if not hellinger_series:
-            return None
-        return np.asarray(
-            [[hellinger(dists[r, j], lb_dists[j]) for j in range(len(layers))] for r in range(config.runs)]
-        )
-
-    noisy = channel = h_ng = h_ch = densities = state_diags = None
     if "channel" in config.backends:
-        exact, state_diags = _channel_checkpoint_probs(scheduled, layers)
+        exact, result.diagonals["channel"] = _channel_checkpoint_probs(scheduled, layers)
         # sampling a run takes far less than starting a worker process
-        channel = np.asarray([channel_backend_run(config, r, exact) for r in range(config.runs)])
-        h_ch = series(channel)
+        result.dists["channel"] = np.asarray([channel_backend_run(config, r, exact) for r in range(config.runs)])
     if "noisy_gates" in config.backends:
         # one compiled circuit for all runs; a worker process gets a pickled
         # copy with an empty workspace
         compiled = _Compiled(scheduled)
         tasks = [(compiled, config, layers, r) for r in range(config.runs)]
         outs = _map_tasks(_noisy_task, tasks, config.parallel)
-        noisy = np.asarray([o[0] for o in outs])
-        densities = outs[0][1]
-        h_ng = series(noisy)
+        result.dists["noisy_gates"] = np.asarray([o[0] for o in outs])
+        if outs[0][1] is not None:
+            result.diagonals["noisy_gates"] = outs[0][1]
 
-    result = ExperimentResult(
-        config=config,
-        gate_counts=counts,
-        times=times,
-        lindblad_dists=lb_dists,
-        lindblad_rhos=lb_rhos,
-        noisy_dists=noisy,
-        channel_dists=channel,
-        h_noisy=h_ng,
-        h_channel=h_ch,
-        noisy_densities=densities,
-        channel_state_diags=state_diags,
-    )
-    if h_ng is not None:
-        result.mean_h_noisy, result.std_h_noisy = mean_std_over_runs(h_ng)
-    if h_ch is not None:
-        result.mean_h_channel, result.std_h_channel = mean_std_over_runs(h_ch)
-    if h_ng is not None and h_ch is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            imp = np.abs(result.mean_h_channel - result.mean_h_noisy) / result.mean_h_channel
-        result.improvement = np.where(result.mean_h_channel > 0, imp, 0.0)
+    if hellinger_series:
+        reference = result.dists["lindblad"][0]
+        for b in SCORED:
+            if b in result.dists:
+                result.hellinger[b] = np.asarray(
+                    [[hellinger(p, q) for p, q in zip(run, reference)] for run in result.dists[b]]
+                )
     return result
 
 

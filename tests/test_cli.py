@@ -382,6 +382,82 @@ class TestCompareOutputs:
         rows = (rundir / "summary.csv").read_text().splitlines()
         assert len(rows) == 1 + 5  # header + checkpoints
 
+    @pytest.mark.parametrize(
+        "backends, empty",
+        [
+            ("noisy_gates,channel,lindblad", set()),
+            (
+                "channel,lindblad",
+                {"h_noisy_gates", "mean_h_noisy_gates", "std_h_noisy_gates", "relative_improvement"},
+            ),
+            ("noisy_gates", {"h_channel", "mean_h_channel", "std_h_channel", "relative_improvement"}),
+        ],
+    )
+    def test_unscored_back_ends_leave_empty_cells(self, backends, empty, device_file, tmp_path, capsys):
+        assert main(compare_args(device_file, tmp_path / "out", **{"--backends": backends})) == 0
+        rundir = next(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+        for name, n_rows in (("hellinger.csv", 2 * 5), ("summary.csv", 5)):
+            header, *rows = (rundir / name).read_text().splitlines()
+            assert len(rows) == n_rows
+            for col, title in enumerate(header.split(",")):
+                cells = [row.split(",")[col] for row in rows]
+                if title in empty:
+                    assert cells == [""] * n_rows, (name, title)
+                else:
+                    assert all(float(c) >= 0 for c in cells), (name, title)
+
+    @pytest.mark.parametrize(
+        "command, backends, distributions, diagonals, files",
+        [
+            (
+                "compare", "noisy_gates,channel,lindblad",
+                ["lindblad,0", "noisy_gates,0", "noisy_gates,1", "channel,0", "channel,1"],
+                ["lindblad", "channel", "noisy_gates"],
+                {"hellinger.csv", "summary.csv", "lindblad_rho.csv"},
+            ),
+            # the reference runs to score the others, but only --backends
+            # puts its rows into distributions.csv
+            (
+                "compare", "channel,noisy_gates",
+                ["noisy_gates,0", "noisy_gates,1", "channel,0", "channel,1"],
+                ["lindblad", "channel", "noisy_gates"],
+                {"hellinger.csv", "summary.csv", "lindblad_rho.csv"},
+            ),
+            (
+                "compare", "channel,lindblad",
+                ["lindblad,0", "channel,0", "channel,1"],
+                ["lindblad", "channel"],
+                {"hellinger.csv", "summary.csv", "lindblad_rho.csv"},
+            ),
+            (
+                "simulate", "noisy_gates,channel,lindblad",
+                ["lindblad,0", "noisy_gates,0", "channel,0"],
+                ["lindblad", "channel", "noisy_gates"],
+                {"lindblad_rho.csv"},
+            ),
+            ("simulate", "lindblad", ["lindblad,0"], ["lindblad"], {"lindblad_rho.csv"}),
+            ("simulate", "noisy_gates,channel", ["noisy_gates,0", "channel,0"], ["channel", "noisy_gates"], set()),
+        ],
+    )
+    def test_layout_of_each_back_end_subset(
+        self, command, backends, distributions, diagonals, files, device_file, tmp_path, capsys
+    ):
+        argv = [command] + compare_args(device_file, tmp_path / "out", **{"--backends": backends})[1:]
+        assert main(argv) == 0
+        rundir = next(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+        assert {p.name for p in rundir.iterdir()} == {
+            "metadata.json", "distributions.csv", "density_diagonals.csv"
+        } | files
+
+        def blocks(name, n_keys):
+            # the leading key cells of each row, one entry per run of 5 checkpoints
+            rows = [",".join(r.split(",")[:n_keys]) for r in (rundir / name).read_text().splitlines()[1:]]
+            assert len(rows) % 5 == 0 and all(len(set(rows[i:i + 5])) == 1 for i in range(0, len(rows), 5))
+            return rows[::5]
+
+        assert blocks("distributions.csv", 2) == distributions
+        assert blocks("density_diagonals.csv", 1) == diagonals
+
 
 class TestSimulate:
     def test_simulate_writes_distributions(self, device_file, tmp_path, capsys):
@@ -447,6 +523,32 @@ class TestSimulate:
             device_file, tmp_path / "out", **{"--experiment": "custom_circuit"}
         )[1:]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("experiment", [None, "repeat_x"])
+    def test_circuit_requires_custom_circuit(self, experiment, tmp_path, capsys):
+        # --experiment defaults to repeat_x, which would run in place of the circuit
+        argv = compare_args(
+            CONFIGS / "desk_device.json", tmp_path / "out", **{"--circuit": str(CONFIGS / "bell_circuit.json")}
+        )
+        argv = ["simulate"] + argv[1:]
+        if experiment is None:
+            i = argv.index("--experiment")
+            del argv[i:i + 2]
+        else:
+            argv[argv.index("--experiment") + 1] = experiment
+        assert main(argv) == 2
+        assert "--experiment custom_circuit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_slow_git_records_an_unknown_revision(self, device_file, tmp_path, monkeypatch, capsys):
+        def slow_git(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(subprocess, "run", slow_git)
+        argv = ["simulate"] + compare_args(device_file, tmp_path / "out")[1:]
+        assert main(argv) == 0
+        rundir = Path(capsys.readouterr().out.strip())
+        assert json.loads((rundir / "metadata.json").read_text())["git_revision"] == "unknown"
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -505,12 +505,12 @@ class TestRunCompare:
         a = run_compare(cfg)
         b = run_compare(cfg)
         n_cp = len(a.gate_counts)
-        assert a.noisy_dists.shape == (cfg.runs, n_cp, 2)
-        assert a.channel_dists.shape == (cfg.runs, n_cp, 2)
-        assert a.h_noisy.shape == (cfg.runs, n_cp)
-        assert np.array_equal(a.noisy_dists, b.noisy_dists)
-        assert np.array_equal(a.h_channel, b.h_channel)
-        assert a.improvement is not None
+        assert a.dists["noisy_gates"].shape == (cfg.runs, n_cp, 2)
+        assert a.dists["channel"].shape == (cfg.runs, n_cp, 2)
+        assert a.hellinger["noisy_gates"].shape == (cfg.runs, n_cp)
+        assert np.array_equal(a.dists["noisy_gates"], b.dists["noisy_gates"])
+        assert np.array_equal(a.hellinger["channel"], b.hellinger["channel"])
+        assert a.improvement() is not None
 
     def test_builds_each_sampler_once(self, monkeypatch):
         built = []
@@ -528,9 +528,9 @@ class TestRunCompare:
     def test_backend_subset(self):
         cfg = small_config(backends=("lindblad",))
         result = run_compare(cfg)
-        assert result.noisy_dists is None
-        assert result.channel_dists is None
-        assert result.improvement is None
+        assert set(result.dists) == set(result.diagonals) == {"lindblad"}
+        assert result.hellinger == {}
+        assert result.improvement() is None
 
     def test_reference_only_when_needed(self, monkeypatch):
         def refuse(*args):
@@ -539,19 +539,19 @@ class TestRunCompare:
         cfg = small_config(backends=("noisy_gates", "channel"))
         monkeypatch.setattr("noisygates.experiments.lindblad_reference", refuse)
         result = run_compare(cfg, hellinger_series=False)
-        assert result.lindblad_dists is None and result.h_noisy is None
-        assert result.noisy_dists.shape == (cfg.runs, len(result.gate_counts), 2)
+        assert "lindblad" not in result.dists and result.hellinger == {}
+        assert result.dists["noisy_gates"].shape == (cfg.runs, len(result.gate_counts), 2)
         with pytest.raises(AssertionError, match="reference computed"):
             run_compare(cfg)
         monkeypatch.undo()
         full = run_compare(cfg)
         assert np.array_equal(full.times, result.times)
-        assert np.array_equal(full.noisy_dists, result.noisy_dists)
+        assert np.array_equal(full.dists["noisy_gates"], result.dists["noisy_gates"])
 
     def test_unweighted_estimator(self):
         cfg = small_config(estimator="unweighted", shots=2048)
         result = run_compare(cfg)
-        assert np.allclose(result.noisy_dists.sum(axis=2), 1.0)
+        assert np.allclose(result.dists["noisy_gates"].sum(axis=2), 1.0)
 
     def test_decomposed_matches_direct_at_small_error(self):
         gentle = DeviceParams(
@@ -570,6 +570,6 @@ class TestRunCompare:
                 "repeat_cnot", device=gentle, repetitions=10, checkpoints=1,
                 shots=8192, runs=1, cnot_mode=mode,
             )
-            dists[mode] = run_compare(cfg).noisy_dists[0, -1]
+            dists[mode] = run_compare(cfg).dists["noisy_gates"][0, -1]
         # different noise placements agree up to combined MC + O(p) error
         assert np.abs(dists["direct"] - dists["decomposed"]).max() < 0.02
