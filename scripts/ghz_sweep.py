@@ -4,17 +4,22 @@
 For each width n (in the order given) and each shot count, the circuit is
 SX on qubit 0 followed by CNOT(q, q + 1) for q = 0 .. n - 2, every qubit
 measured, on the desk calibration (configs/desk_device.json) with its
-qubits repeated over the register, master seed 0.  One ``run_shots``
-call is timed per (width, shots) pair, and one line is printed for it:
-the width, the shots, the wall time of the call, the peak resident set
-size of this process so far, the GHZ mass p(0...0) + p(1...1) of the
-weighted estimator, and the minor page faults and system CPU seconds of
-the call (``getrusage`` deltas), which grow when the call allocates fresh
-state-sized arrays.  Run from the repository root, BLAS pinned to one thread for
-times comparable with perfbench:
+qubits repeated over the register, master seed 0.  Each width's circuit
+is scheduled and compiled once: its compile time is the first access of
+``scheduled.compiled``, which builds the plan every ``run_shots`` call
+on the circuit reuses.  Then one ``run_shots`` call is timed per
+(width, shots) pair, each on the compiled plan, and one line is printed
+for it: the width, the shots, the width's compile time, the wall time of
+the call, the peak resident set size of this process so far, the GHZ
+mass p(0...0) + p(1...1) of the weighted estimator, and the minor page
+faults and system CPU seconds of the call (``getrusage`` deltas), which
+grow when the call allocates fresh state-sized arrays (as the first
+call at each width does, filling the plan's workspace).  Run from the
+repository root, BLAS pinned to one thread for times comparable with
+perfbench:
 
     OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 8 12 16 --shots 1024
-    python3 scripts/ghz_sweep.py --qubits 8 10 12 --shots 16 --mass-range 0.3 0.7
+    python3 scripts/ghz_sweep.py --qubits 8 10 12 --shots 16 32 --mass-range 0.3 0.7
 
 With ``--mass-range LOW HIGH`` the exit status is 1 when any GHZ mass
 falls outside (LOW, HIGH).
@@ -61,9 +66,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     outside = 0
-    print("qubits shots wall_s peak_rss_mib ghz_mass minor_faults sys_s")
+    print("qubits shots compile_s wall_s peak_rss_mib ghz_mass minor_faults sys_s")
     for n in args.qubits:
         scheduled = ghz_inputs(n)
+        start = time.perf_counter()
+        scheduled.compiled
+        compile_s = time.perf_counter() - start
         for shots in args.shots:
             before = resource.getrusage(resource.RUSAGE_SELF)
             start = time.perf_counter()
@@ -72,7 +80,7 @@ def main(argv=None) -> int:
             after = resource.getrusage(resource.RUSAGE_SELF)
             faults, sys_s = after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
             mass = float(dist[0] + dist[-1])
-            print(f"{n} {shots} {wall:.3f} {peak_rss_mib():.1f} {mass:.4f} {faults} {sys_s:.3f}", flush=True)
+            print(f"{n} {shots} {compile_s:.3f} {wall:.3f} {peak_rss_mib():.1f} {mass:.4f} {faults} {sys_s:.3f}", flush=True)
             if args.mass_range and not args.mass_range[0] < mass < args.mass_range[1]:
                 print(f"GHZ mass {mass:.4f} at n = {n} is outside {tuple(args.mass_range)}", file=sys.stderr)
                 outside += 1

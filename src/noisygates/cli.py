@@ -112,7 +112,8 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=args.experiment,
         device=device,
-        repetitions=args.reps,
+        # a custom circuit reads neither, so they must not name its run directory
+        repetitions=1 if custom else args.reps,
         checkpoints=1 if custom else args.checkpoints,
         shots=args.shots,
         runs=args.runs,

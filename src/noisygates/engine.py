@@ -73,15 +73,24 @@ first reads the pending gates alone for it.  On the 12-qubit GHZ
 ladder a 64-shot chunk makes 9 state passes: 5 blocks and 4 at the
 checkpoint.  Registers wider than ``MAX_QUBITS`` are rejected.
 
-The state batch lives in the compiled circuit's workspace, in two
-buffers, ``states`` and ``spare``: every state update writes with
+Each scheduled circuit compiles once: ``ScheduledCircuit.compiled``
+builds its slot plan (``_Compiled``: a sampler per distinct noisy gate,
+the relaxation pads and the fixed gates, in slot order) on first use,
+and every later ``run_shots`` call on it reuses the plan, whatever its
+seed, shots, run index or checkpoints.  The plan owns one ``Workspace``,
+which a call borrows; a call made while another holds it runs in a
+fresh workspace of its own.
+
+The state batch lives in the call's workspace, in two buffers,
+``states`` and ``spare``: every state update writes with
 ``apply_gate(..., out=)`` into the other one.  A checkpoint's read writes
 its passes into ``spare`` and a scratch buffer in turn (the states' own
 at the last checkpoint, after which nothing reads them, else a workspace
 copy), and |psi|^2, the weights and each trajectory's outcome CDF are
 formed in place in the one of the two it did not end in.  So a chunk
 holds two state-sized buffers, three with an earlier checkpoint, and a
-warm run allocates none.
+warm run allocates none.  A circuit that has run keeps them, and the
+draw blocks, in its plan's workspace while it lives.
 """
 
 from __future__ import annotations
@@ -89,8 +98,9 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -307,6 +317,15 @@ class ScheduledCircuit:
     measured: tuple[int, ...]
     params: DeviceParams
 
+    @cached_property
+    def compiled(self) -> _Compiled:
+        """The trajectory engine's slot plan of this circuit, built on
+        first use and reused by every ``run_shots`` call on it.  It is
+        kept beside the fields: equality, hashing and ``repr`` read the
+        fields alone.  Registers wider than ``MAX_QUBITS`` raise
+        ``ValueError`` and cache nothing."""
+        return _Compiled(self)
+
     def checkpoint_times(self, layer_counts) -> np.ndarray:
         """Time at the end of the first ``c`` layers for each ``c`` in
         ``layer_counts``: their durations, summed left to right."""
@@ -489,6 +508,7 @@ class _Chunk:
 
     def __init__(self, workspace: Workspace, n_qubits: int, size: int):
         shape = (size, 2**n_qubits)
+        self.workspace = workspace
         self.states, self.spare = (workspace.take(f"engine.states{i}", shape) for i in range(2))
         self.states.fill(0.0)
         self.states[:, 0] = 1.0
@@ -516,26 +536,48 @@ class _Chunk:
         ops.update({(q,): _per_shot(f) for q, f in enumerate(factors) if f is not None and q not in blocked})
         return _apply_passes(self.states, ops, [self.spare, scratch])
 
+    def scratch(self, final: bool) -> np.ndarray:
+        """The buffer a read writes every other pass into: the states
+        themselves for the ``final`` read, after which nothing reads them,
+        else a state-sized copy in the workspace."""
+        return self.states if final else self.workspace.take("engine.scratch", self.states.shape)
+
+
+def _compose(gate: np.ndarray, factor: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
+    """gate factor into ``out``, which may be ``factor`` itself, for a
+    ``(2, 2, S)`` gate or a ``(2, 2, 1)`` one that broadcasts and a
+    ``(2, 2, S)`` factor."""
+    # row i of the product is gate[i, 0] factor[0] + gate[i, 1] factor[1],
+    # so once the right-hand terms are kept, row 1 and then row 0 of
+    # out can be written even where out is factor
+    right = np.multiply(gate[:, 1:], factor[1:], out=ws.take("engine.right", out.shape))
+    np.multiply(gate[1, 0], factor[0], out=out[1])
+    out[1] += right[1]
+    np.multiply(gate[0, 0], factor[0], out=out[0])
+    out[0] += right[0]
+    return out
+
 
 class _Compiled:
-    """The slot plan of one scheduled circuit, its samplers resolved once
-    per distinct ``GateSpec`` and shared by every run of it: build one and
-    pass it to each ``run_shots`` call.  It also owns the one
-    ``Workspace`` that its samplers run in and that holds each chunk's
-    normals, pending factors and state buffers, sized by the largest chunk
-    and piece it has served, so its runs reuse the same pages for every
-    gate and chunk.  Pickling it (to a worker process) sends the samplers
-    and an empty workspace.  Registers wider than ``MAX_QUBITS`` raise
-    ``ValueError``."""
+    """The slot plan of one scheduled circuit (``ScheduledCircuit.compiled``),
+    its samplers resolved once per distinct ``GateSpec`` and shared by
+    every run of it.  Its methods read the workspace of the call, through
+    the ``_Chunk``.  It owns one ``Workspace``, which a call borrows
+    (``borrow_workspace``) for its samplers, each chunk's normals, pending
+    factors and state buffers; sized by the largest chunk and piece it has
+    served, it lets the runs reuse the same pages for every gate and
+    chunk.  Pickling it (to a worker process) sends the samplers and an
+    empty workspace, without its lock.  Registers wider than
+    ``MAX_QUBITS`` raise ``ValueError``."""
 
     def __init__(self, scheduled: ScheduledCircuit):
         if scheduled.n_qubits > MAX_QUBITS:
             raise ValueError(
                 f"the trajectory engine supports at most {MAX_QUBITS} qubits; circuit has {scheduled.n_qubits}"
             )
-        self.scheduled = scheduled
         self.n_qubits = scheduled.n_qubits
         self.workspace = Workspace()
+        self._lock = threading.Lock()
         params = scheduled.params
         # every slot in plan order; layer i is slots[layer_starts[i]:layer_starts[i + 1]]
         self.slots: list[_Slot] = []
@@ -572,6 +614,27 @@ class _Compiled:
         # (one session): 0.89 and 0.68 s.
         self.pair_blocks = chunk_shots(self.n_qubits) * 16 * 2**self.n_qubits >= STATE_BUDGET_BYTES
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=threading.Lock())
+
+    @contextmanager
+    def borrow_workspace(self) -> Iterator[Workspace]:
+        """The plan's workspace, held for the ``with`` block, or a fresh
+        one when another call holds it: the lock is taken without
+        blocking, so concurrent calls never share buffers."""
+        if not self._lock.acquire(blocking=False):
+            yield Workspace()
+            return
+        try:
+            yield self.workspace
+        finally:
+            self._lock.release()
+
     def pieces(self, start: int, stop: int, size: int) -> list[tuple[int, int, int]]:
         """Layers ``start`` .. ``stop - 1``, the segment before a
         checkpoint, at ``size`` shots, cut into pieces ``(first, last,
@@ -605,7 +668,7 @@ class _Compiled:
         noisy slots of each sampler, and the relaxation pads of each
         (gamma1, gamma_pd, dt), are sampled by one call each."""
         size = len(chunk.states)
-        ws = self.workspace
+        ws = chunk.workspace
         offsets = [0]
         for slot in slots:
             offsets.append(offsets[-1] + slot.normals * size)
@@ -651,21 +714,7 @@ class _Compiled:
                 chunk.one[q] = ws.take(f"engine.pending{q}", (2, 2, size))
                 np.copyto(chunk.one[q], gate)
             else:
-                self._compose(gate, chunk.one[q], chunk.one[q])
-
-    def _compose(self, gate: np.ndarray, factor: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """gate factor into ``out``, which may be ``factor`` itself, for a
-        ``(2, 2, S)`` gate or a ``(2, 2, 1)`` one that broadcasts and a
-        ``(2, 2, S)`` factor."""
-        # row i of the product is gate[i, 0] factor[0] + gate[i, 1] factor[1],
-        # so once the right-hand terms are kept, row 1 and then row 0 of
-        # out can be written even where out is factor
-        right = np.multiply(gate[:, 1:], factor[1:], out=self.workspace.take("engine.right", out.shape))
-        np.multiply(gate[1, 0], factor[0], out=out[1])
-        out[1] += right[1]
-        np.multiply(gate[0, 0], factor[0], out=out[0])
-        out[0] += right[0]
-        return out
+                _compose(gate, chunk.one[q], chunk.one[q], ws)
 
     def _apply_pair(self, chunk: _Chunk, qubits: tuple[int, ...], gate: np.ndarray) -> None:
         """A two-qubit slot G on (a, b): it absorbs the one-qubit factors of
@@ -697,12 +746,6 @@ class _Compiled:
         chunk.apply(touched)
         chunk.apply({qubits: gate})
 
-    def scratch(self, chunk: _Chunk, final: bool) -> np.ndarray:
-        """The buffer a read of ``chunk`` writes every other pass into: the
-        states themselves for the ``final`` read, after which nothing
-        reads them, else a state-sized copy in the workspace."""
-        return chunk.states if final else self.workspace.take("engine.scratch", chunk.states.shape)
-
     def measured_probs(
         self, chunk: _Chunk, normals: np.ndarray, scratch: np.ndarray, read: np.ndarray | None = None
     ) -> np.ndarray:
@@ -715,11 +758,12 @@ class _Compiled:
         result is a view into ``spare`` or ``scratch``, whichever the read
         did not end in."""
         if self.readout or read is None:
+            ws = chunk.workspace
             factors = list(chunk.one)
             for (q, v), z in zip(self.readout, normals):
                 gate = spam_gate_batch(v, z).transpose(1, 2, 0)
                 if factors[q] is not None:
-                    gate = self._compose(gate, factors[q], self.workspace.take(f"engine.measured{q}", gate.shape))
+                    gate = _compose(gate, factors[q], ws.take(f"engine.measured{q}", gate.shape), ws)
                 factors[q] = gate
             read = chunk.read(factors, scratch)
         out = scratch if read is chunk.spare else chunk.spare
@@ -804,7 +848,7 @@ class _Draws:
             self._done.put(exc)
 
 
-def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compiled | None = None) -> EnsembleResult:
+def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     """Ensemble over ``config.shots`` trajectories.
 
     Shots are simulated in chunks of ``chunk_shots(n)``, a function of the
@@ -816,18 +860,14 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     depth that share noise prefixes).  The layers after the last
     checkpoint are neither drawn nor applied: each chunk has its own
     stream, so no result reads them.  A helper thread draws the streams
-    (``_Draws``) and is joined before this returns or raises.
-    ``compiled`` is the ``_Compiled`` built from this very ``scheduled``
-    when the caller shares one across runs (another one raises
-    ``ValueError``); it is built here when None.  Registers wider than
-    ``MAX_QUBITS`` raise ``ValueError`` before anything is allocated.  A
-    checkpoint whose weights are not finite, or all zero, raises
-    ``FloatingPointError``.
+    (``_Draws``) and is joined before this returns or raises.  The run
+    reads ``scheduled.compiled``, the plan built on the circuit's first
+    run, and borrows its workspace (a fresh one while another call holds
+    it).  Registers wider than ``MAX_QUBITS`` raise ``ValueError`` before
+    anything is allocated.  A checkpoint whose weights are not finite, or
+    all zero, raises ``FloatingPointError``.
     """
-    if compiled is None:
-        compiled = _Compiled(scheduled)
-    elif compiled.scheduled is not scheduled:
-        raise ValueError("compiled was built from another scheduled circuit")
+    compiled = scheduled.compiled
     n = scheduled.n_qubits
     dim = 2**n
     n_layers = len(scheduled.layers)
@@ -849,9 +889,10 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
     segments = list(zip((0,) + cp_sorted, cp_sorted))
     plans = {size: [compiled.pieces(start, stop, size) for start, stop in segments] for size in set(sizes)}
     root = RngStream(config.master_seed, stream_index=config.run_index)
-    with _Draws(compiled.workspace, _draw_jobs(root, sizes, plans, len(compiled.readout))) as draws:
+    jobs = _draw_jobs(root, sizes, plans, len(compiled.readout))
+    with compiled.borrow_workspace() as ws, _Draws(ws, jobs) as draws:
         for size in sizes:
-            chunk = _Chunk(compiled.workspace, n, size)
+            chunk = _Chunk(ws, n, size)
             for cp_iter, at in enumerate(cp_sorted):
                 compiled.apply_layers(chunk, plans[size][cp_iter], draws)
                 last = cp_iter == n_cp - 1
@@ -859,11 +900,11 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
                 if keep_density:
                     # the density reads the pending gates alone; while the
                     # readout gates have the states still to read, it leaves them
-                    read = chunk.read(chunk.one, compiled.scratch(chunk, last and not compiled.readout))
+                    read = chunk.read(chunk.one, chunk.scratch(last and not compiled.readout))
                     dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
                 # the readout normals are read before the next take frees their block
                 normals = draws.take() if compiled.readout else ()
-                probs = compiled.measured_probs(chunk, normals, compiled.scratch(chunk, last), read)
+                probs = compiled.measured_probs(chunk, normals, chunk.scratch(last), read)
                 uniforms = draws.take()
                 weights = probs.sum(axis=1)
                 if not np.all(np.isfinite(weights)):
@@ -878,7 +919,7 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig, compiled: _Compile
                 drawn = weights > 0.0
                 np.divide(probs, weights[:, None], out=probs, where=drawn[:, None])
                 cdf = np.cumsum(probs, axis=1, out=probs)
-                below = np.less(cdf, uniforms[:, None], out=compiled.workspace.take("engine.below", cdf.shape, bool))
+                below = np.less(cdf, uniforms[:, None], out=ws.take("engine.below", cdf.shape, bool))
                 idx = below.sum(axis=1).clip(0, dim - 1)
                 counts[cp_iter] += np.bincount(idx[drawn], minlength=dim)
 

@@ -34,7 +34,6 @@ from .engine import (
     Circuit,
     RunConfig,
     ScheduledCircuit,
-    _Compiled,
     _check_int_fields,
     _pack_asap,
     decompose_cnot,
@@ -255,13 +254,13 @@ class ExperimentResult:
 
 
 def _noisy_task(args):
-    """Run ``run_index`` of the trajectory engine on the compiled circuit
-    every run of one ``compare`` shares: its distributions at the
-    checkpoint ``layers``, and run 0's density diagonals (None where the
-    engine keeps no density)."""
-    compiled, config, layers, run_index = args
+    """Run ``run_index`` of the trajectory engine on ``scheduled``, whose
+    plan (``scheduled.compiled``) every run of one ``compare`` shares: its
+    distributions at the checkpoint ``layers``, and run 0's density
+    diagonals (None where the engine keeps no density)."""
+    scheduled, config, layers, run_index = args
     run_cfg = RunConfig(shots=config.shots, master_seed=config.seed, run_index=run_index, checkpoints=layers)
-    result = run_shots(compiled.scheduled, run_cfg, compiled)
+    result = run_shots(scheduled, run_cfg)
     dists = result.distribution(slice(None), config.estimator)
     if run_index != 0 or result.densities is None:
         return dists, None
@@ -272,6 +271,10 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
     """Run the selected backends and, with ``hellinger_series``, score
     ``noisy_gates`` and ``channel`` by their Hellinger series against the
     Lindblad reference, the yardstick.
+
+    The circuit is scheduled and compiled once: every trajectory run reads
+    the one plan, ``scheduled.compiled``, which a ``parallel`` worker
+    receives with its pickled copy of the circuit.
 
     The density-matrix back-ends run first, so a register they cannot
     hold fails before any trajectory is drawn.  The reference runs only
@@ -293,10 +296,10 @@ def run_compare(config: ExperimentConfig, hellinger_series: bool = True) -> Expe
         # sampling a run takes far less than starting a worker process
         result.dists["channel"] = np.asarray([channel_backend_run(config, r, exact) for r in range(config.runs)])
     if "noisy_gates" in config.backends:
-        # one compiled circuit for all runs; a worker process gets a pickled
-        # copy with an empty workspace
-        compiled = _Compiled(scheduled)
-        tasks = [(compiled, config, layers, r) for r in range(config.runs)]
+        # one plan for all runs, built here so that a worker process gets
+        # it, with an empty workspace, in its pickled copy of the circuit
+        scheduled.compiled
+        tasks = [(scheduled, config, layers, r) for r in range(config.runs)]
         outs = _map_tasks(_noisy_task, tasks, config.parallel)
         result.dists["noisy_gates"] = np.asarray([o[0] for o in outs])
         if outs[0][1] is not None:

@@ -482,6 +482,24 @@ class TestSimulate:
         )[1:]
         assert main(argv) == 0
 
+    def test_reps_and_checkpoints_do_not_name_a_custom_circuit_run(self, tmp_path, capsys):
+        # a custom circuit reads neither flag, so both runs write one directory
+        out = tmp_path / "out"
+        dirs = []
+        for reps, checkpoints in (("10", "5"), ("20", "7")):
+            argv = ["simulate"] + compare_args(
+                CONFIGS / "desk_device.json", out,
+                **{
+                    "--experiment": "custom_circuit", "--circuit": str(CONFIGS / "bell_circuit.json"),
+                    "--reps": reps, "--checkpoints": checkpoints, "--shots": "64", "--runs": "1",
+                },
+            )[1:]
+            assert main(argv) == 0
+            dirs.append(Path(capsys.readouterr().out.strip()))
+        assert dirs[0] == dirs[1]
+        meta = json.loads((dirs[0] / "metadata.json").read_text())
+        assert (meta["repetitions"], meta["checkpoints"]) == (1, 1)
+
     def test_seven_qubits_without_lindblad_backend(self, tmp_path, capsys):
         device_path, circuit_path = ghz_files(tmp_path, 7)
         argv = ["simulate"] + compare_args(

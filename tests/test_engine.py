@@ -26,7 +26,6 @@ from noisygates.engine import (
     Circuit,
     CircuitError,
     RunConfig,
-    _Compiled,
     _plan_passes,
     chunk_shots,
     decompose_cnot,
@@ -928,7 +927,7 @@ class TestDeferredGates:
 
     def test_long_segment_is_cut_into_pieces(self):
         doc, (_, cut, _), shots = DEFERRAL_CASES["long_segment"]
-        compiled = _Compiled(schedule_layers(parse_circuit(doc), desk_register(1)))
+        compiled = schedule_layers(parse_circuit(doc), desk_register(1)).compiled
         normals = sum(slot.normals for slot in compiled.slots[: compiled.layer_starts[cut]])
         assert normals * shots > PIECE_NORMALS
 
@@ -955,35 +954,68 @@ class TestDeferredGates:
 
 
 class TestSharedCompiled:
-    """One ``_Compiled`` serves every run of a circuit: the same results as
-    compiling per run, with its workspace reused across runs and chunk
-    sizes, and it pickles (to a worker process) without its buffers."""
+    """Each scheduled circuit compiles once: ``scheduled.compiled`` serves
+    every run of it with the same results as a fresh compile, its
+    workspace reused across runs and chunk sizes, and it pickles with the
+    circuit (to a worker process) without its buffers."""
+
+    DOC = {
+        "n_qubits": 3,
+        "ops": [
+            {"gate": "SX", "q": [0]},
+            {"gate": "CNOT", "q": [0, 1]},
+            {"gate": "CR", "q": [1, 2], "theta": 1.1},
+            {"gate": "CNOT", "q": [2, 0]},
+        ],
+        "measure": [0, 2],
+    }
 
     def test_shared_across_runs_matches_per_run(self):
-        doc = {
-            "n_qubits": 3,
-            "ops": [
-                {"gate": "SX", "q": [0]},
-                {"gate": "CNOT", "q": [0, 1]},
-                {"gate": "CR", "q": [1, 2], "theta": 1.1},
-                {"gate": "CNOT", "q": [2, 0]},
-            ],
-            "measure": [0, 2],
-        }
-        scheduled = schedule_layers(parse_circuit(doc), desk_register(3))
-        compiled = _Compiled(scheduled)
-        size = len(pickle.dumps(compiled))
+        scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(3))
+        compiled = scheduled.compiled
+        size = len(pickle.dumps(scheduled))
         # 1500 shots: a full chunk of CHUNK_SHOTS, then a shorter one
         for run in range(2):
             config = RunConfig(shots=1500, master_seed=12, run_index=run, checkpoints=(2, 4))
-            shared, fresh = run_shots(scheduled, config, compiled), run_shots(scheduled, config)
+            shared, fresh = run_shots(scheduled, config), run_shots(replace(scheduled), config)
             for field in ("distributions", "counts", "mean_weight", "densities"):
                 np.testing.assert_array_equal(getattr(shared, field), getattr(fresh, field))
-        assert len(pickle.dumps(compiled)) == size
-        clone = pickle.loads(pickle.dumps(compiled))
-        np.testing.assert_array_equal(run_shots(clone.scheduled, config, clone).distributions, fresh.distributions)
-        with pytest.raises(ValueError, match="another scheduled circuit"):
-            run_shots(scheduled, config, clone)
+        assert scheduled.compiled is compiled
+        assert len(pickle.dumps(scheduled)) == size
+        clone = pickle.loads(pickle.dumps(scheduled))
+        assert clone == scheduled
+        assert vars(clone)["compiled"].workspace._buffers == {}
+        np.testing.assert_array_equal(run_shots(clone, config).distributions, fresh.distributions)
+
+    def test_second_run_builds_no_sampler(self, monkeypatch):
+        scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(3))
+        key = hash(scheduled)
+        run_shots(scheduled, RunConfig(shots=700, master_seed=2, checkpoints=(1, 4)))
+        built = []
+        init = NoisyGateSampler.__init__
+        monkeypatch.setattr(NoisyGateSampler, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        config = RunConfig(shots=1500, master_seed=9, run_index=3, checkpoints=(3,))
+        second = run_shots(scheduled, config)
+        assert built == []
+        # equality, hashing and repr read the fields alone
+        fresh_scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(3))
+        assert fresh_scheduled == scheduled and hash(fresh_scheduled) == hash(scheduled) == key
+        assert repr(fresh_scheduled) == repr(scheduled)
+        fresh = run_shots(fresh_scheduled, config)
+        assert len(built) == 4  # SX, CNOT(0, 1), CR and CNOT(2, 0)
+        for field in ("checkpoints", "times", "distributions", "counts", "mean_weight", "densities", "shots"):
+            np.testing.assert_array_equal(getattr(second, field), getattr(fresh, field))
+
+    def test_run_while_the_workspace_is_held_takes_a_fresh_one(self):
+        scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(3))
+        config = RunConfig(shots=1500, master_seed=12, checkpoints=(2, 4))
+        with scheduled.compiled.borrow_workspace() as held:
+            result = run_shots(scheduled, config)
+        assert held is scheduled.compiled.workspace and held._buffers == {}
+        expected = run_shots(scheduled, config)
+        assert held._buffers
+        for field in ("distributions", "counts", "mean_weight", "densities"):
+            np.testing.assert_array_equal(getattr(result, field), getattr(expected, field))
 
     def test_wide_register_buffers_reused_without_stale_data(self):
         # 12 qubits: chunks of 64 shots, so 160 shots are chunks of 64, 64
@@ -992,15 +1024,14 @@ class TestSharedCompiled:
         n = 12
         ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
         scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
-        compiled = _Compiled(scheduled)
         assert chunk_shots(n) == 64
         for run in range(2):
             config = RunConfig(shots=160, master_seed=5, run_index=run, checkpoints=(0, 6, 12))
             tracemalloc.start()
-            shared = run_shots(scheduled, config, compiled)
+            shared = run_shots(scheduled, config)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            fresh = run_shots(scheduled, config)
+            fresh = run_shots(replace(scheduled), config)
             for field in ("checkpoints", "times", "distributions", "counts", "mean_weight", "densities", "shots"):
                 np.testing.assert_array_equal(getattr(shared, field), getattr(fresh, field))
         # the warm run allocates no state batch (4 MiB at 64 shots): 0.76 MiB
@@ -1030,8 +1061,9 @@ def run_within(call, seconds: float = 60.0) -> dict:
 class TestDrawThread:
     """``run_shots`` draws the chunk streams on a helper thread.  Whether
     the run returns, raises on the calling thread or fails on the helper,
-    the helper is joined, the error reaches the caller, and the next run
-    on the same compiled circuit equals one on a fresh compile."""
+    the helper is joined, the error reaches the caller, the circuit's
+    workspace is free again, and its next run equals one on a fresh
+    compile."""
 
     # three chunks, two checkpoints, two measured qubits
     DOC = {
@@ -1042,34 +1074,33 @@ class TestDrawThread:
     CONFIG = RunConfig(shots=2500, master_seed=3, checkpoints=(1, 3))
 
     @staticmethod
-    def assert_rerun_matches_fresh(scheduled, compiled, config):
-        shared, fresh = run_shots(scheduled, config, compiled), run_shots(scheduled, config)
+    def assert_rerun_matches_fresh(scheduled, config):
+        assert not scheduled.compiled._lock.locked()
+        shared, fresh = run_shots(scheduled, config), run_shots(replace(scheduled), config)
         for field in ("distributions", "counts", "mean_weight", "densities"):
             np.testing.assert_array_equal(getattr(shared, field), getattr(fresh, field))
 
     def test_run_that_returns(self):
         scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(2))
-        compiled = _Compiled(scheduled)
         before = threading.active_count()
-        box = run_within(lambda: run_shots(scheduled, self.CONFIG, compiled))
+        box = run_within(lambda: run_shots(scheduled, self.CONFIG))
         assert "result" in box
         assert threading.active_count() == before
-        self.assert_rerun_matches_fresh(scheduled, compiled, self.CONFIG)
+        self.assert_rerun_matches_fresh(scheduled, self.CONFIG)
 
     def test_run_that_raises_on_the_calling_thread(self):
         # one X lasting 1 s, 10^4 T1: every weight underflows to zero at
         # checkpoint 1 of chunk 0, while the helper has drawn ahead
         doc = {"n_qubits": 1, "ops": [{"gate": "X", "q": [0], "duration_s": 1.0}], "measure": [0]}
         scheduled = schedule_layers(parse_circuit(doc), DESK)
-        compiled = _Compiled(scheduled)
         before = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            box = run_within(lambda: run_shots(scheduled, RunConfig(shots=3000, checkpoints=(0, 1)), compiled))
+            box = run_within(lambda: run_shots(scheduled, RunConfig(shots=3000, checkpoints=(0, 1))))
         assert isinstance(box.get("error"), FloatingPointError)
         assert str(box["error"]) == "every trajectory weight is zero at checkpoint 1"
         assert threading.active_count() == before
-        self.assert_rerun_matches_fresh(scheduled, compiled, RunConfig(shots=3000, checkpoints=(0,)))
+        self.assert_rerun_matches_fresh(scheduled, RunConfig(shots=3000, checkpoints=(0,)))
 
     def test_run_whose_draw_fails_on_the_helper(self, monkeypatch):
         # chunk 1's generator fails at its first draw, which the helper
@@ -1084,20 +1115,19 @@ class TestDrawThread:
         fget = RngStream.generator.fget
         monkeypatch.setattr(RngStream, "generator", property(lambda self: broken if self._path == (1,) else fget(self)))
         scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(2))
-        compiled = _Compiled(scheduled)
         before = threading.active_count()
-        box = run_within(lambda: run_shots(scheduled, self.CONFIG, compiled))
+        box = run_within(lambda: run_shots(scheduled, self.CONFIG))
         monkeypatch.undo()
         assert isinstance(box.get("error"), RuntimeError)
         assert str(box["error"]) == "draw failed"
         assert [thread.name for thread in failed_on] == ["noisygates-draws"]
         assert threading.active_count() == before
-        self.assert_rerun_matches_fresh(scheduled, compiled, self.CONFIG)
+        self.assert_rerun_matches_fresh(scheduled, self.CONFIG)
 
     def test_every_job_is_a_generator_fill(self):
         # per segment, a standard_normal job per piece, one for the two
         # readout rows, and a random job for the uniforms
-        compiled = _Compiled(schedule_layers(parse_circuit(self.DOC), desk_register(2)))
+        compiled = schedule_layers(parse_circuit(self.DOC), desk_register(2)).compiled
         sizes = [1024, 452]
         plans = {size: [compiled.pieces(0, 1, size), compiled.pieces(1, 3, size)] for size in sizes}
         jobs = list(engine._draw_jobs(RngStream(3), sizes, plans, len(compiled.readout)))
@@ -1125,7 +1155,7 @@ class TestDrawThread:
 
         monkeypatch.setattr(RngStream, "generator", property(generator))
         monkeypatch.setattr(engine, "DRAW_BLOCKS", blocks)
-        box = run_within(lambda: (threading.current_thread(), run_shots(scheduled, config, _Compiled(scheduled))))
+        box = run_within(lambda: (threading.current_thread(), run_shots(scheduled, config)))
         monkeypatch.undo()
         caller, result = box["result"]
         assert made_on == [caller, caller]
@@ -1133,18 +1163,20 @@ class TestDrawThread:
             np.testing.assert_array_equal(getattr(result, field), getattr(expected, field))
 
     def test_concurrent_runs_with_fast_thread_switches(self, monkeypatch):
-        # four runs at once, each with its own helper drawing into two
-        # blocks, switching threads every 10 us: a block rewritten while
-        # its run still reads it would change that run's result
+        # four runs at once on one circuit, each with its own helper
+        # drawing into two blocks, switching threads every 10 us: the run
+        # that holds the circuit's workspace and the runs in fresh ones
+        # must not share a buffer, and a block rewritten while its run
+        # still reads it would change that run's result
         doc = dict(self.DOC, ops=self.DOC["ops"] * 8)
         scheduled = schedule_layers(parse_circuit(doc), desk_register(2))
         config = RunConfig(shots=2500, master_seed=8, checkpoints=(4, 9, 17))
-        expected = run_shots(scheduled, config)
+        expected = run_shots(replace(scheduled), config)
         monkeypatch.setattr(engine, "DRAW_BLOCKS", 2)
         boxes = [{} for _ in range(4)]
 
         def run(box):
-            box["result"] = run_shots(scheduled, config, _Compiled(scheduled))
+            box["result"] = run_shots(scheduled, config)
 
         threads = [threading.Thread(target=run, args=(box,), daemon=True) for box in boxes]
         interval = sys.getswitchinterval()
@@ -1183,10 +1215,9 @@ def test_state_sized_buffers(checkpoints, buffers):
     n = 12
     ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
     scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
-    compiled = _Compiled(scheduled)
-    run_shots(scheduled, RunConfig(shots=2 * chunk_shots(n), master_seed=4, checkpoints=checkpoints), compiled)
+    run_shots(scheduled, RunConfig(shots=2 * chunk_shots(n), master_seed=4, checkpoints=checkpoints))
     state_bytes = chunk_shots(n) * 16 * 2**n
-    assert sum(buf.nbytes >= state_bytes for buf in compiled.workspace._buffers.values()) == buffers
+    assert sum(buf.nbytes >= state_bytes for buf in scheduled.compiled.workspace._buffers.values()) == buffers
 
 
 def test_piece_buffers_stay_within_the_cap():
@@ -1196,9 +1227,8 @@ def test_piece_buffers_stay_within_the_cap():
     # the widest kernel buffer 16 reals for each of its gate draws.
     doc = {"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}] * 500, "measure": [0]}
     scheduled = schedule_layers(parse_circuit(doc), DESK)
-    compiled = _Compiled(scheduled)
-    run_shots(scheduled, RunConfig(shots=1024, master_seed=3, checkpoints=(0, 500)), compiled)
-    buffers = compiled.workspace._buffers
+    run_shots(scheduled, RunConfig(shots=1024, master_seed=3, checkpoints=(0, 500)))
+    buffers = scheduled.compiled.workspace._buffers
     assert buffers["engine.normals0"].nbytes == PIECE_NORMALS * 8
     assert max(buf.nbytes for buf in buffers.values()) == PIECE_NORMALS // 5 * 16 * 8
 
