@@ -7,7 +7,7 @@ Every circuit, the stock experiments' included, is packed greedily into
 layers by ``_pack_asap`` (ASAP).  Scheduling attaches device durations
 and pads idle qubits with exact relaxation slots.  It adds no
 readout slot: the readout gate of each measured qubit with readout
-noise is drawn at every checkpoint by ``_Compiled.measured_probs``.
+noise is drawn at every checkpoint by ``_Build._checkpoint``.
 
 The unraveling is linear: trajectory states are *not* renormalised, the
 unbiased density estimate is the plain average of outer products and
@@ -44,12 +44,24 @@ Nothing the engine computes changes which numbers a chunk draws, so
 The calling thread states the draw order once, as jobs
 (``_draw_jobs``), each a ``Generator`` method that fills a block: per
 chunk, a ``standard_normal`` job per piece and, per checkpoint, one for
-the readout rows, if any, and a ``random`` job for the uniforms.
-It queues each job with its block, the next of ``DRAW_BLOCKS`` workspace
-buffers, as it frees the block held there, and the helper (``_Draws``)
-runs the jobs in order and nothing else.  The helper is joined before
-``run_shots`` returns or raises, and an error it meets is raised on the
-calling thread.
+the readout rows, if any, and a ``random`` job for the uniforms.  It
+makes each chunk's generator itself, when it reaches the chunk's jobs.
+
+Each chunk's loop has two sides.  The build side (``_Build``) turns the
+chunk's blocks into ordered steps: the passes of each state update and,
+per checkpoint, the passes that read the states, readout gates
+included, with that checkpoint's uniforms (``_Checkpoint``).  The apply
+side only runs the passes on the states and reduces each checkpoint's
+reads.  Where a chunk's state batch fills ``STATE_BUDGET_BYTES``
+(n >= 8) the helper also builds (``_Steps``): it draws each job the
+calling thread queues, one chunk ahead, builds the steps from the
+blocks and queues them to the calling thread at most ``STEPS_AHEAD``
+ahead, each step owning what it holds.  Elsewhere the calling thread
+builds each step as it takes it, and the helper (``_Draws``) only runs
+the jobs, each into the next of ``DRAW_BLOCKS`` workspace buffers, which
+the calling thread queues it with as it frees the block held there.
+Either way the helper is joined before ``run_shots`` returns or raises,
+and an error it meets is raised on the calling thread.
 
 Gates on different qubits commute, so one-qubit slots (noisy gates,
 relaxation pads, RZ frames, fixed idles) never touch the state batch
@@ -166,6 +178,13 @@ PIECE_NORMALS = 20480
 # one BLAS thread, 2 vCPUs) took 1.29, 1.16, 0.93 and 0.96 s with 2, 3, 4
 # and 6 blocks.
 DRAW_BLOCKS = 4
+# Built steps the helper thread of run_shots may queue ahead of the one
+# the calling thread applies, where it builds them (a chunk's state batch
+# fills STATE_BUDGET_BYTES).  On the GHZ ladder (the median of 6 warm calls,
+# one BLAS thread, 2 vCPUs) 1, 2, 3 and 4 steps took 0.294, 0.283, 0.284
+# and 0.289 s at n = 12, 1024 shots, and 0.589, 0.589, 0.606 and 0.632 s
+# at n = 14, 512 shots.
+STEPS_AHEAD = 2
 
 
 def chunk_shots(n_qubits: int) -> int:
@@ -453,15 +472,20 @@ def _plan_passes(runs) -> list[list[tuple[int, ...]]]:
     return passes
 
 
-def _apply_passes(states: np.ndarray, ops: dict[tuple[int, ...], np.ndarray], buffers: list[np.ndarray]) -> np.ndarray:
-    """Apply operators on disjoint runs of adjacent qubits, ``{run:
-    (S, d, d) or (d, d) operator}``, one pass per ``_plan_passes`` group
-    with the per-shot Kronecker product of its operators (first qubit
-    most significant).  Pass i writes into ``buffers[i % 2]``; returns the
-    last buffer written, or ``states`` when there is no pass."""
-    for i, runs in enumerate(_plan_passes(ops)):
-        gate = reduce(kron, [ops[run] for run in runs])
-        states = apply_gate(states, gate, sum(runs, ()), out=buffers[i % 2])
+def _passes(ops: dict[tuple[int, ...], np.ndarray]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Operators on disjoint runs of adjacent qubits, ``{run: (S, d, d) or
+    (d, d) operator}``, as ``apply_gate`` passes ``(gate, qubits)``: one
+    per ``_plan_passes`` group, the per-shot Kronecker product of its
+    operators (first qubit most significant)."""
+    return [(reduce(kron, [ops[run] for run in runs]), sum(runs, ())) for runs in _plan_passes(ops)]
+
+
+def _apply_passes(states: np.ndarray, passes: list[tuple[np.ndarray, tuple[int, ...]]], buffers: list[np.ndarray]) -> np.ndarray:
+    """Apply ``passes`` (as ``_passes`` makes them) to ``states``, pass i
+    writing into ``buffers[i % 2]``; returns the last buffer written, or
+    ``states`` when there is no pass."""
+    for i, (gate, qubits) in enumerate(passes):
+        states = apply_gate(states, gate, qubits, out=buffers[i % 2])
     return states
 
 
@@ -499,12 +523,9 @@ def _per_shot(factor: np.ndarray | None) -> np.ndarray:
 
 
 class _Chunk:
-    """One chunk's ``(S, 2^n)`` states, starting in |0...0>, its ``spare``
-    buffer and the gates not yet applied to them: ``one[q]``, qubit q's
-    one-qubit ``(2, 2, S)`` factor (None for none), acting after
-    ``blocks``, which maps disjoint runs of at most ``FUSE_MAX_QUBITS``
-    ascending adjacent qubits to per-shot ``(S, d, d)`` (or one ``(d, d)``)
-    products of two-qubit gates."""
+    """The apply side of one chunk: its ``(S, 2^n)`` states, starting in
+    |0...0>, and its ``spare`` buffer.  It runs the passes of the chunk's
+    steps and nothing else; the gates not yet applied live in ``_Build``."""
 
     def __init__(self, workspace: Workspace, n_qubits: int, size: int):
         shape = (size, 2**n_qubits)
@@ -512,35 +533,34 @@ class _Chunk:
         self.states, self.spare = (workspace.take(f"engine.states{i}", shape) for i in range(2))
         self.states.fill(0.0)
         self.states[:, 0] = 1.0
-        self.one: list[np.ndarray | None] = [None] * n_qubits
-        self.blocks: dict[tuple[int, ...], np.ndarray] = {}
 
-    def apply(self, ops: dict[tuple[int, ...], np.ndarray]) -> None:
-        """Apply ``ops`` (as ``_apply_passes`` takes them) to the states,
-        each pass writing into the other buffer, which then holds them."""
-        if _apply_passes(self.states, ops, [self.spare, self.states]) is self.spare:
+    def apply(self, passes: list[tuple[np.ndarray, tuple[int, ...]]]) -> None:
+        """Apply a state step's ``passes`` to the states, each pass writing
+        into the other buffer, which then holds them."""
+        if _apply_passes(self.states, passes, [self.spare, self.states]) is self.spare:
             self.states, self.spare = self.spare, self.states
 
-    def read(self, factors: list[np.ndarray | None], scratch: np.ndarray) -> np.ndarray:
-        """The states with the blocks applied and then the one-qubit
-        ``factors`` (indexed like ``one``), packed by ``_plan_passes`` and
-        written into ``spare`` and ``scratch`` in turn.  Returns the last
-        buffer written, or ``states`` when there is no pass.  The chunk
-        does not change unless ``scratch`` is ``states``."""
-        ops: dict[tuple[int, ...], np.ndarray] = {}
-        for run, block in self.blocks.items():
-            if any(factors[q] is not None for q in run):
-                block = reduce(kron, [_per_shot(factors[q]) for q in run]) @ block
-            ops[run] = block
-        blocked = {q for run in self.blocks for q in run}
-        ops.update({(q,): _per_shot(f) for q, f in enumerate(factors) if f is not None and q not in blocked})
-        return _apply_passes(self.states, ops, [self.spare, scratch])
+    def read(self, passes: list[tuple[np.ndarray, tuple[int, ...]]], scratch: np.ndarray) -> np.ndarray:
+        """The states through a checkpoint's read ``passes``, written into
+        ``spare`` and ``scratch`` in turn.  Returns the last buffer
+        written, or ``states`` when there is no pass.  The chunk does not
+        change unless ``scratch`` is ``states``."""
+        return _apply_passes(self.states, passes, [self.spare, scratch])
 
     def scratch(self, final: bool) -> np.ndarray:
         """The buffer a read writes every other pass into: the states
         themselves for the ``final`` read, after which nothing reads them,
         else a state-sized copy in the workspace."""
         return self.states if final else self.workspace.take("engine.scratch", self.states.shape)
+
+    def probs(self, read: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """|read|^2 per amplitude, the Born probabilities of each
+        trajectory, as a view into ``spare`` or ``scratch``, whichever the
+        read did not end in."""
+        out = scratch if read is self.spare else self.spare
+        probs = out.reshape(-1).view(float)[: read.size].reshape(read.shape)
+        np.abs(read, out=probs)
+        return np.square(probs, out=probs)
 
 
 def _compose(gate: np.ndarray, factor: np.ndarray, out: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -561,8 +581,8 @@ def _compose(gate: np.ndarray, factor: np.ndarray, out: np.ndarray, ws: Workspac
 class _Compiled:
     """The slot plan of one scheduled circuit (``ScheduledCircuit.compiled``),
     its samplers resolved once per distinct ``GateSpec`` and shared by
-    every run of it.  Its methods read the workspace of the call, through
-    the ``_Chunk``.  It owns one ``Workspace``, which a call borrows
+    every run of it; a call's ``_Build`` and ``_Chunk`` read its slots.
+    It owns one ``Workspace``, which a call borrows
     (``borrow_workspace``) for its samplers, each chunk's normals, pending
     factors and state buffers; sized by the largest chunk and piece it has
     served, it lets the runs reuse the same pages for every gate and
@@ -656,19 +676,67 @@ class _Compiled:
             first = last
         return pieces
 
-    def apply_layers(self, chunk: _Chunk, pieces: list[tuple[int, int, int]], draws: _Draws) -> None:
-        """Sample a segment's ``pieces`` onto ``chunk``, each from the next
-        block of ``draws``."""
-        for first, last, _ in pieces:
-            self._apply_piece(chunk, self.slots[first:last], draws.take())
 
-    def _apply_piece(self, chunk: _Chunk, slots: list[_Slot], block: np.ndarray) -> None:
-        """Apply ``slots`` in plan order, slot j reading its normals from
-        ``block`` after those of the slots before it.  First the one-qubit
-        noisy slots of each sampler, and the relaxation pads of each
-        (gamma1, gamma_pd, dt), are sampled by one call each."""
-        size = len(chunk.states)
-        ws = chunk.workspace
+class _Checkpoint(NamedTuple):
+    """A checkpoint's step: the passes that read the states for the dense
+    density (``density``; None unless the register keeps one) and for the
+    Born probabilities (``read``; None where the density's read serves, as
+    no readout gate acts), and the ``uniforms`` that draw the outcomes."""
+
+    density: list[tuple[np.ndarray, tuple[int, ...]]] | None
+    read: list[tuple[np.ndarray, tuple[int, ...]]] | None
+    uniforms: np.ndarray
+
+
+class _Build:
+    """The build side of one ``run_shots`` call: it turns the blocks of
+    each chunk's stream, in draw order, into the chunk's steps.  A state
+    step is the list of passes one ``_Chunk.apply`` runs; each checkpoint
+    ends its segment with a ``_Checkpoint``.  Between steps it holds the
+    chunk's pending gates: ``one[q]``, qubit q's one-qubit ``(2, 2, S)``
+    factor (None for none), acting after ``blocks``, which maps disjoint
+    runs of at most ``FUSE_MAX_QUBITS`` ascending adjacent qubits to
+    per-shot ``(S, d, d)`` (or one ``(d, d)``) products of two-qubit gates.
+
+    Where two-qubit gates wait in blocks (``pair_blocks``), the helper
+    thread builds while the calling thread applies the steps before
+    (``ahead``), so every step owns what it holds: a checkpoint's one-qubit
+    factors and uniforms are copies.  Blocks are fresh products and are
+    never written again.  Elsewhere each step is applied before the next
+    is built, and it holds the workspace buffers themselves."""
+
+    def __init__(self, compiled: _Compiled, workspace: Workspace, sizes: list[int], plans: dict, keep_density: bool):
+        self.compiled, self.workspace = compiled, workspace
+        self.sizes, self.plans = sizes, plans
+        self.keep_density = keep_density
+        self.ahead = compiled.pair_blocks
+        self.one: list[np.ndarray | None] = []
+        self.blocks: dict[tuple[int, ...], np.ndarray] = {}
+
+    def steps(self, take) -> Iterator[list | _Checkpoint]:
+        """Every chunk's steps, in order; ``take()`` returns the next block
+        of the stream, valid until the following call."""
+        slots = self.compiled.slots
+        for size in self.sizes:
+            self.one = [None] * self.compiled.n_qubits
+            self.blocks = {}
+            for pieces in self.plans[size]:
+                for first, last, _ in pieces:
+                    yield from self._piece(slots[first:last], take(), size)
+                yield self._checkpoint(take)
+
+    def _keep(self, array: np.ndarray) -> np.ndarray:
+        """``array``, or its copy in the same memory order where the step
+        that holds it outlives the build of the next ones."""
+        return array.copy(order="K") if self.ahead else array
+
+    def _piece(self, slots: list[_Slot], block: np.ndarray, size: int) -> Iterator[list]:
+        """Take ``slots`` in plan order, slot j reading its normals from
+        ``block`` after those of the slots before it; yields the state
+        steps they make.  First the one-qubit noisy slots of each sampler,
+        and the relaxation pads of each (gamma1, gamma_pd, dt), are sampled
+        by one call each."""
+        ws = self.workspace
         offsets = [0]
         for slot in slots:
             offsets.append(offsets[-1] + slot.normals * size)
@@ -709,27 +777,29 @@ class _Compiled:
                 gate = payload
             q = qubits[0]
             if len(qubits) == 2:
-                self._apply_pair(chunk, qubits, gate)
-            elif chunk.one[q] is None:
-                chunk.one[q] = ws.take(f"engine.pending{q}", (2, 2, size))
-                np.copyto(chunk.one[q], gate)
+                yield from self._pair(qubits, gate)
+            elif self.one[q] is None:
+                self.one[q] = ws.take(f"engine.pending{q}", (2, 2, size))
+                np.copyto(self.one[q], gate)
             else:
-                _compose(gate, chunk.one[q], chunk.one[q], ws)
+                _compose(gate, self.one[q], self.one[q], ws)
 
-    def _apply_pair(self, chunk: _Chunk, qubits: tuple[int, ...], gate: np.ndarray) -> None:
-        """A two-qubit slot G on (a, b): it absorbs the one-qubit factors of
-        its qubits, G (P_a x P_b).  With ``pair_blocks`` and adjacent
-        qubits it then joins the block it overlaps when their union spans
-        at most ``FUSE_MAX_QUBITS`` qubits; otherwise the blocks it
-        overlaps are applied and it starts a block.  Other slots are
-        applied at once, after the blocks they overlap."""
-        one = chunk.one
+    def _pair(self, qubits: tuple[int, ...], gate: np.ndarray) -> list[list]:
+        """The state steps of a two-qubit slot G on (a, b).  It absorbs the
+        one-qubit factors of its qubits, G (P_a x P_b).  With
+        ``pair_blocks`` and adjacent qubits it then joins the block it
+        overlaps when their union spans at most ``FUSE_MAX_QUBITS``
+        qubits; otherwise the blocks it overlaps are applied and it starts
+        a block.  Other slots are applied at once, after the blocks they
+        overlap."""
+        one = self.one
         a, b = qubits
         if one[a] is not None or one[b] is not None:
             gate = gate @ kron(_per_shot(one[a]), _per_shot(one[b]))
             one[a] = one[b] = None
-        touched = {run: chunk.blocks.pop(run) for run in list(chunk.blocks) if a in run or b in run}
-        if self.pair_blocks and abs(a - b) == 1:
+        touched = {run: self.blocks.pop(run) for run in list(self.blocks) if a in run or b in run}
+        flush = [_passes(touched)] if touched else []
+        if self.compiled.pair_blocks and abs(a - b) == 1:
             run = (min(a, b), max(a, b))
             if a > b:
                 # the same gate on (b, a): swap the two bits of each index
@@ -738,77 +808,95 @@ class _Compiled:
                 (old, block), = touched.items()
                 span = tuple(range(min(run[0], old[0]), max(run[-1], old[-1]) + 1))
                 if len(span) <= FUSE_MAX_QUBITS:
-                    chunk.blocks[span] = _widen(gate, run, span) @ _widen(block, old, span)
-                    return
-            chunk.apply(touched)
-            chunk.blocks[run] = gate
-            return
-        chunk.apply(touched)
-        chunk.apply({qubits: gate})
+                    self.blocks[span] = _widen(gate, run, span) @ _widen(block, old, span)
+                    return []
+            self.blocks[run] = gate
+            return flush
+        return flush + [_passes({qubits: gate})]
 
-    def measured_probs(
-        self, chunk: _Chunk, normals: np.ndarray, scratch: np.ndarray, read: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-trajectory Born probabilities |R P psi|^2 at a checkpoint, for
-        the pending gates P of ``chunk`` and a fresh pre-measurement noise
-        gate R per qubit of ``readout``, built from its row of standard
-        ``normals`` and multiplied onto a copy of its qubit's factor, read
-        by ``chunk.read(..., scratch)``.  ``read`` is P psi when the caller
-        has read it, all there is to read without readout gates.  The
-        result is a view into ``spare`` or ``scratch``, whichever the read
-        did not end in."""
-        if self.readout or read is None:
-            ws = chunk.workspace
-            factors = list(chunk.one)
-            for (q, v), z in zip(self.readout, normals):
+    def _read(self, factors: list[np.ndarray | None]) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+        """Passes that read the states through the blocks and then the
+        one-qubit ``factors`` (indexed like ``one``): each block with its
+        qubits' factors, the other factors alone, packed by
+        ``_plan_passes``."""
+        ops: dict[tuple[int, ...], np.ndarray] = {}
+        for run, block in self.blocks.items():
+            if any(factors[q] is not None for q in run):
+                block = reduce(kron, [_per_shot(factors[q]) for q in run]) @ block
+            ops[run] = block
+        blocked = {q for run in self.blocks for q in run}
+        ops.update({(q,): _per_shot(self._keep(f)) for q, f in enumerate(factors) if f is not None and q not in blocked})
+        return _passes(ops)
+
+    def _checkpoint(self, take) -> _Checkpoint:
+        """The checkpoint's step.  A register that keeps a dense density
+        first reads the pending gates alone for it.  The Born
+        probabilities read them with a fresh pre-measurement noise gate R
+        per qubit of ``readout``, built from its row of standard normals
+        and multiplied onto a copy of its qubit's factor; without readout
+        gates the density's read serves.  The pending gates stay pending."""
+        compiled, ws = self.compiled, self.workspace
+        density = self._read(self.one) if self.keep_density else None
+        read = None
+        if compiled.readout or density is None:
+            factors = list(self.one)
+            # the readout normals are read before the next take frees their block
+            for (q, v), z in zip(compiled.readout, take() if compiled.readout else ()):
                 gate = spam_gate_batch(v, z).transpose(1, 2, 0)
                 if factors[q] is not None:
                     gate = _compose(gate, factors[q], ws.take(f"engine.measured{q}", gate.shape), ws)
                 factors[q] = gate
-            read = chunk.read(factors, scratch)
-        out = scratch if read is chunk.spare else chunk.spare
-        probs = out.reshape(-1).view(float)[: read.size].reshape(read.shape)
-        np.abs(read, out=probs)
-        return np.square(probs, out=probs)
+            read = self._read(factors)
+        return _Checkpoint(density, read, self._keep(take()))
+
+
+def _chunk_jobs(
+    root: RngStream, c: int, size: int, plan: list[list[tuple[int, int, int]]], readout: int
+) -> Iterator[tuple[tuple[int, ...], object]]:
+    """Chunk ``c``'s stream, in draw order, as ``(shape, fill)`` jobs, each
+    a bound ``Generator`` method: ``fill(out=block)`` fills a float block
+    of ``shape`` and returns it.  It makes ``root.child(c).generator`` when
+    first advanced, then yields, per segment of ``plan`` at ``size``
+    shots, a ``standard_normal`` job per piece, a ``standard_normal`` job
+    of ``readout`` rows (one per readout gate) when ``readout`` > 0, and a
+    ``random`` job for the uniforms."""
+    gen = root.child(c).generator
+    for pieces in plan:
+        for *_, count in pieces:
+            yield (count,), gen.standard_normal
+        if readout:
+            yield (readout, size), gen.standard_normal
+        yield (size,), gen.random
 
 
 def _draw_jobs(
     root: RngStream, sizes: list[int], plans: dict[int, list[list[tuple[int, int, int]]]], readout: int
 ) -> Iterator[tuple[tuple[int, ...], object]]:
-    """The run's random stream, in draw order, as ``(shape, fill)`` jobs,
-    each a bound ``Generator`` method: ``fill(out=block)`` fills a float
-    block of ``shape`` and returns it.  Chunk c makes
-    ``root.child(c).generator`` when reached, then yields, per segment of
-    ``plans[sizes[c]]``, a ``standard_normal`` job per piece, a
-    ``standard_normal`` job of ``readout`` rows (one per readout gate)
-    when ``readout`` > 0, and a ``random`` job for the uniforms."""
+    """The run's random stream: chunk c's jobs (``_chunk_jobs``, with
+    ``plans[sizes[c]]``) for each chunk in turn."""
     for c, size in enumerate(sizes):
-        gen = root.child(c).generator
-        for pieces in plans[size]:
-            for *_, count in pieces:
-                yield (count,), gen.standard_normal
-            if readout:
-                yield (readout, size), gen.standard_normal
-            yield (size,), gen.random
+        yield from _chunk_jobs(root, c, size, plans[size], readout)
 
 
 class _Draws:
     """A helper thread that runs ``jobs``, as ``_draw_jobs`` yields them,
-    in order and ahead of the calling thread, and does nothing else.  The
-    calling thread advances ``jobs`` and queues job i with its block,
-    workspace buffer ``engine.normals{i % DRAW_BLOCKS}``: ``take`` queues
-    the next job into the buffer of the block taken before it, now free,
-    and returns the next block, valid until the following ``take``, or
-    raises the helper's error, after which the helper draws no more.
-    Leaving the ``with`` block stops the helper and joins it."""
+    in order and ahead of the calling thread, and does nothing else; the
+    calling thread builds each step (``build.steps``) when it takes it.
+    The calling thread advances ``jobs`` and queues job i with its block,
+    workspace buffer ``engine.normals{i % DRAW_BLOCKS}``: each block the
+    build takes queues the next job into the buffer of the block taken
+    before it, now free.  ``take`` returns the next step, or raises the
+    helper's error, after which the helper draws no more.  Leaving the
+    ``with`` block stops the helper and joins it."""
 
-    def __init__(self, workspace: Workspace, jobs: Iterator[tuple[tuple[int, ...], object]]):
+    def __init__(self, jobs: Iterator[tuple[tuple[int, ...], object]], build: _Build):
         # imported on first use, so importing the package loads no more
         # than numpy does
         import queue
 
-        self._workspace, self._jobs = workspace, enumerate(jobs)
+        self._workspace, self._jobs = build.workspace, enumerate(jobs)
         self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._steps = build.steps(self._block)
         self._thread = threading.Thread(target=self._run, name="noisygates-draws", daemon=True)
 
     def __enter__(self) -> _Draws:
@@ -820,8 +908,15 @@ class _Draws:
     def __exit__(self, *exc) -> None:
         self._todo.put(None)
         self._thread.join()
+        # the build holds ``_block``, and so this helper, in a cycle that
+        # would keep the plan's buffers alive until a garbage collection
+        self._steps.close()
 
-    def take(self) -> np.ndarray:
+    def take(self) -> list | _Checkpoint:
+        """The next step."""
+        return next(self._steps)
+
+    def _block(self) -> np.ndarray:
         """The next block; the one taken before it is free again."""
         self._queue()
         block = self._done.get()
@@ -848,6 +943,95 @@ class _Draws:
             self._done.put(exc)
 
 
+class _Stopped(Exception):
+    """Raised on the helper of ``_Steps`` when the calling thread has left."""
+
+
+class _Steps:
+    """A helper thread that draws the jobs of every chunk (``jobs[c]``, as
+    ``_chunk_jobs`` yields them) and builds the steps from the blocks
+    (``build.steps``), queueing each step for the calling thread at most
+    ``STEPS_AHEAD`` ahead.  It draws every job into one workspace block,
+    ``engine.normals0``, which the build reads before it takes the next.
+    The calling thread advances ``jobs[c]``, which makes chunk c's
+    generator, and queues its jobs one chunk ahead of the chunk it
+    applies: chunks 0 and 1 at the start, chunk c + 2 when it takes chunk
+    c's last checkpoint.  The two threads share the workspace but take
+    distinct buffers of it: the helper the block, the samplers' and the
+    pending gates', the calling thread the state buffers.  ``take``
+    returns the next step or raises the helper's error.  Leaving the
+    ``with`` block stops the helper, which may be waiting on a full queue
+    or for jobs, and joins it."""
+
+    def __init__(self, jobs: list[Iterator[tuple[tuple[int, ...], object]]], build: _Build):
+        import queue
+
+        self._jobs, self._build = iter(jobs), build
+        self._segments, self._taken = len(build.plans[build.sizes[0]]), 0
+        self._todo, self._steps = queue.SimpleQueue(), queue.Queue(STEPS_AHEAD)
+        self._stopped = False
+        self._thread = threading.Thread(target=self._run, name="noisygates-draws", daemon=True)
+
+    def __enter__(self) -> _Steps:
+        self._queue_chunk()
+        self._queue_chunk()
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopped = True
+        self._todo.put(None)
+        # a helper waiting to queue a step can then queue it, and it stops
+        while not self._steps.empty():
+            self._steps.get_nowait()
+        self._thread.join()
+
+    def take(self) -> list | _Checkpoint:
+        """The next step."""
+        step = self._steps.get()
+        if isinstance(step, BaseException):
+            raise step
+        if isinstance(step, _Checkpoint):
+            self._taken += 1
+            if self._taken % self._segments == 0:
+                self._queue_chunk()
+        return step
+
+    def _queue_chunk(self) -> None:
+        """Queue the jobs of the next chunk, if any."""
+        for job in next(self._jobs, ()):
+            self._todo.put(job)
+
+    def _draw(self) -> np.ndarray:
+        """The helper's next block: the next queued job, drawn."""
+        job = self._todo.get()
+        if job is None:
+            raise _Stopped
+        shape, fill = job
+        return fill(out=self._build.workspace.take("engine.normals0", shape, float))
+
+    def _run(self) -> None:
+        """The helper: the steps in order, each queued once built, until
+        the calling thread leaves or an error, which it passes on."""
+        try:
+            for step in self._build.steps(self._draw):
+                self._steps.put(step)
+                if self._stopped:
+                    return
+        except BaseException as exc:
+            self._steps.put(exc)
+
+
+def _helper(build: _Build, root: RngStream) -> _Draws | _Steps:
+    """The helper thread of a ``run_shots`` call, drawing the chunks'
+    streams from ``root``: it also runs ``build`` where it runs ahead
+    (``_Steps``), else it only draws (``_Draws``)."""
+    readout = len(build.compiled.readout)
+    if build.ahead:
+        return _Steps([_chunk_jobs(root, c, size, build.plans[size], readout) for c, size in enumerate(build.sizes)], build)
+    return _Draws(_draw_jobs(root, build.sizes, build.plans, readout), build)
+
+
 def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     """Ensemble over ``config.shots`` trajectories.
 
@@ -859,8 +1043,10 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     draw at every checkpoint, mirroring a family of circuits of increasing
     depth that share noise prefixes).  The layers after the last
     checkpoint are neither drawn nor applied: each chunk has its own
-    stream, so no result reads them.  A helper thread draws the streams
-    (``_Draws``) and is joined before this returns or raises.  The run
+    stream, so no result reads them.  A helper thread draws the streams,
+    and on registers whose chunks fill ``STATE_BUDGET_BYTES`` also builds
+    the steps the calling thread applies (``_helper``); it is joined
+    before this returns or raises.  The run
     reads ``scheduled.compiled``, the plan built on the circuit's first
     run, and borrows its workspace (a fresh one while another call holds
     it).  Registers wider than ``MAX_QUBITS`` raise ``ValueError`` before
@@ -889,23 +1075,22 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     segments = list(zip((0,) + cp_sorted, cp_sorted))
     plans = {size: [compiled.pieces(start, stop, size) for start, stop in segments] for size in set(sizes)}
     root = RngStream(config.master_seed, stream_index=config.run_index)
-    jobs = _draw_jobs(root, sizes, plans, len(compiled.readout))
-    with compiled.borrow_workspace() as ws, _Draws(ws, jobs) as draws:
+    with compiled.borrow_workspace() as ws, _helper(_Build(compiled, ws, sizes, plans, keep_density), root) as steps:
         for size in sizes:
             chunk = _Chunk(ws, n, size)
             for cp_iter, at in enumerate(cp_sorted):
-                compiled.apply_layers(chunk, plans[size][cp_iter], draws)
+                while not isinstance(step := steps.take(), _Checkpoint):
+                    chunk.apply(step)
                 last = cp_iter == n_cp - 1
                 read = None
-                if keep_density:
-                    # the density reads the pending gates alone; while the
-                    # readout gates have the states still to read, it leaves them
-                    read = chunk.read(chunk.one, chunk.scratch(last and not compiled.readout))
+                if step.density is not None:
+                    # while a read with readout gates has the states still
+                    # to read, the density's read leaves them
+                    read = chunk.read(step.density, chunk.scratch(last and step.read is None))
                     dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
-                # the readout normals are read before the next take frees their block
-                normals = draws.take() if compiled.readout else ()
-                probs = compiled.measured_probs(chunk, normals, chunk.scratch(last), read)
-                uniforms = draws.take()
+                if step.read is not None:
+                    read = chunk.read(step.read, chunk.scratch(last))
+                probs = chunk.probs(read, chunk.scratch(last))
                 weights = probs.sum(axis=1)
                 if not np.all(np.isfinite(weights)):
                     raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
@@ -919,7 +1104,7 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
                 drawn = weights > 0.0
                 np.divide(probs, weights[:, None], out=probs, where=drawn[:, None])
                 cdf = np.cumsum(probs, axis=1, out=probs)
-                below = np.less(cdf, uniforms[:, None], out=ws.take("engine.below", cdf.shape, bool))
+                below = np.less(cdf, step.uniforms[:, None], out=ws.take("engine.below", cdf.shape, bool))
                 idx = below.sum(axis=1).clip(0, dim - 1)
                 counts[cp_iter] += np.bincount(idx[drawn], minlength=dim)
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,8 +6,10 @@ import pickle
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -848,6 +851,23 @@ DEFERRAL_CASES = {
         (4, 7, 9),
         40,
     ),
+    # 1,100 shots on 9 qubits are chunks of 512, 512 and 76, so the steps
+    # built on the helper run ahead into the next chunk, and the last
+    # chunk is short; a descending CR joins a block, and a non-adjacent
+    # CNOT is applied at once.  Checkpoint 5 reads qubit 8's factor in a
+    # pass of its own, and the helper builds its second read, of the
+    # same factors, while the calling thread still applies the first
+    "block_chunks": (
+        {
+            "n_qubits": 9,
+            "ops": [{"gate": "SX", "q": [0]}]
+            + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(8)]
+            + [{"gate": "CR", "q": [5, 4], "theta": 0.8}, {"gate": "CNOT", "q": [1, 7]}, {"gate": "X", "q": [3]}],
+            "measure": [8, 0, 4, 7],
+        },
+        (2, 5, 5, 10),
+        1100,
+    ),
     # no measured qubit; the last checkpoint listed twice, so only its
     # second readout may act on the states
     "block_unmeasured": (
@@ -922,8 +942,11 @@ class TestDeferredGates:
         else:
             assert np.abs(result.densities - dens).max() <= 1e-12 * np.abs(dens).max()
         np.testing.assert_array_equal(result.counts, counts)
-        assert len(made) == len(oracle) == 1
-        np.testing.assert_equal(made[0].bit_generator.state, oracle[0].bit_generator.state)
+        # each chunk's generator ends where the oracle's does: it drew the
+        # same numbers, however far ahead the build ran
+        assert len(made) == len(oracle) == -(-shots // chunk_shots(doc["n_qubits"]))
+        for gen, want in zip(made, oracle):
+            np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
 
     def test_long_segment_is_cut_into_pieces(self):
         doc, (_, cut, _), shots = DEFERRAL_CASES["long_segment"]
@@ -1016,6 +1039,23 @@ class TestSharedCompiled:
         assert held._buffers
         for field in ("distributions", "counts", "mean_weight", "densities"):
             np.testing.assert_array_equal(getattr(result, field), getattr(expected, field))
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_a_run_keeps_no_reference_to_its_plan(self, n):
+        # compare schedules its circuit afresh on every call, so a plan that
+        # a finished run still referenced from a reference cycle would keep
+        # its workspace until a garbage collection (n = 2: the calling
+        # thread builds; n = 9: the helper does)
+        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+        scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+        gc.disable()
+        try:
+            run_shots(scheduled, RunConfig(shots=600, master_seed=1, checkpoints=(1, n)))
+            plan = weakref.ref(scheduled.compiled)
+            del scheduled
+            assert plan() is None
+        finally:
+            gc.enable()
 
     def test_wide_register_buffers_reused_without_stale_data(self):
         # 12 qubits: chunks of 64 shots, so 160 shots are chunks of 64, 64
@@ -1192,6 +1232,157 @@ class TestDrawThread:
         for box in boxes:
             for field in ("distributions", "counts", "mean_weight", "densities"):
                 np.testing.assert_array_equal(getattr(box["result"], field), getattr(expected, field))
+
+
+
+class TestBuildThread:
+    """Where a chunk's state batch fills the budget (``pair_blocks``), the
+    helper thread also builds the steps, a queue of ``STEPS_AHEAD`` ahead
+    of the state passes.  Whether the run returns, raises on the calling
+    thread while the builder waits on a full queue, or fails in the build
+    or the draw on the helper, the helper is joined, the error reaches the
+    caller, the plan's lock is free and a rerun equals a fresh compile."""
+
+    # chunks of 512, 512 and 76 shots, three checkpoints
+    N = 9
+    CONFIG = RunConfig(shots=1100, master_seed=6, checkpoints=(2, 5, 9))
+
+    def scheduled(self, extra=()):
+        ops = [{"gate": "SX", "q": [0]}, *extra] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(self.N - 1)]
+        doc = {"n_qubits": self.N, "ops": ops, "measure": list(range(self.N))}
+        scheduled = schedule_layers(parse_circuit(doc), desk_register(self.N))
+        assert scheduled.compiled.pair_blocks and chunk_shots(self.N) == 512
+        return scheduled
+
+    def test_run_that_returns(self):
+        scheduled = self.scheduled()
+        before = threading.active_count()
+        box = run_within(lambda: run_shots(scheduled, self.CONFIG))
+        assert "result" in box
+        assert threading.active_count() == before
+        TestDrawThread.assert_rerun_matches_fresh(scheduled, self.CONFIG)
+
+    def test_run_that_raises_while_the_builder_waits_on_a_full_queue(self, monkeypatch):
+        # an X lasting 1 s beside the SX: every weight underflows to zero at
+        # checkpoint 2 of chunk 0, which raises only once the helper has
+        # filled the step queue and built one more step
+        scheduled = self.scheduled([{"gate": "X", "q": [self.N - 1], "duration_s": 1.0}])
+        helpers, full = [], []
+        enter, probs = engine._Steps.__enter__, engine._Chunk.probs
+
+        def waiting_probs(chunk, *args):
+            queue = helpers[0]._steps
+            for _ in range(3000):
+                if queue.full():
+                    break
+                time.sleep(0.01)
+            full.append(queue.full())
+            time.sleep(0.1)
+            return probs(chunk, *args)
+
+        monkeypatch.setattr(engine._Steps, "__enter__", lambda self: helpers.append(self) or enter(self))
+        monkeypatch.setattr(engine._Chunk, "probs", waiting_probs)
+        before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            box = run_within(lambda: run_shots(scheduled, self.CONFIG))
+        monkeypatch.undo()
+        assert isinstance(box.get("error"), FloatingPointError)
+        assert str(box["error"]) == "every trajectory weight is zero at checkpoint 2"
+        assert full == [True]
+        assert threading.active_count() == before
+        TestDrawThread.assert_rerun_matches_fresh(scheduled, RunConfig(shots=1100, checkpoints=(0,)))
+
+    def test_run_whose_build_fails_on_the_helper(self, monkeypatch):
+        # the CNOT sampler fails at its first call on chunk 1, which the
+        # helper builds while the calling thread applies chunk 0
+        scheduled = self.scheduled()
+        sample_batch = NoisyGateSampler.sample_batch
+        calls, failed_on = [], []
+
+        def counted(sampler, normals, *args, **kwargs):
+            calls.append(len(normals))
+            return sample_batch(sampler, normals, *args, **kwargs)
+
+        monkeypatch.setattr(NoisyGateSampler, "sample_batch", counted)
+        run_shots(replace(scheduled), RunConfig(shots=512, checkpoints=self.CONFIG.checkpoints))
+        per_chunk = len(calls)
+
+        def fail_on_chunk_1(sampler, normals, *args, **kwargs):
+            calls.append(len(normals))
+            if len(calls) == per_chunk + 1:
+                failed_on.append(threading.current_thread())
+                raise RuntimeError("build failed")
+            return sample_batch(sampler, normals, *args, **kwargs)
+
+        monkeypatch.setattr(NoisyGateSampler, "sample_batch", fail_on_chunk_1)
+        calls.clear()
+        before = threading.active_count()
+        box = run_within(lambda: run_shots(scheduled, self.CONFIG))
+        monkeypatch.undo()
+        assert isinstance(box.get("error"), RuntimeError)
+        assert str(box["error"]) == "build failed"
+        assert [thread.name for thread in failed_on] == ["noisygates-draws"]
+        assert threading.active_count() == before
+        TestDrawThread.assert_rerun_matches_fresh(scheduled, self.CONFIG)
+
+    def test_run_whose_draw_fails_on_the_helper(self, monkeypatch):
+        # chunk 1's generator, made on the calling thread, fails at its
+        # first draw, which the helper makes while building ahead
+        failed_on = []
+
+        def fail(*args, **kwargs):
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+
+        broken = SimpleNamespace(standard_normal=fail, random=fail)
+        made_on = []
+        fget = RngStream.generator.fget
+
+        def generator(stream):
+            made_on.append(threading.current_thread())
+            return broken if stream._path == (1,) else fget(stream)
+
+        monkeypatch.setattr(RngStream, "generator", property(generator))
+        scheduled = self.scheduled()
+        before = threading.active_count()
+        box = run_within(lambda: (threading.current_thread(), run_shots(scheduled, self.CONFIG)))
+        monkeypatch.undo()
+        assert isinstance(box.get("error"), RuntimeError)
+        assert str(box["error"]) == "draw failed"
+        assert [thread.name for thread in failed_on] == ["noisygates-draws"]
+        assert made_on and all(thread.name != "noisygates-draws" for thread in made_on)
+        assert threading.active_count() == before
+        TestDrawThread.assert_rerun_matches_fresh(scheduled, self.CONFIG)
+
+    def test_concurrent_runs_with_fast_thread_switches(self):
+        # four runs at once on one circuit, each with its own builder,
+        # switching threads every 10 us: a step whose operators the builder
+        # rewrote while its run still applied them would change the result
+        scheduled = self.scheduled()
+        expected = run_shots(replace(scheduled), self.CONFIG)
+        boxes = [{} for _ in range(4)]
+
+        def run(box):
+            box["result"] = run_shots(scheduled, self.CONFIG)
+
+        threads = [threading.Thread(target=run, args=(box,), daemon=True) for box in boxes]
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threading.active_count() == before
+        for box in boxes:
+            for field in ("distributions", "counts", "mean_weight", "densities"):
+                np.testing.assert_array_equal(getattr(box["result"], field), getattr(expected, field))
+        TestDrawThread.assert_rerun_matches_fresh(scheduled, self.CONFIG)
 
 
 def test_zero_weight_trajectories_draw_no_outcome():
