@@ -40,26 +40,25 @@ the k relaxation pads of one (gamma1, gamma_pd, dt) by one
 ``relaxation_gate_batch`` call, each into a ``(2, 2, k S)`` buffer.
 
 Nothing the engine computes changes which numbers a chunk draws, so
-``run_shots`` draws them on a helper thread, ahead of the state updates.
-The calling thread states the draw order once, as jobs
+``run_shots`` draws them on one helper thread (``_Ahead``), ahead of the
+state updates.  The calling thread makes every chunk's generator before
+the helper starts and states the draw order once, as jobs
 (``_draw_jobs``), each a ``Generator`` method that fills a block: per
 chunk, a ``standard_normal`` job per piece and, per checkpoint, one for
-the readout rows, if any, and a ``random`` job for the uniforms.  It
-makes each chunk's generator itself, when it reaches the chunk's jobs.
+the readout rows, if any, and a ``random`` job for the uniforms.
 
 Each chunk's loop has two sides.  The build side (``_Build``) turns the
 chunk's blocks into ordered steps: the passes of each state update and,
 per checkpoint, the passes that read the states, readout gates
 included, with that checkpoint's uniforms (``_Checkpoint``).  The apply
 side only runs the passes on the states and reduces each checkpoint's
-reads.  Where a chunk's state batch fills ``STATE_BUDGET_BYTES``
-(n >= 8) the helper also builds (``_Steps``): it draws each job the
-calling thread queues, one chunk ahead, builds the steps from the
-blocks and queues them to the calling thread at most ``STEPS_AHEAD``
-ahead, each step owning what it holds.  Elsewhere the calling thread
-builds each step as it takes it, and the helper (``_Draws``) only runs
-the jobs, each into the next of ``DRAW_BLOCKS`` workspace buffers, which
-the calling thread queues it with as it frees the block held there.
+reads.  The helper runs its jobs in order, at most ``AHEAD`` beyond the
+one whose result the calling thread holds, and only what the jobs are
+depends on the register.  Where a chunk's state batch fills
+``STATE_BUDGET_BYTES`` (n >= 8) each job builds the next step, drawing
+its blocks on the helper, and every step owns what it holds.  Elsewhere
+each job draws one block into the next of ``AHEAD + 1`` workspace
+buffers, and the calling thread builds each step as it takes it.
 Either way the helper is joined before ``run_shots`` returns or raises,
 and an error it meets is raised on the calling thread.
 
@@ -109,10 +108,11 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -172,19 +172,17 @@ DENSE_DENSITY_MAX_QUBITS = 5
 # each) or one CNOT (21), so the block takes at most 160 KiB (or one slot's
 # normals) and the kernel's buffers, 240 bytes a gate draw, 960 KiB.
 PIECE_NORMALS = 20480
-# Blocks of the random stream the helper thread of run_shots draws ahead of
-# the state updates, one workspace buffer each, 160 KiB at 1024 shots.  A
-# repeat_x compare (500 X gates, 4000 shots, 3 runs; the median of 5 calls,
-# one BLAS thread, 2 vCPUs) took 1.29, 1.16, 0.93 and 0.96 s with 2, 3, 4
-# and 6 blocks.
-DRAW_BLOCKS = 4
-# Built steps the helper thread of run_shots may queue ahead of the one
-# the calling thread applies, where it builds them (a chunk's state batch
-# fills STATE_BUDGET_BYTES).  On the GHZ ladder (the median of 6 warm calls,
-# one BLAS thread, 2 vCPUs) 1, 2, 3 and 4 steps took 0.294, 0.283, 0.284
-# and 0.289 s at n = 12, 1024 shots, and 0.589, 0.589, 0.606 and 0.632 s
-# at n = 14, 512 shots.
-STEPS_AHEAD = 2
+# Items the helper thread of run_shots runs ahead of the one whose result
+# the calling thread holds: draw blocks, each in its own workspace buffer
+# (AHEAD + 1 of them, 160 KiB each at 1024 shots), or, where the helper
+# builds (a chunk's state batch fills STATE_BUDGET_BYTES), built steps.
+# A repeat_x compare (500 X gates, 4000 shots, 3 runs; the median of 5
+# calls, one BLAS thread, 2 vCPUs) took 1.29, 1.16, 0.93 and 0.96 s with
+# 1, 2, 3 and 5 blocks ahead.  On the GHZ ladder (the median of 6 warm
+# calls, one BLAS thread, 2 vCPUs) 2, 3, 4 and 5 steps ahead took 0.294,
+# 0.283, 0.284 and 0.289 s at n = 12, 1024 shots, and 0.589, 0.589, 0.606
+# and 0.632 s at n = 14, 512 shots.
+AHEAD = 3
 
 
 def chunk_shots(n_qubits: int) -> int:
@@ -698,9 +696,9 @@ class _Build:
     runs of at most ``FUSE_MAX_QUBITS`` ascending adjacent qubits to
     per-shot ``(S, d, d)`` (or one ``(d, d)``) products of two-qubit gates.
 
-    Where two-qubit gates wait in blocks (``pair_blocks``), the helper
-    thread builds while the calling thread applies the steps before
-    (``ahead``), so every step owns what it holds: a checkpoint's one-qubit
+    Where two-qubit gates wait in blocks (``compiled.pair_blocks``), the
+    helper thread builds while the calling thread applies the steps
+    before, so every step owns what it holds: a checkpoint's one-qubit
     factors and uniforms are copies.  Blocks are fresh products and are
     never written again.  Elsewhere each step is applied before the next
     is built, and it holds the workspace buffers themselves."""
@@ -709,7 +707,6 @@ class _Build:
         self.compiled, self.workspace = compiled, workspace
         self.sizes, self.plans = sizes, plans
         self.keep_density = keep_density
-        self.ahead = compiled.pair_blocks
         self.one: list[np.ndarray | None] = []
         self.blocks: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -728,7 +725,7 @@ class _Build:
     def _keep(self, array: np.ndarray) -> np.ndarray:
         """``array``, or its copy in the same memory order where the step
         that holds it outlives the build of the next ones."""
-        return array.copy(order="K") if self.ahead else array
+        return array.copy(order="K") if self.compiled.pair_blocks else array
 
     def _piece(self, slots: list[_Slot], block: np.ndarray, size: int) -> Iterator[list]:
         """Take ``slots`` in plan order, slot j reading its normals from
@@ -850,57 +847,44 @@ class _Build:
         return _Checkpoint(density, read, self._keep(take()))
 
 
-def _chunk_jobs(
-    root: RngStream, c: int, size: int, plan: list[list[tuple[int, int, int]]], readout: int
-) -> Iterator[tuple[tuple[int, ...], object]]:
-    """Chunk ``c``'s stream, in draw order, as ``(shape, fill)`` jobs, each
-    a bound ``Generator`` method: ``fill(out=block)`` fills a float block
-    of ``shape`` and returns it.  It makes ``root.child(c).generator`` when
-    first advanced, then yields, per segment of ``plan`` at ``size``
-    shots, a ``standard_normal`` job per piece, a ``standard_normal`` job
-    of ``readout`` rows (one per readout gate) when ``readout`` > 0, and a
-    ``random`` job for the uniforms."""
-    gen = root.child(c).generator
-    for pieces in plan:
-        for *_, count in pieces:
-            yield (count,), gen.standard_normal
-        if readout:
-            yield (readout, size), gen.standard_normal
-        yield (size,), gen.random
-
-
 def _draw_jobs(
-    root: RngStream, sizes: list[int], plans: dict[int, list[list[tuple[int, int, int]]]], readout: int
+    gens: list[np.random.Generator], sizes: list[int], plans: dict[int, list[list[tuple[int, int, int]]]], readout: int
 ) -> Iterator[tuple[tuple[int, ...], object]]:
-    """The run's random stream: chunk c's jobs (``_chunk_jobs``, with
-    ``plans[sizes[c]]``) for each chunk in turn."""
-    for c, size in enumerate(sizes):
-        yield from _chunk_jobs(root, c, size, plans[size], readout)
+    """The run's random stream, in draw order, as ``(shape, fill)`` jobs,
+    each a bound ``Generator`` method: ``fill(out=block)`` fills a float
+    block of ``shape`` and returns it.  Chunk c draws from ``gens[c]``:
+    per segment of ``plans[sizes[c]]``, a ``standard_normal`` job per
+    piece, a ``standard_normal`` job of ``readout`` rows (one per readout
+    gate) when ``readout`` > 0, and a ``random`` job for the uniforms."""
+    for gen, size in zip(gens, sizes):
+        for pieces in plans[size]:
+            for *_, count in pieces:
+                yield (count,), gen.standard_normal
+            if readout:
+                yield (readout, size), gen.standard_normal
+            yield (size,), gen.random
 
 
-class _Draws:
-    """A helper thread that runs ``jobs``, as ``_draw_jobs`` yields them,
-    in order and ahead of the calling thread, and does nothing else; the
-    calling thread builds each step (``build.steps``) when it takes it.
-    The calling thread advances ``jobs`` and queues job i with its block,
-    workspace buffer ``engine.normals{i % DRAW_BLOCKS}``: each block the
-    build takes queues the next job into the buffer of the block taken
-    before it, now free.  ``take`` returns the next step, or raises the
-    helper's error, after which the helper draws no more.  Leaving the
-    ``with`` block stops the helper and joins it."""
+class _Ahead:
+    """A helper thread, ``noisygates-draws``, that runs ``jobs``,
+    zero-argument callables, in order and at most ``ahead`` of the
+    calling thread.  The calling thread advances ``jobs``: it queues
+    ``ahead`` of them on entry and one more on each ``take``, which
+    returns the next job's result.  The helper passes its first error on
+    to the ``take`` of that job and runs no later job.  Leaving the
+    ``with`` block joins the helper once it has run the jobs queued."""
 
-    def __init__(self, jobs: Iterator[tuple[tuple[int, ...], object]], build: _Build):
+    def __init__(self, jobs: Iterable[Callable[[], object]], ahead: int):
         # imported on first use, so importing the package loads no more
         # than numpy does
         import queue
 
-        self._workspace, self._jobs = build.workspace, enumerate(jobs)
+        self._jobs, self._ahead = iter(jobs), ahead
         self._todo, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._steps = build.steps(self._block)
         self._thread = threading.Thread(target=self._run, name="noisygates-draws", daemon=True)
 
-    def __enter__(self) -> _Draws:
-        for _ in range(DRAW_BLOCKS - 1):
+    def __enter__(self) -> _Ahead:
+        for _ in range(self._ahead):
             self._queue()
         self._thread.start()
         return self
@@ -908,128 +892,30 @@ class _Draws:
     def __exit__(self, *exc) -> None:
         self._todo.put(None)
         self._thread.join()
-        # the build holds ``_block``, and so this helper, in a cycle that
-        # would keep the plan's buffers alive until a garbage collection
-        self._steps.close()
 
-    def take(self) -> list | _Checkpoint:
-        """The next step."""
-        return next(self._steps)
-
-    def _block(self) -> np.ndarray:
-        """The next block; the one taken before it is free again."""
+    def take(self):
+        """The next job's result, or its error."""
         self._queue()
-        block = self._done.get()
-        if isinstance(block, BaseException):
-            raise block
-        return block
+        result = self._done.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
     def _queue(self) -> None:
-        """Queue the next job of ``jobs``, if any, with its block."""
+        """Queue the next job of ``jobs``, if any."""
         job = next(self._jobs, None)
         if job is not None:
-            i, (shape, fill) = job
-            self._todo.put((fill, self._workspace.take(f"engine.normals{i % DRAW_BLOCKS}", shape, float)))
+            self._todo.put(job)
 
     def _run(self) -> None:
         """The helper: each queued job in order, until None or an error,
         which it passes on, as the calling thread would otherwise wait for
-        the block forever."""
+        the result forever."""
         try:
             while (job := self._todo.get()) is not None:
-                fill, block = job
-                self._done.put(fill(out=block))
+                self._done.put(job())
         except BaseException as exc:
             self._done.put(exc)
-
-
-class _Stopped(Exception):
-    """Raised on the helper of ``_Steps`` when the calling thread has left."""
-
-
-class _Steps:
-    """A helper thread that draws the jobs of every chunk (``jobs[c]``, as
-    ``_chunk_jobs`` yields them) and builds the steps from the blocks
-    (``build.steps``), queueing each step for the calling thread at most
-    ``STEPS_AHEAD`` ahead.  It draws every job into one workspace block,
-    ``engine.normals0``, which the build reads before it takes the next.
-    The calling thread advances ``jobs[c]``, which makes chunk c's
-    generator, and queues its jobs one chunk ahead of the chunk it
-    applies: chunks 0 and 1 at the start, chunk c + 2 when it takes chunk
-    c's last checkpoint.  The two threads share the workspace but take
-    distinct buffers of it: the helper the block, the samplers' and the
-    pending gates', the calling thread the state buffers.  ``take``
-    returns the next step or raises the helper's error.  Leaving the
-    ``with`` block stops the helper, which may be waiting on a full queue
-    or for jobs, and joins it."""
-
-    def __init__(self, jobs: list[Iterator[tuple[tuple[int, ...], object]]], build: _Build):
-        import queue
-
-        self._jobs, self._build = iter(jobs), build
-        self._segments, self._taken = len(build.plans[build.sizes[0]]), 0
-        self._todo, self._steps = queue.SimpleQueue(), queue.Queue(STEPS_AHEAD)
-        self._stopped = False
-        self._thread = threading.Thread(target=self._run, name="noisygates-draws", daemon=True)
-
-    def __enter__(self) -> _Steps:
-        self._queue_chunk()
-        self._queue_chunk()
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stopped = True
-        self._todo.put(None)
-        # a helper waiting to queue a step can then queue it, and it stops
-        while not self._steps.empty():
-            self._steps.get_nowait()
-        self._thread.join()
-
-    def take(self) -> list | _Checkpoint:
-        """The next step."""
-        step = self._steps.get()
-        if isinstance(step, BaseException):
-            raise step
-        if isinstance(step, _Checkpoint):
-            self._taken += 1
-            if self._taken % self._segments == 0:
-                self._queue_chunk()
-        return step
-
-    def _queue_chunk(self) -> None:
-        """Queue the jobs of the next chunk, if any."""
-        for job in next(self._jobs, ()):
-            self._todo.put(job)
-
-    def _draw(self) -> np.ndarray:
-        """The helper's next block: the next queued job, drawn."""
-        job = self._todo.get()
-        if job is None:
-            raise _Stopped
-        shape, fill = job
-        return fill(out=self._build.workspace.take("engine.normals0", shape, float))
-
-    def _run(self) -> None:
-        """The helper: the steps in order, each queued once built, until
-        the calling thread leaves or an error, which it passes on."""
-        try:
-            for step in self._build.steps(self._draw):
-                self._steps.put(step)
-                if self._stopped:
-                    return
-        except BaseException as exc:
-            self._steps.put(exc)
-
-
-def _helper(build: _Build, root: RngStream) -> _Draws | _Steps:
-    """The helper thread of a ``run_shots`` call, drawing the chunks'
-    streams from ``root``: it also runs ``build`` where it runs ahead
-    (``_Steps``), else it only draws (``_Draws``)."""
-    readout = len(build.compiled.readout)
-    if build.ahead:
-        return _Steps([_chunk_jobs(root, c, size, build.plans[size], readout) for c, size in enumerate(build.sizes)], build)
-    return _Draws(_draw_jobs(root, build.sizes, build.plans, readout), build)
 
 
 def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
@@ -1043,15 +929,16 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     draw at every checkpoint, mirroring a family of circuits of increasing
     depth that share noise prefixes).  The layers after the last
     checkpoint are neither drawn nor applied: each chunk has its own
-    stream, so no result reads them.  A helper thread draws the streams,
-    and on registers whose chunks fill ``STATE_BUDGET_BYTES`` also builds
-    the steps the calling thread applies (``_helper``); it is joined
-    before this returns or raises.  The run
-    reads ``scheduled.compiled``, the plan built on the circuit's first
-    run, and borrows its workspace (a fresh one while another call holds
-    it).  Registers wider than ``MAX_QUBITS`` raise ``ValueError`` before
-    anything is allocated.  A checkpoint whose weights are not finite, or
-    all zero, raises ``FloatingPointError``.
+    stream, so no result reads them.  Every chunk's generator is made
+    here, on the calling thread; one helper thread (``_Ahead``) draws the
+    streams and, on registers whose chunks fill ``STATE_BUDGET_BYTES``,
+    also builds the steps the calling thread applies.  It is joined
+    before this returns or raises.  The run reads ``scheduled.compiled``,
+    the plan built on the circuit's first run, and borrows its workspace
+    (a fresh one while another call holds it).  Registers wider than
+    ``MAX_QUBITS`` raise ``ValueError`` before anything is allocated.  A
+    checkpoint whose weights are not finite, or all zero, raises
+    ``FloatingPointError``.
     """
     compiled = scheduled.compiled
     n = scheduled.n_qubits
@@ -1075,38 +962,57 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
     segments = list(zip((0,) + cp_sorted, cp_sorted))
     plans = {size: [compiled.pieces(start, stop, size) for start, stop in segments] for size in set(sizes)}
     root = RngStream(config.master_seed, stream_index=config.run_index)
-    with compiled.borrow_workspace() as ws, _helper(_Build(compiled, ws, sizes, plans, keep_density), root) as steps:
-        for size in sizes:
-            chunk = _Chunk(ws, n, size)
-            for cp_iter, at in enumerate(cp_sorted):
-                while not isinstance(step := steps.take(), _Checkpoint):
-                    chunk.apply(step)
-                last = cp_iter == n_cp - 1
-                read = None
-                if step.density is not None:
-                    # while a read with readout gates has the states still
-                    # to read, the density's read leaves them
-                    read = chunk.read(step.density, chunk.scratch(last and step.read is None))
-                    dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
-                if step.read is not None:
-                    read = chunk.read(step.read, chunk.scratch(last))
-                probs = chunk.probs(read, chunk.scratch(last))
-                weights = probs.sum(axis=1)
-                if not np.all(np.isfinite(weights)):
-                    raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
-                total = weights.sum()
-                if total == 0.0:
-                    raise FloatingPointError(f"every trajectory weight is zero at checkpoint {at}")
-                dist_acc[cp_iter] += probs.sum(axis=0)
-                weight_acc[cp_iter] += total
-                # probs becomes each trajectory's outcome CDF, in place; a
-                # trajectory of weight 0 has no CDF and draws no outcome
-                drawn = weights > 0.0
-                np.divide(probs, weights[:, None], out=probs, where=drawn[:, None])
-                cdf = np.cumsum(probs, axis=1, out=probs)
-                below = np.less(cdf, step.uniforms[:, None], out=ws.take("engine.below", cdf.shape, bool))
-                idx = below.sum(axis=1).clip(0, dim - 1)
-                counts[cp_iter] += np.bincount(idx[drawn], minlength=dim)
+    gens = [root.child(c).generator for c in range(n_chunks)]
+    with compiled.borrow_workspace() as ws:
+        build = _Build(compiled, ws, sizes, plans, keep_density)
+        # job i draws block i into a ring of AHEAD + 1 buffers, or into one
+        # where the helper builds, which reads each block before the next
+        ring = 1 if compiled.pair_blocks else AHEAD + 1
+        blocks = (
+            partial(fill, out=ws.take(f"engine.normals{i % ring}", shape, float))
+            for i, (shape, fill) in enumerate(_draw_jobs(gens, sizes, plans, len(compiled.readout)))
+        )
+        if compiled.pair_blocks:
+            # each job builds the next step, and None past the last: a
+            # StopIteration left in the helper's queue would hold the helper
+            # in a reference cycle, through its traceback, until a garbage
+            # collection
+            jobs = repeat(partial(next, build.steps(lambda: next(blocks)()), None))
+        else:
+            jobs = blocks
+        with _Ahead(jobs, AHEAD) as helper:
+            next_step = helper.take if compiled.pair_blocks else build.steps(helper.take).__next__
+            for size in sizes:
+                chunk = _Chunk(ws, n, size)
+                for cp_iter, at in enumerate(cp_sorted):
+                    while not isinstance(step := next_step(), _Checkpoint):
+                        chunk.apply(step)
+                    last = cp_iter == n_cp - 1
+                    read = None
+                    if step.density is not None:
+                        # while a read with readout gates has the states still
+                        # to read, the density's read leaves them
+                        read = chunk.read(step.density, chunk.scratch(last and step.read is None))
+                        dens_acc[cp_iter] += np.einsum("si,sj->ij", read, read.conj())
+                    if step.read is not None:
+                        read = chunk.read(step.read, chunk.scratch(last))
+                    probs = chunk.probs(read, chunk.scratch(last))
+                    weights = probs.sum(axis=1)
+                    if not np.all(np.isfinite(weights)):
+                        raise FloatingPointError(f"trajectory weights diverged at checkpoint {at}")
+                    total = weights.sum()
+                    if total == 0.0:
+                        raise FloatingPointError(f"every trajectory weight is zero at checkpoint {at}")
+                    dist_acc[cp_iter] += probs.sum(axis=0)
+                    weight_acc[cp_iter] += total
+                    # probs becomes each trajectory's outcome CDF, in place; a
+                    # trajectory of weight 0 has no CDF and draws no outcome
+                    drawn = weights > 0.0
+                    np.divide(probs, weights[:, None], out=probs, where=drawn[:, None])
+                    cdf = np.cumsum(probs, axis=1, out=probs)
+                    below = np.less(cdf, step.uniforms[:, None], out=ws.take("engine.below", cdf.shape, bool))
+                    idx = below.sum(axis=1).clip(0, dim - 1)
+                    counts[cp_iter] += np.bincount(idx[drawn], minlength=dim)
 
     times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]

@@ -29,6 +29,7 @@ from noisygates.engine import (
     Circuit,
     CircuitError,
     RunConfig,
+    ScheduledCircuit,
     _plan_passes,
     chunk_shots,
     decompose_cnot,
@@ -616,6 +617,14 @@ def desk_register(n: int) -> DeviceParams:
     return replace(DESK, qubits=tuple(DESK.qubits[q % 2] for q in range(n)))
 
 
+def ghz_ladder(n: int, extra=()) -> ScheduledCircuit:
+    """The n-qubit GHZ ladder (SX on qubit 0, then a CNOT down each
+    adjacent pair, the ops ``extra`` between them), every qubit measured,
+    scheduled on ``desk_register(n)``."""
+    ops = [{"gate": "SX", "q": [0]}, *extra] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
+    return schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+
+
 def noisy_gates_from_normals(sampler: NoisyGateSampler, gen, size: int) -> np.ndarray:
     """``size`` realisations P exp(Xi), each from its own row of normals
     drawn from ``gen``, mapped onto Xi through ``xi.factor``."""
@@ -960,8 +969,7 @@ class TestDeferredGates:
         # with the readout gates multiplied on, every one on ascending
         # adjacent qubits
         n = 12
-        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
-        scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+        scheduled = ghz_ladder(n)
         calls = []
         monkeypatch.setattr(engine, "apply_gate", lambda *args, **kw: calls.append(args[2]) or apply_gate(*args, **kw))
         run_shots(scheduled, RunConfig(shots=chunk_shots(n), master_seed=7))
@@ -1041,19 +1049,22 @@ class TestSharedCompiled:
             np.testing.assert_array_equal(getattr(result, field), getattr(expected, field))
 
     @pytest.mark.parametrize("n", [2, 9])
-    def test_a_run_keeps_no_reference_to_its_plan(self, n):
+    def test_a_run_keeps_no_reference_to_its_plan(self, n, monkeypatch):
         # compare schedules its circuit afresh on every call, so a plan that
         # a finished run still referenced from a reference cycle would keep
         # its workspace until a garbage collection (n = 2: the calling
-        # thread builds; n = 9: the helper does)
-        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
-        scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+        # thread builds; n = 9: the helper does); nor does a cycle keep the
+        # run's helper thread
+        scheduled = ghz_ladder(n)
+        helpers, enter = [], engine._Ahead.__enter__
+        monkeypatch.setattr(engine._Ahead, "__enter__", lambda self: helpers.append(weakref.ref(self)) or enter(self))
         gc.disable()
         try:
             run_shots(scheduled, RunConfig(shots=600, master_seed=1, checkpoints=(1, n)))
             plan = weakref.ref(scheduled.compiled)
             del scheduled
             assert plan() is None
+            assert [helper() for helper in helpers] == [None]
         finally:
             gc.enable()
 
@@ -1062,8 +1073,7 @@ class TestSharedCompiled:
         # and 32; every chunk and the second run start in buffers the last
         # one left full
         n = 12
-        ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
-        scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+        scheduled = ghz_ladder(n)
         assert chunk_shots(n) == 64
         for run in range(2):
             config = RunConfig(shots=160, master_seed=5, run_index=run, checkpoints=(0, 6, 12))
@@ -1170,7 +1180,8 @@ class TestDrawThread:
         compiled = schedule_layers(parse_circuit(self.DOC), desk_register(2)).compiled
         sizes = [1024, 452]
         plans = {size: [compiled.pieces(0, 1, size), compiled.pieces(1, 3, size)] for size in sizes}
-        jobs = list(engine._draw_jobs(RngStream(3), sizes, plans, len(compiled.readout)))
+        gens = [RngStream(3).child(c).generator for c in range(len(sizes))]
+        jobs = list(engine._draw_jobs(gens, sizes, plans, len(compiled.readout)))
         want = []
         for size in sizes:
             for pieces in plans[size]:
@@ -1179,8 +1190,8 @@ class TestDrawThread:
         assert [(shape, fill.__name__) for shape, fill in jobs] == want
         assert all(isinstance(fill.__self__, np.random.Generator) for _, fill in jobs)
 
-    @pytest.mark.parametrize("blocks", [1, 2, 4])
-    def test_any_number_of_blocks_draws_the_same_stream(self, blocks, monkeypatch):
+    @pytest.mark.parametrize("ahead", [0, 1, 3])
+    def test_any_number_of_blocks_draws_the_same_stream(self, ahead, monkeypatch):
         # chunks of 1,024 and 452 shots; each chunk's generator is made on
         # the calling thread, where the benchmark's span recorder times it
         scheduled = schedule_layers(parse_circuit(self.DOC), desk_register(2))
@@ -1194,7 +1205,7 @@ class TestDrawThread:
             return fget(stream)
 
         monkeypatch.setattr(RngStream, "generator", property(generator))
-        monkeypatch.setattr(engine, "DRAW_BLOCKS", blocks)
+        monkeypatch.setattr(engine, "AHEAD", ahead)
         box = run_within(lambda: (threading.current_thread(), run_shots(scheduled, config)))
         monkeypatch.undo()
         caller, result = box["result"]
@@ -1204,15 +1215,16 @@ class TestDrawThread:
 
     def test_concurrent_runs_with_fast_thread_switches(self, monkeypatch):
         # four runs at once on one circuit, each with its own helper
-        # drawing into two blocks, switching threads every 10 us: the run
-        # that holds the circuit's workspace and the runs in fresh ones
-        # must not share a buffer, and a block rewritten while its run
-        # still reads it would change that run's result
+        # drawing one block ahead, into two buffers, switching threads
+        # every 10 us: the run that holds the circuit's workspace and the
+        # runs in fresh ones must not share a buffer, and a block
+        # rewritten while its run still reads it would change that run's
+        # result
         doc = dict(self.DOC, ops=self.DOC["ops"] * 8)
         scheduled = schedule_layers(parse_circuit(doc), desk_register(2))
         config = RunConfig(shots=2500, master_seed=8, checkpoints=(4, 9, 17))
         expected = run_shots(replace(scheduled), config)
-        monkeypatch.setattr(engine, "DRAW_BLOCKS", 2)
+        monkeypatch.setattr(engine, "AHEAD", 1)
         boxes = [{} for _ in range(4)]
 
         def run(box):
@@ -1237,8 +1249,8 @@ class TestDrawThread:
 
 class TestBuildThread:
     """Where a chunk's state batch fills the budget (``pair_blocks``), the
-    helper thread also builds the steps, a queue of ``STEPS_AHEAD`` ahead
-    of the state passes.  Whether the run returns, raises on the calling
+    helper thread also builds the steps, at most ``AHEAD`` ahead of the
+    state passes.  Whether the run returns, raises on the calling
     thread while the builder waits on a full queue, or fails in the build
     or the draw on the helper, the helper is joined, the error reaches the
     caller, the plan's lock is free and a rerun equals a fresh compile."""
@@ -1248,9 +1260,7 @@ class TestBuildThread:
     CONFIG = RunConfig(shots=1100, master_seed=6, checkpoints=(2, 5, 9))
 
     def scheduled(self, extra=()):
-        ops = [{"gate": "SX", "q": [0]}, *extra] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(self.N - 1)]
-        doc = {"n_qubits": self.N, "ops": ops, "measure": list(range(self.N))}
-        scheduled = schedule_layers(parse_circuit(doc), desk_register(self.N))
+        scheduled = ghz_ladder(self.N, extra)
         assert scheduled.compiled.pair_blocks and chunk_shots(self.N) == 512
         return scheduled
 
@@ -1265,22 +1275,25 @@ class TestBuildThread:
     def test_run_that_raises_while_the_builder_waits_on_a_full_queue(self, monkeypatch):
         # an X lasting 1 s beside the SX: every weight underflows to zero at
         # checkpoint 2 of chunk 0, which raises only once the helper has
-        # filled the step queue and built one more step
+        # built every step queued, AHEAD beyond the checkpoint's
         scheduled = self.scheduled([{"gate": "X", "q": [self.N - 1], "duration_s": 1.0}])
         helpers, full = [], []
-        enter, probs = engine._Steps.__enter__, engine._Chunk.probs
+        enter, probs = engine._Ahead.__enter__, engine._Chunk.probs
+
+        def is_full(helper):
+            return helper._todo.empty() and helper._done.qsize() == engine.AHEAD
 
         def waiting_probs(chunk, *args):
-            queue = helpers[0]._steps
+            helper = helpers[0]
             for _ in range(3000):
-                if queue.full():
+                if is_full(helper):
                     break
                 time.sleep(0.01)
-            full.append(queue.full())
+            full.append(is_full(helper))
             time.sleep(0.1)
             return probs(chunk, *args)
 
-        monkeypatch.setattr(engine._Steps, "__enter__", lambda self: helpers.append(self) or enter(self))
+        monkeypatch.setattr(engine._Ahead, "__enter__", lambda self: helpers.append(self) or enter(self))
         monkeypatch.setattr(engine._Chunk, "probs", waiting_probs)
         before = threading.active_count()
         with warnings.catch_warnings():
@@ -1385,6 +1398,95 @@ class TestBuildThread:
         TestDrawThread.assert_rerun_matches_fresh(scheduled, self.CONFIG)
 
 
+class TestAhead:
+    """``engine._Ahead``, the helper thread of every ``run_shots`` call: it
+    runs zero-argument jobs in order on ``noisygates-draws``, at most
+    ``ahead`` beyond the result the calling thread takes, passes its first
+    error on to that job's ``take``, and is joined when the ``with`` block
+    is left."""
+
+    @pytest.mark.parametrize("ahead", [0, 1, 3])
+    def test_job_starts_at_most_ahead_of_its_take(self, ahead):
+        events = []
+
+        def job(i):
+            events.append(("start", i, threading.current_thread().name))
+            return i
+
+        def use():
+            with engine._Ahead((partial(job, i) for i in range(12)), ahead) as helper:
+                taken = []
+                for k in range(12):
+                    events.append(("take", k, threading.current_thread().name))
+                    taken.append(helper.take())
+                    # room for the helper to run as far ahead as it may
+                    time.sleep(0.002)
+                return taken
+
+        box = run_within(use, 10)
+        assert box == {"result": list(range(12))}
+        at = {(kind, i): j for j, (kind, i, _) in enumerate(events)}
+        assert [i for kind, i, _ in events if kind == "start"] == list(range(12))
+        assert {name for kind, _, name in events if kind == "start"} == {"noisygates-draws"}
+        assert all(at["start", i] > at["take", i - ahead] for i in range(ahead, 12))
+
+    def test_error_reaches_its_take_and_no_later_job_runs(self):
+        ran = []
+
+        def job(i):
+            ran.append(i)
+            if i == 2:
+                raise RuntimeError("job 2 failed")
+            return i
+
+        def use():
+            taken = []
+            with engine._Ahead((partial(job, i) for i in range(8)), 3) as helper:
+                taken += [helper.take(), helper.take()]
+                try:
+                    helper.take()
+                except RuntimeError as exc:
+                    taken.append(exc)
+            return taken
+
+        before = threading.active_count()
+        box = run_within(use, 10)
+        first, second, error = box["result"]
+        assert (first, second) == (0, 1)
+        assert isinstance(error, RuntimeError) and str(error) == "job 2 failed"
+        assert ran == [0, 1, 2]
+        assert threading.active_count() == before
+
+    def test_leaving_with_jobs_queued_joins_the_helper(self):
+        ran = []
+
+        def job(i):
+            time.sleep(0.01)
+            ran.append(i)
+            return i
+
+        def use():
+            with engine._Ahead((partial(job, i) for i in range(100)), 3) as helper:
+                helper.take()
+                raise KeyError("left")
+
+        before = threading.active_count()
+        box = run_within(use, 10)
+        assert isinstance(box.get("error"), KeyError)
+        # the helper ran the jobs queued, three on entry and one by the
+        # take, and no more
+        assert ran == [0, 1, 2, 3]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_jobs", [1, 3, 5])
+    def test_finite_jobs_end_without_an_error(self, n_jobs):
+        def use():
+            with engine._Ahead((partial(int, i) for i in range(n_jobs)), 3) as helper:
+                return [helper.take() for _ in range(n_jobs)]
+
+        assert run_within(use, 10) == {"result": list(range(n_jobs))}
+
+
 def test_zero_weight_trajectories_draw_no_outcome():
     # one X lasting 0.45 s, 4,500 T1: 3,673 of the 4,000 weights underflow
     # to zero.  Those draw no outcome (they were once counted as outcome
@@ -1404,8 +1506,7 @@ def test_state_sized_buffers(checkpoints, buffers):
     # one workspace copy as well, while the last one's reads may write the
     # states, which nothing reads after it
     n = 12
-    ops = [{"gate": "SX", "q": [0]}] + [{"gate": "CNOT", "q": [q, q + 1]} for q in range(n - 1)]
-    scheduled = schedule_layers(parse_circuit({"n_qubits": n, "ops": ops, "measure": list(range(n))}), desk_register(n))
+    scheduled = ghz_ladder(n)
     run_shots(scheduled, RunConfig(shots=2 * chunk_shots(n), master_seed=4, checkpoints=checkpoints))
     state_bytes = chunk_shots(n) * 16 * 2**n
     assert sum(buf.nbytes >= state_bytes for buf in scheduled.compiled.workspace._buffers.values()) == buffers
