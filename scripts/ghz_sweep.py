@@ -14,11 +14,15 @@ the call, the peak resident set size of this process so far, the GHZ
 mass p(0...0) + p(1...1) of the weighted estimator, and the minor page
 faults and system CPU seconds of the call (``getrusage`` deltas), which
 grow when the call allocates fresh state-sized arrays (as the first
-call at each width does, filling the plan's workspace).  Run from the
+call at each width does, filling the plan's workspace).  With
+``--repeat K`` (K > 1) that first call only warms the plan and the buffers:
+K more calls follow, and the line gives the median wall time of those K
+and their mean faults and system seconds per call.  Run from the
 repository root, BLAS pinned to one thread for times comparable with
 perfbench:
 
     OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 8 12 16 --shots 1024
+    OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 12 14 16 --shots 1024 512 256 --repeat 9
     python3 scripts/ghz_sweep.py --qubits 8 10 12 --shots 16 32 --mass-range 0.3 0.7
 
 With ``--mass-range LOW HIGH`` the exit status is 1 when any GHZ mass
@@ -28,6 +32,7 @@ falls outside (LOW, HIGH).
 import argparse
 import json
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -63,7 +68,10 @@ def main(argv=None) -> int:
     parser.add_argument("--qubits", type=int, nargs="+", required=True)
     parser.add_argument("--shots", type=int, nargs="+", default=[1024])
     parser.add_argument("--mass-range", type=float, nargs=2, metavar=("LOW", "HIGH"))
+    parser.add_argument("--repeat", type=int, default=1, metavar="K", help="time K warm calls after a first one (default 1: the first call alone)")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     outside = 0
     print("qubits shots compile_s wall_s peak_rss_mib ghz_mass minor_faults sys_s")
@@ -73,12 +81,19 @@ def main(argv=None) -> int:
         scheduled.compiled
         compile_s = time.perf_counter() - start
         for shots in args.shots:
+            config = RunConfig(shots=shots, master_seed=SEED)
+            if args.repeat > 1:
+                run_shots(scheduled, config)
+            walls = []
             before = resource.getrusage(resource.RUSAGE_SELF)
-            start = time.perf_counter()
-            dist = run_shots(scheduled, RunConfig(shots=shots, master_seed=SEED)).distributions[-1]
-            wall = time.perf_counter() - start
+            for _ in range(args.repeat):
+                start = time.perf_counter()
+                dist = run_shots(scheduled, config).distributions[-1]
+                walls.append(time.perf_counter() - start)
             after = resource.getrusage(resource.RUSAGE_SELF)
-            faults, sys_s = after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
+            wall = statistics.median(walls)
+            faults = (after.ru_minflt - before.ru_minflt) // args.repeat
+            sys_s = (after.ru_stime - before.ru_stime) / args.repeat
             mass = float(dist[0] + dist[-1])
             print(f"{n} {shots} {compile_s:.3f} {wall:.3f} {peak_rss_mib():.1f} {mass:.4f} {faults} {sys_s:.3f}", flush=True)
             if args.mass_range and not args.mass_range[0] < mass < args.mass_range[1]:

@@ -84,6 +84,22 @@ first reads the pending gates alone for it.  On the 12-qubit GHZ
 ladder a 64-shot chunk makes 9 state passes: 5 blocks and 4 at the
 checkpoint.  Registers wider than ``MAX_QUBITS`` are rejected.
 
+So a qubit that no pass has touched is still exactly |0>, and a chunk's
+state batch holds only its *active* qubits, those a pass has touched, in
+register order: it is ``(S, 2^m)`` for m active qubits, from m = 0.  A
+pass on a qubit not yet active grows the batch by its new qubits.  On
+ascending adjacent qubits the growth is folded into the pass
+(``_fold``): the new qubits read 0, so only the gate's columns where
+each of them reads 0 act, on the batch as it is.  Other passes first
+insert each new qubit in |0> (``_grow``).  Every pass runs on its
+qubits' positions among the active ones, so register-adjacent qubits
+stay adjacent.  A checkpoint's read grows the batch the same way, at the
+pass that first needs a qubit, and to the whole register only at its
+end, for |psi|^2, the CDF and the dense density.  On the GHZ ladder the
+5 block passes of a 64-shot chunk write 8, 32, 128, 512 and 2048
+amplitudes a shot and the checkpoint's 2048, 2048, 2048 and 4096: 9
+passes over 3.17 states of 2^12, where whole-register passes made 9.
+
 Each scheduled circuit compiles once: ``ScheduledCircuit.compiled``
 builds its slot plan (``_Compiled``: a sampler per distinct noisy gate,
 the relaxation pads and the fixed gates, in slot order) on first use,
@@ -92,16 +108,18 @@ seed, shots, run index or checkpoints.  The plan owns one ``Workspace``,
 which a call borrows; a call made while another holds it runs in a
 fresh workspace of its own.
 
-The state batch lives in the call's workspace, in two buffers,
-``states`` and ``spare``: every state update writes with
-``apply_gate(..., out=)`` into the other one.  A checkpoint's read writes
-its passes into ``spare`` and a scratch buffer in turn (the states' own
-at the last checkpoint, after which nothing reads them, else a workspace
-copy), and |psi|^2, the weights and each trajectory's outcome CDF are
-formed in place in the one of the two it did not end in.  So a chunk
-holds two state-sized buffers, three with an earlier checkpoint, and a
-warm run allocates none.  A circuit that has run keeps them, and the
-draw blocks, in its plan's workspace while it lives.
+The state batch lives in the call's workspace, at the front of one of
+two flat buffers sized for the whole register, ``front``; every state
+update writes into the other, ``back``, which then becomes ``front``.  A
+checkpoint's read writes its passes and growths into ``back`` and a
+scratch buffer in turn (the states' own at the last checkpoint, after
+which nothing reads them, else a workspace copy), and |psi|^2, the
+weights and each trajectory's outcome CDF are formed in place in the one
+of the two it did not end in.  So a chunk holds two state-sized buffers,
+three with an earlier checkpoint, and a warm run allocates none; a
+folded pass takes its gate's columns into a workspace buffer too.  A
+circuit that has run keeps them, and the draw blocks, in its plan's
+workspace while it lives.
 """
 
 from __future__ import annotations
@@ -112,7 +130,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -478,13 +496,86 @@ def _passes(ops: dict[tuple[int, ...], np.ndarray]) -> list[tuple[np.ndarray, tu
     return [(reduce(kron, [ops[run] for run in runs]), sum(runs, ())) for runs in _plan_passes(ops)]
 
 
-def _apply_passes(states: np.ndarray, passes: list[tuple[np.ndarray, tuple[int, ...]]], buffers: list[np.ndarray]) -> np.ndarray:
-    """Apply ``passes`` (as ``_passes`` makes them) to ``states``, pass i
-    writing into ``buffers[i % 2]``; returns the last buffer written, or
-    ``states`` when there is no pass."""
-    for i, (gate, qubits) in enumerate(passes):
-        states = apply_gate(states, gate, qubits, out=buffers[i % 2])
-    return states
+def _grow(states: np.ndarray, active: tuple[int, ...], qubits: Iterable[int], buffer: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``states`` on the sorted ``active`` qubits with each of ``qubits``
+    not among them inserted in |0>, written into the front of the flat
+    ``buffer``.  Returns the grown states and their qubits, sorted."""
+    grown = tuple(sorted({*active, *qubits}))
+    size = len(states)
+    out = buffer[: size << len(grown)].reshape(size, -1)
+    out.fill(0.0)
+    # one axis per run of old or of new qubits, in register order: the old
+    # states fill the slice where every new qubit reads 0
+    shape, index = [size], [slice(None)]
+    for new, run in groupby(grown, lambda q: q not in active):
+        shape.append(2 ** len(list(run)))
+        index.append(0 if new else slice(None))
+    zero = out.reshape(shape)[tuple(index)]
+    zero[...] = states.reshape(zero.shape)
+    return out, grown
+
+
+def _fold(
+    states: np.ndarray, active: tuple[int, ...], gate: np.ndarray, qubits: tuple[int, ...], buffer: np.ndarray, ws: Workspace
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``apply_gate`` of ``gate`` on the ascending adjacent ``qubits``, some
+    not in the sorted ``active``, to ``states`` grown by those: as they
+    read 0, only the gate's columns where each of them reads 0 act, on the
+    states as they are.  Writes into the front of the flat ``buffer``, and
+    returns the grown states and their qubits, sorted."""
+    grown = tuple(sorted({*active, *qubits}))
+    k, size, lead = len(qubits), len(states), gate.shape[:-1]
+    # the gate's columns as one axis per qubit, the first most significant
+    cols = gate.reshape(lead + (2,) * k)[(..., *(slice(None) if q in active else 0 for q in qubits))]
+    gate = ws.take("engine.fold", cols.shape)
+    np.copyto(gate, cols)
+    gate = gate.reshape(lead + (-1,))
+    # the qubits span positions lo..lo+k-1 of the grown states, and their
+    # old ones the positions from lo of the states, before the same ones
+    lo = grown.index(qubits[0])
+    trailing = 2 ** (len(grown) - lo - k)
+    x = states.reshape(size, 2**lo, gate.shape[-1], trailing)
+    out = buffer[: size << len(grown)].reshape(size, -1)
+    y = out.reshape(size, 2**lo, 2**k, trailing)
+    if trailing == 1:
+        np.matmul(x[..., 0], np.swapaxes(gate, -1, -2), out=y[..., 0])
+    else:
+        np.matmul(gate[:, None] if gate.ndim > 2 else gate, x, out=y)
+    return out, grown
+
+
+def _apply_passes(
+    states: np.ndarray,
+    active: tuple[int, ...],
+    passes: list[tuple[np.ndarray, tuple[int, ...]]],
+    buffers: list[np.ndarray],
+    ws: Workspace,
+    n_qubits: int | None = None,
+) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """Apply ``passes`` (as ``_passes`` makes them, on register qubits) to
+    ``states`` on the sorted ``active`` qubits, each on its qubits'
+    positions among the active ones.  A pass on a qubit not yet active
+    grows the states by its qubits: on ascending adjacent qubits within
+    the pass (``_fold``), else first (``_grow``).  Write i, growths
+    included, goes into the front of the flat ``buffers[i % 2]``; with
+    ``n_qubits`` the states end grown to the whole register.  Returns the
+    states, their active qubits and the number of writes."""
+    writes = 0
+    for gate, qubits in passes:
+        if any(q not in active for q in qubits):
+            if list(qubits) == list(range(qubits[0], qubits[0] + len(qubits))):
+                states, active = _fold(states, active, gate, qubits, buffers[writes % 2], ws)
+                writes += 1
+                continue
+            states, active = _grow(states, active, qubits, buffers[writes % 2])
+            writes += 1
+        out = buffers[writes % 2][: states.size].reshape(states.shape)
+        states = apply_gate(states, gate, [active.index(q) for q in qubits], out=out)
+        writes += 1
+    if n_qubits is not None and len(active) < n_qubits:
+        states, active = _grow(states, active, range(n_qubits), buffers[writes % 2])
+        writes += 1
+    return states, active, writes
 
 
 def _widen(op: np.ndarray, run: tuple[int, ...], span: tuple[int, ...]) -> np.ndarray:
@@ -521,42 +612,49 @@ def _per_shot(factor: np.ndarray | None) -> np.ndarray:
 
 
 class _Chunk:
-    """The apply side of one chunk: its ``(S, 2^n)`` states, starting in
-    |0...0>, and its ``spare`` buffer.  It runs the passes of the chunk's
-    steps and nothing else; the gates not yet applied live in ``_Build``."""
+    """The apply side of one chunk: its states, starting in |0...0>, on
+    the ``active`` qubits alone, those a pass has touched, in register
+    order; every other qubit is still exactly |0>, as the one-qubit slots
+    wait in ``_Build``.  The states are an ``(S, 2^m)`` view, m active
+    qubits, onto the front of one of two flat workspace buffers sized for
+    the whole register, ``front``; ``back`` is the other.  The chunk runs
+    the passes of its steps (``_apply_passes``, which grows the states by
+    each qubit a pass brings in) and nothing else."""
 
     def __init__(self, workspace: Workspace, n_qubits: int, size: int):
-        shape = (size, 2**n_qubits)
-        self.workspace = workspace
-        self.states, self.spare = (workspace.take(f"engine.states{i}", shape) for i in range(2))
-        self.states.fill(0.0)
-        self.states[:, 0] = 1.0
+        self.workspace, self.n_qubits = workspace, n_qubits
+        self.front, self.back = (workspace.take(f"engine.states{i}", (size << n_qubits,)) for i in range(2))
+        self.active: tuple[int, ...] = ()
+        self.states = self.front[:size].reshape(size, 1)
+        self.states.fill(1.0)
 
     def apply(self, passes: list[tuple[np.ndarray, tuple[int, ...]]]) -> None:
-        """Apply a state step's ``passes`` to the states, each pass writing
+        """Apply a state step's ``passes`` to the states, each write going
         into the other buffer, which then holds them."""
-        if _apply_passes(self.states, passes, [self.spare, self.states]) is self.spare:
-            self.states, self.spare = self.spare, self.states
+        self.states, self.active, writes = _apply_passes(self.states, self.active, passes, [self.back, self.front], self.workspace)
+        if writes % 2:
+            self.front, self.back = self.back, self.front
 
     def read(self, passes: list[tuple[np.ndarray, tuple[int, ...]]], scratch: np.ndarray) -> np.ndarray:
-        """The states through a checkpoint's read ``passes``, written into
-        ``spare`` and ``scratch`` in turn.  Returns the last buffer
-        written, or ``states`` when there is no pass.  The chunk does not
-        change unless ``scratch`` is ``states``."""
-        return _apply_passes(self.states, passes, [self.spare, scratch])
+        """The ``(S, 2^n)`` states of the whole register through a
+        checkpoint's read ``passes``, written into ``back`` and ``scratch``
+        in turn, and grown to the whole register at the end.  Returns the
+        last buffer's view, or ``states`` when nothing was written.  The
+        chunk does not change unless ``scratch`` is ``front``."""
+        return _apply_passes(self.states, self.active, passes, [self.back, scratch], self.workspace, self.n_qubits)[0]
 
     def scratch(self, final: bool) -> np.ndarray:
-        """The buffer a read writes every other pass into: the states
-        themselves for the ``final`` read, after which nothing reads them,
-        else a state-sized copy in the workspace."""
-        return self.states if final else self.workspace.take("engine.scratch", self.states.shape)
+        """The flat buffer a read writes every other pass into: the states'
+        own for the ``final`` read, after which nothing reads them, else a
+        state-sized copy in the workspace."""
+        return self.front if final else self.workspace.take("engine.scratch", self.front.shape)
 
     def probs(self, read: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """|read|^2 per amplitude, the Born probabilities of each
-        trajectory, as a view into ``spare`` or ``scratch``, whichever the
+        trajectory, as a view into ``back`` or ``scratch``, whichever the
         read did not end in."""
-        out = scratch if read is self.spare else self.spare
-        probs = out.reshape(-1).view(float)[: read.size].reshape(read.shape)
+        out = scratch if np.may_share_memory(read, self.back) else self.back
+        probs = out.view(float)[: read.size].reshape(read.shape)
         np.abs(read, out=probs)
         return np.square(probs, out=probs)
 

@@ -915,6 +915,72 @@ DEFERRAL_CASES = {
         (1, 2, 3),
         40,
     ),
+    # A chunk's states hold only the qubits a pass has touched, and a pass
+    # on new qubits grows them.  A descending ladder from qubit 8: each
+    # block's qubits enter at the significant end, before the active ones
+    "descending_ladder": (
+        {
+            "n_qubits": 9,
+            "ops": [{"gate": "SX", "q": [8]}] + [{"gate": "CNOT", "q": [q, q - 1]} for q in range(8, 0, -1)],
+            "measure": list(range(9)),
+        },
+        (2, 5, 9),
+        40,
+    ),
+    # qubits 0, 1, 4 and 5 are active when CNOT(1, 2) brings in qubit 2,
+    # with active qubits after it, and then CNOT(3, 2), descending, brings
+    # in qubit 3 between two active neighbours, last of all
+    "middle_enters_last": (
+        {
+            "n_qubits": 6,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "SX", "q": [5]},
+                {"gate": "CNOT", "q": [0, 1]},
+                {"gate": "CNOT", "q": [5, 4]},
+                {"gate": "CNOT", "q": [1, 2]},
+                {"gate": "CNOT", "q": [3, 2]},
+            ],
+            "measure": [3, 1, 5, 2],
+        },
+        (1, 2, 3, 4),
+        40,
+    ),
+    # a descending non-adjacent CNOT brings in two separated qubits at
+    # once, and in the next layer another brings in two more, between
+    # and beside them
+    "non_adjacent_entry": (
+        {
+            "n_qubits": 6,
+            "ops": [
+                {"gate": "SX", "q": [1]},
+                {"gate": "CNOT", "q": [1, 4]},
+                {"gate": "CNOT", "q": [5, 2]},
+                {"gate": "X", "q": [0]},
+                {"gate": "CNOT", "q": [4, 0]},
+            ],
+            "measure": [0, 1, 2, 3, 4, 5],
+        },
+        (1, 2, 3),
+        40,
+    ),
+    # checkpoint 0 reads the readout gates from an empty active set, and
+    # qubits 3-5, never measured nor touched by a two-qubit gate, enter
+    # only when the read grows to the whole register
+    "read_from_nothing": (
+        {
+            "n_qubits": 8,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "CNOT", "q": [0, 1]},
+                {"gate": "CNOT", "q": [1, 2]},
+                {"gate": "X", "q": [6]},
+            ],
+            "measure": [6, 2, 0, 7],
+        },
+        (0, 0, 2, 3),
+        24,
+    ),
 }
 # qubits whose p_readout is 0 in a case's device
 READOUT_FREE = {"readout_free_qubit": (0,), "readout_free_register": (0, 1)}
@@ -967,14 +1033,31 @@ class TestDeferredGates:
         # one 64-shot chunk: 5 block passes, then 4 passes at the
         # checkpoint, which reads the last block and the one-qubit factors
         # with the readout gates multiplied on, every one on ascending
-        # adjacent qubits
+        # adjacent qubits.  The states hold only the qubits a pass has
+        # touched, so the passes read 1 + 8 + 32 + 128 + 512 amplitudes a
+        # shot for the blocks and 4 x 2048 at the checkpoint: 2.17 states
+        # of 2^12, where passes over the whole register read 9
         n = 12
         scheduled = ghz_ladder(n)
-        calls = []
-        monkeypatch.setattr(engine, "apply_gate", lambda *args, **kw: calls.append(args[2]) or apply_gate(*args, **kw))
+        positions, amplitudes = [], []
+
+        def applied(states, gate, qubits, **kw):
+            positions.append(list(qubits))
+            amplitudes.append(states.size)
+            return apply_gate(states, gate, qubits, **kw)
+
+        def folded(states, active, gate, qubits, *args):
+            positions.append(list(qubits))
+            amplitudes.append(states.size)
+            return fold(states, active, gate, qubits, *args)
+
+        fold = engine._fold
+        monkeypatch.setattr(engine, "apply_gate", applied)
+        monkeypatch.setattr(engine, "_fold", folded)
         run_shots(scheduled, RunConfig(shots=chunk_shots(n), master_seed=7))
-        assert len(calls) <= 10
-        assert all(list(qubits) == list(range(qubits[0], qubits[-1] + 1)) for qubits in calls)
+        assert len(positions) <= 10
+        assert all(qubits == list(range(qubits[0], qubits[-1] + 1)) for qubits in positions)
+        assert sum(amplitudes) <= 4 * 2**n * chunk_shots(n)
 
     def test_passes_pack_adjacent_qubits(self):
         singles = [(8,), (0,), (2,), (1,), (3,), (5,), (7,)]
@@ -1502,7 +1585,7 @@ def test_zero_weight_trajectories_draw_no_outcome():
 
 @pytest.mark.parametrize("checkpoints, buffers", [((0, 6, 12), 3), (None, 2)])
 def test_state_sized_buffers(checkpoints, buffers):
-    # a chunk's states and spare; a checkpoint before the last reads into
+    # a chunk's two state buffers; a checkpoint before the last reads into
     # one workspace copy as well, while the last one's reads may write the
     # states, which nothing reads after it
     n = 12
