@@ -49,7 +49,7 @@ from noisygates.gates import (
     schedule,
 )
 from noisygates.channels import embed_operator
-from noisygates.linalg import apply_gate, expm, expm_2x2
+from noisygates.linalg import Workspace, apply_gate, expm, expm_2x2
 from noisygates.noise_model import (
     DeviceParams,
     QubitParams,
@@ -1065,6 +1065,26 @@ class TestDeferredGates:
         runs = [(9,), (0,), (2, 3), (1,), (4, 5, 6), (7,), (10, 11)]
         assert _plan_passes(runs) == [[(0,), (1,)], [(2, 3)], [(4, 5, 6)], [(7,)], [(9,), (10, 11)]]
         assert _plan_passes([]) == []
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize(
+        "active, qubits",
+        [((), (0, 1, 2)), ((3, 4), (1, 2, 3)), ((0, 1, 4, 5), (1, 2, 3)), ((0, 1), (1, 2)), ((0, 2), (1, 2)), ((1, 2), (0,))],
+    )
+    def test_fold_equals_growth_then_pass(self, active, qubits, batched):
+        # a pass that brings in new adjacent qubits, folded, equals
+        # inserting them in |0> and then applying it on their positions:
+        # new qubits first, in the middle and last, with and without
+        # active qubits after the pass, for one gate and per-shot gates
+        rng = np.random.default_rng(5)
+        size, d = 3, 2 ** len(qubits)
+        states = rng.standard_normal((size, 2 ** len(active), 2)) @ [1, 1j]
+        gate = rng.standard_normal(((size,) if batched else ()) + (d, d, 2)) @ [1, 1j]
+        grown, grown_active = engine._grow(states, active, qubits, np.empty(size << 6, complex))
+        want = apply_gate(grown, gate, [grown_active.index(q) for q in qubits])
+        folded, folded_active = engine._fold(states, active, gate, qubits, np.empty(size << 6, complex), Workspace())
+        assert folded_active == grown_active == tuple(sorted({*active, *qubits}))
+        np.testing.assert_allclose(folded, want, rtol=0, atol=1e-13)
 
 
 class TestSharedCompiled:
