@@ -4,7 +4,7 @@
 For each width n (in the order given) and each shot count, the circuit is
 SX on qubit 0 followed by CNOT(q, q + 1) for q = 0 .. n - 2, every qubit
 measured, on the desk calibration (configs/desk_device.json) with its
-qubits repeated over the register, master seed 0.  Each width's circuit
+qubits repeated over the register, master seed ``--seed`` (default 0).  Each width's circuit
 is scheduled and compiled once: its compile time is the first access of
 ``scheduled.compiled``, which builds the plan every ``run_shots`` call
 on the circuit reuses.  Then one ``run_shots`` call is timed per
@@ -24,6 +24,7 @@ perfbench:
     OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 8 12 16 --shots 1024
     OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 12 14 16 --shots 1024 512 256 --repeat 9
     python3 scripts/ghz_sweep.py --qubits 8 10 12 --shots 16 32 --mass-range 0.3 0.7
+    OMP_NUM_THREADS=1 python3 scripts/ghz_sweep.py --qubits 14 16 --shots 512 128 --repeat 7 --seed 41
 
 With ``--mass-range LOW HIGH`` the exit status is 1 when any GHZ mass
 falls outside (LOW, HIGH).
@@ -45,7 +46,6 @@ from noisygates.noise_model import load_calibration  # noqa: E402
 
 
 DEVICE = ROOT / "configs" / "desk_device.json"
-SEED = 0
 
 
 def ghz_inputs(n: int):
@@ -69,9 +69,12 @@ def main(argv=None) -> int:
     parser.add_argument("--shots", type=int, nargs="+", default=[1024])
     parser.add_argument("--mass-range", type=float, nargs=2, metavar=("LOW", "HIGH"))
     parser.add_argument("--repeat", type=int, default=1, metavar="K", help="time K warm calls after a first one (default 1: the first call alone)")
+    parser.add_argument("--seed", type=int, default=0, metavar="S", help="master seed of every call (default 0)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
 
     outside = 0
     print("qubits shots compile_s wall_s peak_rss_mib ghz_mass minor_faults sys_s")
@@ -81,7 +84,7 @@ def main(argv=None) -> int:
         scheduled.compiled
         compile_s = time.perf_counter() - start
         for shots in args.shots:
-            config = RunConfig(shots=shots, master_seed=SEED)
+            config = RunConfig(shots=shots, master_seed=args.seed)
             if args.repeat > 1:
                 run_shots(scheduled, config)
             walls = []

@@ -38,6 +38,10 @@ Within a piece, the k slots of one one-qubit noisy gate are sampled by
 one call of its fused kernel, ``NoisyGateSampler.sample_batch``, and
 the k relaxation pads of one (gamma1, gamma_pd, dt) by one
 ``relaxation_gate_batch`` call, each into a ``(2, 2, k S)`` buffer.
+The k two-qubit noisy slots of a piece, whatever their samplers, draw Xi
+into one ``(4, 4, k S)`` stack (``NoisyGateSampler.draw_xi``), which one
+``expm4_soa`` call exponentiates, and each slot's prefix then multiplies
+its own slice (``apply_prefix``).
 
 Nothing the engine computes changes which numbers a chunk draws, so
 ``run_shots`` draws them on one helper thread (``_Ahead``), ahead of the
@@ -52,11 +56,12 @@ chunk's blocks into ordered steps: the passes of each state update and,
 per checkpoint, the passes that read the states, readout gates
 included, with that checkpoint's uniforms (``_Checkpoint``).  The apply
 side only runs the passes on the states and reduces each checkpoint's
-reads.  The helper runs its jobs in order, at most ``AHEAD`` beyond the
-one whose result the calling thread holds, and only what the jobs are
-depends on the register.  Where a chunk's state batch fills
-``STATE_BUDGET_BYTES`` (n >= 8) each job builds the next step, drawing
-its blocks on the helper, and every step owns what it holds.  Elsewhere
+reads, the outcome draw included.  The helper runs its jobs in order, at
+most ``AHEAD`` beyond the one whose result the calling thread holds, and
+only what the jobs are depends on the register.  Where a chunk's state
+batch fills ``STATE_BUDGET_BYTES`` (n >= 8) each job builds the next
+step, drawing its blocks on the helper, and every step owns what it
+holds.  Elsewhere
 each job draws one block into the next of ``AHEAD + 1`` workspace
 buffers, and the calling thread builds each step as it takes it.
 Either way the helper is joined before ``run_shots`` returns or raises,
@@ -75,14 +80,26 @@ spans at most ``FUSE_MAX_QUBITS`` qubits; otherwise that block is
 applied and the slot starts a block.  A qubit's one-qubit factor acts
 after its block.  Every other two-qubit slot is applied at once, after
 the blocks it overlaps.  Pending gates stay pending across checkpoints:
-a checkpoint reads the states through them, each readout gate
-multiplied onto a copy of its qubit's factor, applying each block with
-its qubits' factors and the other factors in passes of at most
-``FUSE_MAX_QUBITS`` adjacent qubits (per-shot Kronecker products).  A
+a checkpoint reads the states through them, every readout gate
+multiplied onto a copy of its qubit's factor in one vectorised
+``spam_gate_batch`` call, applying each block with its qubits' factors
+and the other factors in passes of at most ``FUSE_MAX_QUBITS`` adjacent
+qubits (per-shot Kronecker products).  A
 register that keeps a dense density (n <= ``DENSE_DENSITY_MAX_QUBITS``)
 first reads the pending gates alone for it.  On the 12-qubit GHZ
 ladder a 64-shot chunk makes 9 state passes: 5 blocks and 4 at the
 checkpoint.  Registers wider than ``MAX_QUBITS`` are rejected.
+
+Each trajectory of positive weight draws one outcome per checkpoint
+from its uniform u (``_outcomes``): the first outcome whose cumulative
+probability, divided by the weight, is at least u.  The search takes two
+levels over blocks of L = 2^ceil(n/2) outcomes: u's block from the
+cumulative sums of the block sums, then the outcome from a cumulative
+sum over that block alone.  So the draw reads the ``(S, 2^n)``
+probabilities once, in one matrix product for the block sums, and its
+``np.cumsum`` calls, which hold the GIL, span ``(S, 2^n / L)`` and
+``(S, L)``.  Over whole rows they took about 10 ms of a 62 ms call on
+the 12-qubit GHZ ladder, and stalled the helper thread meanwhile.
 
 So a qubit that no pass has touched is still exactly |0>, and a chunk's
 state batch holds only its *active* qubits, those a pass has touched, in
@@ -95,9 +112,9 @@ insert each new qubit in |0> (``_grow``).  Every pass runs on its
 qubits' positions among the active ones, so register-adjacent qubits
 stay adjacent.  A checkpoint's read grows the batch the same way, at the
 pass that first needs a qubit, and to the whole register only at its
-end, for |psi|^2, the CDF and the dense density.  On the GHZ ladder the
-5 block passes of a 64-shot chunk write 8, 32, 128, 512 and 2048
-amplitudes a shot and the checkpoint's 2048, 2048, 2048 and 4096: 9
+end, for |psi|^2, the outcome draw and the dense density.  On the GHZ
+ladder the 5 block passes of a 64-shot chunk write 8, 32, 128, 512 and
+2048 amplitudes a shot and the checkpoint's 2048, 2048, 2048 and 4096: 9
 passes over 3.17 states of 2^12, where whole-register passes made 9.
 
 Each scheduled circuit compiles once: ``ScheduledCircuit.compiled``
@@ -113,9 +130,10 @@ two flat buffers sized for the whole register, ``front``; every state
 update writes into the other, ``back``, which then becomes ``front``.  A
 checkpoint's read writes its passes and growths into ``back`` and a
 scratch buffer in turn (the states' own at the last checkpoint, after
-which nothing reads them, else a workspace copy), and |psi|^2, the
-weights and each trajectory's outcome CDF are formed in place in the one
-of the two it did not end in.  So a chunk holds two state-sized buffers,
+which nothing reads them, else a workspace copy), and |psi|^2 is formed
+in the one of the two it did not end in; the outcome draw's block sums
+and gathered blocks are ``(S, 2^ceil(n/2))`` arrays of its own, a 64th
+of a state batch at n = 12.  So a chunk holds two state-sized buffers,
 three with an earlier checkpoint, and a warm run allocates none; a
 folded pass takes its gate's columns into a workspace buffer too.  A
 circuit that has run keeps them, and the draw blocks, in its plan's
@@ -146,7 +164,7 @@ from .gates import (
     schedule,
     spam_gate_batch,
 )
-from .linalg import I2, Workspace, apply_gate, kron
+from .linalg import I2, Workspace, apply_gate, expm4_soa, kron
 from .noise_model import DeviceParams, is_finite_number, noise_context_for_gate, read_json_object, slot_noise, spam_strength
 from .stochastic import RngStream
 
@@ -184,11 +202,17 @@ MAX_QUBITS = 20
 DENSE_DENSITY_MAX_QUBITS = 5
 # Most standard normals one piece of a checkpoint segment draws at once, as
 # one block; each one-qubit sampler's slots in the piece take one kernel
-# call.  A longer segment is cut into pieces between slots, which keeps the
-# stream: a contiguous draw cut in two yields the same numbers.  At 1024
-# shots a piece holds four desk-noise one-qubit gates (5 normals a shot
-# each) or one CNOT (21), so the block takes at most 160 KiB (or one slot's
-# normals) and the kernel's buffers, 240 bytes a gate draw, 960 KiB.
+# call, and all its two-qubit slots one more.  A longer segment is cut
+# into pieces between slots, which keeps the stream: a contiguous draw cut
+# in two yields the same numbers.  At 1024 shots a piece holds four
+# desk-noise one-qubit gates (5 normals a shot each) or one CNOT (21), so
+# the block takes at most 160 KiB (or one slot's normals) and the
+# one-qubit kernel's buffers, 240 bytes a gate draw, 960 KiB.  The
+# two-qubit stack holds k S <= max(S, PIECE_NORMALS / r) draws of r normals
+# each, 975 for desk CNOTs (r = 21), and it and expm4_soa's buffers take
+# about 2 KiB a draw: at most 2 MiB.  A 64-shot GHZ-12 chunk stacks at
+# most 448 draws (7 CNOTs) in 870 KiB, where one slot at a time took
+# 125 KiB.
 PIECE_NORMALS = 20480
 # Items the helper thread of run_shots runs ahead of the one whose result
 # the calling thread holds: draw blocks, each in its own workspace buffer
@@ -578,6 +602,49 @@ def _apply_passes(
     return states, active, writes
 
 
+def _outcomes(probs: np.ndarray, weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The outcome each trajectory draws with its uniform u from its row of
+    ``probs``, ``(S, 2^n)``, whose sum is its entry of ``weights``: the
+    first index whose cumulative probability, divided by the weight, is
+    at least u, clipped to 2^n - 1.  The search takes two levels over
+    blocks of L = 2^ceil(n/2) outcomes: the cumulative sums of the block
+    sums pick u's block, and a cumulative sum over that block alone, one
+    ``(S, L)`` gather starting from the sums of the blocks before it,
+    picks the outcome.  So no cumulative sum spans a whole row:
+    ``np.cumsum`` holds the GIL, and one over ``(S, 2^n)`` stalls the
+    thread that builds the steps.  Only these small arrays are divided by
+    the weight (multiplying u by it instead loses subnormal weights).  A
+    row of weight 0, whose probabilities are all 0, draws an outcome that
+    means nothing."""
+    size, dim = probs.shape
+    width = 1 << (dim.bit_length() // 2)
+    count = dim // width
+    blocks = probs.reshape(size * count, width)
+    scale = weights[:, None]
+    drawn = scale > 0.0
+    u = uniforms[:, None]
+    # the row of blocks that holds each row's block; a row of one block
+    # (n = 1) needs no first level
+    first = np.arange(0, size * count, count)
+    block, start = 0, 0.0
+    if count > 1:
+        ends = (blocks @ np.ones(width)).reshape(size, count)
+        np.divide(ends, scale, out=ends, where=drawn)
+        np.cumsum(ends, axis=1, out=ends)
+        # the last block takes every u past the others, as does the last
+        # outcome of a block below
+        ends[:, -1] = np.inf
+        block = np.argmax(ends >= u, axis=1)
+        first += block
+        start = np.where(block > 0, ends.take(first - 1, mode="clip"), 0.0)
+    cdf = blocks.take(first, axis=0)
+    np.divide(cdf, scale, out=cdf, where=drawn)
+    cdf[:, 0] += start
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf[:, -1] = np.inf
+    return block * width + np.argmax(cdf >= u, axis=1)
+
+
 def _widen(op: np.ndarray, run: tuple[int, ...], span: tuple[int, ...]) -> np.ndarray:
     """``op`` on the adjacent qubits ``run`` as an operator on ``span``,
     the adjacent qubits around them: identities before and after."""
@@ -793,6 +860,11 @@ class _Build:
     factor (None for none), acting after ``blocks``, which maps disjoint
     runs of at most ``FUSE_MAX_QUBITS`` ascending adjacent qubits to
     per-shot ``(S, d, d)`` (or one ``(d, d)``) products of two-qubit gates.
+    Each piece samples its slots in few calls (``_piece``: one per
+    one-qubit sampler, one per relaxation rate and one ``expm4_soa`` for
+    all its two-qubit slots), and each checkpoint builds its readout
+    gates, of ``strengths`` (one per qubit of ``compiled.readout``), in
+    one ``spam_gate_batch`` call.
 
     Where two-qubit gates wait in blocks (``compiled.pair_blocks``), the
     helper thread builds while the calling thread applies the steps
@@ -805,6 +877,7 @@ class _Build:
         self.compiled, self.workspace = compiled, workspace
         self.sizes, self.plans = sizes, plans
         self.keep_density = keep_density
+        self.strengths = np.array([v for _, v in compiled.readout])
         self.one: list[np.ndarray | None] = []
         self.blocks: dict[tuple[int, ...], np.ndarray] = {}
 
@@ -830,15 +903,21 @@ class _Build:
         ``block`` after those of the slots before it; yields the state
         steps they make.  First the one-qubit noisy slots of each sampler,
         and the relaxation pads of each (gamma1, gamma_pd, dt), are sampled
-        by one call each."""
+        by one call each, and every two-qubit noisy slot, whatever its
+        sampler, draws Xi into one ``(4, 4, k S)`` stack that one
+        ``expm4_soa`` call exponentiates; each slot's prefix then
+        multiplies its own slice."""
         ws = self.workspace
         offsets = [0]
         for slot in slots:
             offsets.append(offsets[-1] + slot.normals * size)
         groups: dict[object, list[int]] = {}
+        pairs: list[int] = []
         for j, slot in enumerate(slots):
             if slot.kind in ("fused", "relax"):
                 groups.setdefault(slot.payload, []).append(j)
+            elif slot.kind == "noisy":
+                pairs.append(j)
         factors = ws.take("engine.factors", (2, 2, size * sum(map(len, groups.values()))))
         built: dict[int, np.ndarray] = {}
         col = 0
@@ -862,17 +941,20 @@ class _Build:
             for i, j in enumerate(members):
                 built[j] = out[:, :, i * size : (i + 1) * size]
             col += size * len(members)
+        if pairs:
+            stack = ws.take("engine.pairs", (4, 4, size * len(pairs)))
+            cuts = [slice(i * size, (i + 1) * size) for i in range(len(pairs))]
+            for j, cut in zip(pairs, cuts):
+                slots[j].payload.draw_xi(block[offsets[j] : offsets[j + 1]].reshape(size, -1), ws, stack[:, :, cut])
+            f = expm4_soa(stack, ws)
+            for j, cut in zip(pairs, cuts):
+                built[j] = slots[j].payload.apply_prefix(f[:, :, cut])
 
-        for j, (qubits, kind, payload, r) in enumerate(slots):
-            if j in built:
-                gate = built[j]
-            elif kind == "noisy":
-                gate = payload.sample_batch(block[offsets[j] : offsets[j + 1]].reshape(size, r), ws)
-            else:
-                gate = payload
-            q = qubits[0]
-            if len(qubits) == 2:
-                yield from self._pair(qubits, gate)
+        for j, slot in enumerate(slots):
+            gate = built.get(j, slot.payload)
+            q = slot.qubits[0]
+            if len(slot.qubits) == 2:
+                yield from self._pair(slot.qubits, gate)
             elif self.one[q] is None:
                 self.one[q] = ws.take(f"engine.pending{q}", (2, 2, size))
                 np.copyto(self.one[q], gate)
@@ -927,20 +1009,24 @@ class _Build:
         """The checkpoint's step.  A register that keeps a dense density
         first reads the pending gates alone for it.  The Born
         probabilities read them with a fresh pre-measurement noise gate R
-        per qubit of ``readout``, built from its row of standard normals
-        and multiplied onto a copy of its qubit's factor; without readout
-        gates the density's read serves.  The pending gates stay pending."""
+        per qubit of ``readout``, built from its row of standard normals.
+        One ``spam_gate_batch`` call multiplies every R onto a copy of its
+        qubit's factor, or onto I where the qubit has none; without
+        readout gates the density's read serves.  The pending gates stay
+        pending."""
         compiled, ws = self.compiled, self.workspace
         density = self._read(self.one) if self.keep_density else None
         read = None
         if compiled.readout or density is None:
             factors = list(self.one)
-            # the readout normals are read before the next take frees their block
-            for (q, v), z in zip(compiled.readout, take() if compiled.readout else ()):
-                gate = spam_gate_batch(v, z).transpose(1, 2, 0)
-                if factors[q] is not None:
-                    gate = _compose(gate, factors[q], ws.take(f"engine.measured{q}", gate.shape), ws)
-                factors[q] = gate
+            if compiled.readout:
+                # the readout normals are read before the next take frees their block
+                z = take()
+                stack = ws.take("engine.readout", (len(z), 2, 2, z.shape[1]))
+                for row, (q, _) in zip(stack, compiled.readout):
+                    row[...] = I2[:, :, None] if factors[q] is None else factors[q]
+                    factors[q] = row
+                spam_gate_batch(self.strengths, z, stack)
             read = self._read(factors)
         return _Checkpoint(density, read, self._keep(take()))
 
@@ -1103,14 +1189,9 @@ def run_shots(scheduled: ScheduledCircuit, config: RunConfig) -> EnsembleResult:
                         raise FloatingPointError(f"every trajectory weight is zero at checkpoint {at}")
                     dist_acc[cp_iter] += probs.sum(axis=0)
                     weight_acc[cp_iter] += total
-                    # probs becomes each trajectory's outcome CDF, in place; a
-                    # trajectory of weight 0 has no CDF and draws no outcome
-                    drawn = weights > 0.0
-                    np.divide(probs, weights[:, None], out=probs, where=drawn[:, None])
-                    cdf = np.cumsum(probs, axis=1, out=probs)
-                    below = np.less(cdf, step.uniforms[:, None], out=ws.take("engine.below", cdf.shape, bool))
-                    idx = below.sum(axis=1).clip(0, dim - 1)
-                    counts[cp_iter] += np.bincount(idx[drawn], minlength=dim)
+                    # a trajectory of weight 0 draws no outcome
+                    drawn = _outcomes(probs, weights, step.uniforms)[weights > 0.0]
+                    counts[cp_iter] += np.bincount(drawn, minlength=dim)
 
     times = scheduled.checkpoint_times(cp_sorted)
     dists = dist_acc / weight_acc[:, None]

@@ -315,11 +315,13 @@ class NoisyGateSampler:
     realisation is P e^Xi = e^mu (c P + t A), written entry by entry into
     a ``(2, 2, S)`` array, so no per-draw ``(S, 2, 2)`` stack is formed.
 
-    Two-qubit gates copy the draws into the ``(4, 4, S)`` layout of
-    ``linalg.expm4_soa``, the Cayley-Hamilton kernel, exponentiate them
-    there, and multiply by P as one ``(4, 4) @ (4, 4 S)`` product.  The
-    sampler holds no buffers itself: ``sample_batch`` runs in the caller's
-    ``workspace``.
+    Two-qubit gates take three steps: ``draw_xi`` copies the draws into
+    the ``(4, 4, S)`` layout of ``linalg.expm4_soa``, the Cayley-Hamilton
+    kernel, which exponentiates them there, and ``apply_prefix``
+    multiplies by P as one ``(4, 4) @ (4, 4 S)`` product.  A caller may
+    draw the slots of several two-qubit samplers into one stack and
+    exponentiate it in one kernel call.  The sampler holds no buffers
+    itself: every step runs in the caller's ``workspace``.
     """
 
     def __init__(self, sched: DriveSchedule, ctx: NoiseContext):
@@ -347,7 +349,8 @@ class NoisyGateSampler:
 
         For d = 2 the result is the transposed view of ``out``, a
         ``(2, 2, S)`` complex array (fresh when None) that the kernel
-        fills.  For d = 4 it is the transposed view of a fresh
+        fills.  For d = 4 it is :meth:`draw_xi`, ``expm4_soa`` and
+        :meth:`apply_prefix` in turn, the transposed view of a fresh
         ``(4, 4, S)`` array, and ``out`` must be None.  Non-finite normals
         raise ``ValueError``."""
         d = self.dim
@@ -358,10 +361,21 @@ class NoisyGateSampler:
             return self._fused_batch(normals, workspace, out).transpose(2, 0, 1)
         if out is not None:
             raise ValueError("only one-qubit samplers take out")
-        xi = self.xi.draws(normals, workspace)
-        x = workspace.take("sampler.xi", (d, d, size))
-        np.copyto(x, xi.transpose(1, 2, 0))
-        f = expm4_soa(x, workspace)
+        x = self.draw_xi(normals, workspace, workspace.take("sampler.xi", (d, d, size)))
+        return self.apply_prefix(expm4_soa(x, workspace))
+
+    def draw_xi(self, normals: np.ndarray, workspace: Workspace, out: np.ndarray) -> np.ndarray:
+        """Xi for each row of ``normals`` written into ``out``, a ``(d, d,
+        S)`` array (matrix index first, as ``expm4_soa`` reads it; a slice
+        of a wider stack will do), which is returned."""
+        np.copyto(out, self.xi.draws(normals, workspace).transpose(1, 2, 0))
+        return out
+
+    def apply_prefix(self, f: np.ndarray) -> np.ndarray:
+        """P f for each matrix of the ``(d, d, S)`` stack ``f``, one
+        ``(d, d) @ (d, d S)`` product, as the ``(S, d, d)`` transposed view
+        of a fresh ``(d, d, S)`` array."""
+        d, size = self.dim, f.shape[-1]
         return np.dot(self.prefix, f.reshape(d, d * size)).reshape(d, d, size).transpose(2, 0, 1)
 
     def _fused_batch(self, normals: np.ndarray, ws: Workspace, out: np.ndarray) -> np.ndarray:
@@ -383,20 +397,37 @@ class NoisyGateSampler:
         return out
 
 
-def spam_gate_batch(v: float, z: np.ndarray) -> np.ndarray:
-    """Pre-measurement bitflip noise gates exp(i w X) at w = sqrt(v) z,
-    one per standard normal of ``z``, so that w ~ N(0, v).
+def spam_gate_batch(v: float | np.ndarray, z: np.ndarray, factors: np.ndarray | None = None) -> np.ndarray:
+    """Pre-measurement bitflip noise gates R = exp(i w X) at w = sqrt(v) z,
+    one per standard normal of ``z``, so that w ~ N(0, v).  ``v`` is one
+    strength, or an array of one per row of ``z`` (shape
+    ``z.shape[:-1]``).
+
+    Without ``factors`` the gates are returned, an array of shape
+    ``z.shape + (2, 2)``.  Otherwise each R is multiplied onto its
+    per-shot factor F in ``factors``, an array of shape
+    ``z.shape[:-1] + (2, 2, S)`` (matrix index before the shot), in place,
+    and ``factors`` is returned: R F = cos w F + i sin w X F, where X F is
+    F with its rows swapped, so every row of ``z`` is one vectorised step
+    and no R is formed.  An identity factor takes R itself.
 
     Unitary for every draw; averaging N rho N^dag over draws gives the
     bitflip channel with p = (1 - e^{-2v})/2.
     """
-    if v < 0:
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0):
         raise ValueError("strength v must be >= 0")
-    w = math.sqrt(v) * z
-    out = np.zeros((len(w), 2, 2), dtype=complex)
-    out[:, 0, 0] = out[:, 1, 1] = np.cos(w)
-    out[:, 0, 1] = out[:, 1, 0] = 1j * np.sin(w)
-    return out
+    w = np.sqrt(v)[..., None] * z
+    cos, isin = np.cos(w), 1j * np.sin(w)
+    if factors is None:
+        out = np.zeros(w.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = out[..., 1, 1] = cos
+        out[..., 0, 1] = out[..., 1, 0] = isin
+        return out
+    swapped = np.multiply(isin[..., None, None, :], factors[..., ::-1, :, :])
+    factors *= cos[..., None, None, :]
+    factors += swapped
+    return factors
 
 
 def relaxation_normals(gamma1: float, gamma_pd: float, dt: float) -> int:

@@ -981,9 +981,30 @@ DEFERRAL_CASES = {
         (0, 0, 2, 3),
         24,
     ),
+    # CNOT(0, 1), CR(2, 3) and then a descending CNOT(4, 3) are one piece:
+    # three samplers draw into one two-qubit stack, exponentiated by one
+    # kernel call.  Checkpoint 3 reads qubit 0 through its pad's factor,
+    # qubits 3 and 4 with no pending factor (the last CNOT absorbed them)
+    # and qubit 2, which has no readout noise (see READOUT_FREE), with no
+    # readout gate
+    "mixed_pair_piece": (
+        {
+            "n_qubits": 5,
+            "ops": [
+                {"gate": "SX", "q": [0]},
+                {"gate": "X", "q": [2]},
+                {"gate": "CNOT", "q": [0, 1]},
+                {"gate": "CR", "q": [2, 3], "theta": 0.9},
+                {"gate": "CNOT", "q": [4, 3]},
+            ],
+            "measure": [3, 0, 4, 2],
+        },
+        (1, 3),
+        40,
+    ),
 }
 # qubits whose p_readout is 0 in a case's device
-READOUT_FREE = {"readout_free_qubit": (0,), "readout_free_register": (0, 1)}
+READOUT_FREE = {"readout_free_qubit": (0,), "readout_free_register": (0, 1), "mixed_pair_piece": (2,)}
 
 
 def deferral_device(name: str, n: int) -> DeviceParams:
@@ -1085,6 +1106,84 @@ class TestDeferredGates:
         folded, folded_active = engine._fold(states, active, gate, qubits, np.empty(size << 6, complex), Workspace())
         assert folded_active == grown_active == tuple(sorted({*active, *qubits}))
         np.testing.assert_allclose(folded, want, rtol=0, atol=1e-13)
+
+    def test_ghz12_chunk_makes_few_large_calls(self, monkeypatch):
+        # one 64-shot chunk, two checkpoints: no cumulative sum spans more
+        # than two blocks of 2^6 outcomes a shot (the outcome draw's are
+        # (S, 64)), every piece exponentiates its two-qubit slots in one
+        # kernel call and each checkpoint builds its readout gates in one
+        n, size = 12, chunk_shots(12)
+        scheduled = ghz_ladder(n)
+        checkpoints = (6, len(scheduled.layers))
+        cumsums, kernels, readouts = [], [], []
+
+        def recorder(calls, fn, record):
+            def wrapper(*args, **kwargs):
+                calls.append(record(*args, **kwargs))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "cumsum", recorder(cumsums, np.cumsum, lambda a, *_, **__: np.size(a)))
+        monkeypatch.setattr(engine, "expm4_soa", recorder(kernels, engine.expm4_soa, lambda x, ws: x.shape[-1]))
+        monkeypatch.setattr(engine, "spam_gate_batch", recorder(readouts, engine.spam_gate_batch, lambda v, z, *_: z.shape))
+        run_shots(scheduled, RunConfig(shots=size, master_seed=7, checkpoints=checkpoints))
+        monkeypatch.undo()
+        compiled = scheduled.compiled
+        pieces = [compiled.pieces(start, stop, size) for start, stop in zip((0,) + checkpoints, checkpoints)]
+        assert cumsums and max(cumsums) <= 2 * size * 2 ** math.ceil(n / 2)
+        assert 0 < len(kernels) <= sum(map(len, pieces))
+        assert sum(kernels) == size * sum(slot.kind == "noisy" for slot in compiled.slots)
+        assert readouts == [(n, size)] * len(checkpoints)
+
+
+def sequential_outcomes(probs: np.ndarray, weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The outcome drawn by ``np.searchsorted`` on each row's sequential
+    CDF, its probabilities divided by its weight and summed in order: the
+    first index whose cumulative probability is at least u, clipped."""
+    dim = probs.shape[1]
+    return np.array([
+        min(np.searchsorted(np.cumsum(p / w), u), dim - 1) for p, w, u in zip(probs, weights, uniforms)
+    ])
+
+
+class TestOutcomeDraw:
+    """``engine._outcomes``, the two-level search over blocks of
+    2^ceil(n/2) outcomes, draws what a search of each row's whole CDF
+    draws."""
+
+    @staticmethod
+    def rows(dim: int, rng) -> np.ndarray:
+        """Rows of probabilities: random ones, all positive or with zeros;
+        one-hot rows on the first outcome, a block's first and last and
+        the last outcome; a zero row; subnormal rows."""
+        width = 1 << (dim.bit_length() // 2)
+        sparse = rng.random(dim) * (rng.random(dim) < 0.2)
+        sparse[dim // 2] += 0.1
+        rows = [rng.random(dim) * 0.3, sparse, 1e-200 * rng.random(dim)]
+        for at, mass in [(at, 0.7) for at in (0, width - 1, width % dim, dim - width, dim - 1)] + [(dim - 1, 5e-324)]:
+            rows.append(np.zeros(dim))
+            rows[-1][at] = mass
+        rows.append(np.zeros(dim))
+        rows.append(rng.integers(1, 4, dim) * 5e-324)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("dim", [2, 4, 128, 2**12, 2**14])
+    def test_matches_a_search_of_the_whole_cdf(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = self.rows(dim, rng)
+        # each row with u = 0, u just below 1 and random uniforms
+        uniforms = [0.0, np.nextafter(1.0, 0.0), *rng.random(6)]
+        probs = np.repeat(rows, len(uniforms), axis=0)
+        u = np.tile(uniforms, len(rows))
+        weights = probs.sum(axis=1)
+        assert weights[-1] < 1e-300 and (weights == 0).sum() == len(uniforms)
+        drawn = weights > 0
+        got = engine._outcomes(probs, weights, u)
+        assert got.dtype.kind == "i" and got.min() >= 0 and got.max() < dim
+        np.testing.assert_array_equal(got[drawn], sequential_outcomes(probs[drawn], weights[drawn], u[drawn]))
+        # the rows are read, not written
+        np.testing.assert_array_equal(probs, np.repeat(rows, len(uniforms), axis=0))
 
 
 class TestSharedCompiled:
@@ -1410,7 +1509,7 @@ class TestBuildThread:
         TestDrawThread.assert_rerun_matches_fresh(scheduled, RunConfig(shots=1100, checkpoints=(0,)))
 
     def test_run_whose_build_fails_on_the_helper(self, monkeypatch):
-        # the CNOT sampler fails at its first call on chunk 1, which the
+        # the SX sampler fails at its first call on chunk 1, which the
         # helper builds while the calling thread applies chunk 0
         scheduled = self.scheduled()
         sample_batch = NoisyGateSampler.sample_batch

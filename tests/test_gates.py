@@ -37,6 +37,7 @@ from noisygates.linalg import (
     _taylor_terms,
     dagger,
     expm,
+    expm4_soa,
     expm_2x2,
 )
 from noisygates.noise_model import LindbladTerm, NoiseContext, load_calibration, noise_context_for_gate
@@ -489,6 +490,31 @@ class TestSampleBatchWorkspace:
             tracemalloc.stop()
         assert peak <= 2 * out.nbytes
 
+    def test_samplers_share_one_kernel_call(self):
+        # CNOT, CR and a 30x CNOT draw Xi into one stack, one expm4_soa
+        # call exponentiates it, and each slice takes its own prefix: each
+        # within 1e-14 of its sampler's sample_batch, relative to each
+        # matrix's largest entry, though the 30x draws set the degree and
+        # the scaling of the whole stack.  A stack of one is sample_batch.
+        samplers = [desk_sampler("CNOT"), desk_sampler("CR"), desk_sampler("CNOT", 30.0)]
+        size, ws = 64, Workspace()
+        rng = np.random.default_rng(26)
+        normals = [rng.standard_normal((size, sampler.xi.n_gaussians)) for sampler in samplers]
+        stack = np.empty((4, 4, size * len(samplers)), dtype=complex)
+        cuts = [slice(i * size, (i + 1) * size) for i in range(len(samplers))]
+        for sampler, g, cut in zip(samplers, normals, cuts):
+            assert sampler.draw_xi(g, ws, stack[:, :, cut]) is not None
+        f = expm4_soa(stack, ws)
+        # f is valid until ws is used again
+        gots = [sampler.apply_prefix(f[:, :, cut]) for sampler, cut in zip(samplers, cuts)]
+        for sampler, g, got in zip(samplers, normals, gots):
+            want = sampler.sample_batch(g, Workspace())
+            assert got.shape == (size, 4, 4) and not np.shares_memory(got, f)
+            scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+            assert (np.abs(got - want) <= 1e-14 * scale).all()
+            one = sampler.draw_xi(g, ws, np.empty((4, 4, size), dtype=complex))
+            np.testing.assert_array_equal(sampler.apply_prefix(expm4_soa(one, ws)), want)
+
 
 class TestSpamGate:
     def test_zero_strength(self):
@@ -501,6 +527,28 @@ class TestSpamGate:
         np.testing.assert_array_equal(spam_gate_batch(0.0, z), np.broadcast_to(I2, (5, 2, 2)))
         with pytest.raises(ValueError, match="strength v must be >= 0"):
             spam_gate_batch(-0.1, z)
+
+    def test_rows_onto_factors_in_one_step(self):
+        # a (readout, S) block of normals with one strength per row: the
+        # gates of each row are that row's own, and with factors each R is
+        # multiplied onto its factor in place, R F; an identity factor
+        # takes the bytes of R itself
+        rng = np.random.default_rng(4)
+        v = np.array([0.02, 0.0, 0.3466])
+        z = rng.standard_normal((3, 7))
+        gates = spam_gate_batch(v, z)
+        assert gates.shape == (3, 7, 2, 2)
+        for row, (vr, zr) in enumerate(zip(v, z)):
+            np.testing.assert_array_equal(gates[row], spam_gate_batch(vr, zr))
+        factors = rng.standard_normal((3, 2, 2, 7, 2)) @ [1, 1j]
+        want = np.einsum("rsij,rjks->riks", gates, factors)
+        got = factors.copy()
+        assert spam_gate_batch(v, z, got) is got
+        assert np.abs(got - want).max() <= 1e-15
+        eye = np.tile(I2[:, :, None], (3, 1, 1, 7))
+        np.testing.assert_array_equal(spam_gate_batch(v, z, eye), gates.transpose(0, 2, 3, 1))
+        with pytest.raises(ValueError, match="strength v must be >= 0"):
+            spam_gate_batch(np.array([0.1, -0.1, 0.0]), z)
 
     def test_every_draw_unitary(self):
         batch = spam_gate_batch(0.3466, RngStream(2).generator.standard_normal(200))
