@@ -1,117 +1,54 @@
-"""Kraus channel library, the channel simulator and the density-matrix
-kernel it shares with the Lindblad reference.
+"""Slot maps of the density-matrix back-ends and the kernel that applies
+them: the channel simulator and the Lindblad reference.
 
-The channel simulator is the "apply noise after the ideal gate"
-baseline: per gate slot the ideal unitary acts first, then a
-depolarising channel for the gate error, then per-qubit relaxation over
-the gate duration; idle slots relax over their own duration.  Which
-channels a slot carries follows ``noise_model.slot_noise``, the rule the
-other back-ends share.  Readout bitflips on the measured qubits never
-touch the running state: a bit flip changes only diag(rho), so
+Both back-ends turn a slot's :func:`~noisygates.noise_model.noise_context_for_gate`
+jump terms into a local superoperator on vec(rho) with
+``lindblad.rhs_superoperator`` and ``linalg.expm``; only the driven
+generator and the order of the factors differ.  The channel simulator
+is the "apply noise after the ideal gate" baseline: per slot the ideal
+unitary acts first, then the depolarising terms of a driven slot, then
+the relaxation terms over the slot's duration, each group exponentiated
+on its own without the drive (:func:`_slot_superoperator`).  The
+Lindblad reference exponentiates the drive and all the terms together
+(:func:`_lindblad_slot_map`).  Over one slot the exponential of a jump
+group is exactly the discrete channel the amplitudes were converted
+from (the symmetric depolarising channel, combined amplitude and phase
+damping); ``tests/test_channels.py`` checks the maps against those Kraus
+closed forms.  Readout bitflips on the measured qubits never touch the
+running state: a bit flip changes only diag(rho), so
 ``experiments._readout_distribution`` applies them to the outcome
-probabilities, for this back-end and the Lindblad reference alike.
+probabilities, for both back-ends alike.
 
 The slots of a scheduled layer act on disjoint qubits, except a user
 IDLE followed by its pad on the same qubit, which run back to back.  So
 a layer's map is the product, in slot order, of one local superoperator
 per slot (4^k x 4^k for a slot on k <= 2 qubits).  :func:`evolve_layers`
 applies those maps with ``linalg.apply_superoperator``, building each
-once per distinct slot; the channel simulator and
-``experiments.lindblad_reference`` differ only in how a slot's map is
-built.
+once per distinct slot.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .linalg import (
-    DECAY,
-    PROJ_1,
-    apply_superoperator,
-    dagger,
-    embed,
-    superoperator,
-)
-from .noise_model import DeviceParams, depolarizing_paulis, slot_noise
+from .gates import drive_generator, ideal_unitary
+from .linalg import apply_superoperator, dagger, embed, expm, superoperator
+from .lindblad import rhs_superoperator
+from .noise_model import DeviceParams, noise_context_for_gate, split_slot_terms
 
 __all__ = [
-    "KrausChannel",
-    "depolarizing_channel",
-    "relaxation_channel",
     "apply_channel",
     "embed_operator",
     "evolve_layers",
     "run_channel_sim",
 ]
 
-_COMPLETENESS_TOL = 1e-10
 # Widest register the density-matrix back-ends accept: rho holds 4^n
 # complex entries (16 MiB at n = 10), and each slot's update reads and
 # writes all of them.
 MAX_QUBITS = 10
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Operator-sum map rho -> sum_i K_i rho K_i^dag with sum K^dag K = I."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        dims = {op.shape for op in self.operators}
-        if len(dims) != 1:
-            raise ValueError(f"mixed Kraus operator shapes: {dims}")
-        d = self.operators[0].shape[0]
-        total = sum(dagger(op) @ op for op in self.operators)
-        if np.max(np.abs(total - np.eye(d))) > _COMPLETENESS_TOL:
-            raise ValueError("Kraus operators do not satisfy completeness")
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-
-def _check_probability(p: float, name: str = "p") -> None:
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"{name} must lie in [0, 1], got {p:g}")
-
-
-def depolarizing_channel(p: float, arity: int) -> KrausChannel:
-    """Symmetric depolarising channel on ``arity`` qubits with total
-    error p: sqrt(1 - (4^k - 1) p / 4^k) I and sqrt(p / 4^k) P for each of
-    the 4^k - 1 :func:`~noisygates.noise_model.depolarizing_paulis` P
-    (k = ``arity``).  Every non-identity Pauli coefficient contracts by
-    exactly 1 - p; for one qubit, so does the Bloch vector."""
-    _check_probability(p)
-    d2 = 4**arity
-    ops = [math.sqrt(1 - (d2 - 1) * p / d2) * np.eye(2**arity, dtype=complex)]
-    ops += [math.sqrt(p / d2) * pauli for pauli in depolarizing_paulis(arity)]
-    return KrausChannel(tuple(ops))
-
-
-def relaxation_channel(gamma1: float, gamma_pd: float, dt: float) -> KrausChannel:
-    """Combined amplitude and phase damping over dt.
-
-    With p1 = 1 - e^{-gamma1 dt}, p_pd = 1 - e^{-gamma_pd dt} and
-    pz = (1 - p1) p_pd the operators are
-    {diag(1, sqrt(1 - p1 - pz)), sqrt(p1) |0><1|, sqrt(pz) |1><1|}.
-    """
-    if gamma1 < 0 or gamma_pd < 0:
-        raise ValueError("rates must be >= 0")
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    p1 = -math.expm1(-gamma1 * dt)
-    p_pd = -math.expm1(-gamma_pd * dt)
-    pz = (1 - p1) * p_pd
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - p1 - pz)]], dtype=complex)
-    return KrausChannel((k0, math.sqrt(p1) * DECAY, math.sqrt(pz) * PROJ_1))
 
 
 def embed_operator(op: np.ndarray, n_qubits: int, qubits: tuple[int, ...] | list[int]) -> np.ndarray:
@@ -125,32 +62,46 @@ def embed_operator(op: np.ndarray, n_qubits: int, qubits: tuple[int, ...] | list
     return embed(op, qubits, n_qubits)
 
 
-def apply_channel(rho: np.ndarray, channel: KrausChannel, qubits: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Apply a local channel to the listed qubits of a register density
-    matrix; trace is preserved by Kraus completeness."""
+def apply_channel(
+    rho: np.ndarray, operators: Sequence[np.ndarray], qubits: tuple[int, ...] | list[int]
+) -> np.ndarray:
+    """Apply the local channel rho -> sum_i K_i rho K_i^dag of the Kraus
+    ``operators`` to the listed qubits of a register density matrix; the
+    trace is preserved when sum_i K_i^dag K_i = I."""
     rho = np.asarray(rho, dtype=complex)
     qubits = tuple(qubits)
-    if channel.dim != 2 ** len(qubits):
+    if operators[0].shape[0] != 2 ** len(qubits):
         raise ValueError("channel dimension does not match qubit count")
-    return apply_superoperator(rho, superoperator(channel.operators), qubits)
+    return apply_superoperator(rho, superoperator(operators), qubits)
 
 
 def _slot_superoperator(gate, params: DeviceParams) -> np.ndarray:
-    """Local superoperator of one slot in the channel simulator: the ideal
-    unitary, then the channels of the slot's
-    :func:`~noisygates.noise_model.slot_noise`, i.e. the depolarising
-    channel of a driven slot and relaxation over the slot's duration on
-    each of its qubits."""
-    from .gates import ideal_unitary  # local import to avoid a cycle
-
-    noise = slot_noise(gate, params)
+    """Local superoperator of one slot in the channel simulator:
+    expm(D_relax) @ expm(D_dep) @ S(U).  S(U) is the ideal unitary's
+    superoperator, and each D is ``lindblad.rhs_superoperator`` of a zero
+    generator over one group of the slot's ``noise_context_for_gate``
+    terms (``noise_model.split_slot_terms``): the depolarising set of a
+    driven slot, then relaxation over the slot's duration.  One joint
+    exponential of both groups would be another model."""
     sup = superoperator([ideal_unitary(gate)])
-    if noise.p_depolarizing is not None:
-        sup = superoperator(depolarizing_channel(noise.p_depolarizing, len(gate.qubits)).operators) @ sup
-    if noise.relaxation:
-        per_qubit = [relaxation_channel(g1, g_pd, noise.duration).operators for g1, g_pd in noise.relaxation]
-        sup = superoperator([reduce(np.kron, ops) for ops in itertools.product(*per_qubit)]) @ sup
+    relaxation, depolarizing = split_slot_terms(noise_context_for_gate(gate, params))
+    for terms in (depolarizing, relaxation):
+        if terms:
+            sup = expm(rhs_superoperator(np.zeros_like(terms[0].operator), terms)) @ sup
     return sup
+
+
+def _lindblad_slot_map(gate, params: DeviceParams) -> np.ndarray:
+    """Local map of one slot in the Lindblad reference: the exact
+    exponential (``linalg.expm``) of the slot-time generator
+    (``lindblad.rhs_superoperator``) of its drive ``drive_generator(gate)``
+    (none for an idle) and its ``noise_context_for_gate`` terms, over s in
+    [0, 1].  A zero-duration slot (an RZ frame, a zero idle) is its ideal
+    unitary."""
+    ctx = noise_context_for_gate(gate, params)
+    if ctx.gate_duration == 0.0:
+        return superoperator([ideal_unitary(gate)])
+    return expm(rhs_superoperator(drive_generator(gate), ctx.terms))
 
 
 def evolve_layers(

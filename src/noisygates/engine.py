@@ -92,8 +92,9 @@ checkpoint.  Registers wider than ``MAX_QUBITS`` are rejected.
 
 Each trajectory of positive weight draws one outcome per checkpoint
 from its uniform u (``_outcomes``): the first outcome whose cumulative
-probability, divided by the weight, is at least u.  The search takes two
-levels over blocks of L = 2^ceil(n/2) outcomes: u's block from the
+probability, divided by the weight, is at least u.  Past 8 outcomes
+the search takes two levels over blocks of L = 2^ceil(n/2) outcomes
+(up to 8, one block is faster): u's block from the
 cumulative sums of the block sums, then the outcome from a cumulative
 sum over that block alone.  So the draw reads the ``(S, 2^n)``
 probabilities once, in one matrix product for the block sums, and its
@@ -606,25 +607,27 @@ def _outcomes(probs: np.ndarray, weights: np.ndarray, uniforms: np.ndarray) -> n
     """The outcome each trajectory draws with its uniform u from its row of
     ``probs``, ``(S, 2^n)``, whose sum is its entry of ``weights``: the
     first index whose cumulative probability, divided by the weight, is
-    at least u, clipped to 2^n - 1.  The search takes two levels over
-    blocks of L = 2^ceil(n/2) outcomes: the cumulative sums of the block
-    sums pick u's block, and a cumulative sum over that block alone, one
-    ``(S, L)`` gather starting from the sums of the blocks before it,
-    picks the outcome.  So no cumulative sum spans a whole row:
-    ``np.cumsum`` holds the GIL, and one over ``(S, 2^n)`` stalls the
-    thread that builds the steps.  Only these small arrays are divided by
+    at least u, clipped to 2^n - 1.  A row of at most 8 outcomes is one
+    block, whose cumulative sum picks the outcome.  A longer row is
+    searched in two levels over blocks of L = 2^ceil(n/2) outcomes: the
+    cumulative sums of the block sums pick u's block, and a cumulative sum
+    over that block alone, one ``(S, L)`` gather starting from the sums of
+    the blocks before it, picks the outcome.  So no cumulative sum spans a
+    long row: ``np.cumsum`` holds the GIL, and one over ``(S, 2^n)``
+    stalls the thread that builds the steps.  Up to 8 outcomes the one
+    block is the faster search.  Only these small arrays are divided by
     the weight (multiplying u by it instead loses subnormal weights).  A
     row of weight 0, whose probabilities are all 0, draws an outcome that
     means nothing."""
     size, dim = probs.shape
-    width = 1 << (dim.bit_length() // 2)
+    width = dim if dim <= 8 else 1 << (dim.bit_length() // 2)
     count = dim // width
     blocks = probs.reshape(size * count, width)
     scale = weights[:, None]
     drawn = scale > 0.0
     u = uniforms[:, None]
     # the row of blocks that holds each row's block; a row of one block
-    # (n = 1) needs no first level
+    # needs no first level
     first = np.arange(0, size * count, count)
     block, start = 0, 0.0
     if count > 1:

@@ -1,6 +1,7 @@
 """Benchmark experiments: repeated-gate circuits run through the
-trajectory engine, the Kraus channel simulator and the Lindblad
-reference, plus the Hellinger comparison protocol.
+trajectory engine, the channel simulator ("ideal gate, then noise
+channels") and the Lindblad reference, plus the Hellinger comparison
+protocol.
 
 The repeated-gate experiments mirror a standard stress test: initialise
 the register, apply the same native gate N times and track the outcome
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import evolve_layers, run_channel_sim
+from .channels import _lindblad_slot_map, evolve_layers, run_channel_sim
 from .engine import (
     Circuit,
     RunConfig,
@@ -41,13 +42,12 @@ from .engine import (
     run_shots,
     schedule_layers,
 )
-from .gates import GateSpec, drive_generator, ideal_unitary
-from .linalg import expm, superoperator
+from .gates import GateSpec
 # ``solve`` stays bound here: perfbench/test_perfbench.py checks that
 # tracing restores ``experiments.solve``.
-from .lindblad import rhs_superoperator, solve  # noqa: F401
+from .lindblad import solve  # noqa: F401
 from .metrics import hellinger, mean_std_over_runs
-from .noise_model import DeviceParams, noise_context_for_gate
+from .noise_model import DeviceParams
 from .stochastic import RngStream
 
 __all__ = [
@@ -184,18 +184,6 @@ def channel_backend_run(config: ExperimentConfig, run_index: int, exact_probs: n
     return out
 
 
-def _lindblad_slot_map(gate: GateSpec, params: DeviceParams) -> np.ndarray:
-    """Local map of one slot: the exact exponential (``linalg.expm``) of
-    the slot-time generator (``lindblad.rhs_superoperator``) of its drive
-    ``drive_generator(gate)`` (none for an idle) and its
-    ``noise_context_for_gate`` terms, over s in [0, 1].  A zero-duration
-    slot (an RZ frame, a zero idle) is its ideal unitary."""
-    ctx = noise_context_for_gate(gate, params)
-    if ctx.gate_duration == 0.0:
-        return superoperator([ideal_unitary(gate)])
-    return expm(rhs_superoperator(drive_generator(gate), ctx.terms))
-
-
 def lindblad_reference(
     scheduled: ScheduledCircuit, checkpoint_layers: tuple[int, ...]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -205,9 +193,9 @@ def lindblad_reference(
     drive and its ``noise_context_for_gate`` jump terms.  Slots of a layer
     act on disjoint qubits (an idle and its pad run back to back), so
     their generators commute and the layer's map is the product of the
-    slots' local maps, each the exact exponential of its generator, built
-    once per distinct slot and applied by
-    :func:`~noisygates.channels.evolve_layers`.  Returns
+    slots' local maps, each the exact exponential of its generator
+    (``channels._lindblad_slot_map``), built once per distinct slot and
+    applied by :func:`~noisygates.channels.evolve_layers`.  Returns
     (distributions, rho at every checkpoint).  Readout bitflips
     are applied to the distribution only, never to the running state.
     Registers wider than ``channels.MAX_QUBITS`` raise ``ValueError``

@@ -11,10 +11,13 @@ superoperator on row-major vec(rho) (the convention of
 ``linalg.superoperator``), and ``steps`` equal steps are the matrix
 power step^steps (:func:`rk4_map`).  :func:`solve` applies one such map
 to an initial state and symmetrises the result, which keeps round-off
-drift down.  The circuit reference, ``experiments.lindblad_reference``,
-takes only :func:`rhs_superoperator` from here: each of its slot maps is
-the exact exponential of that generator (``linalg.expm``), so RK4
-serves :func:`solve` alone.
+drift down.  The density-matrix back-ends take only
+:func:`rhs_superoperator` from here: each slot map of the circuit
+reference (``experiments.lindblad_reference``) is the exact exponential
+(``linalg.expm``) of that generator, and the channel simulator
+exponentiates it with a zero generator over the depolarising and the
+relaxation terms in turn (both in ``channels``).  RK4 serves
+:func:`solve` alone.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ The calibration file is a strict JSON document::
 
 All times are in seconds; unknown keys are rejected.  Rates are derived
 so that the continuous jump processes reproduce the corresponding
-discrete channels exactly over one gate duration T:
+discrete channels exactly over one gate duration T (the Kraus closed
+forms in ``tests/test_channels.py`` check the channel simulator's slot
+maps, built from these jumps, against the channels within 1e-14):
 
 * amplitude damping gamma1 = 1/T1 and pure dephasing
   gamma_pd = 2/T2 - 1/T1 (requires T2 <= 2 T1),
@@ -27,8 +29,12 @@ depolarising jump's is computed as sqrt(-ln(1-p)/4^k), which reads no
 duration, so it stays finite where gamma_d overflows.
 
 Which of these one scheduled slot carries is decided once, by
-:func:`slot_noise`; the trajectory engine, the channel simulator and the
-Lindblad reference all read it.
+:func:`slot_noise`, which every back-end calls for every slot: the
+density-matrix back-ends and the engine's driven slots read it as the
+jump terms of :func:`noise_context_for_gate`, and the channel simulator
+applies the two groups that :func:`split_slot_terms` returns one after
+the other.  A rate times a duration that overflows is rejected there,
+so on every back-end.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ __all__ = [
     "SlotNoise",
     "slot_noise",
     "noise_context_for_gate",
+    "split_slot_terms",
 ]
 
 
@@ -270,7 +277,9 @@ def slot_noise(gate: "GateSpec", params: DeviceParams) -> SlotNoise:
     """The noise rule every back-end follows: a slot relaxes each of its
     qubits over its duration (the device default for its arity when the
     gate has none) and a driven slot also depolarises at ``p_1q`` or
-    ``p_2q``.  Zero-duration slots, RZ frames among them, carry no noise."""
+    ``p_2q``.  Zero-duration slots, RZ frames among them, carry no noise.
+    Raises ``ValueError``, naming the qubit, where a relaxation rate times
+    the duration is not finite: no back-end can evolve that amplitude."""
     qubits = gate.qubits
     if any(q >= params.n_qubits for q in qubits):
         raise ValueError(f"gate qubits {qubits} not in device (n={params.n_qubits})")
@@ -278,14 +287,22 @@ def slot_noise(gate: "GateSpec", params: DeviceParams) -> SlotNoise:
     if duration == 0:
         return SlotNoise(0.0, (), None)
     relaxation = tuple(relaxation_rates(params.qubits[q].t1_s, params.qubits[q].t2_s) for q in qubits)
+    for q, rates in zip(qubits, relaxation):
+        if not all(math.isfinite(rate * duration) for rate in rates):
+            qubit = params.qubits[q]
+            raise ValueError(
+                f"relaxation of qubit {q} over a {duration:g} s {gate.kind} slot overflows "
+                f"(t1_s={qubit.t1_s:g}, t2_s={qubit.t2_s:g}): rate x duration is not finite"
+            )
     p = (params.p_1q if len(qubits) == 1 else params.p_2q) if gate.driven else None
     return SlotNoise(duration, relaxation, p)
 
 
 def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseContext:
-    """Jump terms of one slot's :func:`slot_noise`, on the slot's qubits:
-    amplitude damping and pure dephasing per qubit, then the depolarising
-    set of a driven slot, each with its amplitude over the slot's duration."""
+    """Jump terms of one slot's :func:`slot_noise`, on the slot's qubits,
+    each with its amplitude over the slot's duration, in the order
+    :func:`split_slot_terms` reads: amplitude damping and pure dephasing
+    per qubit, then the depolarising set of a driven slot."""
     noise = slot_noise(gate, params)
     duration, arity = noise.duration, len(noise.relaxation)
     terms: list[LindbladTerm] = []
@@ -296,3 +313,13 @@ def noise_context_for_gate(gate: "GateSpec", params: DeviceParams) -> NoiseConte
         epsilon = math.sqrt(-math.log1p(-noise.p_depolarizing) / 4**arity)
         terms += [LindbladTerm(pauli, epsilon) for pauli in depolarizing_paulis(arity)]
     return NoiseContext(terms=tuple(terms), gate_duration=duration)
+
+
+def split_slot_terms(ctx: NoiseContext) -> tuple[tuple[LindbladTerm, ...], tuple[LindbladTerm, ...]]:
+    """The (relaxation, depolarising) terms of a
+    :func:`noise_context_for_gate` context: its first two terms per qubit
+    of the slot, then the rest (none for an idle slot)."""
+    if not ctx.terms:
+        return (), ()
+    split = 2 * (ctx.terms[0].operator.shape[0].bit_length() - 1)
+    return ctx.terms[:split], ctx.terms[split:]

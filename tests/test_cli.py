@@ -618,6 +618,22 @@ def test_subnormal_gate_runs_on_every_back_end(op, device_file, tmp_path, capsys
     np.testing.assert_allclose(subnormal[0], rows(1e-300, "tiny")[0], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("backend", ["channel", "lindblad", "noisy_gates"])
+def test_overflowing_amplitude_is_rejected_on_every_back_end(backend, tmp_path, capsys):
+    # T1 = T2 = 1e-300 s over a 1e300 s X gate: rate x duration overflows,
+    # which every back-end rejects before any numpy work
+    device_path = tmp_path / "overflow.json"
+    qubit = {"t1_s": 1e-300, "t2_s": 1e-300, "p_readout": 0.02}
+    device_path.write_text(json.dumps({"qubits": [qubit], "gates": dict(DEVICE["gates"], t_1q_s=1e300)}))
+    circuit_path = tmp_path / "x.json"
+    circuit_path.write_text(json.dumps({"n_qubits": 1, "ops": [{"gate": "X", "q": [0]}], "measure": [0]}))
+    custom = {"--experiment": "custom_circuit", "--circuit": str(circuit_path), "--backends": backend, "--runs": "1"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate"] + compare_args(device_path, tmp_path / "out", **custom)[1:]) == 2
+    assert "relaxation of qubit 0 over a 1e+300 s X slot overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "op, lindblad_p0",
     [

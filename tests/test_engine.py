@@ -20,7 +20,7 @@ import pytest
 
 import noisygates
 from noisygates import engine
-from noisygates.channels import apply_channel, relaxation_channel
+from noisygates.channels import apply_channel
 from noisygates.engine import (
     CHUNK_SHOTS,
     DENSE_DENSITY_MAX_QUBITS,
@@ -59,6 +59,7 @@ from noisygates.noise_model import (
     spam_strength,
 )
 from noisygates.stochastic import RngStream
+from test_channels import relaxation_kraus
 from test_gates import draw_spam
 from test_linalg import mul_2x2
 
@@ -575,7 +576,7 @@ class TestRunShots:
         result = run_shots(sched, RunConfig(shots=100_000, master_seed=9))
         gamma1, gamma_pd = relaxation_rates(100e-6, 80e-6)
         rho1 = np.diag([0.0, 1.0]).astype(complex)
-        want = apply_channel(rho1, relaxation_channel(gamma1, gamma_pd, idle), (0,))
+        want = apply_channel(rho1, relaxation_kraus(gamma1, gamma_pd, idle), (0,))
         got_p1 = result.distributions[-1][1]
         # 5 standard errors of the weighted estimator
         se = 5 * math.sqrt(want[1, 1].real * (1 - want[1, 1].real) / 100_000)
@@ -1148,16 +1149,16 @@ def sequential_outcomes(probs: np.ndarray, weights: np.ndarray, uniforms: np.nda
 
 
 class TestOutcomeDraw:
-    """``engine._outcomes``, the two-level search over blocks of
-    2^ceil(n/2) outcomes, draws what a search of each row's whole CDF
-    draws."""
+    """``engine._outcomes``, one block up to 8 outcomes and else the
+    two-level search over blocks of 2^ceil(n/2) outcomes, draws what a
+    search of each row's whole CDF draws."""
 
     @staticmethod
     def rows(dim: int, rng) -> np.ndarray:
         """Rows of probabilities: random ones, all positive or with zeros;
         one-hot rows on the first outcome, a block's first and last and
         the last outcome; a zero row; subnormal rows."""
-        width = 1 << (dim.bit_length() // 2)
+        width = dim if dim <= 8 else 1 << (dim.bit_length() // 2)
         sparse = rng.random(dim) * (rng.random(dim) < 0.2)
         sparse[dim // 2] += 0.1
         rows = [rng.random(dim) * 0.3, sparse, 1e-200 * rng.random(dim)]
@@ -1168,7 +1169,7 @@ class TestOutcomeDraw:
         rows.append(rng.integers(1, 4, dim) * 5e-324)
         return np.array(rows)
 
-    @pytest.mark.parametrize("dim", [2, 4, 128, 2**12, 2**14])
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 128, 2**12, 2**14])
     def test_matches_a_search_of_the_whole_cdf(self, dim):
         rng = np.random.default_rng(dim)
         rows = self.rows(dim, rng)
@@ -1184,6 +1185,19 @@ class TestOutcomeDraw:
         np.testing.assert_array_equal(got[drawn], sequential_outcomes(probs[drawn], weights[drawn], u[drawn]))
         # the rows are read, not written
         np.testing.assert_array_equal(probs, np.repeat(rows, len(uniforms), axis=0))
+
+    @pytest.mark.parametrize("dim,widths", [(2, [2]), (4, [4]), (8, [8]), (16, [4, 4]), (32, [4, 8])])
+    def test_rows_of_at_most_eight_outcomes_are_one_block(self, dim, widths, monkeypatch):
+        # the one cumulative sum over a short row is the faster search
+        rng = np.random.default_rng(dim)
+        probs = rng.random((50, dim))
+        summed = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda a, *args, **kw: summed.append(a.shape) or cumsum(a, *args, **kw))
+        got = engine._outcomes(probs, probs.sum(axis=1), rng.random(50))
+        monkeypatch.undo()
+        assert summed == [(50, w) for w in widths]
+        assert got.max() < dim
 
 
 class TestSharedCompiled:

@@ -7,12 +7,11 @@ import pytest
 from scipy.linalg import expm
 
 from noisygates import lindblad
-from noisygates.channels import apply_channel, embed_operator
+from noisygates.channels import _lindblad_slot_map, apply_channel, embed_operator
 from noisygates.engine import Circuit, expand_cnots, parse_circuit, schedule_layers
 from noisygates.experiments import (
     ExperimentConfig,
     _channel_checkpoint_probs,
-    _lindblad_slot_map,
     _readout_distribution,
     build_experiment_circuit,
     channel_backend_run,
@@ -29,7 +28,7 @@ from noisygates.noise_model import (
     depolarizing_paulis,
     noise_context_for_gate,
 )
-from test_channels import bitflip_channel
+from test_channels import bitflip_kraus
 
 DESK = DeviceParams(
     qubits=(
@@ -231,7 +230,7 @@ class TestLindbladReferenceCache:
             builds.append(h)
             return rhs(h, terms)
 
-        monkeypatch.setattr("noisygates.experiments.rhs_superoperator", counting_rhs)
+        monkeypatch.setattr("noisygates.channels.rhs_superoperator", counting_rhs)
         layers = tuple(range(len(sched.layers) + 1))
         _, rhos = lindblad_reference(sched, layers)
         monkeypatch.undo()
@@ -460,7 +459,7 @@ def full_state_readout(rho, scheduled):
     """Oracle for _readout_distribution: a bitflip channel on each
     measured qubit applied to the whole rho, then its diagonal."""
     for q in scheduled.measured:
-        rho = apply_channel(rho, bitflip_channel(scheduled.params.qubits[q].p_readout), (q,))
+        rho = apply_channel(rho, bitflip_kraus(scheduled.params.qubits[q].p_readout), (q,))
     p = np.real(np.diag(rho)).clip(min=0.0)
     return p / p.sum()
 

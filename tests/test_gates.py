@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from noisygates.channels import apply_channel, relaxation_channel
+from noisygates.channels import apply_channel
 from noisygates.gates import (
     DriveSchedule,
     GateSpec,
@@ -42,6 +42,7 @@ from noisygates.linalg import (
 )
 from noisygates.noise_model import LindbladTerm, NoiseContext, load_calibration, noise_context_for_gate
 from noisygates.stochastic import RngStream, gauss_legendre_rule
+from test_channels import relaxation_kraus
 from test_linalg import mul_2x2
 
 
@@ -594,7 +595,7 @@ class TestRelaxationGate:
 
     @pytest.mark.parametrize("g1dt,gpddt", [(0.1, 0.05), (math.log(2), 0.2)])
     def test_ensemble_matches_channel(self, g1dt, gpddt):
-        channel = relaxation_channel(g1dt, gpddt, 1.0)
+        channel = relaxation_kraus(g1dt, gpddt, 1.0)
         states = {
             "zero": np.diag([1.0, 0.0]).astype(complex),
             "one": np.diag([0.0, 1.0]).astype(complex),

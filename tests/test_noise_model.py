@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from noisygates.channels import apply_channel, depolarizing_channel
+from noisygates.channels import apply_channel
 from noisygates.gates import GateSpec
 from noisygates.lindblad import solve
-from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z
+from noisygates.linalg import DECAY, I2, PAULI_X, PAULI_Y, PAULI_Z, embed
 from noisygates.noise_model import (
     CalibrationError,
     DeviceParams,
@@ -21,7 +21,9 @@ from noisygates.noise_model import (
     relaxation_rates,
     slot_noise,
     spam_strength,
+    split_slot_terms,
 )
+from test_channels import depolarizing_kraus
 
 MINIMAL = {
     "qubits": [{"t1_s": 100e-6, "t2_s": 100e-6, "p_readout": 0.01}],
@@ -165,7 +167,7 @@ class TestDepolarizingAmplitude:
             before = np.real(np.trace(rho0 @ pauli))
             after = np.real(np.trace(rho @ pauli))
             assert after == pytest.approx((1 - p) * before, abs=1e-8)
-        assert np.abs(rho - apply_channel(rho0, depolarizing_channel(p, arity), range(arity))).max() < 1e-8
+        assert np.abs(rho - apply_channel(rho0, depolarizing_kraus(p, arity), range(arity))).max() < 1e-8
 
     def test_bloch_contraction_oracle(self):
         # one gate of X, Y, Z jumps at gamma_d = -ln(1 - p)/(4 T) shrinks
@@ -287,7 +289,7 @@ class TestNoiseContext:
         rho0 += 0.1 * np.kron(PAULI_X, PAULI_X)
         rho0 /= np.trace(rho0).real
         rho = solve(np.zeros((4, 4)), ctx.terms, rho0, 400)
-        want = apply_channel(rho0, depolarizing_channel(0.04, 2), (0, 1))
+        want = apply_channel(rho0, depolarizing_kraus(0.04, 2), (0, 1))
         assert np.abs(rho - want).max() < 2e-3
 
     def test_two_qubit_amplitude_closed_form(self):
@@ -319,6 +321,34 @@ class TestSlotNoise:
     @pytest.mark.parametrize("gate", [GateSpec("RZ", (0,), phi=0.3), GateSpec("IDLE", (0,), duration=0.0)])
     def test_frames_and_zero_duration_slots_carry_nothing(self, gate):
         assert slot_noise(gate, self.PARAMS) == SlotNoise(0.0, (), None)
+
+    @pytest.mark.parametrize(
+        "gate, relaxation, depolarizing",
+        [
+            (GateSpec("X", (1,)), 2, 3),
+            (GateSpec("CNOT", (1, 0)), 4, 15),
+            (GateSpec("IDLE", (0,), duration=1e-6), 2, 0),
+            (GateSpec("RZ", (0,), phi=0.3), 0, 0),
+        ],
+    )
+    def test_split_slot_terms(self, gate, relaxation, depolarizing):
+        ctx = noise_context_for_gate(gate, self.PARAMS)
+        relax, dep = split_slot_terms(ctx)
+        assert (len(relax), len(dep)) == (relaxation, depolarizing)
+        assert relax + dep == ctx.terms
+        # amplitude damping and pure dephasing on each qubit in turn
+        ops = [embed(op, (pos,), len(gate.qubits)) for pos in range(len(gate.qubits)) for op in (DECAY, PAULI_Z)]
+        assert all(np.array_equal(t.operator, op) for t, op in zip(relax, ops))
+
+    @pytest.mark.parametrize("gate", [GateSpec("X", (1,)), GateSpec("CNOT", (0, 1)), GateSpec("IDLE", (1,), duration=1e300)])
+    def test_overflowing_amplitude_names_the_qubit(self, gate):
+        # T1 = T2 = 1e-300 s on qubit 1 and 1e300 s slots: the rates times
+        # the duration overflow, while qubit 0's would not
+        doc = dict(MINIMAL, qubits=[MINIMAL["qubits"][0], {"t1_s": 1e-300, "t2_s": 1e-300, "p_readout": 0.0}])
+        params = load_calibration(dict(doc, gates=dict(MINIMAL["gates"], t_1q_s=1e300, t_2q_s=1e300)))
+        with pytest.raises(ValueError, match="relaxation of qubit 1 over a 1e\\+300 s"):
+            slot_noise(gate, params)
+        assert slot_noise(GateSpec("IDLE", (0,), duration=1e300), params).duration == 1e300
 
 
 @pytest.mark.parametrize(
